@@ -12,11 +12,9 @@ test:
 # Tier-1 verification plus smoke tests: a quick shared-frontier run on
 # two drivers (work stealing + shared query cache end to end), a quick
 # chaos run (injected worker crashes / solver exhaustions / memory
-# pressure must leave the bug sets unchanged), a quick incremental-
-# session run (bug sets must match the from-scratch pipeline, plus the
-# clause-retention microbench), a quick DBT parity run (compiled blocks
-# on/off must report identical bug sets, with and without chaos), a
-# quick state-merging parity run (fusing states at post-dominators must
+# pressure must leave the bug sets unchanged), a quick DBT parity run
+# (compiled blocks on/off must report identical bug sets, with and
+# without chaos), a quick state-merging parity run (fusing states at post-dominators must
 # leave the bug sets unchanged while collapsing the deep-loop driver's
 # frontier), a quick static-race run (lockset/IRQL + race rules fire on
 # the seeded corpus, are false-positive-free on every fixed variant, and
@@ -37,7 +35,6 @@ test:
 check: build test
 	dune exec bench/main.exe -- parallel --quick
 	dune exec bench/main.exe -- chaos --quick
-	dune exec bench/main.exe -- incr --quick
 	dune exec bench/main.exe -- dbt --quick
 	dune exec bench/main.exe -- merge --quick
 	dune exec bench/main.exe -- staticrace --quick

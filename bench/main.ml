@@ -347,14 +347,13 @@ let sched () =
 (* --- parallel exploration (the paper's future-work direction, delivered) --------- *)
 
 (* Set by --quick: a smoke-test subset of the parallel experiment for
-   `make check` — two drivers, tight step budgets, no portfolio leg. *)
+   `make check` — two drivers, tight step budgets. *)
 let quick_mode = ref false
 
 type parallel_row = {
   pr_driver : string;
   pr_bugs : int;
   pr_walls : (int * float) list;       (* shared-frontier jobs -> wall s *)
-  pr_portfolio_wall : float option;    (* 4-session portfolio fleet *)
   pr_steals : int;                     (* at the highest worker count *)
   pr_hit_rate : float;                 (* solver cache, highest-jobs run *)
   pr_cross_hits : int;                 (* cross-worker cache hits, ditto *)
@@ -368,10 +367,9 @@ let write_parallel_json rows path =
   pr "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
   pr
     "  \"note\": \"shared-frontier: one session, N cooperating domains, \
-     the fork tree explored once; portfolio4: 4 full redundant sessions. \
-     speedup_vs_portfolio4 measures the redundant work the shared \
-     frontier eliminates; on a single-core host same-tree wall times \
-     barely change with the worker count.\",\n";
+     the fork tree explored once. On a host with fewer cores than \
+     workers, same-tree wall times barely change with the worker \
+     count.\",\n";
   pr "  \"drivers\": [\n";
   List.iteri
     (fun i r ->
@@ -386,19 +384,12 @@ let write_parallel_json rows path =
         List.fold_left (fun _ (_, w) -> w) 0.0 r.pr_walls
       in
       pr
-        "    {\"driver\": %S, \"bugs\": %d, %s,%s\n     \"sf_steals\": %d, \
+        "    {\"driver\": %S, \"bugs\": %d, %s,\n     \"sf_steals\": %d, \
          \"cache_hit_rate\": %.4f, \"cross_worker_hits\": %d,\n     \
-         \"speedup_sf_vs_seq\": %.3f,%s \"bugs_match\": %b}%s\n"
+         \"speedup_sf_vs_seq\": %.3f, \"bugs_match\": %b}%s\n"
         r.pr_driver r.pr_bugs walls
-        (match r.pr_portfolio_wall with
-         | Some w -> Printf.sprintf " \"portfolio4_wall_s\": %.4f," w
-         | None -> "")
         r.pr_steals r.pr_hit_rate r.pr_cross_hits
         (if hi > 0.0 then seq /. hi else 1.0)
-        (match r.pr_portfolio_wall with
-         | Some w when hi > 0.0 ->
-             Printf.sprintf " \"speedup_vs_portfolio4\": %.3f," (w /. hi)
-         | _ -> "")
         r.pr_bugs_match
         (if i = List.length rows - 1 then "" else ","))
     rows;
@@ -406,7 +397,6 @@ let write_parallel_json rows path =
   close_out oc
 
 let parallel () =
-  let module P = Ddt_core.Parallel in
   let module Sv = Ddt_solver.Solver in
   section
     (if !quick_mode then
@@ -415,63 +405,56 @@ let parallel () =
      else
        "Parallel symbolic execution (par 6.1): one session's fork tree \
         explored by cooperating domains (shared work-stealing frontier + \
-        shared sharded query cache) vs a redundant portfolio fleet");
+        shared sharded query cache)");
   let drivers =
     if !quick_mode then [ "rtl8029"; "pcnet" ]
     else List.map (fun e -> e.Corpus.short) Corpus.all
   in
   let job_counts = if !quick_mode then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let config short =
+  let config short jobs =
     let cfg = Corpus.config (Corpus.find short) in
+    let cfg =
+      { cfg with Config.exec_config = { cfg.Config.exec_config with Exec.jobs } }
+    in
     if !quick_mode then
       { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
     else cfg
   in
-  let keys (r : P.result) =
-    List.sort compare (List.map (fun b -> b.Report.b_key) r.P.p_bugs)
+  let keys (r : Session.result) =
+    List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
   in
-  Printf.printf "%-16s %5s %10s %8s %6s %6s %8s %6s\n" "Driver" "jobs"
-    "wall(s)" "steals" "hit%" "xhits" "mode" "match";
+  Printf.printf "%-16s %5s %10s %8s %6s %6s %6s\n" "Driver" "jobs"
+    "wall(s)" "steals" "hit%" "xhits" "match";
   let rows =
     List.map
       (fun short ->
-        let cfg = config short in
         let base = ref [] in
         let walls = ref [] in
         let last = ref None in
         List.iter
           (fun jobs ->
             let s0 = Sv.stats () in
-            let r = P.test_driver ~jobs ~mode:P.Shared_frontier cfg in
+            let t0 = Unix.gettimeofday () in
+            let r = Session.run (config short jobs) in
+            let wall = Unix.gettimeofday () -. t0 in
             let sd = Sv.diff_stats (Sv.stats ()) s0 in
             if jobs = 1 then base := keys r;
-            walls := (jobs, r.P.p_wall_time) :: !walls;
+            walls := (jobs, wall) :: !walls;
             last := Some (r, sd);
-            Printf.printf "%-16s %5d %10.2f %8d %5.1f%% %6d %8s %6s\n" short
-              jobs r.P.p_wall_time r.P.p_steals
+            Printf.printf "%-16s %5d %10.2f %8d %5.1f%% %6d %6s\n" short
+              jobs wall r.Session.r_stats.Exec.st_steals
               (100.0 *. Sv.cache_hit_rate sd)
-              r.P.p_cross_hits
-              (P.mode_label r.P.p_mode)
+              sd.Sv.s_cache_cross_worker_hits
               (if keys r = !base then "yes" else "NO"))
           job_counts;
         let r_last, sd_last = Option.get !last in
-        let portfolio =
-          if !quick_mode then None
-          else begin
-            let r = P.test_driver ~jobs:4 ~mode:P.Portfolio cfg in
-            Printf.printf "%-16s %5d %10.2f %8s %6s %6s %8s %6s\n" short 4
-              r.P.p_wall_time "-" "-" "-" (P.mode_label r.P.p_mode) "-";
-            Some r.P.p_wall_time
-          end
-        in
         {
           pr_driver = short;
-          pr_bugs = List.length r_last.P.p_bugs;
+          pr_bugs = List.length r_last.Session.r_bugs;
           pr_walls = List.rev !walls;
-          pr_portfolio_wall = portfolio;
-          pr_steals = r_last.P.p_steals;
+          pr_steals = r_last.Session.r_stats.Exec.st_steals;
           pr_hit_rate = Sv.cache_hit_rate sd_last;
-          pr_cross_hits = r_last.P.p_cross_hits;
+          pr_cross_hits = sd_last.Sv.s_cache_cross_worker_hits;
           pr_bugs_match = keys r_last = !base;
         })
       drivers
@@ -482,23 +465,6 @@ let parallel () =
      total cross-worker cache hits %d\n"
     (List.length matches) (List.length rows)
     (List.fold_left (fun acc r -> acc + r.pr_cross_hits) 0 rows);
-  (match
-     List.filter (fun r -> r.pr_portfolio_wall <> None) rows
-   with
-   | [] -> ()
-   | w ->
-       let hi r = List.fold_left (fun _ (_, x) -> x) 0.0 r.pr_walls in
-       let pw =
-         List.fold_left
-           (fun acc r -> acc +. Option.get r.pr_portfolio_wall)
-           0.0 w
-       in
-       let sw = List.fold_left (fun acc r -> acc +. hi r) 0.0 w in
-       Printf.printf
-         "portfolio-4 fleet %.2fs vs shared-frontier-4 %.2fs: %.2fx less \
-          wall time for the same tree (redundancy eliminated)\n"
-         pw sw
-         (if sw > 0.0 then pw /. sw else 1.0));
   if !json_mode && not !quick_mode then begin
     write_parallel_json rows "BENCH_parallel.json";
     Printf.printf "wrote BENCH_parallel.json\n"
@@ -892,219 +858,6 @@ let chaos_bench () =
   if !json_mode then begin
     write_chaos_json rows "BENCH_chaos.json";
     Printf.printf "wrote BENCH_chaos.json\n"
-  end
-
-(* --- incremental solver sessions -------------------------------------------------- *)
-
-type incr_row = {
-  ir_driver : string;
-  ir_off : Ddt_solver.Solver.stats;
-  ir_off_wall : float;
-  ir_off_bugs : string list;
-  ir_on : Ddt_solver.Solver.stats;
-  ir_on_wall : float;
-  ir_on_bugs : string list;
-}
-
-let write_incr_json rows ~micro_wall_scratch ~micro_wall_incr ~micro_retained
-    ~micro_verdicts_agree path =
-  let module Sv = Ddt_solver.Solver in
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  let leg (s : Sv.stats) wall bugs =
-    Printf.sprintf
-      "{\"queries\": %d, \"group_solves\": %d, \"bitblast_solves\": %d, \
-       \"incr_queries\": %d, \"incr_model_hits\": %d, \
-       \"incr_sat_solves\": %d, \"incr_learned_retained\": %d, \
-       \"incr_frames_reused\": %d, \"incr_pushes\": %d, \"incr_pops\": %d, \
-       \"incr_rebuilds\": %d, \"wall_s\": %.4f, \"bugs\": %d}"
-      s.Sv.s_queries s.Sv.s_group_solves s.Sv.s_bitblast_solves
-      s.Sv.s_incr_queries s.Sv.s_incr_model_hits s.Sv.s_incr_sat_solves
-      s.Sv.s_incr_learned_retained s.Sv.s_incr_skipped_recanon
-      s.Sv.s_incr_pushes s.Sv.s_incr_pops s.Sv.s_incr_rebuilds wall
-      (List.length bugs)
-  in
-  pr "{\n  \"experiment\": \"incr\",\n";
-  pr
-    "  \"note\": \"per-state incremental solver sessions (push/pop + \
-     activation literals + retained learned clauses) vs the from-scratch \
-     pipeline; pr1 baseline for the same corpus was 15743 bit-blasts / \
-     ~26.1s solver wall\",\n";
-  pr "  \"drivers\": [\n";
-  List.iteri
-    (fun i r ->
-      pr
-        "    {\"driver\": %S,\n     \"scratch\": %s,\n     \"incremental\": \
-         %s,\n     \"speedup\": %.3f,\n     \"bugs_match\": %b}%s\n"
-        r.ir_driver
-        (leg r.ir_off r.ir_off_wall r.ir_off_bugs)
-        (leg r.ir_on r.ir_on_wall r.ir_on_bugs)
-        (if r.ir_on_wall > 0.0 then r.ir_off_wall /. r.ir_on_wall else 1.0)
-        (r.ir_off_bugs = r.ir_on_bugs)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pr "  ],\n";
-  pr
-    "  \"session_microbench\": {\"scratch_wall_s\": %.4f, \
-     \"incremental_wall_s\": %.4f, \"learned_clauses_retained\": %d, \
-     \"verdicts_agree\": %b}\n"
-    micro_wall_scratch micro_wall_incr micro_retained micro_verdicts_agree;
-  pr "}\n";
-  close_out oc
-
-(* Repeated queries down one deepening path whose constraints only yield
-   to bit-blasting (multiplication circuits): the worst case for the
-   from-scratch pipeline and the best case for a session, which re-blasts
-   nothing and carries its learned clauses from query to query. Returns
-   (scratch wall, incremental wall, learned clauses retained, verdict
-   parity). *)
-let incr_session_micro () =
-  let open Ddt_solver in
-  let module Sv = Solver in
-  let x = Expr.fresh_var Expr.W32 and y = Expr.fresh_var Expr.W32 in
-  let product = Expr.binop Expr.Mul (Expr.var x) (Expr.var y) in
-  (* Bounded factoring: x * y = c with 1 < x, y < 256 — opaque to the
-     interval layer, and each query is a genuine conflict-driven search
-     through the same multiplier circuit, so the session's retained
-     clauses pay off query after query. Products are composites with no
-     small pattern; each answered query excludes its product from the
-     path (a concretize-then-negate loop, as the engine would). *)
-  let composites =
-    [ 143; 187; 209; 221; 247; 253; 299; 323; 391; 437; 493; 527;
-      551; 589; 667; 713; 779; 817; 851; 899; 943; 989; 1003; 1073 ]
-  in
-  let bounds =
-    [ Expr.cmp Expr.Ltu (Expr.var y) (Expr.word 256);
-      Expr.cmp Expr.Ltu (Expr.var x) (Expr.word 256);
-      Expr.cmp Expr.Ltu (Expr.word 1) (Expr.var x);
-      Expr.cmp Expr.Ltu (Expr.word 1) (Expr.var y) ]
-  in
-  (* newest-first prefixes sharing tails physically, like a real path
-     condition deepening one branch at a time *)
-  let prefixes =
-    List.rev
-      (snd
-         (List.fold_left
-            (fun (cs, acc) c ->
-              let cs' =
-                Expr.not_ (Expr.cmp Expr.Eq product (Expr.word c)) :: cs
-              in
-              (cs', cs :: acc))
-            (bounds, []) composites))
-  in
-  (* Odd queries probe a prime instead: x * y = p with 1 < x, y < 256 has
-     no model, and refuting it is exactly the conflict-rich search where
-     clauses retained from earlier queries prune the most. *)
-  let primes =
-    [ 149; 191; 211; 223; 251; 257; 307; 331; 397; 439; 499; 521;
-      557; 587; 661; 719; 773; 811; 853; 907; 941; 991; 1009; 1069 ]
-  in
-  let probe k =
-    let v =
-      if k land 1 = 0 then List.nth composites k else List.nth primes k
-    in
-    Expr.cmp Expr.Eq product (Expr.word v)
-  in
-  (* scratch leg: every query re-blasts its whole constraint set *)
-  Sv.clear_cache ();
-  let t0 = Unix.gettimeofday () in
-  let scratch_verdicts =
-    List.mapi (fun k cs -> Sv.is_feasible (probe k :: cs)) prefixes
-  in
-  let scratch_wall = Unix.gettimeofday () -. t0 in
-  (* incremental leg: one session follows the same deepening path *)
-  Sv.clear_cache ();
-  let s0 = Sv.stats () in
-  let sess = Incr.create () in
-  let t0 = Unix.gettimeofday () in
-  let incr_verdicts =
-    List.mapi (fun k cs -> Incr.feasible sess cs (probe k)) prefixes
-  in
-  let incr_wall = Unix.gettimeofday () -. t0 in
-  let d = Sv.diff_stats (Sv.stats ()) s0 in
-  (scratch_wall, incr_wall, d.Sv.s_incr_learned_retained,
-   scratch_verdicts = incr_verdicts)
-
-let incr_bench () =
-  section
-    (if !quick_mode then
-       "Incremental solver sessions smoke test (--quick): 2 drivers, tight \
-        budgets, session microbench"
-     else
-       "Incremental solver sessions: per-state push/pop + retained learned \
-        clauses vs the from-scratch pipeline (identical bug reports \
-        required)");
-  let module Sv = Ddt_solver.Solver in
-  let drivers =
-    if !quick_mode then [ "rtl8029"; "pcnet" ]
-    else List.map (fun e -> e.Corpus.short) Corpus.all
-  in
-  let bug_keys (r : Session.result) =
-    List.map (fun b -> b.Report.b_key) r.Session.r_bugs
-    |> List.sort_uniq compare
-  in
-  let run_with incr short =
-    let cfg = Corpus.config (Corpus.find short) in
-    let cfg =
-      if !quick_mode then
-        { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
-      else cfg
-    in
-    let cfg =
-      { cfg with
-        Config.exec_config =
-          { cfg.Config.exec_config with Exec.solver_incr = incr } }
-    in
-    Sv.clear_cache ();
-    let s0 = Sv.stats () in
-    let t0 = Unix.gettimeofday () in
-    let r = Ddt_core.Ddt.test_driver cfg in
-    let wall = Unix.gettimeofday () -. t0 in
-    (Sv.diff_stats (Sv.stats ()) s0, wall, bug_keys r)
-  in
-  Printf.printf "%-16s %8s %8s %9s %9s %8s %8s %8s %5s\n" "Driver" "bb-off"
-    "bb-on" "sess-q" "reused" "wall-off" "wall-on" "rebuilds" "same";
-  let rows =
-    List.map
-      (fun short ->
-        let off, toff, koff = run_with false short in
-        let on, ton, kon = run_with true short in
-        Printf.printf "%-16s %8d %8d %9d %9d %7.2fs %7.2fs %8d %5s\n" short
-          off.Sv.s_bitblast_solves on.Sv.s_bitblast_solves
-          on.Sv.s_incr_queries on.Sv.s_incr_skipped_recanon toff ton
-          on.Sv.s_incr_rebuilds
-          (if koff = kon then "yes" else "NO");
-        { ir_driver = short; ir_off = off; ir_off_wall = toff;
-          ir_off_bugs = koff; ir_on = on; ir_on_wall = ton;
-          ir_on_bugs = kon })
-      drivers
-  in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let sumf f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
-  let mw_scratch, mw_incr, m_retained, m_agree = incr_session_micro () in
-  Printf.printf
-    "\ntotals: bit-blasts %d -> %d | session queries %d (%d model hits) | \
-     frames reused %d | wall %.2fs -> %.2fs | bug reports identical on \
-     %d/%d drivers\n"
-    (sum (fun r -> r.ir_off.Sv.s_bitblast_solves))
-    (sum (fun r -> r.ir_on.Sv.s_bitblast_solves))
-    (sum (fun r -> r.ir_on.Sv.s_incr_queries))
-    (sum (fun r -> r.ir_on.Sv.s_incr_model_hits))
-    (sum (fun r -> r.ir_on.Sv.s_incr_skipped_recanon))
-    (sumf (fun r -> r.ir_off_wall))
-    (sumf (fun r -> r.ir_on_wall))
-    (List.length (List.filter (fun r -> r.ir_off_bugs = r.ir_on_bugs) rows))
-    (List.length rows);
-  Printf.printf
-    "session microbench (24 deepening bounded-factoring queries): scratch \
-     %.3fs -> session %.3fs | %d learned clauses retained | verdicts %s\n"
-    mw_scratch mw_incr m_retained
-    (if m_agree then "agree" else "DISAGREE");
-  if !json_mode then begin
-    write_incr_json rows ~micro_wall_scratch:mw_scratch
-      ~micro_wall_incr:mw_incr ~micro_retained:m_retained
-      ~micro_verdicts_agree:m_agree "BENCH_incr.json";
-    Printf.printf "wrote BENCH_incr.json\n"
   end
 
 (* --- DBT block compilation -------------------------------------------------------- *)
@@ -2097,7 +1850,7 @@ let all_experiments =
     ("stress", stress); ("sdv", sdv); ("synthetic", synthetic);
     ("ablation", ablation); ("sched", sched); ("parallel", parallel);
     ("memory", memory); ("solver", solver_bench); ("static", static_bench);
-    ("chaos", chaos_bench); ("incr", incr_bench); ("dbt", dbt_bench);
+    ("chaos", chaos_bench); ("dbt", dbt_bench);
     ("merge", merge_bench); ("staticrace", staticrace_bench);
     ("resume", resume_bench); ("dist", dist_bench); ("micro", micro) ]
 

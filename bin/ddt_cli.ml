@@ -93,14 +93,6 @@ let chaos_flag =
   in
   Arg.(value & flag & info [ "chaos" ] ~doc)
 
-let no_incr_flag =
-  let doc =
-    "Disable the per-state incremental solver sessions and answer every \
-     feasibility/concretization query from scratch (the differential \
-     oracle the incremental path is validated against)."
-  in
-  Arg.(value & flag & info [ "no-solver-incr" ] ~doc)
-
 let no_dbt_flag =
   let doc =
     "Disable block compilation and interpret every instruction \
@@ -156,14 +148,13 @@ let json_out_arg =
 (* Flag application shared by `test' and `resume': for a resumed run to
    converge with the uninterrupted one, both must build their config the
    same way from the same flags. *)
-let apply_session_flags cfg ~jobs ~guided ~chaos ~no_incr ~no_dbt ~no_merge
+let apply_session_flags cfg ~jobs ~guided ~chaos ~no_dbt ~no_merge
     ~checkpoint_every ~checkpoint_path ~store_dir ~persist =
   let cfg =
     { cfg with
       Ddt_core.Config.exec_config =
         { cfg.Ddt_core.Config.exec_config with
           Ddt_symexec.Exec.jobs = max 1 jobs;
-          solver_incr = not no_incr;
           dbt = not no_dbt;
           state_merging = not no_merge };
       checkpoint_every;
@@ -218,9 +209,9 @@ let report_result ~traces ~json_out r =
   if r.Ddt_core.Session.r_bugs = [] then 0 else 2
 
 let test_cmd =
-  let run short fixed no_annot traces jobs dist_workers guided chaos no_incr
-      no_dbt no_merge checkpoint_every checkpoint_path store_dir no_persist
-      json_out =
+  let run short fixed no_annot traces jobs dist_workers guided chaos no_dbt
+      no_merge checkpoint_every checkpoint_path store_dir no_persist json_out
+      =
     match find_entry short with
     | Error e -> prerr_endline e; 1
     | Ok entry ->
@@ -228,8 +219,8 @@ let test_cmd =
           Corpus.config ~fixed ~use_annotations:(not no_annot) entry
         in
         let cfg =
-          apply_session_flags cfg ~jobs ~guided ~chaos ~no_incr ~no_dbt
-            ~no_merge ~checkpoint_every ~checkpoint_path ~store_dir
+          apply_session_flags cfg ~jobs ~guided ~chaos ~no_dbt ~no_merge
+            ~checkpoint_every ~checkpoint_path ~store_dir
             ~persist:(not no_persist)
         in
         let r =
@@ -253,8 +244,8 @@ let test_cmd =
     (Cmd.info "test" ~doc:"Test a driver binary with DDT")
     Term.(
       const run $ driver_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ dist_workers_arg $ guided_flag $ chaos_flag $ no_incr_flag
-      $ no_dbt_flag $ no_merge_flag $ checkpoint_every_arg
+      $ jobs_arg $ dist_workers_arg $ guided_flag $ chaos_flag $ no_dbt_flag
+      $ no_merge_flag $ checkpoint_every_arg
       $ checkpoint_path_arg $ store_dir_arg $ no_persist_flag $ json_out_arg)
 
 let resume_cmd =
@@ -266,9 +257,8 @@ let resume_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"CKPT" ~doc)
   in
-  let run ckpt fixed no_annot traces jobs guided chaos no_incr no_dbt
-      no_merge checkpoint_every checkpoint_path store_dir no_persist
-      json_out =
+  let run ckpt fixed no_annot traces jobs guided chaos no_dbt no_merge
+      checkpoint_every checkpoint_path store_dir no_persist json_out =
     match Ddt_core.Session.checkpoint_driver ckpt with
     | Error e -> Printf.eprintf "cannot read checkpoint: %s\n" e; 1
     | Ok name -> (
@@ -284,8 +274,8 @@ let resume_cmd =
               Corpus.config ~fixed ~use_annotations:(not no_annot) entry
             in
             let cfg =
-              apply_session_flags cfg ~jobs ~guided ~chaos ~no_incr
-                ~no_dbt ~no_merge ~checkpoint_every
+              apply_session_flags cfg ~jobs ~guided ~chaos ~no_dbt
+                ~no_merge ~checkpoint_every
                 (* keep checkpointing into the file being resumed unless
                    told otherwise *)
                 ~checkpoint_path:
@@ -303,8 +293,8 @@ let resume_cmd =
           checkpoint and run it to completion")
     Term.(
       const run $ ckpt_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ guided_flag $ chaos_flag $ no_incr_flag $ no_dbt_flag
-      $ no_merge_flag $ checkpoint_every_arg $ checkpoint_path_arg
+      $ jobs_arg $ guided_flag $ chaos_flag $ no_dbt_flag $ no_merge_flag
+      $ checkpoint_every_arg $ checkpoint_path_arg
       $ store_dir_arg $ no_persist_flag $ json_out_arg)
 
 let socket_arg =

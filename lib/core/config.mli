@@ -74,9 +74,6 @@ val make :
   ?exec_config:Ddt_symexec.Exec.config ->
   ?jobs:int ->
   ?static_guidance:bool ->
-  ?solver_incr:bool ->
-  (** override [exec_config.solver_incr]: per-state incremental solver
-      sessions (see {!Ddt_symexec.Exec.config}) *)
   ?dbt:bool ->
   (** override [exec_config.dbt]: guarded block compilation (see
       {!Ddt_symexec.Exec.config}) *)

@@ -88,17 +88,6 @@ let pp_report fmt (r : Session.result) =
       "solver store: %d hit(s) on entries loaded from the persistent \
        store@."
       sv.Ddt_solver.Solver.s_cache_persist_hits;
-  if sv.Ddt_solver.Solver.s_incr_queries > 0 then
-    Format.fprintf fmt
-      "solver sessions: %d incremental queries (%d model hits, %d SAT \
-       solves), %d frames reused, %d learned clauses retained, %d \
-       rebuilds@."
-      sv.Ddt_solver.Solver.s_incr_queries
-      sv.Ddt_solver.Solver.s_incr_model_hits
-      sv.Ddt_solver.Solver.s_incr_sat_solves
-      sv.Ddt_solver.Solver.s_incr_skipped_recanon
-      sv.Ddt_solver.Solver.s_incr_learned_retained
-      sv.Ddt_solver.Solver.s_incr_rebuilds;
   if sv.Ddt_solver.Solver.s_exhaustions > 0 then
     Format.fprintf fmt
       "solver retries: %d budget exhaustion(s), %d escalated retries, %d \

@@ -302,9 +302,9 @@ let checkpoint_version = 1
    the session refs, the expression-variable counter, and the full query
    cache. One blob means [Marshal] preserves every physical-sharing
    relationship (sibling constraint tails, cache-entry aliasing) that
-   the live heap had. Derived structures — incremental solver sessions,
-   compiled DBT closures, dedup tables — are deliberately absent: they
-   are caches, rebuilt from scratch on restore. *)
+   the live heap had. Derived structures — compiled DBT closures, dedup
+   tables — are deliberately absent: they are caches, rebuilt from
+   scratch on restore. *)
 type checkpoint = {
   ck_version : int;
   ck_driver : string;

@@ -1,18 +1,15 @@
 type t = {
   mutable next_var : int;
   mutable cls : int array list;
-  mutable n_clauses : int;
 }
 
 let lit_true = 1
 let lit_false = -1
 
-let add_clause t lits =
-  t.cls <- Array.of_list lits :: t.cls;
-  t.n_clauses <- t.n_clauses + 1
+let add_clause t lits = t.cls <- Array.of_list lits :: t.cls
 
 let create () =
-  let t = { next_var = 1; cls = []; n_clauses = 0 } in
+  let t = { next_var = 1; cls = [] } in
   add_clause t [ lit_true ];
   t
 
@@ -22,21 +19,6 @@ let fresh t =
 
 let num_vars t = t.next_var
 let clauses t = List.rev t.cls
-let clause_count t = t.n_clauses
-
-(* [cls] is newest-first, so the clauses added after a [clause_count]
-   snapshot are exactly its first [n_clauses - mark] cells. Used by the
-   incremental session to drain freshly blasted clauses into its
-   persistent solver without rescanning the whole formula. *)
-let clauses_since t mark =
-  let rec grab n acc cls =
-    if n <= 0 then acc
-    else
-      match cls with
-      | [] -> acc
-      | c :: rest -> grab (n - 1) (c :: acc) rest
-  in
-  grab (t.n_clauses - mark) [] t.cls
 
 let g_and t a b =
   if a = lit_false || b = lit_false then lit_false

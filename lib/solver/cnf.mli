@@ -13,13 +13,6 @@ val num_vars : t -> int
 val clauses : t -> int array list       (** in insertion order *)
 val add_clause : t -> int list -> unit
 
-val clause_count : t -> int
-(** Number of clauses added so far — a cheap position marker. *)
-
-val clauses_since : t -> int -> int array list
-(** [clauses_since t mark] returns, in insertion order, the clauses added
-    after a [clause_count] snapshot of [mark]. *)
-
 val lit_true : int
 val lit_false : int
 

@@ -219,370 +219,3 @@ let solve ?(max_conflicts = 2_000_000) ?deadline cnf =
       search ()
     with Answer r -> r
   end
-
-(* --- incremental solving under assumptions ------------------------------- *)
-(* A persistent solver whose clause database, watch lists and learned
-   clauses survive across queries. Each [solve] restarts the trail from
-   scratch (re-propagating level-0 units), which keeps the watch
-   invariants trivially correct while still reusing everything that is
-   expensive to rebuild: the integrated clause arrays, the occurrence
-   counts behind the decision order, and the clauses learned by earlier
-   queries. Assumptions are enqueued as unflippable decision levels, so
-   Unsat means "unsat under these assumptions" — the activation-literal
-   interface the session layer drives: asserting a path-condition frame
-   as [sel => frame] and assuming [sel] (or [-sel] after a pop) turns
-   push/pop into pure assumption changes.
-
-   Learning is decision-negation: at a conflict under decisions
-   D = {assumptions, flippable decisions}, the clause "not all of D" is
-   implied by the database (propagation from D alone derived the
-   conflict), so it may be retained forever. Because the negated
-   assumption literals appear in the clause, a learned clause derived
-   from a frame's selector is automatically disabled — not discarded —
-   once that selector is no longer assumed. Learned clauses are queued
-   and integrated at the start of the NEXT solve, when no assignments
-   exist, so watch initialization is trivially sound. *)
-
-module Inc = struct
-  type t = {
-    mutable nvars : int;               (* highest variable id provisioned *)
-    mutable clauses : int array array; (* dynarray of integrated clauses *)
-    mutable n_clauses : int;
-    mutable watches : int list array;
-    mutable assign : int array;
-    mutable trail : int array;
-    mutable trail_len : int;
-    mutable trail_lim : int array;
-    mutable decision_level : int;
-    mutable flipped : bool array;
-    mutable is_assump : bool array;    (* per level: assumption level *)
-    mutable occ : int array;
-    mutable order : int array;         (* static decision order *)
-    mutable order_dirty : bool;
-    mutable units : int list;          (* level-0 unit clauses *)
-    mutable unsat0 : bool;             (* permanently unsat (no assumptions) *)
-    mutable pending : int array list;  (* clauses awaiting integration *)
-    mutable n_learned : int;           (* learned clauses in the database *)
-    mutable learn_queue : int array list; (* learned this solve, not integrated *)
-  }
-
-  let learned_cap = 4096
-  let learn_len_cap = 64
-
-  let create () =
-    {
-      nvars = 1;
-      clauses = Array.make 64 [||];
-      n_clauses = 0;
-      watches = Array.make 16 [];
-      assign = Array.make 8 0;
-      trail = Array.make 8 0;
-      trail_len = 0;
-      trail_lim = Array.make 16 0;
-      decision_level = 0;
-      flipped = Array.make 16 false;
-      is_assump = Array.make 16 false;
-      occ = Array.make 8 0;
-      order = [||];
-      order_dirty = true;
-      units = [ Cnf.lit_true ];      (* mirror Cnf's reserved TRUE var *)
-      unsat0 = false;
-      pending = [];
-      n_learned = 0;
-      learn_queue = [];
-    }
-
-  let grow_int a n def =
-    if Array.length a >= n then a
-    else begin
-      let b = Array.make (max n (2 * Array.length a)) def in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    end
-
-  let grow_watches t n =
-    if Array.length t.watches < n then begin
-      let b = Array.make (max n (2 * Array.length t.watches)) [] in
-      Array.blit t.watches 0 b 0 (Array.length t.watches);
-      t.watches <- b
-    end
-
-  let grow_bool a n =
-    if Array.length a >= n then a
-    else begin
-      let b = Array.make (max n (2 * Array.length a)) false in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    end
-
-  let ensure_var t v =
-    if v > t.nvars then t.nvars <- v;
-    let n = t.nvars + 2 in
-    t.assign <- grow_int t.assign n 0;
-    t.trail <- grow_int t.trail n 0;
-    t.trail_lim <- grow_int t.trail_lim n 0;
-    t.flipped <- grow_bool t.flipped n;
-    t.is_assump <- grow_bool t.is_assump n;
-    t.occ <- grow_int t.occ n 0;
-    grow_watches t (2 * n)
-
-  let num_vars t = t.nvars
-  let learned t = t.n_learned
-
-  let add_clause t lits = t.pending <- Array.of_list lits :: t.pending
-
-  let push_integrated t c ~is_learned =
-    if t.n_clauses >= Array.length t.clauses then begin
-      let b = Array.make (2 * Array.length t.clauses) [||] in
-      Array.blit t.clauses 0 b 0 t.n_clauses;
-      t.clauses <- b
-    end;
-    let ci = t.n_clauses in
-    t.clauses.(ci) <- c;
-    t.n_clauses <- ci + 1;
-    t.watches.(widx c.(0)) <- ci :: t.watches.(widx c.(0));
-    if Array.length c > 1 then
-      t.watches.(widx c.(1)) <- ci :: t.watches.(widx c.(1));
-    Array.iter (fun l -> t.occ.(abs l) <- t.occ.(abs l) + 1) c;
-    if is_learned then t.n_learned <- t.n_learned + 1
-
-  (* Only sound with no assignments on the trail (watch picks are blind). *)
-  let integrate t =
-    let one ~is_learned raw =
-      let c = Array.of_list (List.sort_uniq compare (Array.to_list raw)) in
-      let tautology =
-        Array.exists (fun l -> Array.exists (fun l' -> l' = -l) c) c
-      in
-      if not tautology then begin
-        Array.iter (fun l -> ensure_var t (abs l)) c;
-        match Array.length c with
-        | 0 -> t.unsat0 <- true
-        | 1 -> t.units <- c.(0) :: t.units
-        | _ -> push_integrated t c ~is_learned
-      end
-    in
-    if t.pending <> [] || t.learn_queue <> [] then begin
-      List.iter (one ~is_learned:false) (List.rev t.pending);
-      t.pending <- [];
-      List.iter (one ~is_learned:true) (List.rev t.learn_queue);
-      t.learn_queue <- [];
-      t.order_dirty <- true
-    end
-
-  let rebuild_order t =
-    let vars = Array.init t.nvars (fun i -> i + 1) in
-    Array.sort (fun a b -> compare t.occ.(b) t.occ.(a)) vars;
-    t.order <- vars;
-    t.order_dirty <- false
-
-  let value t l =
-    let v = t.assign.(abs l) in
-    if v = 0 then 0 else if l > 0 then v else -v
-
-  let enqueue t l =
-    t.assign.(abs l) <- (if l > 0 then 1 else -1);
-    t.trail.(t.trail_len) <- l;
-    t.trail_len <- t.trail_len + 1
-
-  let propagate t from =
-    let qhead = ref from in
-    let ok = ref true in
-    while !ok && !qhead < t.trail_len do
-      let l = t.trail.(!qhead) in
-      incr qhead;
-      let w = widx (-l) in
-      let old_watch = t.watches.(w) in
-      t.watches.(w) <- [];
-      let rec process = function
-        | [] -> ()
-        | ci :: rest -> (
-            let c = t.clauses.(ci) in
-            if c.(0) = -l then begin
-              c.(0) <- c.(1);
-              c.(1) <- -l
-            end;
-            if value t c.(0) = 1 then begin
-              t.watches.(w) <- ci :: t.watches.(w);
-              process rest
-            end
-            else
-              let n = Array.length c in
-              let rec find i =
-                if i >= n then None
-                else if value t c.(i) <> -1 then Some i
-                else find (i + 1)
-              in
-              match find 2 with
-              | Some i ->
-                  c.(1) <- c.(i);
-                  c.(i) <- -l;
-                  t.watches.(widx c.(1)) <- ci :: t.watches.(widx c.(1));
-                  process rest
-              | None ->
-                  t.watches.(w) <- ci :: t.watches.(w);
-                  if value t c.(0) = -1 then begin
-                    t.watches.(w) <- List.rev_append rest t.watches.(w);
-                    ok := false
-                  end
-                  else begin
-                    enqueue t c.(0);
-                    process rest
-                  end)
-      in
-      process old_watch
-    done;
-    !ok
-
-  let erase_from_level t lvl =
-    let keep = t.trail_lim.(lvl) in
-    for i = keep to t.trail_len - 1 do
-      t.assign.(abs t.trail.(i)) <- 0
-    done;
-    t.trail_len <- keep;
-    t.decision_level <- lvl - 1
-
-  let reset_trail t =
-    for i = 0 to t.trail_len - 1 do
-      t.assign.(abs t.trail.(i)) <- 0
-    done;
-    t.trail_len <- 0;
-    t.decision_level <- 0
-
-  (* The decision-negation clause over the current assumption + decision
-     literals (the literal at each level's trail limit). *)
-  let learn_from_conflict t =
-    if t.n_learned + List.length t.learn_queue < learned_cap
-       && t.decision_level <= learn_len_cap
-    then begin
-      let c = Array.make t.decision_level 0 in
-      for lvl = 1 to t.decision_level do
-        c.(lvl - 1) <- -t.trail.(t.trail_lim.(lvl))
-      done;
-      t.learn_queue <- c :: t.learn_queue
-    end
-
-  let solve ?(max_conflicts = 2_000_000) ?deadline t ~assumptions =
-    reset_trail t;
-    integrate t;
-    if t.unsat0 then Some Unsat
-    else begin
-      if t.order_dirty then rebuild_order t;
-      let conflict_budget = ref max_conflicts in
-      let exception Answer of result option in
-      try
-        (* Level 0: persistent unit clauses. *)
-        List.iter
-          (fun l ->
-            match value t l with
-            | 1 -> ()
-            | -1 ->
-                t.unsat0 <- true;
-                raise (Answer (Some Unsat))
-            | _ -> enqueue t l)
-          (List.sort_uniq compare t.units);
-        if not (propagate t 0) then begin
-          t.unsat0 <- true;
-          raise (Answer (Some Unsat))
-        end;
-        (* Assumption levels: unflippable decisions. *)
-        List.iter
-          (fun a ->
-            match value t a with
-            | 1 -> ()
-            | -1 -> raise (Answer (Some Unsat))
-            | _ ->
-                t.decision_level <- t.decision_level + 1;
-                t.trail_lim.(t.decision_level) <- t.trail_len;
-                t.flipped.(t.decision_level) <- false;
-                t.is_assump.(t.decision_level) <- true;
-                enqueue t a;
-                if not (propagate t t.trail_lim.(t.decision_level)) then begin
-                  learn_from_conflict t;
-                  raise (Answer (Some Unsat))
-                end)
-          assumptions;
-        (* Resume the scan where the last decision left off; a conflict
-           resets it (see the unwind below). Without the cursor, each
-           decision rescans the whole order array and a session-sized
-           CNF makes every solve quadratic in its variable count. *)
-        let order_head = ref 0 in
-        let next_unassigned () =
-          let n = Array.length t.order in
-          let rec go i =
-            if i >= n then None
-            else if t.assign.(t.order.(i)) = 0 then begin
-              order_head := i;
-              Some t.order.(i)
-            end
-            else go (i + 1)
-          in
-          go !order_head
-        in
-        (* Large mostly-conflict-free solves never hit the per-conflict
-           deadline poll, so also poll every 4096 decisions. *)
-        let decisions = ref 0 in
-        let rec search () =
-          incr decisions;
-          (match deadline with
-          | Some td when !decisions land 4095 = 0 ->
-              if Unix.gettimeofday () > td then raise (Answer None)
-          | _ -> ());
-          match next_unassigned () with
-          | None ->
-              let model = Array.make (t.nvars + 1) false in
-              for v = 1 to t.nvars do
-                model.(v) <- t.assign.(v) = 1
-              done;
-              raise (Answer (Some (Sat model)))
-          | Some v ->
-              t.decision_level <- t.decision_level + 1;
-              t.trail_lim.(t.decision_level) <- t.trail_len;
-              t.flipped.(t.decision_level) <- false;
-              t.is_assump.(t.decision_level) <- false;
-              enqueue t v;
-              propagate_or_backtrack ()
-        and propagate_or_backtrack () =
-          let from = t.trail_lim.(t.decision_level) in
-          if propagate t from then search ()
-          else begin
-            decr conflict_budget;
-            if !conflict_budget <= 0 then raise (Answer None);
-            (match deadline with
-            | Some td when !conflict_budget land 255 = 0 ->
-                if Unix.gettimeofday () > td then raise (Answer None)
-            | _ -> ());
-            order_head := 0;   (* the unwind unassigns variables *)
-            learn_from_conflict t;
-            resolve_conflict ()
-          end
-        and resolve_conflict () =
-          let rec unwind () =
-            if t.decision_level = 0 then begin
-              t.unsat0 <- true;
-              raise (Answer (Some Unsat))
-            end
-            else if t.is_assump.(t.decision_level) then
-              (* Flipping an assumption is not allowed: the query is
-                 Unsat under the given assumptions. *)
-              raise (Answer (Some Unsat))
-            else if t.flipped.(t.decision_level) then begin
-              erase_from_level t t.decision_level;
-              unwind ()
-            end
-            else begin
-              let lvl = t.decision_level in
-              let decision = t.trail.(t.trail_lim.(lvl)) in
-              erase_from_level t lvl;
-              t.decision_level <- lvl;
-              t.trail_lim.(lvl) <- t.trail_len;
-              t.flipped.(lvl) <- true;
-              enqueue t (-decision);
-              propagate_or_backtrack ()
-            end
-          in
-          unwind ()
-        in
-        search ()
-      with Answer r -> r
-    end
-end

@@ -16,40 +16,3 @@ val solve : ?max_conflicts:int -> ?deadline:float -> Cnf.t -> result option
     the search also answers [None] once the clock passes it (polled
     every 256 conflicts), so one adversarial query cannot stall a
     worker indefinitely. *)
-
-(** An incremental solver whose clause database, watch lists, occurrence
-    counts and learned clauses persist across queries; each query solves
-    under a set of assumption literals (enqueued as unflippable decision
-    levels, so [Unsat] means unsat {e under the assumptions}).
-
-    This is the activation-literal interface driven by {!Incr}: a
-    path-condition frame is asserted once as the guarded clause
-    [-sel \/ frame] and thereafter enabled by assuming [sel] (or disabled
-    by assuming [-sel]) — pushing and popping frames never re-blasts or
-    re-integrates anything. At each conflict the negation of the current
-    assumption + decision literals is learned (capped in length and
-    database size) and integrated at the start of the next solve; since a
-    learned clause carries the negated selectors it was derived under,
-    popping a frame merely satisfies — never invalidates — the clauses
-    learned from it. *)
-module Inc : sig
-  type t
-
-  val create : unit -> t
-
-  val add_clause : t -> int list -> unit
-  (** Queue a permanent clause; integrated at the next [solve]. Variables
-      are provisioned on integration, so literals may use ids the solver
-      has not seen yet (e.g. fresh {!Cnf} variables). *)
-
-  val solve :
-    ?max_conflicts:int -> ?deadline:float -> t -> assumptions:int list ->
-    result option
-  (** Solve the integrated clauses under the assumptions. [Sat a] assigns
-      every provisioned variable ([a.(v)], index 0 unused); [Unsat] is
-      relative to [assumptions]; [None] = budget or deadline exhausted. *)
-
-  val num_vars : t -> int
-  val learned : t -> int
-  (** Learned clauses currently retained in the database. *)
-end

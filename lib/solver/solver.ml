@@ -114,14 +114,6 @@ type stats = {
   s_retries : int;
   s_retry_recovered : int;
   s_cache_bloom_hits : int;
-  s_incr_queries : int;
-  s_incr_model_hits : int;
-  s_incr_sat_solves : int;
-  s_incr_learned_retained : int;
-  s_incr_skipped_recanon : int;
-  s_incr_pushes : int;
-  s_incr_pops : int;
-  s_incr_rebuilds : int;
 }
 
 (* Counters are process-global atomics — parallel frontier workers all
@@ -141,14 +133,6 @@ type counters = {
   c_exhaustions : int Atomic.t;
   c_retries : int Atomic.t;
   c_retry_recovered : int Atomic.t;
-  c_incr_queries : int Atomic.t;
-  c_incr_model_hits : int Atomic.t;
-  c_incr_sat_solves : int Atomic.t;
-  c_incr_learned_retained : int Atomic.t;
-  c_incr_skipped_recanon : int Atomic.t;
-  c_incr_pushes : int Atomic.t;
-  c_incr_pops : int Atomic.t;
-  c_incr_rebuilds : int Atomic.t;
 }
 
 let cnt =
@@ -159,12 +143,7 @@ let cnt =
     c_persist_hits = Atomic.make 0;
     c_interval_solves = Atomic.make 0; c_bitblast_solves = Atomic.make 0;
     c_exhaustions = Atomic.make 0; c_retries = Atomic.make 0;
-    c_retry_recovered = Atomic.make 0;
-    c_incr_queries = Atomic.make 0; c_incr_model_hits = Atomic.make 0;
-    c_incr_sat_solves = Atomic.make 0;
-    c_incr_learned_retained = Atomic.make 0;
-    c_incr_skipped_recanon = Atomic.make 0; c_incr_pushes = Atomic.make 0;
-    c_incr_pops = Atomic.make 0; c_incr_rebuilds = Atomic.make 0 }
+    c_retry_recovered = Atomic.make 0 }
 
 let stats () =
   {
@@ -184,14 +163,6 @@ let stats () =
     s_retries = Atomic.get cnt.c_retries;
     s_retry_recovered = Atomic.get cnt.c_retry_recovered;
     s_cache_bloom_hits = Qcache.Sharded.bloom_recoveries (Atomic.get cache);
-    s_incr_queries = Atomic.get cnt.c_incr_queries;
-    s_incr_model_hits = Atomic.get cnt.c_incr_model_hits;
-    s_incr_sat_solves = Atomic.get cnt.c_incr_sat_solves;
-    s_incr_learned_retained = Atomic.get cnt.c_incr_learned_retained;
-    s_incr_skipped_recanon = Atomic.get cnt.c_incr_skipped_recanon;
-    s_incr_pushes = Atomic.get cnt.c_incr_pushes;
-    s_incr_pops = Atomic.get cnt.c_incr_pops;
-    s_incr_rebuilds = Atomic.get cnt.c_incr_rebuilds;
   }
 
 let diff_stats (b : stats) (a : stats) =
@@ -215,16 +186,6 @@ let diff_stats (b : stats) (a : stats) =
     s_retries = b.s_retries - a.s_retries;
     s_retry_recovered = b.s_retry_recovered - a.s_retry_recovered;
     s_cache_bloom_hits = max 0 (b.s_cache_bloom_hits - a.s_cache_bloom_hits);
-    s_incr_queries = b.s_incr_queries - a.s_incr_queries;
-    s_incr_model_hits = b.s_incr_model_hits - a.s_incr_model_hits;
-    s_incr_sat_solves = b.s_incr_sat_solves - a.s_incr_sat_solves;
-    s_incr_learned_retained =
-      b.s_incr_learned_retained - a.s_incr_learned_retained;
-    s_incr_skipped_recanon =
-      b.s_incr_skipped_recanon - a.s_incr_skipped_recanon;
-    s_incr_pushes = b.s_incr_pushes - a.s_incr_pushes;
-    s_incr_pops = b.s_incr_pops - a.s_incr_pops;
-    s_incr_rebuilds = b.s_incr_rebuilds - a.s_incr_rebuilds;
   }
 
 let cache_hits s =
@@ -252,15 +213,7 @@ let reset_stats () =
   Atomic.set cnt.c_bitblast_solves 0;
   Atomic.set cnt.c_exhaustions 0;
   Atomic.set cnt.c_retries 0;
-  Atomic.set cnt.c_retry_recovered 0;
-  Atomic.set cnt.c_incr_queries 0;
-  Atomic.set cnt.c_incr_model_hits 0;
-  Atomic.set cnt.c_incr_sat_solves 0;
-  Atomic.set cnt.c_incr_learned_retained 0;
-  Atomic.set cnt.c_incr_skipped_recanon 0;
-  Atomic.set cnt.c_incr_pushes 0;
-  Atomic.set cnt.c_incr_pops 0;
-  Atomic.set cnt.c_incr_rebuilds 0
+  Atomic.set cnt.c_retry_recovered 0
 
 (* --- the layered solve of one (simplified, nontrivial) group ------------- *)
 
@@ -320,19 +273,17 @@ let note_hit_info (info : Qcache.info) =
 (* One uncached group solve under the retry policy: a bounded first
    attempt; on budget exhaustion the group is re-submitted once through
    the qcache (another worker may have answered it meanwhile) and then
-   re-solved with the escalated budget before the Unknown is final.
-   The decision procedure itself is the [attempt] parameter so the
-   incremental session layer inherits this machinery — chaos hook,
-   exhaustion accounting, escalated re-lookup — unchanged. *)
-let solve_with_retry ~attempt ~cached group =
+   re-solved with the escalated budget before the Unknown is final. *)
+let solve_with_retry ~cached group =
   let r = Atomic.get retry_policy in
   let forced =
     match Atomic.get chaos_exhaust with Some f -> f () | None -> false
   in
   let first =
     if forced then Unknown
-    else attempt ~budget:r.base_conflicts ~deadline:(attempt_deadline r)
-           group
+    else
+      core_solve ~budget:r.base_conflicts ~deadline:(attempt_deadline r)
+        group
   in
   match first with
   | (Sat _ | Unsat) as v -> v
@@ -361,7 +312,7 @@ let solve_with_retry ~attempt ~cached group =
           match rehit with
           | Some v -> v
           | None ->
-              attempt ~budget:r.escalated_conflicts
+              core_solve ~budget:r.escalated_conflicts
                 ~deadline:(attempt_deadline r) group
         in
         (match v with
@@ -370,9 +321,9 @@ let solve_with_retry ~attempt ~cached group =
         v
       end
 
-let solve_group_with ~attempt a group =
+let solve_group a group =
   Atomic.incr cnt.c_group_solves;
-  if not a.use_cache then solve_with_retry ~attempt ~cached:None group
+  if not a.use_cache then solve_with_retry ~cached:None group
   else
     let c = Atomic.get cache in
     match Qcache.Sharded.lookup c group with
@@ -394,17 +345,12 @@ let solve_group_with ~attempt a group =
         Sat m
     | Qcache.Miss, _ -> (
         Atomic.incr cnt.c_misses;
-        let r = solve_with_retry ~attempt ~cached:(Some c) group in
+        let r = solve_with_retry ~cached:(Some c) group in
         (match r with
          | Sat m -> Qcache.Sharded.store_sat c group m
          | Unsat -> Qcache.Sharded.store_unsat c group
          | Unknown -> ());
         r)
-
-let solve_group a group =
-  solve_group_with
-    ~attempt:(fun ~budget ~deadline g -> core_solve ~budget ~deadline g)
-    a group
 
 let check constraints =
   Atomic.incr cnt.c_queries;
@@ -460,37 +406,10 @@ let concretize constraints e =
       let zeros (_ : Expr.var) = 0 in
       if verified constraints zeros then Some (Expr.eval zeros e) else None
 
-(* --- internal interface for the incremental session layer ---------------- *)
-
-(* {!Incr} lives in this library but behind this narrow seam: it reuses
-   the shared query cache, the retry/chaos machinery and the statistics
-   counters, so a session-answered query is accounted (and
-   fault-injected) exactly like an oracle-answered one. *)
-module For_incr = struct
-  let current_accel = current_accel
-
-  let solve_group_with = solve_group_with
-  (* [solve_group_with ~attempt a group] runs the full cache + retry
-     pipeline for one independence group with [attempt] as the decision
-     procedure; [attempt] receives the per-attempt conflict budget and
-     deadline. *)
-
-  let verified = verified
-
-  let note_query () = Atomic.incr cnt.c_queries
-  let note_incr_query () = Atomic.incr cnt.c_incr_queries
-  let note_model_hit () = Atomic.incr cnt.c_incr_model_hits
-  let note_sat_solve () = Atomic.incr cnt.c_incr_sat_solves
-  let note_interval_solve () = Atomic.incr cnt.c_interval_solves
-  let note_bitblast_solve () = Atomic.incr cnt.c_bitblast_solves
-
-  let note_learned_retained n =
-    ignore (Atomic.fetch_and_add cnt.c_incr_learned_retained n)
-
-  let note_skipped_recanon n =
-    ignore (Atomic.fetch_and_add cnt.c_incr_skipped_recanon n)
-
-  let note_pushes n = ignore (Atomic.fetch_and_add cnt.c_incr_pushes n)
-  let note_pops n = ignore (Atomic.fetch_and_add cnt.c_incr_pops n)
-  let note_rebuild () = Atomic.incr cnt.c_incr_rebuilds
-end
+let concretize_relevant cs ~pinned e =
+  let slice = Indep.relevant cs e in
+  (* Replay-pinned constraints are audited into the slice even when not
+     variable-connected to [e]: a pin contradiction must surface as
+     None here, exactly as it would from the full constraint set. *)
+  let forced = List.filter (fun p -> not (List.memq p slice)) pinned in
+  concretize (List.rev_append forced slice) e

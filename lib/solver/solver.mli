@@ -43,6 +43,18 @@ val concretize : Expr.t list -> Expr.t -> int option
     Unknown verdict the zero valuation is tried and returned only when it
     {e verifiably} satisfies the constraints. *)
 
+val concretize_relevant :
+  Expr.t list -> pinned:Expr.t list -> Expr.t -> int option
+(** [concretize_relevant constraints ~pinned e] picks a feasible concrete
+    value of [e] by querying only the {!Indep.relevant} slice of the
+    constraints, with the replay-pinned constraints force-included so a
+    pin contradiction still answers [None]. Values agree with
+    {!concretize} on the full set: the slice contains every independence
+    group that can influence [e], and groups resolve through the same
+    shared cache. The slice drops ground constraints, so unlike
+    {!concretize} a constant-false constraint outside [pinned] does not
+    answer [None] here. *)
+
 (** {1 Acceleration knobs} *)
 
 type accel = {
@@ -154,24 +166,6 @@ type stats = {
   (** subset-Unsat hits recovered from a non-home cache shard through the
       Bloom-gated cross-shard probe (a subset of
       [s_cache_subset_unsat_hits]) *)
-  s_incr_queries : int;
-  (** feasibility/concretization queries answered by an incremental
-      session ({!Incr}) instead of the from-scratch pipeline *)
-  s_incr_model_hits : int;
-  (** session queries settled by re-checking the session's cached model *)
-  s_incr_sat_solves : int;
-  (** session queries that ran the incremental SAT engine *)
-  s_incr_learned_retained : int;
-  (** sum over incremental SAT runs of the learned clauses already
-      retained in the solver when the run started *)
-  s_incr_skipped_recanon : int;
-  (** path-condition frames reused verbatim by a session query — each one
-      a simplification + canonicalization + bit-blast not repeated *)
-  s_incr_pushes : int;              (** frames pushed onto sessions *)
-  s_incr_pops : int;                (** frames popped on divergence *)
-  s_incr_rebuilds : int;
-  (** sessions rebuilt from scratch (first query of a state, or the
-      state migrated to another domain via stealing/retirement) *)
 }
 
 val stats : unit -> stats
@@ -186,36 +180,3 @@ val stats_queries : unit -> int
 (** Number of [check] calls since start; used by the benchmark harness. *)
 
 val reset_stats : unit -> unit
-
-(** {1 Internal seam for the incremental session layer}
-
-    Used only by {!Incr} (same library): it lets sessions route their
-    per-group solves through the shared query cache and the retry/chaos
-    machinery, and account into the same statistics counters, so a
-    session-answered query is cached, fault-injected and reported exactly
-    like an oracle-answered one. Not meant for engine code. *)
-module For_incr : sig
-  val current_accel : unit -> accel
-
-  val solve_group_with :
-    attempt:
-      (budget:int -> deadline:float option -> Expr.t list -> result) ->
-    accel -> Expr.t list -> result
-  (** Full cache-lookup + retry pipeline for one independence group with
-      [attempt] as the decision procedure (receives the per-attempt
-      conflict budget and absolute deadline). *)
-
-  val verified : Expr.t list -> model -> bool
-
-  val note_query : unit -> unit
-  val note_incr_query : unit -> unit
-  val note_model_hit : unit -> unit
-  val note_sat_solve : unit -> unit
-  val note_interval_solve : unit -> unit
-  val note_bitblast_solve : unit -> unit
-  val note_learned_retained : int -> unit
-  val note_skipped_recanon : int -> unit
-  val note_pushes : int -> unit
-  val note_pops : int -> unit
-  val note_rebuild : unit -> unit
-end

@@ -1,7 +1,6 @@
 module Expr = Ddt_solver.Expr
 module Simplify = Ddt_solver.Simplify
 module Solver = Ddt_solver.Solver
-module Incr = Ddt_solver.Incr
 module Isa = Ddt_dvm.Isa
 module Layout = Ddt_dvm.Layout
 module Image = Ddt_dvm.Image
@@ -29,12 +28,6 @@ type config = {
   solver_accel : bool;
   (** enable constraint-independence slicing and the query cache for this
       engine's domain (off = bit-blast every query from scratch) *)
-  solver_incr : bool;
-  (** route feasibility and concretization queries through per-state
-      incremental solver sessions ({!Ddt_solver.Incr}): push/pop of
-      path-condition deltas, retained learned clauses, relevant-slice
-      concretization. Off = every query rebuilds from scratch through
-      {!Ddt_solver.Solver} (the differential oracle) *)
   strategy : Sched.strategy;
   jobs : int;
   (** worker domains exploring this engine's frontier cooperatively
@@ -84,7 +77,6 @@ let default_config =
     record_exec_pcs = false;
     concrete_hardware = false;
     solver_accel = true;
-    solver_incr = true;
     strategy = Sched.Min_touch;
     jobs = 1;
     static_guidance = false;
@@ -188,8 +180,7 @@ type engine = {
   (* snapshot at creation; [stats] reports the delta, i.e. the solver
      work attributable to this engine. The counters are process-global,
      so the delta is only exact while no other engine runs concurrently
-     (Portfolio mode overlaps engines; its per-job solver stats are
-     indicative, not exact). *)
+     in the same process. *)
 }
 
 (* Atomic max for report-only high-water marks. *)
@@ -523,7 +514,7 @@ let note_covered_external eng pc =
 
 (* --- expression helpers ------------------------------------------------ *)
 
-let concretize eng st e reason =
+let concretize st e reason =
   let e = Simplify.simplify e in
   match Expr.to_const e with
   | Some v -> v
@@ -535,14 +526,11 @@ let concretize eng st e reason =
       match Expr.to_const e with
       | Some v -> v
       | None ->
-      let answer =
-        if eng.cfg.solver_incr then
-          (* Only the relevant slice (plus audited replay pins) can
-             influence the value — see {!Ddt_solver.Incr.concretize}. *)
-          Incr.concretize st.St.constraints ~pinned:st.St.pinned e
-        else Solver.concretize st.St.constraints e
-      in
-      match answer with
+      (* Only the relevant slice (plus audited replay pins) can influence
+         the value — see {!Ddt_solver.Solver.concretize_relevant}. *)
+      match
+        Solver.concretize_relevant st.St.constraints ~pinned:st.St.pinned e
+      with
       | None -> raise (Discard_state "infeasible path condition")
       | Some v ->
           St.add_constraint st
@@ -551,21 +539,7 @@ let concretize eng st e reason =
             (Event.E_concretize { pc = st.St.pc; expr = e; value = v; reason });
           v)
 
-(* The state's incremental session: reuse when this domain built it,
-   rebuild otherwise (a stolen state's old session may be in concurrent
-   use by sibling states back on the domain that built it). *)
-let session_for st =
-  match st.St.session with
-  | Some s when Incr.owned s -> s
-  | _ ->
-      let s = Incr.create () in
-      st.St.session <- Some s;
-      s
-
-let feasible eng st extra =
-  if eng.cfg.solver_incr then
-    Incr.feasible (session_for st) st.St.constraints extra
-  else Solver.is_feasible (extra :: st.St.constraints)
+let feasible st extra = Solver.is_feasible (extra :: st.St.constraints)
 
 (* Split on a boolean condition. Returns the live successors, each paired
    with the condition's value on that path. The input state is reused for
@@ -576,8 +550,8 @@ let fork_bool eng st cond =
   | Some v -> [ (st, v = 1) ]
   | None ->
       let not_cond = Expr.not_ cond in
-      let f_true = feasible eng st cond in
-      let f_false = feasible eng st not_cond in
+      let f_true = feasible st cond in
+      let f_false = feasible st not_cond in
       if f_true && f_false then begin
         let child = fork_state eng st in
         St.add_constraint child cond;
@@ -629,8 +603,8 @@ let write_symbolic_bytes eng st ~addr ~len ~origin =
 
 let checked_access eng st ~pc ~write ~addr_expr ~width =
   let constraints_before = st.St.constraints in
-  let conc = concretize eng st addr_expr "memory address" in
-  let sp = concretize eng st (St.reg_get st Isa.sp) "stack pointer" in
+  let conc = concretize st addr_expr "memory address" in
+  let sp = concretize st (St.reg_get st Isa.sp) "stack pointer" in
   eng.on_mem_access
     { ma_state = st; ma_pc = pc; ma_write = write; ma_addr = addr_expr;
       ma_conc = conc; ma_width = width; ma_constraints = constraints_before;
@@ -645,7 +619,7 @@ let checked_access eng st ~pc ~write ~addr_expr ~width =
 (* --- the machine interface for kernel calls ---------------------------- *)
 
 let make_mach eng st =
-  let conc e reason = concretize eng st e reason in
+  let conc e reason = concretize st e reason in
   let sp_now () = conc (St.reg_get st Isa.sp) "stack pointer" in
   {
     Mach.arg =
@@ -666,7 +640,7 @@ let make_mach eng st =
       (fun name w -> fresh_symbolic eng st ~name ~origin:"annotation" w);
     assume =
       (fun c ->
-        if feasible eng st c then St.add_constraint st c
+        if feasible st c then St.add_constraint st c
         else raise (Mach.Path_terminated "assumption infeasible"));
     fork = (fun alts -> raise (Fork_alts alts));
     discard = (fun why -> raise (Mach.Path_terminated why));
@@ -676,16 +650,16 @@ let make_mach eng st =
 
 (* --- forced driver calls (interrupts, entry points) --------------------- *)
 
-let push_word eng st v =
-  let sp = concretize eng st (St.reg_get st Isa.sp) "stack pointer" - 4 in
+let push_word st v =
+  let sp = concretize st (St.reg_get st Isa.sp) "stack pointer" - 4 in
   if sp < Layout.stack_limit then
     raise (Vm_crash ("DRIVER_FAULT", "stack overflow"));
   St.reg_set st Isa.sp (Expr.word sp);
   Symmem.write_u32 st.St.mem sp v
 
-let setup_forced_call eng st ~addr ~args =
-  List.iter (fun a -> push_word eng st a) (List.rev args);
-  push_word eng st (Expr.word Layout.return_sentinel);
+let setup_forced_call st ~addr ~args =
+  List.iter (fun a -> push_word st a) (List.rev args);
+  push_word st (Expr.word Layout.return_sentinel);
   st.St.pc <- addr
 
 let save_ctx st =
@@ -738,7 +712,7 @@ let maybe_inject eng st ~site ~phase =
         child.St.pending <-
           St.Pa_after_isr (ctx, saved_irql) :: child.St.pending;
         St.record child (Event.E_interrupt { site = phase; phase = "isr" });
-        setup_forced_call eng child ~addr:call.Intr.call_addr
+        setup_forced_call child ~addr:call.Intr.call_addr
           ~args:(List.map (fun a -> Expr.word a) call.Intr.call_args);
         add_state eng child
   end
@@ -922,7 +896,7 @@ let ensure_dbt eng =
 let handle_sentinel eng st =
   match st.St.pending with
   | [] ->
-      let ret = concretize eng st (St.reg_get st 0) "entry return value" in
+      let ret = concretize st (St.reg_get st 0) "entry return value" in
       Kstate.end_invocation st.St.ks st.St.entry_name ret;
       St.record st (Event.E_entry_ret { name = st.St.entry_name; ret });
       retire eng st (St.Returned ret) ~report:true
@@ -948,7 +922,7 @@ let handle_sentinel eng st =
                St.record s
                  (Event.E_interrupt { site = "isr-completion"; phase = "dpc" });
                restore_ctx s ctx;
-               setup_forced_call eng s ~addr:call.Intr.call_addr
+               setup_forced_call s ~addr:call.Intr.call_addr
                  ~args:(List.map (fun a -> Expr.word a) call.Intr.call_args)
            | None ->
                Intr.finish s.St.ks ~saved_irql;
@@ -1054,10 +1028,10 @@ let step eng st =
         Symmem.write_u8 st.St.mem a byte_v;
         st.St.pc <- next
     | Isa.Push rs ->
-        push_word eng st (g rs);
+        push_word st (g rs);
         st.St.pc <- next
     | Isa.Pop rd ->
-        let sp = concretize eng st (g Isa.sp) "stack pointer" in
+        let sp = concretize st (g Isa.sp) "stack pointer" in
         s rd (Symmem.read_u32 st.St.mem sp);
         s Isa.sp (Expr.word (sp + 4));
         st.St.pc <- next
@@ -1102,21 +1076,21 @@ let step eng st =
         if successors = [] then
           retire eng st (St.Discarded "infeasible branch") ~report:false
     | Isa.Call target ->
-        push_word eng st (Expr.word next);
+        push_word st (Expr.word next);
         st.St.pc <- target
     | Isa.Callr rs ->
-        let target = concretize eng st (g rs) "indirect call target" in
+        let target = concretize st (g rs) "indirect call target" in
         if target < Layout.null_guard then
           raise
             (Vm_crash
                ("DRIVER_FAULT",
                 Printf.sprintf "indirect call through bad pointer 0x%x" target));
-        push_word eng st (Expr.word next);
+        push_word st (Expr.word next);
         st.St.pc <- target
     | Isa.Ret ->
-        let sp = concretize eng st (g Isa.sp) "stack pointer" in
+        let sp = concretize st (g Isa.sp) "stack pointer" in
         let ret_addr =
-          concretize eng st (Symmem.read_u32 st.St.mem sp) "return address"
+          concretize st (Symmem.read_u32 st.St.mem sp) "return address"
         in
         s Isa.sp (Expr.word (sp + 4));
         st.St.pc <- ret_addr
@@ -1154,7 +1128,7 @@ let start_timer_fire eng st ~timer_addr =
       let ctx = save_ctx st in
       st.St.pending <- St.Pa_after_timer (ctx, saved_irql) :: st.St.pending;
       St.record st (Event.E_interrupt { site = "timer expiry"; phase = "timer" });
-      setup_forced_call eng st ~addr:call.Intr.call_addr
+      setup_forced_call st ~addr:call.Intr.call_addr
         ~args:(List.map (fun a -> Expr.word a) call.Intr.call_args);
       add_state eng st
 
@@ -1170,7 +1144,7 @@ let start_interrupt_fire eng st =
       let ctx = save_ctx st in
       st.St.pending <- St.Pa_after_isr (ctx, saved_irql) :: st.St.pending;
       St.record st (Event.E_interrupt { site = "top-level"; phase = "isr" });
-      setup_forced_call eng st ~addr:call.Intr.call_addr
+      setup_forced_call st ~addr:call.Intr.call_addr
         ~args:(List.map (fun a -> Expr.word a) call.Intr.call_args);
       add_state eng st
 
@@ -1183,8 +1157,8 @@ let start_invocation eng st ~name ~addr ~args =
   Kstate.begin_invocation st.St.ks name;
   St.record st (Event.E_entry { name; addr });
   (* Push symbolic or concrete args, then the sentinel. *)
-  List.iter (fun a -> push_word eng st a) (List.rev args);
-  push_word eng st (Expr.word Layout.return_sentinel);
+  List.iter (fun a -> push_word st a) (List.rev args);
+  push_word st (Expr.word Layout.return_sentinel);
   maybe_inject eng st ~site:addr ~phase:("entry " ^ name);
   add_state eng st
 
@@ -1330,30 +1304,17 @@ let soft_retire eng n =
   let removed =
     Frontier.remove eng.frontier (fun s -> Hashtbl.mem vset s.St.id)
   in
-  (* The whole batch shares one incremental session: victims are forks
-     of each other, so their constraint lists share long physical tails
-     and each witness after the first is a few-frame sync plus (usually)
-     a cached-model hit — instead of a from-scratch solve per victim. *)
-  let sess = if eng.cfg.solver_incr then Some (Incr.create ()) else None in
   List.iter
     (fun s ->
-      let model =
-        match sess with
-        | Some sess -> Incr.witness sess s.St.constraints
-        | None -> (
-            match Solver.check s.St.constraints with
-            | Solver.Sat m -> Some m
-            | Solver.Unsat | Solver.Unknown -> None)
-      in
       let witness =
-        match model with
-        | Some m ->
+        match Solver.check s.St.constraints with
+        | Solver.Sat m ->
             s.St.sym_inputs
             |> List.filteri (fun i _ -> i < 4)
             |> List.map (fun ((v : Expr.var), _) ->
                    Printf.sprintf "%s=%d" v.Expr.name (m v))
             |> String.concat ","
-        | None -> "-"
+        | Solver.Unsat | Solver.Unknown -> "-"
       in
       Atomic.incr eng.soft_retired;
       retire eng s

@@ -30,15 +30,6 @@ type config = {
       slicing + query cache, see [Ddt_solver.Solver.set_accel]) for this
       engine's domain; on by default, off gives the bit-blast-everything
       baseline used in benchmarks *)
-  solver_incr : bool;
-  (** route feasibility and concretization queries through per-state
-      incremental solver sessions ({!Ddt_solver.Incr}): the path
-      condition lives in the session as a push/pop stack of bit-blasted
-      frames behind activation literals, learned clauses persist across
-      queries, and concretization asks only the relevant constraint
-      slice (replay pins force-included). On by default; off makes every
-      query rebuild from scratch through [Ddt_solver.Solver] — the
-      differential oracle the incremental path is validated against. *)
   strategy : Sched.strategy;
   jobs : int;
   (** number of worker domains cooperatively exploring this engine's
@@ -285,7 +276,7 @@ val write_symbolic_bytes :
 val fresh_symbolic :
   engine -> Symstate.t -> name:string -> origin:string -> Expr.width -> Expr.t
 
-val concretize : engine -> Symstate.t -> Expr.t -> string -> int
+val concretize : Symstate.t -> Expr.t -> string -> int
 
 (** {1 Statistics} *)
 
@@ -363,8 +354,7 @@ val revive_image : engine -> Symstate.image -> Symstate.t
 val restore_image : engine -> image -> unit
 (** Pour a checkpoint into a freshly created engine for the same image
     and configuration. States get live memories over the engine's base
-    image and device, and fresh sym-read hooks; incremental solver
-    sessions rebuild lazily. *)
+    image and device, and fresh sym-read hooks. *)
 
 val set_checkpoint_hook : engine -> (unit -> unit) -> unit
 (** Install a callback invoked by worker 0 at every pick boundary while

@@ -7,10 +7,9 @@
    minting variable ids above every id the snapshotted path condition
    already uses, or fresh reads would collide with pinned ones.
 
-   What is deliberately NOT in a snapshot: the incremental solver
-   session and any compiled DBT blocks. Both are caches over the state
-   and the immutable driver image — restore rebuilds them from scratch
-   (the [Incr] migration path on first query, [Sdbt] by re-warming). *)
+   What is deliberately NOT in a snapshot: compiled DBT blocks. They
+   are a cache over the immutable driver image — restore rebuilds them
+   from scratch ([Sdbt] by re-warming). *)
 
 module Blob = Ddt_solver.Blob
 module Expr = Ddt_solver.Expr

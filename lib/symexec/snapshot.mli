@@ -7,9 +7,8 @@
     symbolic-variable counter (restore keeps minting above every id the
     snapshot uses).
 
-    Incremental solver sessions and compiled DBT blocks are caches, not
-    state: they are never serialized and are rebuilt from scratch after
-    restore. The reader is total — truncated or corrupted snapshots
+    Compiled DBT blocks are a cache, not state: they are never
+    serialized and are rebuilt from scratch after restore. The reader is total — truncated or corrupted snapshots
     come back as [Error _], never exceptions. *)
 
 val snapshot_version : int
@@ -24,8 +23,7 @@ val restore :
   (Symstate.t, string) result
 (** Rebuild a state over the session's base image and device. Bumps the
     global variable counter to at least the snapshot's. The state comes
-    back with no solver session and a no-op sym-read hook (the engine
-    reinstalls its own). *)
+    back with a no-op sym-read hook (the engine reinstalls its own). *)
 
 val save : string -> Symstate.t -> (unit, string) result
 (** [save path st]: {!snapshot} written atomically (tmp + rename). *)

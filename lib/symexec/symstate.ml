@@ -55,7 +55,6 @@ type t = {
   mutable depth : int;
   mutable replay_inputs : (string * int) list;
   mutable replay_choices : (string * string) list;
-  mutable session : Ddt_solver.Incr.session option;
   mutable pinned : Expr.t list;
   mutable tags : merge_tag list;
 }
@@ -83,7 +82,6 @@ let create ~id ~mem ~ks =
     depth = 0;
     replay_inputs = [];
     replay_choices = [];
-    session = None;
     pinned = [];
     tags = [];
   }
@@ -101,15 +99,13 @@ let fork t ~id =
   }
 
 (* --- snapshot projection -------------------------------------------------- *)
-(* Everything but two fields is plain data. [mem] is projected through
-   Symmem.image (drops the shared base/device/hook); [session] is
-   dropped outright — incremental solver sessions are caches holding
-   closures, and the Incr migration path already rebuilds them from
-   [constraints] on first use. Crucially the list fields (constraints,
-   pending, choices, sym_inputs, pinned, replay_*, injected_sites, tags)
-   are carried as-is: forked siblings share their tails physically, the
-   merge pool matches states by that sharing ([==]), and Marshal
-   preserves it for every image travelling in one blob. *)
+(* Everything but [mem] is plain data; it is projected through
+   Symmem.image (drops the shared base/device/hook). Crucially the list
+   fields (constraints, pending, choices, sym_inputs, pinned, replay_*,
+   injected_sites, tags) are carried as-is: forked siblings share their
+   tails physically, the merge pool matches states by that sharing
+   ([==]), and Marshal preserves it for every image travelling in one
+   blob. *)
 
 type image = {
   im_id : int;
@@ -187,7 +183,6 @@ let of_image ~base ~symdev im =
     depth = im.im_depth;
     replay_inputs = im.im_replay_inputs;
     replay_choices = im.im_replay_choices;
-    session = None;
     pinned = im.im_pinned;
     tags = im.im_tags;
   }

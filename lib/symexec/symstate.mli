@@ -67,10 +67,6 @@ type t = {
   (** replay mode: pending (name, value) pins, oldest first *)
   mutable replay_choices : (string * string) list;
   (** replay mode: pending (api, alternative) decisions, oldest first *)
-  mutable session : Ddt_solver.Incr.session option;
-  (** incremental solver session mirroring [constraints]; shared with
-      forked children by reference (sessions re-sync by physical list
-      identity) and rebuilt when the state migrates to another domain *)
   mutable pinned : Expr.t list;
   (** replay-mode pin constraints (a subset of [constraints], physically)
       — force-included when concretizing over a relevant slice *)
@@ -87,9 +83,7 @@ val fork : t -> id:int -> t
 
 type image
 (** The marshal-safe projection of a state: every field as plain data,
-    with [mem] projected via {!Symmem.image} and [session] dropped (the
-    incremental solver session is a cache; the Incr migration path
-    rebuilds it from [constraints] on first use). The sibling-shared
+    with [mem] projected via {!Symmem.image}. The sibling-shared
     list tails that the merge pool matches by physical identity are
     carried as-is, so images marshalled together keep that sharing. *)
 
@@ -101,9 +95,8 @@ val of_image :
   symdev:Ddt_hw.Symdev.t option ->
   image ->
   t
-(** Rebuild a state over the session's base image and device, with no
-    solver session (rebuilt lazily) and a no-op sym-read hook (the
-    engine reinstalls its own). *)
+(** Rebuild a state over the session's base image and device, with a
+    no-op sym-read hook (the engine reinstalls its own). *)
 val record : t -> Ddt_trace.Event.t -> unit
 val add_constraint : t -> Expr.t -> unit
 val reg_get : t -> int -> Expr.t

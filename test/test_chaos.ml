@@ -166,6 +166,7 @@ let test_memory_pressure () =
 (* --- everything at once ---------------------------------------------------- *)
 
 let test_combined () =
+  let total_trips = ref 0 in
   List.iter
     (fun (e : Corpus.entry) ->
       let base = baseline e in
@@ -181,8 +182,10 @@ let test_combined () =
         true
         (bug_keys base = bug_keys chaos);
       check_bool (e.Corpus.short ^ " session produced a report") true
-        (chaos.Session.r_finished_states > 0))
-    Corpus.all
+        (chaos.Session.r_finished_states > 0);
+      total_trips := !total_trips + chaos.Session.r_governor_trips)
+    Corpus.all;
+  check_bool "governor tripped somewhere" true (!total_trips > 0)
 
 let () =
   Alcotest.run "ddt_chaos"

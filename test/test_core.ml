@@ -420,54 +420,34 @@ let () =
                   .Ddt_checkers.Diagnose.a_hardware
                 = Ddt_checkers.Diagnose.Malfunction_only)) ]);
       ("parallel",
-       [ Alcotest.test_case "portfolio fleet merges all bugs" `Quick
-           (fun () ->
-             let entry = Ddt_drivers.Corpus.find "pcnet" in
-             let cfg = Ddt_drivers.Corpus.config entry in
-             let single = Ddt.test_driver cfg in
-             let fleet =
-               Parallel.test_driver ~jobs:2 ~mode:Parallel.Portfolio cfg
-             in
-             let fleet_keys =
-               List.map (fun b -> b.Report.b_key) fleet.Parallel.p_bugs
-             in
-             List.iter
-               (fun b ->
-                 Alcotest.(check bool)
-                   ("fleet found " ^ b.Report.b_key)
-                   true
-                   (List.mem b.Report.b_key fleet_keys))
-               single.Session.r_bugs);
-         Alcotest.test_case "shared frontier deterministic across workers"
+       [ Alcotest.test_case "shared frontier deterministic across workers"
            `Quick (fun () ->
              (* The tentpole determinism guard: one session's fork tree
                 explored by 1, 2 or 4 cooperating domains must report the
                 same bug-key set. *)
-             let keys (r : Parallel.result) =
+             let keys cfg jobs =
+               let cfg =
+                 { cfg with
+                   Config.exec_config =
+                     { cfg.Config.exec_config with Exec.jobs } }
+               in
                List.sort compare
-                 (List.map (fun b -> b.Report.b_key) r.Parallel.p_bugs)
+                 (List.map (fun b -> b.Report.b_key)
+                    (Session.run cfg).Session.r_bugs)
              in
              List.iter
                (fun name ->
                  let entry = Ddt_drivers.Corpus.find name in
                  let cfg = Ddt_drivers.Corpus.config entry in
-                 let base =
-                   keys
-                     (Parallel.test_driver ~jobs:1
-                        ~mode:Parallel.Shared_frontier cfg)
-                 in
+                 let base = keys cfg 1 in
                  Alcotest.(check bool)
                    (name ^ ": 1-worker run finds bugs")
                    true (base <> []);
                  List.iter
                    (fun jobs ->
-                     let r =
-                       Parallel.test_driver ~jobs
-                         ~mode:Parallel.Shared_frontier cfg
-                     in
                      Alcotest.(check (list string))
                        (Printf.sprintf "%s: %d-worker bug keys" name jobs)
-                       base (keys r))
+                       base (keys cfg jobs))
                    [ 2; 4 ])
                [ "rtl8029"; "pcnet" ]) ]);
       ("diagnose",

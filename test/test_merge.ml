@@ -5,9 +5,8 @@
    hand-built states, solver-stack regressions (Qcache renaming
    stability over commuted disjunctions, Indep treating ite guards as
    dependence edges), and session-level differential properties — a
-   merged run must report exactly the bugs an unmerged run reports, its
-   replay scripts must still reproduce, and incremental solver sessions
-   must survive the fusions. *)
+   merged run must report exactly the bugs an unmerged run reports and
+   its replay scripts must still reproduce. *)
 
 module Expr = Ddt_solver.Expr
 module Solver = Ddt_solver.Solver
@@ -275,7 +274,7 @@ let test_indep_ite_guard_edges () =
 
 (* --- session-level parity ---------------------------------------------------- *)
 
-let quick_cfg ?(merging = true) ?(incr = false) (e : Corpus.entry) =
+let quick_cfg ?(merging = true) (e : Corpus.entry) =
   let cfg = Corpus.config e in
   let cfg =
     { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
@@ -283,7 +282,7 @@ let quick_cfg ?(merging = true) ?(incr = false) (e : Corpus.entry) =
   { cfg with
     Config.exec_config =
       { cfg.Config.exec_config with
-        Exec.jobs = 1; state_merging = merging; solver_incr = incr } }
+        Exec.jobs = 1; state_merging = merging } }
 
 let bug_keys (r : Session.result) =
   List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
@@ -310,20 +309,6 @@ let test_deeploop_collapses_paths () =
     (off.Session.r_stats.Exec.st_merged_states
      + off.Session.r_stats.Exec.st_merge_ites
      + off.Session.r_stats.Exec.st_merge_forks_avoided)
-
-let test_sessions_survive_merges () =
-  let e = Corpus.find "deeploop" in
-  Solver.clear_cache ();
-  let plain = Session.run (quick_cfg ~merging:false e) in
-  Solver.clear_cache ();
-  let fused = Session.run (quick_cfg ~merging:true ~incr:true e) in
-  check_bool "bug parity with sessions enabled" true
-    (bug_keys plain = bug_keys fused);
-  check_bool "states actually merged" true
-    (fused.Session.r_stats.Exec.st_merged_states > 0);
-  let sv = fused.Session.r_stats.Exec.st_solver in
-  check_bool "sessions pushed frames" true (sv.Solver.s_incr_pushes > 0);
-  check_bool "sessions answered queries" true (sv.Solver.s_incr_queries > 0)
 
 (* --- QCheck: randomized drivers, merged vs unmerged -------------------------- *)
 
@@ -451,6 +436,4 @@ let () =
       ("session",
        [ Alcotest.test_case "deeploop collapses paths" `Quick
            test_deeploop_collapses_paths;
-         Alcotest.test_case "sessions survive merges" `Quick
-           test_sessions_survive_merges;
          QCheck_alcotest.to_alcotest prop_merge_parity ]) ]

@@ -737,106 +737,23 @@ let prop_accel_models_verified =
           | Solver.Sat m -> List.for_all (fun c -> eval m c = 1) cs
           | Solver.Unsat | Solver.Unknown -> true))
 
-(* --- incremental sessions (Incr) ------------------------------------- *)
+(* --- relevant-slice concretization --------------------------------------- *)
 
-(* Property: a session following an arbitrary stream of pushes, pops and
-   queries gives the same feasibility verdicts as re-solving each query
-   from scratch. Pop-then-push recreates cons cells, so the stream also
-   exercises fork-divergence resync (physical-identity matching), the
-   cached-model fast path, and session compaction. *)
-let prop_incr_matches_scratch =
-  let open Expr in
-  let gen =
-    QCheck.Gen.(
-      let clause = triple (int_bound 5) (int_bound 2) (int_bound 300) in
-      let action = pair (int_bound 3) clause in
-      list_size (int_range 4 40) action)
-  in
-  QCheck.Test.make ~count:100
-    ~name:"incremental session verdicts = from-scratch verdicts"
-    (QCheck.make gen)
-    (fun actions ->
-      let ops = [| Eq; Ne; Ltu; Leu; Lts; Les |] in
-      let vars = [| fresh_var W8; fresh_var W8; fresh_var W8 |] in
-      let mk (op, v, k) = cmp ops.(op) (zext (var vars.(v))) (word k) in
-      let sess = Incr.create () in
-      let cs = ref [] in
-      List.for_all
-        (fun (a, spec) ->
-          match a with
-          | 0 | 1 ->
-              cs := mk spec :: !cs;
-              true
-          | 2 ->
-              (match !cs with [] -> () | _ :: t -> cs := t);
-              true
-          | _ ->
-              let probe = mk spec in
-              Incr.feasible sess !cs probe
-              = Solver.is_feasible (probe :: !cs))
-        actions)
-
-let test_incr_fork_divergence () =
-  let open Expr in
-  let x = fresh_var W32 in
-  let base = [ cmp Ltu (var x) (word 10) ] in
-  let a = cmp Eq (var x) (word 3) :: base in
-  let b = cmp Eq (var x) (word 20) :: base in
-  let sess = Incr.create () in
-  check_bool "branch a feasible" true (Incr.feasible sess a tru);
-  (* resync from sibling a to sibling b: pop the divergent frame, keep
-     the shared tail *)
-  check_bool "branch b contradicts the bound" false (Incr.feasible sess b tru);
-  check_bool "back on branch a" true
-    (Incr.feasible sess a (cmp Eq (var x) (word 3)));
-  check_bool "popped to the shared base" true (Incr.feasible sess base tru)
-
-let test_incr_concretize_sliced () =
+let test_concretize_relevant () =
   let open Expr in
   let x = fresh_var W32 and y = fresh_var W32 in
   let cs =
     [ cmp Eq (var y) (word 7); cmp Eq (var x) (word 5) ]
   in
-  (match Incr.concretize cs ~pinned:[] (var x) with
+  (match Solver.concretize_relevant cs ~pinned:[] (var x) with
    | Some v -> check_int "only the relevant slice constrains x" 5 v
    | None -> Alcotest.fail "feasible concretization");
   (* a replay pin outside the slice must still be audited: an
      unsatisfiable pin surfaces as None, not as a fabricated value *)
   let pin = cmp Ltu (var y) (word 0) in
-  match Incr.concretize (pin :: cs) ~pinned:[ pin ] (var x) with
+  match Solver.concretize_relevant (pin :: cs) ~pinned:[ pin ] (var x) with
   | None -> ()
   | Some _ -> Alcotest.fail "contradictory pin must poison the answer"
-
-let test_incr_witness () =
-  let open Expr in
-  let x = fresh_var W32 in
-  let cs = [ cmp Ltu (var x) (word 4); cmp Ltu (word 1) (var x) ] in
-  let sess = Incr.create () in
-  (match Incr.witness sess cs with
-   | Some m ->
-       check_bool "witness satisfies the path" true
-         (List.for_all (fun c -> eval m c = 1) cs)
-   | None -> Alcotest.fail "expected a witness");
-  let dead = cmp Eq (var x) (word 9) :: cs in
-  match Incr.witness sess dead with
-  | None -> ()
-  | Some _ -> Alcotest.fail "infeasible path must yield no witness"
-
-(* Sibling branches pushed through one session accumulate dead circuits;
-   once the clutter dwarfs the live stack the session must compact (and
-   keep answering correctly afterwards). *)
-let test_incr_compaction () =
-  let open Expr in
-  let sess = Incr.create () in
-  let s0 = Solver.stats () in
-  for k = 0 to 99 do
-    let v = fresh_var W8 in
-    let cs = [ cmp Eq (zext (var v)) (word (k land 0xff)) ] in
-    check_bool "sibling branch feasible" true (Incr.feasible sess cs tru)
-  done;
-  let d = Solver.diff_stats (Solver.stats ()) s0 in
-  check_bool "session compacted at least once" true
-    (d.Solver.s_incr_rebuilds > 0)
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
@@ -879,14 +796,6 @@ let () =
          Alcotest.test_case "lru eviction" `Quick test_qcache_eviction;
          qtest prop_accel_agrees_with_baseline;
          qtest prop_accel_models_verified ]);
-      ("incr",
-       [ Alcotest.test_case "fork divergence resync" `Quick
-           test_incr_fork_divergence;
-         Alcotest.test_case "sliced concretize audits pins" `Quick
-           test_incr_concretize_sliced;
-         Alcotest.test_case "witness" `Quick test_incr_witness;
-         Alcotest.test_case "compaction" `Quick test_incr_compaction;
-         qtest prop_incr_matches_scratch ]);
       ("solver",
        [ Alcotest.test_case "linear equation" `Quick test_solver_simple;
          Alcotest.test_case "parity contradiction" `Quick
@@ -895,6 +804,8 @@ let () =
          Alcotest.test_case "shift" `Quick test_solver_shift;
          Alcotest.test_case "byte variables" `Quick test_solver_bytes;
          Alcotest.test_case "concretize" `Quick test_concretize;
+         Alcotest.test_case "sliced concretize audits pins" `Quick
+           test_concretize_relevant;
          qtest prop_solver_sound_on_simple;
          qtest prop_divmod_matches_bruteforce;
          qtest prop_symbolic_shift;

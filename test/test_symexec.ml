@@ -286,10 +286,10 @@ let test_concretization_constraint_recorded () =
   let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
   let st = Exec.new_root_state eng ks in
   let x = Exec.fresh_symbolic eng st ~name:"x" ~origin:"test" Expr.W32 in
-  let v = Exec.concretize eng st x "test" in
+  let v = Exec.concretize st x "test" in
   (* The concretization must be recorded as a path constraint, so a
      second concretization yields the same value. *)
-  check_int "stable concretization" v (Exec.concretize eng st x "test")
+  check_int "stable concretization" v (Exec.concretize st x "test")
 
 let test_interrupt_injection_forks () =
   (* An ISR that crashes on a flag the entry point sets after its kcall:
