@@ -1,11 +1,19 @@
+(* Keyed by structural equality, so equal subterms share one circuit. *)
+module ET = Hashtbl.Make (struct
+  type t = Expr.t
+
+  let equal = Expr.equal
+  let hash = Hashtbl.hash
+end)
+
 type ctx = {
   c : Cnf.t;
-  memo : (Expr.t, int array) Hashtbl.t;
+  memo : int array ET.t;
   var_bits : (int, int array) Hashtbl.t; (* Expr var id -> literals *)
 }
 
 let create () =
-  { c = Cnf.create (); memo = Hashtbl.create 64; var_bits = Hashtbl.create 16 }
+  { c = Cnf.create (); memo = ET.create 64; var_bits = Hashtbl.create 16 }
 
 let cnf ctx = ctx.c
 
@@ -116,11 +124,11 @@ let shifter c dir xs amount fill =
 (* --- expression compilation ----------------------------------------- *)
 
 let rec blast ctx e =
-  match Hashtbl.find_opt ctx.memo e with
+  match ET.find_opt ctx.memo e with
   | Some bits -> bits
   | None ->
       let bits = blast_uncached ctx e in
-      Hashtbl.add ctx.memo e bits;
+      ET.add ctx.memo e bits;
       bits
 
 and blast_uncached ctx e =

@@ -125,10 +125,176 @@ let eval_cmp op w a b =
 let is_const = function Const _ -> true | _ -> false
 let to_const = function Const (_, v) -> Some v | _ -> None
 
-(* Structural equality: expressions contain only immediate data, so the
-   polymorphic comparison is exact. *)
-let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
+(* --- sharing-aware traversal ----------------------------------------------- *)
+(* Expressions are DAGs: a merged state lifts values to [ite(g, f x, h x)]
+   whose arms share [x], so a chain of k merges has an exponential tree
+   unfolding but only O(k) distinct nodes. Every recursive walk therefore
+   runs in two modes. It first walks plainly, as a tree, within a node
+   budget that ordinary path-condition terms never reach. If the budget
+   runs out, it restarts with one memo entry per physically distinct node
+   and costs time linear in the DAG. The two modes compute the same value;
+   only the sharing of rebuilt results differs. *)
+
+module Phys = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+exception Unshared
+
+let plain_budget = 1024
+
+type 'a memo = { mutable left : int; table : 'a Phys.t option }
+
+let memo m f e =
+  match m.table with
+  | None ->
+      m.left <- m.left - 1;
+      if m.left < 0 then raise_notrace Unshared;
+      f e
+  | Some tbl -> (
+      match e with
+      | Const _ | Var _ -> f e
+      | _ -> (
+          match Phys.find_opt tbl e with
+          | Some r -> r
+          | None ->
+              let r = f e in
+              Phys.add tbl e r;
+              r))
+
+let run body =
+  try body { left = plain_budget; table = None }
+  with Unshared -> body { left = 0; table = Some (Phys.create 64) }
+
+(* Pairs of nodes, by physical identity, already proven to compare equal. *)
+module Pairs = Hashtbl.Make (struct
+  type nonrec t = t * t
+
+  let equal (a, b) (c, d) = a == c && b == d
+  let hash (a, b) = (Hashtbl.hash a * 65599) + Hashtbl.hash b
+end)
+
+let tag = function
+  | Const _ -> 0
+  | Var _ -> 1
+  | Binop _ -> 2
+  | Cmp _ -> 3
+  | Ite _ -> 4
+  | Extract _ -> 5
+  | Concat4 _ -> 6
+  | Zext _ -> 7
+  | Not _ -> 8
+
+(* Results of a lockstep walk: the budget left (>= 0) while the operands
+   are equal so far, otherwise one of these. *)
+let less = -1
+let greater = -2
+let exhausted = -3
+
+(* Order two immediate fields (widths, operators, indexes, variables);
+   they are usually identical, and only a difference needs
+   [Stdlib.compare]. *)
+let[@inline] imm left a b =
+  if left < 0 || a == b then left
+  else
+    match Stdlib.compare a b with
+    | 0 -> left
+    | c -> if c < 0 then less else greater
+
+(* Walk [a] and [b] in lockstep in the order of [Stdlib.compare] —
+   constructor first, then fields left to right — so canonical cache keys
+   sort as they always have. With [~shape], variables compare by width
+   only and an extract's byte index before its operand. A lexicographic
+   walk stops at the first unequal pair, so every pair it finishes is
+   equal: in memo mode [proven] remembers those, which bounds the walk by
+   the distinct pairs. *)
+let rec walk ~shape proven left a b =
+  if a == b || left < 0 then left
+  else if match proven with Some p -> Pairs.mem p (a, b) | None -> false then
+    left
+  else if left = 0 then exhausted
+  else begin
+    let left = left - 1 in
+    let left =
+      match a, b with
+      | Const (w1, v1), Const (w2, v2) -> imm (imm left w1 w2) v1 v2
+      | Var v1, Var v2 ->
+          if shape then imm left v1.var_width v2.var_width else imm left v1 v2
+      | Binop (o1, x1, y1), Binop (o2, x2, y2) ->
+          let left = walk ~shape proven (imm left o1 o2) x1 x2 in
+          walk ~shape proven left y1 y2
+      | Cmp (o1, x1, y1), Cmp (o2, x2, y2) ->
+          let left = walk ~shape proven (imm left o1 o2) x1 x2 in
+          walk ~shape proven left y1 y2
+      | Ite (c1, x1, y1), Ite (c2, x2, y2) ->
+          let left = walk ~shape proven left c1 c2 in
+          walk ~shape proven (walk ~shape proven left x1 x2) y1 y2
+      | Extract (x1, i1), Extract (x2, i2) ->
+          if shape then walk ~shape proven (imm left i1 i2) x1 x2
+          else imm (walk ~shape proven left x1 x2) i1 i2
+      | Concat4 (a3, a2, a1, a0), Concat4 (b3, b2, b1, b0) ->
+          let left = walk ~shape proven left a3 b3 in
+          let left = walk ~shape proven left a2 b2 in
+          walk ~shape proven (walk ~shape proven left a1 b1) a0 b0
+      | Zext x1, Zext x2 | Not x1, Not x2 -> walk ~shape proven left x1 x2
+      | _ -> imm left (tag a) (tag b)
+    in
+    (match proven with Some p when left >= 0 -> Pairs.add p (a, b) () | _ -> ());
+    left
+  end
+
+let compare_with ~shape a b =
+  let r = walk ~shape None plain_budget a b in
+  let r =
+    if r = exhausted then walk ~shape (Some (Pairs.create 64)) max_int a b
+    else r
+  in
+  if r = less then -1 else if r = greater then 1 else 0
+
+let compare (a : t) (b : t) = compare_with ~shape:false a b
+let compare_shape (a : t) (b : t) = compare_with ~shape:true a b
+
+(* Equality is the hot case — smart constructors ask it on every build —
+   so it gets the same walk without the ordering, which would cost a
+   [Stdlib.compare] at the first difference: any difference reads as
+   [less]. *)
+let rec eq proven left a b =
+  if a == b || left < 0 then left
+  else if match proven with Some p -> Pairs.mem p (a, b) | None -> false then
+    left
+  else if left = 0 then exhausted
+  else begin
+    let left = left - 1 in
+    let left =
+      match a, b with
+      | Const (w1, v1), Const (w2, v2) -> if w1 == w2 && v1 = v2 then left else less
+      | Var v1, Var v2 -> if v1 == v2 || v1 = v2 then left else less
+      | Binop (o1, x1, y1), Binop (o2, x2, y2) ->
+          if o1 == o2 then eq proven (eq proven left x1 x2) y1 y2 else less
+      | Cmp (o1, x1, y1), Cmp (o2, x2, y2) ->
+          if o1 == o2 then eq proven (eq proven left x1 x2) y1 y2 else less
+      | Ite (c1, x1, y1), Ite (c2, x2, y2) ->
+          eq proven (eq proven (eq proven left c1 c2) x1 x2) y1 y2
+      | Extract (x1, i1), Extract (x2, i2) ->
+          if i1 = i2 then eq proven left x1 x2 else less
+      | Concat4 (a3, a2, a1, a0), Concat4 (b3, b2, b1, b0) ->
+          let left = eq proven (eq proven left a3 b3) a2 b2 in
+          eq proven (eq proven left a1 b1) a0 b0
+      | Zext x1, Zext x2 | Not x1, Not x2 -> eq proven left x1 x2
+      | _ -> less
+    in
+    (match proven with Some p when left >= 0 -> Pairs.add p (a, b) () | _ -> ());
+    left
+  end
+
+let equal (a : t) (b : t) =
+  a == b
+  ||
+  let r = eq None plain_budget a b in
+  (if r = exhausted then eq (Some (Pairs.create 64)) max_int a b else r) >= 0
 
 let binop op a b =
   let w = width_of a in
@@ -216,44 +382,59 @@ let or1 a b =
   | x, y when equal x y -> x
   | _ -> Binop (Or, a, b)
 
-let rec eval env e =
-  match e with
-  | Const (_, v) -> v
-  | Var v -> env v land mask_of_width v.var_width
-  | Binop (op, a, b) -> eval_binop op (width_of a) (eval env a) (eval env b)
-  | Cmp (op, a, b) -> eval_cmp op (width_of a) (eval env a) (eval env b)
-  | Ite (c, a, b) -> if eval env c = 1 then eval env a else eval env b
-  | Extract (x, i) -> (eval env x lsr (8 * i)) land 0xFF
-  | Concat4 (b3, b2, b1, b0) ->
-      (eval env b3 lsl 24) lor (eval env b2 lsl 16)
-      lor (eval env b1 lsl 8) lor eval env b0
-  | Zext x -> eval env x
-  | Not x -> 1 - eval env x
+let eval env e =
+  run (fun m ->
+      let rec go e = memo m value e
+      and value = function
+        | Const (_, v) -> v
+        | Var v -> env v land mask_of_width v.var_width
+        | Binop (op, a, b) -> eval_binop op (width_of a) (go a) (go b)
+        | Cmp (op, a, b) -> eval_cmp op (width_of a) (go a) (go b)
+        | Ite (c, a, b) -> if go c = 1 then go a else go b
+        | Extract (x, i) -> (go x lsr (8 * i)) land 0xFF
+        | Concat4 (b3, b2, b1, b0) ->
+            (go b3 lsl 24) lor (go b2 lsl 16) lor (go b1 lsl 8) lor go b0
+        | Zext x -> go x
+        | Not x -> 1 - go x
+      in
+      go e)
 
 let vars e =
-  let seen = Hashtbl.create 16 in
-  let acc = ref [] in
-  let rec go = function
-    | Const _ -> ()
-    | Var v ->
-        if not (Hashtbl.mem seen v.id) then begin
-          Hashtbl.add seen v.id ();
-          acc := v :: !acc
-        end
-    | Binop (_, a, b) | Cmp (_, a, b) -> go a; go b
-    | Ite (c, a, b) -> go c; go a; go b
-    | Extract (x, _) | Zext x | Not x -> go x
-    | Concat4 (b3, b2, b1, b0) -> go b3; go b2; go b1; go b0
-  in
-  go e;
-  List.sort (fun a b -> Stdlib.compare a.id b.id) !acc
+  run (fun m ->
+      let seen = Hashtbl.create 16 in
+      let acc = ref [] in
+      let rec go e = memo m visit e
+      and visit = function
+        | Const _ -> ()
+        | Var v ->
+            if not (Hashtbl.mem seen v.id) then begin
+              Hashtbl.add seen v.id ();
+              acc := v :: !acc
+            end
+        | Binop (_, a, b) | Cmp (_, a, b) -> go a; go b
+        | Ite (c, a, b) -> go c; go a; go b
+        | Extract (x, _) | Zext x | Not x -> go x
+        | Concat4 (b3, b2, b1, b0) -> go b3; go b2; go b1; go b0
+      in
+      go e;
+      List.sort (fun a b -> Stdlib.compare a.id b.id) !acc)
 
-let rec size = function
-  | Const _ | Var _ -> 1
-  | Binop (_, a, b) | Cmp (_, a, b) -> 1 + size a + size b
-  | Ite (c, a, b) -> 1 + size c + size a + size b
-  | Extract (x, _) | Zext x | Not x -> 1 + size x
-  | Concat4 (b3, b2, b1, b0) -> 1 + size b3 + size b2 + size b1 + size b0
+(* Saturating: the tree unfolding of a merged DAG can outgrow [max_int]. *)
+let ( +| ) a b =
+  let s = a + b in
+  if s < 0 then max_int else s
+
+let size e =
+  run (fun m ->
+      let rec go e = memo m count e
+      and count = function
+        | Const _ | Var _ -> 1
+        | Binop (_, a, b) | Cmp (_, a, b) -> 1 +| go a +| go b
+        | Ite (c, a, b) -> 1 +| go c +| go a +| go b
+        | Extract (x, _) | Zext x | Not x -> 1 +| go x
+        | Concat4 (b3, b2, b1, b0) -> 1 +| go b3 +| go b2 +| go b1 +| go b0
+      in
+      go e)
 
 let string_of_binop = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Divu -> "/u" | Remu -> "%u"
@@ -266,20 +447,63 @@ let string_of_cmpop = function
 
 let pp_var fmt v = Format.fprintf fmt "%s#%d" v.name v.id
 
-let rec pp fmt = function
+(* One node, its children printed by [k]. *)
+let pp_node k fmt = function
   | Const (W1, v) -> Format.fprintf fmt "%db1" v
   | Const (W8, v) -> Format.fprintf fmt "0x%02x" v
   | Const (W32, v) -> Format.fprintf fmt "0x%x" v
   | Var v -> pp_var fmt v
   | Binop (op, a, b) ->
-      Format.fprintf fmt "(%a %s %a)" pp a (string_of_binop op) pp b
+      Format.fprintf fmt "(%a %s %a)" k a (string_of_binop op) k b
   | Cmp (op, a, b) ->
-      Format.fprintf fmt "(%a %s %a)" pp a (string_of_cmpop op) pp b
-  | Ite (c, a, b) -> Format.fprintf fmt "(if %a then %a else %a)" pp c pp a pp b
-  | Extract (x, i) -> Format.fprintf fmt "%a[%d]" pp x i
+      Format.fprintf fmt "(%a %s %a)" k a (string_of_cmpop op) k b
+  | Ite (c, a, b) -> Format.fprintf fmt "(if %a then %a else %a)" k c k a k b
+  | Extract (x, i) -> Format.fprintf fmt "%a[%d]" k x i
   | Concat4 (b3, b2, b1, b0) ->
-      Format.fprintf fmt "{%a,%a,%a,%a}" pp b3 pp b2 pp b1 pp b0
-  | Zext x -> Format.fprintf fmt "zext(%a)" pp x
-  | Not x -> Format.fprintf fmt "!%a" pp x
+      Format.fprintf fmt "{%a,%a,%a,%a}" k b3 k b2 k b1 k b0
+  | Zext x -> Format.fprintf fmt "zext(%a)" k x
+  | Not x -> Format.fprintf fmt "!%a" k x
+
+let children = function
+  | Const _ | Var _ -> []
+  | Binop (_, a, b) | Cmp (_, a, b) -> [ a; b ]
+  | Ite (c, a, b) -> [ c; a; b ]
+  | Extract (x, _) | Zext x | Not x -> [ x ]
+  | Concat4 (b3, b2, b1, b0) -> [ b3; b2; b1; b0 ]
+
+(* A term whose tree unfolding outgrows the budget is printed as a DAG:
+   a compound subterm referenced more than once is named at its first
+   occurrence, [$k=(...)], and printed as [$k] after that, so the text
+   stays linear in the distinct nodes. *)
+let pp fmt e =
+  let rec tree fmt e = pp_node tree fmt e in
+  if size e <= plain_budget then tree fmt e
+  else begin
+    let refs = Phys.create 64 in
+    let rec count e =
+      match Phys.find_opt refs e with
+      | Some n -> Phys.replace refs e (n + 1)
+      | None ->
+          Phys.add refs e 1;
+          List.iter count (children e)
+    in
+    count e;
+    let names = Phys.create 64 in
+    let rec dag fmt e =
+      match Phys.find_opt names e with
+      | Some k -> Format.fprintf fmt "$%d" k
+      | None ->
+          (match e with
+           | Const _ | Var _ -> ()
+           | _ ->
+               if Phys.find refs e > 1 then begin
+                 let k = Phys.length names + 1 in
+                 Phys.add names e k;
+                 Format.fprintf fmt "$%d=" k
+               end);
+          pp_node dag fmt e
+    in
+    dag fmt e
+  end
 
 let to_string e = Format.asprintf "%a" pp e

@@ -89,13 +89,18 @@ val or1 : t -> t -> t               (** boolean disjunction on {!W1} *)
 val is_const : t -> bool
 val to_const : t -> int option
 val vars : t -> var list            (** distinct variables, in id order *)
-val size : t -> int                 (** node count *)
+
+val size : t -> int
+(** Node count of the tree unfolding, saturating at [max_int]: a shared
+    subterm counts once per occurrence, though the walk itself visits it
+    once. *)
 
 (** {1 Concrete evaluation} *)
 
 val eval : (var -> int) -> t -> int
 (** [eval env e] computes the concrete value of [e], masked to its width.
-    The environment must be total on the variables of [e]. *)
+    The environment must be total on the variables of [e], and [eval] may
+    call it more than once per variable. *)
 
 (** {1 Concrete arithmetic helpers (32-bit semantics)} *)
 
@@ -106,8 +111,47 @@ val to_signed : width -> int -> int
 (** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit
+(** Infix notation. A term whose tree unfolding outgrows the walk budget
+    (see below) prints as a DAG: a compound subterm referenced more than
+    once is written [$k=...] at its first occurrence and [$k] after it. *)
+
 val to_string : t -> string
 val pp_var : Format.formatter -> var -> unit
 
+(** {1 Equality and order} *)
+
 val equal : t -> t -> bool
+(** Structural equality. *)
+
 val compare : t -> t -> int
+(** Structural order, the same as [Stdlib.compare]'s. *)
+
+(** {1 Sharing-aware traversal}
+
+    Expressions are DAGs. A merged state lifts values to
+    [ite(g, f x, h x)] whose arms share [x], so k nested merges unfold to
+    a tree exponential in k over only O(k) distinct nodes. Every walk in
+    this library (including {!equal}, {!compare}, {!vars}, {!size} and
+    {!eval}) walks plainly, as a tree, within a small node budget, and
+    past it restarts memoized by physical identity, in time linear in the
+    distinct nodes. Both modes compute the same value. *)
+
+type 'a memo
+(** The memo of one walk, in plain or memoized mode. *)
+
+val memo : 'a memo -> (t -> 'a) -> t -> 'a
+(** [memo m f e] is [f e]; in memoized mode it is computed once per
+    physically distinct node. [f] recurses through [memo m], and its
+    result may depend only on the node and on state created by the
+    enclosing {!run} body. *)
+
+val run : ('a memo -> 'r) -> 'r
+(** [run body] is [body m] with [m] in plain mode. When the walk outgrows
+    the budget, [body] is called again from the start in memoized mode,
+    so [body] must create all of its mutable state itself. *)
+
+val compare_shape : t -> t -> int
+(** Order by name-erased shape: like {!compare}, except that variables
+    compare by width only and an extract's byte index is compared before
+    its operand. Stable under variable renaming, which is what the query
+    cache needs to order commutative operands before it renames. *)

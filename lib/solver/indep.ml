@@ -19,11 +19,10 @@ let union uf a b =
   let ra = find uf a and rb = find uf b in
   if ra <> rb then Hashtbl.replace uf ra rb
 
-(* Build the equivalence classes for one constraint set. Returns the
-   union-find plus each constraint paired with its variables. *)
-let build cs =
+(* Build the equivalence classes for constraints paired with their
+   variables. *)
+let build cvars =
   let uf = Hashtbl.create 32 in
-  let cvars = List.map (fun c -> (c, Expr.vars c)) cs in
   List.iter
     (fun (_, vs) ->
       match vs with
@@ -32,15 +31,17 @@ let build cs =
           ignore (find uf v0.Expr.id);
           List.iter (fun (v : Expr.var) -> union uf v0.Expr.id v.Expr.id) rest)
     cvars;
-  (uf, cvars)
+  uf
+
+let with_vars cs = List.map (fun c -> (c, Expr.vars c)) cs
 
 (* Key used for ground constraints (no variables). Variable ids are
    positive, so this never collides with a real root. *)
 let ground_key = min_int
 
-let partition cs =
-  let uf, cvars = build cs in
-  let groups : (int, Expr.t list ref) Hashtbl.t = Hashtbl.create 8 in
+let partition_vars cvars =
+  let uf = build cvars in
+  let groups = Hashtbl.create 8 in
   let order = ref [] in
   let add key c =
     match Hashtbl.find_opt groups key with
@@ -50,15 +51,18 @@ let partition cs =
         order := key :: !order
   in
   List.iter
-    (fun (c, vs) ->
+    (fun ((_, vs) as cv) ->
       match vs with
-      | [] -> add ground_key c
-      | v :: _ -> add (find uf v.Expr.id) c)
+      | [] -> add ground_key cv
+      | v :: _ -> add (find uf v.Expr.id) cv)
     cvars;
   List.rev_map (fun key -> List.rev !(Hashtbl.find groups key)) !order
 
+let partition cs = List.map (List.map fst) (partition_vars (with_vars cs))
+
 let relevant cs e =
-  let uf, cvars = build cs in
+  let cvars = with_vars cs in
+  let uf = build cvars in
   let roots =
     List.fold_left
       (fun acc (v : Expr.var) ->

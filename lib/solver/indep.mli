@@ -18,6 +18,11 @@ val partition : Expr.t list -> Expr.t list list
     keep their relative order inside each group. Constraints with no
     variables (not folded away upstream) are gathered into one group. *)
 
+val partition_vars :
+  (Expr.t * Expr.var list) list -> (Expr.t * Expr.var list) list list
+(** {!partition} for constraints already paired with their {!Expr.vars},
+    which the groups keep. *)
+
 val relevant : Expr.t list -> Expr.t -> Expr.t list
 (** [relevant constraints e] keeps only the constraints in groups sharing
     a variable (transitively) with [e] — the slice that can influence the

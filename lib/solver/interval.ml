@@ -16,10 +16,24 @@ let meet a b =
    ranged under the facts its own guard implies — without this, a
    post-dominator merge that lifts a clamped index to
    [ite(count > 7, 7, count)] loses the clamp and the hull degrades to
-   the full word range. *)
+   the full word range.
+
+   Memoized, each distinct node keeps its ranges per environment it was
+   reached in (by physical identity). [refine] hands back its input when
+   a guard narrows nothing, so arms under uninformative guards share one
+   environment and a merged DAG is ranged in linear time. *)
 let range_gen ~lookup ~refine env e =
   let open Expr in
+  run @@ fun m ->
   let rec go env e =
+    let seen = memo m (fun _ -> ref []) e in
+    match List.assq_opt env !seen with
+    | Some r -> r
+    | None ->
+        let r = range env e in
+        seen := (env, r) :: !seen;
+        r
+  and range env e =
     let w = width_of e in
     let top = full w in
     match e with
@@ -215,15 +229,17 @@ let refine_guard env c =
   in
   let cs = atoms [] c in
   let env' = Hashtbl.copy env in
+  let narrowed = ref false in
   match
     let changed = ref true and rounds = ref 0 in
     while !changed && !rounds < 4 do
       changed := false;
       incr rounds;
-      List.iter (fun a -> if apply_constraint env' a then changed := true) cs
+      List.iter (fun a -> if apply_constraint env' a then changed := true) cs;
+      if !changed then narrowed := true
     done
   with
-  | () -> Some env'
+  | () -> Some (if !narrowed then env' else env)
   | exception Exit -> None
 
 let range_within env e = range_gen ~lookup ~refine:refine_guard env e

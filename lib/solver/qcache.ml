@@ -83,84 +83,47 @@ let create ?(capacity = 4096) ?(model_reuse = 12) () =
    state vs the same conditions consed one at a time by forking — land on
    the same entry. The order must be stable under variable renaming
    (renaming happens AFTER this pass), so expressions are compared by
-   erased shape: every variable of a width is equal to every other. Ties
-   (shape-equal operands) keep their input order, which is fine — shape-
-   equal operands rename to the same key either way only if genuinely
-   symmetric, and a missed swap costs a cache miss, never a wrong answer. *)
+   erased shape ({!Expr.compare_shape}): every variable of a width is
+   equal to every other. Ties (shape-equal operands) keep their input
+   order, which is fine — shape-equal operands rename to the same key
+   either way only if genuinely symmetric, and a missed swap costs a
+   cache miss, never a wrong answer. *)
 
 let commutative = function
   | Expr.Add | Expr.Mul | Expr.And | Expr.Or | Expr.Xor -> true
   | Expr.Sub | Expr.Divu | Expr.Remu | Expr.Shl | Expr.Lshr | Expr.Ashr ->
       false
 
-let shape_tag : Expr.t -> int = function
-  | Expr.Const _ -> 0
-  | Expr.Var _ -> 1
-  | Expr.Binop _ -> 2
-  | Expr.Cmp _ -> 3
-  | Expr.Ite _ -> 4
-  | Expr.Extract _ -> 5
-  | Expr.Concat4 _ -> 6
-  | Expr.Zext _ -> 7
-  | Expr.Not _ -> 8
-
-let rec shape_compare (a : Expr.t) (b : Expr.t) =
-  match (a, b) with
-  | Expr.Const (w1, c1), Expr.Const (w2, c2) -> (
-      match compare w1 w2 with 0 -> compare c1 c2 | c -> c)
-  | Expr.Var v1, Expr.Var v2 ->
-      compare v1.Expr.var_width v2.Expr.var_width
-  | Expr.Binop (o1, x1, y1), Expr.Binop (o2, x2, y2) -> (
-      match compare o1 o2 with
-      | 0 -> ( match shape_compare x1 x2 with 0 -> shape_compare y1 y2 | c -> c)
-      | c -> c)
-  | Expr.Cmp (o1, x1, y1), Expr.Cmp (o2, x2, y2) -> (
-      match compare o1 o2 with
-      | 0 -> ( match shape_compare x1 x2 with 0 -> shape_compare y1 y2 | c -> c)
-      | c -> c)
-  | Expr.Ite (c1, x1, y1), Expr.Ite (c2, x2, y2) -> (
-      match shape_compare c1 c2 with
-      | 0 -> ( match shape_compare x1 x2 with 0 -> shape_compare y1 y2 | c -> c)
-      | c -> c)
-  | Expr.Extract (x1, i1), Expr.Extract (x2, i2) -> (
-      match compare i1 i2 with 0 -> shape_compare x1 x2 | c -> c)
-  | Expr.Concat4 (a3, a2, a1, a0), Expr.Concat4 (b3, b2, b1, b0) -> (
-      match shape_compare a3 b3 with
-      | 0 -> (
-          match shape_compare a2 b2 with
-          | 0 -> (
-              match shape_compare a1 b1 with
-              | 0 -> shape_compare a0 b0
-              | c -> c)
-          | c -> c)
-      | c -> c)
-  | Expr.Zext x1, Expr.Zext x2 -> shape_compare x1 x2
-  | Expr.Not x1, Expr.Not x2 -> shape_compare x1 x2
-  | _ -> compare (shape_tag a) (shape_tag b)
-
-let rec normalize (e : Expr.t) : Expr.t =
-  match e with
-  | Expr.Const _ | Expr.Var _ -> e
-  | Expr.Binop (op, a, b) ->
-      let a = normalize a and b = normalize b in
-      if commutative op && shape_compare b a < 0 then Expr.Binop (op, b, a)
-      else Expr.Binop (op, a, b)
-  | Expr.Cmp (op, a, b) -> (
-      let a = normalize a and b = normalize b in
-      match op with
-      | (Expr.Eq | Expr.Ne) when shape_compare b a < 0 -> Expr.Cmp (op, b, a)
-      | _ -> Expr.Cmp (op, a, b))
-  | Expr.Ite (c, a, b) -> (
-      (* A negated guard swaps arms, so a lift built from the taken arm
-         and one built from the fallthrough share a key. *)
-      match normalize c with
-      | Expr.Not c' -> Expr.Ite (c', normalize b, normalize a)
-      | c -> Expr.Ite (c, normalize a, normalize b))
-  | Expr.Extract (x, i) -> Expr.Extract (normalize x, i)
-  | Expr.Concat4 (b3, b2, b1, b0) ->
-      Expr.Concat4 (normalize b3, normalize b2, normalize b1, normalize b0)
-  | Expr.Zext x -> Expr.Zext (normalize x)
-  | Expr.Not x -> Expr.Not (normalize x)
+let normalize (e : Expr.t) : Expr.t =
+  Expr.run (fun m ->
+      let rec go e = Expr.memo m rebuild e
+      and rebuild (e : Expr.t) : Expr.t =
+        match e with
+        | Expr.Const _ | Expr.Var _ -> e
+        | Expr.Binop (op, a, b) ->
+            let a = go a and b = go b in
+            if commutative op && Expr.compare_shape b a < 0 then
+              Expr.Binop (op, b, a)
+            else Expr.Binop (op, a, b)
+        | Expr.Cmp (op, a, b) -> (
+            let a = go a and b = go b in
+            match op with
+            | (Expr.Eq | Expr.Ne) when Expr.compare_shape b a < 0 ->
+                Expr.Cmp (op, b, a)
+            | _ -> Expr.Cmp (op, a, b))
+        | Expr.Ite (c, a, b) -> (
+            (* A negated guard swaps arms, so a lift built from the taken
+               arm and one built from the fallthrough share a key. *)
+            match go c with
+            | Expr.Not c' -> Expr.Ite (c', go b, go a)
+            | c -> Expr.Ite (c, go a, go b))
+        | Expr.Extract (x, i) -> Expr.Extract (go x, i)
+        | Expr.Concat4 (b3, b2, b1, b0) ->
+            Expr.Concat4 (go b3, go b2, go b1, go b0)
+        | Expr.Zext x -> Expr.Zext (go x)
+        | Expr.Not x -> Expr.Not (go x)
+      in
+      go e)
 
 let canon cs = List.sort_uniq Expr.compare (List.map normalize cs)
 
@@ -182,37 +145,42 @@ type prepared = {
 
 let prepare cs =
   let key = canon cs in
-  let fwd = Hashtbl.create 16 in
-  let inv = Hashtbl.create 16 in
-  let next = ref 0 in
-  let rec go (e : Expr.t) : Expr.t =
-    match e with
-    | Expr.Const _ -> e
-    | Expr.Var v ->
-        let r =
-          match Hashtbl.find_opt fwd v.Expr.id with
-          | Some r -> r
-          | None ->
-              incr next;
-              let r = Expr.canon_var !next v.Expr.var_width in
-              Hashtbl.add fwd v.Expr.id r;
-              Hashtbl.add inv !next v;
-              r
-        in
-        Expr.Var r
-    (* Raw constructors: renaming must preserve structure exactly, or the
-       renamed key's equality would disagree with the original's. *)
-    | Expr.Binop (op, a, b) -> Expr.Binop (op, go a, go b)
-    | Expr.Cmp (op, a, b) -> Expr.Cmp (op, go a, go b)
-    | Expr.Ite (c, a, b) -> Expr.Ite (go c, go a, go b)
-    | Expr.Extract (x, i) -> Expr.Extract (go x, i)
-    | Expr.Concat4 (b3, b2, b1, b0) ->
-        Expr.Concat4 (go b3, go b2, go b1, go b0)
-    | Expr.Zext x -> Expr.Zext (go x)
-    | Expr.Not x -> Expr.Not (go x)
-  in
-  let rkey = List.map go key in
-  { p_key = key; p_rkey = rkey; p_fwd = fwd; p_inv = inv }
+  Expr.run (fun m ->
+      let fwd = Hashtbl.create 16 in
+      let inv = Hashtbl.create 16 in
+      let next = ref 0 in
+      let rec go e = Expr.memo m rename e
+      and rename (e : Expr.t) : Expr.t =
+        match e with
+        | Expr.Const _ -> e
+        | Expr.Var v ->
+            let r =
+              match Hashtbl.find_opt fwd v.Expr.id with
+              | Some r -> r
+              | None ->
+                  incr next;
+                  let r = Expr.canon_var !next v.Expr.var_width in
+                  Hashtbl.add fwd v.Expr.id r;
+                  Hashtbl.add inv !next v;
+                  r
+            in
+            Expr.Var r
+        (* Raw constructors: renaming must preserve structure exactly, or
+           the renamed key's equality would disagree with the original's.
+           Memoized, a repeated subterm is skipped only after its first
+           visit has numbered its variables, so the numbering is the same
+           in both walk modes. *)
+        | Expr.Binop (op, a, b) -> Expr.Binop (op, go a, go b)
+        | Expr.Cmp (op, a, b) -> Expr.Cmp (op, go a, go b)
+        | Expr.Ite (c, a, b) -> Expr.Ite (go c, go a, go b)
+        | Expr.Extract (x, i) -> Expr.Extract (go x, i)
+        | Expr.Concat4 (b3, b2, b1, b0) ->
+            Expr.Concat4 (go b3, go b2, go b1, go b0)
+        | Expr.Zext x -> Expr.Zext (go x)
+        | Expr.Not x -> Expr.Not (go x)
+      in
+      let rkey = List.map go key in
+      { p_key = key; p_rkey = rkey; p_fwd = fwd; p_inv = inv })
 
 let size t = KH.length t.table
 let evictions t = t.evicted

@@ -81,20 +81,43 @@ let rec fixpoint n e =
     | None -> e
     | Some e' -> fixpoint (n - 1) e'
 
-let rec simplify e =
-  let e' =
-    match e with
-    | Const _ | Var _ -> e
-    | Binop (op, a, b) -> binop op (simplify a) (simplify b)
-    | Cmp (op, a, b) -> cmp op (simplify a) (simplify b)
-    | Ite (c, a, b) -> ite (simplify c) (simplify a) (simplify b)
-    | Extract (x, i) -> extract (simplify x) i
-    | Concat4 (b3, b2, b1, b0) ->
-        concat4 (simplify b3) (simplify b2) (simplify b1) (simplify b0)
-    | Zext x -> zext (simplify x)
-    | Not x -> not_ (simplify x)
-  in
-  fixpoint 8 e'
+(* [e'] was rebuilt from [e] over the same child objects and nothing
+   rewrote the node itself. *)
+let unchanged e e' =
+  match e, e' with
+  | Binop (o, a, b), Binop (o', a', b') -> o == o' && a == a' && b == b'
+  | Cmp (o, a, b), Cmp (o', a', b') -> o == o' && a == a' && b == b'
+  | Ite (c, a, b), Ite (c', a', b') -> c == c' && a == a' && b == b'
+  | Extract (x, i), Extract (x', i') -> x == x' && i = i'
+  | Concat4 (b3, b2, b1, b0), Concat4 (b3', b2', b1', b0') ->
+      b3 == b3' && b2 == b2' && b1 == b1' && b0 == b0'
+  | Zext x, Zext x' | Not x, Not x' -> x == x'
+  | _ -> false
+
+(* The result shares every subterm the rules left alone with the input
+   (an already simplified term comes back as the same object), and,
+   memoized, a subterm shared in the input stays shared in the output:
+   the walks downstream of the simplifier stay linear, and path
+   conditions and their simplified forms share memory. *)
+let simplify e =
+  run (fun m ->
+      let rec go e = memo m rebuild e
+      and rebuild e =
+        let e' =
+          match e with
+          | Const _ | Var _ -> e
+          | Binop (op, a, b) -> binop op (go a) (go b)
+          | Cmp (op, a, b) -> cmp op (go a) (go b)
+          | Ite (c, a, b) -> ite (go c) (go a) (go b)
+          | Extract (x, i) -> extract (go x) i
+          | Concat4 (b3, b2, b1, b0) -> concat4 (go b3) (go b2) (go b1) (go b0)
+          | Zext x -> zext (go x)
+          | Not x -> not_ (go x)
+        in
+        let e' = fixpoint 8 e' in
+        if unchanged e e' then e else e'
+      in
+      go e)
 
 let simplify_bool e =
   let e' = simplify e in
@@ -128,24 +151,30 @@ let prune ~under e =
       | Cmp (Ne, a, b) -> EH.replace known (Cmp (Eq, a, b)) false
       | _ -> ())
     under;
-  let rec go e =
-    match EH.find_opt known e with
-    | Some true when width_of e = W1 -> tru
-    | Some false when width_of e = W1 -> fls
-    | _ -> (
-        match e with
-        | Const _ | Var _ -> e
-        | Ite (c, a, b) -> (
-            let c' = go c in
-            match to_const c' with
-            | Some 1 -> go a
-            | Some 0 -> go b
-            | _ -> ite c' (go a) (go b))
-        | Binop (op, a, b) -> binop op (go a) (go b)
-        | Cmp (op, a, b) -> cmp op (go a) (go b)
-        | Extract (x, i) -> extract (go x) i
-        | Concat4 (b3, b2, b1, b0) -> concat4 (go b3) (go b2) (go b1) (go b0)
-        | Zext x -> zext (go x)
-        | Not x -> not_ (go x))
+  let pruned =
+    run (fun m ->
+        let rec go e = memo m decide e
+        and decide e =
+          match EH.find_opt known e with
+          | Some true when width_of e = W1 -> tru
+          | Some false when width_of e = W1 -> fls
+          | _ -> (
+              match e with
+              | Const _ | Var _ -> e
+              | Ite (c, a, b) -> (
+                  let c' = go c in
+                  match to_const c' with
+                  | Some 1 -> go a
+                  | Some 0 -> go b
+                  | _ -> ite c' (go a) (go b))
+              | Binop (op, a, b) -> binop op (go a) (go b)
+              | Cmp (op, a, b) -> cmp op (go a) (go b)
+              | Extract (x, i) -> extract (go x) i
+              | Concat4 (b3, b2, b1, b0) ->
+                  concat4 (go b3) (go b2) (go b1) (go b0)
+              | Zext x -> zext (go x)
+              | Not x -> not_ (go x))
+        in
+        go e)
   in
-  simplify (go e)
+  simplify pruned

@@ -22,5 +22,5 @@ val prune : under:Expr.t list -> Expr.t -> Expr.t
     (their verbatim negations false), collapsing [ite]s whose guards the
     path condition has since decided — the merged-state analog of branch
     folding. Semantics-preserving under all models of [under]. Linear in
-    [List.length under + Expr.size e]; intended for the solver-bound
-    slow path, not per-instruction use. *)
+    [List.length under] plus the distinct nodes of [e]; intended for the
+    solver-bound slow path, not per-instruction use. *)

@@ -352,17 +352,38 @@ let solve_group a group =
          | Unknown -> ());
         r)
 
+(* Path conditions are persistent lists, so successive queries re-present
+   the same constraint objects: on the corpus about 95% of the
+   constraints a query sees were in an earlier one. Each domain keeps a
+   small direct-mapped cache from a constraint, by physical identity, to
+   its simplified form and that form's variables. *)
+let prep_slots = 8192
+
+let prep_cache : (Expr.t * (Expr.t * Expr.var list)) option array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make prep_slots None)
+
+let prepare c =
+  let slots = Domain.DLS.get prep_cache in
+  let i = Hashtbl.hash c land (prep_slots - 1) in
+  match slots.(i) with
+  | Some (c', p) when c' == c -> p
+  | _ ->
+      let s = Simplify.simplify_bool c in
+      let p = (s, Expr.vars s) in
+      slots.(i) <- Some (c, p);
+      p
+
 let check constraints =
   Atomic.incr cnt.c_queries;
-  let constraints = List.map Simplify.simplify_bool constraints in
-  if List.exists (fun c -> c = Expr.fls) constraints then Unsat
+  let prepared = List.map prepare constraints in
+  if List.exists (fun (c, _) -> c = Expr.fls) prepared then Unsat
   else
-    let constraints = List.filter (fun c -> c <> Expr.tru) constraints in
-    if constraints = [] then Sat (fun _ -> 0)
+    let prepared = List.filter (fun (c, _) -> c <> Expr.tru) prepared in
+    if prepared = [] then Sat (fun _ -> 0)
     else
       let a = current_accel () in
       let groups =
-        if a.use_slicing then Indep.partition constraints else [ constraints ]
+        if a.use_slicing then Indep.partition_vars prepared else [ prepared ]
       in
       (* Groups touch disjoint variables, so the union of their models is
          a model of the conjunction. Any Unsat group sinks the whole set;
@@ -379,13 +400,13 @@ let check constraints =
                   | Some x -> x
                   | None -> 0)
         | g :: rest -> (
-            match solve_group a g with
+            match solve_group a (List.map fst g) with
             | Unsat -> Unsat
             | Unknown -> go true rest
             | Sat m ->
                 List.iter
                   (fun (v : Expr.var) -> Hashtbl.replace tbl v.Expr.id (m v))
-                  (List.concat_map Expr.vars g
+                  (List.concat_map snd g
                   |> List.sort_uniq (fun a b -> compare a.Expr.id b.Expr.id));
                 go unknown rest)
       in

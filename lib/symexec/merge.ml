@@ -157,7 +157,8 @@ let try_fuse t tok (a : St.t) (b : St.t) =
     | None, _, _ | _, None, _ | _, _, None -> false
     | Some sa, Some sb, Some addrs when List.length addrs <= max_mem_diff ->
         let ga = conj sa and gb = conj sb in
-        if Expr.size ga + Expr.size gb > max_guard_size then false
+        (* sizes saturate at max_int, so compare without adding them *)
+        if Expr.size ga > max_guard_size - Expr.size gb then false
         else begin
           let reg_diffs = ref [] in
           Array.iteri

@@ -388,6 +388,20 @@ let run_spec ?replay ~merging image =
        ~jobs:1 ~state_merging:merging ~max_total_steps:20_000
        ~plateau_steps:15_000 ?replay ())
 
+(* Twenty merged rounds fold the accumulator into an ite DAG whose tree
+   unfolding has ~2^20 nodes; the session only finishes if every walk
+   over it (fusion's equality checks, the solver pipeline) follows the
+   sharing. *)
+let test_long_merged_chain () =
+  let spec =
+    { sp_arms = List.init 20 (fun i -> (0, 1, i + 1)); sp_bug = true;
+      sp_trigger = 0x77 }
+  in
+  let image = Ddt_minicc.Codegen.compile ~name:"p" (source_of spec) in
+  let r = run_spec ~merging:true image in
+  check_bool "seeded bug found" true (r.Session.r_bugs <> []);
+  check_bool "rounds fused" true (r.Session.r_stats.Exec.st_merged_states >= 20)
+
 let prop_merge_parity =
   QCheck.Test.make ~count:10
     ~name:"merged and unmerged runs report the same bugs; replays reproduce"
@@ -436,4 +450,6 @@ let () =
       ("session",
        [ Alcotest.test_case "deeploop collapses paths" `Quick
            test_deeploop_collapses_paths;
+         Alcotest.test_case "long merged chain stays linear" `Quick
+           test_long_merged_chain;
          QCheck_alcotest.to_alcotest prop_merge_parity ]) ]

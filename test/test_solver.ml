@@ -755,6 +755,150 @@ let test_concretize_relevant () =
   | None -> ()
   | Some _ -> Alcotest.fail "contradictory pin must poison the answer"
 
+(* --- sharing ---------------------------------------------------------------- *)
+
+(* The deeploop shape: each round lifts the accumulator to
+   [ite(g, acc + zext v, acc ^ k)], whose arms share [acc], so n rounds
+   unfold to a tree of about 2^n nodes over O(n) distinct ones. Built
+   twice over the same variables it gives two structurally equal,
+   physically distinct DAGs. *)
+let merged_chain vs =
+  let open Expr in
+  fst
+    (List.fold_left
+       (fun (acc, k) v ->
+         let g = cmp Ne (binop And (zext (var v)) (word 1)) (word 0) in
+         (ite g (binop Add acc (zext (var v))) (binop Xor acc (word k)), k + 1))
+       (word 0, 1) vs)
+
+(* The chain's value computed directly, round by round. *)
+let chain_value value vs =
+  fst
+    (List.fold_left
+       (fun (acc, k) v ->
+         let x = value v in
+         ((if x land 1 <> 0 then (acc + x) land 0xFFFFFFFF else acc lxor k), k + 1))
+       (0, 1) vs)
+
+let byte_env seed =
+  let st = Random.State.make [| seed |] in
+  let tbl = Hashtbl.create 64 in
+  fun (v : Expr.var) ->
+    match Hashtbl.find_opt tbl v.Expr.id with
+    | Some x -> x
+    | None ->
+        let x = Random.State.int st 256 in
+        Hashtbl.replace tbl v.Expr.id x;
+        x
+
+(* Tree walks, the reference the sharing-aware ones must agree with. *)
+let rec tree_eval env (e : Expr.t) =
+  let open Expr in
+  match e with
+  | Const (_, v) -> v
+  | Var v -> env v land mask_of_width v.var_width
+  | Binop (op, a, b) -> eval_binop op (width_of a) (tree_eval env a) (tree_eval env b)
+  | Cmp (op, a, b) -> eval_cmp op (width_of a) (tree_eval env a) (tree_eval env b)
+  | Ite (c, a, b) -> if tree_eval env c = 1 then tree_eval env a else tree_eval env b
+  | Extract (x, i) -> (tree_eval env x lsr (8 * i)) land 0xFF
+  | Concat4 (b3, b2, b1, b0) ->
+      (tree_eval env b3 lsl 24) lor (tree_eval env b2 lsl 16)
+      lor (tree_eval env b1 lsl 8) lor tree_eval env b0
+  | Zext x -> tree_eval env x
+  | Not x -> 1 - tree_eval env x
+
+let rec tree_size (e : Expr.t) =
+  match e with
+  | Expr.Const _ | Expr.Var _ -> 1
+  | Expr.Binop (_, a, b) | Expr.Cmp (_, a, b) -> 1 + tree_size a + tree_size b
+  | Expr.Ite (c, a, b) -> 1 + tree_size c + tree_size a + tree_size b
+  | Expr.Extract (x, _) | Expr.Zext x | Expr.Not x -> 1 + tree_size x
+  | Expr.Concat4 (b3, b2, b1, b0) ->
+      1 + tree_size b3 + tree_size b2 + tree_size b1 + tree_size b0
+
+let sign x = compare x 0
+
+(* 48 merges unfold to ~2^50 tree nodes: every walk here must take time
+   linear in the DAG, or the test never finishes. *)
+let test_sharing_deep_chain () =
+  let open Expr in
+  let vs = List.init 48 (fun _ -> fresh_var ~name:"s" W8) in
+  let a = merged_chain vs and b = merged_chain vs in
+  let c = merged_chain (fresh_var ~name:"t" W8 :: List.tl vs) in
+  check_bool "copies are distinct objects" true (a != b);
+  check_bool "equal copies" true (equal a b);
+  check_int "compare copies" 0 (compare a b);
+  check_bool "different first round" false (equal a c);
+  check_int "antisymmetric" (- sign (compare a c)) (sign (compare c a));
+  check_int "compare_shape ignores names and ids" 0 (compare_shape a c);
+  check_bool "vars" true (List.map (fun v -> v.id) (vars a) = List.map (fun v -> v.id) vs);
+  check_bool "tree size beyond 2^40" true (size a > 1 lsl 40);
+  let printed = to_string a in
+  check_bool "printed as a DAG" true
+    (String.length printed < 100_000 && String.contains printed '$');
+  check_int "tree size saturates" max_int
+    (size (merged_chain (List.init 80 (fun _ -> fresh_var W8))));
+  let env = byte_env 3 in
+  let want = chain_value env vs in
+  check_int "eval" want (eval env a);
+  let s = Simplify.simplify a in
+  check_int "simplify preserves eval" want (eval env s);
+  check_bool "simplify idempotent" true (equal (Simplify.simplify s) s);
+  let g0 = cmp Ne (binop And (zext (var (List.hd vs))) (word 1)) (word 0) in
+  let env0 v = if v.id = (List.hd vs).id then env v lor 1 else env v in
+  check_int "prune under a decided guard" (chain_value env0 vs)
+    (eval env0 (Simplify.prune ~under:[ g0 ] a));
+  let r = Interval.range_of (fun v -> Interval.full v.var_width) a in
+  check_bool "range covers the value" true (r.Interval.lo <= want && want <= r.Interval.hi);
+  let q = Qcache.create () in
+  Qcache.store_sat q [ cmp Eq a (word want) ] env;
+  (match Qcache.lookup q [ cmp Eq b (word want) ] with
+   | Qcache.Exact_sat _ -> ()
+   | _ -> Alcotest.fail "rebuilt copy must hit the cached entry");
+  let other = fresh_var W8 in
+  check_int "independent groups" 2
+    (List.length (Indep.partition [ cmp Eq a (word want); cmp Eq (var other) (byte 1) ]));
+  (* the whole pipeline, answered by a verified interval guess *)
+  let below = cmp Ltu a (word 0xFFFFFFFF) in
+  match Solver.check [ below ] with
+  | Solver.Sat m -> check_int "solver model" 1 (eval m below)
+  | Solver.Unsat | Solver.Unknown -> Alcotest.fail "satisfiable by construction"
+
+(* Past the plain budget the walks memoize; they must agree with the
+   tree walks exactly, on chains whose unfolding is still small enough
+   to walk as a tree. *)
+let test_sharing_matches_tree_walks () =
+  let open Expr in
+  let vs = List.init 12 (fun _ -> fresh_var ~name:"s" W8) in
+  let a = merged_chain vs in
+  check_bool "past the plain budget" true (tree_size a > 4096);
+  check_int "size" (tree_size a) (size a);
+  let small = merged_chain [ List.hd vs ] in
+  check_bool "small terms print as trees" false
+    (String.contains (to_string small) '$');
+  List.iter
+    (fun seed ->
+      let env = byte_env seed in
+      check_int "eval" (tree_eval env a) (eval env a);
+      check_int "simplified eval" (tree_eval env a)
+        (tree_eval env (Simplify.simplify a)))
+    [ 1; 2; 3; 4; 5 ];
+  List.iteri
+    (fun i _ ->
+      let vs' = List.mapi (fun j v -> if i = j then fresh_var W8 else v) vs in
+      let c = merged_chain vs' in
+      check_int "compare agrees with Stdlib" (sign (Stdlib.compare a c)) (sign (compare a c));
+      check_bool "equal agrees with (=)" (a = c) (equal a c))
+    vs
+
+let prop_compare_matches_stdlib =
+  QCheck.Test.make ~count:500 ~name:"compare and equal agree with Stdlib"
+    (QCheck.pair arb_expr arb_expr)
+    (fun (a, b) ->
+      sign (Expr.compare a b) = sign (Stdlib.compare a b)
+      && Expr.equal a b = (a = b)
+      && Expr.equal a a)
+
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -769,6 +913,12 @@ let () =
          qtest prop_simplify_preserves_semantics;
          qtest prop_smart_constructors_preserve;
          qtest prop_simplify_idempotent ]);
+      ("sharing",
+       [ Alcotest.test_case "deep merged chain stays linear" `Quick
+           test_sharing_deep_chain;
+         Alcotest.test_case "memoized walks match tree walks" `Quick
+           test_sharing_matches_tree_walks;
+         qtest prop_compare_matches_stdlib ]);
       ("interval",
        [ Alcotest.test_case "infeasible" `Quick test_interval_infeasible;
          Alcotest.test_case "narrowing" `Quick test_interval_narrowing;
