@@ -1,5 +1,5 @@
-.PHONY: all build test check bench bench-dbt bench-merge bench-staticrace \
-  bench-resume bench-dist clean
+.PHONY: all build test check bench bench-solver bench-dbt bench-merge \
+  bench-staticrace bench-resume bench-dist clean
 
 all: build
 
@@ -110,6 +110,12 @@ bench-dist:
 
 bench:
 	dune exec bench/main.exe
+
+# Full solver-acceleration experiment: every corpus driver with slicing
+# and the query cache off, then on (queries, group solves, cache hits,
+# bit-blasts, wall time, bug-report parity); writes BENCH_solver.json.
+bench-solver:
+	dune exec bench/main.exe -- solver --json
 
 # Full DBT experiment: concrete throughput vs the interpreter plus bug-
 # report parity on all six drivers (± chaos); writes BENCH_dbt.json.

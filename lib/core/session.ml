@@ -807,11 +807,6 @@ module Dist = struct
   let dist_finalize d ~workers ~reships =
     let ctx = d.d_ctx in
     Exec.note_rehomed ctx.x_eng reships;
-    let add_solver (a : Solver.stats) (b : Solver.stats) =
-      (* field-wise a + b, via the existing field-wise difference:
-         a - ((b - b) - b) *)
-      Solver.diff_stats a (Solver.diff_stats (Solver.diff_stats b b) b)
-    in
     let add (a : Exec.stats) (b : Exec.stats) =
       {
         Exec.st_total_steps = a.Exec.st_total_steps + b.Exec.st_total_steps;
@@ -828,7 +823,7 @@ module Dist = struct
         st_worker_restarts =
           a.Exec.st_worker_restarts + b.Exec.st_worker_restarts;
         st_soft_retired = a.Exec.st_soft_retired + b.Exec.st_soft_retired;
-        st_solver = add_solver a.Exec.st_solver b.Exec.st_solver;
+        st_solver = Solver.add_stats a.Exec.st_solver b.Exec.st_solver;
         st_dbt_blocks = a.Exec.st_dbt_blocks + b.Exec.st_dbt_blocks;
         st_dbt_superblocks =
           a.Exec.st_dbt_superblocks + b.Exec.st_dbt_superblocks;

@@ -23,7 +23,30 @@ val partition_vars :
 (** {!partition} for constraints already paired with their {!Expr.vars},
     which the groups keep. *)
 
-val relevant : Expr.t list -> Expr.t -> Expr.t list
-(** [relevant constraints e] keeps only the constraints in groups sharing
-    a variable (transitively) with [e] — the slice that can influence the
-    value of [e]. Order is preserved. *)
+(** {1 Persistent partitions}
+
+    The partition of a path condition, kept as the list grows at its
+    head: {!add} extends a partition by one constraint in time
+    proportional to the smaller groups it joins, and the old value stays
+    valid, so forked path conditions share their common tail's
+    partition. *)
+
+type t
+
+val empty : t
+(** The partition of the empty path condition. *)
+
+val add : t -> Expr.t -> Expr.var list -> t
+(** [add t c vs] is [t] with [c], whose variables are [vs], pushed on
+    the head of the path condition. A constraint without variables is
+    not kept: ground constraints belong to no group. *)
+
+val slice : t -> Expr.var list -> Expr.t list
+(** [slice t vs] is the union of the groups holding any of [vs] — every
+    constraint that can influence a value over [vs] — in path-condition
+    order (newest first). Variables no constraint mentions contribute
+    nothing. *)
+
+val groups : t -> Expr.t list list
+(** Every group, each in path-condition order; the order of the groups
+    is unspecified. *)

@@ -188,6 +188,29 @@ let diff_stats (b : stats) (a : stats) =
     s_cache_bloom_hits = max 0 (b.s_cache_bloom_hits - a.s_cache_bloom_hits);
   }
 
+let add_stats (a : stats) (b : stats) =
+  {
+    s_queries = a.s_queries + b.s_queries;
+    s_group_solves = a.s_group_solves + b.s_group_solves;
+    s_cache_exact_hits = a.s_cache_exact_hits + b.s_cache_exact_hits;
+    s_cache_subset_unsat_hits =
+      a.s_cache_subset_unsat_hits + b.s_cache_subset_unsat_hits;
+    s_cache_model_reuse_hits =
+      a.s_cache_model_reuse_hits + b.s_cache_model_reuse_hits;
+    s_cache_misses = a.s_cache_misses + b.s_cache_misses;
+    s_cache_renamed_hits = a.s_cache_renamed_hits + b.s_cache_renamed_hits;
+    s_cache_cross_worker_hits =
+      a.s_cache_cross_worker_hits + b.s_cache_cross_worker_hits;
+    s_cache_persist_hits = a.s_cache_persist_hits + b.s_cache_persist_hits;
+    s_interval_solves = a.s_interval_solves + b.s_interval_solves;
+    s_bitblast_solves = a.s_bitblast_solves + b.s_bitblast_solves;
+    s_cache_evictions = a.s_cache_evictions + b.s_cache_evictions;
+    s_exhaustions = a.s_exhaustions + b.s_exhaustions;
+    s_retries = a.s_retries + b.s_retries;
+    s_retry_recovered = a.s_retry_recovered + b.s_retry_recovered;
+    s_cache_bloom_hits = a.s_cache_bloom_hits + b.s_cache_bloom_hits;
+  }
+
 let cache_hits s =
   s.s_cache_exact_hits + s.s_cache_subset_unsat_hits
   + s.s_cache_model_reuse_hits
@@ -412,8 +435,55 @@ let check constraints =
       in
       go false groups
 
-let is_feasible constraints =
-  match check constraints with Sat _ | Unknown -> true | Unsat -> false
+(* Each path condition's independence partition, memoized per domain by
+   the physical identity of the list, like [prepare]. A miss walks down
+   to the longest memoized tail and adds only the constraints above it:
+   a fork's children, a concretize pin or a merge's [or] head each cost
+   one {!Indep.add}. States restored or shipped from elsewhere miss once
+   and rebuild from the empty partition. *)
+let part_slots = 1024
+
+let part_cache : (Expr.t list * Indep.t) option array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make part_slots None)
+
+let partition_of cs =
+  let slots = Domain.DLS.get part_cache in
+  let slot l = Hashtbl.hash l land (part_slots - 1) in
+  let rec down above l =
+    match l with
+    | [] -> (Indep.empty, above)
+    | c :: rest -> (
+        match slots.(slot l) with
+        | Some (l', p) when l' == l -> (p, above)
+        | _ -> down (c :: above) rest)
+  in
+  match down [] cs with
+  | p, [] -> p
+  | base, above ->
+      let p =
+        List.fold_left (fun p c -> Indep.add p c (snd (prepare c))) base above
+      in
+      slots.(slot cs) <- Some (cs, p);
+      p
+
+(* The slice of [cs] over [vs], with the replay pins force-included:
+   pins are the one kind of constraint added without a feasibility
+   check, so a contradiction among them must surface in every answer. *)
+let slice_with_pins cs ~pinned vs =
+  let slice = Indep.slice (partition_of cs) vs in
+  let forced = List.filter (fun p -> not (List.memq p slice)) pinned in
+  List.rev_append forced slice
+
+let feasible cs ~pinned extra =
+  let query =
+    if (current_accel ()).use_slicing then
+      extra
+      :: slice_with_pins cs ~pinned
+           (snd (prepare extra)
+           @ List.concat_map (fun p -> snd (prepare p)) pinned)
+    else extra :: cs
+  in
+  match check query with Sat _ | Unknown -> true | Unsat -> false
 
 let concretize constraints e =
   match check constraints with
@@ -428,9 +498,4 @@ let concretize constraints e =
       if verified constraints zeros then Some (Expr.eval zeros e) else None
 
 let concretize_relevant cs ~pinned e =
-  let slice = Indep.relevant cs e in
-  (* Replay-pinned constraints are audited into the slice even when not
-     variable-connected to [e]: a pin contradiction must surface as
-     None here, exactly as it would from the full constraint set. *)
-  let forced = List.filter (fun p -> not (List.memq p slice)) pinned in
-  concretize (List.rev_append forced slice) e
+  concretize (slice_with_pins cs ~pinned (Expr.vars e)) e

@@ -18,6 +18,14 @@
     Every Sat answer carries a model that has been {e verified} by
     evaluating all constraints under it (per variable-disjoint group).
 
+    The engine's two questions about a path condition, {!feasible} and
+    {!concretize_relevant}, query only the slice that can matter: the
+    independence groups of the branch condition or value, read off the
+    path condition's partition. That partition is memoized per domain
+    by the physical identity of the constraint list and extended one
+    constraint at a time ({!Indep.add}) as states fork, so a query no
+    longer re-partitions or re-looks-up every group of the path.
+
     Slicing and caching are controlled process-wide by {!set_accel}; the
     query cache is one shared mutex-sharded instance
     ({!Qcache.Sharded}), normalized up to variable renaming, so a group
@@ -32,10 +40,22 @@ type result =
 
 val check : Expr.t list -> result
 
-val is_feasible : Expr.t list -> bool
-(** Unknown is treated as feasible (the engine must never drop a path that
-    might be real; over-approximation can only cost false positives, which
-    the replay step weeds out). *)
+val feasible : Expr.t list -> pinned:Expr.t list -> Expr.t -> bool
+(** [feasible constraints ~pinned extra] is whether [extra] can hold on
+    the path [constraints], i.e. whether [check (extra :: constraints)]
+    is not [Unsat]. Unknown is treated as feasible (the engine must never
+    drop a path that might be real; over-approximation can only cost
+    false positives, which the replay step weeds out).
+
+    It solves only the groups holding [extra]'s variables plus the groups
+    holding a [pinned] constraint. That is exact under the engine's
+    invariant: a live path condition is never proven Unsat, because
+    every constraint on it was checked feasible before it was added —
+    fork conditions, assumptions and concretization pins — and a merged
+    state's [or(ga, gb)] head joins two satisfiable paths over a shared
+    base. Replay pins are the one exception, added unchecked, so their
+    groups are always re-solved. Under the unaccelerated mode
+    ([use_slicing = false]) the whole set is solved. *)
 
 val concretize : Expr.t list -> Expr.t -> int option
 (** [concretize constraints e] returns a feasible concrete value of [e]
@@ -46,14 +66,19 @@ val concretize : Expr.t list -> Expr.t -> int option
 val concretize_relevant :
   Expr.t list -> pinned:Expr.t list -> Expr.t -> int option
 (** [concretize_relevant constraints ~pinned e] picks a feasible concrete
-    value of [e] by querying only the {!Indep.relevant} slice of the
-    constraints, with the replay-pinned constraints force-included so a
-    pin contradiction still answers [None]. Values agree with
-    {!concretize} on the full set: the slice contains every independence
+    value of [e] by querying only the {!Indep.slice} of the memoized
+    partition over [e]'s variables, with the replay-pinned constraints
+    force-included so a pin contradiction still answers [None]. Values
+    agree with {!concretize} on the full set: the slice contains every independence
     group that can influence [e], and groups resolve through the same
     shared cache. The slice drops ground constraints, so unlike
     {!concretize} a constant-false constraint outside [pinned] does not
     answer [None] here. *)
+
+val partition_of : Expr.t list -> Indep.t
+(** The memoized independence partition of a path condition, over the
+    simplified constraints' variables (ground constraints belong to no
+    group). Exposed for tests. *)
 
 (** {1 Acceleration knobs} *)
 
@@ -139,7 +164,9 @@ val domain_unrecovered : unit -> int
 
 type stats = {
   s_queries : int;                  (** [check] calls *)
-  s_group_solves : int;             (** per-group solves after slicing *)
+  s_group_solves : int;
+  (** per-group solves after slicing; a {!feasible} query counts only
+      the groups of its slice *)
   s_cache_exact_hits : int;
   s_cache_subset_unsat_hits : int;  (** Unsat proved by a cached subset *)
   s_cache_model_reuse_hits : int;   (** Sat via a re-checked cached model *)
@@ -170,7 +197,12 @@ type stats = {
 
 val stats : unit -> stats
 val diff_stats : stats -> stats -> stats
-(** [diff_stats after before] — field-wise difference. *)
+(** [diff_stats after before] — field-wise difference. The cache's
+    eviction and Bloom-hit counts clamp at 0: a cache swapped in between
+    the snapshots restarts them. *)
+
+val add_stats : stats -> stats -> stats
+(** Field-wise sum, for merging the statistics of separate processes. *)
 
 val cache_hits : stats -> int
 val cache_hit_rate : stats -> float

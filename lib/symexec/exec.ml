@@ -539,7 +539,10 @@ let concretize st e reason =
             (Event.E_concretize { pc = st.St.pc; expr = e; value = v; reason });
           v)
 
-let feasible st extra = Solver.is_feasible (extra :: st.St.constraints)
+(* Only [extra]'s slice needs solving: a live state's path condition is
+   never proven Unsat — see {!Ddt_solver.Solver.feasible}. *)
+let feasible st extra =
+  Solver.feasible st.St.constraints ~pinned:st.St.pinned extra
 
 (* Split on a boolean condition. Returns the live successors, each paired
    with the condition's value on that path. The input state is reused for

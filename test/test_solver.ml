@@ -472,17 +472,38 @@ let test_indep_partition () =
   check_bool "c4 with c2" true (has gy c4);
   check_int "no constraint lost" 4 (List.length gx + List.length gy)
 
+(* The partition of a path condition built oldest constraint first, as
+   the engine grows it. *)
+let persistent_partition cs =
+  List.fold_right (fun c p -> Indep.add p c (Expr.vars c)) cs Indep.empty
+
 let test_indep_relevant () =
   let open Expr in
-  let x = var (fresh_var W32) and y = var (fresh_var W32) in
+  let x = var (fresh_var W32) and y = var (fresh_var W32)
+  and z = var (fresh_var W32) in
   let c1 = cmp Ltu x (word 5) in
   let c2 = cmp Ltu y (word 7) in
   let c3 = cmp Ltu (word 1) x in
-  let slice = Indep.relevant [ c1; c2; c3 ] (binop Add x (word 1)) in
-  check_int "two relevant" 2 (List.length slice);
-  check_bool "keeps c1" true (List.exists (Expr.equal c1) slice);
-  check_bool "keeps c3" true (List.exists (Expr.equal c3) slice);
-  check_bool "drops c2" false (List.exists (Expr.equal c2) slice)
+  let slice =
+    Indep.slice (persistent_partition [ c1; c2; c3 ])
+      (vars (binop Add x (word 1)))
+  in
+  check_bool "keeps c1 and c3, in path order" true
+    (List.length slice = 2 && List.for_all2 ( == ) slice [ c1; c3 ]);
+  check_bool "drops c2" false (List.exists (Expr.equal c2) slice);
+  (* A later constraint linking y to x merges the groups; the slice
+     comes back in path-condition order across the merge. *)
+  let c0 = cmp Eq (binop Add x y) (word 6) in
+  let merged = Indep.slice (persistent_partition [ c0; c1; c2; c3 ]) (vars x) in
+  check_bool "merged slice in path order" true
+    (List.length merged = 4
+    && List.for_all2 ( == ) merged [ c0; c1; c2; c3 ]);
+  check_int "unconstrained variable slices to nothing" 0
+    (List.length (Indep.slice (persistent_partition [ c0; c1 ]) (vars z)));
+  (* the memoized partition answers the same slice *)
+  check_bool "memoized slice" true
+    (List.for_all2 ( == ) merged
+       (Indep.slice (Solver.partition_of [ c0; c1; c2; c3 ]) (vars x)))
 
 (* Disjoint groups solved separately must give the same verdict (and a
    genuine combined model) as solving the whole conjunction at once. *)
@@ -514,6 +535,24 @@ let test_indep_equisat () =
         (match Solver.check sat_set with Solver.Sat _ -> true | _ -> false);
       check_bool "unsliced unsat" true
         (Solver.check unsat_set = Solver.Unsat))
+
+(* Field [i] holds [f i]: with [f] injective and nonzero, a dropped,
+   clamped or swapped field shows. *)
+let stats_of f =
+  { Solver.s_queries = f 1; s_group_solves = f 2; s_cache_exact_hits = f 3;
+    s_cache_subset_unsat_hits = f 4; s_cache_model_reuse_hits = f 5;
+    s_cache_misses = f 6; s_cache_renamed_hits = f 7;
+    s_cache_cross_worker_hits = f 8; s_cache_persist_hits = f 9;
+    s_interval_solves = f 10; s_bitblast_solves = f 11;
+    s_cache_evictions = f 12; s_exhaustions = f 13; s_retries = f 14;
+    s_retry_recovered = f 15; s_cache_bloom_hits = f 16 }
+
+let test_add_stats () =
+  let a = stats_of (fun i -> i) and b = stats_of (fun i -> 100 * i) in
+  check_bool "field-wise sum" true
+    (Solver.add_stats a b = stats_of (fun i -> 101 * i));
+  check_bool "difference undoes the sum" true
+    (Solver.diff_stats (Solver.add_stats a b) b = a)
 
 (* --- Qcache: canonicalizing counterexample cache ----------------------- *)
 
@@ -755,6 +794,113 @@ let test_concretize_relevant () =
   | None -> ()
   | Some _ -> Alcotest.fail "contradictory pin must poison the answer"
 
+(* --- sliced feasibility ------------------------------------------------------ *)
+
+(* A pin added without a check that contradicts the path must make every
+   later question infeasible, even one about an unrelated variable. *)
+let test_feasible_audits_pins () =
+  let open Expr in
+  let x = fresh_var W32 and y = fresh_var W32 in
+  let cs = [ cmp Ltu (var x) (word 5) ] in
+  let extra = cmp Eq (var y) (word 3) in
+  check_bool "unrelated branch is feasible" true
+    (Solver.feasible cs ~pinned:[] extra);
+  let pin = cmp Eq (var x) (word 9) in
+  check_bool "contradictory pin in another group" false
+    (Solver.feasible (pin :: cs) ~pinned:[ pin ] extra);
+  let ok_pin = cmp Eq (var x) (word 2) in
+  check_bool "consistent pin" true
+    (Solver.feasible (ok_pin :: cs) ~pinned:[ ok_pin ] extra)
+
+(* Random fork trees over a handful of byte variables, grown the way the
+   engine grows path conditions: fork children share their parent's list
+   physically, merges push [or(ga, gb)] on a shared base, and replay pins
+   are pushed unchecked. Every checked addition must agree with the
+   whole-set answer, and every memoized partition must equal the one
+   recomputed from scratch. Each step is (operation, state, value):
+   operations 0-5 fork, 6-7 merge, 8-9 pin. *)
+let gen_fork_tree =
+  QCheck.Gen.(
+    list_size (int_range 1 25)
+      (triple (int_bound 9) (int_bound 1000) (int_bound 1000)))
+
+let fork_vars () = Array.init 5 (fun _ -> Expr.fresh_var Expr.W8)
+
+let random_constraint pool (k : int) (r : int) =
+  let open Expr in
+  let ops = [| Eq; Ne; Ltu; Leu; Lts; Les |] in
+  let v i = zext (var pool.(i mod Array.length pool)) in
+  match k mod 3 with
+  | 0 | 1 -> cmp ops.(r mod 6) (v (r / 6)) (word (r mod 300))
+  | _ -> cmp ops.(r mod 6) (v (r / 6)) (v (r / 30))
+
+let same_groups a b =
+  let norm gs =
+    List.sort compare
+      (List.map
+         (fun g -> List.sort compare (List.map (fun c -> Expr.to_string c) g))
+         gs)
+  in
+  norm a = norm b
+
+let scratch_partition cs =
+  Indep.partition_vars
+    (List.filter_map
+       (fun c ->
+         match Expr.vars (Simplify.simplify_bool c) with
+         | [] -> None
+         | vs -> Some (c, vs))
+       cs)
+  |> List.map (List.map fst)
+
+let prop_feasible_matches_check =
+  QCheck.Test.make ~count:200 ~name:"sliced feasibility = whole-set check"
+    (QCheck.make gen_fork_tree)
+    (fun spec ->
+      let pool = fork_vars () in
+      let states = ref [| ([], []) |] in
+      let ok = ref true in
+      let agree (cs, pinned) extra =
+        let f = Solver.feasible cs ~pinned extra in
+        let whole =
+          match Solver.check (extra :: cs) with
+          | Solver.Sat _ | Solver.Unknown -> true
+          | Solver.Unsat -> false
+        in
+        if f <> whole then ok := false;
+        f
+      in
+      let push st = states := Array.append !states [| st |] in
+      List.iter
+        (fun (op, k, r) ->
+          let ((cs, pinned) as st) = !states.(k mod Array.length !states) in
+          if op < 6 then
+            let c = random_constraint pool k r in
+            List.iter
+              (fun c -> if agree st c then push (c :: cs, pinned))
+              [ c; Expr.not_ c ]
+          else if op < 8 then begin
+            let ga = random_constraint pool r k
+            and gb = random_constraint pool (k + 1) (r + 7) in
+            if agree st ga && agree st gb then
+              push (Expr.or1 ga gb :: cs, pinned)
+          end
+          else
+            let pin =
+              Expr.cmp Expr.Eq
+                (Expr.zext (Expr.var pool.(r mod 5)))
+                (Expr.word (k mod 256))
+            in
+            push (pin :: cs, pin :: pinned))
+        spec;
+      !ok
+      && Array.for_all
+           (fun (cs, _) ->
+             same_groups
+               (Indep.groups (Solver.partition_of cs))
+               (scratch_partition cs))
+           !states)
+
 (* --- sharing ---------------------------------------------------------------- *)
 
 (* The deeploop shape: each round lifts the accumulator to
@@ -956,6 +1102,10 @@ let () =
          Alcotest.test_case "concretize" `Quick test_concretize;
          Alcotest.test_case "sliced concretize audits pins" `Quick
            test_concretize_relevant;
+         Alcotest.test_case "sliced feasibility audits pins" `Quick
+           test_feasible_audits_pins;
+         qtest prop_feasible_matches_check;
+         Alcotest.test_case "stats add field-wise" `Quick test_add_stats;
          qtest prop_solver_sound_on_simple;
          qtest prop_divmod_matches_bruteforce;
          qtest prop_symbolic_shift;
