@@ -62,6 +62,9 @@ val run : Config.t -> result
     schema-v5 JSON. Checkpoint writes are best-effort — a full disk
     costs durability, never the run. *)
 
+val checkpoint_version : int
+(** Layout version of checkpoint blobs; {!resume} refuses any other. *)
+
 val default_checkpoint_path : Config.t -> string
 (** [Config.checkpoint_path], or ["<driver>.ckpt"]. *)
 

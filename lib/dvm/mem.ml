@@ -31,11 +31,17 @@ let page t addr =
       Hashtbl.add t.pages idx p;
       p
 
+(* Reads never allocate: an absent page reads as zeros, so a memory
+   that is only read (the symbolic engine's shared base image) is never
+   mutated by concurrent readers. *)
 let read_u8 t addr =
   let addr = addr land 0xFFFFFFFF in
   match find_mmio t addr with
   | Some m -> m.mmio_read (addr - m.mmio_start) land 0xFF
-  | None -> Bytes.get_uint8 (page t addr) (addr land (page_size - 1))
+  | None -> (
+      match Hashtbl.find_opt t.pages (addr lsr page_bits) with
+      | Some p -> Bytes.get_uint8 p (addr land (page_size - 1))
+      | None -> 0)
 
 let write_u8 t addr v =
   let addr = addr land 0xFFFFFFFF in

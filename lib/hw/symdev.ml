@@ -3,27 +3,39 @@ module Expr = Ddt_solver.Expr
 
 type t = {
   dev : Pci.assigned;
+  bars : (int * int) array;
+  (* (start, size) per BAR; a BAR spans at least one 4 KiB page *)
   reads : (string * Expr.var) list Atomic.t;
   (* shared by every state of a session — parallel frontier workers cons
      concurrently, hence the atomic (plain mutation would lose reads) *)
 }
 
-let create dev = { dev; reads = Atomic.make [] }
+let create dev =
+  let bars =
+    Array.of_list
+      (List.mapi
+         (fun i bar ->
+           let size =
+             match List.nth_opt dev.Pci.desc.Pci.bar_sizes i with
+             | Some s -> max s 0x1000
+             | None -> 0x1000
+           in
+           (bar, size))
+         dev.Pci.bars)
+  in
+  { dev; bars; reads = Atomic.make [] }
+
 let device t = t.dev
 
 let bar_of t addr =
-  let rec go i = function
-    | [] -> None
-    | bar :: rest ->
-        let size =
-          match List.nth_opt t.dev.Pci.desc.Pci.bar_sizes i with
-          | Some s -> max s 0x1000
-          | None -> 0x1000
-        in
-        if addr >= bar && addr < bar + size then Some (i, addr - bar)
-        else go (i + 1) rest
+  let rec go i =
+    if i >= Array.length t.bars then None
+    else
+      let bar, size = t.bars.(i) in
+      if addr >= bar && addr < bar + size then Some (i, addr - bar)
+      else go (i + 1)
   in
-  go 0 t.dev.Pci.bars
+  go 0
 
 let is_device_addr t addr = bar_of t addr <> None
 
@@ -69,17 +81,13 @@ let concrete_mmio t mode =
                remaining := rest;
                v land 0xFF)
   in
-  List.mapi
-    (fun i bar ->
-      let size =
-        match List.nth_opt t.dev.Pci.desc.Pci.bar_sizes i with
-        | Some s -> max s 0x1000
-        | None -> 0x1000
-      in
-      { Ddt_dvm.Mem.mmio_start = bar; mmio_size = size;
-        mmio_read = (fun _off -> next ());
-        mmio_write = (fun _off _v -> ()) })
-    t.dev.Pci.bars
+  Array.to_list
+    (Array.map
+       (fun (bar, size) ->
+         { Ddt_dvm.Mem.mmio_start = bar; mmio_size = size;
+           mmio_read = (fun _off -> next ());
+           mmio_write = (fun _off _v -> ()) })
+       t.bars)
 
 let pci_shell ~vendor ~device ?(revision = 1) ?(bar_sizes = [ 0x1000 ])
     ?(irq = 9) () =

@@ -1,35 +1,70 @@
 module Expr = Ddt_solver.Expr
+module IntMap = Map.Make (Int)
 
+(* A copy-on-write node is a write log: the set of addresses its memory
+   wrote while the node was the memory's leaf. [depth] and [frozen_words]
+   describe the ancestors, which are frozen once they have a child, so
+   both are fixed at creation. *)
 type node = {
   parent : node option;
-  writes : (int, Expr.t) Hashtbl.t;
+  depth : int;               (* nodes from here to the root, inclusive *)
+  frozen_words : int;        (* write-log entries over every ancestor *)
+  writes : (int, unit) Hashtbl.t;
+}
+
+let page_bits = 6
+let page_size = 1 lsl page_bits
+
+(* A page is written in place only by the memory whose leaf is [owner];
+   every other memory sharing it copies it first. *)
+type page = {
+  owner : node;
+  slots : Expr.t array;
 }
 
 type t = {
   mutable node : node;
+  mutable pages : page IntMap.t;
   base : Ddt_dvm.Mem.t;
-  mutable cache : (int, Expr.t) Hashtbl.t;
   symdev : Ddt_hw.Symdev.t option;
   mutable sym_read_hook : string -> Expr.var -> unit;
 }
 
+(* The "never written on this path" slot. Constants are masked to their
+   width, so no expression the engine stores is a negative [Const]. The
+   test is structural: [Marshal] copies the marker, and a copy is not
+   physically equal to the original. *)
+let unwritten = Expr.Const (Expr.W8, -1)
+let is_unwritten = function Expr.Const (_, v) -> v < 0 | _ -> false
+
+let byte_consts = Array.init 256 Expr.byte
+
+let root_node () =
+  { parent = None; depth = 1; frozen_words = 0; writes = Hashtbl.create 64 }
+
+let child_node p =
+  {
+    parent = Some p;
+    depth = p.depth + 1;
+    frozen_words = p.frozen_words + Hashtbl.length p.writes;
+    writes = Hashtbl.create 16;
+  }
+
 let create ~base ~symdev =
   {
-    node = { parent = None; writes = Hashtbl.create 64 };
+    node = root_node ();
+    pages = IntMap.empty;
     base;
-    cache = Hashtbl.create 64;
     symdev;
     sym_read_hook = (fun _ _ -> ());
   }
 
+(* Both sides move to fresh leaves and share the page map, whose pages
+   neither leaf owns: the first write to a page on either side copies it. *)
 let fork t =
   let old = t.node in
-  t.node <- { parent = Some old; writes = Hashtbl.create 16 };
-  {
-    t with
-    node = { parent = Some old; writes = Hashtbl.create 16 };
-    cache = Hashtbl.copy t.cache;
-  }
+  t.node <- child_node old;
+  { t with node = child_node old }
 
 let set_sym_read_hook t f = t.sym_read_hook <- f
 
@@ -37,6 +72,33 @@ let is_mmio t addr =
   match t.symdev with
   | Some d -> Ddt_hw.Symdev.is_device_addr d addr
   | None -> false
+
+(* Store into the slot of [addr] in a page this memory's leaf owns. *)
+let set_slot t addr v =
+  let idx = addr lsr page_bits in
+  let page =
+    match IntMap.find_opt idx t.pages with
+    | Some p when p.owner == t.node -> p
+    | found ->
+        let slots =
+          match found with
+          | Some p -> Array.copy p.slots
+          | None -> Array.make page_size unwritten
+        in
+        let p = { owner = t.node; slots } in
+        t.pages <- IntMap.add idx p t.pages;
+        p
+  in
+  page.slots.(addr land (page_size - 1)) <- v
+
+let read_base t addr =
+  let v = byte_consts.(Ddt_dvm.Mem.read_u8 t.base addr) in
+  (* Concrete-hardware runs map the device into the base image. A
+     register read is pinned in the path's memory on first access so
+     later reads on that path see the same value. RAM bytes of the base
+     never change after set-up and are not copied. *)
+  if Ddt_dvm.Mem.find_mmio t.base addr <> None then set_slot t addr v;
+  v
 
 let read_u8 t addr =
   let addr = addr land 0xFFFFFFFF in
@@ -50,19 +112,11 @@ let read_u8 t addr =
     e
   end
   else
-    match Hashtbl.find_opt t.cache addr with
-    | Some v -> v
-    | None ->
-        let rec walk = function
-          | None -> Expr.byte (Ddt_dvm.Mem.read_u8 t.base addr)
-          | Some n -> (
-              match Hashtbl.find_opt n.writes addr with
-              | Some v -> v
-              | None -> walk n.parent)
-        in
-        let v = walk (Some t.node) in
-        Hashtbl.replace t.cache addr v;
-        v
+    match IntMap.find_opt (addr lsr page_bits) t.pages with
+    | Some p ->
+        let v = p.slots.(addr land (page_size - 1)) in
+        if is_unwritten v then read_base t addr else v
+    | None -> read_base t addr
 
 let write_u8 t addr v =
   let addr = addr land 0xFFFFFFFF in
@@ -70,8 +124,8 @@ let write_u8 t addr v =
     (* Symbolic hardware discards register writes. *)
     ()
   else begin
-    Hashtbl.replace t.node.writes addr v;
-    Hashtbl.replace t.cache addr v
+    set_slot t addr v;
+    Hashtbl.replace t.node.writes addr ()
   end
 
 let read_u32 t addr =
@@ -92,16 +146,12 @@ let read_u8_concrete_view t valuation addr = valuation (read_u8 t addr)
    only bytes two sibling memories can disagree on, since everything
    below the shared node is frozen at fork time. [None] when the
    memories share no ancestor (different sessions; the caller must not
-   merge them). Write tables never contain MMIO addresses, so the diff
+   merge them). Write logs never contain MMIO addresses, so the diff
    is purely RAM. *)
 let cow_diff a b =
-  let depth m =
-    let rec go acc = function None -> acc | Some n -> go (acc + 1) n.parent in
-    go 0 (Some m.node)
-  in
   let rec up n k = if k <= 0 then n else up (Option.get n.parent) (k - 1) in
-  let da = depth a and db = depth b in
-  let na = up a.node (max 0 (da - db)) and nb = up b.node (max 0 (db - da)) in
+  let da = a.node.depth and db = b.node.depth in
+  let na = up a.node (da - db) and nb = up b.node (db - da) in
   let rec ancestor na nb =
     if na == nb then Some na
     else
@@ -126,40 +176,30 @@ let cow_diff a b =
       collect b.node;
       Some (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) addrs []))
 
-let chain_depth t =
-  let rec go acc = function
-    | None -> acc
-    | Some n -> go (acc + 1) n.parent
-  in
-  go 0 (Some t.node)
-
-let live_words t =
-  let rec go acc = function
-    | None -> acc
-    | Some n -> go (acc + Hashtbl.length n.writes) n.parent
-  in
-  go 0 (Some t.node)
+let chain_depth t = t.node.depth
+let live_words t = t.node.frozen_words + Hashtbl.length t.node.writes
 
 (* --- snapshot projection -------------------------------------------------- *)
-(* The marshal-safe part of a memory: the COW node chain and the read
-   cache — pure data. The shared base image, the symbolic device and the
+(* The marshal-safe part of a memory: the COW node chain and the page
+   map — pure data. The shared base image, the symbolic device and the
    read hook are session infrastructure, reattached at restore; dropping
    them here is also what keeps sibling snapshots small (they share every
-   node below their fork points, and Marshal preserves that sharing when
-   siblings travel in one blob). *)
+   node below their fork points and every page neither has written since,
+   and Marshal preserves that sharing when siblings travel in one blob,
+   including each page's [owner == node] identity). *)
 
 type image = {
   im_node : node;
-  im_cache : (int, Expr.t) Hashtbl.t;
+  im_pages : page IntMap.t;
 }
 
-let to_image t = { im_node = t.node; im_cache = t.cache }
+let to_image t = { im_node = t.node; im_pages = t.pages }
 
 let of_image ~base ~symdev im =
   {
     node = im.im_node;
+    pages = im.im_pages;
     base;
-    cache = im.im_cache;
     symdev;
     sym_read_hook = (fun _ _ -> ());
   }

@@ -1,10 +1,25 @@
-(** Symbolic memory with chained copy-on-write (§4.1.3 of the paper).
+(** Symbolic memory with copy-on-write sharing (§4.1.3 of the paper).
 
-    Forking creates an empty memory object pointing to its parent; writes
-    go to the leaf object, reads that miss locally walk the parent chain
-    and fall through to the shared concrete backing memory. Resolved reads
-    are cached in the leaf to keep deep fork chains cheap — exactly the
-    optimization the paper describes.
+    A memory is a persistent map from 64-byte page numbers to pages of
+    byte expressions, layered over the session's concrete base image.
+    Every page records the copy-on-write node that owns it. A write goes
+    into the page in place when the memory's current leaf node owns it;
+    otherwise the page is copied first and the copy, owned by the leaf,
+    replaces it in this memory's map. Forking gives both sides fresh
+    leaves over the shared map, so a fork costs O(1) whatever the state's
+    footprint, and each side pays one page copy per page it later writes.
+
+    A read is a map lookup plus an array read. A slot never written on
+    this path falls through to the base image, uncached: base RAM is
+    written only while the session is set up (image load, device
+    mapping), before the first memory is created, and never afterwards.
+    In concrete-hardware runs the device is mapped into the base; a read
+    of it is pinned in the path's page on first access, so the path sees
+    a stable register value.
+
+    The node chain is the write log: each node holds the addresses its
+    memory wrote while the node was the leaf. It answers {!cow_diff},
+    {!live_words} and {!chain_depth}.
 
     Reads from the symbolic device's MMIO ranges return a fresh
     unconstrained symbolic byte on every access; writes there are
@@ -38,22 +53,26 @@ val cow_diff : t -> t -> int list option
     writes are discarded at the write barrier, so the diff is pure RAM. *)
 
 val chain_depth : t -> int
-(** Length of the copy-on-write chain (for statistics/benchmarks). *)
+(** Length of the copy-on-write chain (for statistics/benchmarks). O(1). *)
 
 val live_words : t -> int
-(** Total entries across this leaf's chain (memory accounting, E5). *)
+(** Total write-log entries across this leaf's chain (memory
+    accounting, E5): each node's distinct written addresses, summed.
+    O(1). *)
 
 (** {1 Snapshots} *)
 
 type image
 (** The marshal-safe projection of a memory: its copy-on-write node
-    chain and read cache, without the shared base image, device or read
+    chain and page map, without the shared base image, device or read
     hook (session infrastructure, reattached at restore). Sibling
     images marshalled in one blob keep sharing their common ancestor
-    nodes. *)
+    nodes and unwritten pages, and each page keeps its owner. *)
 
 val to_image : t -> image
-(** Non-destructive; the image aliases the live node chain. *)
+(** Non-destructive; the image aliases the live node chain and the live
+    pages. The memory keeps writing its own pages in place, so the image
+    is a stable copy only once it has been marshalled. *)
 
 val of_image :
   base:Ddt_dvm.Mem.t -> symdev:Ddt_hw.Symdev.t option -> image -> t

@@ -410,6 +410,44 @@ let test_checkpoint_corrupt_resume_errors () =
   check_bool "wrong-driver checkpoint refused" true
     (is_error (Session.resume other ~path:ckpt))
 
+(* A real durability blob re-framed with its leading version field set
+   to [v]: snapshot and checkpoint payloads both start with their
+   version, which is all a reader looks at before trusting the layout. *)
+let with_version blob v =
+  match Blob.decode blob with
+  | Error e -> Alcotest.failf "decode: %s" e
+  | Ok (payload : Obj.t) ->
+      let p = Obj.dup payload in
+      Obj.set_field p 0 (Obj.repr v);
+      Blob.encode p
+
+(* A blob from the previous memory layout must be refused, not
+   unmarshalled as the current one. *)
+let test_previous_version_refused () =
+  let base = Mem.create () in
+  let s = Snapshot.snapshot (build_state base [ Write32 (8, 77); Fork ]) in
+  check_bool "re-framed current snapshot restores" true
+    (not (is_error (Snapshot.restore ~base ~symdev:None
+                      (with_version s Snapshot.snapshot_version))));
+  check_bool "previous-version snapshot refused" true
+    (is_error (Snapshot.restore ~base ~symdev:None
+                 (with_version s (Snapshot.snapshot_version - 1))));
+  let dir = tmpdir () in
+  let ckpt = Filename.concat dir "drv.ckpt" in
+  let ck_cfg =
+    { (quick_cfg (Corpus.find "audiopci")) with
+      Config.checkpoint_every = 500; checkpoint_path = Some ckpt }
+  in
+  ignore (fresh_run ck_cfg);
+  let data = In_channel.with_open_bin ckpt In_channel.input_all in
+  Out_channel.with_open_bin ckpt (fun oc ->
+      Out_channel.output_string oc
+        (with_version data (Session.checkpoint_version - 1)));
+  check_bool "previous-version checkpoint refused" true
+    (is_error (Session.resume ck_cfg ~path:ckpt));
+  check_bool "previous-version checkpoint peek refused" true
+    (is_error (Session.checkpoint_driver ckpt))
+
 (* Checkpoint writes hitting a full disk degrade to "no checkpoint",
    never to a failed or different run. *)
 let test_checkpoint_disk_full_degrades () =
@@ -487,6 +525,8 @@ let () =
             test_checkpoint_resume_identical;
           Alcotest.test_case "corrupt/foreign checkpoints refused" `Quick
             test_checkpoint_corrupt_resume_errors;
+          Alcotest.test_case "previous-version blobs refused" `Quick
+            test_previous_version_refused;
           Alcotest.test_case "disk-full degrades gracefully" `Quick
             test_checkpoint_disk_full_degrades;
           Alcotest.test_case "warm start via persistent store" `Quick

@@ -72,6 +72,22 @@ let test_symbolic_device_reads () =
    | Expr.Var _ -> ()
    | _ -> Alcotest.fail "device write must be discarded")
 
+(* Concrete-hardware runs map a pseudo-random device into the base image:
+   a path reads each register once and then keeps that value, and a fork
+   inherits it. *)
+let test_concrete_device_reads_stable () =
+  let base = Mem.create () in
+  let sd = Symdev.create (device ()) in
+  List.iter (Mem.add_mmio base) (Symdev.concrete_mmio sd (Symdev.Random 7));
+  let m = Symmem.create ~base ~symdev:None in
+  let r1 = Symmem.read_u32 m Layout.mmio_base in
+  check_bool "stable on the path" true
+    (Expr.equal r1 (Symmem.read_u32 m Layout.mmio_base));
+  let child = Symmem.fork m in
+  check_bool "inherited by a fork" true
+    (Expr.equal r1 (Symmem.read_u32 child Layout.mmio_base));
+  check_int "reads are not writes" 0 (Symmem.live_words m)
+
 (* Differential property: a random interleaving of byte/word writes,
    reads and forks on Symmem agrees with a reference model (a plain map
    per fork lineage). *)
@@ -143,6 +159,220 @@ let prop_cow_matches_reference =
           done)
         !parents;
       !ok)
+
+(* Reference model for a pool of live sibling memories. Every memory has
+   a plain table of the bytes its path wrote (copied on fork) and a model
+   copy-on-write chain whose nodes log the addresses written while they
+   were the leaf. Forks, snapshot round-trips and device accesses go to
+   any memory of the pool, and every memory keeps writing afterwards. *)
+type model_node = {
+  nid : int;
+  nparent : model_node option;
+  nwrites : (int, unit) Hashtbl.t;
+}
+
+type model_mem = {
+  mem : Symmem.t;
+  bytes : (int, Expr.t) Hashtbl.t;
+  mutable leaf : model_node;
+}
+
+type mem_op =
+  | M_fork of int
+  | M_w8 of int * int * int
+  | M_w32 of int * int * int
+  | M_wsym of int * int
+  | M_r8 of int * int
+  | M_r32 of int * int
+  | M_mmio_r of int * int
+  | M_mmio_w of int * int
+  | M_snap of int
+  | M_diff of int * int
+
+let pp_mem_op = function
+  | M_fork i -> Printf.sprintf "fork %d" i
+  | M_w8 (i, a, v) -> Printf.sprintf "w8 %d 0x%x 0x%x" i a v
+  | M_w32 (i, a, v) -> Printf.sprintf "w32 %d 0x%x 0x%x" i a v
+  | M_wsym (i, a) -> Printf.sprintf "wsym %d 0x%x" i a
+  | M_r8 (i, a) -> Printf.sprintf "r8 %d 0x%x" i a
+  | M_r32 (i, a) -> Printf.sprintf "r32 %d 0x%x" i a
+  | M_mmio_r (i, o) -> Printf.sprintf "mmio_r %d +0x%x" i o
+  | M_mmio_w (i, o) -> Printf.sprintf "mmio_w %d +0x%x" i o
+  | M_snap i -> Printf.sprintf "snap %d" i
+  | M_diff (i, j) -> Printf.sprintf "diff %d %d" i j
+
+let prop_cow_pool_matches_model =
+  let open QCheck.Gen in
+  (* Three windows: two pages either side of 0x1000 (u32 accesses
+     straddle page boundaries), the top of the address space (u32
+     accesses wrap to 0) and the bottom bytes the wrap lands on. *)
+  let addr =
+    frequency
+      [ (6, map (fun o -> 0xF80 + o) (int_bound 0xFF));
+        (2, map (fun o -> 0xFFFFFFF0 + o) (int_bound 15));
+        (1, int_bound 7) ]
+  in
+  let mem_i = int_bound 15 in
+  let op =
+    frequency
+      [ (2, map (fun i -> M_fork i) mem_i);
+        (4, map3 (fun i a v -> M_w8 (i, a, v)) mem_i addr (int_bound 0xFF));
+        (4, map3 (fun i a v -> M_w32 (i, a, v)) mem_i addr
+              (int_bound 0x3FFFFFFF));
+        (1, map2 (fun i a -> M_wsym (i, a)) mem_i addr);
+        (4, map2 (fun i a -> M_r8 (i, a)) mem_i addr);
+        (3, map2 (fun i a -> M_r32 (i, a)) mem_i addr);
+        (1, map2 (fun i o -> M_mmio_r (i, o)) mem_i (int_bound 0xFFF));
+        (1, map2 (fun i o -> M_mmio_w (i, o)) mem_i (int_bound 0xFFF));
+        (1, map (fun i -> M_snap i) mem_i);
+        (2, map2 (fun i j -> M_diff (i, j)) mem_i mem_i) ]
+  in
+  QCheck.Test.make ~count:300 ~name:"cow memory pool matches per-node model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_mem_op ops))
+       (list_size (int_range 1 80) op))
+    (fun ops ->
+      let base = Mem.create () in
+      List.iter
+        (fun (lo, hi) ->
+          for a = lo to hi do
+            Mem.write_u8 base a ((a * 7) + 3)
+          done)
+        [ (0xF80, 0x1080); (0xFFFFFFF0, 0xFFFFFFFF); (0, 7) ];
+      let sd = Symdev.create (device ()) in
+      let ks = Kstate.create ~device:(device ()) () in
+      let next_nid = ref 0 in
+      let node parent =
+        incr next_nid;
+        { nid = !next_nid; nparent = parent; nwrites = Hashtbl.create 8 }
+      in
+      let pool =
+        ref
+          [| { mem = Symmem.create ~base ~symdev:(Some sd);
+               bytes = Hashtbl.create 64; leaf = node None } |]
+      in
+      let get i = !pool.(i mod Array.length !pool) in
+      let add m = pool := Array.append !pool [| m |] in
+      let failures = ref [] in
+      let expect what ok = if not ok then failures := what :: !failures in
+      let model_read m a =
+        match Hashtbl.find_opt m.bytes a with
+        | Some v -> v
+        | None -> Expr.byte (Mem.read_u8 base a)
+      in
+      let model_write m a v =
+        let a = a land 0xFFFFFFFF in
+        Hashtbl.replace m.bytes a v;
+        Hashtbl.replace m.leaf.nwrites a ()
+      in
+      let write32 m a v =
+        Symmem.write_u32 m.mem a v;
+        for k = 0 to 3 do
+          model_write m (a + k) (Expr.extract v k)
+        done
+      in
+      let rec chain n = n :: (match n.nparent with Some p -> chain p | None -> []) in
+      let model_diff a b =
+        let ca = chain a.leaf and cb = chain b.leaf in
+        match List.find_opt (fun n -> List.exists (fun m -> m.nid = n.nid) cb) ca with
+        | None -> None
+        | Some anc ->
+            let acc = Hashtbl.create 16 in
+            let above c =
+              let rec go = function
+                | n :: rest when n.nid <> anc.nid ->
+                    Hashtbl.iter (fun k () -> Hashtbl.replace acc k ()) n.nwrites;
+                    go rest
+                | _ -> ()
+              in
+              go c
+            in
+            above ca;
+            above cb;
+            Some (List.sort compare (Hashtbl.fold (fun k () l -> k :: l) acc []))
+      in
+      (* A marshalled chain is a copy: same logs, new node identities. *)
+      let rec copy_chain n =
+        let c = node (Option.map copy_chain n.nparent) in
+        Hashtbl.iter (fun k () -> Hashtbl.replace c.nwrites k ()) n.nwrites;
+        c
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | M_fork i ->
+              let m = get i in
+              let old = m.leaf in
+              let child = Symmem.fork m.mem in
+              m.leaf <- node (Some old);
+              add { mem = child; bytes = Hashtbl.copy m.bytes; leaf = node (Some old) }
+          | M_w8 (i, a, v) ->
+              let m = get i in
+              Symmem.write_u8 m.mem a (Expr.byte v);
+              model_write m a (Expr.byte v)
+          | M_w32 (i, a, v) -> write32 (get i) a (Expr.word v)
+          | M_wsym (i, a) ->
+              write32 (get i) a (Expr.var (Expr.fresh_var ~name:"w" Expr.W32))
+          | M_r8 (i, a) ->
+              let m = get i in
+              expect (Printf.sprintf "r8 0x%x" a)
+                (Expr.equal (Symmem.read_u8 m.mem a) (model_read m a))
+          | M_r32 (i, a) ->
+              let m = get i in
+              let b k = model_read m ((a + k) land 0xFFFFFFFF) in
+              expect (Printf.sprintf "r32 0x%x" a)
+                (Expr.equal (Symmem.read_u32 m.mem a)
+                   (Expr.concat4 (b 3) (b 2) (b 1) (b 0)))
+          | M_mmio_r (i, o) ->
+              expect "mmio read is a fresh variable"
+                (match Symmem.read_u8 (get i).mem (Layout.mmio_base + o) with
+                 | Expr.Var _ -> true
+                 | _ -> false)
+          | M_mmio_w (i, o) ->
+              (* discarded: neither the bytes nor the write log change *)
+              Symmem.write_u8 (get i).mem (Layout.mmio_base + o) (Expr.byte 0x5A)
+          | M_snap i -> (
+              let m = get i in
+              let st = Symstate.create ~id:1 ~mem:m.mem ~ks in
+              match Snapshot.restore ~base ~symdev:(Some sd) (Snapshot.snapshot st) with
+              | Error e -> expect ("snapshot restore: " ^ e) false
+              | Ok st' ->
+                  add { mem = st'.Symstate.mem; bytes = Hashtbl.copy m.bytes;
+                        leaf = copy_chain m.leaf })
+          | M_diff (i, j) ->
+              expect "cow_diff"
+                (Symmem.cow_diff (get i).mem (get j).mem = model_diff (get i) (get j)));
+          Array.iter
+            (fun m ->
+              let c = chain m.leaf in
+              expect "chain_depth" (Symmem.chain_depth m.mem = List.length c);
+              expect "live_words"
+                (Symmem.live_words m.mem
+                 = List.fold_left (fun n x -> n + Hashtbl.length x.nwrites) 0 c))
+            !pool)
+        ops;
+      (* Every memory, every byte of every window, every pair's diff. *)
+      Array.iter
+        (fun m ->
+          List.iter
+            (fun (lo, hi) ->
+              for a = lo to hi do
+                expect (Printf.sprintf "final r8 0x%x" a)
+                  (Expr.equal (Symmem.read_u8 m.mem a) (model_read m a))
+              done)
+            [ (0xF80, 0x1080); (0xFFFFFFF0, 0xFFFFFFFF); (0, 7) ])
+        !pool;
+      Array.iter
+        (fun a ->
+          Array.iter
+            (fun b ->
+              expect "final cow_diff"
+                (Symmem.cow_diff a.mem b.mem = model_diff a b))
+            !pool)
+        !pool;
+      match !failures with
+      | [] -> true
+      | fs -> QCheck.Test.fail_reportf "%s" (String.concat ", " (List.rev fs)))
 
 (* --- the executor on small driver programs -------------------------------- *)
 
@@ -507,7 +737,10 @@ let () =
          Alcotest.test_case "word/byte roundtrip" `Quick
            test_cow_word_byte_roundtrip;
          Alcotest.test_case "symbolic device" `Quick test_symbolic_device_reads;
-         qtest prop_cow_matches_reference ]);
+         Alcotest.test_case "concrete device reads stable" `Quick
+           test_concrete_device_reads_stable;
+         qtest prop_cow_matches_reference;
+         qtest prop_cow_pool_matches_model ]);
       ("executor",
        [ Alcotest.test_case "fork on device branch" `Quick
            test_fork_on_symbolic_branch;
