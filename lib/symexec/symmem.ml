@@ -37,6 +37,8 @@ type t = {
 let unwritten = Expr.Const (Expr.W8, -1)
 let is_unwritten = function Expr.Const (_, v) -> v < 0 | _ -> false
 
+(* Base reads are not cached: share one constant per byte value instead
+   of allocating one per read. *)
 let byte_consts = Array.init 256 Expr.byte
 
 let root_node () =
