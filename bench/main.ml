@@ -1292,7 +1292,15 @@ let micro () =
       done;
       for i = 0 to 15 do
         ignore (Ddt_symexec.Symmem.read_u32 child (0x1000 + (4 * i)))
-      done)
+      done);
+  (* One word each through the two access paths: 0x1010 lies inside a
+     64-byte page, 0x103E straddles two. *)
+  bechamel_run "symmem: aligned in-page u32 write+read" (fun () ->
+      Ddt_symexec.Symmem.write_u32 sm 0x1010 (Expr.word 0x12345678);
+      ignore (Ddt_symexec.Symmem.read_u32 sm 0x1010));
+  bechamel_run "symmem: page-straddling u32 write+read" (fun () ->
+      Ddt_symexec.Symmem.write_u32 sm 0x103E (Expr.word 0x12345678);
+      ignore (Ddt_symexec.Symmem.read_u32 sm 0x103E))
 
 (* --- static race / lockset experiment -------------------------------------------- *)
 

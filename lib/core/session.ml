@@ -294,7 +294,7 @@ let setup ?(store_index_subsets = true) (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-let checkpoint_version = 2
+let checkpoint_version = 3
 
 (* A checkpoint is one self-contained marshal image of every piece of
    session progress: the engine image (queues, merge pool, guard, DBT

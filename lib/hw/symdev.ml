@@ -5,6 +5,10 @@ type t = {
   dev : Pci.assigned;
   bars : (int * int) array;
   (* (start, size) per BAR; a BAR spans at least one 4 KiB page *)
+  lo : int;
+  hi : int;
+  (* the lowest BAR start and the highest BAR end (exclusive): an address
+     outside [lo, hi) is RAM without a scan. Empty when there is no BAR. *)
   reads : (string * Expr.var) list Atomic.t;
   (* shared by every state of a session — parallel frontier workers cons
      concurrently, hence the atomic (plain mutation would lose reads) *)
@@ -23,7 +27,9 @@ let create dev =
            (bar, size))
          dev.Pci.bars)
   in
-  { dev; bars; reads = Atomic.make [] }
+  let lo = Array.fold_left (fun m (bar, _) -> min m bar) max_int bars in
+  let hi = Array.fold_left (fun m (bar, size) -> max m (bar + size)) 0 bars in
+  { dev; bars; lo; hi; reads = Atomic.make [] }
 
 let device t = t.dev
 
@@ -37,7 +43,20 @@ let bar_of t addr =
   in
   go 0
 
-let is_device_addr t addr = bar_of t addr <> None
+(* Does some BAR intersect [addr, addr + len)? The [lo, hi) hull test
+   answers every RAM access outside the device window with two
+   comparisons; inside it the BARs are scanned without allocating. *)
+let rec scan bars addr last i =
+  i < Array.length bars
+  &&
+  let bar, size = bars.(i) in
+  (last >= bar && addr < bar + size) || scan bars addr last (i + 1)
+
+let overlaps_device t addr len =
+  let last = addr + len - 1 in
+  last >= t.lo && addr < t.hi && scan t.bars addr last 0
+
+let is_device_addr t addr = overlaps_device t addr 1
 
 let fresh_read t addr =
   let name =

@@ -4,15 +4,27 @@
     fresh unconstrained symbolic value for every read. The symbolic engine
     consults {!is_device_addr}/{!fresh_read}; the concrete engines (replay
     and the stress baseline) install {!concrete_mmio}, which replaces the
-    symbolic reads with scripted or pseudo-random values. *)
+    symbolic reads with scripted or pseudo-random values.
+
+    Every RAM access of the symbolic engine asks whether it touches the
+    device, so the test is cheap: {!create} records the hull of the BARs
+    (lowest start, highest end) and an address outside it is answered
+    with two comparisons, without a BAR scan or an allocation. *)
 
 type t
 
 val create : Ddt_kernel.Pci.assigned -> t
 
-
 val device : t -> Ddt_kernel.Pci.assigned
 val is_device_addr : t -> int -> bool
+(** Is the byte at this address inside a BAR? An address below the
+    lowest BAR or at or above the highest BAR end is rejected with two
+    comparisons; neither test allocates. *)
+
+val overlaps_device : t -> int -> int -> bool
+(** [overlaps_device t addr len]: does any byte of [addr, addr + len)
+    lie inside a BAR? [Symmem]'s word path asks it with [len = 4] to
+    decide whether a word may bypass the per-byte device check. *)
 
 val fresh_read : t -> int -> Ddt_solver.Expr.t
 (** A fresh symbolic byte for a device-register read; names encode the

@@ -352,7 +352,8 @@ let extract e i =
   assert (i >= 0 && i < 4);
   match e with
   | Const (_, v) -> byte ((v lsr (8 * i)) land 0xFF)
-  | Concat4 (b3, b2, b1, b0) -> [| b0; b1; b2; b3 |].(i)
+  | Concat4 (b3, b2, b1, b0) -> (
+      match i with 0 -> b0 | 1 -> b1 | 2 -> b2 | _ -> b3)
   | Zext inner when width_of inner = W8 ->
       if i = 0 then inner else byte 0
   | Zext inner when width_of inner = W1 ->

@@ -412,18 +412,11 @@ let rec retire eng st status ~report =
      pool call is a lock-free no-op while merging has never been used. *)
   handle_merge_outcome eng (Merge.note_dead eng.pool st);
   st.St.status <- Some status;
-  let forks =
-    List.fold_left
-      (fun acc ev ->
-        match ev with
-        | Event.E_branch { forked = true; _ } -> acc + 1
-        | _ -> acc)
-      0 st.St.trace
-  in
   Mutex.lock eng.glock;
   eng.lineage <-
     (st.St.id, st.St.parent_id,
-     Format.asprintf "%s: %a" st.St.entry_name St.pp_status status, forks)
+     Format.asprintf "%s: %a" st.St.entry_name St.pp_status status,
+     st.St.forks)
     :: eng.lineage;
   if report then eng.done_states <- st :: eng.done_states;
   Mutex.unlock eng.glock;

@@ -15,7 +15,7 @@ module Blob = Ddt_solver.Blob
 module Expr = Ddt_solver.Expr
 module St = Symstate
 
-let snapshot_version = 2
+let snapshot_version = 3
 
 type payload = {
   sn_version : int;

@@ -17,9 +17,21 @@
     of it is pinned in the path's page on first access, so the path sees
     a stable register value.
 
-    The node chain is the write log: each node holds the addresses its
-    memory wrote while the node was the leaf. It answers {!cow_diff},
-    {!live_words} and {!chain_depth}.
+    {b Write marks.} Each page carries a 64-bit mask of the slots its
+    owner wrote. Only a write by the owner while the owner is the leaf
+    sets a bit — and every write is one, since a write first makes the
+    leaf own the page; a copy starts unmarked, and a register pin copies
+    without marking. Each node keeps the pages it copied and the number
+    of bits it set, so the node chain is the write log: {!cow_diff}
+    enumerates the marks of the nodes above the common ancestor,
+    {!live_words} sums the counts and {!chain_depth} is the chain length.
+
+    {b Word path.} {!read_u32} and {!write_u32} serve a word with one
+    page lookup (a read) or one ownership check or copy (a write) when
+    its four bytes lie in one page — which also keeps them below the
+    0xFFFFFFFF wrap — and none is a device register
+    ({!Ddt_hw.Symdev.overlaps_device}). A page-straddling, wrapping or
+    device-overlapping word goes byte by byte, with the same result.
 
     Reads from the symbolic device's MMIO ranges return a fresh
     unconstrained symbolic byte on every access; writes there are
@@ -57,7 +69,8 @@ val chain_depth : t -> int
 
 val live_words : t -> int
 (** Total write-log entries across this leaf's chain (memory
-    accounting, E5): each node's distinct written addresses, summed.
+    accounting, E5): each node's distinct written addresses (its marked
+    slots), summed. A byte written again by the same node counts once.
     O(1). *)
 
 (** {1 Snapshots} *)
@@ -67,7 +80,8 @@ type image
     chain and page map, without the shared base image, device or read
     hook (session infrastructure, reattached at restore). Sibling
     images marshalled in one blob keep sharing their common ancestor
-    nodes and unwritten pages, and each page keeps its owner. *)
+    nodes and unwritten pages, each page keeps its owner and marks, and
+    each node's copied pages stay the pages of the map. *)
 
 val to_image : t -> image
 (** Non-destructive; the image aliases the live node chain and the live

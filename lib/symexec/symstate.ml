@@ -44,6 +44,7 @@ type t = {
   ks : Ddt_kernel.Kstate.t;
   mutable pending : post_action list;
   mutable trace : Ddt_trace.Event.t list;
+  mutable forks : int;
   mutable choices : (string * string) list;
   mutable sym_inputs : (Expr.var * string) list;
   mutable injections : int;
@@ -71,6 +72,7 @@ let create ~id ~mem ~ks =
     ks;
     pending = [];
     trace = [];
+    forks = 0;
     choices = [];
     sym_inputs = [];
     injections = 0;
@@ -118,6 +120,7 @@ type image = {
   im_ks : Ddt_kernel.Kstate.t;
   im_pending : post_action list;
   im_trace : Ddt_trace.Event.t list;
+  im_forks : int;
   im_choices : (string * string) list;
   im_sym_inputs : (Expr.var * string) list;
   im_injections : int;
@@ -145,6 +148,7 @@ let to_image t =
     im_ks = t.ks;
     im_pending = t.pending;
     im_trace = t.trace;
+    im_forks = t.forks;
     im_choices = t.choices;
     im_sym_inputs = t.sym_inputs;
     im_injections = t.injections;
@@ -172,6 +176,7 @@ let of_image ~base ~symdev im =
     ks = im.im_ks;
     pending = im.im_pending;
     trace = im.im_trace;
+    forks = im.im_forks;
     choices = im.im_choices;
     sym_inputs = im.im_sym_inputs;
     injections = im.im_injections;
@@ -187,7 +192,12 @@ let of_image ~base ~symdev im =
     tags = im.im_tags;
   }
 
-let record t ev = t.trace <- ev :: t.trace
+let record t ev =
+  (match ev with
+   | Ddt_trace.Event.E_branch { forked = true; _ } -> t.forks <- t.forks + 1
+   | _ -> ());
+  t.trace <- ev :: t.trace
+
 let add_constraint t c = t.constraints <- c :: t.constraints
 let reg_get t r = t.regs.(r)
 let reg_set t r e = t.regs.(r) <- e

@@ -50,6 +50,9 @@ type t = {
   ks : Ddt_kernel.Kstate.t;
   mutable pending : post_action list;
   mutable trace : Ddt_trace.Event.t list;       (** newest first *)
+  mutable forks : int;
+  (** forked branches ([E_branch] with [forked = true]) in [trace], kept
+      by {!record}; copied to children on fork *)
   mutable choices : (string * string) list;     (** annotation decisions *)
   mutable sym_inputs : (Expr.var * string) list;
   mutable injections : int;
@@ -98,6 +101,8 @@ val of_image :
 (** Rebuild a state over the session's base image and device, with a
     no-op sym-read hook (the engine reinstalls its own). *)
 val record : t -> Ddt_trace.Event.t -> unit
+(** Prepend an event to [trace], counting it in [forks] if it is a
+    forked branch. *)
 val add_constraint : t -> Expr.t -> unit
 val reg_get : t -> int -> Expr.t
 val reg_set : t -> int -> Expr.t -> unit

@@ -160,7 +160,9 @@ let states_agree base (a : St.t) (b : St.t) =
   && a.St.pinned = b.St.pinned && a.St.status = b.St.status
   && a.St.depth = b.St.depth && a.St.entry_name = b.St.entry_name
   && a.St.steps = b.St.steps
+  && a.St.forks = b.St.forks
   && Symmem.chain_depth a.St.mem = Symmem.chain_depth b.St.mem
+  && Symmem.live_words a.St.mem = Symmem.live_words b.St.mem
   && (ignore base;
       (* the full written window reads back identically *)
       let ok = ref true in
@@ -421,17 +423,24 @@ let with_version blob v =
       Obj.set_field p 0 (Obj.repr v);
       Blob.encode p
 
-(* A blob from the previous memory layout must be refused, not
-   unmarshalled as the current one. *)
+(* Blobs from every earlier layout must be refused, not unmarshalled as
+   the current one: version 1 predates the page-granular memory, version
+   2 the per-page write marks and the state's fork count. *)
+let older_versions current = List.init (current - 1) (fun i -> i + 1)
+
 let test_previous_version_refused () =
   let base = Mem.create () in
   let s = Snapshot.snapshot (build_state base [ Write32 (8, 77); Fork ]) in
   check_bool "re-framed current snapshot restores" true
     (not (is_error (Snapshot.restore ~base ~symdev:None
                       (with_version s Snapshot.snapshot_version))));
-  check_bool "previous-version snapshot refused" true
-    (is_error (Snapshot.restore ~base ~symdev:None
-                 (with_version s (Snapshot.snapshot_version - 1))));
+  check_bool "version 2 is an older snapshot layout" true
+    (List.mem 2 (older_versions Snapshot.snapshot_version));
+  List.iter
+    (fun v ->
+      check_bool (Printf.sprintf "version-%d snapshot refused" v) true
+        (is_error (Snapshot.restore ~base ~symdev:None (with_version s v))))
+    (older_versions Snapshot.snapshot_version);
   let dir = tmpdir () in
   let ckpt = Filename.concat dir "drv.ckpt" in
   let ck_cfg =
@@ -440,13 +449,17 @@ let test_previous_version_refused () =
   in
   ignore (fresh_run ck_cfg);
   let data = In_channel.with_open_bin ckpt In_channel.input_all in
-  Out_channel.with_open_bin ckpt (fun oc ->
-      Out_channel.output_string oc
-        (with_version data (Session.checkpoint_version - 1)));
-  check_bool "previous-version checkpoint refused" true
-    (is_error (Session.resume ck_cfg ~path:ckpt));
-  check_bool "previous-version checkpoint peek refused" true
-    (is_error (Session.checkpoint_driver ckpt))
+  check_bool "version 2 is an older checkpoint layout" true
+    (List.mem 2 (older_versions Session.checkpoint_version));
+  List.iter
+    (fun v ->
+      Out_channel.with_open_bin ckpt (fun oc ->
+          Out_channel.output_string oc (with_version data v));
+      check_bool (Printf.sprintf "version-%d checkpoint refused" v) true
+        (is_error (Session.resume ck_cfg ~path:ckpt));
+      check_bool (Printf.sprintf "version-%d checkpoint peek refused" v) true
+        (is_error (Session.checkpoint_driver ckpt)))
+    (older_versions Session.checkpoint_version)
 
 (* Checkpoint writes hitting a full disk degrade to "no checkpoint",
    never to a failed or different run. *)

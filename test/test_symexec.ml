@@ -182,6 +182,7 @@ type mem_op =
   | M_w8 of int * int * int
   | M_w32 of int * int * int
   | M_wsym of int * int
+  | M_over of int * int * int
   | M_r8 of int * int
   | M_r32 of int * int
   | M_mmio_r of int * int
@@ -194,6 +195,7 @@ let pp_mem_op = function
   | M_w8 (i, a, v) -> Printf.sprintf "w8 %d 0x%x 0x%x" i a v
   | M_w32 (i, a, v) -> Printf.sprintf "w32 %d 0x%x 0x%x" i a v
   | M_wsym (i, a) -> Printf.sprintf "wsym %d 0x%x" i a
+  | M_over (i, a, v) -> Printf.sprintf "over %d 0x%x 0x%x" i a v
   | M_r8 (i, a) -> Printf.sprintf "r8 %d 0x%x" i a
   | M_r32 (i, a) -> Printf.sprintf "r32 %d 0x%x" i a
   | M_mmio_r (i, o) -> Printf.sprintf "mmio_r %d +0x%x" i o
@@ -201,27 +203,61 @@ let pp_mem_op = function
   | M_snap i -> Printf.sprintf "snap %d" i
   | M_diff (i, j) -> Printf.sprintf "diff %d %d" i j
 
+(* The pool's device: two BARs with a RAM gap between them, so words can
+   overlap either edge of either BAR. *)
+let pool_bars = [ (Layout.mmio_base, 0x1000); (Layout.mmio_base + 0x3000, 0x2000) ]
+
+let pool_device () =
+  { Pci.desc =
+      { Pci.vendor_id = 1; device_id = 2; revision = 0;
+        bar_sizes = List.map snd pool_bars; irq_line = 9 };
+    bars = List.map fst pool_bars;
+    irq = 9 }
+
+let pool_bar_edges =
+  List.concat_map (fun (b, size) -> [ b; b + size ]) pool_bars
+
 let prop_cow_pool_matches_model =
   let open QCheck.Gen in
-  (* Three windows: two pages either side of 0x1000 (u32 accesses
-     straddle page boundaries), the top of the address space (u32
-     accesses wrap to 0) and the bottom bytes the wrap lands on. *)
+  (* Windows: two pages either side of 0x1000 (u32 accesses straddle
+     page boundaries), the top of the address space (u32 accesses wrap
+     to 0), the bottom bytes the wrap lands on, and 16 bytes around each
+     BAR edge. *)
+  let windows =
+    [ (0xF80, 0x107F); (0xFFFFFFF0, 0xFFFFFFFF); (0, 7) ]
+    @ List.map (fun e -> (e - 8, e + 7)) pool_bar_edges
+  in
   let addr =
     frequency
       [ (6, map (fun o -> 0xF80 + o) (int_bound 0xFF));
         (2, map (fun o -> 0xFFFFFFF0 + o) (int_bound 15));
-        (1, int_bound 7) ]
+        (1, int_bound 7);
+        (2, map2 (fun e o -> e - 8 + o) (oneofl pool_bar_edges) (int_bound 15)) ]
+  in
+  (* Word addresses: anywhere in the windows, 4-aligned (the in-page
+     word path), the last three bytes of a page (page-straddling), the
+     wrap past 0xFFFFFFFF, and overlapping a BAR edge by one to three
+     bytes. *)
+  let word_addr =
+    frequency
+      [ (3, addr);
+        (3, map (fun a -> a land lnot 3) addr);
+        (2, map2 (fun p o -> 0xF80 + (0x40 * p) + 0x3D + o) (int_bound 2) (int_bound 2));
+        (1, map (fun o -> 0xFFFFFFFD + o) (int_bound 2));
+        (2, map2 (fun e o -> e - 3 + o) (oneofl pool_bar_edges) (int_bound 2)) ]
   in
   let mem_i = int_bound 15 in
   let op =
     frequency
       [ (2, map (fun i -> M_fork i) mem_i);
         (4, map3 (fun i a v -> M_w8 (i, a, v)) mem_i addr (int_bound 0xFF));
-        (4, map3 (fun i a v -> M_w32 (i, a, v)) mem_i addr
+        (5, map3 (fun i a v -> M_w32 (i, a, v)) mem_i word_addr
               (int_bound 0x3FFFFFFF));
-        (1, map2 (fun i a -> M_wsym (i, a)) mem_i addr);
+        (1, map2 (fun i a -> M_wsym (i, a)) mem_i word_addr);
+        (2, map3 (fun i a v -> M_over (i, a, v)) mem_i word_addr
+              (int_bound 0x3FFFFFFF));
         (4, map2 (fun i a -> M_r8 (i, a)) mem_i addr);
-        (3, map2 (fun i a -> M_r32 (i, a)) mem_i addr);
+        (4, map2 (fun i a -> M_r32 (i, a)) mem_i word_addr);
         (1, map2 (fun i o -> M_mmio_r (i, o)) mem_i (int_bound 0xFFF));
         (1, map2 (fun i o -> M_mmio_w (i, o)) mem_i (int_bound 0xFFF));
         (1, map (fun i -> M_snap i) mem_i);
@@ -238,9 +274,12 @@ let prop_cow_pool_matches_model =
           for a = lo to hi do
             Mem.write_u8 base a ((a * 7) + 3)
           done)
-        [ (0xF80, 0x1080); (0xFFFFFFF0, 0xFFFFFFFF); (0, 7) ];
-      let sd = Symdev.create (device ()) in
+        windows;
+      let sd = Symdev.create (pool_device ()) in
       let ks = Kstate.create ~device:(device ()) () in
+      let is_dev a =
+        List.exists (fun (b, size) -> a >= b && a < b + size) pool_bars
+      in
       let next_nid = ref 0 in
       let node parent =
         incr next_nid;
@@ -260,10 +299,23 @@ let prop_cow_pool_matches_model =
         | Some v -> v
         | None -> Expr.byte (Mem.read_u8 base a)
       in
+      (* A device byte reads as a fresh variable; any other byte as the
+         model says. *)
+      let byte_ok m a v =
+        if is_dev a then (match v with Expr.Var _ -> true | _ -> false)
+        else Expr.equal v (model_read m a)
+      in
+      (* Device writes are discarded: neither the bytes nor the log change. *)
       let model_write m a v =
         let a = a land 0xFFFFFFFF in
-        Hashtbl.replace m.bytes a v;
-        Hashtbl.replace m.leaf.nwrites a ()
+        if not (is_dev a) then begin
+          Hashtbl.replace m.bytes a v;
+          Hashtbl.replace m.leaf.nwrites a ()
+        end
+      in
+      let write8 m a v =
+        Symmem.write_u8 m.mem a v;
+        model_write m a v
       in
       let write32 m a v =
         Symmem.write_u32 m.mem a v;
@@ -306,31 +358,40 @@ let prop_cow_pool_matches_model =
               let child = Symmem.fork m.mem in
               m.leaf <- node (Some old);
               add { mem = child; bytes = Hashtbl.copy m.bytes; leaf = node (Some old) }
-          | M_w8 (i, a, v) ->
-              let m = get i in
-              Symmem.write_u8 m.mem a (Expr.byte v);
-              model_write m a (Expr.byte v)
+          | M_w8 (i, a, v) -> write8 (get i) a (Expr.byte v)
           | M_w32 (i, a, v) -> write32 (get i) a (Expr.word v)
           | M_wsym (i, a) ->
               write32 (get i) a (Expr.var (Expr.fresh_var ~name:"w" Expr.W32))
+          | M_over (i, a, v) ->
+              (* the same bytes three times over: each counts once *)
+              let m = get i in
+              write32 m a (Expr.word v);
+              write8 m (a + (v land 3)) (Expr.byte (v lsr 2));
+              write32 m a (Expr.word (v lsr 1))
           | M_r8 (i, a) ->
               let m = get i in
               expect (Printf.sprintf "r8 0x%x" a)
-                (Expr.equal (Symmem.read_u8 m.mem a) (model_read m a))
+                (byte_ok m (a land 0xFFFFFFFF) (Symmem.read_u8 m.mem a))
           | M_r32 (i, a) ->
               let m = get i in
-              let b k = model_read m ((a + k) land 0xFFFFFFFF) in
+              let at k = (a + k) land 0xFFFFFFFF in
               expect (Printf.sprintf "r32 0x%x" a)
-                (Expr.equal (Symmem.read_u32 m.mem a)
-                   (Expr.concat4 (b 3) (b 2) (b 1) (b 0)))
+                (if List.exists (fun k -> is_dev (at k)) [ 0; 1; 2; 3 ] then
+                   match Symmem.read_u32 m.mem a with
+                   | Expr.Concat4 (b3, b2, b1, b0) ->
+                       byte_ok m (at 0) b0 && byte_ok m (at 1) b1
+                       && byte_ok m (at 2) b2 && byte_ok m (at 3) b3
+                   | _ -> false
+                 else
+                   let b k = model_read m (at k) in
+                   Expr.equal (Symmem.read_u32 m.mem a)
+                     (Expr.concat4 (b 3) (b 2) (b 1) (b 0)))
           | M_mmio_r (i, o) ->
               expect "mmio read is a fresh variable"
                 (match Symmem.read_u8 (get i).mem (Layout.mmio_base + o) with
                  | Expr.Var _ -> true
                  | _ -> false)
-          | M_mmio_w (i, o) ->
-              (* discarded: neither the bytes nor the write log change *)
-              Symmem.write_u8 (get i).mem (Layout.mmio_base + o) (Expr.byte 0x5A)
+          | M_mmio_w (i, o) -> write8 (get i) (Layout.mmio_base + o) (Expr.byte 0x5A)
           | M_snap i -> (
               let m = get i in
               let st = Symstate.create ~id:1 ~mem:m.mem ~ks in
@@ -358,9 +419,9 @@ let prop_cow_pool_matches_model =
             (fun (lo, hi) ->
               for a = lo to hi do
                 expect (Printf.sprintf "final r8 0x%x" a)
-                  (Expr.equal (Symmem.read_u8 m.mem a) (model_read m a))
+                  (byte_ok m a (Symmem.read_u8 m.mem a))
               done)
-            [ (0xF80, 0x1080); (0xFFFFFFF0, 0xFFFFFFFF); (0, 7) ])
+            windows)
         !pool;
       Array.iter
         (fun a ->
@@ -373,6 +434,60 @@ let prop_cow_pool_matches_model =
       match !failures with
       | [] -> true
       | fs -> QCheck.Test.fail_reportf "%s" (String.concat ", " (List.rev fs)))
+
+(* --- Symdev ---------------------------------------------------------------- *)
+
+(* The BAR hull test and the word-range test agree with a scan of every
+   BAR, on random layouts: gaps between BARs, sizes rounded up to 0x1000,
+   BARs without a [bar_sizes] entry (one page) and BARs at the top of the
+   32-bit space. Probes sit on and around every BAR edge. *)
+let prop_symdev_range_matches_scan =
+  let open QCheck.Gen in
+  let start =
+    frequency
+      [ (2, map (fun p -> p * 0x1000) (int_bound 0xFFFFF));
+        (3, map (fun o -> 0xD000_0000 + o) (int_bound 0x8000));
+        (2, map (fun o -> 0xFFFF_FFFF - o) (int_bound 0x3000)) ]
+  in
+  let layout =
+    pair (list_size (int_range 0 4) start)
+      (list_size (int_range 0 4) (int_bound 0x3000))
+  in
+  let print (bars, sizes) =
+    let hex l = String.concat ";" (List.map (Printf.sprintf "0x%x") l) in
+    Printf.sprintf "bars [%s] sizes [%s]" (hex bars) (hex sizes)
+  in
+  QCheck.Test.make ~count:300 ~name:"device range test matches a BAR scan"
+    (QCheck.make ~print layout)
+    (fun (bars, sizes) ->
+      let sd =
+        Symdev.create
+          { Pci.desc =
+              { Pci.vendor_id = 1; device_id = 2; revision = 0;
+                bar_sizes = sizes; irq_line = 9 };
+            bars;
+            irq = 9 }
+      in
+      let spans =
+        List.mapi
+          (fun i b ->
+            (b, match List.nth_opt sizes i with Some s -> max s 0x1000 | None -> 0x1000))
+          bars
+      in
+      let dev a = List.exists (fun (b, size) -> a >= b && a < b + size) spans in
+      let probes =
+        List.concat_map
+          (fun (b, size) ->
+            List.concat_map (fun e -> List.init 9 (fun k -> e - 4 + k)) [ b; b + size ])
+          spans
+        @ [ 0; 0x1000; 0xCFFF_FFFF; 0xFFFF_FFFC; 0xFFFF_FFFF ]
+      in
+      List.for_all
+        (fun a ->
+          Symdev.is_device_addr sd a = dev a
+          && Symdev.overlaps_device sd a 4
+             = List.exists (fun k -> dev (a + k)) [ 0; 1; 2; 3 ])
+        probes)
 
 (* --- the executor on small driver programs -------------------------------- *)
 
@@ -741,6 +856,7 @@ let () =
            test_concrete_device_reads_stable;
          qtest prop_cow_matches_reference;
          qtest prop_cow_pool_matches_model ]);
+      ("symdev", [ qtest prop_symdev_range_matches_scan ]);
       ("executor",
        [ Alcotest.test_case "fork on device branch" `Quick
            test_fork_on_symbolic_branch;
