@@ -1245,6 +1245,12 @@ let bechamel_run name fn =
       | _ -> Printf.printf "  %-40s (no estimate)\n" test_name)
     results
 
+let bench_device () =
+  Ddt_kernel.Pci.assign_resources
+    { Ddt_kernel.Pci.vendor_id = 1; device_id = 2; revision = 0;
+      bar_sizes = [ 0x1000 ]; irq_line = 9 }
+    ~mmio_base:Ddt_dvm.Layout.mmio_base
+
 let micro () =
   section "Micro-benchmarks (Bechamel): engine building blocks";
   let img =
@@ -1300,7 +1306,41 @@ let micro () =
       ignore (Ddt_symexec.Symmem.read_u32 sm 0x1010));
   bechamel_run "symmem: page-straddling u32 write+read" (fun () ->
       Ddt_symexec.Symmem.write_u32 sm 0x103E (Expr.word 0x12345678);
-      ignore (Ddt_symexec.Symmem.read_u32 sm 0x103E))
+      ignore (Ddt_symexec.Symmem.read_u32 sm 0x103E));
+  (* A min-touch pick: 256 queued states spread over 8 blocks, one
+     block's count bumped before each pop (the popped state is requeued,
+     so the queue stays at 256). *)
+  let module Sched = Ddt_symexec.Sched in
+  let ks = Ddt_kernel.Kstate.create ~device:(bench_device ()) () in
+  let counts = Array.make 8 0 in
+  let q =
+    Sched.create Sched.Min_touch
+      ~key:(fun st -> st.Ddt_symexec.Symstate.id land 7)
+      ~priority:(fun b -> counts.(b))
+  in
+  for id = 0 to 255 do
+    Sched.push q (Ddt_symexec.Symstate.create ~id ~mem:sm ~ks)
+  done;
+  let bump = ref 0 in
+  bechamel_run "sched: pop of 256 states over 8 blocks" (fun () ->
+      incr bump;
+      counts.(!bump land 7) <- counts.(!bump land 7) + 1;
+      match Sched.pop q with Some st -> Sched.requeue q st | None -> ());
+  (* A pin-free branch-feasibility question whose group is cached, the
+     common case on the corpus: a fresh branch condition over one of six
+     device-read bytes, each constrained twice on the path. *)
+  let bytes = Array.init 6 (fun _ -> Expr.fresh_var Expr.W8) in
+  let byte i = Expr.zext (Expr.var bytes.(i)) in
+  let path =
+    List.concat
+      (List.init 6 (fun i ->
+           [ Expr.cmp Expr.Ltu (byte i) (Expr.word 200);
+             Expr.cmp Expr.Ne (byte i) (Expr.word i) ]))
+  in
+  let branch () = Expr.cmp Expr.Ltu (byte 2) (Expr.word 100) in
+  ignore (Solver.feasible path ~pinned:[] (branch ()));
+  bechamel_run "solver: cached pin-free feasibility" (fun () ->
+      ignore (Solver.feasible path ~pinned:[] (branch ())))
 
 (* --- static race / lockset experiment -------------------------------------------- *)
 

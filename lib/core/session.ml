@@ -294,7 +294,9 @@ let setup ?(store_index_subsets = true) (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-let checkpoint_version = 3
+(* 4: query-cache keys carry their hash and the model-reuse list holds
+   value arrays. *)
+let checkpoint_version = 4
 
 (* A checkpoint is one self-contained marshal image of every piece of
    session progress: the engine image (queues, merge pool, guard, DBT

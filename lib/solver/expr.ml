@@ -400,17 +400,35 @@ let eval env e =
       in
       go e)
 
+(* Most constraints mention a handful of variables, so [vars] checks
+   membership by scanning the list found so far and only builds a table
+   once it passes [few_vars]. *)
+let few_vars = 8
+
 let vars e =
   run (fun m ->
-      let seen = Hashtbl.create 16 in
-      let acc = ref [] in
+      let seen = ref None in
+      let acc = ref [] and n = ref 0 in
       let rec go e = memo m visit e
       and visit = function
         | Const _ -> ()
         | Var v ->
-            if not (Hashtbl.mem seen v.id) then begin
-              Hashtbl.add seen v.id ();
-              acc := v :: !acc
+            let known =
+              match !seen with
+              | Some tbl -> Hashtbl.mem tbl v.id
+              | None -> List.exists (fun u -> u.id = v.id) !acc
+            in
+            if not known then begin
+              acc := v :: !acc;
+              incr n;
+              match !seen with
+              | Some tbl -> Hashtbl.add tbl v.id ()
+              | None ->
+                  if !n > few_vars then begin
+                    let tbl = Hashtbl.create 32 in
+                    List.iter (fun u -> Hashtbl.add tbl u.id ()) !acc;
+                    seen := Some tbl
+                  end
             end
         | Binop (_, a, b) | Cmp (_, a, b) -> go a; go b
         | Ite (c, a, b) -> go c; go a; go b

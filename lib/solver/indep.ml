@@ -1,11 +1,10 @@
-(* Union-find over variable ids, with path compression, rebuilt per call.
-   Only slices should reach it ([Solver.check] partitions what {!slice}
-   hands it): path conditions are too long to re-partition per query.
-   On pro1000/pro100 a session asks 1.7k-2.2k feasibility questions.
-   Answering each by re-partitioning the whole path condition and
-   looking up every group (33k lookups for 2.2k queries) took 0.27-0.35 s
-   of a 0.43-0.64 s session on 2 vCPUs; slicing the persistent [t] below,
-   which grows one constraint at a time, takes 0.05-0.09 s. *)
+(* Two partitions live here. [partition_vars] is a union-find over
+   variable ids, with path compression, rebuilt per call: [Solver.check]
+   runs it on the queries that reach it (a concretization's slice, a
+   query with replay pins), never on a whole path condition. The
+   partition of a path condition is the persistent [t] further down,
+   which grows one constraint at a time as states fork and is what
+   feasibility and concretization slice. *)
 
 type uf = (int, int) Hashtbl.t
 
@@ -72,16 +71,16 @@ module IM = Map.Make (Int)
 (* A group's members carry their insertion index, so a slice can be put
    back in path-condition order (newest first) after merges have
    interleaved them. *)
-type group = {
-  members : (int * Expr.t) list;
+type 'a group = {
+  members : (int * 'a) list;
   gvars : int list;
   nvars : int;
 }
 
-type t = {
+type 'a t = {
   next : int;             (* insertion index of the next constraint *)
   owner : int IM.t;       (* variable id -> id of the group holding it *)
-  groups : group IM.t;
+  groups : 'a group IM.t;
 }
 
 let empty = { next = 0; owner = IM.empty; groups = IM.empty }

@@ -18,10 +18,10 @@ val partition : Expr.t list -> Expr.t list list
     keep their relative order inside each group. Constraints with no
     variables (not folded away upstream) are gathered into one group. *)
 
-val partition_vars :
-  (Expr.t * Expr.var list) list -> (Expr.t * Expr.var list) list list
+val partition_vars : ('a * Expr.var list) list -> ('a * Expr.var list) list list
 (** {!partition} for constraints already paired with their {!Expr.vars},
-    which the groups keep. *)
+    which the groups keep. A constraint may be any value standing for
+    one (the solver passes its prepared form). *)
 
 (** {1 Persistent partitions}
 
@@ -29,24 +29,27 @@ val partition_vars :
     head: {!add} extends a partition by one constraint in time
     proportional to the smaller groups it joins, and the old value stays
     valid, so forked path conditions share their common tail's
-    partition. *)
+    partition. Members are of any type ['a] standing for a constraint:
+    the solver keeps each constraint's prepared form (simplified term,
+    variables, cache normalization) there, so a query built from a
+    slice prepares nothing again. *)
 
-type t
+type 'a t
 
-val empty : t
+val empty : 'a t
 (** The partition of the empty path condition. *)
 
-val add : t -> Expr.t -> Expr.var list -> t
+val add : 'a t -> 'a -> Expr.var list -> 'a t
 (** [add t c vs] is [t] with [c], whose variables are [vs], pushed on
     the head of the path condition. A constraint without variables is
     not kept: ground constraints belong to no group. *)
 
-val slice : t -> Expr.var list -> Expr.t list
+val slice : 'a t -> Expr.var list -> 'a list
 (** [slice t vs] is the union of the groups holding any of [vs] — every
     constraint that can influence a value over [vs] — in path-condition
     order (newest first). Variables no constraint mentions contribute
     nothing. *)
 
-val groups : t -> Expr.t list list
+val groups : 'a t -> 'a list list
 (** Every group, each in path-condition order; the order of the groups
     is unspecified. *)

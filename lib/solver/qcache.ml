@@ -1,9 +1,11 @@
-type outcome =
-  | Exact_sat of (Expr.var -> int)
+type 'm outcome =
+  | Exact_sat of 'm
   | Exact_unsat
   | Subset_unsat
-  | Reuse_sat of (Expr.var -> int)
+  | Reuse_sat of 'm
   | Miss
+
+type model = Expr.var -> int
 
 type info = {
   i_renamed : bool;
@@ -13,15 +15,22 @@ type info = {
 
 let no_info = { i_renamed = false; i_owner = -1; i_persisted = false }
 
+let terms_equal a b =
+  try List.for_all2 Expr.equal a b with Invalid_argument _ -> false
+
+(* Hashtbl.hash only samples a prefix of large expressions; collisions
+   are resolved by [equal], so this only affects bucket spread. *)
+let terms_hash k =
+  List.fold_left (fun acc e -> (acc * 1000003) lxor Hashtbl.hash e) 0 k
+
+(* A table key carries its hash, computed once per query and shared by
+   the shard choice and the table probe. *)
 module Key = struct
-  type t = Expr.t list
+  type t = { k_hash : int; k_terms : Expr.t list }
 
-  let equal a b =
-    try List.for_all2 Expr.equal a b with Invalid_argument _ -> false
-
-  (* Hashtbl.hash only samples a prefix of large expressions; collisions
-     are resolved by [equal], so this only affects bucket spread. *)
-  let hash k = List.fold_left (fun acc e -> (acc * 1000003) lxor Hashtbl.hash e) 0 k
+  let of_terms k = { k_hash = terms_hash k; k_terms = k }
+  let equal a b = a.k_hash = b.k_hash && terms_equal a.k_terms b.k_terms
+  let hash k = k.k_hash
 end
 
 module KH = Hashtbl.Make (Key)
@@ -38,7 +47,7 @@ type verdict = V_sat of (Expr.var * int) list | V_unsat
 
 type entry = {
   e_id : int;
-  e_key : Expr.t list;       (* renamed canonical key (the table key) *)
+  e_key : Key.t;             (* renamed canonical key (the table key) *)
   e_orig : Expr.t list;      (* the first storer's original canonical key *)
   e_domain : int;            (* domain that stored the entry *)
   e_verdict : verdict;
@@ -57,8 +66,10 @@ type t = {
          query is generally renamed differently than the same subset
          renamed standalone, so indexing renamed constraints would lose
          the structural-subset hits the old cache had. *)
-  mutable models : (int * (Expr.var * int) list) list;
-      (* (owner domain, renamed-space model), newest first *)
+  mutable models : (int * int array) list;
+      (* (owner domain, renamed-space model), newest first; a model is
+         an array of values indexed by renamed variable id, built once
+         when stored rather than per reuse probe *)
   mutable tick : int;
   mutable next_id : int;
   mutable evicted : int;
@@ -96,72 +107,110 @@ let commutative = function
 
 let normalize (e : Expr.t) : Expr.t =
   Expr.run (fun m ->
+      (* A node whose operands come back physically unchanged is returned
+         as it is, so a normalized term shares every subterm that needed
+         no reordering with its input. *)
       let rec go e = Expr.memo m rebuild e
       and rebuild (e : Expr.t) : Expr.t =
         match e with
         | Expr.Const _ | Expr.Var _ -> e
         | Expr.Binop (op, a, b) ->
-            let a = go a and b = go b in
-            if commutative op && Expr.compare_shape b a < 0 then
-              Expr.Binop (op, b, a)
-            else Expr.Binop (op, a, b)
+            let a' = go a and b' = go b in
+            if commutative op && Expr.compare_shape b' a' < 0 then
+              Expr.Binop (op, b', a')
+            else if a' == a && b' == b then e
+            else Expr.Binop (op, a', b')
         | Expr.Cmp (op, a, b) -> (
-            let a = go a and b = go b in
+            let a' = go a and b' = go b in
             match op with
-            | (Expr.Eq | Expr.Ne) when Expr.compare_shape b a < 0 ->
-                Expr.Cmp (op, b, a)
-            | _ -> Expr.Cmp (op, a, b))
+            | (Expr.Eq | Expr.Ne) when Expr.compare_shape b' a' < 0 ->
+                Expr.Cmp (op, b', a')
+            | _ -> if a' == a && b' == b then e else Expr.Cmp (op, a', b'))
         | Expr.Ite (c, a, b) -> (
             (* A negated guard swaps arms, so a lift built from the taken
                arm and one built from the fallthrough share a key. *)
             match go c with
             | Expr.Not c' -> Expr.Ite (c', go b, go a)
-            | c -> Expr.Ite (c, go a, go b))
-        | Expr.Extract (x, i) -> Expr.Extract (go x, i)
+            | c' ->
+                let a' = go a and b' = go b in
+                if c' == c && a' == a && b' == b then e
+                else Expr.Ite (c', a', b'))
+        | Expr.Extract (x, i) ->
+            let x' = go x in
+            if x' == x then e else Expr.Extract (x', i)
         | Expr.Concat4 (b3, b2, b1, b0) ->
-            Expr.Concat4 (go b3, go b2, go b1, go b0)
-        | Expr.Zext x -> Expr.Zext (go x)
-        | Expr.Not x -> Expr.Not (go x)
+            let b3' = go b3 and b2' = go b2 and b1' = go b1 and b0' = go b0 in
+            if b3' == b3 && b2' == b2 && b1' == b1 && b0' == b0 then e
+            else Expr.Concat4 (b3', b2', b1', b0')
+        | Expr.Zext x ->
+            let x' = go x in
+            if x' == x then e else Expr.Zext x'
+        | Expr.Not x ->
+            let x' = go x in
+            if x' == x then e else Expr.Not x'
       in
       go e)
 
-let canon cs = List.sort_uniq Expr.compare (List.map normalize cs)
+(* A normalized term is not a fixed point of [normalize] (an arm swap
+   under a [Not] guard can expose a new one), so each term is normalized
+   exactly once: [canon] from originals, [canon_normalized] from terms
+   the caller already normalized. *)
+let canon_normalized ns = List.sort_uniq Expr.compare ns
+let canon cs = canon_normalized (List.map normalize cs)
 
 (* --- normalization up to variable renaming ------------------------------ *)
 (* Variables are renumbered 1..n in first-occurrence order over the
    canonically sorted key (names erased), so two structurally identical
    queries over different variables — e.g. the same guard re-minted by
    another state or worker — share one renamed key. The rename is a
-   bijection on the key's variables: [fwd] translates query vars to
-   renamed vars (for reading stored models), [inv] translates back (for
-   storing a model of this query in renamed space). *)
+   bijection on the key's variables: [p_vars] lists the query variables
+   in renamed-id order (for storing a model of this query in renamed
+   space), and {!orig_env} inverts it when a stored model is read. *)
 
-type prepared = {
+type query = {
   p_key : Expr.t list;              (* canonical original key *)
-  p_rkey : Expr.t list;             (* renamed key *)
-  p_fwd : (int, Expr.var) Hashtbl.t;   (* original id -> renamed var *)
-  p_inv : (int, Expr.var) Hashtbl.t;   (* renamed id -> original var *)
+  p_rkey : Key.t;                   (* renamed key *)
+  p_vars : Expr.var array;          (* renamed id i + 1 -> original var *)
 }
 
-let prepare cs =
-  let key = canon cs in
+(* Past this many variables the rename looks names up in a table rather
+   than scanning the ones numbered so far. *)
+let few_vars = 8
+
+let prepare_canonical key =
   Expr.run (fun m ->
-      let fwd = Hashtbl.create 16 in
-      let inv = Hashtbl.create 16 in
-      let next = ref 0 in
+      let numbered = ref [] (* (original id, renamed var), newest first *)
+      and table = ref None and order = ref [] and next = ref 0 in
+      let rec scan id = function
+        | [] -> None
+        | (i, r) :: rest -> if i = id then Some r else scan id rest
+      in
       let rec go e = Expr.memo m rename e
       and rename (e : Expr.t) : Expr.t =
         match e with
         | Expr.Const _ -> e
         | Expr.Var v ->
+            let known =
+              match !table with
+              | Some t -> Hashtbl.find_opt t v.Expr.id
+              | None -> scan v.Expr.id !numbered
+            in
             let r =
-              match Hashtbl.find_opt fwd v.Expr.id with
+              match known with
               | Some r -> r
               | None ->
                   incr next;
                   let r = Expr.canon_var !next v.Expr.var_width in
-                  Hashtbl.add fwd v.Expr.id r;
-                  Hashtbl.add inv !next v;
+                  order := v :: !order;
+                  (match !table with
+                  | Some t -> Hashtbl.add t v.Expr.id r
+                  | None ->
+                      numbered := (v.Expr.id, r) :: !numbered;
+                      if !next > few_vars then begin
+                        let t = Hashtbl.create 32 in
+                        List.iter (fun (i, r) -> Hashtbl.add t i r) !numbered;
+                        table := Some t
+                      end);
                   r
             in
             Expr.Var r
@@ -180,7 +229,11 @@ let prepare cs =
         | Expr.Not x -> Expr.Not (go x)
       in
       let rkey = List.map go key in
-      { p_key = key; p_rkey = rkey; p_fwd = fwd; p_inv = inv })
+      { p_key = key; p_rkey = Key.of_terms rkey;
+        p_vars = Array.of_list (List.rev !order) })
+
+let query cs = prepare_canonical (canon cs)
+let query_of_normalized ns = prepare_canonical (canon_normalized ns)
 
 let size t = KH.length t.table
 let evictions t = t.evicted
@@ -196,16 +249,34 @@ let env_of pairs =
   fun (v : Expr.var) ->
     match Hashtbl.find_opt tbl v.Expr.id with Some x -> x | None -> 0
 
+(* A renamed-space model as an array indexed by renamed id. Renamed ids
+   are dense from 1, so this is [env_of pairs] without a table; ids the
+   model does not mention read 0, as there. *)
+let array_of_pairs pairs =
+  let n = List.fold_left (fun n ((v : Expr.var), _) -> max n v.Expr.id) 0 pairs in
+  let a = Array.make (n + 1) 0 in
+  List.iter (fun ((v : Expr.var), x) -> a.(v.Expr.id) <- x) pairs;
+  a
+
+let env_of_array a (v : Expr.var) =
+  if v.Expr.id >= 0 && v.Expr.id < Array.length a then a.(v.Expr.id) else 0
+
 (* Translate a renamed-space model into one over the query's original
    variables. The value is masked to the variable's width: a reused model
    may pair a renamed id with a {e wider} variable than this query's
    (env_of keys by id only), and evaluation masks at the Var node, so an
    over-wide value verifies — but the model handed back must still be
    well-formed per variable, or a W8 device read gets pinned above 255. *)
-let orig_env fwd renv (v : Expr.var) =
-  match Hashtbl.find_opt fwd v.Expr.id with
-  | Some r -> renv r land Expr.mask_of_width v.Expr.var_width
-  | None -> 0
+let orig_env p renv =
+  let fwd = Hashtbl.create (2 * Array.length p.p_vars) in
+  Array.iteri
+    (fun i (v : Expr.var) ->
+      Hashtbl.replace fwd v.Expr.id (Expr.canon_var (i + 1) v.Expr.var_width))
+    p.p_vars;
+  fun (v : Expr.var) ->
+    match Hashtbl.find_opt fwd v.Expr.id with
+    | Some r -> renv r land Expr.mask_of_width v.Expr.var_width
+    | None -> 0
 
 let self_domain () = (Domain.self () :> int)
 
@@ -273,20 +344,28 @@ let subset_winner t p_key =
   in
   if found then !winner else None
 
-let lookup_prepared t p =
+(* One lookup. [exact] and [reuse] turn the winning stored model (pairs
+   of an exact entry, or a reused model's array, both in renamed space)
+   into the outcome's payload: a model over the query's variables, or
+   nothing when the caller wants only the verdict. *)
+let lookup_prepared t p ~exact ~reuse =
   t.tick <- t.tick + 1;
   match KH.find_opt t.table p.p_rkey with
   | Some e -> (
       e.e_last_use <- t.tick;
       let info =
-        { i_renamed = not (Key.equal e.e_orig p.p_key); i_owner = e.e_domain;
+        { i_renamed = not (terms_equal e.e_orig p.p_key); i_owner = e.e_domain;
           i_persisted = e.e_persisted }
       in
       match e.e_verdict with
-      | V_sat pairs -> (Exact_sat (orig_env p.p_fwd (env_of pairs)), info)
+      | V_sat pairs -> (Exact_sat (exact p pairs), info)
       | V_unsat -> (Exact_unsat, info))
   | None -> (
-      match subset_winner t p.p_key with
+      (* An empty Unsat index cannot prove a subset. *)
+      match
+        if EH.length t.unsat_index = 0 then None
+        else subset_winner t p.p_key
+      with
       | Some e ->
           (Subset_unsat,
            { i_renamed = false; i_owner = e.e_domain;
@@ -297,16 +376,21 @@ let lookup_prepared t p =
              twin still applies; any assignment that verifies is genuine. *)
           let rec try_models = function
             | [] -> (Miss, no_info)
-            | (owner, m) :: rest ->
-                let renv = env_of m in
-                if List.for_all (fun c -> Expr.eval renv c = 1) p.p_rkey then
-                  (Reuse_sat (orig_env p.p_fwd renv),
+            | (owner, a) :: rest ->
+                let renv = env_of_array a in
+                if List.for_all (fun c -> Expr.eval renv c = 1) p.p_rkey.Key.k_terms
+                then
+                  (Reuse_sat (reuse p renv),
                    { i_renamed = false; i_owner = owner; i_persisted = false })
                 else try_models rest
           in
           try_models t.models)
 
-let lookup_info t cs = lookup_prepared t (prepare cs)
+let model_of_pairs p pairs = orig_env p (env_of pairs)
+
+let lookup_info t cs =
+  lookup_prepared t (query cs) ~exact:model_of_pairs ~reuse:orig_env
+
 let lookup t cs = fst (lookup_info t cs)
 
 let rec take n = function
@@ -333,18 +417,20 @@ let add_entry ?(persisted = false) t p verdict =
 
 let store_sat_prepared t p m =
   if p.p_key <> [] && not (KH.mem t.table p.p_rkey) then begin
-    (* Store the model over renamed variables, valued through the inverse
-       rename — [Expr.vars] returns them sorted by (dense) renamed id. *)
-    let rvars =
-      List.concat_map Expr.vars p.p_rkey
-      |> List.sort_uniq (fun a b -> compare a.Expr.id b.Expr.id)
-    in
+    (* Store the model over renamed variables, in renamed-id order,
+       valued through the inverse rename. *)
     let pairs =
-      List.map (fun (r : Expr.var) -> (r, m (Hashtbl.find p.p_inv r.Expr.id))) rvars
+      Array.to_list
+        (Array.mapi
+           (fun i (v : Expr.var) ->
+             (Expr.canon_var (i + 1) v.Expr.var_width, m v))
+           p.p_vars)
     in
     ignore (add_entry t p (V_sat pairs));
     if t.model_reuse > 0 then
-      t.models <- (self_domain (), pairs) :: take (t.model_reuse - 1) t.models;
+      t.models <-
+        (self_domain (), array_of_pairs pairs)
+        :: take (t.model_reuse - 1) t.models;
     maybe_evict t
   end
 
@@ -360,8 +446,8 @@ let store_unsat_prepared t p =
     maybe_evict t
   end
 
-let store_sat t cs m = store_sat_prepared t (prepare cs) m
-let store_unsat t cs = store_unsat_prepared t (prepare cs)
+let store_sat t cs m = store_sat_prepared t (query cs) m
+let store_unsat t cs = store_unsat_prepared t (query cs)
 
 (* --- persistence --------------------------------------------------------- *)
 (* A [pentry] is the process-independent projection of an entry: the
@@ -394,14 +480,15 @@ let import_pentry ?(index_subsets = true) t pe =
     pe.pe_key <> [] && pe.pe_orig <> []
     && (match pe.pe_verdict with V_unsat -> true | V_sat pairs -> sat_ok pairs)
   in
-  if (not well_formed) || KH.mem t.table pe.pe_key then false
+  let key = Key.of_terms pe.pe_key in
+  if (not well_formed) || KH.mem t.table key then false
   else begin
     t.tick <- t.tick + 1;
     t.next_id <- t.next_id + 1;
     let e =
       {
         e_id = t.next_id;
-        e_key = pe.pe_key;
+        e_key = key;
         e_orig = pe.pe_orig;
         e_domain = self_domain ();
         e_verdict = pe.pe_verdict;
@@ -410,7 +497,7 @@ let import_pentry ?(index_subsets = true) t pe =
         e_persisted = true;
       }
     in
-    KH.replace t.table pe.pe_key e;
+    KH.replace t.table key e;
     (* The subset-Unsat index matches in original (un-renamed) space, so
        it is only sound when the entry's var ids mean the same quantities
        as this process's — callers importing entries minted by another
@@ -509,11 +596,9 @@ module Sharded = struct
     && Atomic.get sc.bloom.(i2) land m2 <> 0
 
   let shard_for sc p =
-    sc.shards.(abs (Key.hash p.p_rkey) mod Array.length sc.shards)
+    sc.shards.(abs p.p_rkey.Key.k_hash mod Array.length sc.shards)
 
-  let with_shard s f =
-    Mutex.lock s.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock s.mu) f
+  let with_shard s f = Mutex.protect s.mu f
 
   (* Cross-shard subset-Unsat recovery: on a home-shard miss, if the
      Bloom filter says some query constraint occurs in a stored Unsat
@@ -539,10 +624,11 @@ module Sharded = struct
       !found
     end
 
-  let lookup sc cs =
-    let p = prepare cs in
+  let lookup_with sc p ~exact ~reuse =
     let s = shard_for sc p in
-    let outcome, info = with_shard s (fun () -> lookup_prepared s.cache p) in
+    let outcome, info =
+      with_shard s (fun () -> lookup_prepared s.cache p ~exact ~reuse)
+    in
     let outcome, info =
       match outcome with
       | Miss -> (
@@ -565,13 +651,16 @@ module Sharded = struct
           Atomic.incr sc.cross_hits);
     (outcome, info)
 
-  let store_sat sc cs m =
-    let p = prepare cs in
+  let lookup sc p = lookup_with sc p ~exact:model_of_pairs ~reuse:orig_env
+
+  let verdict sc p =
+    lookup_with sc p ~exact:(fun _ _ -> ()) ~reuse:(fun _ _ -> ())
+
+  let store_sat sc p m =
     let s = shard_for sc p in
     with_shard s (fun () -> store_sat_prepared s.cache p m)
 
-  let store_unsat sc cs =
-    let p = prepare cs in
+  let store_unsat sc p =
     let s = shard_for sc p in
     with_shard s (fun () -> store_unsat_prepared s.cache p);
     List.iter (bloom_add sc) p.p_key
@@ -604,7 +693,7 @@ module Sharded = struct
               (fun _ e acc ->
                 if e.e_persisted then acc
                 else
-                  { pe_key = e.e_key; pe_orig = e.e_orig;
+                  { pe_key = e.e_key.Key.k_terms; pe_orig = e.e_orig;
                     pe_verdict = e.e_verdict }
                   :: acc)
               s.cache.table acc))
@@ -614,7 +703,7 @@ module Sharded = struct
      model-reuse list — so a warm start can turn misses into hits but
      cannot reorder the speculative model scan a cold run would do. *)
   let import_pentry ?(index_subsets = true) sc pe =
-    let s = sc.shards.(abs (Key.hash pe.pe_key) mod Array.length sc.shards) in
+    let s = sc.shards.(abs (terms_hash pe.pe_key) mod Array.length sc.shards) in
     let ok = with_shard s (fun () -> import_pentry ~index_subsets s.cache pe) in
     (* The Bloom filter only gates subset probes; an unindexed core must
        not join it either. *)

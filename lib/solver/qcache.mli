@@ -22,15 +22,19 @@
 
 type t
 
-type outcome =
-  | Exact_sat of (Expr.var -> int)
+type 'm outcome =
+  | Exact_sat of 'm
       (** same canonical set (up to renaming) seen before *)
   | Exact_unsat
   | Subset_unsat  (** a cached Unsat set is a subset of the query *)
-  | Reuse_sat of (Expr.var -> int)
+  | Reuse_sat of 'm
       (** a cached model satisfies the query (verified by evaluation);
           variables outside the model read as 0 *)
   | Miss
+(** What a lookup found. ['m] is {!model} when the caller asked for a
+    model and [unit] when it asked only for the verdict. *)
+
+type model = Expr.var -> int
 
 type info = {
   i_renamed : bool;
@@ -52,11 +56,27 @@ val create : ?capacity:int -> ?model_reuse:int -> unit -> t
     [model_reuse] bounds how many recent models are tried per lookup
     (default 12). *)
 
-val canon : Expr.t list -> Expr.t list
-(** Sort by {!Expr.compare} and drop duplicates — the canonical key. *)
+val normalize : Expr.t -> Expr.t
+(** Put the operands of commutative operators, and the arms of an [ite]
+    under a negated guard, in a canonical order stable under variable
+    renaming. Not idempotent: apply it once, to an original term. *)
 
-val lookup : t -> Expr.t list -> outcome
-val lookup_info : t -> Expr.t list -> outcome * info
+val canon : Expr.t list -> Expr.t list
+(** {!normalize} each constraint, sort by {!Expr.compare} and drop
+    duplicates — the canonical key. *)
+
+type query
+(** A constraint set canonicalized and renamed once, so a lookup and
+    the store after a miss share the work. *)
+
+val query : Expr.t list -> query
+
+val query_of_normalized : Expr.t list -> query
+(** [query_of_normalized (List.map normalize cs)] is [query cs], for
+    callers that keep each constraint's normalization. *)
+
+val lookup : t -> Expr.t list -> model outcome
+val lookup_info : t -> Expr.t list -> model outcome * info
 
 val store_sat : t -> Expr.t list -> (Expr.var -> int) -> unit
 (** Record a verified model for the set (restricted to its variables). *)
@@ -110,9 +130,14 @@ module Sharded : sig
   (** [capacity] is the total bound, split evenly across [shards]
       (default 8 shards); [model_reuse] applies per shard. *)
 
-  val lookup : sharded -> Expr.t list -> outcome * info
-  val store_sat : sharded -> Expr.t list -> (Expr.var -> int) -> unit
-  val store_unsat : sharded -> Expr.t list -> unit
+  val lookup : sharded -> query -> model outcome * info
+
+  val verdict : sharded -> query -> unit outcome * info
+  (** {!lookup} without building a model: the same outcome kind,
+      statistics and LRU updates. *)
+
+  val store_sat : sharded -> query -> (Expr.var -> int) -> unit
+  val store_unsat : sharded -> query -> unit
   val size : sharded -> int
   val evictions : sharded -> int
   val clear : sharded -> unit

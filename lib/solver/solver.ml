@@ -293,6 +293,19 @@ let note_hit_info (info : Qcache.info) =
   then Atomic.incr cnt.c_cross_worker_hits;
   if info.Qcache.i_persisted then Atomic.incr cnt.c_persist_hits
 
+let note_outcome ((outcome : _ Qcache.outcome), info) =
+  match outcome with
+  | Qcache.Exact_sat _ | Qcache.Exact_unsat ->
+      Atomic.incr cnt.c_exact_hits;
+      note_hit_info info
+  | Qcache.Subset_unsat ->
+      Atomic.incr cnt.c_subset_unsat_hits;
+      note_hit_info info
+  | Qcache.Reuse_sat _ ->
+      Atomic.incr cnt.c_model_reuse_hits;
+      note_hit_info info
+  | Qcache.Miss -> Atomic.incr cnt.c_misses
+
 (* One uncached group solve under the retry policy: a bounded first
    attempt; on budget exhaustion the group is re-submitted once through
    the qcache (another worker may have answered it meanwhile) and then
@@ -325,8 +338,8 @@ let solve_with_retry ~cached group =
         let rehit =
           match cached with
           | None -> None
-          | Some c -> (
-              match Qcache.Sharded.lookup c group with
+          | Some (c, q) -> (
+              match Qcache.Sharded.lookup c q with
               | Qcache.Exact_sat m, _ | Qcache.Reuse_sat m, _ -> Some (Sat m)
               | Qcache.Exact_unsat, _ | Qcache.Subset_unsat, _ -> Some Unsat
               | Qcache.Miss, _ -> None)
@@ -344,69 +357,104 @@ let solve_with_retry ~cached group =
         v
       end
 
-let solve_group a group =
-  Atomic.incr cnt.c_group_solves;
-  if not a.use_cache then solve_with_retry ~cached:None group
-  else
-    let c = Atomic.get cache in
-    match Qcache.Sharded.lookup c group with
-    | Qcache.Exact_sat m, info ->
-        Atomic.incr cnt.c_exact_hits;
-        note_hit_info info;
-        Sat m
-    | Qcache.Exact_unsat, info ->
-        Atomic.incr cnt.c_exact_hits;
-        note_hit_info info;
-        Unsat
-    | Qcache.Subset_unsat, info ->
-        Atomic.incr cnt.c_subset_unsat_hits;
-        note_hit_info info;
-        Unsat
-    | Qcache.Reuse_sat m, info ->
-        Atomic.incr cnt.c_model_reuse_hits;
-        note_hit_info info;
-        Sat m
-    | Qcache.Miss, _ -> (
-        Atomic.incr cnt.c_misses;
-        let r = solve_with_retry ~cached:(Some c) group in
-        (match r with
-         | Sat m -> Qcache.Sharded.store_sat c group m
-         | Unsat -> Qcache.Sharded.store_unsat c group
-         | Unknown -> ());
-        r)
+(* --- prepared constraints ------------------------------------------------ *)
 
-(* Path conditions are persistent lists, so successive queries re-present
-   the same constraint objects: on the corpus about 95% of the
-   constraints a query sees were in an earlier one. Each domain keeps a
-   small direct-mapped cache from a constraint, by physical identity, to
-   its simplified form and that form's variables. *)
+(* A constraint prepared once: its simplified form, that form's
+   variables, and — computed on first use — the form normalized for the
+   query cache key. Path conditions are persistent lists, so successive
+   queries re-present the same constraint objects: on the corpus about
+   95% of the constraints a query sees were in an earlier one. The
+   partition of a path condition keeps these records as its members,
+   and each domain keeps a small direct-mapped cache from a constraint,
+   by physical identity, to its record. *)
+type prepared = {
+  orig : Expr.t;
+  term : Expr.t;
+  vars : Expr.var list;
+  mutable norm : Expr.t option;
+}
+
+let original p = p.orig
+
 let prep_slots = 8192
 
-let prep_cache : (Expr.t * (Expr.t * Expr.var list)) option array Domain.DLS.key =
+let prep_cache : prepared option array Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Array.make prep_slots None)
 
 let prepare c =
   let slots = Domain.DLS.get prep_cache in
   let i = Hashtbl.hash c land (prep_slots - 1) in
   match slots.(i) with
-  | Some (c', p) when c' == c -> p
+  | Some p when p.orig == c -> p
   | _ ->
-      let s = Simplify.simplify_bool c in
-      let p = (s, Expr.vars s) in
-      slots.(i) <- Some (c, p);
+      let term = Simplify.simplify_bool c in
+      let p = { orig = c; term; vars = Expr.vars term; norm = None } in
+      slots.(i) <- Some p;
       p
+
+(* [normalize] is not idempotent, so the record keeps the one result
+   computed from [term]; a race between domains on the same record only
+   computes the same value twice. *)
+let normalized p =
+  match p.norm with
+  | Some n -> n
+  | None ->
+      let n = Qcache.normalize p.term in
+      p.norm <- Some n;
+      n
+
+let cache_query group = Qcache.query_of_normalized (List.map normalized group)
+let terms group = List.map (fun p -> p.term) group
+
+(* A miss: solve under the retry policy and store the verdict. *)
+let solve_miss c q group =
+  let r = solve_with_retry ~cached:(Some (c, q)) (terms group) in
+  (match r with
+  | Sat m -> Qcache.Sharded.store_sat c q m
+  | Unsat -> Qcache.Sharded.store_unsat c q
+  | Unknown -> ());
+  r
+
+let solve_group a group =
+  Atomic.incr cnt.c_group_solves;
+  if not a.use_cache then solve_with_retry ~cached:None (terms group)
+  else
+    let c = Atomic.get cache in
+    let q = cache_query group in
+    let ((outcome, _) as found) = Qcache.Sharded.lookup c q in
+    note_outcome found;
+    match outcome with
+    | Qcache.Exact_sat m | Qcache.Reuse_sat m -> Sat m
+    | Qcache.Exact_unsat | Qcache.Subset_unsat -> Unsat
+    | Qcache.Miss -> solve_miss c q group
+
+(* [solve_group] for a caller that needs only whether the group may be
+   satisfiable: a hit builds no model. *)
+let group_feasible a group =
+  Atomic.incr cnt.c_group_solves;
+  if not a.use_cache then solve_with_retry ~cached:None (terms group) <> Unsat
+  else
+    let c = Atomic.get cache in
+    let q = cache_query group in
+    let ((outcome, _) as found) = Qcache.Sharded.verdict c q in
+    note_outcome found;
+    match outcome with
+    | Qcache.Exact_sat () | Qcache.Reuse_sat () -> true
+    | Qcache.Exact_unsat | Qcache.Subset_unsat -> false
+    | Qcache.Miss -> solve_miss c q group <> Unsat
 
 let check constraints =
   Atomic.incr cnt.c_queries;
   let prepared = List.map prepare constraints in
-  if List.exists (fun (c, _) -> c = Expr.fls) prepared then Unsat
+  if List.exists (fun p -> p.term = Expr.fls) prepared then Unsat
   else
-    let prepared = List.filter (fun (c, _) -> c <> Expr.tru) prepared in
+    let prepared = List.filter (fun p -> p.term <> Expr.tru) prepared in
     if prepared = [] then Sat (fun _ -> 0)
     else
       let a = current_accel () in
+      let with_vars = List.map (fun p -> (p, p.vars)) prepared in
       let groups =
-        if a.use_slicing then Indep.partition_vars prepared else [ prepared ]
+        if a.use_slicing then Indep.partition_vars with_vars else [ with_vars ]
       in
       (* Groups touch disjoint variables, so the union of their models is
          a model of the conjunction. Any Unsat group sinks the whole set;
@@ -437,53 +485,71 @@ let check constraints =
 
 (* Each path condition's independence partition, memoized per domain by
    the physical identity of the list, like [prepare]. A miss walks down
-   to the longest memoized tail and adds only the constraints above it:
-   a fork's children, a concretize pin or a merge's [or] head each cost
-   one {!Indep.add}. States restored or shipped from elsewhere miss once
-   and rebuild from the empty partition. *)
+   to the nearest memoized tail and adds the constraints above it one
+   {!Indep.add} each, memoizing every tail on the way up: the lists a
+   path grows between two queries (a concretize pin, a merge's [or]
+   head) are the tails of its later queries and of its descendants'.
+   States restored or shipped from elsewhere miss once and rebuild from
+   the empty partition. *)
 let part_slots = 1024
 
-let part_cache : (Expr.t list * Indep.t) option array Domain.DLS.key =
+let part_cache : (Expr.t list * prepared Indep.t) option array Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Array.make part_slots None)
 
 let partition_of cs =
   let slots = Domain.DLS.get part_cache in
   let slot l = Hashtbl.hash l land (part_slots - 1) in
+  (* [above] holds the unmemoized tails passed on the way down to [l],
+     deepest first. *)
   let rec down above l =
     match l with
     | [] -> (Indep.empty, above)
-    | c :: rest -> (
+    | _ :: rest -> (
         match slots.(slot l) with
         | Some (l', p) when l' == l -> (p, above)
-        | _ -> down (c :: above) rest)
+        | _ -> down (l :: above) rest)
   in
-  match down [] cs with
-  | p, [] -> p
-  | base, above ->
-      let p =
-        List.fold_left (fun p c -> Indep.add p c (snd (prepare c))) base above
-      in
-      slots.(slot cs) <- Some (cs, p);
-      p
+  let base, above = down [] cs in
+  List.fold_left
+    (fun p l ->
+      let c = prepare (List.hd l) in
+      let p = Indep.add p c c.vars in
+      slots.(slot l) <- Some (l, p);
+      p)
+    base above
 
 (* The slice of [cs] over [vs], with the replay pins force-included:
    pins are the one kind of constraint added without a feasibility
    check, so a contradiction among them must surface in every answer. *)
 let slice_with_pins cs ~pinned vs =
-  let slice = Indep.slice (partition_of cs) vs in
+  let slice = List.map original (Indep.slice (partition_of cs) vs) in
   let forced = List.filter (fun p -> not (List.memq p slice)) pinned in
   List.rev_append forced slice
 
+(* Without pins and with slicing on, [check (extra :: slice)] is
+   answered with less work: [extra]'s variables reach every group of
+   its slice, so the query is one group, in query order, built from the
+   partition's prepared members; and only the verdict is wanted. The
+   counters move exactly as they would under [check]. *)
 let feasible cs ~pinned extra =
-  let query =
-    if (current_accel ()).use_slicing then
-      extra
-      :: slice_with_pins cs ~pinned
-           (snd (prepare extra)
-           @ List.concat_map (fun p -> snd (prepare p)) pinned)
-    else extra :: cs
-  in
-  match check query with Sat _ | Unknown -> true | Unsat -> false
+  let a = current_accel () in
+  if pinned = [] && a.use_slicing then begin
+    Atomic.incr cnt.c_queries;
+    let x = prepare extra in
+    if x.term = Expr.fls then false
+    else if x.term = Expr.tru then true
+    else group_feasible a (x :: Indep.slice (partition_of cs) x.vars)
+  end
+  else
+    let query =
+      if a.use_slicing then
+        extra
+        :: slice_with_pins cs ~pinned
+             ((prepare extra).vars
+             @ List.concat_map (fun p -> (prepare p).vars) pinned)
+      else extra :: cs
+    in
+    match check query with Sat _ | Unknown -> true | Unsat -> false
 
 let concretize constraints e =
   match check constraints with

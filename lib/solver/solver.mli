@@ -75,10 +75,19 @@ val concretize_relevant :
     {!concretize} a constant-false constraint outside [pinned] does not
     answer [None] here. *)
 
-val partition_of : Expr.t list -> Indep.t
+type prepared
+(** A constraint prepared for the solver once: its simplified form, that
+    form's variables and its query-cache normalization. *)
+
+val original : prepared -> Expr.t
+(** The constraint as the path condition holds it. *)
+
+val partition_of : Expr.t list -> prepared Indep.t
 (** The memoized independence partition of a path condition, over the
     simplified constraints' variables (ground constraints belong to no
-    group). Exposed for tests. *)
+    group). Memoized per domain by the physical identity of the list: a
+    miss walks down to the nearest memoized tail, adds the constraints
+    above it, and memoizes every tail it passed. Exposed for tests. *)
 
 (** {1 Acceleration knobs} *)
 

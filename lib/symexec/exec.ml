@@ -226,16 +226,16 @@ let create ?(config = default_config) img base_mem symdev =
   let glock = Mutex.create () in
   let block_counts = Hashtbl.create 256 in
   let dist_fn = ref (fun (_ : int) -> 0) in
-  (* The priority of a state combines how often its current block has run
-     (the EXE-style Min_touch count) with the static distance from that
-     block to uncovered code. Both components are monotone non-decreasing
-     over a session — counts only grow, and covering blocks only removes
-     shortest-path sources — which is what the lazy min-heap requires.
-     The merged counts are read under [glock] (the frontier calls this
-     from inside its queue locks; queue lock -> glock is the one lock
-     order used everywhere). *)
-  let priority st =
-    let block = if st.St.last_block <> 0 then st.St.last_block else st.St.pc in
+  (* A state is scheduled by its current block, and the block's priority
+     combines how often it has run (the EXE-style Min_touch count) with
+     the static distance from it to uncovered code. Both components are
+     monotone non-decreasing over a session — counts only grow, and
+     covering blocks only removes shortest-path sources — which is what
+     the lazy min-heap requires. The merged counts are read under
+     [glock] (the frontier calls this from inside its queue locks; queue
+     lock -> glock is the one lock order used everywhere). *)
+  let key st = if st.St.last_block <> 0 then st.St.last_block else st.St.pc in
+  let priority block =
     Mutex.lock glock;
     let c = try Hashtbl.find block_counts block with Not_found -> 0 in
     Mutex.unlock glock;
@@ -245,7 +245,7 @@ let create ?(config = default_config) img base_mem symdev =
   in
   let frontier =
     Frontier.create ~workers:(max 1 config.jobs) ~max_states:config.max_states
-      ~strategy:config.strategy ~priority
+      ~strategy:config.strategy ~key ~priority
   in
   let guard_st = Guard.create () in
   (* Install (or clear) the solver-side chaos injection for this engine;
@@ -293,7 +293,7 @@ let create ?(config = default_config) img base_mem symdev =
     governor = None;
     checkpoint_hook = None;
     run_start_steps = 0;
-    priority_fn = priority;
+    priority_fn = (fun st -> priority (key st));
     solver_base = Solver.stats ();
   }
 

@@ -24,8 +24,10 @@ type t = {
   max_states : int;
 }
 
-let create ~workers ~max_states ~strategy ~priority =
-  let mk _ = { wq_mu = Mutex.create (); wq_q = Sched.create strategy ~priority } in
+let create ~workers ~max_states ~strategy ~key ~priority =
+  let mk _ =
+    { wq_mu = Mutex.create (); wq_q = Sched.create strategy ~key ~priority }
+  in
   {
     workers = Array.init (max 1 workers) mk;
     size = Atomic.make 0;
@@ -132,8 +134,8 @@ let task_done t = Atomic.decr t.inflight
 
 (* Governor support: pull out every queued state matching [pred]
    (inflight states are not candidates). Survivors are re-admitted in
-   drain order, which preserves deque ordering exactly and re-keys heap
-   entries to an equivalent heap. *)
+   drain order, which preserves deque ordering exactly and re-queues heap
+   states in their pop order. *)
 let remove t pred =
   let removed = ref [] in
   Array.iter

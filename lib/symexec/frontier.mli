@@ -17,8 +17,11 @@ val create :
   workers:int ->
   max_states:int ->
   strategy:Sched.strategy ->
-  priority:(Symstate.t -> int) ->
+  key:(Symstate.t -> int) ->
+  priority:(int -> int) ->
   t
+(** One empty queue per worker; [key] and [priority] are passed to each
+    {!Sched.create}. *)
 
 val n_workers : t -> int
 val size : t -> int

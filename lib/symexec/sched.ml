@@ -7,11 +7,13 @@ type strategy =
 
 (* --- growable ring-buffer deque ----------------------------------------- *)
 (* Slots hold options so no dummy element is needed; the buffer doubles on
-   overflow. [front] is where add_state inserts (newest), [back] is where
-   quantum-expired states are requeued (oldest side). *)
+   overflow. For the strategy queues, [front] is where add_state inserts
+   (newest) and [back] is where quantum-expired states are requeued
+   (oldest side); a heap bucket appends at the back and pops its oldest
+   entry from the front. *)
 
-type deque = {
-  mutable buf : Symstate.t option array;
+type 'a deque = {
+  mutable buf : 'a option array;
   mutable head : int;    (* index of the front element *)
   mutable len : int;
 }
@@ -27,44 +29,44 @@ let dq_grow d =
   d.buf <- buf';
   d.head <- 0
 
-let dq_push_front d st =
+let dq_push_front d x =
   if d.len = Array.length d.buf then dq_grow d;
   let cap = Array.length d.buf in
   d.head <- (d.head + cap - 1) mod cap;
-  d.buf.(d.head) <- Some st;
+  d.buf.(d.head) <- Some x;
   d.len <- d.len + 1
 
-let dq_push_back d st =
+let dq_push_back d x =
   if d.len = Array.length d.buf then dq_grow d;
   let cap = Array.length d.buf in
-  d.buf.((d.head + d.len) mod cap) <- Some st;
+  d.buf.((d.head + d.len) mod cap) <- Some x;
   d.len <- d.len + 1
 
 let dq_pop_front d =
   if d.len = 0 then None
   else begin
-    let st = d.buf.(d.head) in
+    let x = d.buf.(d.head) in
     d.buf.(d.head) <- None;
     d.head <- (d.head + 1) mod Array.length d.buf;
     d.len <- d.len - 1;
-    st
+    x
   end
 
 let dq_pop_back d =
   if d.len = 0 then None
   else begin
     let i = (d.head + d.len - 1) mod Array.length d.buf in
-    let st = d.buf.(i) in
+    let x = d.buf.(i) in
     d.buf.(i) <- None;
     d.len <- d.len - 1;
-    st
+    x
   end
 
 let dq_get d i = Option.get d.buf.((d.head + i) mod Array.length d.buf)
 
 (* Remove the element at logical index [i], shifting the shorter side. *)
 let dq_remove_at d i =
-  let st = dq_get d i in
+  let x = dq_get d i in
   let cap = Array.length d.buf in
   if i < d.len - i then begin
     (* shift the front segment right *)
@@ -81,26 +83,49 @@ let dq_remove_at d i =
     d.buf.((d.head + d.len - 1) mod cap) <- None
   end;
   d.len <- d.len - 1;
-  st
+  x
 
-(* --- binary min-heap keyed by (priority, fifo sequence) ------------------ *)
-(* Block-execution counts only grow, so a stored priority is a lower bound
-   on the current one; [hp_pop] re-checks the minimum against the live
-   [priority] function and re-inserts stale entries (lazy re-evaluation),
-   which reproduces the exact semantics of recomputing every priority per
-   pick without the O(n) scan. Ties break FIFO via [h_seq]. *)
+(* --- block-bucketed min-heap --------------------------------------------- *)
+(* A state's priority is a function of its key alone (the engine keys a
+   state by its current block), and a key's priority never shrinks:
+   block-execution counts only grow and distances to uncovered code only
+   lengthen. The states waiting at one key form a bucket, in sequence
+   (FIFO) order, and the heap holds one entry per non-empty bucket,
+   keyed by (stored priority, sequence of the bucket's head). A stored
+   priority is a lower bound on the live one, so [hp_pop] re-checks the
+   minimum bucket against the live [priority] and re-sifts it when it
+   went stale (lazy re-evaluation). That returns exactly the state
+   minimizing (live priority, sequence), as recomputing every priority
+   per pick would, while a count bump stales one heap entry per block
+   instead of one per waiting state. *)
 
-type hentry = { mutable h_prio : int; h_seq : int; h_st : Symstate.t }
+module IH = Hashtbl.Make (Int)
 
-type heap = {
-  mutable harr : hentry option array;
-  mutable hlen : int;
-  mutable hseq : int;
+type bucket = {
+  b_key : int;
+  mutable b_prio : int;
+  b_items : (int * Symstate.t) deque;  (* (sequence, state), ascending *)
 }
 
-let hp_create () = { harr = Array.make 16 None; hlen = 0; hseq = 0 }
+type heap = {
+  mutable harr : bucket array;
+  mutable hlen : int;
+  mutable hseq : int;
+  mutable hcount : int;                  (* queued states *)
+  buckets : bucket IH.t;                 (* key -> its non-empty bucket *)
+}
 
-let he_lt a b = a.h_prio < b.h_prio || (a.h_prio = b.h_prio && a.h_seq < b.h_seq)
+(* Fills the unused heap slots; never compared or popped. *)
+let no_bucket = { b_key = 0; b_prio = 0; b_items = dq_create () }
+
+let hp_create () =
+  { harr = Array.make 16 no_bucket; hlen = 0; hseq = 0; hcount = 0;
+    buckets = IH.create 16 }
+
+let head_seq b = fst (dq_get b.b_items 0)
+
+let he_lt a b =
+  a.b_prio < b.b_prio || (a.b_prio = b.b_prio && head_seq a < head_seq b)
 
 let hp_swap h i j =
   let t = h.harr.(i) in
@@ -110,7 +135,7 @@ let hp_swap h i j =
 let rec hp_sift_up h i =
   if i > 0 then begin
     let p = (i - 1) / 2 in
-    if he_lt (Option.get h.harr.(i)) (Option.get h.harr.(p)) then begin
+    if he_lt h.harr.(i) h.harr.(p) then begin
       hp_swap h i p;
       hp_sift_up h p
     end
@@ -119,100 +144,122 @@ let rec hp_sift_up h i =
 let rec hp_sift_down h i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
-  if l < h.hlen && he_lt (Option.get h.harr.(l)) (Option.get h.harr.(!smallest))
-  then smallest := l;
-  if r < h.hlen && he_lt (Option.get h.harr.(r)) (Option.get h.harr.(!smallest))
-  then smallest := r;
+  if l < h.hlen && he_lt h.harr.(l) h.harr.(!smallest) then smallest := l;
+  if r < h.hlen && he_lt h.harr.(r) h.harr.(!smallest) then smallest := r;
   if !smallest <> i then begin
     hp_swap h i !smallest;
     hp_sift_down h !smallest
   end
 
-let hp_insert_entry h e =
+let hp_insert h b =
   if h.hlen = Array.length h.harr then begin
-    let arr' = Array.make (2 * h.hlen) None in
+    let arr' = Array.make (2 * h.hlen) no_bucket in
     Array.blit h.harr 0 arr' 0 h.hlen;
     h.harr <- arr'
   end;
-  h.harr.(h.hlen) <- Some e;
+  h.harr.(h.hlen) <- b;
   h.hlen <- h.hlen + 1;
   hp_sift_up h (h.hlen - 1)
 
-let hp_push h ~prio st =
-  h.hseq <- h.hseq + 1;
-  hp_insert_entry h { h_prio = prio; h_seq = h.hseq; h_st = st }
+(* Drop the bucket in the last slot: always a leaf, so the heap shape is
+   intact with no sifting. *)
+let hp_drop_last h =
+  h.hlen <- h.hlen - 1;
+  IH.remove h.buckets h.harr.(h.hlen).b_key;
+  h.harr.(h.hlen) <- no_bucket
 
-let hp_take_min h =
-  if h.hlen = 0 then None
-  else begin
-    let e = Option.get h.harr.(0) in
-    h.hlen <- h.hlen - 1;
-    h.harr.(0) <- h.harr.(h.hlen);
-    h.harr.(h.hlen) <- None;
-    if h.hlen > 0 then hp_sift_down h 0;
-    Some e
-  end
+(* A new sequence number is the largest yet, so appending keeps the
+   bucket in order and its head (hence its heap key) unchanged; only a
+   key's first state opens a bucket and prices it. The counters move
+   last, so a fault in [priority] leaves the heap as it was. *)
+let hp_push h ~key ~priority st =
+  let k = key st and seq = h.hseq + 1 in
+  (match IH.find_opt h.buckets k with
+  | Some b -> dq_push_back b.b_items (seq, st)
+  | None ->
+      let b = { b_key = k; b_prio = priority k; b_items = dq_create () } in
+      dq_push_back b.b_items (seq, st);
+      IH.replace h.buckets k b;
+      hp_insert h b);
+  h.hseq <- seq;
+  h.hcount <- h.hcount + 1
 
 let rec hp_pop h ~priority =
-  match hp_take_min h with
-  | None -> None
-  | Some e ->
-      let cur = priority e.h_st in
-      if cur = e.h_prio then Some e.h_st
-      else begin
-        (* Stale key: re-insert with the fresh priority and retry. Each
-           retry stores the recomputed value, so the loop terminates. *)
-        e.h_prio <- cur;
-        hp_insert_entry h e;
-        hp_pop h ~priority
-      end
-
-(* Remove the last array slot: always a leaf, so the heap shape is intact
-   with no sifting. It carries a large key — exactly what the owner values
-   least and a thief should take. *)
-let hp_steal_leaf h =
   if h.hlen = 0 then None
   else begin
-    h.hlen <- h.hlen - 1;
-    let e = Option.get h.harr.(h.hlen) in
-    h.harr.(h.hlen) <- None;
-    Some e.h_st
+    let b = h.harr.(0) in
+    let cur = priority b.b_key in
+    if cur <> b.b_prio then begin
+      (* Stale key: store the fresh priority, re-sift and retry. Each
+         retry stores the recomputed value, so the loop terminates. *)
+      b.b_prio <- cur;
+      hp_sift_down h 0;
+      hp_pop h ~priority
+    end
+    else begin
+      let _, st = Option.get (dq_pop_front b.b_items) in
+      h.hcount <- h.hcount - 1;
+      if b.b_items.len = 0 then begin
+        hp_swap h 0 (h.hlen - 1);
+        hp_drop_last h
+      end;
+      (* The head's sequence grew, or another bucket moved up. *)
+      if h.hlen > 0 then hp_sift_down h 0;
+      Some st
+    end
+  end
+
+(* Take the newest state of the bucket in the last heap slot. A leaf
+   bucket's states all sort after the root's head, and within the root
+   bucket the newest is not the head, so with two or more states queued
+   (and current stored priorities) this never takes the minimum: it is
+   what the owner values least and a thief should take. Removing a
+   bucket's tail leaves its head, hence its heap key, as it was. *)
+let hp_steal h =
+  if h.hlen = 0 then None
+  else begin
+    let b = h.harr.(h.hlen - 1) in
+    let _, st = Option.get (dq_pop_back b.b_items) in
+    h.hcount <- h.hcount - 1;
+    if b.b_items.len = 0 then hp_drop_last h;
+    Some st
   end
 
 (* --- the strategy-dispatched queue --------------------------------------- *)
 
-type store = S_deque of deque | S_heap of heap
+type store = S_deque of Symstate.t deque | S_heap of heap
 
 type queue = {
   q_strategy : strategy;
-  q_priority : Symstate.t -> int;
+  q_key : Symstate.t -> int;
+  q_priority : int -> int;
   q_store : store;
 }
 
-let create strategy ~priority =
+let create strategy ~key ~priority =
   let store =
     match strategy with
     | Min_touch | Min_dist -> S_heap (hp_create ())
     | Dfs | Bfs | Random_pick _ -> S_deque (dq_create ())
   in
-  { q_strategy = strategy; q_priority = priority; q_store = store }
+  { q_strategy = strategy; q_key = key; q_priority = priority; q_store = store }
 
 let strategy q = q.q_strategy
 
 let length q =
-  match q.q_store with S_deque d -> d.len | S_heap h -> h.hlen
+  match q.q_store with S_deque d -> d.len | S_heap h -> h.hcount
 
 let is_empty q = length q = 0
 
 let push q st =
   match q.q_store with
   | S_deque d -> dq_push_front d st
-  | S_heap h -> hp_push h ~prio:(q.q_priority st) st
+  | S_heap h -> hp_push h ~key:q.q_key ~priority:q.q_priority st
 
 let requeue q st =
   match q.q_store with
   | S_deque d -> dq_push_back d st
-  | S_heap h -> hp_push h ~prio:(q.q_priority st) st
+  | S_heap h -> hp_push h ~key:q.q_key ~priority:q.q_priority st
 
 let pop q =
   match q.q_store with
@@ -233,7 +280,7 @@ let pop q =
 
 let steal q =
   match q.q_store with
-  | S_heap h -> hp_steal_leaf h
+  | S_heap h -> hp_steal h
   | S_deque d -> (
       match q.q_strategy with
       | Dfs -> dq_pop_back d       (* oldest: near the root, big subtree *)
@@ -248,7 +295,10 @@ let iter q f =
       done
   | S_heap h ->
       for i = 0 to h.hlen - 1 do
-        f (Option.get h.harr.(i)).h_st
+        let items = h.harr.(i).b_items in
+        for j = 0 to items.len - 1 do
+          f (snd (dq_get items j))
+        done
       done
 
 let drain q =
@@ -264,12 +314,13 @@ let drain q =
 
 (* --- checkpoint dump/restore --------------------------------------------- *)
 (* Pop order must survive a checkpoint exactly. For a heap that means the
-   recorded (priority, sequence) keys and the sequence counter — NOT the
-   array layout: keys are unique ((prio, seq) with unique seq), so any
-   valid heap over the same entry set pops in the same order, but a
+   recorded sequence numbers and the sequence counter, not the array
+   layout: pops follow (live priority, sequence) with unique sequences,
+   so any bucket heap over the same entries pops in the same order, but a
    re-push with fresh sequence numbers would tie-break future
-   equal-priority entries differently than the uninterrupted run. For a
-   deque, order is just front-to-back. *)
+   equal-priority entries differently than the uninterrupted run. Each
+   entry carries its bucket's stored priority, a lower bound on the live
+   one. For a deque, order is just front-to-back. *)
 
 let dump_entries q =
   match q.q_store with
@@ -282,18 +333,44 @@ let dump_entries q =
   | S_heap h ->
       let entries = ref [] in
       for i = h.hlen - 1 downto 0 do
-        let e = Option.get h.harr.(i) in
-        entries := (e.h_st, e.h_prio, e.h_seq) :: !entries
+        let b = h.harr.(i) in
+        for j = b.b_items.len - 1 downto 0 do
+          let seq, st = dq_get b.b_items j in
+          entries := (st, b.b_prio, seq) :: !entries
+        done
       done;
       (!entries, h.hseq)
 
-(* Only meaningful on a freshly created (empty) queue. *)
+(* Only meaningful on a freshly created (empty) queue. Buckets are
+   rebuilt in the order their keys first appear, which for a dump of this
+   heap re-creates its array layout (a valid heap inserted level by level
+   never sifts), so steals after a resume take what they would have
+   taken. A bucket stores the least priority recorded for its entries:
+   each is a lower bound on the key's live priority, so the least is
+   too. *)
 let restore_entries q entries ~hseq =
   match q.q_store with
   | S_deque d -> List.iter (fun (st, _, _) -> dq_push_back d st) entries
   | S_heap h ->
+      let pending = Hashtbl.create 16 and order = ref [] in
       List.iter
-        (fun (st, prio, seq) ->
-          hp_insert_entry h { h_prio = prio; h_seq = seq; h_st = st })
+        (fun ((st, prio, _) as e) ->
+          let k = q.q_key st in
+          match Hashtbl.find_opt pending k with
+          | Some (p, es) -> Hashtbl.replace pending k (min p prio, e :: es)
+          | None ->
+              Hashtbl.replace pending k (prio, [ e ]);
+              order := k :: !order)
         entries;
+      List.iter
+        (fun k ->
+          let prio, es = Hashtbl.find pending k in
+          let b = { b_key = k; b_prio = prio; b_items = dq_create () } in
+          List.iter
+            (fun (st, _, seq) -> dq_push_back b.b_items (seq, st))
+            (List.sort (fun (_, _, a) (_, _, b) -> compare a b) es);
+          h.hcount <- h.hcount + List.length es;
+          IH.replace h.buckets k b;
+          hp_insert h b)
+        (List.rev !order);
       h.hseq <- max h.hseq hseq

@@ -5,13 +5,15 @@
     state whose current block was executed least, which starves states
     stuck in polling loops.
 
-    The queue replaces the old immutable list worklist: the list cost O(n)
-    per pick ([Bfs] reversed it, [Min_touch] folded it, [Random_pick] did
-    [List.length] + [List.nth]); the queue is a ring-buffer deque for
-    DFS/BFS/random and a lazy binary heap for [Min_touch], giving O(1) /
-    O(log n) picks. It is also the unit the work-stealing frontier
-    ({!Frontier}) steals from: [steal] removes from the end the owner
-    values least.
+    The queue is a ring-buffer deque for DFS/BFS/random and, for
+    [Min_touch]/[Min_dist], a lazy binary heap over {e buckets}: the
+    states waiting at one key (the engine keys a state by its current
+    block) share a priority, so they queue FIFO in one bucket and the
+    heap holds one entry per non-empty bucket. Picks are O(1) / O(log b)
+    for b waiting blocks, and a block's count bump stales one heap entry,
+    not one per state waiting there. The queue is also the unit the
+    work-stealing frontier ({!Frontier}) steals from: [steal] removes
+    from the end the owner values least.
 
     Queues are NOT thread-safe on their own; {!Frontier} wraps each one in
     a mutex. *)
@@ -33,10 +35,14 @@ type strategy =
 
 type queue
 
-val create : strategy -> priority:(Symstate.t -> int) -> queue
-(** [create strategy ~priority] makes an empty queue. [priority] is
-    consulted by [Min_touch] (it may grow over time for a given state —
-    the heap re-evaluates lazily — but must never shrink). *)
+val create :
+  strategy -> key:(Symstate.t -> int) -> priority:(int -> int) -> queue
+(** [create strategy ~key ~priority] makes an empty queue. [key] names
+    what a state's priority depends on (it must not change while the
+    state is queued) and [priority] prices a key; both are consulted by
+    [Min_touch]/[Min_dist] only. A key's priority may grow over time —
+    the heap re-evaluates lazily — but must never shrink. Pops return
+    the state minimizing (live priority of its key, push order). *)
 
 val strategy : queue -> strategy
 val length : queue -> int
@@ -48,7 +54,7 @@ val push : queue -> Symstate.t -> unit
 val requeue : queue -> Symstate.t -> unit
 (** Re-add a state whose execution quantum expired. For [Dfs] it goes to
     the cold end (the state already had its turn); for [Min_touch] it is
-    re-keyed with its current priority. *)
+    queued behind every state already waiting, like a fresh push. *)
 
 val pop : queue -> Symstate.t option
 (** Remove the state the strategy values most, if any. *)
@@ -56,8 +62,10 @@ val pop : queue -> Symstate.t option
 val steal : queue -> Symstate.t option
 (** Remove a state from the end the owner values {e least} — what a
     work-stealing thief should take: for [Dfs] the oldest state (near the
-    fork-tree root, likely a big unexplored subtree), for [Min_touch] a
-    heap leaf (guaranteed not the minimum). *)
+    fork-tree root, likely a big unexplored subtree), for [Min_touch] the
+    newest state of the bucket in the heap's last slot (with two or more
+    states queued, never the minimum while no key's priority has grown
+    since it was last checked). *)
 
 val iter : queue -> (Symstate.t -> unit) -> unit
 (** Visit every queued state in unspecified order (read-only walks, e.g.
@@ -69,7 +77,8 @@ val drain : queue -> Symstate.t list
 
 val dump_entries : queue -> (Symstate.t * int * int) list * int
 (** Checkpoint support: every queued state with its recorded (priority,
-    sequence) key, plus the queue's sequence counter. Non-destructive.
+    sequence) key — the priority its bucket stored, a lower bound on the
+    live one — plus the queue's sequence counter. Non-destructive.
     For deques the triples are (state, 0, position) front-to-back and
     the counter is 0. Restoring these exactly (rather than re-pushing
     with fresh keys) is what keeps future equal-priority tie-breaks
@@ -79,4 +88,5 @@ val restore_entries :
   queue -> (Symstate.t * int * int) list -> hseq:int -> unit
 (** Refill a freshly created (empty) queue from {!dump_entries} output:
     heap entries keep their recorded keys and [hseq] restores the
-    sequence counter; deque entries are appended in list order. *)
+    sequence counter (a bucket keeps the least priority of its
+    entries); deque entries are appended in list order. *)

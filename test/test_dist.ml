@@ -136,7 +136,7 @@ let concurrent_writers_converge () =
         for i = 0 to 63 do
           let v = Expr.fresh_var ~name:(Printf.sprintf "w%d" i) Expr.W32 in
           Qcache.Sharded.store_unsat c
-            [ Expr.cmp Expr.Eq (Expr.var v) (Expr.word (n + i)) ]
+            (Qcache.query [ Expr.cmp Expr.Eq (Expr.var v) (Expr.word (n + i)) ])
         done;
         c
       in
@@ -179,7 +179,7 @@ let refresh_sees_other_writers () =
         for i = base to base + n - 1 do
           let v = Expr.fresh_var ~name:(tag ^ string_of_int i) Expr.W32 in
           Qcache.Sharded.store_unsat c
-            [ Expr.cmp Expr.Eq (Expr.var v) (Expr.word i) ]
+            (Qcache.query [ Expr.cmp Expr.Eq (Expr.var v) (Expr.word i) ])
         done;
         c
       in

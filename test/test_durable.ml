@@ -233,13 +233,13 @@ let populate cache n =
   (* [n] distinct Sat entries and [n] distinct Unsat entries. *)
   for i = 1 to n do
     let x = Expr.fresh_var ~name:"x" Expr.W32 in
-    let key = [ Expr.cmp Expr.Eq (Expr.var x) (Expr.word i) ] in
+    let key = Qcache.query [ Expr.cmp Expr.Eq (Expr.var x) (Expr.word i) ] in
     Qcache.Sharded.store_sat cache key (fun v ->
         if v = x then i else 0 [@warning "-27"]);
     ignore (sat_model [ x ] i);
     let y = Expr.fresh_var ~name:"y" Expr.W32 in
     Qcache.Sharded.store_unsat cache
-      [ Expr.cmp Expr.Ltu (Expr.var y) (Expr.word 0) ]
+      (Qcache.query [ Expr.cmp Expr.Ltu (Expr.var y) (Expr.word 0) ])
   done
 
 let test_pstore_roundtrip () =
@@ -268,7 +268,7 @@ let test_pstore_roundtrip () =
   (* a warm hit is flagged as persisted *)
   let x = Expr.fresh_var ~name:"x" Expr.W32 in
   let key = [ Expr.cmp Expr.Eq (Expr.var x) (Expr.word 1) ] in
-  match Qcache.Sharded.lookup c2 key with
+  match Qcache.Sharded.lookup c2 (Qcache.query key) with
   | Qcache.Miss, _ -> Alcotest.fail "warm lookup missed"
   | _, info -> check_bool "hit is persisted" true info.Qcache.i_persisted
 
@@ -425,7 +425,8 @@ let with_version blob v =
 
 (* Blobs from every earlier layout must be refused, not unmarshalled as
    the current one: version 1 predates the page-granular memory, version
-   2 the per-page write marks and the state's fork count. *)
+   2 the per-page write marks and the state's fork count, and checkpoint
+   version 3 the query cache's array-valued reuse models. *)
 let older_versions current = List.init (current - 1) (fun i -> i + 1)
 
 let test_previous_version_refused () =
@@ -451,6 +452,8 @@ let test_previous_version_refused () =
   let data = In_channel.with_open_bin ckpt In_channel.input_all in
   check_bool "version 2 is an older checkpoint layout" true
     (List.mem 2 (older_versions Session.checkpoint_version));
+  check_bool "version 3 is an older checkpoint layout" true
+    (List.mem 3 (older_versions Session.checkpoint_version));
   List.iter
     (fun v ->
       Out_channel.with_open_bin ckpt (fun oc ->

@@ -503,7 +503,8 @@ let test_indep_relevant () =
   (* the memoized partition answers the same slice *)
   check_bool "memoized slice" true
     (List.for_all2 ( == ) merged
-       (Indep.slice (Solver.partition_of [ c0; c1; c2; c3 ]) (vars x)))
+       (List.map Solver.original
+          (Indep.slice (Solver.partition_of [ c0; c1; c2; c3 ]) (vars x))))
 
 (* Disjoint groups solved separately must give the same verdict (and a
    genuine combined model) as solving the whole conjunction at once. *)
@@ -652,14 +653,15 @@ let test_qcache_sharded_concurrent () =
          renaming collapses them onto shared entries: the first domain to
          store owns the entry and everyone else hits it. *)
       let x = fresh_var W32 in
-      let c = [ cmp Ltu (var x) (word (i mod 10)) ] in
+      let c = Qcache.query [ cmp Ltu (var x) (word (i mod 10)) ] in
       (match fst (Qcache.Sharded.lookup sc c) with
        | Qcache.Miss -> Qcache.Sharded.store_sat sc c (fun _ -> 0)
        | _ -> ());
       let y = fresh_var W32 in
       let u =
-        [ cmp Ltu (var y) (word (i mod 7));
-          cmp Ltu (word (7 + (i mod 7))) (var y) ]
+        Qcache.query
+          [ cmp Ltu (var y) (word (i mod 7));
+            cmp Ltu (word (7 + (i mod 7))) (var y) ]
       in
       match fst (Qcache.Sharded.lookup sc u) with
       | Qcache.Miss -> Qcache.Sharded.store_unsat sc u
@@ -685,7 +687,7 @@ let test_qcache_sharded_concurrent () =
      reusable model — either way, not a miss). *)
   let z = fresh_var W32 in
   check_bool "post-join hit" true
-    (fst (Qcache.Sharded.lookup sc [ cmp Ltu (var z) (word 3) ])
+    (fst (Qcache.Sharded.lookup sc (Qcache.query [ cmp Ltu (var z) (word 3) ]))
      <> Qcache.Miss)
 
 let test_qcache_eviction () =
@@ -818,11 +820,13 @@ let test_feasible_audits_pins () =
    are pushed unchecked. Every checked addition must agree with the
    whole-set answer, and every memoized partition must equal the one
    recomputed from scratch. Each step is (operation, state, value):
-   operations 0-5 fork, 6-7 merge, 8-9 pin. *)
+   operations 0-5 fork, 6-7 merge, 8-9 replay pin, 10-11 concretize (a
+   pin the path gains without a feasibility query, like the engine's
+   concretization). *)
 let gen_fork_tree =
   QCheck.Gen.(
     list_size (int_range 1 25)
-      (triple (int_bound 9) (int_bound 1000) (int_bound 1000)))
+      (triple (int_bound 11) (int_bound 1000) (int_bound 1000)))
 
 let fork_vars () = Array.init 5 (fun _ -> Expr.fresh_var Expr.W8)
 
@@ -885,21 +889,103 @@ let prop_feasible_matches_check =
             if agree st ga && agree st gb then
               push (Expr.or1 ga gb :: cs, pinned)
           end
-          else
+          else if op < 10 then
             let pin =
               Expr.cmp Expr.Eq
                 (Expr.zext (Expr.var pool.(r mod 5)))
                 (Expr.word (k mod 256))
             in
-            push (pin :: cs, pin :: pinned))
+            push (pin :: cs, pin :: pinned)
+          else
+            let e = Expr.zext (Expr.var pool.(r mod 5)) in
+            match Solver.concretize_relevant cs ~pinned e with
+            | Some v -> push (Expr.cmp Expr.Eq e (Expr.word v) :: cs, pinned)
+            | None -> ())
         spec;
+      (* Every tail, not only the lists queried: a walk down to a
+         memoized tail memoizes the tails it passes. *)
+      let rec tails l = l :: (match l with [] -> [] | _ :: r -> tails r) in
       !ok
       && Array.for_all
            (fun (cs, _) ->
-             same_groups
-               (Indep.groups (Solver.partition_of cs))
-               (scratch_partition cs))
+             List.for_all
+               (fun l ->
+                 same_groups
+                   (List.map (List.map Solver.original)
+                      (Indep.groups (Solver.partition_of l)))
+                   (scratch_partition l))
+               (tails cs))
            !states)
+
+(* A pin-free [feasible] answers [check (extra :: slice)] with less
+   work, but must account exactly the same: on a fresh cache, a run of
+   queries moves every counter as the same run through [check] does.
+   The run is built to reach a miss, an exact hit, a model-reuse hit and
+   a subset-Unsat hit. *)
+let test_feasible_stats_match_check () =
+  let open Expr in
+  let x = zext (var (fresh_var W8)) and y = zext (var (fresh_var W8))
+  and z = zext (var (fresh_var W8)) in
+  let path = [ cmp Ltu x (word 50); cmp Ltu y (word 9); cmp Eq z (word 3) ] in
+  let queries =
+    [ (path, cmp Ltu (word 10) x);            (* miss *)
+      (path, cmp Ltu (word 10) x);            (* exact hit *)
+      (* the cache is sharded and a stored model is only re-tried in
+         its own shard: a few weaker bounds, some land there *)
+      (path, cmp Ltu (word 5) x);
+      (path, cmp Ltu (word 6) x);
+      (path, cmp Ltu (word 7) x);
+      (path, cmp Ne x (word 1));
+      (path, cmp Ne x (word 2));
+      (path, cmp Leu (word 8) x);
+      (path, cmp Ltu (word 60) x);            (* miss, Unsat *)
+      (* a branch joining two groups of the slice *)
+      (cmp Ne y (word 4) :: path, cmp Ltu (word 60) (binop Add x y));
+      (cmp Eq x y :: path, cmp Ltu (word 60) x);  (* Unsat subset *)
+      (path, cmp Eq y (word 2));
+      ([], cmp Eq z (word 3));
+      (path, tru);
+      (path, fls) ]
+  in
+  let run answer =
+    Solver.clear_cache ();
+    let before = Solver.stats () in
+    let verdicts = List.map answer queries in
+    (verdicts, Solver.diff_stats (Solver.stats ()) before)
+  in
+  let f_verdicts, f_stats =
+    run (fun (cs, extra) -> Solver.feasible cs ~pinned:[] extra)
+  in
+  let c_verdicts, c_stats =
+    run (fun (cs, extra) ->
+        let slice =
+          Indep.slice (Solver.partition_of cs)
+            (Expr.vars (Simplify.simplify_bool extra))
+        in
+        match Solver.check (extra :: List.map Solver.original slice) with
+        | Solver.Sat _ | Solver.Unknown -> true
+        | Solver.Unsat -> false)
+  in
+  check_bool "same verdicts" true (f_verdicts = c_verdicts);
+  let fields (s : Solver.stats) =
+    [ ("queries", s.Solver.s_queries);
+      ("group solves", s.Solver.s_group_solves);
+      ("exact hits", s.Solver.s_cache_exact_hits);
+      ("subset-unsat hits", s.Solver.s_cache_subset_unsat_hits);
+      ("model-reuse hits", s.Solver.s_cache_model_reuse_hits);
+      ("misses", s.Solver.s_cache_misses);
+      ("renamed hits", s.Solver.s_cache_renamed_hits);
+      ("interval solves", s.Solver.s_interval_solves);
+      ("bit-blast solves", s.Solver.s_bitblast_solves) ]
+  in
+  List.iter2
+    (fun (name, f) (_, c) -> check_int name c f)
+    (fields f_stats) (fields c_stats);
+  List.iter
+    (fun (name, n) -> check_bool (name ^ " reached") true (n > 0))
+    (List.filter
+       (fun (name, _) -> name <> "renamed hits" && name <> "bit-blast solves")
+       (fields f_stats))
 
 (* --- sharing ---------------------------------------------------------------- *)
 
@@ -1037,6 +1123,23 @@ let test_sharing_matches_tree_walks () =
       check_bool "equal agrees with (=)" (a = c) (equal a c))
     vs
 
+(* [Expr.vars] is every distinct variable, sorted by id, below a few
+   variables (a list scan) and past them (a table). *)
+let prop_vars_sorted_distinct =
+  let pool = Array.init 24 (fun _ -> Expr.fresh_var Expr.W8) in
+  QCheck.Test.make ~count:300 ~name:"vars lists distinct variables by id"
+    QCheck.(make Gen.(list_size (int_range 0 40) (int_bound 23)))
+    (fun picks ->
+      let term =
+        List.fold_left
+          (fun acc i -> Expr.Binop (Expr.Xor, acc, Expr.Zext (Expr.var pool.(i))))
+          (Expr.word 0) picks
+      in
+      let want =
+        List.sort_uniq compare (List.map (fun i -> pool.(i).Expr.id) picks)
+      in
+      List.map (fun (v : Expr.var) -> v.Expr.id) (Expr.vars term) = want)
+
 let prop_compare_matches_stdlib =
   QCheck.Test.make ~count:500 ~name:"compare and equal agree with Stdlib"
     (QCheck.pair arb_expr arb_expr)
@@ -1058,7 +1161,8 @@ let () =
          Alcotest.test_case "signed semantics" `Quick test_eval_signed;
          qtest prop_simplify_preserves_semantics;
          qtest prop_smart_constructors_preserve;
-         qtest prop_simplify_idempotent ]);
+         qtest prop_simplify_idempotent;
+         qtest prop_vars_sorted_distinct ]);
       ("sharing",
        [ Alcotest.test_case "deep merged chain stays linear" `Quick
            test_sharing_deep_chain;
@@ -1105,6 +1209,8 @@ let () =
          Alcotest.test_case "sliced feasibility audits pins" `Quick
            test_feasible_audits_pins;
          qtest prop_feasible_matches_check;
+         Alcotest.test_case "feasibility counts like check" `Quick
+           test_feasible_stats_match_check;
          Alcotest.test_case "stats add field-wise" `Quick test_add_stats;
          qtest prop_solver_sound_on_simple;
          qtest prop_divmod_matches_bruteforce;

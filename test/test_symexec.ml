@@ -732,38 +732,56 @@ let sid = function
   | Some s -> s.Symstate.id
   | None -> Alcotest.fail "expected a state"
 
+(* A min-touch queue over states placed at blocks: [key] reads a state's
+   block from [blocks], [priority] a block's execution count from
+   [counts]; both default to 0. *)
+let block_queue ?(strategy = Sched.Min_touch) blocks counts =
+  let lookup tbl k = try Hashtbl.find tbl k with Not_found -> 0 in
+  Sched.create strategy
+    ~key:(fun s -> lookup blocks s.Symstate.id)
+    ~priority:(lookup counts)
+
 let test_sched_strategies () =
   let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
   let sts = mk_states eng ks 4 in
   let ids = List.map (fun s -> s.Symstate.id) sts in
-  let zero _ = 0 in
-  let fill strategy priority =
-    let q = Sched.create strategy ~priority in
+  let nth = List.nth ids in
+  let fill ?(blocks = Hashtbl.create 1) ?(counts = Hashtbl.create 1) strategy =
+    let q = block_queue ~strategy blocks counts in
     List.iter (Sched.push q) sts;
     q
   in
   (* DFS pops the newest push (LIFO); a thief steals the oldest. *)
-  let q = fill Sched.Dfs zero in
-  check_int "dfs pops newest" (List.nth ids 3) (sid (Sched.pop q));
+  let q = fill Sched.Dfs in
+  check_int "dfs pops newest" (nth 3) (sid (Sched.pop q));
   check_int "dfs length after pop" 3 (Sched.length q);
-  check_int "dfs steal takes oldest" (List.hd ids) (sid (Sched.steal q));
+  check_int "dfs steal takes oldest" (nth 0) (sid (Sched.steal q));
   (* BFS pops the oldest push (FIFO). *)
-  let q = fill Sched.Bfs zero in
-  check_int "bfs pops oldest" (List.hd ids) (sid (Sched.pop q));
-  (* Min-touch: smallest priority wins; ties break FIFO. *)
-  let prio s = if s.Symstate.id = List.nth ids 2 then 0 else 5 in
-  let q = fill Sched.Min_touch prio in
-  check_int "min wins" (List.nth ids 2) (sid (Sched.pop q));
-  let q = fill Sched.Min_touch zero in
-  check_int "fifo tie-break" (List.hd ids) (sid (Sched.pop q));
-  check_int "fifo tie-break (2nd)" (List.nth ids 1) (sid (Sched.pop q));
+  let q = fill Sched.Bfs in
+  check_int "bfs pops oldest" (nth 0) (sid (Sched.pop q));
+  (* Min-touch: the state at the least-run block wins. States 0, 1 and 3
+     wait at block 20 (run 5 times), state 2 at block 10 (never run). *)
+  let blocks = Hashtbl.create 4 and counts = Hashtbl.create 4 in
+  List.iteri
+    (fun i id -> Hashtbl.replace blocks id (if i = 2 then 10 else 20))
+    ids;
+  Hashtbl.replace counts 20 5;
+  let q = fill ~blocks ~counts Sched.Min_touch in
+  check_int "min wins" (nth 2) (sid (Sched.pop q));
+  check_int "min-touch length after pop" 3 (Sched.length q);
+  (* Ties break FIFO, within one block and across equally-run blocks. *)
+  let q = fill ~blocks Sched.Min_touch in
+  check_int "fifo tie-break" (nth 0) (sid (Sched.pop q));
+  check_int "fifo tie-break (2nd)" (nth 1) (sid (Sched.pop q));
+  check_int "fifo tie-break across blocks" (nth 2) (sid (Sched.pop q));
+  check_int "fifo tie-break (4th)" (nth 3) (sid (Sched.pop q));
   (* Random pick is deterministic for a given seed and queue. *)
-  let q = fill (Sched.Random_pick 42) zero in
+  let q = fill (Sched.Random_pick 42) in
   let picked = sid (Sched.pop q) in
   check_bool "random picks a member" true (List.mem picked ids);
   check_int "random length after pop" 3 (Sched.length q);
   (* Empty queues answer None. *)
-  let q = Sched.create Sched.Min_touch ~priority:zero in
+  let q = block_queue (Hashtbl.create 1) (Hashtbl.create 1) in
   check_bool "empty pop" true (Sched.pop q = None);
   check_bool "empty steal" true (Sched.steal q = None)
 
@@ -771,34 +789,135 @@ let test_sched_lazy_heap () =
   let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
   let sts = mk_states eng ks 4 in
   let ids = List.map (fun s -> s.Symstate.id) sts in
-  (* A state's live priority may grow after insertion (its block gets
-     executed more); the heap re-checks lazily and must not return a
-     state whose stored key went stale. *)
-  let tbl = Hashtbl.create 4 in
-  let prio s = try Hashtbl.find tbl s.Symstate.id with Not_found -> 0 in
-  let q = Sched.create Sched.Min_touch ~priority:prio in
+  let nth = List.nth ids in
+  (* State 0 waits at block 10, states 1 and 3 at block 11, state 2 at
+     block 12. A block's count may grow while states wait there (another
+     state runs it); the heap re-checks lazily and must not return a
+     state whose block's stored priority went stale. *)
+  let blocks = Hashtbl.create 4 and counts = Hashtbl.create 4 in
+  List.iteri (fun i id -> Hashtbl.replace blocks id [| 10; 11; 12; 11 |].(i)) ids;
+  let q = block_queue blocks counts in
   List.iter (Sched.push q) sts;
-  Hashtbl.replace tbl (List.hd ids) 100;
-  check_int "stale min skipped" (List.nth ids 1) (sid (Sched.pop q));
-  check_int "still skipped" (List.nth ids 2) (sid (Sched.pop q));
-  check_int "hot state comes last" 100 (prio (List.hd sts));
-  check_int "third pop" (List.nth ids 3) (sid (Sched.pop q));
-  check_int "hot state eventually pops" (List.hd ids) (sid (Sched.pop q));
+  Hashtbl.replace counts 10 100;
+  check_int "stale min skipped" (nth 1) (sid (Sched.pop q));
+  check_int "still skipped" (nth 2) (sid (Sched.pop q));
+  check_int "third pop" (nth 3) (sid (Sched.pop q));
+  check_int "hot block comes last" (nth 0) (sid (Sched.pop q));
   check_bool "drained" true (Sched.is_empty q);
-  (* A heap steal never takes the current minimum (with >= 2 entries). *)
-  Hashtbl.reset tbl;
-  List.iteri (fun i s -> Hashtbl.replace tbl s.Symstate.id i) sts;
-  let q = Sched.create Sched.Min_touch ~priority:prio in
+  (* A heap steal never takes the current minimum (with >= 2 states):
+     not across blocks of distinct priority ... *)
+  Hashtbl.reset counts;
+  List.iteri (fun i id -> Hashtbl.replace blocks id (10 + i)) ids;
+  List.iteri (fun i _ -> Hashtbl.replace counts (10 + i) i) ids;
+  let q = block_queue blocks counts in
   List.iter (Sched.push q) sts;
-  let stolen = sid (Sched.steal q) in
-  check_bool "steal avoids the min" true (stolen <> List.hd ids)
+  check_bool "steal avoids the min" true (sid (Sched.steal q) <> nth 0);
+  (* ... nor inside the one block every state waits at. *)
+  List.iter (fun id -> Hashtbl.replace blocks id 10) ids;
+  let q = block_queue blocks counts in
+  List.iter (Sched.push q) sts;
+  check_bool "steal avoids the min (one block)" true
+    (sid (Sched.steal q) <> nth 0);
+  check_int "min still pops first" (nth 0) (sid (Sched.pop q))
+
+(* The bucketed heap against a reference queue that recomputes every
+   priority at each pick and takes the minimum by (priority, push
+   sequence). A pool of states is spread over four blocks; steps push or
+   requeue an idle state, pop, steal, drain, dump and restore into a
+   fresh queue, or bump a block's count (counts only grow). Steps are
+   (operation, argument): 0-1 push, 2 requeue, 3-4 pop, 5 steal,
+   6 drain, 7 dump/restore, 8-9 bump. *)
+let prop_sched_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"bucket heap matches recompute-every-pick reference"
+    QCheck.(
+      make
+        Gen.(
+          pair
+            (array_size (return 8) (int_bound 3))
+            (list_size (int_range 1 60) (pair (int_bound 9) (int_bound 99)))))
+    (fun (placement, steps) ->
+      let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
+      let pool = Array.of_list (mk_states eng ks (Array.length placement)) in
+      let blocks = Hashtbl.create 8 and counts = Hashtbl.create 4 in
+      Array.iteri
+        (fun i s -> Hashtbl.replace blocks s.Symstate.id (100 + placement.(i)))
+        pool;
+      let count b = try Hashtbl.find counts b with Not_found -> 0 in
+      let q = ref (block_queue blocks counts) in
+      (* reference: (sequence, state), plus the sequence counter *)
+      let model = ref [] and seq = ref 0 and bumped = ref false in
+      let fails = ref [] in
+      let fail fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
+      let live (sq, s) = (count (Hashtbl.find blocks s.Symstate.id), sq) in
+      let ref_min () =
+        List.fold_left
+          (fun best e ->
+            match best with
+            | Some b when compare (live b) (live e) <= 0 -> best
+            | _ -> Some e)
+          None !model
+      in
+      let forget s = model := List.filter (fun (_, s') -> s' != s) !model in
+      let queued s = List.exists (fun (_, s') -> s' == s) !model in
+      let id = function Some s -> s.Symstate.id | None -> -1 in
+      List.iteri
+        (fun step (op, arg) ->
+          let s = pool.(arg mod Array.length pool) in
+          (match op with
+          | 0 | 1 | 2 ->
+              if not (queued s) then begin
+                (if op = 2 then Sched.requeue else Sched.push) !q s;
+                incr seq;
+                model := (!seq, s) :: !model
+              end
+          | 3 | 4 ->
+              let want = Option.map snd (ref_min ()) in
+              let got = Sched.pop !q in
+              if id got <> id want then
+                fail "step %d: pop %d, reference %d" step (id got) (id want);
+              Option.iter forget got
+          | 5 -> (
+              let min = Option.map snd (ref_min ()) in
+              match Sched.steal !q with
+              | None -> if !model <> [] then fail "step %d: steal None" step
+              | Some st ->
+                  if not (queued st) then fail "step %d: stole unqueued" step;
+                  if (not !bumped) && List.length !model >= 2
+                     && Some st == min
+                  then fail "step %d: steal took the min" step;
+                  forget st)
+          | 6 ->
+              let want =
+                List.sort (fun a b -> compare (live a) (live b)) !model
+                |> List.map (fun (_, s) -> s.Symstate.id)
+              in
+              let got = List.map (fun s -> s.Symstate.id) (Sched.drain !q) in
+              if got <> want then fail "step %d: drain order" step;
+              model := []
+          | 7 ->
+              let entries, hseq = Sched.dump_entries !q in
+              let q' = block_queue blocks counts in
+              Sched.restore_entries q' entries ~hseq;
+              q := q'
+          | _ ->
+              let b = 100 + (arg mod 4) in
+              Hashtbl.replace counts b (count b + 1 + (arg mod 3));
+              bumped := true);
+          if Sched.length !q <> List.length !model then
+            fail "step %d: length %d, reference %d" step (Sched.length !q)
+              (List.length !model))
+        steps;
+      match !fails with
+      | [] -> true
+      | fs -> QCheck.Test.fail_reportf "%s" (String.concat "; " (List.rev fs)))
 
 let test_frontier_steal_and_quiesce () =
   let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
   let sts = mk_states eng ks 6 in
   let f =
     Frontier.create ~workers:2 ~max_states:64 ~strategy:Sched.Dfs
-      ~priority:(fun _ -> 0)
+      ~key:(fun _ -> 0) ~priority:(fun _ -> 0)
   in
   List.iter (fun s -> ignore (Frontier.push f ~worker:0 s)) sts;
   check_int "size" 6 (Frontier.size f);
@@ -825,7 +944,7 @@ let test_frontier_cap_and_requeue () =
   let sts = mk_states eng ks 4 in
   let f =
     Frontier.create ~workers:1 ~max_states:2 ~strategy:Sched.Bfs
-      ~priority:(fun _ -> 0)
+      ~key:(fun _ -> 0) ~priority:(fun _ -> 0)
   in
   let admitted =
     List.filter (fun s -> Frontier.push f ~worker:0 s) sts
@@ -871,7 +990,8 @@ let () =
          Alcotest.test_case "coverage" `Quick test_coverage_accounting ]);
       ("scheduler",
        [ Alcotest.test_case "strategies" `Quick test_sched_strategies;
-         Alcotest.test_case "lazy heap" `Quick test_sched_lazy_heap ]);
+         Alcotest.test_case "lazy heap" `Quick test_sched_lazy_heap;
+         qtest prop_sched_matches_reference ]);
       ("frontier",
        [ Alcotest.test_case "steal + quiescence" `Quick
            test_frontier_steal_and_quiesce;
