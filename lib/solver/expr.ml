@@ -400,43 +400,59 @@ let eval env e =
       in
       go e)
 
-(* Most constraints mention a handful of variables, so [vars] checks
-   membership by scanning the list found so far and only builds a table
-   once it passes [few_vars]. *)
-let few_vars = 8
+(* Most walks meet a handful of distinct variables, so the table scans
+   its entries while they are few and indexes them once they pass
+   [few]. The entry list is kept either way: it is the insertion order. *)
+module Idtbl = struct
+  type 'a t = {
+    mutable items : (int * 'a) list;  (* newest first *)
+    mutable count : int;
+    mutable index : (int, 'a) Hashtbl.t option;
+  }
+
+  let few = 8
+  let create () = { items = []; count = 0; index = None }
+  let length t = t.count
+
+  let rec scan id = function
+    | [] -> None
+    | (i, x) :: rest -> if i = id then Some x else scan id rest
+
+  let find_opt t id =
+    match t.index with
+    | Some h -> Hashtbl.find_opt h id
+    | None -> scan id t.items
+
+  let add t id x =
+    t.items <- (id, x) :: t.items;
+    t.count <- t.count + 1;
+    match t.index with
+    | Some h -> Hashtbl.add h id x
+    | None ->
+        if t.count > few then begin
+          let h = Hashtbl.create 32 in
+          List.iter (fun (i, x) -> Hashtbl.add h i x) t.items;
+          t.index <- Some h
+        end
+
+  let values t = List.rev_map snd t.items
+end
 
 let vars e =
   run (fun m ->
-      let seen = ref None in
-      let acc = ref [] and n = ref 0 in
+      let seen = Idtbl.create () in
       let rec go e = memo m visit e
       and visit = function
         | Const _ -> ()
         | Var v ->
-            let known =
-              match !seen with
-              | Some tbl -> Hashtbl.mem tbl v.id
-              | None -> List.exists (fun u -> u.id = v.id) !acc
-            in
-            if not known then begin
-              acc := v :: !acc;
-              incr n;
-              match !seen with
-              | Some tbl -> Hashtbl.add tbl v.id ()
-              | None ->
-                  if !n > few_vars then begin
-                    let tbl = Hashtbl.create 32 in
-                    List.iter (fun u -> Hashtbl.add tbl u.id ()) !acc;
-                    seen := Some tbl
-                  end
-            end
+            if Idtbl.find_opt seen v.id = None then Idtbl.add seen v.id v
         | Binop (_, a, b) | Cmp (_, a, b) -> go a; go b
         | Ite (c, a, b) -> go c; go a; go b
         | Extract (x, _) | Zext x | Not x -> go x
         | Concat4 (b3, b2, b1, b0) -> go b3; go b2; go b1; go b0
       in
       go e;
-      List.sort (fun a b -> Stdlib.compare a.id b.id) !acc)
+      List.sort (fun a b -> Stdlib.compare a.id b.id) (Idtbl.values seen))
 
 (* Saturating: the tree unfolding of a merged DAG can outgrow [max_int]. *)
 let ( +| ) a b =

@@ -90,6 +90,23 @@ val is_const : t -> bool
 val to_const : t -> int option
 val vars : t -> var list            (** distinct variables, in id order *)
 
+(** A table keyed by variable id for walks that usually meet few
+    distinct variables: it scans its entries while they are few and
+    indexes them past a small threshold. *)
+module Idtbl : sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val length : 'a t -> int
+  val find_opt : 'a t -> int -> 'a option
+
+  val add : 'a t -> int -> 'a -> unit
+  (** The id must not be present yet. *)
+
+  val values : 'a t -> 'a list
+  (** In insertion order. *)
+end
+
 val size : t -> int
 (** Node count of the tree unfolding, saturating at [max_int]: a shared
     subterm counts once per occurrence, though the walk itself visits it

@@ -1,11 +1,11 @@
-type 'm outcome =
-  | Exact_sat of 'm
+type model = Expr.var -> int
+
+type outcome =
+  | Exact_sat of model
   | Exact_unsat
   | Subset_unsat
-  | Reuse_sat of 'm
+  | Reuse_sat of model
   | Miss
-
-type model = Expr.var -> int
 
 type info = {
   i_renamed : bool;
@@ -173,47 +173,24 @@ type query = {
   p_vars : Expr.var array;          (* renamed id i + 1 -> original var *)
 }
 
-(* Past this many variables the rename looks names up in a table rather
-   than scanning the ones numbered so far. *)
-let few_vars = 8
-
 let prepare_canonical key =
   Expr.run (fun m ->
-      let numbered = ref [] (* (original id, renamed var), newest first *)
-      and table = ref None and order = ref [] and next = ref 0 in
-      let rec scan id = function
-        | [] -> None
-        | (i, r) :: rest -> if i = id then Some r else scan id rest
-      in
+      (* original id -> renamed var, in numbering order *)
+      let numbered = Expr.Idtbl.create () in
       let rec go e = Expr.memo m rename e
       and rename (e : Expr.t) : Expr.t =
         match e with
         | Expr.Const _ -> e
-        | Expr.Var v ->
-            let known =
-              match !table with
-              | Some t -> Hashtbl.find_opt t v.Expr.id
-              | None -> scan v.Expr.id !numbered
-            in
-            let r =
-              match known with
-              | Some r -> r
-              | None ->
-                  incr next;
-                  let r = Expr.canon_var !next v.Expr.var_width in
-                  order := v :: !order;
-                  (match !table with
-                  | Some t -> Hashtbl.add t v.Expr.id r
-                  | None ->
-                      numbered := (v.Expr.id, r) :: !numbered;
-                      if !next > few_vars then begin
-                        let t = Hashtbl.create 32 in
-                        List.iter (fun (i, r) -> Hashtbl.add t i r) !numbered;
-                        table := Some t
-                      end);
-                  r
-            in
-            Expr.Var r
+        | Expr.Var v -> (
+            match Expr.Idtbl.find_opt numbered v.Expr.id with
+            | Some (r, _) -> Expr.Var r
+            | None ->
+                let r =
+                  Expr.canon_var (Expr.Idtbl.length numbered + 1)
+                    v.Expr.var_width
+                in
+                Expr.Idtbl.add numbered v.Expr.id (r, v);
+                Expr.Var r)
         (* Raw constructors: renaming must preserve structure exactly, or
            the renamed key's equality would disagree with the original's.
            Memoized, a repeated subterm is skipped only after its first
@@ -230,7 +207,7 @@ let prepare_canonical key =
       in
       let rkey = List.map go key in
       { p_key = key; p_rkey = Key.of_terms rkey;
-        p_vars = Array.of_list (List.rev !order) })
+        p_vars = Array.of_list (List.map snd (Expr.Idtbl.values numbered)) })
 
 let query cs = prepare_canonical (canon cs)
 let query_of_normalized ns = prepare_canonical (canon_normalized ns)
@@ -261,22 +238,46 @@ let array_of_pairs pairs =
 let env_of_array a (v : Expr.var) =
   if v.Expr.id >= 0 && v.Expr.id < Array.length a then a.(v.Expr.id) else 0
 
+(* [f ()], computed on first use. Not [Lazy]: a model may be applied
+   from two domains, and a race here only builds the same table twice. *)
+let once f =
+  let cell = ref None in
+  fun () ->
+    match !cell with
+    | Some x -> x
+    | None ->
+        let x = f () in
+        cell := Some x;
+        x
+
 (* Translate a renamed-space model into one over the query's original
    variables. The value is masked to the variable's width: a reused model
    may pair a renamed id with a {e wider} variable than this query's
    (env_of keys by id only), and evaluation masks at the Var node, so an
    over-wide value verifies — but the model handed back must still be
-   well-formed per variable, or a W8 device read gets pinned above 255. *)
+   well-formed per variable, or a W8 device read gets pinned above 255.
+   The rename table is built the first time the model is applied, so a
+   caller that only wants the verdict never builds it. *)
 let orig_env p renv =
-  let fwd = Hashtbl.create (2 * Array.length p.p_vars) in
-  Array.iteri
-    (fun i (v : Expr.var) ->
-      Hashtbl.replace fwd v.Expr.id (Expr.canon_var (i + 1) v.Expr.var_width))
-    p.p_vars;
+  let fwd =
+    once (fun () ->
+        let fwd = Hashtbl.create (2 * Array.length p.p_vars) in
+        Array.iteri
+          (fun i (v : Expr.var) ->
+            Hashtbl.replace fwd v.Expr.id
+              (Expr.canon_var (i + 1) v.Expr.var_width))
+          p.p_vars;
+        fwd)
+  in
   fun (v : Expr.var) ->
-    match Hashtbl.find_opt fwd v.Expr.id with
+    match Hashtbl.find_opt (fwd ()) v.Expr.id with
     | Some r -> renv r land Expr.mask_of_width v.Expr.var_width
     | None -> 0
+
+(* An exact hit's model, with its stored pairs indexed on first use too. *)
+let model_of_pairs p pairs =
+  let renv = once (fun () -> env_of pairs) in
+  orig_env p (fun r -> renv () r)
 
 let self_domain () = (Domain.self () :> int)
 
@@ -344,11 +345,7 @@ let subset_winner t p_key =
   in
   if found then !winner else None
 
-(* One lookup. [exact] and [reuse] turn the winning stored model (pairs
-   of an exact entry, or a reused model's array, both in renamed space)
-   into the outcome's payload: a model over the query's variables, or
-   nothing when the caller wants only the verdict. *)
-let lookup_prepared t p ~exact ~reuse =
+let lookup_prepared t p =
   t.tick <- t.tick + 1;
   match KH.find_opt t.table p.p_rkey with
   | Some e -> (
@@ -358,7 +355,7 @@ let lookup_prepared t p ~exact ~reuse =
           i_persisted = e.e_persisted }
       in
       match e.e_verdict with
-      | V_sat pairs -> (Exact_sat (exact p pairs), info)
+      | V_sat pairs -> (Exact_sat (model_of_pairs p pairs), info)
       | V_unsat -> (Exact_unsat, info))
   | None -> (
       (* An empty Unsat index cannot prove a subset. *)
@@ -380,16 +377,13 @@ let lookup_prepared t p ~exact ~reuse =
                 let renv = env_of_array a in
                 if List.for_all (fun c -> Expr.eval renv c = 1) p.p_rkey.Key.k_terms
                 then
-                  (Reuse_sat (reuse p renv),
+                  (Reuse_sat (orig_env p renv),
                    { i_renamed = false; i_owner = owner; i_persisted = false })
                 else try_models rest
           in
           try_models t.models)
 
-let model_of_pairs p pairs = orig_env p (env_of pairs)
-
-let lookup_info t cs =
-  lookup_prepared t (query cs) ~exact:model_of_pairs ~reuse:orig_env
+let lookup_info t cs = lookup_prepared t (query cs)
 
 let lookup t cs = fst (lookup_info t cs)
 
@@ -624,10 +618,10 @@ module Sharded = struct
       !found
     end
 
-  let lookup_with sc p ~exact ~reuse =
+  let lookup sc p =
     let s = shard_for sc p in
     let outcome, info =
-      with_shard s (fun () -> lookup_prepared s.cache p ~exact ~reuse)
+      with_shard s (fun () -> lookup_prepared s.cache p)
     in
     let outcome, info =
       match outcome with
@@ -650,11 +644,6 @@ module Sharded = struct
         if info.i_owner >= 0 && info.i_owner <> self_domain () then
           Atomic.incr sc.cross_hits);
     (outcome, info)
-
-  let lookup sc p = lookup_with sc p ~exact:model_of_pairs ~reuse:orig_env
-
-  let verdict sc p =
-    lookup_with sc p ~exact:(fun _ _ -> ()) ~reuse:(fun _ _ -> ())
 
   let store_sat sc p m =
     let s = shard_for sc p in

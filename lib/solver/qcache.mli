@@ -22,19 +22,20 @@
 
 type t
 
-type 'm outcome =
-  | Exact_sat of 'm
+type model = Expr.var -> int
+(** A hit's model builds its lookup tables the first time it is
+    applied, so a caller that only needs the verdict pays nothing for
+    them. *)
+
+type outcome =
+  | Exact_sat of model
       (** same canonical set (up to renaming) seen before *)
   | Exact_unsat
   | Subset_unsat  (** a cached Unsat set is a subset of the query *)
-  | Reuse_sat of 'm
+  | Reuse_sat of model
       (** a cached model satisfies the query (verified by evaluation);
           variables outside the model read as 0 *)
   | Miss
-(** What a lookup found. ['m] is {!model} when the caller asked for a
-    model and [unit] when it asked only for the verdict. *)
-
-type model = Expr.var -> int
 
 type info = {
   i_renamed : bool;
@@ -75,8 +76,8 @@ val query_of_normalized : Expr.t list -> query
 (** [query_of_normalized (List.map normalize cs)] is [query cs], for
     callers that keep each constraint's normalization. *)
 
-val lookup : t -> Expr.t list -> model outcome
-val lookup_info : t -> Expr.t list -> model outcome * info
+val lookup : t -> Expr.t list -> outcome
+val lookup_info : t -> Expr.t list -> outcome * info
 
 val store_sat : t -> Expr.t list -> (Expr.var -> int) -> unit
 (** Record a verified model for the set (restricted to its variables). *)
@@ -130,11 +131,7 @@ module Sharded : sig
   (** [capacity] is the total bound, split evenly across [shards]
       (default 8 shards); [model_reuse] applies per shard. *)
 
-  val lookup : sharded -> query -> model outcome * info
-
-  val verdict : sharded -> query -> unit outcome * info
-  (** {!lookup} without building a model: the same outcome kind,
-      statistics and LRU updates. *)
+  val lookup : sharded -> query -> outcome * info
 
   val store_sat : sharded -> query -> (Expr.var -> int) -> unit
   val store_unsat : sharded -> query -> unit

@@ -293,7 +293,7 @@ let note_hit_info (info : Qcache.info) =
   then Atomic.incr cnt.c_cross_worker_hits;
   if info.Qcache.i_persisted then Atomic.incr cnt.c_persist_hits
 
-let note_outcome ((outcome : _ Qcache.outcome), info) =
+let note_outcome ((outcome : Qcache.outcome), info) =
   match outcome with
   | Qcache.Exact_sat _ | Qcache.Exact_unsat ->
       Atomic.incr cnt.c_exact_hits;
@@ -428,21 +428,6 @@ let solve_group a group =
     | Qcache.Exact_unsat | Qcache.Subset_unsat -> Unsat
     | Qcache.Miss -> solve_miss c q group
 
-(* [solve_group] for a caller that needs only whether the group may be
-   satisfiable: a hit builds no model. *)
-let group_feasible a group =
-  Atomic.incr cnt.c_group_solves;
-  if not a.use_cache then solve_with_retry ~cached:None (terms group) <> Unsat
-  else
-    let c = Atomic.get cache in
-    let q = cache_query group in
-    let ((outcome, _) as found) = Qcache.Sharded.verdict c q in
-    note_outcome found;
-    match outcome with
-    | Qcache.Exact_sat () | Qcache.Reuse_sat () -> true
-    | Qcache.Exact_unsat | Qcache.Subset_unsat -> false
-    | Qcache.Miss -> solve_miss c q group <> Unsat
-
 let check constraints =
   Atomic.incr cnt.c_queries;
   let prepared = List.map prepare constraints in
@@ -529,7 +514,8 @@ let slice_with_pins cs ~pinned vs =
 (* Without pins and with slicing on, [check (extra :: slice)] is
    answered with less work: [extra]'s variables reach every group of
    its slice, so the query is one group, in query order, built from the
-   partition's prepared members; and only the verdict is wanted. The
+   partition's prepared members. Only the verdict is wanted, so the
+   hit's model is never applied and never builds its tables. The
    counters move exactly as they would under [check]. *)
 let feasible cs ~pinned extra =
   let a = current_accel () in
@@ -538,7 +524,7 @@ let feasible cs ~pinned extra =
     let x = prepare extra in
     if x.term = Expr.fls then false
     else if x.term = Expr.tru then true
-    else group_feasible a (x :: Indep.slice (partition_of cs) x.vars)
+    else solve_group a (x :: Indep.slice (partition_of cs) x.vars) <> Unsat
   end
   else
     let query =

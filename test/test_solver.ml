@@ -621,6 +621,19 @@ let test_qcache_renaming () =
    | Qcache.Exact_sat _, info ->
        check_bool "same-key hit not flagged" false info.Qcache.i_renamed
    | _ -> Alcotest.fail "expected exact hit");
+  (* Past the rename's short-list threshold (8 variables) the twin still
+     hits exactly, and every variable reads its own stored value. *)
+  let wide () = Array.init 12 (fun _ -> fresh_var W32) in
+  let pins xs = Array.to_list (Array.mapi (fun i v -> cmp Eq (var v) (word (i + 1))) xs) in
+  let xs = wide () and zs = wide () in
+  Qcache.store_sat q (pins xs) (fun v ->
+      let i = ref 0 in
+      Array.iteri (fun j u -> if u.id = v.id then i := j + 1) xs;
+      !i);
+  (match Qcache.lookup q (pins zs) with
+   | Qcache.Exact_sat m ->
+       Array.iteri (fun i z -> check_int "wide translated model" (i + 1) (m z)) zs
+   | _ -> Alcotest.fail "expected renamed exact hit over 12 variables");
   (* The same shape at a different width is a different renamed key. *)
   let b = fresh_var W8 in
   check_bool "width is part of the key" true
