@@ -1,5 +1,5 @@
 .PHONY: all build test check bench bench-solver bench-dbt bench-merge \
-  bench-staticrace bench-resume bench-dist clean
+  bench-staticrace bench-resume clean
 
 all: build
 
@@ -9,29 +9,29 @@ build:
 test:
 	dune runtest
 
-# Tier-1 verification plus smoke tests: a quick shared-frontier run on
-# two drivers (work stealing + shared query cache end to end), a quick
-# chaos run (injected worker crashes / solver exhaustions / memory
-# pressure must leave the bug sets unchanged), a quick DBT parity run
-# (compiled blocks on/off must report identical bug sets, with and
-# without chaos), a quick state-merging parity run (fusing states at post-dominators must
-# leave the bug sets unchanged while collapsing the deep-loop driver's
-# frontier), a quick static-race run (lockset/IRQL + race rules fire on
-# the seeded corpus, are false-positive-free on every fixed variant, and
-# at least one race warning is confirmed by directed symbolic
-# execution), the
-# static pre-analysis on two known-clean drivers (nonzero universe,
-# zero findings under the syntactic rules; rtl8029's buggy variant
-# legitimately fires the interprocedural race rule, so the clean smoke
-# is scoped to the syntactic families), a full-rule FP smoke over every
-# fixed-variant image, a durability smoke (a quick checkpoint/resume +
-# warm-start parity run, then a real SIGKILL mid-exploration followed
-# by `ddt_cli resume` that must reproduce the uninterrupted oracle's
-# report byte for byte, then a second run against the persistent store
-# that must actually hit it), a multi-process smoke (a 2-worker-process
-# coordinator run on two drivers must report the same bug set as one
-# process, plus a serve/submit round-trip over a Unix socket), and a
-# warning-clean doc build.
+# Tier-1 verification plus these smokes, in order:
+# - parallel --quick: a shared-frontier run on two drivers (work
+#   stealing and the shared query cache end to end);
+# - chaos --quick: injected worker crashes, solver exhaustions and
+#   memory pressure leave the bug sets unchanged;
+# - dbt --quick: compiled blocks on/off report identical bug sets, with
+#   and without chaos;
+# - merge --quick: fusing states at post-dominators leaves the bug sets
+#   unchanged while collapsing the deep-loop driver's frontier;
+# - staticrace --quick: the lockset/IRQL and race rules fire on the
+#   seeded corpus, stay silent on every fixed variant, and at least one
+#   race warning is confirmed by directed symbolic execution;
+# - resume --quick: a checkpoint/resume and warm-start parity run;
+# - kill-resume: a real SIGKILL mid-exploration, then `ddt_cli resume`
+#   must reproduce the uninterrupted oracle's report byte for byte;
+# - warm-start: a second run against the persistent store must hit it
+#   and report the same;
+# - the static pre-analysis on two known-clean drivers (nonzero
+#   universe, zero findings under the syntactic rules; rtl8029's buggy
+#   variant legitimately fires the interprocedural race rule, so its
+#   clean smoke is scoped to the syntactic families), and a full-rule
+#   false-positive smoke over every fixed-variant image;
+# - a warning-clean doc build.
 check: build test
 	dune exec bench/main.exe -- parallel --quick
 	dune exec bench/main.exe -- chaos --quick
@@ -39,26 +39,6 @@ check: build test
 	dune exec bench/main.exe -- merge --quick
 	dune exec bench/main.exe -- staticrace --quick
 	dune exec bench/main.exe -- resume --quick
-	dune exec bench/main.exe -- dist --quick
-	@set -e; dir=$$(mktemp -d); cli=./_build/default/bin/ddt_cli.exe; \
-	$$cli test rtl8029 --json-out $$dir/seq.json >/dev/null || [ $$? -eq 2 ]; \
-	$$cli test rtl8029 --dist-workers 2 --json-out $$dir/dist.json \
-	  >/dev/null || [ $$? -eq 2 ]; \
-	grep -o '"key":"[^"]*"' $$dir/seq.json | sort > $$dir/seq.keys; \
-	grep -o '"key":"[^"]*"' $$dir/dist.json | sort > $$dir/dist.keys; \
-	cmp $$dir/seq.keys $$dir/dist.keys; \
-	echo "dist smoke: 2-worker bug set identical to one process"; \
-	$$cli serve --socket $$dir/ddt.sock --max-jobs 1 >/dev/null 2>&1 & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do test -S $$dir/ddt.sock && break; \
-	  sleep 0.05; done; \
-	$$cli submit rtl8029 --socket $$dir/ddt.sock --workers 2 \
-	  > $$dir/served.out; \
-	wait $$pid || true; \
-	grep -q '"serve":"done"' $$dir/served.out; \
-	grep -q '"schema"' $$dir/served.out; \
-	echo "serve smoke: submitted job round-tripped a schema report"; \
-	rm -rf $$dir
 	@set -e; dir=$$(mktemp -d); cli=./_build/default/bin/ddt_cli.exe; \
 	$$cli test pro100 --json-out $$dir/oracle.json >/dev/null || [ $$? -eq 2 ]; \
 	$$cli test pro100 --checkpoint-every 1000 \
@@ -100,13 +80,6 @@ bench-staticrace:
 # solver store, across the corpus; writes BENCH_resume.json.
 bench-resume:
 	dune exec bench/main.exe -- resume --json
-
-# Full multi-process experiment: coordinator wall time at 1/2/4 worker
-# processes vs one process and vs a 4-process redundant portfolio,
-# states shipped / stolen / re-shipped, and cross-process persistent-
-# store hits, across the corpus; writes BENCH_dist.json.
-bench-dist:
-	dune exec bench/main.exe -- dist --json
 
 bench:
 	dune exec bench/main.exe

@@ -1679,218 +1679,6 @@ let resume_bench () =
     exit 1
   end
 
-(* --- multi-process exploration: snapshot-shipping coordinator -------------------- *)
-
-type dist_row = {
-  dd_driver : string;
-  dd_bugs : int;
-  dd_seq_wall : float;
-  dd_walls : (int * float) list;     (* worker processes -> wall s *)
-  dd_shipped : int;                  (* at the highest worker count *)
-  dd_steals : int;
-  dd_stolen : int;
-  dd_reships : int;
-  dd_store_hits : int;               (* cross-process pstore hits *)
-  dd_dist_steps : int;               (* merged steps, highest-count run *)
-  dd_seq_steps : int;
-  dd_portfolio_wall : float option;  (* 4 full redundant processes *)
-  dd_match : bool;                   (* bug sets = sequential, all counts *)
-}
-
-let write_dist_json rows path =
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  pr "{\n  \"experiment\": \"dist\",\n";
-  pr "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  pr
-    "  \"note\": \"dist: one coordinator process shipping serialized \
-     snapshots to N worker processes over pipes, work-stealing, shared \
-     persistent solver store; portfolio4: 4 full redundant processes. \
-     steps_vs_portfolio4 is the redundant work the coordinator \
-     eliminates (portfolio executes ~4x the merged dist step count); \
-     store_hits counts solver queries answered by another process's \
-     flushed cache entries.\",\n";
-  pr "  \"drivers\": [\n";
-  List.iteri
-    (fun i r ->
-      let walls =
-        String.concat ", "
-          (List.map
-             (fun (w, t) -> Printf.sprintf "\"dist%d_wall_s\": %.4f" w t)
-             r.dd_walls)
-      in
-      pr
-        "    {\"driver\": %S, \"bugs\": %d, \"seq_wall_s\": %.4f, %s,\n     \
-         \"shipped\": %d, \"steals\": %d, \"stolen_states\": %d, \
-         \"reships\": %d, \"store_hits\": %d,\n     \"dist_steps\": %d, \
-         \"seq_steps\": %d,%s \"bugs_match\": %b}%s\n"
-        r.dd_driver r.dd_bugs r.dd_seq_wall walls r.dd_shipped r.dd_steals
-        r.dd_stolen r.dd_reships r.dd_store_hits r.dd_dist_steps
-        r.dd_seq_steps
-        (match r.dd_portfolio_wall with
-         | Some w ->
-             Printf.sprintf
-               " \"portfolio4_wall_s\": %.4f, \"steps_vs_portfolio4\": %.3f,"
-               w
-               (if r.dd_dist_steps > 0 then
-                  float_of_int (4 * r.dd_seq_steps)
-                  /. float_of_int r.dd_dist_steps
-                else 1.0)
-         | None -> "")
-        r.dd_match
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pr "  ]\n}\n";
-  close_out oc
-
-let dist_bench () =
-  let module D = Ddt_dist.Dist in
-  section
-    (if !quick_mode then
-       "Multi-process exploration smoke test (--quick): coordinator + \
-        worker processes, 2 drivers"
-     else
-       "Multi-process exploration: snapshot-shipping work-stealing \
-        coordinator vs one process and vs a redundant process portfolio");
-  let drivers =
-    if !quick_mode then [ "rtl8029"; "pcnet" ]
-    else List.map (fun e -> e.Corpus.short) Corpus.all
-  in
-  let worker_counts = if !quick_mode then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let workdir =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "ddt_bench_dist_%d" (Unix.getpid ()))
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-  in
-  let base_cfg short =
-    let cfg = Corpus.config (Corpus.find short) in
-    { cfg with
-      Config.exec_config = { cfg.Config.exec_config with Exec.jobs = 1 } }
-  in
-  let fresh () =
-    Ddt_solver.Solver.clear_cache ();
-    Ddt_solver.Expr.reset_var_counter ()
-  in
-  let keys (r : Session.result) =
-    List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
-  in
-  let steps (r : Session.result) = r.Session.r_stats.Exec.st_total_steps in
-  (* A true N-process portfolio: N forked children each running the
-     full sequential session concurrently, wall = last one home. *)
-  let portfolio_wall cfg n =
-    flush stdout;
-    flush stderr;
-    let t0 = Unix.gettimeofday () in
-    let pids =
-      List.init n (fun _ ->
-          match Unix.fork () with
-          | 0 ->
-              (try ignore (Session.run cfg) with _ -> ());
-              Unix._exit 0
-          | pid -> pid)
-    in
-    List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-    Unix.gettimeofday () -. t0
-  in
-  Printf.printf "%-12s %7s %9s %8s %7s %7s %7s %6s %6s\n" "Driver" "workers"
-    "wall(s)" "shipped" "steals" "reship" "s-hits" "steps" "match";
-  let rows =
-    List.map
-      (fun short ->
-        let cfg = base_cfg short in
-        fresh ();
-        let t0 = Unix.gettimeofday () in
-        let seq = Session.run cfg in
-        let t_seq = Unix.gettimeofday () -. t0 in
-        let seq_keys = keys seq in
-        Printf.printf "%-12s %7s %8.2fs %8s %7s %7s %7s %6d %6s\n" short
-          "seq" t_seq "-" "-" "-" "-" (steps seq) "-";
-        let walls = ref [] in
-        let last = ref None in
-        let all_match = ref true in
-        List.iter
-          (fun workers ->
-            (* Fresh per-run store: hits counted below are genuinely
-               cross-process within this one run, not warm-over-runs. *)
-            let store =
-              Filename.concat workdir
-                (Printf.sprintf "%s.%dw.store" short workers)
-            in
-            fresh ();
-            let dcfg = { cfg with Config.store_dir = Some store } in
-            let r, c = D.run ~workers dcfg in
-            let ok = keys r = seq_keys in
-            if not ok then all_match := false;
-            walls := (workers, c.D.c_wall) :: !walls;
-            last := Some (r, c);
-            Printf.printf "%-12s %7d %8.2fs %8d %7d %7d %7d %6d %6s\n" short
-              workers c.D.c_wall c.D.c_shipped c.D.c_steals c.D.c_reships
-              c.D.c_store_hits (steps r)
-              (if ok then "yes" else "NO"))
-          worker_counts;
-        let r_last, c_last = Option.get !last in
-        let portfolio =
-          if !quick_mode then None
-          else begin
-            fresh ();
-            let w = portfolio_wall cfg 4 in
-            Printf.printf "%-12s %7s %8.2fs %8s %7s %7s %7s %6d %6s\n" short
-              "port4" w "-" "-" "-" "-" (4 * steps seq) "-";
-            Some w
-          end
-        in
-        {
-          dd_driver = short;
-          dd_bugs = List.length r_last.Session.r_bugs;
-          dd_seq_wall = t_seq;
-          dd_walls = List.rev !walls;
-          dd_shipped = c_last.D.c_shipped;
-          dd_steals = c_last.D.c_steals;
-          dd_stolen = c_last.D.c_stolen_states;
-          dd_reships = c_last.D.c_reships;
-          dd_store_hits = c_last.D.c_store_hits;
-          dd_dist_steps = steps r_last;
-          dd_seq_steps = steps seq;
-          dd_portfolio_wall = portfolio;
-          dd_match = !all_match;
-        })
-      drivers
-  in
-  ignore (Sys.command ("rm -rf " ^ Filename.quote workdir));
-  let matches = List.filter (fun r -> r.dd_match) rows in
-  let hits = List.fold_left (fun a r -> a + r.dd_store_hits) 0 rows in
-  Printf.printf
-    "\nbug reports identical to one process on %d/%d drivers | total \
-     cross-process store hits %d\n"
-    (List.length matches) (List.length rows) hits;
-  (match List.filter (fun r -> r.dd_portfolio_wall <> None) rows with
-   | [] -> ()
-   | w ->
-       let dist_steps =
-         List.fold_left (fun a r -> a + r.dd_dist_steps) 0 w
-       in
-       let port_steps =
-         List.fold_left (fun a r -> a + (4 * r.dd_seq_steps)) 0 w
-       in
-       Printf.printf
-         "portfolio-4 fleet executes %d steps vs %d merged dist steps: \
-          %.2fx redundant work eliminated by shipping the tree once\n"
-         port_steps dist_steps
-         (if dist_steps > 0 then
-            float_of_int port_steps /. float_of_int dist_steps
-          else 1.0));
-  if !json_mode && not !quick_mode then begin
-    write_dist_json rows "BENCH_dist.json";
-    Printf.printf "wrote BENCH_dist.json\n"
-  end;
-  if List.length matches <> List.length rows then begin
-    Printf.printf "FAIL: multi-process parity broken\n";
-    exit 1
-  end
-
 (* --- main ------------------------------------------------------------------------ *)
 
 let all_experiments =
@@ -1900,7 +1688,7 @@ let all_experiments =
     ("memory", memory); ("solver", solver_bench); ("static", static_bench);
     ("chaos", chaos_bench); ("dbt", dbt_bench);
     ("merge", merge_bench); ("staticrace", staticrace_bench);
-    ("resume", resume_bench); ("dist", dist_bench); ("micro", micro) ]
+    ("resume", resume_bench); ("micro", micro) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -4,10 +4,7 @@
      list                      show the bundled driver corpus
      test <driver>             run DDT on a corpus driver (buggy variant)
      test --fixed <driver>     ... on the repaired variant
-     test --dist-workers N     ... across N worker processes
      resume <ckpt>             resume an interrupted test session
-     serve                     run a Unix-socket test-job daemon
-     submit <driver>           submit a job to a running daemon
      static <driver>           run the static-analysis baseline
      analyze <driver>          run the DXE static pre-analysis (ICFG)
      stress <driver>           run the concrete stress baseline
@@ -40,17 +37,6 @@ let jobs_arg =
      domains (shared work-stealing frontier)."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let dist_workers_arg =
-  let doc =
-    "Explore across $(docv) worker processes: a coordinator ships \
-     serialized states to idle workers, steals work back from busy ones, \
-     and merges the per-worker reports. The bug set is identical to a \
-     single-process run, even if workers are killed mid-run. With \
-     $(b,--store-dir), workers share solver work through the persistent \
-     store. 0 (the default) runs in-process."
-  in
-  Arg.(value & opt int 0 & info [ "dist-workers" ] ~docv:"N" ~doc)
 
 let find_entry short =
   match Corpus.find short with
@@ -209,9 +195,8 @@ let report_result ~traces ~json_out r =
   if r.Ddt_core.Session.r_bugs = [] then 0 else 2
 
 let test_cmd =
-  let run short fixed no_annot traces jobs dist_workers guided chaos no_dbt
-      no_merge checkpoint_every checkpoint_path store_dir no_persist json_out
-      =
+  let run short fixed no_annot traces jobs guided chaos no_dbt no_merge
+      checkpoint_every checkpoint_path store_dir no_persist json_out =
     match find_entry short with
     | Error e -> prerr_endline e; 1
     | Ok entry ->
@@ -223,28 +208,13 @@ let test_cmd =
             ~checkpoint_every ~checkpoint_path ~store_dir
             ~persist:(not no_persist)
         in
-        let r =
-          if dist_workers > 0 then begin
-            let r, c = Ddt_dist.Dist.run ~workers:dist_workers cfg in
-            Format.printf
-              "dist: %d worker process(es) | %d state(s) shipped | %d \
-               steal(s) moved %d state(s) | %d re-shipped after %d \
-               death(s) | %d store hit(s)@."
-              c.Ddt_dist.Dist.c_workers c.Ddt_dist.Dist.c_shipped
-              c.Ddt_dist.Dist.c_steals c.Ddt_dist.Dist.c_stolen_states
-              c.Ddt_dist.Dist.c_reships c.Ddt_dist.Dist.c_deaths
-              c.Ddt_dist.Dist.c_store_hits;
-            r
-          end
-          else Ddt_core.Ddt.test_driver cfg
-        in
-        report_result ~traces ~json_out r
+        report_result ~traces ~json_out (Ddt_core.Ddt.test_driver cfg)
   in
   Cmd.v
     (Cmd.info "test" ~doc:"Test a driver binary with DDT")
     Term.(
       const run $ driver_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ dist_workers_arg $ guided_flag $ chaos_flag $ no_dbt_flag
+      $ jobs_arg $ guided_flag $ chaos_flag $ no_dbt_flag
       $ no_merge_flag $ checkpoint_every_arg
       $ checkpoint_path_arg $ store_dir_arg $ no_persist_flag $ json_out_arg)
 
@@ -296,69 +266,6 @@ let resume_cmd =
       $ jobs_arg $ guided_flag $ chaos_flag $ no_dbt_flag $ no_merge_flag
       $ checkpoint_every_arg $ checkpoint_path_arg
       $ store_dir_arg $ no_persist_flag $ json_out_arg)
-
-let socket_arg =
-  let doc = "Unix-domain socket path the daemon listens on." in
-  Arg.(value & opt string "ddt.sock" & info [ "socket" ] ~docv:"PATH" ~doc)
-
-let serve_cmd =
-  let max_jobs_arg =
-    let doc =
-      "Exit cleanly after serving $(docv) jobs (0 serves forever). Used \
-       by the CI smoke test."
-    in
-    Arg.(value & opt int 0 & info [ "max-jobs" ] ~docv:"N" ~doc)
-  in
-  let run socket max_jobs store_dir =
-    let resolve (j : Ddt_dist.Serve.job) =
-      match find_entry j.Ddt_dist.Serve.jq_driver with
-      | Error e -> Error e
-      | Ok entry ->
-          let cfg = Corpus.config ~fixed:j.Ddt_dist.Serve.jq_fixed entry in
-          Ok { cfg with Ddt_core.Config.store_dir }
-    in
-    match
-      Ddt_dist.Serve.serve ~socket_path:socket ~max_jobs ~resolve ()
-    with
-    | Ok jobs ->
-        Printf.printf "served %d job(s)\n" jobs;
-        0
-    | Error e ->
-        Printf.eprintf "serve: %s\n" e;
-        1
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run a Unix-socket daemon that accepts test jobs, runs each \
-          through the multi-process coordinator under resource-governor \
-          admission control, and streams JSON reports back")
-    Term.(const run $ socket_arg $ max_jobs_arg $ store_dir_arg)
-
-let submit_cmd =
-  let workers_arg =
-    let doc = "Worker processes for this job." in
-    Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc)
-  in
-  let run socket short fixed workers =
-    match
-      Ddt_dist.Serve.submit ~socket_path:socket
-        { Ddt_dist.Serve.jq_driver = short; jq_fixed = fixed;
-          jq_workers = workers }
-    with
-    | Ok lines ->
-        List.iter print_endline lines;
-        0
-    | Error e ->
-        Printf.eprintf "submit: %s\n" e;
-        1
-  in
-  Cmd.v
-    (Cmd.info "submit"
-       ~doc:
-         "Submit one test job to a running $(b,ddt_cli serve) daemon and \
-          print its streamed JSON response")
-    Term.(const run $ socket_arg $ driver_arg $ fixed_flag $ workers_arg)
 
 let static_cmd =
   let run short fixed =
@@ -632,6 +539,6 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group (Cmd.info "ddt_cli" ~doc)
-          [ list_cmd; test_cmd; resume_cmd; serve_cmd; submit_cmd;
+          [ list_cmd; test_cmd; resume_cmd;
             static_cmd; analyze_cmd; stress_cmd; disasm_cmd; info_cmd;
             evidence_cmd; replay_cmd ]))

@@ -51,9 +51,12 @@ type result = {
       governor configured) *)
 }
 
-(* Returned states that can seed the next workload phase: prefer clean
-   successes; fall back to any completed invocation. *)
-let pick_bases states limit =
+(* Returned states that can seed the next workload phase, clean
+   successes first. With [clean_only] (after [initialize]) only clean
+   successes qualify: NDIS never calls a miniport again after a failed
+   MiniportInitialize, so a failed initialize must not seed query, set,
+   send or halt. Otherwise any completed invocation is a fallback. *)
+let pick_bases ?(clean_only = false) states limit =
   let returned =
     List.filter
       (fun st -> match st.St.status with Some (St.Returned _) -> true | _ -> false)
@@ -68,7 +71,7 @@ let pick_bases states limit =
     | [] -> []
     | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
   in
-  take limit (ok @ failed)
+  take limit (if clean_only then ok else ok @ failed)
 
 (* The session's live moving parts, factored out of [run] so that
    [resume] can rebuild exactly the same wiring over a restored engine.
@@ -105,7 +108,7 @@ type ctx = {
    and the persistent-store warm load. Shared verbatim by [run] and
    [resume] — determinism of this prefix is what makes a restored
    checkpoint meaningful. *)
-let setup ?(store_index_subsets = true) (cfg : Config.t) =
+let setup (cfg : Config.t) =
   let t0 = Unix.gettimeofday () in
   let base_mem = Mem.create () in
   let loaded = Image.load cfg.Config.image base_mem ~base:Layout.image_base in
@@ -132,9 +135,7 @@ let setup ?(store_index_subsets = true) (cfg : Config.t) =
     | Some dir when cfg.Config.persist && exec_config.Exec.solver_accel -> (
         match Pstore.open_store ~dir ~key:cfg.Config.driver_name with
         | Ok s ->
-            ignore
-              (Pstore.load ~index_subsets:store_index_subsets s
-                 (Solver.current_cache ()));
+            ignore (Pstore.load s (Solver.current_cache ()));
             Some s
         | Error _ -> None)
     | _ -> None
@@ -397,12 +398,19 @@ let start_load_phase ctx =
 let finish_load_phase ctx =
   ctx.x_bases := pick_bases (Exec.drain_finished ctx.x_eng) 1
 
-let finish_workload_phase ctx =
+let finish_workload_phase ctx item =
   let finished = Exec.drain_finished ctx.x_eng in
-  let next = pick_bases finished ctx.x_cfg.Config.max_bases_per_phase in
-  (* If every invocation crashed or failed, keep the previous bases
-     so later phases still run (e.g. halt after a crashing send). *)
-  if next <> [] then ctx.x_bases := next
+  let limit = ctx.x_cfg.Config.max_bases_per_phase in
+  match item with
+  | Config.W_initialize ->
+      (* Only adapters that initialized go on; if every initialize
+         failed, no later phase runs. *)
+      ctx.x_bases := pick_bases ~clean_only:true finished limit
+  | _ ->
+      (* If every invocation crashed or failed, keep the previous bases
+         so later phases still run (e.g. halt after a crashing send). *)
+      let next = pick_bases finished limit in
+      if next <> [] then ctx.x_bases := next
 
 (* Workload phase [idx] (1-based; item = workload position [idx - 1]). *)
 let run_workload_phase ctx idx item =
@@ -416,7 +424,7 @@ let run_workload_phase ctx idx item =
   ctx.x_invocations := !(ctx.x_invocations) + queued;
   if queued > 0 then begin
     run_engine ctx;
-    finish_workload_phase ctx
+    finish_workload_phase ctx item
   end
 
 (* Drop the first [n] elements. *)
@@ -425,27 +433,24 @@ let rec drop n = function
   | [] -> []
   | _ :: rest -> drop (n - 1) rest
 
-let finalize ?stats_override ?(sort_bugs = false) ctx =
+let finalize ctx =
   let cfg = ctx.x_cfg in
   let eng = ctx.x_eng in
   let loaded = ctx.x_loaded in
   let icfg = ctx.x_icfg in
   let sink = ctx.x_sink in
-  let stats =
-    match stats_override with Some s -> s | None -> Exec.stats eng
-  in
+  let stats = Exec.stats eng in
   let kcalls =
     List.fold_left
       (fun acc st -> acc + Kstate.kcall_count st.St.ks)
       0
       !(ctx.x_bases)
   in
-  (* With several frontier workers (or several worker processes — the
-     [sort_bugs] caller) the sink's insertion order depends on
-     scheduling; sort by key so the report is reproducible. A
+  (* With several frontier workers the sink's insertion order depends
+     on scheduling; sort by key so the report is reproducible. A
      single-worker run keeps discovery order. *)
   let bugs =
-    if ctx.x_exec_config.Exec.jobs > 1 || sort_bugs then
+    if ctx.x_exec_config.Exec.jobs > 1 then
       List.sort
         (fun a b -> compare a.Report.b_key b.Report.b_key)
         (Report.bugs sink)
@@ -564,6 +569,11 @@ let resume (cfg : Config.t) ~path : (result, string) Stdlib.result =
         Error
           (Printf.sprintf "checkpoint is for driver %S, config is for %S"
              ck.ck_driver cfg.Config.driver_name)
+      else if ck.ck_phase > List.length cfg.Config.workload then
+        Error
+          (Printf.sprintf "checkpoint phase %d is past the config's %d-item \
+                           workload"
+             ck.ck_phase (List.length cfg.Config.workload))
       else begin
         let ctx = setup cfg in
         (* Fresh symbolic variables must never collide with checkpointed
@@ -602,7 +612,9 @@ let resume (cfg : Config.t) ~path : (result, string) Stdlib.result =
            step ceiling behave as if the kill never happened. *)
         run_engine ctx ~start_steps:(Exec.run_start ctx.x_eng);
         if ck.ck_phase = 0 then finish_load_phase ctx
-        else finish_workload_phase ctx;
+        else
+          finish_workload_phase ctx
+            (List.nth cfg.Config.workload (ck.ck_phase - 1));
         (* Remaining phases, numbered as the uninterrupted run numbers
            them. *)
         List.iteri
@@ -610,309 +622,6 @@ let resume (cfg : Config.t) ~path : (result, string) Stdlib.result =
           (drop ck.ck_phase cfg.Config.workload);
         Ok (finalize ctx)
       end
-
-(* {2 Distributed exploration support}
-
-   The session-side half of the multi-process tier ([Ddt_dist]): the
-   coordinator's phase seeding / frontier export / batch merging, and
-   the worker's import / explore / result-batch assembly. The process
-   plumbing (fork, framing, scheduling, death detection) lives in
-   [Ddt_dist]; everything that touches session state lives here. *)
-
-module Dist = struct
-  type batch = {
-    db_bugs : Report.bug list;
-    (* the worker sink's full bug list (cumulative; the coordinator's
-       sink dedups by key) *)
-    db_candidates : (string * St.image) list;
-    (* phase-base candidates finished since the last batch, each with
-       its deterministic sort key *)
-    db_covered : int list;
-    (* every absolute block address this worker has covered (cumulative;
-       merged idempotently) *)
-    db_stats : Exec.stats;        (* cumulative for this worker process *)
-    db_finished : int;            (* cumulative finished-state count *)
-  }
-
-  (* A candidate accumulated on the coordinator: local fallback
-     exploration keeps the live state (a to_image/of_image round trip
-     without an intervening marshal would alias live structures), while
-     worker batches arrive as images. *)
-  type cand = C_live of St.t | C_img of St.image
-
-  type t = {
-    d_ctx : ctx;
-    d_foreign_store : bool;
-    (* the persistent store is shared with processes minting variable
-       ids in other lanes: import without subset indexing *)
-    d_candidates : (string * cand) list ref;
-    d_worker_stats : (int, Exec.stats) Hashtbl.t;
-    d_worker_finished : (int, int) Hashtbl.t;
-  }
-
-  let prepare ?(foreign_store = false) (cfg : Config.t) =
-    let ctx = setup ~store_index_subsets:(not foreign_store) cfg in
-    {
-      d_ctx = ctx;
-      d_foreign_store = foreign_store;
-      d_candidates = ref [];
-      d_worker_stats = Hashtbl.create 8;
-      d_worker_finished = Hashtbl.create 8;
-    }
-
-  let config d = d.d_ctx.x_cfg
-
-  (* Deterministic, process-independent ordering key for phase-base
-     candidates. The sequential oracle picks bases in completion order,
-     which a distributed run cannot reproduce (completion interleaves
-     across processes); sorting by path-content fields makes the pick
-     independent of arrival order. The leading rank bit preserves
-     [pick_bases]' clean-successes-first preference. Variable ids are
-     deliberately absent — they differ per id lane for re-explored
-     copies of the same path. *)
-  let candidate_key (st : St.t) =
-    let rank = if st.St.status = Some (St.Returned 0) then 0 else 1 in
-    Printf.sprintf "%d:%s:%08x:%06d:%08d:%05d:%05d:%05d" rank
-      st.St.entry_name st.St.pc st.St.depth st.St.steps
-      (List.length st.St.constraints)
-      (Kstate.kcall_count st.St.ks)
-      (List.length st.St.sym_inputs)
-
-  (* --- coordinator side -------------------------------------------------- *)
-
-  let seed_load_phase d = start_load_phase d.d_ctx
-
-  (* Queue phase [idx]'s invocations over the current bases; returns how
-     many were queued (0 = nothing to explore, skip the phase). *)
-  let seed_workload_phase d idx item =
-    let ctx = d.d_ctx in
-    ctx.x_phase := idx;
-    let queued =
-      List.fold_left
-        (fun n base -> n + Exerciser.queue ctx.x_eng ctx.x_cfg base item)
-        0
-        !(ctx.x_bases)
-    in
-    ctx.x_invocations := !(ctx.x_invocations) + queued;
-    queued
-
-  (* Export every queued state as a shippable image. Images in one
-     shipment must be marshalled together (one frame) so the physical
-     sharing between sibling states survives. *)
-  let export_frontier d =
-    List.map St.to_image
-      (Exec.export_states d.d_ctx.x_eng ~max:max_int)
-
-  let note_candidate d key c = d.d_candidates := (key, c) :: !(d.d_candidates)
-
-  (* Merge one worker result batch. Idempotent per fact: bugs dedup by
-     key, coverage by block flag, stats/finished replace the worker's
-     previous cumulative values. *)
-  let merge_batch d ~wid (b : batch) =
-    let ctx = d.d_ctx in
-    List.iter (Report.report ctx.x_sink) b.db_bugs;
-    Hashtbl.replace d.d_worker_stats wid b.db_stats;
-    Hashtbl.replace d.d_worker_finished wid b.db_finished;
-    List.iter (fun (key, im) -> note_candidate d key (C_img im)) b.db_candidates;
-    (* Coverage: claim each block on the coordinator engine (the merged
-       source of truth for [finalize]); newly claimed blocks extend the
-       session's coverage curve. *)
-    let fresh =
-      List.filter (Exec.note_covered_external ctx.x_eng) b.db_covered
-    in
-    if fresh <> [] then begin
-      let steps_global =
-        Hashtbl.fold
-          (fun _ (s : Exec.stats) acc -> acc + s.Exec.st_total_steps)
-          d.d_worker_stats
-          (Exec.steps_now ctx.x_eng)
-      in
-      List.iter
-        (fun pc ->
-          (match ctx.x_distmap with
-           | Some dm ->
-               Distmap.note_covered dm (pc - ctx.x_loaded.Image.base)
-           | None -> ());
-          Mutex.lock ctx.x_hmu;
-          incr ctx.x_blocks_seen;
-          ctx.x_coverage :=
-            { cp_time = Unix.gettimeofday () -. ctx.x_t0;
-              cp_steps = steps_global;
-              cp_blocks = !(ctx.x_blocks_seen) }
-            :: !(ctx.x_coverage);
-          Mutex.unlock ctx.x_hmu)
-        fresh
-    end;
-    (* First-bug bookkeeping mirrors the on_state_done hook. *)
-    Mutex.lock ctx.x_hmu;
-    let merged_finished =
-      Hashtbl.fold (fun _ n acc -> acc + n) d.d_worker_finished
-        !(ctx.x_finished_count)
-    in
-    if !(ctx.x_first_bug_paths) = None && Report.count ctx.x_sink > 0 then
-      ctx.x_first_bug_paths := Some merged_finished;
-    Mutex.unlock ctx.x_hmu
-
-  (* Close the current phase: sort the accumulated candidates by key —
-     arrival order is scheduling noise — and take the same number of
-     bases the sequential session would. *)
-  let end_phase d =
-    let ctx = d.d_ctx in
-    let sorted =
-      List.stable_sort
-        (fun (a, _) (b, _) -> compare a b)
-        (List.rev !(d.d_candidates))
-    in
-    d.d_candidates := [];
-    let limit =
-      if !(ctx.x_phase) = 0 then 1 else ctx.x_cfg.Config.max_bases_per_phase
-    in
-    let rec take n = function
-      | [] -> []
-      | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-    in
-    let bases =
-      List.map
-        (fun (_, c) ->
-          match c with
-          | C_live st -> st
-          | C_img im -> Exec.revive_image ctx.x_eng im)
-        (take limit sorted)
-    in
-    (* Load phase: the single root either produced a base or the session
-       has nothing to exercise. Workload phases keep the previous bases
-       when every invocation crashed (mirrors [finish_workload_phase]). *)
-    if !(ctx.x_phase) = 0 then ctx.x_bases := bases
-    else if bases <> [] then ctx.x_bases := bases
-
-  (* Local fallback: explore a shipment on the coordinator's own engine
-     (no live workers left, or a zero-worker run). Bugs and coverage
-     flow through the session hooks as in a plain run; finished states
-     join the candidate pool. *)
-  let explore_local d images =
-    let ctx = d.d_ctx in
-    List.iter
-      (fun im -> Exec.inject_state ctx.x_eng (Exec.revive_image ctx.x_eng im))
-      images;
-    run_engine ctx;
-    List.iter
-      (fun st ->
-        match st.St.status with
-        | Some (St.Returned _) -> note_candidate d (candidate_key st) (C_live st)
-        | _ -> ())
-      (Exec.drain_finished ctx.x_eng)
-
-  (* Merge the per-worker statistics into the coordinator's and finish
-     the report. [reships] are the coordinator's re-shipments of dead
-     workers' in-flight states (counted with the reaper's re-homings);
-     bug order is always key-sorted — merge order is scheduling noise. *)
-  let dist_finalize d ~workers ~reships =
-    let ctx = d.d_ctx in
-    Exec.note_rehomed ctx.x_eng reships;
-    let add (a : Exec.stats) (b : Exec.stats) =
-      {
-        Exec.st_total_steps = a.Exec.st_total_steps + b.Exec.st_total_steps;
-        st_states_created = a.Exec.st_states_created + b.Exec.st_states_created;
-        st_states_dropped = a.Exec.st_states_dropped + b.Exec.st_states_dropped;
-        st_blocks_covered = a.Exec.st_blocks_covered;
-        (* merged via the coordinator engine's claim flags, not summed *)
-        st_max_cow_depth = max a.Exec.st_max_cow_depth b.Exec.st_max_cow_depth;
-        st_live_words = max a.Exec.st_live_words b.Exec.st_live_words;
-        st_steals = a.Exec.st_steals + b.Exec.st_steals;
-        st_workers = a.Exec.st_workers;
-        st_rehomed = a.Exec.st_rehomed + b.Exec.st_rehomed;
-        st_incidents = a.Exec.st_incidents + b.Exec.st_incidents;
-        st_worker_restarts =
-          a.Exec.st_worker_restarts + b.Exec.st_worker_restarts;
-        st_soft_retired = a.Exec.st_soft_retired + b.Exec.st_soft_retired;
-        st_solver = Solver.add_stats a.Exec.st_solver b.Exec.st_solver;
-        st_dbt_blocks = a.Exec.st_dbt_blocks + b.Exec.st_dbt_blocks;
-        st_dbt_superblocks =
-          a.Exec.st_dbt_superblocks + b.Exec.st_dbt_superblocks;
-        st_dbt_guard_bails =
-          a.Exec.st_dbt_guard_bails + b.Exec.st_dbt_guard_bails;
-        st_dbt_decompiled = a.Exec.st_dbt_decompiled + b.Exec.st_dbt_decompiled;
-        st_dbt_compiled_steps =
-          a.Exec.st_dbt_compiled_steps + b.Exec.st_dbt_compiled_steps;
-        st_merged_states = a.Exec.st_merged_states + b.Exec.st_merged_states;
-        st_merge_ites = a.Exec.st_merge_ites + b.Exec.st_merge_ites;
-        st_merge_forks_avoided =
-          a.Exec.st_merge_forks_avoided + b.Exec.st_merge_forks_avoided;
-        st_merge_refusals =
-          a.Exec.st_merge_refusals + b.Exec.st_merge_refusals;
-      }
-    in
-    let merged =
-      Hashtbl.fold
-        (fun _ ws acc -> add acc ws)
-        d.d_worker_stats
-        (Exec.stats ctx.x_eng)
-    in
-    let merged = { merged with Exec.st_workers = max 1 workers } in
-    ctx.x_finished_count :=
-      Hashtbl.fold (fun _ n acc -> acc + n) d.d_worker_finished
-        !(ctx.x_finished_count);
-    finalize ~stats_override:merged ~sort_bugs:true ctx
-
-  (* Cross-worker pstore hits attributable to this process so far —
-     summed over workers by the benchmark to show shared solver work. *)
-  let store_hits d =
-    ignore d;
-    (Solver.stats ()).Solver.s_cache_persist_hits
-
-  (* --- worker side ------------------------------------------------------- *)
-
-  let import d images =
-    let ctx = d.d_ctx in
-    List.iter
-      (fun im -> Exec.inject_state ctx.x_eng (Exec.revive_image ctx.x_eng im))
-      images
-
-  (* Run the engine until the local frontier drains (or a budget stop).
-     [tick] fires at every pick boundary — the quiescent points where
-     the worker services steal requests and store flushes. *)
-  let explore d ~tick =
-    let ctx = d.d_ctx in
-    Exec.set_checkpoint_hook ctx.x_eng tick;
-    run_engine ctx
-
-  (* Give up to [max] queued tag-free states for re-shipment (a steal).
-     Only sound from inside [tick] or between explorations. *)
-  let export_steal d ~max =
-    List.map St.to_image (Exec.export_states d.d_ctx.x_eng ~max)
-
-  let queue_length d = Exec.queue_length d.d_ctx.x_eng
-
-  let take_batch d =
-    let ctx = d.d_ctx in
-    let cands =
-      List.filter_map
-        (fun st ->
-          match st.St.status with
-          | Some (St.Returned _) -> Some (candidate_key st, St.to_image st)
-          | _ -> None)
-        (Exec.drain_finished ctx.x_eng)
-    in
-    {
-      db_bugs = Report.bugs ctx.x_sink;
-      db_candidates = cands;
-      db_covered = Exec.covered_blocks ctx.x_eng;
-      db_stats = Exec.stats ctx.x_eng;
-      db_finished = !(ctx.x_finished_count);
-    }
-
-  let flush_store d =
-    match d.d_ctx.x_store with
-    | Some s -> Pstore.save s (Solver.current_cache ())
-    | None -> 0
-
-  let refresh_store d =
-    match d.d_ctx.x_store with
-    | Some s ->
-        Pstore.refresh ~index_subsets:(not d.d_foreign_store) s
-          (Solver.current_cache ())
-    | None -> 0
-end
 
 let coverage_percent r =
   if r.r_total_blocks = 0 then 0.0

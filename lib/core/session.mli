@@ -77,94 +77,9 @@ val resume : Config.t -> path:string -> (result, string) Stdlib.result
 (** [resume cfg ~path] rebuilds the session over [cfg] (which must name
     the same driver the checkpoint was taken from), restores the
     checkpointed progress, and runs to completion. [Error _] if the
-    checkpoint cannot be read or belongs to another driver; a resumed
-    session keeps checkpointing to the same path. *)
-
-(** {1 Distributed exploration}
-
-    The session-side half of the multi-process tier: everything
-    [Ddt_dist]'s coordinator and worker loops need that touches session
-    state — phase seeding, frontier export as shippable images, worker
-    result batches, deterministic base selection, and report merging.
-    The process plumbing (fork, wire framing, scheduling, death
-    detection) lives in [Ddt_dist]. *)
-
-module Dist : sig
-  type batch = {
-    db_bugs : Ddt_checkers.Report.bug list;
-    (** the worker sink's full bug list (cumulative; the coordinator
-        dedups by key) *)
-    db_candidates : (string * Ddt_symexec.Symstate.image) list;
-    (** phase-base candidates finished since the last batch, keyed by
-        {!candidate_key} *)
-    db_covered : int list;
-    (** every absolute block address covered so far (cumulative) *)
-    db_stats : Ddt_symexec.Exec.stats;  (** cumulative for this worker *)
-    db_finished : int;                  (** cumulative finished states *)
-  }
-
-  type t
-
-  val prepare : ?foreign_store:bool -> Config.t -> t
-  (** Build a session for distributed use. [foreign_store] marks the
-      persistent solver store as shared with processes minting variable
-      ids in other lanes: imports skip subset indexing (exact renamed
-      hits only), keeping cross-process reuse sound. *)
-
-  val config : t -> Config.t
-
-  val candidate_key : Ddt_symexec.Symstate.t -> string
-  (** Deterministic, arrival-order-independent sort key for workload
-      phase-base candidates (clean returns rank first, then
-      path-content fields). *)
-
-  (** {2 Coordinator side} *)
-
-  val seed_load_phase : t -> unit
-  val seed_workload_phase : t -> int -> Config.workload_item -> int
-  (** Queue phase [idx] over the current bases; returns how many
-      invocations were queued (0 = skip the phase). *)
-
-  val export_frontier : t -> Ddt_symexec.Symstate.image list
-  (** Remove every queued state for shipping. The list must be
-      marshalled in one frame so sibling sharing survives. *)
-
-  val merge_batch : t -> wid:int -> batch -> unit
-  (** Fold one worker batch into the coordinator's report state.
-      Idempotent per fact (bugs dedup by key, blocks by claim flag;
-      stats/finished replace the worker's previous cumulative values). *)
-
-  val end_phase : t -> unit
-  (** Sort accumulated candidates by {!candidate_key} and install the
-      next phase's bases ([1] for the load phase,
-      [Config.max_bases_per_phase] after). *)
-
-  val explore_local : t -> Ddt_symexec.Symstate.image list -> unit
-  (** Coordinator fallback: explore a shipment on the local engine
-      (zero workers requested, or all workers dead). *)
-
-  val dist_finalize : t -> workers:int -> reships:int -> result
-  (** Merge per-worker statistics into the coordinator's and build the
-      final result; bugs are key-sorted (merge order is scheduling
-      noise). [reships] counts dead workers' re-shipped states. *)
-
-  val store_hits : t -> int
-  (** Persistent-store cache hits in this process so far. *)
-
-  (** {2 Worker side} *)
-
-  val import : t -> Ddt_symexec.Symstate.image list -> unit
-  val explore : t -> tick:(unit -> unit) -> unit
-  (** Run until the local frontier drains. [tick] fires at every pick
-      boundary — where the worker services steal requests and store
-      flushes. *)
-
-  val export_steal : t -> max:int -> Ddt_symexec.Symstate.image list
-  val queue_length : t -> int
-  val take_batch : t -> batch
-  val flush_store : t -> int
-  val refresh_store : t -> int
-end
+    checkpoint cannot be read, belongs to another driver or records a
+    phase past [cfg]'s workload; a resumed session keeps checkpointing
+    to the same path. *)
 
 val coverage_percent : result -> float
 (** Final dynamic coverage against the linear-sweep block count. *)

@@ -38,36 +38,15 @@ let rec width_of = function
    paper's §6.1 parallel-symbolic-execution direction). *)
 let var_counter = Atomic.make 0
 
-(* Lane-partitioned id allocation for multi-process exploration: with
-   [lanes = L] and this process in lane [k] (0 <= k < L), minted ids are
-   [n * L + k] — every process draws from a disjoint residue class, so
-   ids stay globally unique across a coordinator and its workers even
-   though each mints independently. Global uniqueness is what keeps the
-   query cache's original-space subset-Unsat rule sound when states and
-   persisted entries cross process boundaries: an id can never alias two
-   different quantities. The default geometry [lanes = 1, lane = 0]
-   reproduces the historical dense sequence exactly. *)
-let var_lane = Atomic.make 0
-let var_lanes = Atomic.make 1
-
 let fresh_var ?(name = "v") w =
-  let n = Atomic.fetch_and_add var_counter 1 + 1 in
-  { id = (n * Atomic.get var_lanes) + Atomic.get var_lane; name;
-    var_width = w }
+  { id = Atomic.fetch_and_add var_counter 1 + 1; name; var_width = w }
 
 let reset_var_counter () = Atomic.set var_counter 0
 
-let set_var_lane ~lane ~lanes =
-  let lanes = max 1 lanes in
-  Atomic.set var_lanes lanes;
-  Atomic.set var_lane (max 0 (min lane (lanes - 1)))
-
-let var_lane () = Atomic.get var_lane
-
 (* Checkpoint/restore of the allocator position: a resumed run must mint
    fresh variables from exactly where the killed run stopped, or restored
-   states' inputs would collide with newly created ones. Note this is the
-   raw draw counter (the [n] above), not an id. *)
+   states' inputs would collide with newly created ones. The position is
+   the id of the last variable minted. *)
 let var_counter_value () = Atomic.get var_counter
 let set_var_counter n = Atomic.set var_counter (max 0 n)
 

@@ -46,20 +46,7 @@ val var_counter_value : unit -> int
 val set_var_counter : int -> unit
 (** Restore the allocator position from a checkpoint so resumed states'
     variables never collide with freshly minted ones. The position is the
-    raw draw count, not an id (see {!set_var_lane}). *)
-
-val set_var_lane : lane:int -> lanes:int -> unit
-(** Lane-partitioned allocation for multi-process exploration: with
-    [lanes = L] and this process in lane [k], minted ids are [n*L + k] —
-    disjoint residue classes per process, so ids stay globally unique
-    across a coordinator and its workers without coordination. Global
-    uniqueness keeps the cache's original-space subset-Unsat rule sound
-    when states cross process boundaries. [lane:0 ~lanes:1] (the
-    default) is the historical dense sequence. Set before minting any
-    variable that may travel between processes. *)
-
-val var_lane : unit -> int
-(** This process's current lane (0 in single-process runs). *)
+    id of the last variable minted. *)
 
 val canon_var : int -> width -> var
 (** A canonical variable for cache normalization up to renaming: the name

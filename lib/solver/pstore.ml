@@ -18,9 +18,7 @@
    complete file. A file that vanishes between [readdir] and [open]
    (rename raced by another process's in-progress write on some
    filesystems, or manual cleanup) is skipped and counted, never an
-   error. [refresh] imports only files not seen by a previous
-   [load]/[refresh], which is how distributed workers lazily pick up
-   entries their siblings flush mid-run.
+   error.
 
    Failure policy, in one line: the store can only ever change cost,
    never a verdict. A corrupt or truncated entry is skipped (counted in
@@ -37,9 +35,6 @@ type t = {
   mutable loaded : int;
   mutable written : int;
   mutable skipped : int;        (* unreadable/corrupt/refused entries *)
-  seen : (string, unit) Hashtbl.t;
-  (* filenames already imported (or refused), so [refresh] is
-     incremental *)
 }
 
 let scrub_key key =
@@ -62,7 +57,7 @@ let open_store ~dir ~key =
   in
   match mkdir_p scoped with
   | () -> Ok { dir = scoped; writable = true; loaded = 0; written = 0;
-               skipped = 0; seen = Hashtbl.create 64 }
+               skipped = 0 }
   | exception e -> Error (Printexc.to_string e)
 
 let dir t = t.dir
@@ -78,11 +73,11 @@ let entry_path t (pe : Qcache.pentry) =
   let digest = Digest.to_hex (Digest.string (Marshal.to_string pe.pe_key [])) in
   Filename.concat t.dir (digest ^ ".qe")
 
-(* Import the entry files not yet seen by this handle. Filenames are
-   sorted so the insertion order (hence each shard's LRU ticks) is the
-   same on every host. Returns the number of entries actually
+(* Load every readable entry into the shared cache (warm start).
+   Filenames are sorted so the insertion order (hence each shard's LRU
+   ticks) is the same on every host. Returns the number of entries
    imported. *)
-let import_new ?index_subsets t cache =
+let load t cache =
   let files =
     match Sys.readdir t.dir with
     | files ->
@@ -90,37 +85,21 @@ let import_new ?index_subsets t cache =
         Array.to_list files
     | exception _ -> []
   in
-  let imported = ref 0 in
   List.iter
     (fun f ->
-      if Filename.check_suffix f ".qe" && not (Hashtbl.mem t.seen f) then begin
-        Hashtbl.replace t.seen f ();
+      if Filename.check_suffix f ".qe" then
         match Blob.read_file (Filename.concat t.dir f) with
         | Error _ -> t.skipped <- t.skipped + 1
         | Ok (pe : Qcache.pentry) ->
-            if Qcache.Sharded.import_pentry ?index_subsets cache pe then begin
-              t.loaded <- t.loaded + 1;
-              incr imported
-            end
-            else t.skipped <- t.skipped + 1
-      end)
+            if Qcache.Sharded.import_pentry cache pe then
+              t.loaded <- t.loaded + 1
+            else t.skipped <- t.skipped + 1)
     files;
-  !imported
-
-(* Load every readable entry into the shared cache (warm start). *)
-let load ?index_subsets t cache =
-  ignore (import_new ?index_subsets t cache);
   t.loaded
-
-(* Lazy cross-process sharing: import only entries that appeared since
-   the last [load]/[refresh] — what sibling workers flushed meanwhile. *)
-let refresh ?index_subsets t cache = import_new ?index_subsets t cache
 
 (* Persist every entry born in this process. Stops writing (and marks
    the store read-only) after the first failure so a full disk costs one
-   syscall error, not one per entry. Entries this process writes are
-   marked seen, so a later [refresh] does not re-read our own flushes.
-   Returns entries newly written. *)
+   syscall error, not one per entry. Returns entries newly written. *)
 let save t cache =
   let before = t.written in
   let entries = Qcache.Sharded.export_entries cache in
@@ -128,7 +107,6 @@ let save t cache =
     (fun pe ->
       if t.writable then begin
         let path = entry_path t pe in
-        Hashtbl.replace t.seen (Filename.basename path) ();
         if not (Sys.file_exists path) then
           match Blob.write_file path pe with
           | Ok () -> t.written <- t.written + 1

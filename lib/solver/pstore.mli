@@ -13,9 +13,7 @@
     files + atomic rename (same digest means same content, so racing
     writers converge), readers racing writers see either no file or a
     complete file, and a file that vanishes mid-scan is skipped and
-    counted. Distributed workers share solver work by flushing with
-    {!save} and lazily importing each other's flushes with
-    {!refresh}. *)
+    counted. *)
 
 type t
 
@@ -24,18 +22,10 @@ val store_version : int
 val open_store : dir:string -> key:string -> (t, string) result
 (** Create or open the scoped entry directory [dir/<key>.v<version>]. *)
 
-val load : ?index_subsets:bool -> t -> Qcache.Sharded.sharded -> int
+val load : t -> Qcache.Sharded.sharded -> int
 (** Import every readable entry into the cache (deterministic filename
     order); returns how many were imported. Unreadable or refused
-    entries are counted in {!skipped}. [index_subsets] is forwarded to
-    {!Qcache.Sharded.import_pentry} — pass [false] when the store is
-    shared with processes minting variable ids in other lanes. *)
-
-val refresh : ?index_subsets:bool -> t -> Qcache.Sharded.sharded -> int
-(** Import only the entries that appeared in the directory since this
-    handle's last [load]/[refresh] (and that this handle did not itself
-    {!save}) — the lazy cross-process import distributed workers run
-    mid-exploration. Returns how many were imported. *)
+    entries are counted in {!skipped}. *)
 
 val save : t -> Qcache.Sharded.sharded -> int
 (** Write every entry born in this process that is not already on disk;

@@ -463,7 +463,7 @@ type pentry = {
    hand back a non-model. (Unsat cores are protected by the store's
    version key: any change to solver semantics bumps it and orphans the
    old entries.) *)
-let import_pentry ?(index_subsets = true) t pe =
+let import_pentry t pe =
   let sat_ok pairs =
     let renv = env_of pairs in
     match List.for_all (fun c -> Expr.eval renv c = 1) pe.pe_key with
@@ -492,21 +492,15 @@ let import_pentry ?(index_subsets = true) t pe =
       }
     in
     KH.replace t.table key e;
-    (* The subset-Unsat index matches in original (un-renamed) space, so
-       it is only sound when the entry's var ids mean the same quantities
-       as this process's — callers importing entries minted by another
-       process under a different id lane pass [index_subsets:false],
-       keeping the (alpha-equivalence-sound) exact renamed hit while
-       skipping the index. *)
     (match pe.pe_verdict with
-    | V_unsat when index_subsets ->
+    | V_unsat ->
         List.iter
           (fun c ->
             match EH.find_opt t.unsat_index c with
             | Some r -> r := e :: !r
             | None -> EH.replace t.unsat_index c (ref [ e ]))
           pe.pe_orig
-    | V_unsat | V_sat _ -> ());
+    | V_sat _ -> ());
     maybe_evict t;
     true
   end
@@ -691,12 +685,10 @@ module Sharded = struct
   (* Loaded entries land in the exact/subset tables only — never in the
      model-reuse list — so a warm start can turn misses into hits but
      cannot reorder the speculative model scan a cold run would do. *)
-  let import_pentry ?(index_subsets = true) sc pe =
+  let import_pentry sc pe =
     let s = sc.shards.(abs (terms_hash pe.pe_key) mod Array.length sc.shards) in
-    let ok = with_shard s (fun () -> import_pentry ~index_subsets s.cache pe) in
-    (* The Bloom filter only gates subset probes; an unindexed core must
-       not join it either. *)
-    if ok && index_subsets then
+    let ok = with_shard s (fun () -> import_pentry s.cache pe) in
+    if ok then
       (match pe.pe_verdict with
       | V_unsat -> List.iter (bloom_add sc) pe.pe_orig
       | V_sat _ -> ());

@@ -101,19 +101,13 @@ type pentry = {
 (** The process-independent projection of a cache entry, what the
     on-disk store holds. Contains no closures and no process-local ids. *)
 
-val import_pentry : ?index_subsets:bool -> t -> pentry -> bool
+val import_pentry : t -> pentry -> bool
 (** Insert a persisted entry. Sat models are re-verified by evaluation
     against the stored key and malformed entries are refused — [false]
     means skipped (also returned when the key is already present). A
     loaded entry is flagged [e_persisted], so hits on it are reported
-    via {!info.i_persisted}; it never joins the model-reuse list.
-
-    [index_subsets] (default [true]) additionally indexes an Unsat core
-    for the original-space subset rule. Pass [false] for entries minted
-    by a {e different} process whose variable ids are not this process's
-    (e.g. another distributed worker): the exact renamed hit is sound for
-    any alpha-equivalent query, but original-space subset matching
-    requires ids to denote the same quantities. *)
+    via {!info.i_persisted}; it never joins the model-reuse list. An
+    Unsat core is also indexed for the original-space subset rule. *)
 
 (** A process-wide cache shared by all worker domains: shard by the hash
     of the renamed canonical key, one mutex per shard, atomics for the
@@ -165,10 +159,9 @@ module Sharded : sig
       skipped), for writing to the on-disk store. Order is unspecified
       — the store is content-addressed. *)
 
-  val import_pentry : ?index_subsets:bool -> sharded -> pentry -> bool
+  val import_pentry : sharded -> pentry -> bool
   (** Shard-aware {!Qcache.import_pentry}; Unsat cores also join the
-      cross-shard Bloom filter (unless [index_subsets:false], which
-      skips both the subset index and the filter). *)
+      cross-shard Bloom filter. *)
 
   (** {1 Checkpointing} *)
 

@@ -188,29 +188,6 @@ let diff_stats (b : stats) (a : stats) =
     s_cache_bloom_hits = max 0 (b.s_cache_bloom_hits - a.s_cache_bloom_hits);
   }
 
-let add_stats (a : stats) (b : stats) =
-  {
-    s_queries = a.s_queries + b.s_queries;
-    s_group_solves = a.s_group_solves + b.s_group_solves;
-    s_cache_exact_hits = a.s_cache_exact_hits + b.s_cache_exact_hits;
-    s_cache_subset_unsat_hits =
-      a.s_cache_subset_unsat_hits + b.s_cache_subset_unsat_hits;
-    s_cache_model_reuse_hits =
-      a.s_cache_model_reuse_hits + b.s_cache_model_reuse_hits;
-    s_cache_misses = a.s_cache_misses + b.s_cache_misses;
-    s_cache_renamed_hits = a.s_cache_renamed_hits + b.s_cache_renamed_hits;
-    s_cache_cross_worker_hits =
-      a.s_cache_cross_worker_hits + b.s_cache_cross_worker_hits;
-    s_cache_persist_hits = a.s_cache_persist_hits + b.s_cache_persist_hits;
-    s_interval_solves = a.s_interval_solves + b.s_interval_solves;
-    s_bitblast_solves = a.s_bitblast_solves + b.s_bitblast_solves;
-    s_cache_evictions = a.s_cache_evictions + b.s_cache_evictions;
-    s_exhaustions = a.s_exhaustions + b.s_exhaustions;
-    s_retries = a.s_retries + b.s_retries;
-    s_retry_recovered = a.s_retry_recovered + b.s_retry_recovered;
-    s_cache_bloom_hits = a.s_cache_bloom_hits + b.s_cache_bloom_hits;
-  }
-
 let cache_hits s =
   s.s_cache_exact_hits + s.s_cache_subset_unsat_hits
   + s.s_cache_model_reuse_hits
@@ -474,8 +451,8 @@ let check constraints =
    {!Indep.add} each, memoizing every tail on the way up: the lists a
    path grows between two queries (a concretize pin, a merge's [or]
    head) are the tails of its later queries and of its descendants'.
-   States restored or shipped from elsewhere miss once and rebuild from
-   the empty partition. *)
+   States restored from a checkpoint miss once and rebuild from the
+   empty partition. *)
 let part_slots = 1024
 
 let part_cache : (Expr.t list * prepared Indep.t) option array Domain.DLS.key =

@@ -210,9 +210,6 @@ val diff_stats : stats -> stats -> stats
     eviction and Bloom-hit counts clamp at 0: a cache swapped in between
     the snapshots restarts them. *)
 
-val add_stats : stats -> stats -> stats
-(** Field-wise sum, for merging the statistics of separate processes. *)
-
 val cache_hits : stats -> int
 val cache_hit_rate : stats -> float
 (** Hits / (hits + misses), 0 when no cached lookups happened. *)

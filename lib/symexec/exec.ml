@@ -311,9 +311,6 @@ let set_kcall_hooks eng ~enter ~leave =
   eng.kcall_enter <- enter;
   eng.kcall_leave <- leave
 
-let note_rehomed eng n =
-  if n > 0 then ignore (Atomic.fetch_and_add eng.rehomed n)
-
 let set_replay eng script = eng.replay <- Some script
 let set_distance_fn eng f = eng.dist_fn := f
 let set_merge_points eng f = eng.merge_points <- f
@@ -461,49 +458,6 @@ let add_state eng st =
      would park forever waiting for a carrier that never runs. *)
   if not (Frontier.push eng.frontier ~worker:(Domain.DLS.get worker_key) st)
   then handle_merge_outcome eng (Merge.note_dead eng.pool st)
-
-(* --- multi-process support --------------------------------------------- *)
-
-let queue_length eng = Frontier.size eng.frontier
-
-(* Pull up to [max] queued states out of the frontier for shipping to
-   another process. Only tag-free states are exportable: a state carrying
-   open merge tokens references this process's token pool, and shipping
-   it would strand its parked siblings. Only meaningful at quiescent
-   points (between phases, or a [jobs = 1] pick boundary). *)
-let export_states eng ~max =
-  let taken = ref 0 in
-  Frontier.remove eng.frontier (fun st ->
-      if !taken < max && st.St.tags = [] then begin
-        incr taken;
-        true
-      end
-      else false)
-
-(* Admit a state revived from another process's shipment. Shipped states
-   were already admitted by the sender's frontier, so the cap does not
-   apply (dropping one here would silently lose a live path). Imported
-   ids keep labeling their lineage, but the local allocator must move
-   past them so fresh forks never collide. *)
-let inject_state eng st =
-  let rec bump () =
-    let cur = Atomic.get eng.next_id in
-    if st.St.id > cur && not (Atomic.compare_and_set eng.next_id cur st.St.id)
-    then bump ()
-  in
-  bump ();
-  Frontier.requeue eng.frontier ~worker:(Domain.DLS.get worker_key) st
-
-(* Mark a block covered on behalf of another process (report merging).
-   Claims the first-cover flag without firing [on_new_block]; returns
-   whether this call newly claimed it, so the merge layer can do its own
-   coverage accounting exactly once per block. *)
-let note_covered_external eng pc =
-  match Hashtbl.find_opt eng.block_index pc with
-  | None -> false
-  | Some idx ->
-      let flag = eng.covered.(idx) in
-      Atomic.get flag = 0 && Atomic.compare_and_set flag 0 1
 
 (* --- expression helpers ------------------------------------------------ *)
 

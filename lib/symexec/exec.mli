@@ -175,10 +175,6 @@ val rehomed_states : engine -> int
     (an idle worker re-homes a dead sibling's queue onto itself). Also
     surfaced as {!stats}' [st_rehomed]. *)
 
-val note_rehomed : engine -> int -> unit
-(** Count [n] externally rescued states (a distributed coordinator's
-    re-ships after a worker process died) into [st_rehomed]. *)
-
 val replay_script :
   ?extra:Expr.t list -> ?constraints:Expr.t list -> Symstate.t ->
   Ddt_trace.Replay.script
@@ -238,36 +234,6 @@ val finished : engine -> Symstate.t list
 val drain_finished : engine -> Symstate.t list
 (** Like {!finished} but clears the list — used between workload phases. *)
 
-(** {1 Multi-process exploration support}
-
-    The snapshot-shipping seams used by [Ddt_dist]: a coordinator
-    exports queued states as marshal-safe images and ships them to
-    worker processes, which inject them into their own engines; covered
-    blocks and re-ship counts merge back through the two [note_]
-    functions. All of these are only meaningful at quiescent points. *)
-
-val queue_length : engine -> int
-(** States currently queued in the frontier — what a worker consults to
-    size a steal donation. *)
-
-val export_states : engine -> max:int -> Symstate.t list
-(** Remove up to [max] queued states from the frontier for shipping.
-    States carrying open merge tokens are never exported (the token pool
-    is process-local); they stay queued. *)
-
-val inject_state : engine -> Symstate.t -> unit
-(** Enqueue a state revived from another process's shipment (see
-    {!revive_image}). Cap-exempt — shipped states were already admitted
-    by the sender — and bumps the local id allocator past the imported
-    state's id. *)
-
-val note_covered_external : engine -> int -> bool
-(** Mark an absolute block address covered on behalf of another process
-    (report merging); no [on_new_block] hook fires. Returns [true] iff
-    this call newly claimed the block (unknown or already-covered
-    addresses return [false]), so the caller can account coverage
-    exactly once. *)
-
 (** {1 Helpers for the exerciser and annotations} *)
 
 val write_symbolic_bytes :
@@ -292,9 +258,8 @@ type stats = {
   (** successful cross-worker frontier steals (0 when [jobs = 1]) *)
   st_workers : int;            (** frontier worker slots ([config.jobs]) *)
   st_rehomed : int;
-  (** states rescued from dead workers: in-process queue re-homings by
-      the reaper, plus (in distributed runs) coordinator re-ships of a
-      killed worker process's in-flight states *)
+  (** states the reaper re-homed from permanently dead workers' queues
+      onto a live worker *)
   st_incidents : int;          (** quarantined engine incidents *)
   st_worker_restarts : int;    (** supervisor worker-loop restarts *)
   st_soft_retired : int;       (** states retired by the resource governor *)

@@ -269,6 +269,77 @@ let test_register_interrupt_without_attributes () =
   check_bool "missing attributes flagged" true
     (has_message r "null miniport context")
 
+(* --- the failed-initialize contract --------------------------------------- *)
+
+(* Every initialize path fails (allocation failure or not); every later
+   entry point would crash if it ran. NDIS never calls a miniport again
+   after a failed MiniportInitialize, so no later phase may run. *)
+let failing_init_src = {|
+  const TAG = 0x54455354;
+  int chars[8];
+  int crash(void) {
+    int p = 0;
+    *(p + 0) = 1;
+    return 0;
+  }
+  int initialize(void) {
+    int p;
+    int status = NdisAllocateMemoryWithTag(&p, 32, TAG);
+    if (status != 0) { return 1; }
+    NdisFreeMemory(p, 32, 0);
+    return 2;
+  }
+  int query(int oid, int buf, int len) { return crash(); }
+  int set(int oid, int buf, int len) { return crash(); }
+  int send(int pkt, int len) { return crash(); }
+  int halt(void) { return crash(); }
+  int reset(void) { return crash(); }
+  int driver_entry(void) {
+    chars[0] = initialize;
+    chars[1] = query;
+    chars[2] = set;
+    chars[3] = send;
+    chars[6] = halt;
+    chars[7] = reset;
+    return NdisMRegisterMiniport(chars);
+  }
+|}
+
+let failing_init_cfg () =
+  let image = Ddt_minicc.Codegen.compile ~name:"t" failing_init_src in
+  Config.make ~driver_name:"t" ~image ~driver_class:Config.Network ()
+
+let check_nothing_after_init what r =
+  check_int (what ^ ": only load and initialize invoked") 2
+    r.Session.r_invocations;
+  List.iter
+    (fun b ->
+      Alcotest.failf "%s: %s reported from %s" what b.Report.b_key
+        b.Report.b_entry)
+    r.Session.r_bugs
+
+let test_failed_init_ends_session () =
+  check_nothing_after_init "run" (Ddt.test_driver (failing_init_cfg ()))
+
+(* The resume path picks bases with the same rule: a checkpoint taken
+   inside the initialize phase resumes into no further phase. *)
+let test_failed_init_ends_resumed_session () =
+  let path = Filename.temp_file "ddt_failinit" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let cfg =
+        { (failing_init_cfg ()) with
+          Config.checkpoint_every = 1; checkpoint_path = Some path }
+      in
+      ignore (Session.run cfg);
+      (match Session.resume cfg ~path with
+       | Error e -> Alcotest.failf "resume: %s" e
+       | Ok r -> check_nothing_after_init "resume" r);
+      check_bool "a phase past the workload is refused" true
+        (Result.is_error
+           (Session.resume { cfg with Config.workload = [] } ~path)))
+
 (* --- evidence artifacts ------------------------------------------------------ *)
 
 let test_execution_tree () =
@@ -365,7 +436,11 @@ let () =
          Alcotest.test_case "timer workload" `Quick test_timer_workload;
          Alcotest.test_case "replay reproduces" `Quick test_replay_reproduces;
          Alcotest.test_case "coverage accounting" `Quick
-           test_coverage_counts_consistent ]);
+           test_coverage_counts_consistent;
+         Alcotest.test_case "failed initialize ends the session" `Quick
+           test_failed_init_ends_session;
+         Alcotest.test_case "failed initialize ends a resumed session"
+           `Quick test_failed_init_ends_resumed_session ]);
       ("apicheck",
        [ Alcotest.test_case "free length mismatch" `Quick
            test_free_length_mismatch;
@@ -422,9 +497,10 @@ let () =
       ("parallel",
        [ Alcotest.test_case "shared frontier deterministic across workers"
            `Quick (fun () ->
-             (* The tentpole determinism guard: one session's fork tree
-                explored by 1, 2 or 4 cooperating domains must report the
-                same bug-key set. *)
+             (* The determinism guard of the one parallel path: a
+                session's fork tree explored by 1 or 2 cooperating
+                domains (4 on two drivers) must report the same bug-key
+                set on every corpus driver. *)
              let keys cfg jobs =
                let cfg =
                  { cfg with
@@ -436,8 +512,8 @@ let () =
                     (Session.run cfg).Session.r_bugs)
              in
              List.iter
-               (fun name ->
-                 let entry = Ddt_drivers.Corpus.find name in
+               (fun (entry : Ddt_drivers.Corpus.entry) ->
+                 let name = entry.Ddt_drivers.Corpus.short in
                  let cfg = Ddt_drivers.Corpus.config entry in
                  let base = keys cfg 1 in
                  Alcotest.(check bool)
@@ -448,8 +524,9 @@ let () =
                      Alcotest.(check (list string))
                        (Printf.sprintf "%s: %d-worker bug keys" name jobs)
                        base (keys cfg jobs))
-                   [ 2; 4 ])
-               [ "rtl8029"; "pcnet" ]) ]);
+                   (if List.mem name [ "rtl8029"; "pcnet" ] then [ 2; 4 ]
+                    else [ 2 ]))
+               Ddt_drivers.Corpus.all) ]);
       ("diagnose",
        [ Alcotest.test_case "low-memory classification" `Quick
            test_diagnose_low_memory;

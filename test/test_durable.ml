@@ -322,6 +322,51 @@ let test_pstore_disk_full_read_only () =
     (Pstore.writable s1);
   check_bool "no further writes attempted" true (written < 8)
 
+(* Several processes saving overlapping entry sets into one store
+   directory must converge: every entry readable afterwards, no
+   partial files, racing writers of the same digest harmless. *)
+let test_pstore_concurrent_writers () =
+  let dir = tmpdir () in
+  let mk_cache n =
+    let c = Qcache.Sharded.create () in
+    for i = 0 to 63 do
+      let v = Expr.fresh_var ~name:(Printf.sprintf "w%d" i) Expr.W32 in
+      Qcache.Sharded.store_unsat c
+        (Qcache.query [ Expr.cmp Expr.Eq (Expr.var v) (Expr.word (n + i)) ])
+    done;
+    c
+  in
+  let writers = 4 in
+  let pids =
+    List.init writers (fun w ->
+        match Unix.fork () with
+        | 0 ->
+            (* Overlapping sets: writers w and w+1 share half their
+               entries, so same-digest races actually happen. *)
+            let c = mk_cache (w * 32) in
+            (match Pstore.open_store ~dir ~key:"conc" with
+             | Ok s -> ignore (Pstore.save s c)
+             | Error _ -> Unix._exit 1);
+            Unix._exit 0
+        | pid -> pid)
+  in
+  List.iter
+    (fun pid ->
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "writer process failed")
+    pids;
+  match Pstore.open_store ~dir ~key:"conc" with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+      let c = Qcache.Sharded.create () in
+      let loaded = Pstore.load s c in
+      check_int "no unreadable entries" 0 (Pstore.skipped s);
+      (* Keys [v = k] for k in 0 .. 32 * (writers - 1) + 63. *)
+      check_int "every distinct entry present once"
+        ((32 * (writers - 1)) + 64)
+        loaded
+
 (* --- Report JSON atomic write --------------------------------------------- *)
 
 let quick_cfg (e : Corpus.entry) =
@@ -532,7 +577,9 @@ let () =
           Alcotest.test_case "corruption only costs" `Quick
             test_pstore_corruption_only_costs;
           Alcotest.test_case "disk full makes it read-only" `Quick
-            test_pstore_disk_full_read_only ] );
+            test_pstore_disk_full_read_only;
+          Alcotest.test_case "concurrent writers converge" `Quick
+            test_pstore_concurrent_writers ] );
       ( "report-json",
         [ Alcotest.test_case "atomic write_file" `Quick
             test_report_json_write_file ] );

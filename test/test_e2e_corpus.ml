@@ -53,6 +53,31 @@ let total_bug_count () =
     (Printf.sprintf "found %d bugs total (paper: 14 across 6 drivers)" total)
     true (total >= 14)
 
+(* Replay fidelity (§3.5): every bug's script, replayed alone, must
+   reproduce its own key and report nothing the full session does not
+   also report. *)
+let check_replays entry () =
+  let cfg = Corpus.config entry in
+  let keys r = List.map (fun b -> b.Report.b_key) r.Session.r_bugs in
+  let full = run entry in
+  let full_keys = keys full in
+  List.iter
+    (fun b ->
+      let target = b.Report.b_key in
+      let replayed =
+        keys (Ddt.test_driver { cfg with Config.replay = Some b.Report.b_replay })
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "replay of %s reports it" target)
+        true (List.mem target replayed);
+      List.iter
+        (fun k ->
+          Alcotest.(check bool)
+            (Printf.sprintf "replay of %s: %s is in the full session" target k)
+            true (List.mem k full_keys))
+        replayed)
+    full.Session.r_bugs
+
 let () =
   let driver_cases =
     List.concat_map
@@ -65,5 +90,11 @@ let () =
   in
   Alcotest.run "ddt_e2e_corpus"
     [ ("drivers", driver_cases);
+      ("replay",
+       List.map
+         (fun e ->
+           Alcotest.test_case (e.Corpus.short ^ " bugs replay faithfully")
+             `Quick (check_replays e))
+         Corpus.all);
       ("summary",
        [ Alcotest.test_case "14 bugs total" `Quick total_bug_count ]) ]
