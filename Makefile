@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-solver bench-dbt bench-merge \
+.PHONY: all build test check bench bench-solver bench-merge \
   bench-staticrace bench-resume clean
 
 all: build
@@ -14,8 +14,6 @@ test:
 #   stealing and the shared query cache end to end);
 # - chaos --quick: injected worker crashes, solver exhaustions and
 #   memory pressure leave the bug sets unchanged;
-# - dbt --quick: compiled blocks on/off report identical bug sets, with
-#   and without chaos;
 # - merge --quick: fusing states at post-dominators leaves the bug sets
 #   unchanged while collapsing the deep-loop driver's frontier;
 # - staticrace --quick: the lockset/IRQL and race rules fire on the
@@ -35,7 +33,6 @@ test:
 check: build test
 	dune exec bench/main.exe -- parallel --quick
 	dune exec bench/main.exe -- chaos --quick
-	dune exec bench/main.exe -- dbt --quick
 	dune exec bench/main.exe -- merge --quick
 	dune exec bench/main.exe -- staticrace --quick
 	dune exec bench/main.exe -- resume --quick
@@ -89,11 +86,6 @@ bench:
 # bit-blasts, wall time, bug-report parity); writes BENCH_solver.json.
 bench-solver:
 	dune exec bench/main.exe -- solver --json
-
-# Full DBT experiment: concrete throughput vs the interpreter plus bug-
-# report parity on all six drivers (± chaos); writes BENCH_dbt.json.
-bench-dbt:
-	dune exec bench/main.exe -- dbt --json
 
 # Full state-merging experiment: frontier sizes and bug-report parity
 # with merging off vs on across the corpus (± chaos), including the

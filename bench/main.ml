@@ -709,9 +709,8 @@ let static_bench () =
 type chaos_row = {
   cr_driver : string;
   cr_bugs : int;
-  cr_off_wall : float;        (* guard off (historical fail-fast engine) *)
-  cr_on_wall : float;         (* guard on, fault-free *)
-  cr_chaos_wall : float;      (* guard on, all injections enabled *)
+  cr_wall : float;            (* fault-free *)
+  cr_chaos_wall : float;      (* all injections enabled *)
   cr_bugs_match : bool;       (* chaos bug set = fault-free bug set *)
   cr_incidents : int;
   cr_restarts : int;
@@ -726,27 +725,21 @@ let write_chaos_json rows path =
   let pr fmt = Printf.fprintf oc fmt in
   pr "{\n  \"experiment\": \"chaos\",\n";
   pr
-    "  \"note\": \"guard_overhead compares the fault-free wall with the \
-     supervision/quarantine layer on vs the historical fail-fast engine; \
-     the chaos leg injects worker crashes, forced solver budget \
-     exhaustions and simulated memory pressure and must reproduce the \
-     fault-free bug set.\",\n";
+    "  \"note\": \"the chaos leg injects worker crashes, forced solver \
+     budget exhaustions and simulated memory pressure and must reproduce \
+     the fault-free bug set.\",\n";
   pr "  \"drivers\": [\n";
   List.iteri
     (fun i r ->
       pr
-        "    {\"driver\": %S, \"bugs\": %d, \"guard_off_wall_s\": %.4f, \
-         \"guard_on_wall_s\": %.4f, \"guard_overhead\": %.4f,\n     \
+        "    {\"driver\": %S, \"bugs\": %d, \"wall_s\": %.4f, \
          \"chaos_wall_s\": %.4f, \"bugs_match\": %b, \"incidents\": %d, \
          \"worker_restarts\": %d,\n     \"solver_retries\": %d, \
          \"retry_recovered\": %d, \"soft_retired\": %d, \
          \"governor_trips\": %d}%s\n"
-        r.cr_driver r.cr_bugs r.cr_off_wall r.cr_on_wall
-        (if r.cr_off_wall > 0.0 then
-           (r.cr_on_wall -. r.cr_off_wall) /. r.cr_off_wall
-         else 0.0)
-        r.cr_chaos_wall r.cr_bugs_match r.cr_incidents r.cr_restarts
-        r.cr_retries r.cr_retry_recovered r.cr_soft_retired r.cr_governor_trips
+        r.cr_driver r.cr_bugs r.cr_wall r.cr_chaos_wall r.cr_bugs_match
+        r.cr_incidents r.cr_restarts r.cr_retries r.cr_retry_recovered
+        r.cr_soft_retired r.cr_governor_trips
         (if i = List.length rows - 1 then "" else ","))
     rows;
   pr "  ]\n}\n";
@@ -775,7 +768,7 @@ let chaos_bench () =
     { Ddt_core.Governor.soft_states = 0; soft_cow_depth = 0;
       soft_live_words = 1; min_states = 8; max_retire_per_trip = 1 }
   in
-  let run short ~guard ~chaos =
+  let run short ~chaos =
     let cfg = Corpus.config (Corpus.find short) in
     let cfg =
       if !quick_mode then
@@ -790,8 +783,7 @@ let chaos_bench () =
       { cfg with
         Config.exec_config =
           { cfg.Config.exec_config with
-            Exec.guard;
-            chaos = (if chaos then Some injections else None) } }
+            Exec.chaos = (if chaos then Some injections else None) } }
     in
     (* cold query cache for every leg, so walls and injection points are
        comparable *)
@@ -803,31 +795,24 @@ let chaos_bench () =
   let bug_keys (r : Session.result) =
     List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
   in
-  Printf.printf "%-16s %9s %9s %9s %9s %5s %5s %5s %5s %5s\n" "Driver"
-    "off(s)" "on(s)" "ovhd%" "chaos(s)" "same" "incid" "rst" "retry" "shed";
+  Printf.printf "%-16s %9s %9s %5s %5s %5s %5s %5s\n" "Driver" "wall(s)"
+    "chaos(s)" "same" "incid" "rst" "retry" "shed";
   let rows =
     List.map
       (fun short ->
-        let roff, toff = run short ~guard:false ~chaos:false in
-        let ron, ton = run short ~guard:true ~chaos:false in
-        let rch, tch = run short ~guard:true ~chaos:true in
-        let same =
-          bug_keys roff = bug_keys ron && bug_keys ron = bug_keys rch
-        in
+        let r, t = run short ~chaos:false in
+        let rch, tch = run short ~chaos:true in
+        let same = bug_keys r = bug_keys rch in
         let s = rch.Session.r_stats in
         let sv = s.Exec.st_solver in
-        Printf.printf "%-16s %9.2f %9.2f %8.1f%% %9.2f %5s %5d %5d %5d %5d\n"
-          short toff ton
-          (if toff > 0.0 then 100.0 *. (ton -. toff) /. toff else 0.0)
-          tch
+        Printf.printf "%-16s %9.2f %9.2f %5s %5d %5d %5d %5d\n" short t tch
           (if same then "yes" else "NO")
           s.Exec.st_incidents s.Exec.st_worker_restarts sv.Sv.s_retries
           s.Exec.st_soft_retired;
         {
           cr_driver = short;
           cr_bugs = List.length rch.Session.r_bugs;
-          cr_off_wall = toff;
-          cr_on_wall = ton;
+          cr_wall = t;
           cr_chaos_wall = tch;
           cr_bugs_match = same;
           cr_incidents = s.Exec.st_incidents;
@@ -839,17 +824,13 @@ let chaos_bench () =
         })
       drivers
   in
-  let sumf f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let off = sumf (fun r -> r.cr_off_wall) in
-  let on_ = sumf (fun r -> r.cr_on_wall) in
   Printf.printf
-    "\nbug sets identical (off/on/chaos) on %d/%d drivers | guard overhead \
-     %.1f%% fault-free | %d incidents quarantined, %d restarts, %d \
-     escalated retries (%d recovered), %d states shed\n"
+    "\nbug sets identical (default/chaos) on %d/%d drivers | %d incidents \
+     quarantined, %d restarts, %d escalated retries (%d recovered), %d \
+     states shed\n"
     (List.length (List.filter (fun r -> r.cr_bugs_match) rows))
     (List.length rows)
-    (if off > 0.0 then 100.0 *. (on_ -. off) /. off else 0.0)
     (sum (fun r -> r.cr_incidents))
     (sum (fun r -> r.cr_restarts))
     (sum (fun r -> r.cr_retries))
@@ -858,225 +839,6 @@ let chaos_bench () =
   if !json_mode then begin
     write_chaos_json rows "BENCH_chaos.json";
     Printf.printf "wrote BENCH_chaos.json\n"
-  end
-
-(* --- DBT block compilation -------------------------------------------------------- *)
-
-type dbt_micro_row = {
-  dm_name : string;
-  dm_interp_sps : float; (* interpreted steps/second *)
-  dm_dbt_sps : float;    (* compiled steps/second *)
-}
-
-type dbt_row = {
-  dr_driver : string;
-  dr_off_wall : float;
-  dr_off_bugs : string list;
-  dr_on_wall : float;
-  dr_on_bugs : string list;
-  dr_chaos_match : bool; (* chaos legs report identical bugs dbt on/off *)
-  dr_stats : Exec.stats; (* from the dbt-on leg *)
-}
-
-(* Concrete-execution throughput: run a program to completion repeatedly
-   for a fixed wall-time slice through the plain interpreter and through
-   compiled superblocks, and report instructions/second for each. *)
-let dbt_measure_concrete name img =
-  let open Ddt_dvm in
-  let execute use_dbt =
-    let mem = Mem.create () in
-    let loaded = Image.load img mem ~base:Layout.image_base in
-    let env = Interp.create ~fuel:50_000_000 ~image:loaded mem in
-    Cpu.set env.Interp.cpu Isa.sp Layout.stack_top;
-    let addr = loaded.Image.base + img.Image.entry in
-    (if use_dbt then begin
-       let d = Dbt.create ~threshold:0 loaded in
-       Dbt.compile_all d;
-       ignore (Dbt.call_function d env ~addr ~args:[])
-     end
-     else ignore (Interp.call_function env ~addr ~args:[]));
-    env.Interp.steps
-  in
-  let throughput use_dbt =
-    ignore (execute use_dbt);
-    (* warmup *)
-    let slice = if !quick_mode then 0.2 else 0.6 in
-    let t0 = Unix.gettimeofday () in
-    let steps = ref 0 in
-    while Unix.gettimeofday () -. t0 < slice do
-      steps := !steps + execute use_dbt
-    done;
-    float_of_int !steps /. (Unix.gettimeofday () -. t0)
-  in
-  let interp_sps = throughput false in
-  let dbt_sps = throughput true in
-  Printf.printf "%-34s %12.0f %12.0f %7.1fx\n" name interp_sps dbt_sps
-    (dbt_sps /. interp_sps);
-  { dm_name = name; dm_interp_sps = interp_sps; dm_dbt_sps = dbt_sps }
-
-(* The compiled path's best case and per-instruction dispatch's worst:
-   a long unrolled ALU block in a tight loop, all operands in registers,
-   so the whole loop body chains into one superblock. *)
-let dbt_alu_image () =
-  let unrolled =
-    String.concat "\n        "
-      (List.init 24 (fun i ->
-           let r a = 2 + (a mod 6) in
-           Printf.sprintf "add r%d, r%d, r%d" (r i) (r (i + 1)) (r (i + 2))))
-  in
-  Ddt_dvm.Asm.assemble ~name:"alu-loop"
-    (Printf.sprintf {|
-      .entry main
-      .func main
-      main:
-        movi r1, 2000
-        movi r2, 1
-        movi r3, 2
-        movi r4, 3
-        movi r5, 5
-        movi r6, 7
-        movi r7, 11
-      loop:
-        jz r1, done
-        %s
-        sub r1, r1, 1
-        jmp loop
-      done:
-        ret
-    |} unrolled)
-
-let dbt_minicc_image () =
-  Ddt_minicc.Codegen.compile ~name:"minicc-loop" {|
-    int driver_entry(void) {
-      int acc = 0;
-      int i;
-      for (i = 0; i < 2000; i = i + 1) { acc = acc + i * 3; }
-      return acc;
-    }
-  |}
-
-let write_dbt_json micros rows path =
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  pr "{\n  \"experiment\": \"dbt\",\n";
-  pr
-    "  \"note\": \"hot-block compilation to OCaml closures: concrete \
-     throughput interpreter vs compiled superblocks, and full-session \
-     bug-report parity with the guarded symbolic fast path on and \
-     off\",\n";
-  pr "  \"concrete_throughput\": [\n";
-  List.iteri
-    (fun i m ->
-      pr
-        "    {\"name\": %S, \"interp_steps_per_s\": %.0f, \
-         \"dbt_steps_per_s\": %.0f, \"speedup\": %.2f}%s\n"
-        m.dm_name m.dm_interp_sps m.dm_dbt_sps
-        (m.dm_dbt_sps /. m.dm_interp_sps)
-        (if i = List.length micros - 1 then "" else ","))
-    micros;
-  pr "  ],\n";
-  pr "  \"drivers\": [\n";
-  List.iteri
-    (fun i r ->
-      pr
-        "    {\"driver\": %S, \"wall_off_s\": %.4f, \"wall_on_s\": %.4f, \
-         \"bugs_off\": %d, \"bugs_on\": %d, \"bugs_match\": %b, \
-         \"chaos_bugs_match\": %b, \"blocks_compiled\": %d, \
-         \"superblocks_chained\": %d, \"guard_bails\": %d, \
-         \"decompiled\": %d, \"compiled_steps\": %d, \"total_steps\": %d}%s\n"
-        r.dr_driver r.dr_off_wall r.dr_on_wall
-        (List.length r.dr_off_bugs)
-        (List.length r.dr_on_bugs)
-        (r.dr_off_bugs = r.dr_on_bugs)
-        r.dr_chaos_match r.dr_stats.Exec.st_dbt_blocks
-        r.dr_stats.Exec.st_dbt_superblocks r.dr_stats.Exec.st_dbt_guard_bails
-        r.dr_stats.Exec.st_dbt_decompiled
-        r.dr_stats.Exec.st_dbt_compiled_steps r.dr_stats.Exec.st_total_steps
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pr "  ]\n}\n";
-  close_out oc
-
-let dbt_bench () =
-  section
-    (if !quick_mode then
-       "DBT block compilation smoke test (--quick): throughput + parity \
-        on 2 drivers"
-     else
-       "DBT block compilation: hot blocks as OCaml closures — concrete \
-        throughput vs the interpreter, and full-corpus bug-report parity \
-        (plain and under chaos)");
-  Printf.printf "%-34s %12s %12s %8s\n" "Concrete throughput" "interp/s"
-    "dbt/s" "speedup";
-  let micros =
-    [ dbt_measure_concrete "alu loop (24-instr superblock)" (dbt_alu_image ());
-      dbt_measure_concrete "minicc compiled function" (dbt_minicc_image ()) ]
-  in
-  let drivers =
-    if !quick_mode then [ "rtl8029"; "pcnet" ]
-    else List.map (fun e -> e.Corpus.short) Corpus.all
-  in
-  let bug_keys (r : Session.result) =
-    List.map (fun b -> b.Report.b_key) r.Session.r_bugs
-    |> List.sort_uniq compare
-  in
-  let run_with ?chaos dbt short =
-    let cfg = Corpus.config (Corpus.find short) in
-    let cfg =
-      if !quick_mode then
-        { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
-      else
-        { cfg with Config.max_total_steps = 150_000; plateau_steps = 100_000 }
-    in
-    let cfg =
-      { cfg with
-        Config.exec_config =
-          { cfg.Config.exec_config with Exec.jobs = 1; dbt; chaos } }
-    in
-    Ddt_solver.Solver.clear_cache ();
-    let t0 = Unix.gettimeofday () in
-    let r = Session.run cfg in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Printf.printf "\n%-16s %9s %9s %7s %7s %6s %9s %5s %5s\n" "Driver"
-    "wall-off" "wall-on" "blocks" "chained" "bails" "comp-frac" "same"
-    "chaos";
-  let chaos_spec =
-    { Ddt_symexec.Guard.chaos_worker_crash_period = 25;
-      chaos_solver_exhaust_period = 3; chaos_pressure_words = 50_000_000 }
-  in
-  let rows =
-    List.map
-      (fun short ->
-        let roff, toff = run_with false short in
-        let ron, ton = run_with true short in
-        let coff, _ = run_with ~chaos:chaos_spec false short in
-        let con, _ = run_with ~chaos:chaos_spec true short in
-        let st = ron.Session.r_stats in
-        let frac =
-          float_of_int st.Exec.st_dbt_compiled_steps
-          /. float_of_int (max 1 st.Exec.st_total_steps)
-        in
-        Printf.printf "%-16s %8.2fs %8.2fs %7d %7d %6d %8.0f%% %5s %5s\n"
-          short toff ton st.Exec.st_dbt_blocks st.Exec.st_dbt_superblocks
-          st.Exec.st_dbt_guard_bails (100.0 *. frac)
-          (if bug_keys roff = bug_keys ron then "yes" else "NO")
-          (if bug_keys coff = bug_keys con then "yes" else "NO");
-        { dr_driver = short; dr_off_wall = toff; dr_off_bugs = bug_keys roff;
-          dr_on_wall = ton; dr_on_bugs = bug_keys ron;
-          dr_chaos_match = bug_keys coff = bug_keys con; dr_stats = st })
-      drivers
-  in
-  let same =
-    List.length (List.filter (fun r -> r.dr_off_bugs = r.dr_on_bugs) rows)
-  in
-  let chaos_same = List.length (List.filter (fun r -> r.dr_chaos_match) rows) in
-  Printf.printf
-    "\ntotals: bug reports identical on %d/%d drivers (%d/%d under chaos)\n"
-    same (List.length rows) chaos_same (List.length rows);
-  if !json_mode then begin
-    write_dbt_json micros rows "BENCH_dbt.json";
-    Printf.printf "wrote BENCH_dbt.json\n"
   end
 
 (* --- state merging at post-dominators ------------------------------------------- *)
@@ -1686,7 +1448,7 @@ let all_experiments =
     ("stress", stress); ("sdv", sdv); ("synthetic", synthetic);
     ("ablation", ablation); ("sched", sched); ("parallel", parallel);
     ("memory", memory); ("solver", solver_bench); ("static", static_bench);
-    ("chaos", chaos_bench); ("dbt", dbt_bench);
+    ("chaos", chaos_bench);
     ("merge", merge_bench); ("staticrace", staticrace_bench);
     ("resume", resume_bench); ("micro", micro) ]
 

@@ -79,14 +79,6 @@ let chaos_flag =
   in
   Arg.(value & flag & info [ "chaos" ] ~doc)
 
-let no_dbt_flag =
-  let doc =
-    "Disable block compilation and interpret every instruction \
-     individually (the differential oracle the compiled path is \
-     validated against). Bug reports are identical either way."
-  in
-  Arg.(value & flag & info [ "no-dbt" ] ~doc)
-
 let no_merge_flag =
   let doc =
     "Disable dynamic state merging at branch post-dominators and fork on \
@@ -126,7 +118,7 @@ let no_persist_flag =
 
 let json_out_arg =
   let doc =
-    "Also write the machine-readable session report (JSON, schema v5) to \
+    "Also write the machine-readable session report (JSON, schema v6) to \
      $(docv), atomically (tmp + rename)."
   in
   Arg.(value & opt (some string) None & info [ "json-out" ] ~docv:"PATH" ~doc)
@@ -134,14 +126,13 @@ let json_out_arg =
 (* Flag application shared by `test' and `resume': for a resumed run to
    converge with the uninterrupted one, both must build their config the
    same way from the same flags. *)
-let apply_session_flags cfg ~jobs ~guided ~chaos ~no_dbt ~no_merge
+let apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
     ~checkpoint_every ~checkpoint_path ~store_dir ~persist =
   let cfg =
     { cfg with
       Ddt_core.Config.exec_config =
         { cfg.Ddt_core.Config.exec_config with
           Ddt_symexec.Exec.jobs = max 1 jobs;
-          dbt = not no_dbt;
           state_merging = not no_merge };
       checkpoint_every;
       checkpoint_path;
@@ -195,7 +186,7 @@ let report_result ~traces ~json_out r =
   if r.Ddt_core.Session.r_bugs = [] then 0 else 2
 
 let test_cmd =
-  let run short fixed no_annot traces jobs guided chaos no_dbt no_merge
+  let run short fixed no_annot traces jobs guided chaos no_merge
       checkpoint_every checkpoint_path store_dir no_persist json_out =
     match find_entry short with
     | Error e -> prerr_endline e; 1
@@ -204,7 +195,7 @@ let test_cmd =
           Corpus.config ~fixed ~use_annotations:(not no_annot) entry
         in
         let cfg =
-          apply_session_flags cfg ~jobs ~guided ~chaos ~no_dbt ~no_merge
+          apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
             ~checkpoint_every ~checkpoint_path ~store_dir
             ~persist:(not no_persist)
         in
@@ -214,9 +205,9 @@ let test_cmd =
     (Cmd.info "test" ~doc:"Test a driver binary with DDT")
     Term.(
       const run $ driver_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ guided_flag $ chaos_flag $ no_dbt_flag
-      $ no_merge_flag $ checkpoint_every_arg
-      $ checkpoint_path_arg $ store_dir_arg $ no_persist_flag $ json_out_arg)
+      $ jobs_arg $ guided_flag $ chaos_flag $ no_merge_flag
+      $ checkpoint_every_arg $ checkpoint_path_arg $ store_dir_arg
+      $ no_persist_flag $ json_out_arg)
 
 let resume_cmd =
   let ckpt_arg =
@@ -227,7 +218,7 @@ let resume_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"CKPT" ~doc)
   in
-  let run ckpt fixed no_annot traces jobs guided chaos no_dbt no_merge
+  let run ckpt fixed no_annot traces jobs guided chaos no_merge
       checkpoint_every checkpoint_path store_dir no_persist json_out =
     match Ddt_core.Session.checkpoint_driver ckpt with
     | Error e -> Printf.eprintf "cannot read checkpoint: %s\n" e; 1
@@ -244,8 +235,8 @@ let resume_cmd =
               Corpus.config ~fixed ~use_annotations:(not no_annot) entry
             in
             let cfg =
-              apply_session_flags cfg ~jobs ~guided ~chaos ~no_dbt
-                ~no_merge ~checkpoint_every
+              apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
+                ~checkpoint_every
                 (* keep checkpointing into the file being resumed unless
                    told otherwise *)
                 ~checkpoint_path:
@@ -263,7 +254,7 @@ let resume_cmd =
           checkpoint and run it to completion")
     Term.(
       const run $ ckpt_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ guided_flag $ chaos_flag $ no_dbt_flag $ no_merge_flag
+      $ jobs_arg $ guided_flag $ chaos_flag $ no_merge_flag
       $ checkpoint_every_arg $ checkpoint_path_arg
       $ store_dir_arg $ no_persist_flag $ json_out_arg)
 

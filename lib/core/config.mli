@@ -74,9 +74,6 @@ val make :
   ?exec_config:Ddt_symexec.Exec.config ->
   ?jobs:int ->
   ?static_guidance:bool ->
-  ?dbt:bool ->
-  (** override [exec_config.dbt]: guarded block compilation (see
-      {!Ddt_symexec.Exec.config}) *)
   ?state_merging:bool ->
   (** override [exec_config.state_merging]: fuse sibling states at
       branch post-dominators (see {!Ddt_symexec.Exec.config}) *)

@@ -55,18 +55,6 @@ let pp_report fmt (r : Session.result) =
       "governor: %d state(s) concretized and retired under resource \
        pressure (%d trip(s))@."
       stats.Ddt_symexec.Exec.st_soft_retired r.Session.r_governor_trips;
-  if stats.Ddt_symexec.Exec.st_dbt_blocks > 0 then begin
-    let compiled = stats.Ddt_symexec.Exec.st_dbt_compiled_steps in
-    let total = max 1 stats.Ddt_symexec.Exec.st_total_steps in
-    Format.fprintf fmt
-      "dbt: %d superblock(s) compiled (%d chained), %d guard bailout(s), \
-       %d de-compiled, %.0f%% of steps compiled@."
-      stats.Ddt_symexec.Exec.st_dbt_blocks
-      stats.Ddt_symexec.Exec.st_dbt_superblocks
-      stats.Ddt_symexec.Exec.st_dbt_guard_bails
-      stats.Ddt_symexec.Exec.st_dbt_decompiled
-      (100.0 *. float_of_int compiled /. float_of_int total)
-  end;
   if stats.Ddt_symexec.Exec.st_merged_states > 0
      || stats.Ddt_symexec.Exec.st_merge_refusals > 0
   then

@@ -5,7 +5,7 @@
 
 module Report = Ddt_checkers.Report
 
-let schema_version = 5
+let schema_version = 6
 
 type bug_row = {
   jb_kind : string;
@@ -55,14 +55,7 @@ type summary = {
   j_states_dropped : int;
   j_soft_retired : int;
   j_incidents : incident_row list;
-  (* schema 3: block-compilation counters (all 0 when DBT is off) *)
-  j_dbt_blocks : int;
-  j_dbt_superblocks : int;
-  j_dbt_guard_bails : int;
-  j_dbt_decompiled : int;
-  j_dbt_compiled_steps : int;
   j_total_steps : int;
-  (* denominator for the compiled-vs-interpreted step fraction *)
   (* schema 4: post-dominator state-merging counters (all 0 when merging
      is off or never triggered) *)
   j_merged_states : int;
@@ -126,12 +119,6 @@ let of_result (r : Session.result) =
             ji_message = i.inc_message;
             ji_replay = Ddt_trace.Replay.to_string i.inc_replay })
         r.Session.r_incidents;
-    j_dbt_blocks = r.Session.r_stats.Ddt_symexec.Exec.st_dbt_blocks;
-    j_dbt_superblocks = r.Session.r_stats.Ddt_symexec.Exec.st_dbt_superblocks;
-    j_dbt_guard_bails = r.Session.r_stats.Ddt_symexec.Exec.st_dbt_guard_bails;
-    j_dbt_decompiled = r.Session.r_stats.Ddt_symexec.Exec.st_dbt_decompiled;
-    j_dbt_compiled_steps =
-      r.Session.r_stats.Ddt_symexec.Exec.st_dbt_compiled_steps;
     j_total_steps = r.Session.r_stats.Ddt_symexec.Exec.st_total_steps;
     j_merged_states = r.Session.r_stats.Ddt_symexec.Exec.st_merged_states;
     j_merge_ites = r.Session.r_stats.Ddt_symexec.Exec.st_merge_ites;
@@ -205,11 +192,6 @@ let to_string s =
       ("states_dropped", string_of_int s.j_states_dropped);
       ("soft_retired", string_of_int s.j_soft_retired);
       ("incidents", jlist incident_row_json s.j_incidents);
-      ("dbt_blocks", string_of_int s.j_dbt_blocks);
-      ("dbt_superblocks", string_of_int s.j_dbt_superblocks);
-      ("dbt_guard_bails", string_of_int s.j_dbt_guard_bails);
-      ("dbt_decompiled", string_of_int s.j_dbt_decompiled);
-      ("dbt_compiled_steps", string_of_int s.j_dbt_compiled_steps);
       ("total_steps", string_of_int s.j_total_steps);
       ("merged_states", string_of_int s.j_merged_states);
       ("merge_ites", string_of_int s.j_merge_ites);
@@ -392,11 +374,6 @@ let of_string str =
               j_soft_retired = as_int (field "soft_retired" j);
               j_incidents =
                 List.map incident_row_of (as_arr (field "incidents" j));
-              j_dbt_blocks = as_int (field "dbt_blocks" j);
-              j_dbt_superblocks = as_int (field "dbt_superblocks" j);
-              j_dbt_guard_bails = as_int (field "dbt_guard_bails" j);
-              j_dbt_decompiled = as_int (field "dbt_decompiled" j);
-              j_dbt_compiled_steps = as_int (field "dbt_compiled_steps" j);
               j_total_steps = as_int (field "total_steps" j);
               j_merged_states = as_int (field "merged_states" j);
               j_merge_ites = as_int (field "merge_ites" j);

@@ -57,12 +57,7 @@ type summary = {
   j_states_dropped : int;      (** states shed at the hard max_states cap *)
   j_soft_retired : int;        (** states the governor concretized and retired *)
   j_incidents : incident_row list;
-  j_dbt_blocks : int;          (** superblocks compiled (schema 3) *)
-  j_dbt_superblocks : int;     (** chained constituents beyond heads *)
-  j_dbt_guard_bails : int;     (** symbolic-operand guard bailouts *)
-  j_dbt_decompiled : int;      (** superblocks de-compiled after chronic bails *)
-  j_dbt_compiled_steps : int;  (** instructions executed via compiled blocks *)
-  j_total_steps : int;         (** fraction denominator for the above *)
+  j_total_steps : int;         (** instructions executed *)
   j_merged_states : int;       (** states fused at post-dominators (schema 4) *)
   j_merge_ites : int;          (** registers/bytes lifted to ite at merges *)
   j_merge_forks_avoided : int; (** forks the fused states would have spawned *)

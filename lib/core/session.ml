@@ -295,19 +295,17 @@ let setup (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-(* 4: query-cache keys carry their hash and the model-reuse list holds
-   value arrays. *)
-let checkpoint_version = 4
+(* 5: the engine image no longer carries block-compiler dispositions. *)
+let checkpoint_version = 5
 
 (* A checkpoint is one self-contained marshal image of every piece of
-   session progress: the engine image (queues, merge pool, guard, DBT
-   dispositions, counters), the surviving phase bases, the report sink,
-   the session refs, the expression-variable counter, and the full query
-   cache. One blob means [Marshal] preserves every physical-sharing
-   relationship (sibling constraint tails, cache-entry aliasing) that
-   the live heap had. Derived structures — compiled DBT closures, dedup
-   tables — are deliberately absent: they are caches, rebuilt from
-   scratch on restore. *)
+   session progress: the engine image (queues, merge pool, guard,
+   counters), the surviving phase bases, the report sink, the session
+   refs, the expression-variable counter, and the full query cache. One
+   blob means [Marshal] preserves every physical-sharing relationship
+   (sibling constraint tails, cache-entry aliasing) that the live heap
+   had. Derived structures such as dedup tables are deliberately absent:
+   they are caches, rebuilt from scratch on restore. *)
 type checkpoint = {
   ck_version : int;
   ck_driver : string;

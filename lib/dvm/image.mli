@@ -32,8 +32,8 @@ type loaded = {
   (** decode-once instruction array, one slot per [Isa.instr_size] bytes
       of text, built from the {e relocated} bytes at load time. [None]
       marks an undecodable slot (data in text). Shared by the concrete
-      interpreter, the symbolic engine and the block compiler — replaces
-      the per-consumer decode caches. *)
+      interpreter and the symbolic engine — replaces the per-consumer
+      decode caches. *)
 }
 
 val load : t -> Mem.t -> base:int -> loaded

@@ -30,16 +30,9 @@ type env = {
   mutable image : Image.loaded option;
 }
 
-(* Shared physical no-op closures: the block compiler treats "all hooks
-   are these exact closures" as the license to skip per-instruction hook
-   dispatch inside compiled blocks. *)
-let nop_step : int -> unit = fun _ -> ()
-let nop_rw : int -> int -> int -> unit = fun _ _ _ -> ()
-
-let no_hooks () = { on_step = nop_step; on_read = nop_rw; on_write = nop_rw }
-
-let hooks_are_default h =
-  h.on_step == nop_step && h.on_read == nop_rw && h.on_write == nop_rw
+let no_hooks () =
+  { on_step = (fun _ -> ()); on_read = (fun _ _ _ -> ());
+    on_write = (fun _ _ _ -> ()) }
 
 let create ?(fuel = 50_000_000) ?image mem =
   { mem; cpu = Cpu.create ();
@@ -212,11 +205,7 @@ let call_function env ~addr ~args =
   List.iter (fun a -> push env addr a) (List.rev args);
   push env addr Layout.return_sentinel;
   env.cpu.Cpu.pc <- addr;
-  let stop = run env in
-  (match stop with
-   | Sentinel -> ()
-   | Halted -> ()
-   | Out_of_fuel -> ());
+  ignore (run env : stop);
   (* Pop the arguments (the callee's Ret consumed the sentinel). *)
   Cpu.set env.cpu Isa.sp (Cpu.get env.cpu Isa.sp + (4 * List.length args));
   env.cpu.Cpu.pc <- saved_pc;

@@ -38,11 +38,6 @@ type env = {
 
 val create : ?fuel:int -> ?image:Image.loaded -> Mem.t -> env
 
-val hooks_are_default : hooks -> bool
-(** All three hooks are (physically) the no-ops installed by [create] —
-    the block compiler only runs compiled code when this holds, because
-    compiled blocks do not dispatch per-instruction hooks. *)
-
 type stop = Sentinel | Halted | Out_of_fuel
 
 val step : env -> unit
@@ -56,18 +51,3 @@ val call_function : env -> addr:int -> args:int list -> int
     at [addr] to completion, pop the arguments, return [r0]. This is how
     the (native) kernel invokes driver entry points and how interrupts
     nest an ISR invocation into the current execution. *)
-
-(** {1 Shared semantic helpers}
-
-    Exported for the block compiler ({!Dbt}), which must reproduce the
-    interpreter's arithmetic and fault behavior bit-for-bit. *)
-
-val alu : Isa.aluop -> int -> int -> int -> int
-(** [alu op a b pc]: 32-bit ALU semantics. @raise Fault on division by 0. *)
-
-val cmp : Isa.cmpop -> int -> int -> int
-(** [cmp op a b] is [1] when the comparison holds, else [0]. *)
-
-val push : env -> int -> int -> unit
-(** [push env pc v]: the interpreter's stack push (overflow check, hooks).
-    @raise Fault on stack overflow. *)

@@ -39,6 +39,13 @@ let step e =
       Some tru
   | Cmp (Ltu, Const (_, c), Zext b) when width_of b = W8 && c >= 0xFF ->
       Some fls
+  (* Unsigned division of a zero-extended byte by a byte-sized non-zero
+     constant stays within the byte: do it at W8, where the divider
+     circuit is a quarter the width. (Division by 0 is all-ones at each
+     width, so that case does not commute with the extension.) *)
+  | Binop (((Divu | Remu) as op), Zext x, Const (_, c))
+    when width_of x = W8 && c > 0 && c <= 0xFF ->
+      Some (zext (binop op x (byte c)))
   (* An unsigned value is never below zero and always >= 0. *)
   | Cmp (Ltu, _, Const (_, 0)) -> Some fls
   | Cmp (Leu, Const (_, 0), _) -> Some tru

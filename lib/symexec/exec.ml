@@ -37,25 +37,12 @@ type config = {
       a distance-to-uncovered function ({!set_distance_fn}) that keys the
       [Min_dist] strategy and tiebreaks [Min_touch]. Off by default — the
       engine then behaves exactly as before. *)
-  guard : bool;
-  (** fault-tolerant exploration ({!Guard}): every state's step loop runs
-      inside a fault boundary that quarantines the state on an escaped
-      exception, crashed worker loops are restarted (bounded, with
-      backoff), and solver budget exhaustions during a state's quantum
-      are recorded as incidents. Off = the historical fail-fast engine
-      (one escaped exception kills the session). *)
   max_worker_restarts : int;
   (** restarts granted to a worker that keeps crashing without making
       progress (the counter resets once the worker completes a pick) *)
   chaos : Guard.chaos option;
   (** deterministic fault injection for the chaos harness; [None] (the
       default) injects nothing *)
-  dbt : bool;
-  (** compile hot basic blocks into guarded closures ({!Sdbt}): fully
-      concrete stretches execute with no per-instruction decode/dispatch
-      and bail to the interpreter at the first symbolic operand. On by
-      default; automatically disabled while [record_exec_pcs] is set
-      (compiled blocks do not emit per-pc trace events). *)
   state_merging : bool;
   (** fuse sibling states back together at branch post-dominators
       ({!Merge}): a symbolic fork whose arms reconverge — per the
@@ -80,10 +67,8 @@ let default_config =
     strategy = Sched.Min_touch;
     jobs = 1;
     static_guidance = false;
-    guard = true;
     max_worker_restarts = 3;
     chaos = None;
-    dbt = true;
     state_merging = true;
   }
 
@@ -112,10 +97,6 @@ type engine = {
   base_mem : Mem.t;
   img : Image.loaded;
   symdev : Ddt_hw.Symdev.t;
-  mutable dbt : Sdbt.t option;
-  (* guarded block compiler, installed lazily by [ensure_dbt] at [run]
-     time (its context closures capture [note_block], defined after
-     [create]); [None] when [cfg.dbt] is off or per-pc tracing is on *)
   block_index : (int, int) Hashtbl.t;       (* abs leader -> dense id;
                                                read-only after create *)
   block_addrs : int array;                  (* dense id -> abs leader, sorted *)
@@ -256,7 +237,6 @@ let create ?(config = default_config) img base_mem symdev =
     base_mem;
     img;
     symdev;
-    dbt = None;
     block_index;
     block_addrs;
     covered;
@@ -419,12 +399,12 @@ let rec retire eng st status ~report =
   Mutex.unlock eng.glock;
   (* The hook runs outside the lock so checkers may call [stats] etc.;
      Session serializes its own accounting. A checker exception is an
-     engine fault, not a driver finding: under the guard it is
-     quarantined as an incident (with the state's script) instead of
-     unwinding the worker. *)
+     engine fault, not a driver finding: it is quarantined as an
+     incident (with the state's script) instead of unwinding the
+     worker. *)
   if report then begin
     try eng.on_state_done st
-    with exn when eng.cfg.guard && Guard.absorbable exn ->
+    with exn when Guard.absorbable exn ->
       Guard.record eng.guard_st
         {
           Guard.inc_kind = Guard.State_fault;
@@ -814,33 +794,6 @@ let note_block eng st pc =
         eng.on_new_block st pc
       end
 
-(* Install the guarded block compiler. Lazy (called from [run], not
-   [create]) because its context closures capture [note_block]. Per-pc
-   tracing disables it: compiled blocks do not emit E_exec events. *)
-let ensure_dbt eng =
-  if eng.cfg.dbt && (not eng.cfg.record_exec_pcs) && eng.dbt = None then
-    let ctx =
-      {
-        Sdbt.c_note = (fun st pc -> note_block eng st pc);
-        c_total_incr = (fun () -> Atomic.incr eng.total_steps);
-        c_mem_access =
-          (fun st ~pc ~write ~addr ~conc ~width ~sp ->
-            eng.on_mem_access
-              {
-                ma_state = st;
-                ma_pc = pc;
-                ma_write = write;
-                ma_addr = addr;
-                ma_conc = conc;
-                ma_width = width;
-                ma_constraints = st.St.constraints;
-                ma_sp = sp;
-              });
-        c_crash = (fun code msg -> Vm_crash (code, msg));
-      }
-    in
-    eng.dbt <- Some (Sdbt.create ctx eng.img)
-
 (* Handle reaching the return sentinel: either an interrupt continuation
    finishes, or the whole entry-point invocation is complete. *)
 let handle_sentinel eng st =
@@ -1117,8 +1070,8 @@ let step_quantum eng st =
   let wid = Domain.DLS.get worker_key in
   (* Snapshot this domain's solver exhaustion counters so a budget that
      runs dry during this quantum can be attributed to [st]. *)
-  let exh0 = if eng.cfg.guard then Solver.domain_exhaustions () else 0 in
-  let unrec0 = if eng.cfg.guard then Solver.domain_unrecovered () else 0 in
+  let exh0 = Solver.domain_exhaustions () in
+  let unrec0 = Solver.domain_unrecovered () in
   (try
      while
        (not (St.terminated st))
@@ -1137,25 +1090,8 @@ let step_quantum eng st =
                 handle_merge_outcome eng mo;
                 raise Parked)
         | _ -> ());
-       (* Compiled-block gate: when the pc heads a hot superblock whose
-          whole length fits in both the quantum budget and the per-state
-          step allowance, run it compiled; scheduling boundaries stay
-          step-identical with the interpreter either way. Carriers of
-          open merge tokens stay on the interpreter: a superblock runs
-          through many pcs without the arrival check above. *)
-       match eng.dbt with
-       | Some d when st.St.tags = [] -> (
-           match
-             Sdbt.try_run d st ~budget:!budget
-               ~steps_left:(eng.cfg.max_steps_per_state - st.St.steps)
-           with
-           | 0 ->
-               decr budget;
-               step eng st
-           | n -> budget := !budget - n)
-       | _ ->
-           decr budget;
-           step eng st
+       decr budget;
+       step eng st
      done;
      if St.terminated st then ()
      else if st.St.steps >= eng.cfg.max_steps_per_state then
@@ -1185,7 +1121,7 @@ let step_quantum eng st =
             { c_code = Bugcheck.string_of_code code; c_msg = msg;
               c_pc = st.St.pc })
          ~report:true
-   | exn when eng.cfg.guard && Guard.absorbable exn ->
+   | exn when Guard.absorbable exn ->
        (* The fault boundary: an interpreter fault, stack overflow,
           out-of-memory, or any other exception escaping this state's
           execution quarantines the state — replayable script and all —
@@ -1203,25 +1139,23 @@ let step_quantum eng st =
        retire eng st
          (St.Discarded ("quarantined: " ^ Guard.describe exn))
          ~report:false);
-  if eng.cfg.guard then begin
-    let d_exh = Solver.domain_exhaustions () - exh0 in
-    if d_exh > 0 && Guard.claim_solver_flag eng.guard_st st.St.id then begin
-      let d_unrec = Solver.domain_unrecovered () - unrec0 in
-      Guard.record eng.guard_st
-        {
-          Guard.inc_kind = Guard.Solver_exhaustion;
-          inc_worker = wid;
-          inc_state_id = st.St.id;
-          inc_entry = st.St.entry_name;
-          inc_pc = st.St.pc;
-          inc_message =
-            Printf.sprintf
-              "%d solver budget exhaustion(s) during quantum (%d recovered \
-               by escalated retry, %d left Unknown)"
-              d_exh (d_exh - d_unrec) d_unrec;
-          inc_replay = safe_replay_script st;
-        }
-    end
+  let d_exh = Solver.domain_exhaustions () - exh0 in
+  if d_exh > 0 && Guard.claim_solver_flag eng.guard_st st.St.id then begin
+    let d_unrec = Solver.domain_unrecovered () - unrec0 in
+    Guard.record eng.guard_st
+      {
+        Guard.inc_kind = Guard.Solver_exhaustion;
+        inc_worker = wid;
+        inc_state_id = st.St.id;
+        inc_entry = st.St.entry_name;
+        inc_pc = st.St.pc;
+        inc_message =
+          Printf.sprintf
+            "%d solver budget exhaustion(s) during quantum (%d recovered \
+             by escalated retry, %d left Unknown)"
+            d_exh (d_exh - d_unrec) d_unrec;
+        inc_replay = safe_replay_script st;
+      }
   end;
   if eng.shard_pending.(wid) > 0 then flush_shard eng wid
 
@@ -1350,7 +1284,7 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps ~alive wid =
                Guard.maybe_crash eng.guard_st eng.cfg.chaos;
                if picks land 63 = 0 then sample_live eng st;
                step_quantum eng st
-             with exn when eng.cfg.guard ->
+             with exn ->
                (* A fault that escaped the state-level boundary hit the
                   worker itself ([step_quantum] absorbs the state's own
                   faults), so [st] was not mid-execution and is intact:
@@ -1390,7 +1324,7 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps ~alive wid =
     Domain.DLS.set worker_key wid;
     try loop () with
     | Stdlib.Exit -> ()
-    | exn when eng.cfg.guard ->
+    | exn ->
         (match exn with
         | Quarantined _ -> ()
         | exn ->
@@ -1416,11 +1350,7 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps ~alive wid =
           supervised (attempts + 1) picks_now
         end
   in
-  if eng.cfg.guard then supervised 0 (Atomic.get eng.picks)
-  else begin
-    Domain.DLS.set worker_key wid;
-    loop ()
-  end
+  supervised 0 (Atomic.get eng.picks)
 
 (* Drain the frontier to empty through merge folds: retiring a token
    carrier can fold its token and requeue the fold's survivors, so a
@@ -1444,7 +1374,6 @@ let drain_retire eng f =
 
 let run eng ?(max_total_steps = 20_000_000) ?(plateau_steps = 150_000)
     ?start_steps () =
-  ensure_dbt eng;
   let start =
     match start_steps with
     | Some s ->
@@ -1475,13 +1404,13 @@ let run eng ?(max_total_steps = 20_000_000) ?(plateau_steps = 150_000)
       List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
     in
     worker 0;
-    (* Under the guard the supervisor absorbs every fault, so these joins
-       cannot re-raise; the belt-and-suspenders handler still prevents a
-       dead domain from taking the session down through the join. *)
+    (* The supervisor absorbs every fault, so these joins cannot re-raise;
+       the belt-and-suspenders handler still prevents a dead domain from
+       taking the session down through the join. *)
     List.iter
       (fun d ->
         try Domain.join d
-        with exn when eng.cfg.guard ->
+        with exn ->
           Guard.record eng.guard_st
             {
               Guard.inc_kind = Guard.Worker_crash;
@@ -1502,10 +1431,10 @@ let run eng ?(max_total_steps = 20_000_000) ?(plateau_steps = 150_000)
   match Atomic.get stop with
   | None ->
       (* Every worker exhausted its restart budget with work remaining —
-         only reachable under the guard after repeated wedges. Drain the
-         leftovers quietly so the session still terminates cleanly and
-         reports what was explored. *)
-      if eng.cfg.guard && not (Frontier.quiescent eng.frontier) then
+         only reachable after repeated wedges. Drain the leftovers quietly
+         so the session still terminates cleanly and reports what was
+         explored. *)
+      if not (Frontier.quiescent eng.frontier) then
         drain_retire eng (fun st ->
             retire eng st
               (St.Discarded "workers exhausted restart budget")
@@ -1614,11 +1543,6 @@ type stats = {
   st_worker_restarts : int;
   st_soft_retired : int;
   st_solver : Solver.stats;
-  st_dbt_blocks : int;
-  st_dbt_superblocks : int;
-  st_dbt_guard_bails : int;
-  st_dbt_decompiled : int;
-  st_dbt_compiled_steps : int;
   st_merged_states : int;
   st_merge_ites : int;
   st_merge_forks_avoided : int;
@@ -1657,11 +1581,6 @@ let stats eng =
     st_worker_restarts = Guard.restarts eng.guard_st;
     st_soft_retired = Atomic.get eng.soft_retired;
     st_solver = Solver.diff_stats (Solver.stats ()) eng.solver_base;
-    st_dbt_blocks = (match eng.dbt with Some d -> (Sdbt.stats d).sd_st_compiled | None -> 0);
-    st_dbt_superblocks = (match eng.dbt with Some d -> (Sdbt.stats d).sd_st_superblocks | None -> 0);
-    st_dbt_guard_bails = (match eng.dbt with Some d -> (Sdbt.stats d).sd_st_bails | None -> 0);
-    st_dbt_decompiled = (match eng.dbt with Some d -> (Sdbt.stats d).sd_st_decompiled | None -> 0);
-    st_dbt_compiled_steps = (match eng.dbt with Some d -> (Sdbt.stats d).sd_st_compiled_steps | None -> 0);
     st_merged_states = (let m, _, _, _ = Merge.stats eng.pool in m);
     st_merge_ites = (let _, i, _, _ = Merge.stats eng.pool in i);
     st_merge_forks_avoided = (let _, _, f, _ = Merge.stats eng.pool in f);
@@ -1692,7 +1611,6 @@ type image = {
   ei_rr : int;
   ei_pool : St.image Merge.dump;
   ei_guard : Guard.dump;
-  ei_dbt : Sdbt.dump option;
   ei_done : St.image list;                  (* newest first *)
   ei_lineage : (int * int * string * int) list;
   ei_injected_sites : int list;
@@ -1740,7 +1658,6 @@ let checkpoint_image eng =
     ei_rr = Frontier.rr_cursor eng.frontier;
     ei_pool = Merge.dump eng.pool ~f:St.to_image;
     ei_guard = Guard.dump eng.guard_st;
-    ei_dbt = Option.map Sdbt.dump eng.dbt;
     ei_done = List.map St.to_image done_states;
     ei_lineage = lineage;
     ei_injected_sites = List.sort compare injected;
@@ -1782,11 +1699,6 @@ let restore_image eng im =
     ~dropped:im.ei_dropped ~rr:im.ei_rr;
   Merge.restore eng.pool ~f:revive im.ei_pool;
   Guard.restore eng.guard_st im.ei_guard;
-  (match im.ei_dbt with
-   | Some d -> (
-       ensure_dbt eng;
-       match eng.dbt with Some t -> Sdbt.restore t d | None -> ())
-   | None -> ());
   Mutex.lock eng.glock;
   eng.done_states <- List.map revive im.ei_done;
   eng.lineage <- im.ei_lineage;

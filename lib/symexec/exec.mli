@@ -10,7 +10,14 @@
 
     The engine is checker-agnostic: it exposes hooks for memory accesses,
     newly covered basic blocks, and terminated states; [ddt_core.Session]
-    wires these to the dynamic checkers. *)
+    wires these to the dynamic checkers.
+
+    Exploration is fault tolerant ({!Guard}): every state's step loop
+    runs inside a fault boundary that quarantines the state (with its
+    replayable script) when an exception escapes — interpreter faults,
+    [Stack_overflow], [Out_of_memory], checker exceptions — a crashed
+    worker loop is restarted with backoff, and solver budget exhaustions
+    during a state's quantum are recorded as incidents ({!incidents}). *)
 
 module Expr = Ddt_solver.Expr
 
@@ -44,15 +51,6 @@ type config = {
       which keys the {!Sched.Min_dist} strategy and tiebreaks
       [Min_touch]. Off by default; with no oracle installed every
       strategy orders states exactly as before this knob existed. *)
-  guard : bool;
-  (** fault-tolerant exploration ({!Guard}), on by default: every
-      state's step loop runs inside a fault boundary that quarantines
-      the state (with its replayable script) when an exception escapes —
-      interpreter faults, [Stack_overflow], [Out_of_memory], checker
-      exceptions — a crashed worker loop is restarted with backoff, and
-      solver budget exhaustions during a state's quantum are recorded as
-      incidents ({!incidents}). Off restores the historical fail-fast
-      engine, where one escaped exception kills the whole session. *)
   max_worker_restarts : int;
   (** restarts granted to a worker that crashes repeatedly {e without
       completing a pick} (progress resets the counter); a worker that
@@ -60,13 +58,6 @@ type config = {
   chaos : Guard.chaos option;
   (** deterministic fault injection for the chaos harness ({!Guard.chaos});
       [None] (the default) injects nothing and costs nothing *)
-  dbt : bool;
-  (** compile hot basic blocks into guarded closures ({!Sdbt}): fully
-      concrete stretches execute with no per-instruction
-      decode/dispatch and bail to the interpreter at the first symbolic
-      operand. Bug reports are identical either way. On by default;
-      ignored (treated as off) while [record_exec_pcs] is set, because
-      compiled blocks do not emit per-pc trace events. *)
   state_merging : bool;
   (** fuse sibling states back together at branch post-dominators
       ({!Merge}): a symbolic fork whose arms reconverge — per the
@@ -267,11 +258,6 @@ type stats = {
   (** solver queries/cache-hit/bit-blast counters attributable to this
       engine (snapshot delta since [create]; exact only while no other
       engine runs concurrently — the counters are process-global) *)
-  st_dbt_blocks : int;          (** superblocks compiled *)
-  st_dbt_superblocks : int;     (** chained constituents beyond heads *)
-  st_dbt_guard_bails : int;     (** symbolic-operand guard bailouts *)
-  st_dbt_decompiled : int;      (** superblocks de-compiled after chronic bails *)
-  st_dbt_compiled_steps : int;  (** instructions executed via compiled blocks *)
   st_merged_states : int;       (** sibling states fused at merge points *)
   st_merge_ites : int;          (** register/memory values lifted to ites *)
   st_merge_forks_avoided : int;
@@ -296,8 +282,7 @@ val covered_blocks : engine -> int list
 (** {1 Checkpointing}
 
     The engine's whole mutable universe — frontier queues with exact
-    scheduler keys, merge pool, guard ledger, DBT dispositions,
-    finished states, lineage, coverage, counters, the device's reads
+    scheduler keys, merge pool, guard ledger, finished states, lineage, coverage, counters, the device's reads
     ledger — as one marshal-safe value. Only meaningful at quiescent
     points: the [jobs = 1] pick boundary where the checkpoint hook
     fires, or between workload phases. Config, loaded image, base

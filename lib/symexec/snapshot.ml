@@ -5,11 +5,7 @@
    marshal-safe projection ({!Symstate.image}) plus the global
    symbolic-variable counter — restoring on a fresh process must keep
    minting variable ids above every id the snapshotted path condition
-   already uses, or fresh reads would collide with pinned ones.
-
-   What is deliberately NOT in a snapshot: compiled DBT blocks. They
-   are a cache over the immutable driver image — restore rebuilds them
-   from scratch ([Sdbt] by re-warming). *)
+   already uses, or fresh reads would collide with pinned ones. *)
 
 module Blob = Ddt_solver.Blob
 module Expr = Ddt_solver.Expr

@@ -5,11 +5,8 @@
     interrupt continuations, merge tags — to the versioned, checksummed
     {!Ddt_solver.Blob} format, together with the global
     symbolic-variable counter (restore keeps minting above every id the
-    snapshot uses).
-
-    Compiled DBT blocks are a cache, not state: they are never
-    serialized and are rebuilt from scratch after restore. The reader is total — truncated or corrupted snapshots
-    come back as [Error _], never exceptions. *)
+    snapshot uses). The reader is total — truncated or corrupted
+    snapshots come back as [Error _], never exceptions. *)
 
 val snapshot_version : int
 

@@ -470,8 +470,9 @@ let with_version blob v =
 
 (* Blobs from every earlier layout must be refused, not unmarshalled as
    the current one: version 1 predates the page-granular memory, version
-   2 the per-page write marks and the state's fork count, and checkpoint
-   version 3 the query cache's array-valued reuse models. *)
+   2 the per-page write marks and the state's fork count, checkpoint
+   version 3 the query cache's array-valued reuse models, and checkpoint
+   version 4 still carried the block compiler's dispositions. *)
 let older_versions current = List.init (current - 1) (fun i -> i + 1)
 
 let test_previous_version_refused () =
@@ -499,6 +500,8 @@ let test_previous_version_refused () =
     (List.mem 2 (older_versions Session.checkpoint_version));
   check_bool "version 3 is an older checkpoint layout" true
     (List.mem 3 (older_versions Session.checkpoint_version));
+  check_bool "version 4 is an older checkpoint layout" true
+    (List.mem 4 (older_versions Session.checkpoint_version));
   List.iter
     (fun v ->
       Out_channel.with_open_bin ckpt (fun oc ->

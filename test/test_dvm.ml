@@ -46,16 +46,38 @@ let prop_random_alu_roundtrip =
 
 (* --- assembler + interpreter ------------------------------------------ *)
 
-let run_program ?(setup = fun _ -> ()) src =
+let load_program ?fuel src =
   let img = Asm.assemble ~name:"test" src in
   let mem = Mem.create () in
   let loaded = Image.load img mem ~base:Layout.image_base in
-  let env = Interp.create ~image:loaded mem in
+  let env = Interp.create ?fuel ~image:loaded mem in
+  (env, loaded, loaded.Image.base + img.Image.entry)
+
+let run_program ?(setup = fun _ -> ()) src =
+  let env, loaded, entry = load_program src in
   setup env;
   Cpu.set env.Interp.cpu Isa.sp Layout.stack_top;
-  let entry = loaded.Image.base + img.Image.entry in
   let r0 = Interp.call_function env ~addr:entry ~args:[] in
   (r0, env, loaded)
+
+(* Point the cpu at [entry] with the return sentinel on the stack, as
+   [Interp.call_function] does, so [Interp.run] can be driven directly. *)
+let enter env entry =
+  let sp = Layout.stack_top - 4 in
+  Mem.write_u32 env.Interp.mem sp Layout.return_sentinel;
+  Cpu.set env.Interp.cpu Isa.sp sp;
+  env.Interp.cpu.Cpu.pc <- entry
+
+(* Run [src] expecting a fault: the fault kind, the faulting pc as an
+   instruction index into the text, and the instructions executed up to
+   and including the faulting one. *)
+let run_to_fault src =
+  let env, loaded, entry = load_program src in
+  Cpu.set env.Interp.cpu Isa.sp Layout.stack_top;
+  match Interp.call_function env ~addr:entry ~args:[] with
+  | _ -> Alcotest.fail "expected a fault"
+  | exception Interp.Fault (f, pc) ->
+      (f, (pc - loaded.Image.text_start) / Isa.instr_size, env.Interp.steps)
 
 let test_factorial () =
   (* Iterative factorial of 10 using the standard calling convention. *)
@@ -152,9 +174,10 @@ let test_null_deref_faults () =
       ldw r0, [r1+8]
       ret
   |} in
-  (match run_program src with
-   | exception Interp.Fault (Interp.Null_deref, _) -> ()
-   | _ -> Alcotest.fail "expected null-deref fault")
+  let f, at, steps = run_to_fault src in
+  check_bool "null-deref fault" true (f = Interp.Null_deref);
+  check_int "faulting instruction" 1 at;
+  check_int "steps" 2 steps
 
 let test_div_by_zero_faults () =
   let src = {|
@@ -166,9 +189,77 @@ let test_div_by_zero_faults () =
       divu r0, r1, r2
       ret
   |} in
-  (match run_program src with
-   | exception Interp.Fault (Interp.Div_by_zero, _) -> ()
-   | _ -> Alcotest.fail "expected div-by-zero fault")
+  let f, at, steps = run_to_fault src in
+  check_bool "div-by-zero fault" true (f = Interp.Div_by_zero);
+  check_int "faulting instruction" 2 at;
+  check_int "steps" 3 steps
+
+let test_stack_overflow_faults () =
+  let src = {|
+    .entry main
+    .func main
+    main:
+      movi r0, 1
+    loop:
+      push r0
+      jmp loop
+  |} in
+  let f, at, steps = run_to_fault src in
+  check_bool "stack-overflow fault" true (f = Interp.Stack_overflow);
+  check_int "faulting instruction" 1 at;
+  (* [call_function] pushed the return sentinel; every push that keeps
+     sp at or above the limit succeeds, and the next one faults. *)
+  let pushes = (Layout.stack_top - 4 - Layout.stack_limit) / 4 in
+  check_int "steps" (1 + (2 * pushes) + 1) steps
+
+let test_hlt_stops () =
+  let env, loaded, entry = load_program {|
+    .entry main
+    .func main
+    main:
+      movi r0, 42
+      hlt
+      movi r0, 7
+      ret
+  |} in
+  enter env entry;
+  check_bool "halted" true (Interp.run env = Interp.Halted);
+  check_int "r0" 42 (Cpu.get env.Interp.cpu 0);
+  check_int "steps" 2 env.Interp.steps;
+  check_int "pc stays on the hlt" (loaded.Image.text_start + Isa.instr_size)
+    env.Interp.cpu.Cpu.pc
+
+(* Fuel runs out after exactly [fuel] instructions, wherever that falls
+   in the loop, and a second run with [more] fuel continues from there as
+   if the budget had been [fuel + more] all along. *)
+let prop_fuel_exact =
+  QCheck.Test.make ~count:100 ~name:"fuel exhaustion is step-exact"
+    QCheck.(pair (int_range 1 50) (int_range 0 50))
+    (fun (fuel, more) ->
+      let env, loaded, entry = load_program ~fuel {|
+        .entry main
+        .func main
+        main:
+          movi r0, 0
+        loop:
+          add r0, r0, 1
+          jmp loop
+      |} in
+      enter env entry;
+      (* step 1 is the movi; even steps are adds, odd ones the jmp *)
+      let expect n =
+        ( Interp.Out_of_fuel, n, 0, n / 2,
+          loaded.Image.text_start
+          + (if n mod 2 = 0 then 2 else 1) * Isa.instr_size )
+      in
+      let observe stop =
+        ( stop, env.Interp.steps, env.Interp.fuel, Cpu.get env.Interp.cpu 0,
+          env.Interp.cpu.Cpu.pc )
+      in
+      let first = observe (Interp.run env) in
+      env.Interp.fuel <- more;
+      let second = observe (Interp.run env) in
+      first = expect fuel && second = expect (fuel + more))
 
 let test_kcall_dispatch () =
   let src = {|
@@ -419,6 +510,10 @@ let () =
          Alcotest.test_case "byte ops" `Quick test_byte_ops_and_space;
          Alcotest.test_case "null deref fault" `Quick test_null_deref_faults;
          Alcotest.test_case "div by zero fault" `Quick test_div_by_zero_faults;
+         Alcotest.test_case "stack overflow fault" `Quick
+           test_stack_overflow_faults;
+         Alcotest.test_case "hlt stops" `Quick test_hlt_stops;
+         QCheck_alcotest.to_alcotest prop_fuel_exact;
          Alcotest.test_case "kcall dispatch" `Quick test_kcall_dispatch;
          Alcotest.test_case "mmio hook" `Quick test_mmio_hook;
          Alcotest.test_case "interrupt nesting" `Quick test_interrupt_nesting ]);

@@ -374,6 +374,45 @@ let prop_solver_sound_on_simple =
       | Solver.Unsat -> not brute
       | Solver.Unknown -> true)
 
+(* [zext x %u 7 = k] for a byte [x]: on the 32-bit divider circuit the
+   DPLL search runs both budgets dry (about 8 s, then [Unknown]) although
+   [x = k] satisfies it, so the simplifier must divide at the byte
+   width. *)
+let test_solver_rem_of_byte () =
+  let open Expr in
+  List.iter
+    (fun k ->
+      let x = fresh_var W8 in
+      let c = cmp Eq (binop Remu (zext (var x)) (word 7)) (word k) in
+      match Solver.check [ c ] with
+      | Solver.Sat m ->
+          check_int (Printf.sprintf "x %%u 7 = %d" k) k (m x mod 7);
+          check_int "model satisfies the constraint" 1 (eval m c)
+      | Solver.Unsat | Solver.Unknown ->
+          Alcotest.failf "zext x %%u 7 = %d not Sat" k)
+    [ 2; 4; 5; 6 ]
+
+(* The byte-width rewrite of [zext x / c] and [zext x %u c] agrees with
+   the 32-bit operation for every byte and every divisor, including 0
+   (all-ones quotient at each width, so it must stay at 32 bits) and
+   divisors too wide for a byte. *)
+let test_simplify_byte_divide () =
+  let open Expr in
+  let x = fresh_var W8 in
+  List.iter
+    (fun (op, c) ->
+      let e = binop op (zext (var x)) (word c) in
+      let s = Simplify.simplify e in
+      for v = 0 to 255 do
+        let env (_ : var) = v in
+        if eval env s <> eval env e then
+          Alcotest.failf "%s by %d differs at x = %d"
+            (if op = Divu then "divu" else "remu") c v
+      done)
+    (List.concat_map
+       (fun c -> [ (Divu, c); (Remu, c) ])
+       [ 0; 1; 2; 7; 128; 255; 256; 0x1_0007 ])
+
 (* Property: Divu/Remu agree with brute force over byte domains, through
    the full solver pipeline (intervals cannot decide these; they exercise
    the divider circuit). *)
@@ -1226,5 +1265,9 @@ let () =
          Alcotest.test_case "stats diff field-wise" `Quick test_diff_stats;
          qtest prop_solver_sound_on_simple;
          qtest prop_divmod_matches_bruteforce;
+         Alcotest.test_case "rem of a zero-extended byte" `Quick
+           test_solver_rem_of_byte;
+         Alcotest.test_case "byte-width division rewrite" `Quick
+           test_simplify_byte_divide;
          qtest prop_symbolic_shift;
          qtest prop_two_var_relation ]) ]

@@ -588,11 +588,6 @@ let test_report_json_roundtrip () =
           { J.ji_kind = "solver-exhaustion"; ji_worker = 0; ji_state_id = 0;
             ji_entry = ""; ji_pc = 0;
             ji_message = "1 solver budget exhaustion(s)"; ji_replay = "" } ];
-      j_dbt_blocks = 5;
-      j_dbt_superblocks = 9;
-      j_dbt_guard_bails = 3;
-      j_dbt_decompiled = 1;
-      j_dbt_compiled_steps = 70_000;
       j_total_steps = 100_000;
       j_merged_states = 46;
       j_merge_ites = 424;
@@ -610,6 +605,9 @@ let test_report_json_roundtrip () =
     (J.of_string
        (J.to_string { s with J.j_schema = J.schema_version + 1 })
      = None);
+  check_int "schema version" 6 J.schema_version;
+  check_bool "schema-5 document rejected" true
+    (J.of_string (J.to_string { s with J.j_schema = 5 }) = None);
   check_bool "garbage rejected" true (J.of_string "{nope" = None)
 
 (* --- guidance end-to-end --------------------------------------------------- *)
