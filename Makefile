@@ -1,5 +1,4 @@
-.PHONY: all build test check bench bench-solver bench-merge \
-  bench-staticrace bench-resume clean
+.PHONY: all build test check bench clean
 
 all: build
 
@@ -9,17 +8,7 @@ build:
 test:
 	dune runtest
 
-# Tier-1 verification plus these smokes, in order:
-# - parallel --quick: a shared-frontier run on two drivers (work
-#   stealing and the shared query cache end to end);
-# - chaos --quick: injected worker crashes, solver exhaustions and
-#   memory pressure leave the bug sets unchanged;
-# - merge --quick: fusing states at post-dominators leaves the bug sets
-#   unchanged while collapsing the deep-loop driver's frontier;
-# - staticrace --quick: the lockset/IRQL and race rules fire on the
-#   seeded corpus, stay silent on every fixed variant, and at least one
-#   race warning is confirmed by directed symbolic execution;
-# - resume --quick: a checkpoint/resume and warm-start parity run;
+# Tier-1 verification plus these smokes of the built CLI, in order:
 # - kill-resume: a real SIGKILL mid-exploration, then `ddt_cli resume`
 #   must reproduce the uninterrupted oracle's report byte for byte;
 # - warm-start: a second run against the persistent store must hit it
@@ -31,11 +20,6 @@ test:
 #   false-positive smoke over every fixed-variant image;
 # - a warning-clean doc build.
 check: build test
-	dune exec bench/main.exe -- parallel --quick
-	dune exec bench/main.exe -- chaos --quick
-	dune exec bench/main.exe -- merge --quick
-	dune exec bench/main.exe -- staticrace --quick
-	dune exec bench/main.exe -- resume --quick
 	@set -e; dir=$$(mktemp -d); cli=./_build/default/bin/ddt_cli.exe; \
 	$$cli test pro100 --json-out $$dir/oracle.json >/dev/null || [ $$? -eq 2 ]; \
 	$$cli test pro100 --checkpoint-every 1000 \
@@ -63,35 +47,8 @@ check: build test
 	done
 	dune build @doc
 
-# Full static-race experiment: per-driver warning counts (buggy vs fixed,
-# new interprocedural rules vs the baseline absint), the zero-FP check on
-# every fixed variant, and a directed-confirmation session on rtl8029
-# (the race warning must come back dynamically confirmed); writes
-# BENCH_staticrace.json.
-bench-staticrace:
-	dune exec bench/main.exe -- staticrace --json
-
-# Full durability experiment: checkpoint overhead at the default
-# interval, kill-resume wall time vs from-scratch with byte-identical
-# reports, and the warm-start bit-blast reduction from the persistent
-# solver store, across the corpus; writes BENCH_resume.json.
-bench-resume:
-	dune exec bench/main.exe -- resume --json
-
 bench:
 	dune exec bench/main.exe
-
-# Full solver-acceleration experiment: every corpus driver with slicing
-# and the query cache off, then on (queries, group solves, cache hits,
-# bit-blasts, wall time, bug-report parity); writes BENCH_solver.json.
-bench-solver:
-	dune exec bench/main.exe -- solver --json
-
-# Full state-merging experiment: frontier sizes and bug-report parity
-# with merging off vs on across the corpus (± chaos), including the
-# deep-loop >= 10x state-collapse check; writes BENCH_merge.json.
-bench-merge:
-	dune exec bench/main.exe -- merge --json
 
 clean:
 	dune clean

@@ -109,13 +109,6 @@ let store_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "store-dir" ] ~docv:"DIR" ~doc)
 
-let no_persist_flag =
-  let doc =
-    "Disable the persistent solver store even when $(b,--store-dir) is set \
-     (neither loads nor writes entries)."
-  in
-  Arg.(value & flag & info [ "no-persist" ] ~doc)
-
 let json_out_arg =
   let doc =
     "Also write the machine-readable session report (JSON, schema v6) to \
@@ -127,7 +120,7 @@ let json_out_arg =
    converge with the uninterrupted one, both must build their config the
    same way from the same flags. *)
 let apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
-    ~checkpoint_every ~checkpoint_path ~store_dir ~persist =
+    ~checkpoint_every ~checkpoint_path ~store_dir =
   let cfg =
     { cfg with
       Ddt_core.Config.exec_config =
@@ -136,8 +129,7 @@ let apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
           state_merging = not no_merge };
       checkpoint_every;
       checkpoint_path;
-      store_dir;
-      persist }
+      store_dir }
   in
   let cfg =
     if guided then
@@ -187,7 +179,7 @@ let report_result ~traces ~json_out r =
 
 let test_cmd =
   let run short fixed no_annot traces jobs guided chaos no_merge
-      checkpoint_every checkpoint_path store_dir no_persist json_out =
+      checkpoint_every checkpoint_path store_dir json_out =
     match find_entry short with
     | Error e -> prerr_endline e; 1
     | Ok entry ->
@@ -197,7 +189,6 @@ let test_cmd =
         let cfg =
           apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
             ~checkpoint_every ~checkpoint_path ~store_dir
-            ~persist:(not no_persist)
         in
         report_result ~traces ~json_out (Ddt_core.Ddt.test_driver cfg)
   in
@@ -207,7 +198,7 @@ let test_cmd =
       const run $ driver_arg $ fixed_flag $ no_annot_flag $ traces_flag
       $ jobs_arg $ guided_flag $ chaos_flag $ no_merge_flag
       $ checkpoint_every_arg $ checkpoint_path_arg $ store_dir_arg
-      $ no_persist_flag $ json_out_arg)
+      $ json_out_arg)
 
 let resume_cmd =
   let ckpt_arg =
@@ -219,7 +210,7 @@ let resume_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"CKPT" ~doc)
   in
   let run ckpt fixed no_annot traces jobs guided chaos no_merge
-      checkpoint_every checkpoint_path store_dir no_persist json_out =
+      checkpoint_every checkpoint_path store_dir json_out =
     match Ddt_core.Session.checkpoint_driver ckpt with
     | Error e -> Printf.eprintf "cannot read checkpoint: %s\n" e; 1
     | Ok name -> (
@@ -241,7 +232,7 @@ let resume_cmd =
                    told otherwise *)
                 ~checkpoint_path:
                   (Some (Option.value checkpoint_path ~default:ckpt))
-                ~store_dir ~persist:(not no_persist)
+                ~store_dir
             in
             (match Ddt_core.Session.resume cfg ~path:ckpt with
              | Error e -> Printf.eprintf "resume: %s\n" e; 1
@@ -256,7 +247,7 @@ let resume_cmd =
       const run $ ckpt_arg $ fixed_flag $ no_annot_flag $ traces_flag
       $ jobs_arg $ guided_flag $ chaos_flag $ no_merge_flag
       $ checkpoint_every_arg $ checkpoint_path_arg
-      $ store_dir_arg $ no_persist_flag $ json_out_arg)
+      $ store_dir_arg $ json_out_arg)
 
 let static_cmd =
   let run short fixed =

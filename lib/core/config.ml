@@ -36,8 +36,6 @@ type t = {
   (* where the checkpoint blob goes; default "<driver>.ckpt" *)
   store_dir : string option;
   (* root of the persistent solver store; None = no store *)
-  persist : bool;
-  (* master switch for the persistent store (still needs [store_dir]) *)
 }
 
 let default_network_workload =
@@ -57,7 +55,7 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     ?(max_total_steps = 3_000_000) ?(plateau_steps = 250_000)
     ?(max_bases_per_phase = 3) ?concrete_device ?replay
     ?(collect_crashdumps = false) ?governor ?(checkpoint_every = 0)
-    ?checkpoint_path ?store_dir ?(persist = true) () =
+    ?checkpoint_path ?store_dir () =
   let exec_config =
     match jobs with
     | None -> exec_config
@@ -94,7 +92,7 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     use_annotations; annotations; exec_config; max_total_steps;
     plateau_steps; max_bases_per_phase; concrete_device; replay;
     collect_crashdumps; governor; checkpoint_every; checkpoint_path;
-    store_dir; persist;
+    store_dir;
   }
 
 let workload_name = function

@@ -54,9 +54,6 @@ type t = {
   store_dir : string option;
   (** root directory of the persistent solver store ({!Ddt_solver.Pstore});
       [None] (the default) runs without one *)
-  persist : bool;
-  (** master switch for the persistent store — [false] ignores
-      [store_dir] entirely (the [--no-persist] ablation) *)
 }
 
 val default_network_workload : workload_item list
@@ -87,7 +84,6 @@ val make :
   ?checkpoint_every:int ->
   ?checkpoint_path:string ->
   ?store_dir:string ->
-  ?persist:bool ->
   unit -> t
 
 val workload_name : workload_item -> string

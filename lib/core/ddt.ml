@@ -47,9 +47,10 @@ let pp_report fmt (r : Session.result) =
      that hides this overstates its own completeness. *)
   if stats.Ddt_symexec.Exec.st_states_dropped > 0 then
     Format.fprintf fmt
-      "warning: %d state(s) dropped at the max_states cap — results may \
-       be incomplete (raise max_states or configure the governor)@."
-      stats.Ddt_symexec.Exec.st_states_dropped;
+      "warning: %d state(s) dropped at the engine's %d-state frontier cap \
+       — results may be incomplete (configure the governor to retire \
+       states before the cap)@."
+      stats.Ddt_symexec.Exec.st_states_dropped Ddt_symexec.Exec.max_states;
   if stats.Ddt_symexec.Exec.st_soft_retired > 0 then
     Format.fprintf fmt
       "governor: %d state(s) concretized and retired under resource \

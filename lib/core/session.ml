@@ -127,18 +127,18 @@ let setup (cfg : Config.t) =
   let eng = Exec.create ~config:exec_config loaded base_mem symdev in
   Option.iter (Exec.set_replay eng) cfg.Config.replay;
   (* Persistent solver store: warm the (freshly reset) query cache from
-     disk. Must run after [Exec.create], whose accelerator wiring clears
-     the process-global cache. An unopenable store degrades to a cold
-     cache, never to a failure. *)
+     disk. Must run after [Exec.create], which clears the process-global
+     cache. An unopenable store degrades to a cold cache, never to a
+     failure. *)
   let store =
     match cfg.Config.store_dir with
-    | Some dir when cfg.Config.persist && exec_config.Exec.solver_accel -> (
+    | Some dir -> (
         match Pstore.open_store ~dir ~key:cfg.Config.driver_name with
         | Ok s ->
             ignore (Pstore.load s (Solver.current_cache ()));
             Some s
         | Error _ -> None)
-    | _ -> None
+    | None -> None
   in
   (* Resource governance: policy from the config's soft limits, enforced
      by the engine's deterministic concretize-and-retire path. *)
@@ -295,8 +295,8 @@ let setup (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-(* 5: the engine image no longer carries block-compiler dispositions. *)
-let checkpoint_version = 5
+(* 6: the query-cache dump is always present, no longer an option. *)
+let checkpoint_version = 6
 
 (* A checkpoint is one self-contained marshal image of every piece of
    session progress: the engine image (queues, merge pool, guard,
@@ -320,7 +320,7 @@ type checkpoint = {
   ck_bases : St.image list;
   ck_engine : Exec.image;
   ck_var_counter : int;
-  ck_qcache : Qcache.Sharded.dump option;
+  ck_qcache : Qcache.Sharded.dump;
 }
 
 let default_checkpoint_path (cfg : Config.t) =
@@ -344,10 +344,7 @@ let write_checkpoint ctx path =
       ck_bases = List.map St.to_image !(ctx.x_bases);
       ck_engine = Exec.checkpoint_image ctx.x_eng;
       ck_var_counter = Expr.var_counter_value ();
-      ck_qcache =
-        (if ctx.x_exec_config.Exec.solver_accel then
-           Some (Qcache.Sharded.dump (Solver.current_cache ()))
-         else None);
+      ck_qcache = Qcache.Sharded.dump (Solver.current_cache ());
     }
   in
   (* Durability is best-effort: a full disk or unwritable path costs the
@@ -582,9 +579,7 @@ let resume (cfg : Config.t) ~path : (result, string) Stdlib.result =
         (* The checkpoint's cache dump is authoritative: it reproduces
            the exact hit/miss sequence the uninterrupted run would have
            seen, overriding whatever the persistent store pre-loaded. *)
-        (match ck.ck_qcache with
-         | Some d -> ignore (Qcache.Sharded.import (Solver.current_cache ()) d)
-         | None -> ());
+        ignore (Qcache.Sharded.import (Solver.current_cache ()) ck.ck_qcache);
         Report.restore_sink ctx.x_sink ck.ck_sink;
         ctx.x_invocations := ck.ck_invocations;
         ctx.x_finished_count := ck.ck_finished_count;

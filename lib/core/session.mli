@@ -59,7 +59,7 @@ val run : Config.t -> result
     A SIGKILL'd run restarted with {!resume} finishes the interrupted
     phase and the remaining workload, producing the same report the
     uninterrupted run would have: with one worker, byte-identical
-    schema-v5 JSON. Checkpoint writes are best-effort — a full disk
+    report JSON. Checkpoint writes are best-effort — a full disk
     costs durability, never the run. *)
 
 val checkpoint_version : int

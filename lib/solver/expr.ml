@@ -282,7 +282,8 @@ let binop op a b =
   | x, Const (_, 0), (Add | Sub | Or | Xor | Shl | Lshr | Ashr) -> x
   | Const (_, 0), x, (Add | Or | Xor) -> x
   | _, Const (_, 0), (Mul | And) -> const w 0
-  | Const (_, 0), _, (Mul | And | Divu | Remu | Shl | Lshr | Ashr) -> const w 0
+  (* not [Divu]: 0 /u 0 is all ones *)
+  | Const (_, 0), _, (Mul | And | Remu | Shl | Lshr | Ashr) -> const w 0
   | x, Const (_, 1), (Mul | Divu) -> x
   | Const (_, 1), x, Mul -> x
   | x, Const (_, m), And when m = mask_of_width w -> x

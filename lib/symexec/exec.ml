@@ -14,20 +14,25 @@ module Event = Ddt_trace.Event
 module Replay = Ddt_trace.Replay
 module St = Symstate
 
+(* Cap on simultaneously queued states. *)
+let max_states = 512
+
+(* Instructions per scheduling slice. *)
+let quantum = 2_000
+
+(* Symbolic interrupts injected per path. *)
+let max_injections = 1
+
+(* Restarts granted to a worker that keeps crashing without making
+   progress (the counter resets once the worker completes a pick). *)
+let max_worker_restarts = 3
+
 type config = {
-  max_states : int;
   max_steps_per_state : int;
-  quantum : int;
-  max_injections : int;
   inject_interrupts : bool;
-  respect_cli : bool;
-  record_exec_pcs : bool;
   concrete_hardware : bool;
   (** route device reads to the concrete MMIO hooks instead of minting
       symbolic values — used by the stress baseline *)
-  solver_accel : bool;
-  (** enable constraint-independence slicing and the query cache for this
-      engine's domain (off = bit-blast every query from scratch) *)
   strategy : Sched.strategy;
   jobs : int;
   (** worker domains exploring this engine's frontier cooperatively
@@ -37,9 +42,6 @@ type config = {
       a distance-to-uncovered function ({!set_distance_fn}) that keys the
       [Min_dist] strategy and tiebreaks [Min_touch]. Off by default — the
       engine then behaves exactly as before. *)
-  max_worker_restarts : int;
-  (** restarts granted to a worker that keeps crashing without making
-      progress (the counter resets once the worker completes a pick) *)
   chaos : Guard.chaos option;
   (** deterministic fault injection for the chaos harness; [None] (the
       default) injects nothing *)
@@ -55,19 +57,12 @@ type config = {
 
 let default_config =
   {
-    max_states = 512;
     max_steps_per_state = 200_000;
-    quantum = 2_000;
-    max_injections = 1;
     inject_interrupts = true;
-    respect_cli = true;
-    record_exec_pcs = false;
     concrete_hardware = false;
-    solver_accel = true;
     strategy = Sched.Min_touch;
     jobs = 1;
     static_guidance = false;
-    max_worker_restarts = 3;
     chaos = None;
     state_merging = true;
   }
@@ -189,8 +184,9 @@ let create ?(config = default_config) img base_mem symdev =
   Ddt_kernel.Ndis.install ();
   Ddt_kernel.Portcls.install ();
   Ddt_kernel.Usb.install ();
-  Solver.set_accel
-    (if config.solver_accel then Solver.default_accel else Solver.no_accel);
+  (* Every engine starts from a cold, fully accelerated query cache, so
+     in-process sessions never see each other's cached answers. *)
+  Solver.set_accel Solver.default_accel;
   let block_addrs =
     Array.of_list
       (List.map
@@ -225,7 +221,7 @@ let create ?(config = default_config) img base_mem symdev =
     | _ -> (c * 4096) + min (!dist_fn block) 4095
   in
   let frontier =
-    Frontier.create ~workers:(max 1 config.jobs) ~max_states:config.max_states
+    Frontier.create ~workers:(max 1 config.jobs) ~max_states
       ~strategy:config.strategy ~key ~priority
   in
   let guard_st = Guard.create () in
@@ -625,10 +621,10 @@ let maybe_inject eng st ~site ~phase =
     site_allowed
     && eng.cfg.inject_interrupts
     && Kstate.isr_registered st.St.ks
-    && ((not eng.cfg.respect_cli) || st.St.int_enabled)
+    && st.St.int_enabled
     && (not (Kstate.in_isr st.St.ks))
     && Kstate.irql st.St.ks < Kstate.device_level
-    && st.St.injections < eng.cfg.max_injections
+    && st.St.injections < max_injections
     && (not (List.mem site st.St.injected_sites))
     && claim_site ()
   then begin
@@ -844,7 +840,6 @@ let step eng st =
   if pc = Layout.return_sentinel then handle_sentinel eng st
   else begin
     note_block eng st pc;
-    if eng.cfg.record_exec_pcs then St.record st (Event.E_exec pc);
     st.St.steps <- st.St.steps + 1;
     Atomic.incr eng.total_steps;
     let instr = fetch eng pc in
@@ -1066,7 +1061,7 @@ let start_invocation eng st ~name ~addr ~args =
   add_state eng st
 
 let step_quantum eng st =
-  let budget = ref eng.cfg.quantum in
+  let budget = ref quantum in
   let wid = Domain.DLS.get worker_key in
   (* Snapshot this domain's solver exhaustion counters so a budget that
      runs dry during this quantum can be attributed to [st]. *)
@@ -1344,7 +1339,7 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps ~alive wid =
               });
         let picks_now = Atomic.get eng.picks in
         let attempts = if picks_now > last_picks then 0 else attempts in
-        if attempts < eng.cfg.max_worker_restarts then begin
+        if attempts < max_worker_restarts then begin
           Guard.note_restart eng.guard_st;
           Guard.backoff attempts;
           supervised (attempts + 1) picks_now

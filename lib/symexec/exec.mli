@@ -21,22 +21,16 @@
 
 module Expr = Ddt_solver.Expr
 
+val max_states : int
+(** Cap on simultaneously queued states (512); forks past it are
+    dropped and counted in [st_states_dropped]. *)
+
 type config = {
-  max_states : int;            (** cap on simultaneously queued states *)
   max_steps_per_state : int;   (** per-invocation instruction budget *)
-  quantum : int;               (** instructions per scheduling slice *)
-  max_injections : int;        (** symbolic interrupts per path *)
   inject_interrupts : bool;
-  respect_cli : bool;          (** honor the CPU interrupt-enable flag *)
-  record_exec_pcs : bool;      (** record every executed pc in the trace *)
   concrete_hardware : bool;
   (** route device reads to the concrete MMIO hooks instead of minting
       symbolic values — used by the stress baseline *)
-  solver_accel : bool;
-  (** enable the solver acceleration layer (constraint-independence
-      slicing + query cache, see [Ddt_solver.Solver.set_accel]) for this
-      engine's domain; on by default, off gives the bit-blast-everything
-      baseline used in benchmarks *)
   strategy : Sched.strategy;
   jobs : int;
   (** number of worker domains cooperatively exploring this engine's
@@ -51,10 +45,6 @@ type config = {
       which keys the {!Sched.Min_dist} strategy and tiebreaks
       [Min_touch]. Off by default; with no oracle installed every
       strategy orders states exactly as before this knob existed. *)
-  max_worker_restarts : int;
-  (** restarts granted to a worker that crashes repeatedly {e without
-      completing a pick} (progress resets the counter); a worker that
-      gives up leaves the frontier to the survivors. Default 3. *)
   chaos : Guard.chaos option;
   (** deterministic fault injection for the chaos harness ({!Guard.chaos});
       [None] (the default) injects nothing and costs nothing *)

@@ -290,6 +290,29 @@ let quick_cfg ?(merging = true) (e : Corpus.entry) =
 let bug_keys (r : Session.result) =
   List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
 
+let chaos_spec =
+  { Ddt_symexec.Guard.chaos_worker_crash_period = 25;
+    chaos_solver_exhaust_period = 3; chaos_pressure_words = 50_000_000 }
+
+(* The seeded corpus at its default budgets: merging must report exactly
+   the unmerged bug keys, also while worker crashes, solver exhaustions
+   and memory pressure are injected. *)
+let test_corpus_parity ~chaos short () =
+  let run merging =
+    let cfg = Corpus.config (Corpus.find short) in
+    Session.run
+      { cfg with
+        Config.exec_config =
+          { cfg.Config.exec_config with
+            Exec.jobs = 1; state_merging = merging;
+            chaos = (if chaos then Some chaos_spec else None) } }
+  in
+  let off = run false in
+  let on = run true in
+  check_bool "seeded bugs found" true (off.Session.r_bugs <> []);
+  Alcotest.(check (list string)) "same bug keys merging off/on"
+    (bug_keys off) (bug_keys on)
+
 let test_deeploop_collapses_paths () =
   let e = Corpus.find "deeploop" in
   Solver.clear_cache ();
@@ -450,6 +473,18 @@ let () =
            test_qcache_commuted_renaming;
          Alcotest.test_case "indep ite guard edges" `Quick
            test_indep_ite_guard_edges ]);
+      ("corpus",
+       List.map
+         (fun e ->
+           let d = e.Corpus.short in
+           Alcotest.test_case ("parity " ^ d) `Quick
+             (test_corpus_parity ~chaos:false d))
+         Corpus.all
+       @ List.map
+           (fun d ->
+             Alcotest.test_case ("parity " ^ d ^ " +chaos") `Quick
+               (test_corpus_parity ~chaos:true d))
+           [ "rtl8029"; "deeploop" ]);
       ("session",
        [ Alcotest.test_case "deeploop collapses paths" `Quick
            test_deeploop_collapses_paths;

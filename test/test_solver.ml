@@ -29,6 +29,9 @@ let test_identities () =
   check_bool "x*1" true (equal (binop Mul v (word 1)) v);
   check_bool "x&0" true (equal (binop And v (word 0)) (word 0));
   check_bool "x^x" true (equal (binop Xor v v) (word 0));
+  check_bool "0%x" true (equal (binop Remu (word 0) v) (word 0));
+  check_int "0/x is all ones at x = 0" 0xFFFFFFFF
+    (eval (fun _ -> 0) (binop Divu (word 0) v));
   check_bool "x==x" true (equal (cmp Eq v v) tru);
   check_bool "x<x" true (equal (cmp Ltu v v) fls);
   check_bool "not not" true (equal (not_ (not_ (cmp Eq v (word 5))))

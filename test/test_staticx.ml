@@ -612,33 +612,40 @@ let test_report_json_roundtrip () =
 
 (* --- guidance end-to-end --------------------------------------------------- *)
 
-let quick_cfg ?(guided = false) short =
+let quick_cfg short =
   let cfg = Corpus.config (Corpus.find short) in
-  let cfg =
-    { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
-  in
-  if guided then
-    { cfg with
-      Config.exec_config =
-        { cfg.Config.exec_config with
-          Exec.static_guidance = true;
-          strategy = Ddt_symexec.Sched.Min_dist } }
-  else cfg
+  { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
 
 let bug_keys (r : Session.result) =
   List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
 
+(* Every corpus driver at its default budgets: min-dist guidance may
+   reorder exploration but must find exactly the unguided bug keys. *)
 let test_guidance_changes_no_bugs () =
-  let rb = Session.run (quick_cfg "rtl8029") in
-  let rg = Session.run (quick_cfg ~guided:true "rtl8029") in
-  check_bool "same bug set with guidance on/off" true
-    (bug_keys rb = bug_keys rg);
-  check_bool "reachable <= linear sweep" true
-    (rb.Session.r_reachable_blocks <= rb.Session.r_total_blocks);
-  check_bool "covered_reachable <= reachable" true
-    (rb.Session.r_covered_reachable <= rb.Session.r_reachable_blocks);
-  check_int "never_reached complements covered" rb.Session.r_reachable_blocks
-    (rb.Session.r_covered_reachable + List.length rb.Session.r_never_reached)
+  List.iter
+    (fun e ->
+      let cfg = Corpus.config e in
+      let guided =
+        { cfg with
+          Config.exec_config =
+            { cfg.Config.exec_config with
+              Exec.static_guidance = true;
+              strategy = Ddt_symexec.Sched.Min_dist } }
+      in
+      let rb = Session.run cfg and rg = Session.run guided in
+      let name = e.Corpus.short in
+      Alcotest.(check (list string))
+        (name ^ ": same bug keys with guidance on/off")
+        (bug_keys rb) (bug_keys rg);
+      check_bool (name ^ ": reachable <= linear sweep") true
+        (rb.Session.r_reachable_blocks <= rb.Session.r_total_blocks);
+      check_bool (name ^ ": covered_reachable <= reachable") true
+        (rb.Session.r_covered_reachable <= rb.Session.r_reachable_blocks);
+      check_int (name ^ ": never_reached complements covered")
+        rb.Session.r_reachable_blocks
+        (rb.Session.r_covered_reachable
+         + List.length rb.Session.r_never_reached))
+    Corpus.all
 
 let test_session_reports_identical_across_jobs () =
   let run jobs =
