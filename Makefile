@@ -11,8 +11,10 @@ test:
 # Tier-1 verification plus these smokes of the built CLI, in order:
 # - kill-resume: a real SIGKILL mid-exploration, then `ddt_cli resume`
 #   must reproduce the uninterrupted oracle's report byte for byte;
-# - warm-start: a second run against the persistent store must hit it
-#   and report the same;
+# - usage errors: three removed `test` flags must be rejected with
+#   cmdliner's usage exit code 124;
+# - replay input: a missing and a garbage replay script must each be
+#   refused with exit 1;
 # - the static pre-analysis on two known-clean drivers (nonzero
 #   universe, zero findings under the syntactic rules; rtl8029's buggy
 #   variant legitimately fires the interprocedural race rule, so its
@@ -30,13 +32,17 @@ check: build test
 	  || [ $$? -eq 2 ]; \
 	cmp $$dir/oracle.json $$dir/resumed.json; \
 	echo "kill-resume smoke: resumed report byte-identical"; \
-	$$cli test rtl8029 --store-dir $$dir/store \
-	  --json-out $$dir/cold.json >/dev/null || [ $$? -eq 2 ]; \
-	$$cli test rtl8029 --store-dir $$dir/store \
-	  --json-out $$dir/warm.json >$$dir/warm.out || [ $$? -eq 2 ]; \
-	grep -q "solver store:" $$dir/warm.out; \
-	cmp $$dir/cold.json $$dir/warm.json; \
-	echo "warm-start smoke: persistent store hit, identical report"; \
+	for flag in "--store-dir x" --no-persist --no-dbt; do \
+	  rc=0; $$cli test rtl8029 $$flag >/dev/null 2>&1 || rc=$$?; \
+	  [ $$rc -eq 124 ] || { echo "$$flag: exit $$rc, want 124"; exit 1; }; \
+	done; \
+	echo "usage-error smoke: removed flags exit 124"; \
+	printf 'not a replay script\n' > $$dir/garbage.replay; \
+	for script in $$dir/missing.replay $$dir/garbage.replay; do \
+	  rc=0; $$cli replay rtl8029 $$script >/dev/null 2>&1 || rc=$$?; \
+	  [ $$rc -eq 1 ] || { echo "$$script: exit $$rc, want 1"; exit 1; }; \
+	done; \
+	echo "replay smoke: missing and garbage scripts exit 1"; \
 	rm -rf $$dir
 	dune exec bin/ddt_cli.exe -- analyze rtl8029 --expect-clean \
 	  --rules unreachable-code,stack-imbalance,const-arg-contract > /dev/null

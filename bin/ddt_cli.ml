@@ -101,14 +101,6 @@ let checkpoint_path_arg =
   let doc = "Checkpoint file path (default $(i,<driver>.ckpt))." in
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"PATH" ~doc)
 
-let store_dir_arg =
-  let doc =
-    "Root of the persistent solver store: query-cache entries and unsat \
-     cores survive across runs of the same driver, so a second run starts \
-     with a warm cache. Corrupt store files are skipped, never trusted."
-  in
-  Arg.(value & opt (some string) None & info [ "store-dir" ] ~docv:"DIR" ~doc)
-
 let json_out_arg =
   let doc =
     "Also write the machine-readable session report (JSON, schema v6) to \
@@ -120,7 +112,7 @@ let json_out_arg =
    converge with the uninterrupted one, both must build their config the
    same way from the same flags. *)
 let apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
-    ~checkpoint_every ~checkpoint_path ~store_dir =
+    ~checkpoint_every ~checkpoint_path =
   let cfg =
     { cfg with
       Ddt_core.Config.exec_config =
@@ -128,8 +120,7 @@ let apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
           Ddt_symexec.Exec.jobs = max 1 jobs;
           state_merging = not no_merge };
       checkpoint_every;
-      checkpoint_path;
-      store_dir }
+      checkpoint_path }
   in
   let cfg =
     if guided then
@@ -179,7 +170,7 @@ let report_result ~traces ~json_out r =
 
 let test_cmd =
   let run short fixed no_annot traces jobs guided chaos no_merge
-      checkpoint_every checkpoint_path store_dir json_out =
+      checkpoint_every checkpoint_path json_out =
     match find_entry short with
     | Error e -> prerr_endline e; 1
     | Ok entry ->
@@ -188,7 +179,7 @@ let test_cmd =
         in
         let cfg =
           apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
-            ~checkpoint_every ~checkpoint_path ~store_dir
+            ~checkpoint_every ~checkpoint_path
         in
         report_result ~traces ~json_out (Ddt_core.Ddt.test_driver cfg)
   in
@@ -197,8 +188,7 @@ let test_cmd =
     Term.(
       const run $ driver_arg $ fixed_flag $ no_annot_flag $ traces_flag
       $ jobs_arg $ guided_flag $ chaos_flag $ no_merge_flag
-      $ checkpoint_every_arg $ checkpoint_path_arg $ store_dir_arg
-      $ json_out_arg)
+      $ checkpoint_every_arg $ checkpoint_path_arg $ json_out_arg)
 
 let resume_cmd =
   let ckpt_arg =
@@ -210,7 +200,7 @@ let resume_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"CKPT" ~doc)
   in
   let run ckpt fixed no_annot traces jobs guided chaos no_merge
-      checkpoint_every checkpoint_path store_dir json_out =
+      checkpoint_every checkpoint_path json_out =
     match Ddt_core.Session.checkpoint_driver ckpt with
     | Error e -> Printf.eprintf "cannot read checkpoint: %s\n" e; 1
     | Ok name -> (
@@ -232,7 +222,6 @@ let resume_cmd =
                    told otherwise *)
                 ~checkpoint_path:
                   (Some (Option.value checkpoint_path ~default:ckpt))
-                ~store_dir
             in
             (match Ddt_core.Session.resume cfg ~path:ckpt with
              | Error e -> Printf.eprintf "resume: %s\n" e; 1
@@ -246,8 +235,7 @@ let resume_cmd =
     Term.(
       const run $ ckpt_arg $ fixed_flag $ no_annot_flag $ traces_flag
       $ jobs_arg $ guided_flag $ chaos_flag $ no_merge_flag
-      $ checkpoint_every_arg $ checkpoint_path_arg
-      $ store_dir_arg $ json_out_arg)
+      $ checkpoint_every_arg $ checkpoint_path_arg $ json_out_arg)
 
 let static_cmd =
   let run short fixed =
@@ -489,27 +477,35 @@ let replay_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"SCRIPT" ~doc:"Replay script file (.replay).")
   in
+  (* An unreadable or malformed script is a one-line error, like a bad
+     checkpoint for `resume'. *)
+  let read_script path =
+    match
+      Ddt_trace.Replay.of_string
+        (In_channel.with_open_bin path In_channel.input_all)
+    with
+    | script -> Ok script
+    | exception (Sys_error e | Failure e) -> Error e
+  in
   let run short script_path =
     match find_entry short with
     | Error e -> prerr_endline e; 1
-    | Ok entry ->
-        let ic = open_in script_path in
-        let n = in_channel_length ic in
-        let text = really_input_string ic n in
-        close_in ic;
-        let script = Ddt_trace.Replay.of_string text in
-        Format.printf "%a@." Ddt_trace.Replay.pp script;
-        let cfg =
-          { (Corpus.config entry) with
-            Ddt_core.Config.replay = Some script }
-        in
-        let r = Ddt_core.Ddt.test_driver cfg in
-        Format.printf "%a" Ddt_core.Ddt.pp_report r;
-        if r.Ddt_core.Session.r_bugs = [] then begin
-          Format.printf "replay did NOT reproduce any bug@.";
-          1
-        end
-        else 0
+    | Ok entry -> (
+        match read_script script_path with
+        | Error e -> Printf.eprintf "cannot read replay script: %s\n" e; 1
+        | Ok script ->
+            Format.printf "%a@." Ddt_trace.Replay.pp script;
+            let cfg =
+              { (Corpus.config entry) with
+                Ddt_core.Config.replay = Some script }
+            in
+            let r = Ddt_core.Ddt.test_driver cfg in
+            Format.printf "%a" Ddt_core.Ddt.pp_report r;
+            if r.Ddt_core.Session.r_bugs = [] then begin
+              Format.printf "replay did NOT reproduce any bug@.";
+              1
+            end
+            else 0)
   in
   Cmd.v
     (Cmd.info "replay"

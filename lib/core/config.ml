@@ -34,8 +34,6 @@ type t = {
      effective with [jobs = 1] and fully symbolic hardware *)
   checkpoint_path : string option;
   (* where the checkpoint blob goes; default "<driver>.ckpt" *)
-  store_dir : string option;
-  (* root of the persistent solver store; None = no store *)
 }
 
 let default_network_workload =
@@ -55,7 +53,7 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     ?(max_total_steps = 3_000_000) ?(plateau_steps = 250_000)
     ?(max_bases_per_phase = 3) ?concrete_device ?replay
     ?(collect_crashdumps = false) ?governor ?(checkpoint_every = 0)
-    ?checkpoint_path ?store_dir () =
+    ?checkpoint_path () =
   let exec_config =
     match jobs with
     | None -> exec_config
@@ -92,7 +90,6 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     use_annotations; annotations; exec_config; max_total_steps;
     plateau_steps; max_bases_per_phase; concrete_device; replay;
     collect_crashdumps; governor; checkpoint_every; checkpoint_path;
-    store_dir;
   }
 
 let workload_name = function

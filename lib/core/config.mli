@@ -51,9 +51,6 @@ type t = {
       symbolic hardware; it is ignored otherwise. *)
   checkpoint_path : string option;
   (** checkpoint blob location; default ["<driver_name>.ckpt"] *)
-  store_dir : string option;
-  (** root directory of the persistent solver store ({!Ddt_solver.Pstore});
-      [None] (the default) runs without one *)
 }
 
 val default_network_workload : workload_item list
@@ -83,7 +80,6 @@ val make :
   ?governor:Governor.limits ->
   ?checkpoint_every:int ->
   ?checkpoint_path:string ->
-  ?store_dir:string ->
   unit -> t
 
 val workload_name : workload_item -> string

@@ -72,11 +72,6 @@ let pp_report fmt (r : Session.result) =
     sv.Ddt_solver.Solver.s_queries sv.Ddt_solver.Solver.s_group_solves
     (100.0 *. Ddt_solver.Solver.cache_hit_rate sv)
     sv.Ddt_solver.Solver.s_bitblast_solves;
-  if sv.Ddt_solver.Solver.s_cache_persist_hits > 0 then
-    Format.fprintf fmt
-      "solver store: %d hit(s) on entries loaded from the persistent \
-       store@."
-      sv.Ddt_solver.Solver.s_cache_persist_hits;
   if sv.Ddt_solver.Solver.s_exhaustions > 0 then
     Format.fprintf fmt
       "solver retries: %d budget exhaustion(s), %d escalated retries, %d \

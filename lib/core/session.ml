@@ -10,7 +10,6 @@ module Icfg = Ddt_staticx.Icfg
 module Distmap = Ddt_staticx.Distmap
 module Sfind = Ddt_staticx.Sfind
 module Blob = Ddt_solver.Blob
-module Pstore = Ddt_solver.Pstore
 module Qcache = Ddt_solver.Qcache
 module Expr = Ddt_solver.Expr
 module Solver = Ddt_solver.Solver
@@ -89,7 +88,6 @@ type ctx = {
   x_sink : Report.sink;
   x_icfg : Icfg.t;
   x_distmap : Distmap.t option;
-  x_store : Pstore.t option;
   x_hmu : Mutex.t;
   x_finished_count : int ref;
   x_crashdumps : (int * Ddt_trace.Crashdump.t) list ref;
@@ -104,10 +102,9 @@ type ctx = {
 }
 
 (* Everything that happens before the root state is seeded: VM + kernel
-   setup, engine creation, static pre-analysis, checker and hook wiring,
-   and the persistent-store warm load. Shared verbatim by [run] and
-   [resume] — determinism of this prefix is what makes a restored
-   checkpoint meaningful. *)
+   setup, engine creation, static pre-analysis, and checker and hook
+   wiring. Shared verbatim by [run] and [resume] — determinism of this
+   prefix is what makes a restored checkpoint meaningful. *)
 let setup (cfg : Config.t) =
   let t0 = Unix.gettimeofday () in
   let base_mem = Mem.create () in
@@ -126,20 +123,6 @@ let setup (cfg : Config.t) =
   in
   let eng = Exec.create ~config:exec_config loaded base_mem symdev in
   Option.iter (Exec.set_replay eng) cfg.Config.replay;
-  (* Persistent solver store: warm the (freshly reset) query cache from
-     disk. Must run after [Exec.create], which clears the process-global
-     cache. An unopenable store degrades to a cold cache, never to a
-     failure. *)
-  let store =
-    match cfg.Config.store_dir with
-    | Some dir -> (
-        match Pstore.open_store ~dir ~key:cfg.Config.driver_name with
-        | Ok s ->
-            ignore (Pstore.load s (Solver.current_cache ()));
-            Some s
-        | Error _ -> None)
-    | None -> None
-  in
   (* Resource governance: policy from the config's soft limits, enforced
      by the engine's deterministic concretize-and-retire path. *)
   let governor =
@@ -286,7 +269,7 @@ let setup (cfg : Config.t) =
     x_cfg = cfg; x_t0 = t0; x_loaded = loaded; x_device = device;
     x_exec_config = exec_config;
     x_eng = eng; x_governor = governor; x_sink = sink; x_icfg = icfg;
-    x_distmap = distmap; x_store = store; x_hmu = hmu;
+    x_distmap = distmap; x_hmu = hmu;
     x_finished_count = finished_count; x_crashdumps = crashdumps;
     x_first_bug_paths = first_bug_paths; x_coverage = coverage;
     x_blocks_seen = blocks_seen; x_invocations = ref 0;
@@ -295,8 +278,8 @@ let setup (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-(* 6: the query-cache dump is always present, no longer an option. *)
-let checkpoint_version = 6
+(* 7: cache entries no longer carry a persisted flag. *)
+let checkpoint_version = 7
 
 (* A checkpoint is one self-contained marshal image of every piece of
    session progress: the engine image (queues, merge pool, guard,
@@ -499,11 +482,6 @@ let finalize ctx =
   let covered_reachable =
     List.length icfg.Icfg.universe - List.length never_reached
   in
-  (* Persist this run's fresh query-cache entries for the next session
-     over the same driver. Best-effort like every durability write. *)
-  (match ctx.x_store with
-   | Some s -> ignore (Pstore.save s (Solver.current_cache ()))
-   | None -> ());
   {
     r_driver = cfg.Config.driver_name;
     r_bugs = bugs;
@@ -576,9 +554,8 @@ let resume (cfg : Config.t) ~path : (result, string) Stdlib.result =
         Expr.set_var_counter
           (max (Expr.var_counter_value ()) ck.ck_var_counter);
         Exec.restore_image ctx.x_eng ck.ck_engine;
-        (* The checkpoint's cache dump is authoritative: it reproduces
-           the exact hit/miss sequence the uninterrupted run would have
-           seen, overriding whatever the persistent store pre-loaded. *)
+        (* The checkpoint's cache dump reproduces the exact hit/miss
+           sequence the uninterrupted run would have seen. *)
         ignore (Qcache.Sharded.import (Solver.current_cache ()) ck.ck_qcache);
         Report.restore_sink ctx.x_sink ck.ck_sink;
         ctx.x_invocations := ck.ck_invocations;

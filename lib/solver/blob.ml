@@ -1,6 +1,5 @@
 (* Checksummed binary containers for everything the durability layer
-   puts on disk: state snapshots, session checkpoints, persistent query
-   cache entries.
+   puts on disk: state snapshots and session checkpoints.
 
    The format is deliberately dumb — magic, format version, payload
    length, CRC-32, Marshal payload — because the safety property lives
@@ -142,10 +141,9 @@ let write_file path v =
 let read_file path =
   match
     let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
   with
   | s -> decode s
   | exception e -> Error (Printexc.to_string e)

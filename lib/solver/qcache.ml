@@ -10,10 +10,9 @@ type outcome =
 type info = {
   i_renamed : bool;
   i_owner : int;
-  i_persisted : bool;
 }
 
-let no_info = { i_renamed = false; i_owner = -1; i_persisted = false }
+let no_info = { i_renamed = false; i_owner = -1 }
 
 let terms_equal a b =
   try List.for_all2 Expr.equal a b with Invalid_argument _ -> false
@@ -53,7 +52,6 @@ type entry = {
   e_verdict : verdict;
   e_size : int;
   mutable e_last_use : int;
-  e_persisted : bool;        (* loaded from the on-disk store (warm start) *)
 }
 
 type t = {
@@ -351,8 +349,7 @@ let lookup_prepared t p =
   | Some e -> (
       e.e_last_use <- t.tick;
       let info =
-        { i_renamed = not (terms_equal e.e_orig p.p_key); i_owner = e.e_domain;
-          i_persisted = e.e_persisted }
+        { i_renamed = not (terms_equal e.e_orig p.p_key); i_owner = e.e_domain }
       in
       match e.e_verdict with
       | V_sat pairs -> (Exact_sat (model_of_pairs p pairs), info)
@@ -364,9 +361,7 @@ let lookup_prepared t p =
         else subset_winner t p.p_key
       with
       | Some e ->
-          (Subset_unsat,
-           { i_renamed = false; i_owner = e.e_domain;
-             i_persisted = e.e_persisted })
+          (Subset_unsat, { i_renamed = false; i_owner = e.e_domain })
       | None ->
           (* Superset rule: re-check recent models by evaluation — against
              the renamed query, so a model minted for a differently-named
@@ -378,7 +373,7 @@ let lookup_prepared t p =
                 if List.for_all (fun c -> Expr.eval renv c = 1) p.p_rkey.Key.k_terms
                 then
                   (Reuse_sat (orig_env p renv),
-                   { i_renamed = false; i_owner = owner; i_persisted = false })
+                   { i_renamed = false; i_owner = owner })
                 else try_models rest
           in
           try_models t.models)
@@ -391,7 +386,7 @@ let rec take n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
 
-let add_entry ?(persisted = false) t p verdict =
+let add_entry t p verdict =
   t.tick <- t.tick + 1;
   t.next_id <- t.next_id + 1;
   let e =
@@ -403,7 +398,6 @@ let add_entry ?(persisted = false) t p verdict =
       e_verdict = verdict;
       e_size = List.length p.p_key;
       e_last_use = t.tick;
-      e_persisted = persisted;
     }
   in
   KH.replace t.table p.p_rkey e;
@@ -443,67 +437,16 @@ let store_unsat_prepared t p =
 let store_sat t cs m = store_sat_prepared t (query cs) m
 let store_unsat t cs = store_unsat_prepared t (query cs)
 
-(* --- persistence --------------------------------------------------------- *)
+(* --- entry export -------------------------------------------------------- *)
 (* A [pentry] is the process-independent projection of an entry: the
-   renamed key is already in the canonical dense-id space, so it means
-   the same thing in any process; the original key only serves the
-   subset index (and only matches across runs when the producing run was
-   deterministic, which the engine is). Verdicts are plain data —
-   [V_sat] stores (var, value) pairs, never closures. *)
+   renamed key is in the canonical dense-id space and the verdict is
+   plain data — [V_sat] stores (var, value) pairs, never closures. *)
 
 type pentry = {
   pe_key : Expr.t list;      (* renamed canonical key *)
-  pe_orig : Expr.t list;     (* original-space key, for subset indexing *)
+  pe_orig : Expr.t list;     (* original-space key *)
   pe_verdict : verdict;
 }
-
-(* Loading is defensive even though the container layer already CRC-
-   checked the bytes: a Sat model is re-verified by evaluation against
-   the stored key, so a stale or forged model can cost a miss but never
-   hand back a non-model. (Unsat cores are protected by the store's
-   version key: any change to solver semantics bumps it and orphans the
-   old entries.) *)
-let import_pentry t pe =
-  let sat_ok pairs =
-    let renv = env_of pairs in
-    match List.for_all (fun c -> Expr.eval renv c = 1) pe.pe_key with
-    | ok -> ok
-    | exception _ -> false
-  in
-  let well_formed =
-    pe.pe_key <> [] && pe.pe_orig <> []
-    && (match pe.pe_verdict with V_unsat -> true | V_sat pairs -> sat_ok pairs)
-  in
-  let key = Key.of_terms pe.pe_key in
-  if (not well_formed) || KH.mem t.table key then false
-  else begin
-    t.tick <- t.tick + 1;
-    t.next_id <- t.next_id + 1;
-    let e =
-      {
-        e_id = t.next_id;
-        e_key = key;
-        e_orig = pe.pe_orig;
-        e_domain = self_domain ();
-        e_verdict = pe.pe_verdict;
-        e_size = List.length pe.pe_orig;
-        e_last_use = t.tick;
-        e_persisted = true;
-      }
-    in
-    KH.replace t.table key e;
-    (match pe.pe_verdict with
-    | V_unsat ->
-        List.iter
-          (fun c ->
-            match EH.find_opt t.unsat_index c with
-            | Some r -> r := e :: !r
-            | None -> EH.replace t.unsat_index c (ref [ e ]))
-          pe.pe_orig
-    | V_sat _ -> ());
-    maybe_evict t;
-    true
-  end
 
 (* --- the mutex-sharded shared cache -------------------------------------- *)
 (* One process-wide cache shared by every worker domain: shard by the hash
@@ -623,9 +566,7 @@ module Sharded = struct
           match cross_shard_subset sc s p with
           | Some e ->
               Atomic.incr sc.bloom_hits;
-              (Subset_unsat,
-               { i_renamed = false; i_owner = e.e_domain;
-                 i_persisted = e.e_persisted })
+              (Subset_unsat, { i_renamed = false; i_owner = e.e_domain })
           | None -> (outcome, info))
       | _ -> (outcome, info)
     in
@@ -664,35 +605,19 @@ module Sharded = struct
 
   let n_shards sc = Array.length sc.shards
 
-  (* --- warm start (content-addressed store) ----------------------------- *)
+  (* --- entry export ---------------------------------------------------- *)
 
-  (* Entries born in this process, i.e. worth persisting ([e_persisted]
-     ones are already on disk). *)
   let export_entries sc =
     Array.fold_left
       (fun acc s ->
         with_shard s (fun () ->
             KH.fold
               (fun _ e acc ->
-                if e.e_persisted then acc
-                else
-                  { pe_key = e.e_key.Key.k_terms; pe_orig = e.e_orig;
-                    pe_verdict = e.e_verdict }
-                  :: acc)
+                { pe_key = e.e_key.Key.k_terms; pe_orig = e.e_orig;
+                  pe_verdict = e.e_verdict }
+                :: acc)
               s.cache.table acc))
       [] sc.shards
-
-  (* Loaded entries land in the exact/subset tables only — never in the
-     model-reuse list — so a warm start can turn misses into hits but
-     cannot reorder the speculative model scan a cold run would do. *)
-  let import_pentry sc pe =
-    let s = sc.shards.(abs (terms_hash pe.pe_key) mod Array.length sc.shards) in
-    let ok = with_shard s (fun () -> import_pentry s.cache pe) in
-    if ok then
-      (match pe.pe_verdict with
-      | V_unsat -> List.iter (bloom_add sc) pe.pe_orig
-      | V_sat _ -> ());
-    ok
 
   (* --- checkpoint dump/import ------------------------------------------- *)
 

@@ -45,9 +45,6 @@ type info = {
   i_owner : int;
       (** domain id that stored the winning entry or model; [-1] when
           unknown or on a miss *)
-  i_persisted : bool;
-      (** the winning entry was loaded from the on-disk store (a
-          warm-start hit, not an in-process one) *)
 }
 
 val no_info : info
@@ -88,7 +85,7 @@ val size : t -> int
 val evictions : t -> int
 val clear : t -> unit
 
-(** {1 Persistence} *)
+(** {1 Entry export} *)
 
 type verdict = V_sat of (Expr.var * int) list | V_unsat
 (** A stored answer as plain data; [V_sat] pairs are in renamed space. *)
@@ -98,16 +95,8 @@ type pentry = {
   pe_orig : Expr.t list;  (** original-space key, feeds the subset index *)
   pe_verdict : verdict;
 }
-(** The process-independent projection of a cache entry, what the
-    on-disk store holds. Contains no closures and no process-local ids. *)
-
-val import_pentry : t -> pentry -> bool
-(** Insert a persisted entry. Sat models are re-verified by evaluation
-    against the stored key and malformed entries are refused — [false]
-    means skipped (also returned when the key is already present). A
-    loaded entry is flagged [e_persisted], so hits on it are reported
-    via {!info.i_persisted}; it never joins the model-reuse list. An
-    Unsat core is also indexed for the original-space subset rule. *)
+(** The process-independent projection of a cache entry. Contains no
+    closures and no process-local ids. *)
 
 (** A process-wide cache shared by all worker domains: shard by the hash
     of the renamed canonical key, one mutex per shard, atomics for the
@@ -152,16 +141,10 @@ module Sharded : sig
 
   val bloom_recoveries : sharded -> int
 
-  (** {1 Warm start} *)
+  (** {1 Entry export} *)
 
   val export_entries : sharded -> pentry list
-  (** Every entry born in this process (already-persisted entries are
-      skipped), for writing to the on-disk store. Order is unspecified
-      — the store is content-addressed. *)
-
-  val import_pentry : sharded -> pentry -> bool
-  (** Shard-aware {!Qcache.import_pentry}; Unsat cores also join the
-      cross-shard Bloom filter. *)
+  (** Every cache entry, in unspecified order. *)
 
   (** {1 Checkpointing} *)
 

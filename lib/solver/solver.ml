@@ -43,9 +43,9 @@ let set_accel a =
   Atomic.set accel a;
   clear_cache ()
 
-(* The live shared cache instance, for the durability layer: warm-start
-   loads ({!Pstore}) and checkpoint dump/import go straight to it. Any
-   [set_accel]/[clear_cache] invalidates the handle — re-fetch it. *)
+(* The live shared cache instance, for the durability layer: checkpoint
+   dump/import go straight to it. Any [set_accel]/[clear_cache]
+   invalidates the handle — re-fetch it. *)
 let current_cache () = Atomic.get cache
 
 (* --- retry policy -------------------------------------------------------- *)
@@ -106,7 +106,6 @@ type stats = {
   s_cache_misses : int;
   s_cache_renamed_hits : int;
   s_cache_cross_worker_hits : int;
-  s_cache_persist_hits : int;
   s_interval_solves : int;
   s_bitblast_solves : int;
   s_cache_evictions : int;
@@ -127,7 +126,6 @@ type counters = {
   c_misses : int Atomic.t;
   c_renamed_hits : int Atomic.t;
   c_cross_worker_hits : int Atomic.t;
-  c_persist_hits : int Atomic.t;
   c_interval_solves : int Atomic.t;
   c_bitblast_solves : int Atomic.t;
   c_exhaustions : int Atomic.t;
@@ -140,7 +138,6 @@ let cnt =
     c_exact_hits = Atomic.make 0; c_subset_unsat_hits = Atomic.make 0;
     c_model_reuse_hits = Atomic.make 0; c_misses = Atomic.make 0;
     c_renamed_hits = Atomic.make 0; c_cross_worker_hits = Atomic.make 0;
-    c_persist_hits = Atomic.make 0;
     c_interval_solves = Atomic.make 0; c_bitblast_solves = Atomic.make 0;
     c_exhaustions = Atomic.make 0; c_retries = Atomic.make 0;
     c_retry_recovered = Atomic.make 0 }
@@ -155,7 +152,6 @@ let stats () =
     s_cache_misses = Atomic.get cnt.c_misses;
     s_cache_renamed_hits = Atomic.get cnt.c_renamed_hits;
     s_cache_cross_worker_hits = Atomic.get cnt.c_cross_worker_hits;
-    s_cache_persist_hits = Atomic.get cnt.c_persist_hits;
     s_interval_solves = Atomic.get cnt.c_interval_solves;
     s_bitblast_solves = Atomic.get cnt.c_bitblast_solves;
     s_cache_evictions = Qcache.Sharded.evictions (Atomic.get cache);
@@ -178,7 +174,6 @@ let diff_stats (b : stats) (a : stats) =
     s_cache_renamed_hits = b.s_cache_renamed_hits - a.s_cache_renamed_hits;
     s_cache_cross_worker_hits =
       b.s_cache_cross_worker_hits - a.s_cache_cross_worker_hits;
-    s_cache_persist_hits = b.s_cache_persist_hits - a.s_cache_persist_hits;
     s_interval_solves = b.s_interval_solves - a.s_interval_solves;
     s_bitblast_solves = b.s_bitblast_solves - a.s_bitblast_solves;
     s_cache_evictions = max 0 (b.s_cache_evictions - a.s_cache_evictions);
@@ -208,7 +203,6 @@ let reset_stats () =
   Atomic.set cnt.c_misses 0;
   Atomic.set cnt.c_renamed_hits 0;
   Atomic.set cnt.c_cross_worker_hits 0;
-  Atomic.set cnt.c_persist_hits 0;
   Atomic.set cnt.c_interval_solves 0;
   Atomic.set cnt.c_bitblast_solves 0;
   Atomic.set cnt.c_exhaustions 0;
@@ -267,8 +261,7 @@ let core_solve ~budget ~deadline constraints =
 let note_hit_info (info : Qcache.info) =
   if info.Qcache.i_renamed then Atomic.incr cnt.c_renamed_hits;
   if info.Qcache.i_owner >= 0 && info.Qcache.i_owner <> (Domain.self () :> int)
-  then Atomic.incr cnt.c_cross_worker_hits;
-  if info.Qcache.i_persisted then Atomic.incr cnt.c_persist_hits
+  then Atomic.incr cnt.c_cross_worker_hits
 
 let note_outcome ((outcome : Qcache.outcome), info) =
   match outcome with

@@ -115,10 +115,9 @@ val clear_cache : unit -> unit
 (** Drop the shared cache's entries (keeps the accel mode). *)
 
 val current_cache : unit -> Qcache.Sharded.sharded
-(** The live shared cache instance, for the durability layer: warm-start
-    loads ({!Pstore.load}) and checkpoint dump/import address it
-    directly. {!set_accel}/{!clear_cache} swap in a fresh instance, so
-    re-fetch the handle after either. *)
+(** The live shared cache instance, for the durability layer: checkpoint
+    dump/import address it directly. {!set_accel}/{!clear_cache} swap in
+    a fresh instance, so re-fetch the handle after either. *)
 
 (** {1 Retry policy}
 
@@ -186,9 +185,6 @@ type stats = {
   s_cache_cross_worker_hits : int;
   (** hits on entries/models stored by a different domain — the win from
       sharing the cache across workers *)
-  s_cache_persist_hits : int;
-  (** hits on entries loaded from the on-disk store — the win from
-      warm-starting, counted separately from in-process hits *)
   s_interval_solves : int;          (** groups settled by interval layer *)
   s_bitblast_solves : int;          (** groups that reached CNF + DPLL *)
   s_cache_evictions : int;

@@ -1,6 +1,5 @@
 (* Durability tests: checksummed blob containers, single-state
-   snapshot/restore, the persistent solver store, and session
-   checkpoint/kill-resume equivalence.
+   snapshot/restore, and session checkpoint/kill-resume equivalence.
 
    The contract under test everywhere: a durability artifact that is
    corrupted, truncated or unwritable costs time (cold cache, lost
@@ -9,8 +8,6 @@
 
 module Expr = Ddt_solver.Expr
 module Blob = Ddt_solver.Blob
-module Qcache = Ddt_solver.Qcache
-module Pstore = Ddt_solver.Pstore
 module Solver = Ddt_solver.Solver
 module Mem = Ddt_dvm.Mem
 module Layout = Ddt_dvm.Layout
@@ -87,6 +84,63 @@ let test_blob_atomic_write_and_enospc () =
   match Blob.read_file path with
   | Ok s -> check_string "new contents" "version-2" s
   | Error e -> Alcotest.failf "final read: %s" e
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A failed read releases its channel: reading a directory (the open
+   succeeds, the read fails) or a missing path many times must not grow
+   the process's descriptor table. *)
+let test_blob_read_errors_close () =
+  if not (Sys.file_exists "/proc/self/fd") then
+    Alcotest.skip ()
+  else begin
+    let dir = tmpdir () in
+    let before = open_fds () in
+    for _ = 1 to 50 do
+      check_bool "directory read errors" true
+        (is_error (Blob.read_file dir : (string, string) result));
+      check_bool "missing-path read errors" true
+        (is_error
+           (Blob.read_file (Filename.concat dir "nope")
+             : (string, string) result))
+    done;
+    check_int "no descriptors leaked" before (open_fds ())
+  end
+
+(* Several processes writing the same path concurrently: each write goes
+   through its own tmp file and an atomic rename, so the survivor is one
+   writer's whole value and no tmp file is left behind. *)
+let test_blob_concurrent_writers () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "shared.blob" in
+  let value w = Printf.sprintf "writer-%d:%s" w (String.make 4096 'x') in
+  let writers = 4 in
+  let pids =
+    List.init writers (fun w ->
+        match Unix.fork () with
+        | 0 ->
+            let ok = ref true in
+            for _ = 1 to 50 do
+              if is_error (Blob.write_file path (value w)) then ok := false
+            done;
+            Unix._exit (if !ok then 0 else 1)
+        | pid -> pid)
+  in
+  List.iter
+    (fun pid ->
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "writer process failed")
+    pids;
+  (match Blob.read_file path with
+   | Ok (v : string) ->
+       check_bool "one writer's whole value" true
+         (List.exists (fun w -> v = value w) (List.init writers Fun.id))
+   | Error e -> Alcotest.failf "read after concurrent writes: %s" e);
+  check_bool "no tmp litter" false
+    (Array.exists
+       (fun f -> Filename.check_suffix f ".tmp")
+       (Sys.readdir dir))
 
 (* --- Snapshot round-trip --------------------------------------------------- *)
 
@@ -225,148 +279,6 @@ let test_snapshot_save_load () =
   check_bool "missing file is a clean error" true
     (is_error (Snapshot.load ~base ~symdev:None (path ^ ".nope")))
 
-(* --- Persistent store ------------------------------------------------------ *)
-
-let sat_model vars v = List.map (fun x -> (x, v)) vars
-
-let populate cache n =
-  (* [n] distinct Sat entries and [n] distinct Unsat entries. *)
-  for i = 1 to n do
-    let x = Expr.fresh_var ~name:"x" Expr.W32 in
-    let key = Qcache.query [ Expr.cmp Expr.Eq (Expr.var x) (Expr.word i) ] in
-    Qcache.Sharded.store_sat cache key (fun v ->
-        if v = x then i else 0 [@warning "-27"]);
-    ignore (sat_model [ x ] i);
-    let y = Expr.fresh_var ~name:"y" Expr.W32 in
-    Qcache.Sharded.store_unsat cache
-      (Qcache.query [ Expr.cmp Expr.Ltu (Expr.var y) (Expr.word 0) ])
-  done
-
-let test_pstore_roundtrip () =
-  let dir = tmpdir () in
-  let c1 = Qcache.Sharded.create () in
-  populate c1 8;
-  let s1 =
-    match Pstore.open_store ~dir ~key:"unit" with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "open: %s" e
-  in
-  let written = Pstore.save s1 c1 in
-  check_bool "entries written" true (written > 0);
-  (* second save: everything already on disk *)
-  check_int "idempotent save" 0 (Pstore.save s1 c1);
-  let c2 = Qcache.Sharded.create () in
-  let s2 =
-    match Pstore.open_store ~dir ~key:"unit" with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "reopen: %s" e
-  in
-  let loaded = Pstore.load s2 c2 in
-  check_int "all entries load" written loaded;
-  check_int "cache populated" (Qcache.Sharded.size c1)
-    (Qcache.Sharded.size c2);
-  (* a warm hit is flagged as persisted *)
-  let x = Expr.fresh_var ~name:"x" Expr.W32 in
-  let key = [ Expr.cmp Expr.Eq (Expr.var x) (Expr.word 1) ] in
-  match Qcache.Sharded.lookup c2 (Qcache.query key) with
-  | Qcache.Miss, _ -> Alcotest.fail "warm lookup missed"
-  | _, info -> check_bool "hit is persisted" true info.Qcache.i_persisted
-
-let test_pstore_corruption_only_costs () =
-  let dir = tmpdir () in
-  let c1 = Qcache.Sharded.create () in
-  populate c1 6;
-  let s1 =
-    match Pstore.open_store ~dir ~key:"unit" with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "open: %s" e
-  in
-  let written = Pstore.save s1 c1 in
-  (* corrupt one entry, truncate another, drop garbage in the dir *)
-  let entries = Sys.readdir (Pstore.dir s1) in
-  Array.sort compare entries;
-  let f0 = Filename.concat (Pstore.dir s1) entries.(0) in
-  let f1 = Filename.concat (Pstore.dir s1) entries.(1) in
-  let oc = open_out_gen [ Open_wronly ] 0o644 f0 in
-  seek_out oc 10; output_string oc "XXXX"; close_out oc;
-  let data = In_channel.with_open_bin f1 In_channel.input_all in
-  Out_channel.with_open_bin f1 (fun oc ->
-      Out_channel.output_string oc
-        (String.sub data 0 (String.length data / 2)));
-  Out_channel.with_open_bin
-    (Filename.concat (Pstore.dir s1) "garbage.v1")
-    (fun oc -> Out_channel.output_string oc "not a blob");
-  let c2 = Qcache.Sharded.create () in
-  let s2 =
-    match Pstore.open_store ~dir ~key:"unit" with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "reopen: %s" e
-  in
-  let loaded = Pstore.load s2 c2 in
-  check_int "intact entries still load" (written - 2) loaded;
-  check_bool "corrupt entries counted" true (Pstore.skipped s2 >= 2)
-
-let test_pstore_disk_full_read_only () =
-  let dir = tmpdir () in
-  let c1 = Qcache.Sharded.create () in
-  populate c1 4;
-  let s1 =
-    match Pstore.open_store ~dir ~key:"unit" with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "open: %s" e
-  in
-  Blob.set_chaos_enospc 1;
-  let written = Pstore.save s1 c1 in
-  Blob.set_chaos_enospc 0;
-  check_bool "store went read-only on first failure" false
-    (Pstore.writable s1);
-  check_bool "no further writes attempted" true (written < 8)
-
-(* Several processes saving overlapping entry sets into one store
-   directory must converge: every entry readable afterwards, no
-   partial files, racing writers of the same digest harmless. *)
-let test_pstore_concurrent_writers () =
-  let dir = tmpdir () in
-  let mk_cache n =
-    let c = Qcache.Sharded.create () in
-    for i = 0 to 63 do
-      let v = Expr.fresh_var ~name:(Printf.sprintf "w%d" i) Expr.W32 in
-      Qcache.Sharded.store_unsat c
-        (Qcache.query [ Expr.cmp Expr.Eq (Expr.var v) (Expr.word (n + i)) ])
-    done;
-    c
-  in
-  let writers = 4 in
-  let pids =
-    List.init writers (fun w ->
-        match Unix.fork () with
-        | 0 ->
-            (* Overlapping sets: writers w and w+1 share half their
-               entries, so same-digest races actually happen. *)
-            let c = mk_cache (w * 32) in
-            (match Pstore.open_store ~dir ~key:"conc" with
-             | Ok s -> ignore (Pstore.save s c)
-             | Error _ -> Unix._exit 1);
-            Unix._exit 0
-        | pid -> pid)
-  in
-  List.iter
-    (fun pid ->
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.fail "writer process failed")
-    pids;
-  match Pstore.open_store ~dir ~key:"conc" with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
-      let c = Qcache.Sharded.create () in
-      let loaded = Pstore.load s c in
-      check_int "no unreadable entries" 0 (Pstore.skipped s);
-      (* Keys [v = k] for k in 0 .. 32 * (writers - 1) + 63. *)
-      check_int "every distinct entry present once"
-        ((32 * (writers - 1)) + 64)
-        loaded
-
 (* --- Report JSON atomic write --------------------------------------------- *)
 
 let quick_cfg (e : Corpus.entry) =
@@ -472,8 +384,9 @@ let with_version blob v =
    the current one: version 1 predates the page-granular memory, version
    2 the per-page write marks and the state's fork count, checkpoint
    version 3 the query cache's array-valued reuse models, checkpoint
-   version 4 still carried the block compiler's dispositions, and
-   checkpoint version 5 held the query-cache dump as an option. *)
+   version 4 still carried the block compiler's dispositions, checkpoint
+   version 5 held the query-cache dump as an option, and checkpoint
+   version 6 flagged cache entries loaded from the on-disk store. *)
 let older_versions current = List.init (current - 1) (fun i -> i + 1)
 
 let test_previous_version_refused () =
@@ -505,6 +418,8 @@ let test_previous_version_refused () =
     (List.mem 4 (older_versions Session.checkpoint_version));
   check_bool "version 5 is an older checkpoint layout" true
     (List.mem 5 (older_versions Session.checkpoint_version));
+  check_bool "version 6 is an older checkpoint layout" true
+    (List.mem 6 (older_versions Session.checkpoint_version));
   List.iter
     (fun v ->
       Out_channel.with_open_bin ckpt (fun oc ->
@@ -533,31 +448,6 @@ let test_checkpoint_disk_full_degrades () =
   check_string "run unperturbed by failed checkpoints" oracle
     (Report_json.to_string (Report_json.of_result r))
 
-(* Warm start through the real session path: the second run answers
-   queries from the store (persist hits, fewer bit-blasts) and reports
-   the same bugs. *)
-let test_session_warm_start () =
-  let dir = tmpdir () in
-  let e = Corpus.find "rtl8029" in
-  let cfg = { (quick_cfg e) with Config.store_dir = Some dir } in
-  let cold = fresh_run cfg in
-  let warm = fresh_run cfg in
-  let hits (r : Session.result) =
-    r.Session.r_stats.Ddt_symexec.Exec.st_solver
-      .Ddt_solver.Solver.s_cache_persist_hits
-  in
-  let blasts (r : Session.result) =
-    r.Session.r_stats.Ddt_symexec.Exec.st_solver
-      .Ddt_solver.Solver.s_bitblast_solves
-  in
-  check_int "cold run has no persist hits" 0 (hits cold);
-  check_bool "warm run hits the store" true (hits warm > 0);
-  check_bool "warm run bit-blasts no more than cold" true
-    (blasts warm <= blasts cold);
-  check_string "same report either way"
-    (Report_json.to_string (Report_json.of_result cold))
-    (Report_json.to_string (Report_json.of_result warm))
-
 let () =
   Random.self_init ();
   Alcotest.run "ddt_durable"
@@ -568,21 +458,17 @@ let () =
             test_blob_corrupt_every_byte;
           Alcotest.test_case "truncations" `Quick test_blob_truncations;
           Alcotest.test_case "atomic write + disk full" `Quick
-            test_blob_atomic_write_and_enospc ] );
+            test_blob_atomic_write_and_enospc;
+          Alcotest.test_case "read errors close the channel" `Quick
+            test_blob_read_errors_close;
+          Alcotest.test_case "concurrent writers converge" `Quick
+            test_blob_concurrent_writers ] );
       ( "snapshot",
         [ qtest test_snapshot_roundtrip;
           Alcotest.test_case "variable counter" `Quick
             test_snapshot_var_counter;
           qtest test_snapshot_corrupt_fuzz;
           Alcotest.test_case "save/load file" `Quick test_snapshot_save_load ] );
-      ( "pstore",
-        [ Alcotest.test_case "roundtrip" `Quick test_pstore_roundtrip;
-          Alcotest.test_case "corruption only costs" `Quick
-            test_pstore_corruption_only_costs;
-          Alcotest.test_case "disk full makes it read-only" `Quick
-            test_pstore_disk_full_read_only;
-          Alcotest.test_case "concurrent writers converge" `Quick
-            test_pstore_concurrent_writers ] );
       ( "report-json",
         [ Alcotest.test_case "atomic write_file" `Quick
             test_report_json_write_file ] );
@@ -594,7 +480,5 @@ let () =
           Alcotest.test_case "previous-version blobs refused" `Quick
             test_previous_version_refused;
           Alcotest.test_case "disk-full degrades gracefully" `Quick
-            test_checkpoint_disk_full_degrades;
-          Alcotest.test_case "warm start via persistent store" `Quick
-            test_session_warm_start ] );
+            test_checkpoint_disk_full_degrades ] );
     ]

@@ -144,6 +144,15 @@ let test_fuse_lifts_to_ite () =
   St.reg_set a 0 (Expr.word 1);
   St.reg_set b 0 (Expr.word 2);
   Symmem.write_u8 a.St.mem 0x3000 (Expr.byte 0xAA);
+  (* [a]'s guard is [v = 0] and [b]'s its negation: valuing [v] as 0 or
+     1 selects one arm's path. *)
+  let guard = List.hd a.St.constraints in
+  let v = List.hd (Expr.vars guard) in
+  let on_arm k (x : Expr.var) = if x.Expr.id = v.Expr.id then k else 0 in
+  check_int "a's guard holds at v = 0" 1 (Expr.eval (on_arm 0) guard);
+  check_int "b's guard holds at v = 1" 1
+    (Expr.eval (on_arm 1) (List.hd b.St.constraints));
+  let b_byte = Expr.eval (on_arm 1) (Symmem.read_u8 b.St.mem 0x3000) in
   open_or_fail pool base_cs a b;
   park_first pool a;
   let o = fold_on_last pool b in
@@ -151,12 +160,18 @@ let test_fuse_lifts_to_ite () =
   check_int "one absorbed" 1 (List.length o.Merge.mo_absorbed);
   let s = List.hd o.Merge.mo_requeue in
   check_bool "survivor's tag popped" true (s.St.tags = []);
-  (match St.reg_get s 0 with
+  let r0 = St.reg_get s 0 and byte = Symmem.read_u8 s.St.mem 0x3000 in
+  (match r0 with
    | Expr.Ite _ -> ()
    | e -> Alcotest.failf "r0 not lifted to ite: %s" (Expr.to_string e));
-  (match Symmem.read_u8 s.St.mem 0x3000 with
+  (match byte with
    | Expr.Ite _ -> ()
    | e -> Alcotest.failf "store not lifted to ite: %s" (Expr.to_string e));
+  (* The lifted values select the right arm under each guard. *)
+  check_int "r0 under a's guard" 1 (Expr.eval (on_arm 0) r0);
+  check_int "r0 under b's guard" 2 (Expr.eval (on_arm 1) r0);
+  check_int "byte under a's guard" 0xAA (Expr.eval (on_arm 0) byte);
+  check_int "byte under b's guard" b_byte (Expr.eval (on_arm 1) byte);
   (match s.St.constraints with
    | d :: rest ->
        check_bool "token base kept physically" true (rest == base_cs);

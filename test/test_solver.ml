@@ -585,10 +585,9 @@ let stats_of f =
   { Solver.s_queries = f 1; s_group_solves = f 2; s_cache_exact_hits = f 3;
     s_cache_subset_unsat_hits = f 4; s_cache_model_reuse_hits = f 5;
     s_cache_misses = f 6; s_cache_renamed_hits = f 7;
-    s_cache_cross_worker_hits = f 8; s_cache_persist_hits = f 9;
-    s_interval_solves = f 10; s_bitblast_solves = f 11;
-    s_cache_evictions = f 12; s_exhaustions = f 13; s_retries = f 14;
-    s_retry_recovered = f 15; s_cache_bloom_hits = f 16 }
+    s_cache_cross_worker_hits = f 8; s_interval_solves = f 9;
+    s_bitblast_solves = f 10; s_cache_evictions = f 11; s_exhaustions = f 12;
+    s_retries = f 13; s_retry_recovered = f 14; s_cache_bloom_hits = f 15 }
 
 let test_diff_stats () =
   check_bool "field-wise difference" true
