@@ -157,16 +157,22 @@ let report_result ~traces ~json_out r =
           Ddt_checkers.Diagnose.pp
           (Ddt_checkers.Diagnose.analyze b))
       r.Ddt_core.Session.r_bugs;
-  (match json_out with
-   | None -> ()
-   | Some path -> (
-       match
-         Ddt_core.Report_json.write_file path
-           (Ddt_core.Report_json.of_result r)
-       with
-       | Ok () -> ()
-       | Error e -> Printf.eprintf "json-out: %s\n" e));
-  if r.Ddt_core.Session.r_bugs = [] then 0 else 2
+  (* A report that was asked for but not written fails the run: a caller
+     must never read success with no report on disk. *)
+  let written =
+    match json_out with
+    | None -> true
+    | Some path -> (
+        match
+          Ddt_core.Report_json.write_file path
+            (Ddt_core.Report_json.of_result r)
+        with
+        | Ok () -> true
+        | Error e -> Printf.eprintf "json-out: %s\n" e; false)
+  in
+  if not written then 1
+  else if r.Ddt_core.Session.r_bugs = [] then 0
+  else 2
 
 let test_cmd =
   let run short fixed no_annot traces jobs guided chaos no_merge
@@ -484,6 +490,7 @@ let replay_cmd =
       Ddt_trace.Replay.of_string
         (In_channel.with_open_bin path In_channel.input_all)
     with
+    | { Ddt_trace.Replay.rs_entry = ""; _ } -> Error "no entry line"
     | script -> Ok script
     | exception (Sys_error e | Failure e) -> Error e
   in

@@ -46,7 +46,10 @@ let classify t (st : St.t) ~write ~sp addr =
 (* Bound the symbolic address; report when it can escape the region that
    contains the concrete witness. *)
 let symbolic_escape t (st : St.t) (ma : Exec.mem_access) =
-  if Expr.is_const (Ddt_solver.Simplify.simplify ma.Exec.ma_addr) then None
+  if
+    Expr.is_const ma.Exec.ma_addr
+    || Expr.is_const (Ddt_solver.Simplify.simplify ma.Exec.ma_addr)
+  then None
   else
     match Interval.infer ma.Exec.ma_constraints with
     | None -> None

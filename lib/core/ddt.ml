@@ -56,6 +56,11 @@ let pp_report fmt (r : Session.result) =
       "governor: %d state(s) concretized and retired under resource \
        pressure (%d trip(s))@."
       stats.Ddt_symexec.Exec.st_soft_retired r.Session.r_governor_trips;
+  if r.Session.r_checkpoint_failures > 0 then
+    Format.fprintf fmt
+      "warning: %d checkpoint write(s) failed — an interrupted run could \
+       not resume from them@."
+      r.Session.r_checkpoint_failures;
   if stats.Ddt_symexec.Exec.st_merged_states > 0
      || stats.Ddt_symexec.Exec.st_merge_refusals > 0
   then

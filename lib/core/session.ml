@@ -48,6 +48,7 @@ type result = {
   r_governor_trips : int;
   (** times the resource governor asked for retirements (0 with no
       governor configured) *)
+  r_checkpoint_failures : int;
 }
 
 (* Returned states that can seed the next workload phase, clean
@@ -99,6 +100,9 @@ type ctx = {
   x_phase : int ref;
   (* phase currently being explored: 0 = driver load, i >= 1 = workload
      item [i - 1]; a checkpoint taken mid-run records this index *)
+  x_ckpt_failures : int ref;
+  (* failed checkpoint writes; not checkpointed, so a resumed run counts
+     only its own *)
 }
 
 (* Everything that happens before the root state is seeded: VM + kernel
@@ -273,7 +277,7 @@ let setup (cfg : Config.t) =
     x_finished_count = finished_count; x_crashdumps = crashdumps;
     x_first_bug_paths = first_bug_paths; x_coverage = coverage;
     x_blocks_seen = blocks_seen; x_invocations = ref 0;
-    x_bases = ref []; x_phase = ref 0;
+    x_bases = ref []; x_phase = ref 0; x_ckpt_failures = ref 0;
   }
 
 (* {2 Checkpointing} *)
@@ -330,10 +334,7 @@ let write_checkpoint ctx path =
       ck_qcache = Qcache.Sharded.dump (Solver.current_cache ());
     }
   in
-  (* Durability is best-effort: a full disk or unwritable path costs the
-     checkpoint, never the run. [Blob.write_file] already guarantees the
-     previous checkpoint survives a failed write. *)
-  match Blob.write_file path ck with Ok () -> true | Error _ -> false
+  Blob.write_file path ck
 
 (* Checkpointing is only sound where the engine image is: a single
    worker (the pick boundary is quiescent), fully symbolic hardware (a
@@ -351,7 +352,20 @@ let install_checkpointing ctx =
     let path = default_checkpoint_path ctx.x_cfg in
     Exec.set_checkpoint_hook ctx.x_eng (fun () ->
         if Governor.checkpoint_due cadence ~now:(Exec.steps_now ctx.x_eng)
-        then ignore (write_checkpoint ctx path))
+        then
+          (* Durability is best-effort: a full disk or unwritable path
+             costs the checkpoint, never the run. [Blob.write_file]
+             already guarantees the previous checkpoint survives a
+             failed write. *)
+          match write_checkpoint ctx path with
+          | Ok () -> ()
+          | Error e ->
+              incr ctx.x_ckpt_failures;
+              if !(ctx.x_ckpt_failures) = 1 then
+                Printf.eprintf
+                  "checkpoint: cannot write %s: %s (later failures are \
+                   counted, not printed)\n%!"
+                  path e)
   end
 
 (* {2 Phases} *)
@@ -506,6 +520,7 @@ let finalize ctx =
     r_incidents = Exec.incidents eng;
     r_governor_trips =
       (match ctx.x_governor with Some g -> Governor.trips g | None -> 0);
+    r_checkpoint_failures = !(ctx.x_ckpt_failures);
   }
 
 let run (cfg : Config.t) =

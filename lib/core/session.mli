@@ -45,6 +45,9 @@ type result = {
   r_governor_trips : int;
   (** times the resource governor ({!Governor}) requested retirements;
       0 when [Config.governor] is [None] *)
+  r_checkpoint_failures : int;
+  (** checkpoint writes that failed (see Durability below); the
+      first failure is also reported on stderr *)
 }
 
 val run : Config.t -> result
@@ -60,7 +63,9 @@ val run : Config.t -> result
     phase and the remaining workload, producing the same report the
     uninterrupted run would have: with one worker, byte-identical
     report JSON. Checkpoint writes are best-effort — a full disk
-    costs durability, never the run. *)
+    costs durability, never the run: the first failed write prints one
+    stderr line naming the path and the error, and later failures are
+    only counted ([r_checkpoint_failures]). *)
 
 val checkpoint_version : int
 (** Layout version of checkpoint blobs; {!resume} refuses any other. *)

@@ -92,18 +92,17 @@ type engine = {
   base_mem : Mem.t;
   img : Image.loaded;
   symdev : Ddt_hw.Symdev.t;
-  block_index : (int, int) Hashtbl.t;       (* abs leader -> dense id;
-                                               read-only after create *)
   block_addrs : int array;                  (* dense id -> abs leader, sorted *)
+  leader_ids : int array;
+  (* text slot -> dense id of the block starting there, or -1; see
+     [block_id]. Read-only after create. *)
   covered : int Atomic.t array;
   (* first-cover claim flags by dense id: compare-and-set 0->1 decides,
      engine-wide and lock-free, which worker covered a block first *)
-  shard_counts : (int, int) Hashtbl.t array;
-  (* per-worker block-execution counts, merged into [block_counts] every
-     [merge_period] notes — [note_block] is the hottest path in the
-     engine and no longer takes the global lock per block *)
-  shard_pending : int array;
-  merge_period : int;
+  counts : int Atomic.t array;
+  (* block-execution counts by dense id. [note_block] is the hottest path
+     in the engine, so a count is one lock-free increment, visible to
+     every worker's scheduler at once. *)
   dist_fn : (int -> int) ref;
   (* distance-to-uncovered oracle (absolute pc); the default returns 0
      everywhere, which makes the priority formulas collapse to the
@@ -112,7 +111,6 @@ type engine = {
   (* protects the tables and lists below; hooks are invoked OUTSIDE it so
      callbacks may call back into the engine (e.g. [stats]) *)
   injected_sites_global : (int, unit) Hashtbl.t;
-  block_counts : (int, int) Hashtbl.t;      (* merged view of the shards *)
   mutable done_states : St.t list;
   mutable lineage : (int * int * string * int) list;
   frontier : Frontier.t;
@@ -180,6 +178,16 @@ exception Vm_crash of string * string
    retire. Unwinds [step_quantum] only. *)
 exception Parked
 
+(* Dense id of the block starting at [pc], or -1. The id is looked up by
+   text slot, like [Image.code]: off-text and misaligned pcs (a wild
+   indirect jump) are never leaders. *)
+let block_id (img : Image.loaded) leader_ids pc =
+  let off = pc - img.Image.text_start in
+  if off < 0 || off land (Isa.instr_size - 1) <> 0 then -1
+  else
+    let slot = off / Isa.instr_size in
+    if slot < Array.length leader_ids then leader_ids.(slot) else -1
+
 let create ?(config = default_config) img base_mem symdev =
   Ddt_kernel.Ndis.install ();
   Ddt_kernel.Portcls.install ();
@@ -187,35 +195,37 @@ let create ?(config = default_config) img base_mem symdev =
   (* Every engine starts from a cold, fully accelerated query cache, so
      in-process sessions never see each other's cached answers. *)
   Solver.set_accel Solver.default_accel;
+  (* Disasm's leaders all lie inside the text section; keep the
+     slot-aligned ones, the only pcs [fetch] serves from [Image.code]. *)
+  let nslots = Array.length img.Image.code in
   let block_addrs =
     Array.of_list
-      (List.map
-         (fun off -> img.Image.base + off)
+      (List.filter_map
+         (fun off ->
+           if off land (Isa.instr_size - 1) = 0 && off / Isa.instr_size < nslots
+           then Some (img.Image.text_start + off)
+           else None)
          (Ddt_dvm.Disasm.basic_block_starts img.Image.image))
   in
-  let block_index = Hashtbl.create 256 in
-  Array.iteri (fun i a -> Hashtbl.replace block_index a i) block_addrs;
+  let leader_ids = Array.make nslots (-1) in
+  Array.iteri
+    (fun i a -> leader_ids.((a - img.Image.text_start) / Isa.instr_size) <- i)
+    block_addrs;
   let nblocks = max 1 (Array.length block_addrs) in
   let covered = Array.init nblocks (fun _ -> Atomic.make 0) in
-  let nworkers = max 1 config.jobs in
-  let shard_counts = Array.init nworkers (fun _ -> Hashtbl.create 64) in
-  let shard_pending = Array.make nworkers 0 in
-  let glock = Mutex.create () in
-  let block_counts = Hashtbl.create 256 in
+  let counts = Array.init nblocks (fun _ -> Atomic.make 0) in
   let dist_fn = ref (fun (_ : int) -> 0) in
   (* A state is scheduled by its current block, and the block's priority
      combines how often it has run (the EXE-style Min_touch count) with
      the static distance from it to uncovered code. Both components are
      monotone non-decreasing over a session — counts only grow, and
      covering blocks only removes shortest-path sources — which is what
-     the lazy min-heap requires. The merged counts are read under
-     [glock] (the frontier calls this from inside its queue locks; queue
-     lock -> glock is the one lock order used everywhere). *)
+     the lazy min-heap requires. The frontier calls this from inside its
+     queue locks, so it takes no lock of its own. *)
   let key st = if st.St.last_block <> 0 then st.St.last_block else st.St.pc in
   let priority block =
-    Mutex.lock glock;
-    let c = try Hashtbl.find block_counts block with Not_found -> 0 in
-    Mutex.unlock glock;
+    let id = block_id img leader_ids block in
+    let c = if id < 0 then 0 else Atomic.get counts.(id) in
     match config.strategy with
     | Sched.Min_dist -> (min (!dist_fn block) 0x3FFFFF * 4096) + min c 4095
     | _ -> (c * 4096) + min (!dist_fn block) 4095
@@ -233,16 +243,13 @@ let create ?(config = default_config) img base_mem symdev =
     base_mem;
     img;
     symdev;
-    block_index;
     block_addrs;
+    leader_ids;
     covered;
-    shard_counts;
-    shard_pending;
-    merge_period = (if config.jobs <= 1 then 1 else 64);
+    counts;
     dist_fn;
-    glock;
+    glock = Mutex.create ();
     injected_sites_global = Hashtbl.create 64;
-    block_counts;
     done_states = [];
     lineage = [];
     frontier;
@@ -437,7 +444,7 @@ let add_state eng st =
 
 (* --- expression helpers ------------------------------------------------ *)
 
-let concretize st e reason =
+let concretize_symbolic st e reason =
   let e = Simplify.simplify e in
   match Expr.to_const e with
   | Some v -> v
@@ -461,6 +468,13 @@ let concretize st e reason =
           St.record st
             (Event.E_concretize { pc = st.St.pc; expr = e; value = v; reason });
           v)
+
+(* Nearly every concretized value (stack pointer, addresses) is already a
+   constant: answer it before any simplification. *)
+let concretize st e reason =
+  match e with
+  | Expr.Const (_, v) -> v
+  | _ -> concretize_symbolic st e reason
 
 (* Only [extra]'s slice needs solving: a live state's path condition is
    never proven Unsat — see {!Ddt_solver.Solver.feasible}. *)
@@ -748,47 +762,22 @@ let fetch eng pc =
       raise
         (Vm_crash ("DRIVER_FAULT", Printf.sprintf "invalid opcode at 0x%x" pc))
 
-(* Merge one worker's count shard into the shared table. The only
-   [glock] acquisition on the block-counting path, amortized over
-   [merge_period] notes. *)
-let flush_shard eng wid =
-  let sh = eng.shard_counts.(wid) in
-  if Hashtbl.length sh > 0 then begin
-    Mutex.lock eng.glock;
-    Hashtbl.iter
-      (fun pc c ->
-        let cur = try Hashtbl.find eng.block_counts pc with Not_found -> 0 in
-        Hashtbl.replace eng.block_counts pc (cur + c))
-      sh;
-    Mutex.unlock eng.glock;
-    Hashtbl.reset sh
-  end;
-  eng.shard_pending.(wid) <- 0
-
-(* Count a basic-block execution. Sharded per worker: the count goes to
-   the worker's private table (merged periodically), the state's last
-   block is a plain field write, and the did-anyone-run-this-before test
-   is a lock-free compare-and-set on the block's claim flag — exactly one
-   worker wins it, so the plateau clock and the on_new_block hook see
-   each block exactly once. At [jobs = 1] the merge period is 1, making
-   the sequential engine's observable behavior identical to the old
-   globally-locked implementation. *)
+(* Count a basic-block execution. The state's last block is a plain
+   field write, the count a lock-free increment, and the
+   did-anyone-run-this-before test a compare-and-set on the block's claim
+   flag — exactly one worker wins it, so the plateau clock and the
+   on_new_block hook see each block exactly once. *)
 let note_block eng st pc =
-  match Hashtbl.find_opt eng.block_index pc with
-  | None -> ()
-  | Some idx ->
-      st.St.last_block <- pc;
-      let wid = Domain.DLS.get worker_key in
-      let sh = eng.shard_counts.(wid) in
-      let c = try Hashtbl.find sh pc with Not_found -> 0 in
-      Hashtbl.replace sh pc (c + 1);
-      eng.shard_pending.(wid) <- eng.shard_pending.(wid) + 1;
-      if eng.shard_pending.(wid) >= eng.merge_period then flush_shard eng wid;
-      let flag = eng.covered.(idx) in
-      if Atomic.get flag = 0 && Atomic.compare_and_set flag 0 1 then begin
-        Atomic.set eng.last_new_block_step (Atomic.get eng.total_steps);
-        eng.on_new_block st pc
-      end
+  let id = block_id eng.img eng.leader_ids pc in
+  if id >= 0 then begin
+    st.St.last_block <- pc;
+    Atomic.incr eng.counts.(id);
+    let flag = eng.covered.(id) in
+    if Atomic.get flag = 0 && Atomic.compare_and_set flag 0 1 then begin
+      Atomic.set eng.last_new_block_step (Atomic.get eng.total_steps);
+      eng.on_new_block st pc
+    end
+  end
 
 (* Handle reaching the return sentinel: either an interrupt continuation
    finishes, or the whole entry-point invocation is complete. *)
@@ -1091,12 +1080,7 @@ let step_quantum eng st =
      if St.terminated st then ()
      else if st.St.steps >= eng.cfg.max_steps_per_state then
        retire eng st St.Exhausted ~report:true
-     else begin
-       (* Publish this quantum's counts before the state is re-keyed so
-          its own blocks price into the priority. *)
-       flush_shard eng wid;
-       Frontier.requeue eng.frontier ~worker:wid st
-     end
+     else Frontier.requeue eng.frontier ~worker:wid st
    with
    | Parked ->
        (* The state now belongs to the merge pool: neither requeued nor
@@ -1151,8 +1135,7 @@ let step_quantum eng st =
             d_exh (d_exh - d_unrec) d_unrec;
         inc_replay = safe_replay_script st;
       }
-  end;
-  if eng.shard_pending.(wid) > 0 then flush_shard eng wid
+  end
 
 type stop_reason = Stop_budget | Stop_plateau
 
@@ -1626,20 +1609,17 @@ type image = {
 
 let checkpoint_image eng =
   let jobs = Frontier.n_workers eng.frontier in
-  (* Fold the per-worker block-count shards into the merged table so
-     the image needs only one view (shards restore empty). *)
-  for w = 0 to jobs - 1 do
-    flush_shard eng w
-  done;
   let queues =
     Array.init jobs (fun w ->
         let entries, hseq = Frontier.dump_queue eng.frontier ~worker:w in
         (List.map (fun (st, p, s) -> (St.to_image st, p, s)) entries, hseq))
   in
+  let block_counts = ref [] in
+  for i = Array.length eng.block_addrs - 1 downto 0 do
+    let c = Atomic.get eng.counts.(i) in
+    if c > 0 then block_counts := (eng.block_addrs.(i), c) :: !block_counts
+  done;
   Mutex.lock eng.glock;
-  let block_counts =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) eng.block_counts []
-  in
   let injected =
     Hashtbl.fold (fun k () acc -> k :: acc) eng.injected_sites_global []
   in
@@ -1656,7 +1636,7 @@ let checkpoint_image eng =
     ei_done = List.map St.to_image done_states;
     ei_lineage = lineage;
     ei_injected_sites = List.sort compare injected;
-    ei_block_counts = List.sort compare block_counts;
+    ei_block_counts = !block_counts;
     ei_covered = Array.map Atomic.get eng.covered;
     ei_next_id = Atomic.get eng.next_id;
     ei_total_steps = Atomic.get eng.total_steps;
@@ -1697,15 +1677,17 @@ let restore_image eng im =
   Mutex.lock eng.glock;
   eng.done_states <- List.map revive im.ei_done;
   eng.lineage <- im.ei_lineage;
-  Hashtbl.reset eng.block_counts;
-  List.iter
-    (fun (k, v) -> Hashtbl.replace eng.block_counts k v)
-    im.ei_block_counts;
   Hashtbl.reset eng.injected_sites_global;
   List.iter
     (fun k -> Hashtbl.replace eng.injected_sites_global k ())
     im.ei_injected_sites;
   Mutex.unlock eng.glock;
+  Array.iter (fun c -> Atomic.set c 0) eng.counts;
+  List.iter
+    (fun (pc, c) ->
+      let id = block_id eng.img eng.leader_ids pc in
+      if id >= 0 then Atomic.set eng.counts.(id) c)
+    im.ei_block_counts;
   let n = min (Array.length eng.covered) (Array.length im.ei_covered) in
   for i = 0 to n - 1 do
     Atomic.set eng.covered.(i) im.ei_covered.(i)

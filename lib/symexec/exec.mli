@@ -284,7 +284,8 @@ val covered_blocks : engine -> int list
 type image
 
 val checkpoint_image : engine -> image
-(** Non-destructive; per-worker block-count shards are flushed first. *)
+(** Non-destructive. Block-execution counts are recorded as a sorted
+    (leader pc, count) list of the blocks that ran. *)
 
 val revive_image : engine -> Symstate.image -> Symstate.t
 (** Rebuild one session-owned state (e.g. a workload-phase base) over

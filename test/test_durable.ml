@@ -445,6 +445,7 @@ let test_checkpoint_disk_full_degrades () =
   let r = fresh_run ck_cfg in
   Blob.set_chaos_enospc 0;
   check_bool "no checkpoint written" false (Sys.file_exists ckpt);
+  check_bool "failed writes counted" true (r.Session.r_checkpoint_failures > 0);
   check_string "run unperturbed by failed checkpoints" oracle
     (Report_json.to_string (Report_json.of_result r))
 

@@ -491,8 +491,7 @@ let prop_symdev_range_matches_scan =
 
 (* --- the executor on small driver programs -------------------------------- *)
 
-let build_engine ?config src =
-  let img = Ddt_minicc.Codegen.compile ~name:"unit" src in
+let engine_of_image ?config img =
   let base = Mem.create () in
   let loaded = Image.load img base ~base:Layout.image_base in
   let dev = device () in
@@ -500,6 +499,9 @@ let build_engine ?config src =
   let eng = Exec.create ?config loaded base symdev in
   let ks = Kstate.create ~device:dev () in
   (eng, loaded, ks)
+
+let build_engine ?config src =
+  engine_of_image ?config (Ddt_minicc.Codegen.compile ~name:"unit" src)
 
 let run_to_completion eng st ~name ~addr ~args =
   Exec.start_invocation eng st ~name ~addr ~args;
@@ -722,6 +724,58 @@ let test_coverage_accounting () =
   check_bool "blocks covered" true (Exec.block_coverage eng >= 3);
   let stats = Exec.stats eng in
   check_bool "states created" true (stats.Exec.st_states_created >= 2)
+
+(* Indirect calls to pcs that have no leader slot — a data address, a
+   misaligned text address and [text_end] — must read as "not a block
+   start" rather than index past the leader table, and must leave the
+   states' fates and the coverage count as they were. *)
+let test_wild_indirect_targets () =
+  let img =
+    Ddt_dvm.Asm.assemble ~name:"wild" {|
+.func driver_entry
+driver_entry:
+    ldw   r1, [sp+4]
+    callr r1
+    movi  r0, 7
+    ret
+.data
+junk: .word 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF
+|}
+  in
+  let eng, loaded, ks = engine_of_image img in
+  let targets =
+    [ ("data", loaded.Image.data_start + 8);
+      ("misaligned", loaded.Image.text_start + 4);
+      ("text_end", loaded.Image.text_end) ]
+  in
+  let entry = loaded.Image.base + img.Image.entry in
+  List.iter
+    (fun (name, t) ->
+      Exec.start_invocation eng (Exec.new_root_state eng ks) ~name ~addr:entry
+        ~args:[ Expr.word t ])
+    targets;
+  Exec.run eng ();
+  check_bool "no engine incident" true (Exec.incidents eng = []);
+  (* Each wild target decodes as garbage; the misaligned one runs one
+     shifted instruction first. *)
+  let fate name =
+    match
+      List.find_opt
+        (fun s -> s.Symstate.entry_name = name)
+        (Exec.finished eng)
+    with
+    | Some { Symstate.status = Some (Symstate.Crashed c); _ } -> c.Symstate.c_pc
+    | _ -> Alcotest.failf "%s: expected a crashed state" name
+  in
+  check_int "data target crashes there" (loaded.Image.data_start + 8)
+    (fate "data");
+  check_int "misaligned target runs one shifted instruction"
+    (loaded.Image.text_start + 20) (fate "misaligned");
+  check_int "text_end target crashes there" loaded.Image.text_end
+    (fate "text_end");
+  check_bool "only the entry block covered" true
+    (Exec.covered_blocks eng = [ entry ]);
+  check_int "coverage counts one block" 1 (Exec.block_coverage eng)
 
 (* --- scheduler strategies ---------------------------------------------------- *)
 
@@ -987,7 +1041,9 @@ let () =
            test_concretization_constraint_recorded;
          Alcotest.test_case "interrupt injection" `Quick
            test_interrupt_injection_forks;
-         Alcotest.test_case "coverage" `Quick test_coverage_accounting ]);
+         Alcotest.test_case "coverage" `Quick test_coverage_accounting;
+         Alcotest.test_case "wild indirect targets" `Quick
+           test_wild_indirect_targets ]);
       ("scheduler",
        [ Alcotest.test_case "strategies" `Quick test_sched_strategies;
          Alcotest.test_case "lazy heap" `Quick test_sched_lazy_heap;
