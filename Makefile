@@ -8,7 +8,9 @@ build:
 test:
 	dune runtest
 
-# Tier-1 verification plus these smokes of the built CLI, in order:
+# Tier-1 verification plus these checks of the built CLI, in order:
+# - no runtime compile: the driver corpus ships as DXE binaries built by
+#   lib/drivers/gen, so `nm` must find no ddt_minicc symbol in the CLI;
 # - kill-resume: once the first checkpoint exists, a real SIGKILL
 #   mid-exploration (the child must die with status 137, not finish),
 #   then `ddt_cli resume` must reproduce the uninterrupted oracle's
@@ -28,6 +30,9 @@ test:
 # - a warning-clean doc build.
 check: build test
 	@set -e; dir=$$(mktemp -d); cli=./_build/default/bin/ddt_cli.exe; \
+	nm $$cli > $$dir/syms; n=$$(grep -c camlDdt_minicc $$dir/syms || true); \
+	[ $$n -eq 0 ] || { echo "ddt_cli links ddt_minicc ($$n symbols)"; exit 1; }; \
+	echo "no-compile check: ddt_cli has no ddt_minicc symbol"; \
 	$$cli test pro100 --json-out $$dir/oracle.json >/dev/null || [ $$? -eq 2 ]; \
 	$$cli test pro100 --checkpoint-every 1000 \
 	  --checkpoint $$dir/p.ckpt >/dev/null 2>&1 & pid=$$!; \

@@ -4,7 +4,8 @@
     device class, get back a bug report with replayable traces.
 
     {[
-      let image = Ddt_minicc.Codegen.compile ~name:"mydrv" source in
+      let dxe = In_channel.with_open_bin "mydrv.dxe" In_channel.input_all in
+      let image = Ddt_dvm.Image.of_bytes (Bytes.of_string dxe) in
       let cfg =
         Ddt_core.Config.make ~driver_name:"mydrv" ~image
           ~driver_class:Ddt_core.Config.Network ()

@@ -3,8 +3,6 @@
     position pointer that the Play path publishes only after starting the
     stream — an interrupt in that window causes a BSOD. *)
 
-val source : string
-val fixed_source : string
 val image : unit -> Ddt_dvm.Image.t
 val fixed_image : unit -> Ddt_dvm.Image.t
 val registry : (string * int) list

@@ -11,8 +11,6 @@
     + race conditions with interrupts while playing audio: playback state
       is published to the ISR before the current-buffer pointer is set. *)
 
-val source : string
-val fixed_source : string
 val image : unit -> Ddt_dvm.Image.t
 val fixed_image : unit -> Ddt_dvm.Image.t
 val registry : (string * int) list

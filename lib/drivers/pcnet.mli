@@ -7,8 +7,6 @@
 
     The fixed variant releases everything on both paths. *)
 
-val source : string
-val fixed_source : string
 val image : unit -> Ddt_dvm.Image.t
 val fixed_image : unit -> Ddt_dvm.Image.t
 val registry : (string * int) list

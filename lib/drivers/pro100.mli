@@ -4,8 +4,6 @@
     [NdisReleaseSpinLock] — prohibited by the API contract because it
     restores a stale IRQL and can hang or crash the kernel. *)
 
-val source : string
-val fixed_source : string
 val image : unit -> Ddt_dvm.Image.t
 val fixed_image : unit -> Ddt_dvm.Image.t
 val registry : (string * int) list

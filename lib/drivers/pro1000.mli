@@ -4,8 +4,6 @@
     failed initialization path (the context block is forgotten when the
     receive ring allocation fails). *)
 
-val source : string
-val fixed_source : string
 val image : unit -> Ddt_dvm.Image.t
 val fixed_image : unit -> Ddt_dvm.Image.t
 val registry : (string * int) list

@@ -11,10 +11,8 @@
       handler pointer (segfault);
     + the same in SetInformation (segfault).
 
-    [fixed_source] repairs all five — DDT must report nothing on it. *)
+    [fixed_image] repairs all five — DDT must report nothing on it. *)
 
-val source : string
-val fixed_source : string
 val image : unit -> Ddt_dvm.Image.t
 val fixed_image : unit -> Ddt_dvm.Image.t
 val registry : (string * int) list

@@ -9,8 +9,6 @@
     + the interrupt-endpoint completion handler runs against state that
       initialization publishes only after registering it (race). *)
 
-val source : string
-val fixed_source : string
 val image : unit -> Ddt_dvm.Image.t
 val fixed_image : unit -> Ddt_dvm.Image.t
 val registry : (string * int) list

@@ -62,24 +62,29 @@ let pp_listing fmt (img : Image.t) =
       Format.fprintf fmt "  %06x: <%d byte(s) of non-code>@." off len)
     gaps
 
-let basic_block_starts (img : Image.t) =
-  let leaders = Hashtbl.create 64 in
-  let text_len = Bytes.length img.Image.text in
-  let add off = if off >= 0 && off < text_len then Hashtbl.replace leaders off () in
-  List.iter (fun (_, a) -> add a) img.Image.funcs;
-  add img.Image.entry;
-  (* Relocated jump targets are stored image-relative pre-load, so the
-     decoded immediates here are image-relative too. *)
-  List.iter
-    (fun (off, instr) ->
-      match instr with
-      | Isa.Jmp t -> add t; add (off + Isa.instr_size)
-      | Isa.Jz (_, t) | Isa.Jnz (_, t) ->
-          add t;
-          add (off + Isa.instr_size)
-      | Isa.Call t -> add t; add (off + Isa.instr_size)
-      | Isa.Callr _ | Isa.Ret | Isa.Hlt | Isa.Kcall _ ->
-          add (off + Isa.instr_size)
-      | _ -> ())
-    (disassemble img);
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) leaders [])
+(* Memoized: the engine's block table and the session's block count
+   share one sweep. *)
+let basic_block_starts =
+  Image.memoize (fun (img : Image.t) ->
+      let leaders = Hashtbl.create 64 in
+      let text_len = Bytes.length img.Image.text in
+      let add off =
+        if off >= 0 && off < text_len then Hashtbl.replace leaders off ()
+      in
+      List.iter (fun (_, a) -> add a) img.Image.funcs;
+      add img.Image.entry;
+      (* Relocated jump targets are stored image-relative pre-load, so the
+         decoded immediates here are image-relative too. *)
+      List.iter
+        (fun (off, instr) ->
+          match instr with
+          | Isa.Jmp t -> add t; add (off + Isa.instr_size)
+          | Isa.Jz (_, t) | Isa.Jnz (_, t) ->
+              add t;
+              add (off + Isa.instr_size)
+          | Isa.Call t -> add t; add (off + Isa.instr_size)
+          | Isa.Callr _ | Isa.Ret | Isa.Hlt | Isa.Kcall _ ->
+              add (off + Isa.instr_size)
+          | _ -> ())
+        (disassemble img);
+      List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) leaders []))

@@ -25,4 +25,4 @@ val basic_block_starts : Image.t -> int list
     branch targets, and fall-throughs after branches/calls/returns. Used
     for the coverage accounting of Figures 2 and 3. This is the {e linear
     sweep} universe; [Ddt_staticx.Icfg] refines it to the statically
-    reachable subset. *)
+    reachable subset. Computed once per image value. *)

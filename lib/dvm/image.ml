@@ -20,79 +20,72 @@ type loaded = {
   code : Isa.instr option array;
 }
 
-(* Decode every instruction slot of the text section once, from the
-   relocated bytes in memory (relocation patches 32-bit immediate fields
-   in place, so decoding [img.text] directly would see pre-rebase
-   addresses). Slots that do not decode — data placed in text — are
-   [None]; executing one is the usual bad-opcode fault, discovered
-   lazily exactly as per-fetch decoding would. *)
-let decode_text mem ~base ~len =
-  let slots = len / Isa.instr_size in
-  let text = Mem.read_bytes mem base len in
-  Array.init slots (fun i ->
+(* Decode the first [len / Isa.instr_size] instruction slots of [text].
+   Slots that do not decode -- data placed in text -- are [None];
+   executing one is the usual bad-opcode fault, discovered lazily exactly
+   as per-fetch decoding would. *)
+let decode_slots text ~len =
+  Array.init (len / Isa.instr_size) (fun i ->
       match Isa.decode text (i * Isa.instr_size) with
       | instr -> Some instr
       | exception Isa.Invalid_opcode _ -> None)
 
-(* Pre-load sibling of [loaded.code]: decode the *unrelocated* text once
-   per image and share the array across every static consumer (linear
-   sweep, baseline CFG, interprocedural ICFG). Address-carrying
-   immediates are image-relative here, which is exactly what the static
-   analyses want. The memo is an ephemeron so cached arrays die with
-   their image; keys compare physically (images are plain records with
-   no identity of their own) and hash on the name. *)
-module Code_memo = Ephemeron.K1.Make (struct
+(* Per-image memo. It is an ephemeron table, so cached values die with
+   their image; keys compare physically (images are plain records with no
+   identity of their own) and hash on the name. *)
+module Memo = Ephemeron.K1.Make (struct
   type nonrec t = t
 
   let equal = ( == )
   let hash img = Hashtbl.hash img.name
 end)
 
-let code_memo : Isa.instr option array Code_memo.t = Code_memo.create 16
-let code_memo_lock = Mutex.create ()
+let memoize f =
+  let memo = Memo.create 16 and lock = Mutex.create () in
+  fun img ->
+    Mutex.lock lock;
+    let v =
+      match Memo.find_opt memo img with
+      | Some v -> v
+      | None ->
+          let v = f img in
+          Memo.replace memo img v;
+          v
+    in
+    Mutex.unlock lock;
+    v
 
-let code_array img =
-  Mutex.lock code_memo_lock;
-  let arr =
-    match Code_memo.find_opt code_memo img with
-    | Some a -> a
-    | None ->
-        let slots = Bytes.length img.text / Isa.instr_size in
-        let a =
-          Array.init slots (fun i ->
-              match Isa.decode img.text (i * Isa.instr_size) with
-              | instr -> Some instr
-              | exception Isa.Invalid_opcode _ -> None)
-        in
-        Code_memo.replace code_memo img a;
-        a
-  in
-  Mutex.unlock code_memo_lock;
-  arr
+(* Pre-load sibling of [loaded.code]: decode the *unrelocated* text once
+   per image and share the array across every static consumer (linear
+   sweep, baseline CFG, interprocedural ICFG). Address-carrying
+   immediates are image-relative here, which is exactly what the static
+   analyses want. *)
+let code_array =
+  memoize (fun img -> decode_slots img.text ~len:(Bytes.length img.text))
 
 let load img mem ~base =
-  Mem.load_bytes mem base img.text;
-  let data_start = base + Bytes.length img.text in
-  Mem.load_bytes mem data_start img.data;
-  (* Zero the bss. *)
-  for i = 0 to img.bss_size - 1 do
-    Mem.write_u8 mem (data_start + Bytes.length img.data + i) 0
-  done;
-  (* Patch relocations: each is the offset of a 32-bit field holding an
-     image-relative address. *)
+  let text_len = Bytes.length img.text in
+  let data_start = base + text_len in
+  let data_end = data_start + Bytes.length img.data in
+  (* Relocate a private copy of text + data: each relocation is the offset
+     of a 32-bit field holding an image-relative address. Memory is then
+     written once, page by page, and the code decodes from the copy. *)
+  let sections = Bytes.cat img.text img.data in
   List.iter
     (fun off ->
-      let v = Mem.read_u32 mem (base + off) in
-      Mem.write_u32 mem (base + off) ((v + base) land 0xFFFFFFFF))
+      Bytes.set_int32_le sections off
+        (Int32.add (Bytes.get_int32_le sections off) (Int32.of_int base)))
     img.relocs;
+  Mem.load_bytes mem base sections;
+  Mem.load_bytes mem data_end (Bytes.make img.bss_size '\000');
   {
     image = img;
     base;
     text_start = base;
-    text_end = base + Bytes.length img.text;
+    text_end = data_start;
     data_start;
-    data_end = data_start + Bytes.length img.data + img.bss_size;
-    code = decode_text mem ~base ~len:(Bytes.length img.text);
+    data_end = data_end + img.bss_size;
+    code = decode_slots sections ~len:text_len;
   }
 
 let export_addr l name = l.base + List.assoc name l.image.exports
@@ -157,15 +150,47 @@ let of_bytes b =
   need 4;
   if Bytes.sub_string b 0 4 <> magic then fail "bad magic";
   pos := 4;
+  (* A count is checked against the bytes left before anything is
+     allocated for it: each record takes at least [min_size] bytes. *)
+  let count ~min_size =
+    let n = u32 () in
+    if n * min_size > Bytes.length b - !pos then fail "count exceeds input";
+    n
+  in
   let name = str () in
   let text = raw () in
   let data = raw () in
   let bss_size = u32 () in
+  let text_len = Bytes.length text in
+  let sections_len = text_len + Bytes.length data in
+  if sections_len + bss_size > Layout.heap_base - Layout.image_base then
+    fail "sections exceed the image window";
+  let in_text what off = if off >= text_len then fail (what ^ " outside text") in
   let entry = u32 () in
-  let imports = Array.init (u32 ()) (fun _ -> str ()) in
-  let exports = List.init (u32 ()) (fun _ -> let n = str () in (n, u32 ())) in
-  let relocs = List.init (u32 ()) (fun _ -> u32 ()) in
-  let funcs = List.init (u32 ()) (fun _ -> let n = str () in (n, u32 ())) in
+  in_text "entry" entry;
+  let imports = Array.init (count ~min_size:4) (fun _ -> str ()) in
+  let exports =
+    List.init (count ~min_size:8) (fun _ ->
+        let n = str () in
+        let off = u32 () in
+        (* The assembler exports every label, data ones included, and a
+           label may mark the end of the image. *)
+        if off > sections_len + bss_size then fail "export outside the image";
+        (n, off))
+  in
+  let relocs =
+    List.init (count ~min_size:4) (fun _ ->
+        let off = u32 () in
+        if off + 4 > sections_len then fail "relocation outside text + data";
+        off)
+  in
+  let funcs =
+    List.init (count ~min_size:8) (fun _ ->
+        let n = str () in
+        let off = u32 () in
+        in_text "function" off;
+        (n, off))
+  in
   { name; text; data; bss_size; entry; imports; exports; relocs; funcs }
 
 type stats = {

@@ -37,7 +37,11 @@ type loaded = {
 }
 
 val load : t -> Mem.t -> base:int -> loaded
-(** Copies sections into memory at [base] and patches relocations. *)
+(** Copies sections into memory at [base] and patches relocations. The
+    relocations are applied to a private copy of text + data, which is
+    blitted into memory page by page and from which [code] is decoded.
+    @raise Invalid_argument if a relocated field is not inside text +
+    data, which {!of_bytes} and the assembler rule out. *)
 
 val code_array : t -> Isa.instr option array
 (** Pre-load sibling of {!field-loaded.code}: the {e unrelocated} text
@@ -45,6 +49,11 @@ val code_array : t -> Isa.instr option array
     Memoized per image value, so the linear sweep, the baseline CFG and
     the interprocedural ICFG all index one shared array instead of
     re-decoding the text section. Do not mutate the result. *)
+
+val memoize : (t -> 'a) -> t -> 'a
+(** [memoize f] computes [f img] once per image value (compared
+    physically) and keeps the result for as long as the image lives. Safe
+    to call from several domains. *)
 
 val export_addr : loaded -> string -> int
 (** Absolute address of an exported symbol. @raise Not_found *)
@@ -57,7 +66,12 @@ val in_text : loaded -> int -> bool
 
 val to_bytes : t -> bytes
 val of_bytes : bytes -> t
-(** @raise Failure on a malformed image. *)
+(** Checks every count against the bytes left before allocating for it,
+    bounds text + data + bss by the image window
+    ([Layout.heap_base - Layout.image_base]), and requires the entry and
+    every function to lie in text, every export in the image, and every
+    relocated 32-bit field in text + data.
+    @raise Failure on a malformed image. *)
 
 (** {1 Statistics} (Table 1 of the paper) *)
 

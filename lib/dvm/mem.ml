@@ -61,8 +61,28 @@ let write_u32 t addr v =
   write_u8 t (addr + 2) (v lsr 16);
   write_u8 t (addr + 3) (v lsr 24)
 
+(* One blit per page; a chunk that overlaps an MMIO region goes through
+   [write_u8] byte by byte, so the device still sees every write. *)
 let load_bytes t addr b =
-  Bytes.iteri (fun i c -> write_u8 t (addr + i) (Char.code c)) b
+  let len = Bytes.length b in
+  let rec go i =
+    if i < len then begin
+      let a = (addr + i) land 0xFFFFFFFF in
+      let off = a land (page_size - 1) in
+      let n = min (len - i) (page_size - off) in
+      if
+        List.exists
+          (fun m -> a < m.mmio_start + m.mmio_size && m.mmio_start < a + n)
+          t.mmios
+      then
+        for j = i to i + n - 1 do
+          write_u8 t (addr + j) (Bytes.get_uint8 b j)
+        done
+      else Bytes.blit b i (page t a) off n;
+      go (i + n)
+    end
+  in
+  go 0
 
 let read_bytes t addr len =
   Bytes.init len (fun i -> Char.chr (read_u8 t (addr + i)))

@@ -35,19 +35,24 @@ let of_bytes b =
     pos := !pos + 4;
     v
   in
+  (* Each record takes at least [min_size] bytes: check a count against
+     the bytes left before allocating for it. *)
+  let count ~min_size =
+    let n = u32 () in
+    if n * min_size > Bytes.length b - !pos then fail "count exceeds input";
+    n
+  in
   need 4;
   if Bytes.sub_string b 0 4 <> magic then fail "bad magic";
   pos := 4;
   let d_pc = u32 () in
-  let nregs = u32 () in
-  let d_regs = Array.init nregs (fun _ -> u32 ()) in
+  let d_regs = Array.init (count ~min_size:4) (fun _ -> u32 ()) in
   let note_len = u32 () in
   need note_len;
   let d_note = Bytes.sub_string b !pos note_len in
   pos := !pos + note_len;
-  let npages = u32 () in
   let d_pages =
-    List.init npages (fun _ ->
+    List.init (count ~min_size:8) (fun _ ->
         let base = u32 () in
         let len = u32 () in
         need len;

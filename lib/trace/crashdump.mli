@@ -12,7 +12,8 @@ type t = {
 
 val to_bytes : t -> bytes
 val of_bytes : bytes -> t
-(** @raise Failure on malformed input. *)
+(** Checks each register and page count against the bytes left before
+    allocating for it. @raise Failure on malformed input. *)
 
 val find_u32 : t -> int -> int option
 (** Read a 32-bit word out of the dumped pages. *)
