@@ -15,7 +15,7 @@ test:
 #   mid-exploration (the child must die with status 137, not finish),
 #   then `ddt_cli resume` must reproduce the uninterrupted oracle's
 #   report byte for byte;
-# - usage errors: three removed `test` flags must be rejected with
+# - usage errors: four removed `test` flags must be rejected with
 #   cmdliner's usage exit code 124;
 # - replay input: a missing, a garbage and an empty (entry-less) replay
 #   script must each be refused with exit 1;
@@ -45,7 +45,7 @@ check: build test
 	  || [ $$? -eq 2 ]; \
 	cmp $$dir/oracle.json $$dir/resumed.json; \
 	echo "kill-resume smoke: resumed report byte-identical"; \
-	for flag in "--store-dir x" --no-persist --no-dbt; do \
+	for flag in "--store-dir x" --no-persist --no-dbt --guided; do \
 	  rc=0; $$cli test rtl8029 $$flag >/dev/null 2>&1 || rc=$$?; \
 	  [ $$rc -eq 124 ] || { echo "$$flag: exit $$rc, want 124"; exit 1; }; \
 	done; \

@@ -62,13 +62,6 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the bundled driver corpus")
     Term.(const run $ const ())
 
-let guided_flag =
-  let doc =
-    "Steer exploration with the static pre-analysis: distance-to-uncovered \
-     oracle plus the min-dist scheduling strategy."
-  in
-  Arg.(value & flag & info [ "guided" ] ~doc)
-
 let chaos_flag =
   let doc =
     "Run under deterministic fault injection (worker crashes every 25th \
@@ -111,7 +104,7 @@ let json_out_arg =
 (* Flag application shared by `test' and `resume': for a resumed run to
    converge with the uninterrupted one, both must build their config the
    same way from the same flags. *)
-let apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
+let apply_session_flags cfg ~jobs ~chaos ~no_merge
     ~checkpoint_every ~checkpoint_path =
   let cfg =
     { cfg with
@@ -121,15 +114,6 @@ let apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
           state_merging = not no_merge };
       checkpoint_every;
       checkpoint_path }
-  in
-  let cfg =
-    if guided then
-      { cfg with
-        Ddt_core.Config.exec_config =
-          { cfg.Ddt_core.Config.exec_config with
-            Ddt_symexec.Exec.static_guidance = true;
-            strategy = Ddt_symexec.Sched.Min_dist } }
-    else cfg
   in
   if chaos then
     { cfg with
@@ -175,7 +159,7 @@ let report_result ~traces ~json_out r =
   else 2
 
 let test_cmd =
-  let run short fixed no_annot traces jobs guided chaos no_merge
+  let run short fixed no_annot traces jobs chaos no_merge
       checkpoint_every checkpoint_path json_out =
     match find_entry short with
     | Error e -> prerr_endline e; 1
@@ -184,7 +168,7 @@ let test_cmd =
           Corpus.config ~fixed ~use_annotations:(not no_annot) entry
         in
         let cfg =
-          apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
+          apply_session_flags cfg ~jobs ~chaos ~no_merge
             ~checkpoint_every ~checkpoint_path
         in
         report_result ~traces ~json_out (Ddt_core.Ddt.test_driver cfg)
@@ -193,7 +177,7 @@ let test_cmd =
     (Cmd.info "test" ~doc:"Test a driver binary with DDT")
     Term.(
       const run $ driver_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ guided_flag $ chaos_flag $ no_merge_flag
+      $ jobs_arg $ chaos_flag $ no_merge_flag
       $ checkpoint_every_arg $ checkpoint_path_arg $ json_out_arg)
 
 let resume_cmd =
@@ -205,7 +189,7 @@ let resume_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"CKPT" ~doc)
   in
-  let run ckpt fixed no_annot traces jobs guided chaos no_merge
+  let run ckpt fixed no_annot traces jobs chaos no_merge
       checkpoint_every checkpoint_path json_out =
     match Ddt_core.Session.checkpoint_driver ckpt with
     | Error e -> Printf.eprintf "cannot read checkpoint: %s\n" e; 1
@@ -222,7 +206,7 @@ let resume_cmd =
               Corpus.config ~fixed ~use_annotations:(not no_annot) entry
             in
             let cfg =
-              apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
+              apply_session_flags cfg ~jobs ~chaos ~no_merge
                 ~checkpoint_every
                 (* keep checkpointing into the file being resumed unless
                    told otherwise *)
@@ -240,7 +224,7 @@ let resume_cmd =
           checkpoint and run it to completion")
     Term.(
       const run $ ckpt_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ guided_flag $ chaos_flag $ no_merge_flag
+      $ jobs_arg $ chaos_flag $ no_merge_flag
       $ checkpoint_every_arg $ checkpoint_path_arg $ json_out_arg)
 
 let static_cmd =

@@ -49,7 +49,7 @@ let default_descriptor =
 let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     ?(registry = []) ?workload ?(use_annotations = true)
     ?annotations ?(exec_config = Ddt_symexec.Exec.default_config)
-    ?jobs ?static_guidance ?state_merging
+    ?jobs ?state_merging
     ?(max_total_steps = 3_000_000) ?(plateau_steps = 250_000)
     ?(max_bases_per_phase = 3) ?concrete_device ?replay
     ?(collect_crashdumps = false) ?governor ?(checkpoint_every = 0)
@@ -58,11 +58,6 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     match jobs with
     | None -> exec_config
     | Some j -> { exec_config with Ddt_symexec.Exec.jobs = max 1 j }
-  in
-  let exec_config =
-    match static_guidance with
-    | None -> exec_config
-    | Some g -> { exec_config with Ddt_symexec.Exec.static_guidance = g }
   in
   let exec_config =
     match state_merging with

@@ -67,7 +67,6 @@ val make :
   ?annotations:Ddt_annot.Annot.set ->
   ?exec_config:Ddt_symexec.Exec.config ->
   ?jobs:int ->
-  ?static_guidance:bool ->
   ?state_merging:bool ->
   (** override [exec_config.state_merging]: fuse sibling states at
       branch post-dominators (see {!Ddt_symexec.Exec.config}) *)

@@ -7,7 +7,6 @@ module Exec = Ddt_symexec.Exec
 module St = Ddt_symexec.Symstate
 module Report = Ddt_checkers.Report
 module Icfg = Ddt_staticx.Icfg
-module Distmap = Ddt_staticx.Distmap
 module Sfind = Ddt_staticx.Sfind
 module Blob = Ddt_solver.Blob
 module Qcache = Ddt_solver.Qcache
@@ -88,7 +87,6 @@ type ctx = {
   x_governor : Governor.t option;
   x_sink : Report.sink;
   x_icfg : Icfg.t;
-  x_distmap : Distmap.t option;
   x_hmu : Mutex.t;
   x_finished_count : int ref;
   x_crashdumps : (int * Ddt_trace.Crashdump.t) list ref;
@@ -140,9 +138,7 @@ let setup (cfg : Config.t) =
   let sink = Report.create_sink () in
   let driver = cfg.Config.driver_name in
   (* Static pre-analysis: always built (it is cheap and pure) for the
-     reachable-universe coverage denominator and the static findings;
-     when [static_guidance] is on it additionally feeds the scheduler a
-     distance-to-uncovered oracle. *)
+     reachable-universe coverage denominator and the static findings. *)
   let icfg = Icfg.build cfg.Config.image in
   let contracts, model =
     match cfg.Config.driver_class with
@@ -172,27 +168,6 @@ let setup (cfg : Config.t) =
       (Sfind.analyze ~contracts ~model icfg)
   in
   List.iter (Report.report_static sink) statics;
-  let distmap =
-    if exec_config.Exec.static_guidance then begin
-      (* Directed confirmation: static-warning positions become
-         permanent distance goals, so the Min_dist scheduler keeps
-         pulling states toward the flagged code even after plain
-         coverage has visited it once. *)
-      let goals =
-        List.filter_map
-          (fun sf ->
-            if sf.Report.sf_confirm = Report.Unconfirmed then
-              Some sf.Report.sf_pos
-            else None)
-          statics
-      in
-      let dm = Distmap.create ~goals icfg in
-      Exec.set_distance_fn eng (fun pc ->
-          Distmap.dist dm (pc - loaded.Image.base));
-      Some dm
-    end
-    else None
-  in
   (* State merging: hand the engine the immediate-post-dominator map so
      it knows, per branch block, where diverging siblings reconverge.
      Never installed for replay runs — a script follows exactly one
@@ -257,10 +232,7 @@ let setup (cfg : Config.t) =
   (* Coverage sampling. *)
   let coverage = ref [] in
   let blocks_seen = ref 0 in
-  Exec.set_on_new_block eng (fun _st pc ->
-      (match distmap with
-       | Some dm -> Distmap.note_covered dm (pc - loaded.Image.base)
-       | None -> ());
+  Exec.set_on_new_block eng (fun _st _pc ->
       Mutex.lock hmu;
       incr blocks_seen;
       coverage :=
@@ -273,7 +245,7 @@ let setup (cfg : Config.t) =
     x_cfg = cfg; x_t0 = t0; x_loaded = loaded; x_device = device;
     x_exec_config = exec_config;
     x_eng = eng; x_governor = governor; x_sink = sink; x_icfg = icfg;
-    x_distmap = distmap; x_hmu = hmu;
+    x_hmu = hmu;
     x_finished_count = finished_count; x_crashdumps = crashdumps;
     x_first_bug_paths = first_bug_paths; x_coverage = coverage;
     x_blocks_seen = blocks_seen; x_invocations = ref 0;
@@ -282,8 +254,8 @@ let setup (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-(* 7: cache entries no longer carry a persisted flag. *)
-let checkpoint_version = 7
+(* 8: a Min_touch priority is the block count alone. *)
+let checkpoint_version = 8
 
 (* A checkpoint is one self-contained marshal image of every piece of
    session progress: the engine image (queues, merge pool, guard,
@@ -581,16 +553,6 @@ let resume (cfg : Config.t) ~path : (result, string) Stdlib.result =
         ctx.x_first_bug_paths := ck.ck_first_bug_paths;
         ctx.x_bases := List.map (Exec.revive_image ctx.x_eng) ck.ck_bases;
         ctx.x_phase := ck.ck_phase;
-        (* Guided scheduling: the distance oracle's covered set is
-           derived state; rebuild it from the engine's covered blocks so
-           goal distances match the uninterrupted run. *)
-        (match ctx.x_distmap with
-         | Some dm ->
-             List.iter
-               (fun pc ->
-                 Distmap.note_covered dm (pc - ctx.x_loaded.Image.base))
-               (Exec.covered_blocks ctx.x_eng)
-         | None -> ());
         install_checkpointing ctx;
         (* Finish the interrupted phase: the restored engine continues
            from the recorded budget window, so plateau detection and the

@@ -283,6 +283,8 @@ let do_store st addr v =
 let rec drop_n n l =
   if n <= 0 then l else match l with [] -> [] | _ :: t -> drop_n (n - 1) t
 
+let stack_window = Ddt_dvm.Layout.stack_top - Ddt_dvm.Layout.stack_limit
+
 let rec push_n n v l = if n <= 0 then l else push_n (n - 1) v (v :: l)
 
 (* Kernel call: arguments live on the operand stack (pushed
@@ -345,10 +347,19 @@ let step icfg emit st (pos, instr) =
   | Isa.Alu (op, rd, r1, r2) -> set st rd (alu op st.regs.(r1) st.regs.(r2))
   | Isa.Alui (op, rd, r1, k) ->
       if rd = Isa.sp && r1 = Isa.sp then
-        (* explicit stack adjustment: kcall argument cleanup / reserve *)
-        (match op with
-         | Isa.Add -> { st with stack = drop_n (k / 4) st.stack }
-         | Isa.Sub -> { st with stack = push_n (k / 4) av_top st.stack }
+        (* explicit stack adjustment: kcall argument cleanup / reserve.
+           The immediate is a signed byte count; an adjustment that is
+           not whole words or exceeds the stack window drops tracking. *)
+        let reserve =
+          match op with
+          | Isa.Sub -> Some (signed k)
+          | Isa.Add -> Some (- signed k)
+          | _ -> None
+        in
+        (match reserve with
+         | Some b when b mod 4 = 0 && abs b <= stack_window ->
+             if b >= 0 then { st with stack = push_n (b / 4) av_top st.stack }
+             else { st with stack = drop_n (- b / 4) st.stack }
          | _ -> { st with stack = []; stack_ok = false })
       else set st rd (alu op st.regs.(r1) (av_const k))
   | Isa.Cmp (cop, rd, r1, r2) -> set st rd (cmp cop st.regs.(r1) st.regs.(r2))

@@ -281,37 +281,6 @@ let block t l = Hashtbl.find_opt t.blocks l
 let func_of_block t l =
   List.find_opt (fun f -> List.mem l f.fn_blocks) t.funcs
 
-let edges t =
-  let tbl = Hashtbl.create 256 in
-  let add src dst w =
-    match Hashtbl.find_opt tbl (src, dst) with
-    | Some w' when w' <= w -> ()
-    | _ -> Hashtbl.replace tbl (src, dst) w
-  in
-  (* Function entry -> its ret-block leaders, for return edges. *)
-  let rets_of = Hashtbl.create 16 in
-  List.iter (fun f -> Hashtbl.replace rets_of f.fn_entry f.fn_rets) t.funcs;
-  Hashtbl.iter
-    (fun l b ->
-      let w = max 1 (List.length b.bb_instrs) in
-      List.iter (fun s -> add l s w) b.bb_succs;
-      List.iter
-        (fun callee ->
-          add l callee 1;
-          (* return edge: callee's rets resume at the call fall-through *)
-          match b.bb_succs with
-          | [ fall ] ->
-              List.iter
-                (fun r -> add r fall 1)
-                (match Hashtbl.find_opt rets_of callee with
-                 | Some rs -> rs
-                 | None -> [])
-          | _ -> ())
-        b.bb_calls)
-    t.blocks;
-  List.sort compare
-    (Hashtbl.fold (fun (s, d) w acc -> (s, d, w) :: acc) tbl [])
-
 let pp fmt t =
   Format.fprintf fmt "icfg of %s: %d seed(s), %d function(s), %d block(s), %d instruction(s)@."
     t.image.Image.name (List.length t.seeds) (List.length t.funcs)

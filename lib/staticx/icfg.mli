@@ -71,13 +71,6 @@ val block : t -> int -> block option
 val func_of_block : t -> int -> func option
 (** The function a reachable leader belongs to. *)
 
-val edges : t -> (int * int * int) list
-(** Weighted interprocedural edges [(src leader, dst leader, weight)]:
-    intra-procedural successors, call edges (site -> callee entry) and
-    return edges (callee ret block -> call fall-through). The weight is
-    the instruction count of the source block (min 1) for intra edges and
-    1 for call/return edges. Sorted, deduplicated (minimum weight kept). *)
-
 val pp : Format.formatter -> t -> unit
 (** Deterministic human-readable summary (functions, blocks, call graph,
     gaps). *)

@@ -8,8 +8,6 @@ type finding = {
   f_msg : string;
 }
 
-let mask32 v = v land 0xFFFFFFFF
-
 (* Immediates are stored as u32; stack adjustments may encode negative
    displacements as wrapped values. *)
 let signed32 v = if v > 0x7FFFFFFF then v - 0x100000000 else v
@@ -146,213 +144,44 @@ let stack_findings (icfg : Icfg.t) =
 
 (* --- statically-constant out-of-contract arguments ----------------------- *)
 
-type av = Const of int | Top
-
-let eval_alu op a b =
-  match op with
-  | Isa.Add -> Some (mask32 (a + b))
-  | Isa.Sub -> Some (mask32 (a - b))
-  | Isa.Mul -> Some (mask32 (a * b))
-  | Isa.Divu -> if b = 0 then None else Some (a / b)
-  | Isa.Remu -> if b = 0 then None else Some (a mod b)
-  | Isa.And -> Some (a land b)
-  | Isa.Or -> Some (a lor b)
-  | Isa.Xor -> Some (a lxor b)
-  | Isa.Shl -> Some (mask32 (a lsl (b land 31)))
-  | Isa.Shru -> Some (a lsr (b land 31))
-  | Isa.Shrs ->
-      let sa = if a > 0x7FFFFFFF then a - 0x100000000 else a in
-      Some (mask32 (sa asr (b land 31)))
-
-(* Must-join: a value is only known at a merge point when every
-   incoming path agrees on it. *)
-let join a b =
-  match (a, b) with Const x, Const y when x = y -> a | _ -> Top
-
-(* Abstractly execute one block from the [entry] register state
-   (copied, not mutated), returning the exit register state. The model
-   of words pushed in the block (newest first) lets [kcall] argument
-   slots be read back; it is intra-block only — an argument is checked
-   when its push is in the call's own block, though the pushed value may
-   have been materialized in any earlier block via the entry state.
-   [on_kcall] observes each kernel call with the stack model ([None]
-   once sp tracking is invalidated). Anything not proven constant is
-   Top. *)
-let exec_block ?(on_kcall = fun ~off:_ ~name:_ ~stack:_ -> ())
-    (icfg : Icfg.t) entry (b : Icfg.block) =
-  let regs = Array.copy entry in
-  let stack = ref [] in
-  let stack_valid = ref true in
-  let rd r = regs.(r) in
-  let wr r v = regs.(r) <- v in
-  let sp_adjust words =
-    if words >= 0 then begin
-      (* freeing stack: drop modeled slots *)
-      let rec drop n xs =
-        if n = 0 then xs
-        else
-          match xs with
-          | _ :: rest -> drop (n - 1) rest
-          | [] -> stack_valid := false; []
-      in
-      stack := drop words !stack
-    end
-    else
-      for _ = 1 to -words do
-        stack := Top :: !stack
-      done
+(* A scan of the {!Dataflow} pre-pass's kernel-call events. An argument
+   the pre-pass proves [Bconst] holds that value on every path into the
+   call: its joins keep a constant only where all predecessors agree, and
+   function arguments start unknown. So a constant failing the API's
+   contract is a must-violation, and the rule stays false-positive-free. *)
+let contract_violations ~contracts (vals : Dataflow.t) =
+  let at_kcall fn = function
+    | Dataflow.E_kcall { ev_off; name; args = Some args; _ } ->
+        List.filter_map
+          (fun (c : Annot.arg_contract) ->
+            match List.nth_opt args c.Annot.c_arg with
+            | Some { Dataflow.base = Dataflow.Bconst; disp = v; _ }
+              when c.Annot.c_api = name && not (c.Annot.c_check v) ->
+                Some
+                  { f_rule = "const-arg-contract";
+                    f_func = fn.Icfg.fn_name;
+                    f_pos = ev_off;
+                    f_msg =
+                      Printf.sprintf "%s argument %d is always %d: %s" name
+                        c.Annot.c_arg v c.Annot.c_doc }
+            | _ -> None)
+          contracts
+    | _ -> []
   in
-  List.iter
-    (fun (off, instr) ->
-      match instr with
-      | Isa.Movi (r, imm) -> wr r (Const (mask32 imm))
-      | Isa.Lea (r, _) -> wr r Top
-      | Isa.Mov (rd_, rs) -> wr rd_ (rd rs)
-      | Isa.Alui (op, rd_, rs, imm) ->
-          (match rd rs with
-           | Const a -> (
-               match eval_alu op a (mask32 imm) with
-               | Some v -> wr rd_ (Const v)
-               | None -> wr rd_ Top)
-           | Top -> wr rd_ Top);
-          if rd_ = Isa.sp && rs = Isa.sp then
-            (match op with
-             | Isa.Add -> sp_adjust (signed32 imm / 4)
-             | Isa.Sub -> sp_adjust (- (signed32 imm / 4))
-             | _ -> stack_valid := false)
-          else if rd_ = Isa.sp then stack_valid := false
-      | Isa.Alu (op, rd_, rs1, rs2) ->
-          (match (rd rs1, rd rs2) with
-           | Const a, Const b -> (
-               match eval_alu op a b with
-               | Some v -> wr rd_ (Const v)
-               | None -> wr rd_ Top)
-           | _ -> wr rd_ Top);
-          if rd_ = Isa.sp then stack_valid := false
-      | Isa.Cmp (_, rd_, _, _) | Isa.Cmpi (_, rd_, _, _) -> wr rd_ Top
-      | Isa.Ldw (rd_, _, _) | Isa.Ldb (rd_, _, _) ->
-          wr rd_ Top;
-          if rd_ = Isa.sp then stack_valid := false
-      | Isa.Push r -> stack := rd r :: !stack
-      | Isa.Pop r ->
-          (match !stack with
-           | top :: rest ->
-               wr r top;
-               stack := rest
-           | [] ->
-               wr r Top;
-               stack_valid := false);
-          if r = Isa.sp then stack_valid := false
-      | Isa.Stw _ | Isa.Stb _ | Isa.Nop | Isa.Cli | Isa.Sti -> ()
-      | Isa.Kcall n ->
-          let name =
-            let imports = icfg.Icfg.image.Ddt_dvm.Image.imports in
-            if n >= 0 && n < Array.length imports then imports.(n) else ""
-          in
-          on_kcall ~off ~name
-            ~stack:(if !stack_valid then Some !stack else None);
-          (* the kernel call clobbers the return register *)
-          wr 0 Top
-      | Isa.Call _ | Isa.Callr _ ->
-          (* callee may clobber any register; stack is balanced across
-             the call *)
-          Array.fill regs 0 Isa.num_regs Top
-      | Isa.Jmp _ | Isa.Jz _ | Isa.Jnz _ | Isa.Ret | Isa.Hlt -> ())
-    b.Icfg.bb_instrs;
-  regs
-
-(* Forward constant propagation over each function's blocks with a
-   must-join at merge points (Kildall worklist over [Icfg.bb_succs]
-   restricted to the function, as in [stack_findings]). The function
-   entry starts from Top everywhere — arguments are never assumed — and
-   a register is [Const] at a block entry only when every intra-function
-   path agrees, so a finding still only fires on a must-violation: the
-   rule stays false-positive-free while now seeing constants
-   materialized in dominating blocks, not just the call's own block.
-   Termination: the lattice has height 2 and [join] is monotone, so
-   each block re-enqueues at most [num_regs] times per predecessor. *)
-let contract_findings ?(contracts = []) (icfg : Icfg.t) =
-  if contracts = [] then []
-  else begin
-    let findings = ref [] in
-    List.iter
-      (fun fn ->
-        let in_fn l = List.mem l fn.Icfg.fn_blocks in
-        let entries = Hashtbl.create 16 in
-        Hashtbl.replace entries fn.Icfg.fn_entry (Array.make Isa.num_regs Top);
-        let work = Queue.create () in
-        Queue.add fn.Icfg.fn_entry work;
-        while not (Queue.is_empty work) do
-          let l = Queue.pop work in
-          match Hashtbl.find_opt icfg.Icfg.blocks l with
-          | None -> ()
-          | Some b ->
-              let exit_st = exec_block icfg (Hashtbl.find entries l) b in
-              List.iter
-                (fun s ->
-                  if in_fn s then
-                    match Hashtbl.find_opt entries s with
-                    | None ->
-                        Hashtbl.replace entries s (Array.copy exit_st);
-                        Queue.add s work
-                    | Some old ->
-                        let changed = ref false in
-                        for i = 0 to Isa.num_regs - 1 do
-                          let j = join old.(i) exit_st.(i) in
-                          if j <> old.(i) then begin
-                            old.(i) <- j;
-                            changed := true
-                          end
-                        done;
-                        if !changed then Queue.add s work)
-                b.Icfg.bb_succs
-        done;
-        (* report over the stabilized entry states *)
-        List.iter
-          (fun l ->
-            match Hashtbl.find_opt icfg.Icfg.blocks l with
-            | None -> ()
-            | Some b ->
-                let entry =
-                  match Hashtbl.find_opt entries l with
-                  | Some e -> e
-                  | None -> Array.make Isa.num_regs Top
-                  (* not reached from the function entry: assume nothing *)
-                in
-                let on_kcall ~off ~name ~stack =
-                  match stack with
-                  | None -> ()
-                  | Some stk ->
-                      List.iter
-                        (fun (c : Annot.arg_contract) ->
-                          if c.Annot.c_api = name then
-                            match List.nth_opt stk c.Annot.c_arg with
-                            | Some (Const v) when not (c.Annot.c_check v) ->
-                                findings :=
-                                  { f_rule = "const-arg-contract";
-                                    f_func = fn.Icfg.fn_name;
-                                    f_pos = off;
-                                    f_msg =
-                                      Printf.sprintf
-                                        "%s argument %d is always %d: %s"
-                                        name c.Annot.c_arg v c.Annot.c_doc }
-                                  :: !findings
-                            | _ -> ())
-                        contracts
-                in
-                ignore (exec_block ~on_kcall icfg entry b))
-          fn.Icfg.fn_blocks)
-      icfg.Icfg.funcs;
-    !findings
-  end
+  List.concat_map
+    (fun (_, fi) ->
+      List.concat_map
+        (fun (_, bi) ->
+          List.concat_map (at_kcall fi.Dataflow.fi_func) bi.Dataflow.bi_events)
+        fi.Dataflow.fi_blocks)
+    vals.Dataflow.funcs
 
 (* --- interprocedural model-driven rules ---------------------------------- *)
 
 (* Lockset/IRQL and race-pair findings from the {!Dataflow} framework,
    available when the caller supplies the kernel-API model of the
    driver's class. *)
-let model_findings ~model icfg =
-  let vals = Dataflow.analyze icfg in
+let model_findings ~model vals =
   let roles = Dataflow.roles vals ~model in
   let li = Lockirql.analyze vals ~model ~roles in
   let races = Racepair.analyze ~model ~sites:li.Lockirql.r_sites in
@@ -371,13 +200,16 @@ let rule_matches requested rule =
   List.exists (fun r -> r = rule || String.starts_with ~prefix:r rule)
     requested
 
-let analyze ?contracts ?model ?rules icfg =
+let analyze ?(contracts = []) ?model ?rules icfg =
+  (* one value pre-pass, shared by the contract scan and the model rules *)
+  let vals = lazy (Dataflow.analyze icfg) in
   let all =
     gap_findings icfg
     @ stack_findings icfg
-    @ contract_findings ?contracts icfg
+    @ (if contracts = [] then []
+       else contract_violations ~contracts (Lazy.force vals))
     @ (match model with
-       | Some model -> model_findings ~model icfg
+       | Some model -> model_findings ~model (Lazy.force vals)
        | None -> [])
   in
   let all =

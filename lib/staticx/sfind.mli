@@ -9,8 +9,9 @@
     - [stack-imbalance]: a path through a function on which the net
       stack-pointer displacement at a [ret] is nonzero while still
       statically known — the return address read will miss;
-    - [const-arg-contract]: a kernel-API call site whose argument is a
-      statically-evident constant violating an {!Ddt_annot.Annot.arg_contract}.
+    - [const-arg-contract]: a kernel-API call site whose argument the
+      {!Dataflow} value pre-pass proves constant on every path, and
+      which violates an {!Ddt_annot.Annot.arg_contract}.
 
     Plus, when the kernel-API [model] of the driver's class is supplied,
     the interprocedural {!Dataflow} rules — must-lockset/IRQL
@@ -20,6 +21,9 @@
     [race-unguarded-deref], [race-unguarded-use]).  These also hold the
     no-false-positive line on the fixed corpus: every rule fires on
     must-facts only.
+
+    The value pre-pass runs at most once per call, when [contracts] is
+    non-empty or a [model] is given, and both rule groups read it.
 
     Findings are deterministic: a pure function of the image, contract
     list and model, sorted by (position, rule). *)

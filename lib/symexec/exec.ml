@@ -37,11 +37,6 @@ type config = {
   jobs : int;
   (** worker domains exploring this engine's frontier cooperatively
       (1 = the classic sequential loop) *)
-  static_guidance : bool;
-  (** let the static pre-analysis steer scheduling: the session installs
-      a distance-to-uncovered function ({!set_distance_fn}) that keys the
-      [Min_dist] strategy and tiebreaks [Min_touch]. Off by default — the
-      engine then behaves exactly as before. *)
   chaos : Guard.chaos option;
   (** deterministic fault injection for the chaos harness; [None] (the
       default) injects nothing *)
@@ -62,7 +57,6 @@ let default_config =
     concrete_hardware = false;
     strategy = Sched.Min_touch;
     jobs = 1;
-    static_guidance = false;
     chaos = None;
     state_merging = true;
   }
@@ -103,10 +97,6 @@ type engine = {
   (* block-execution counts by dense id. [note_block] is the hottest path
      in the engine, so a count is one lock-free increment, visible to
      every worker's scheduler at once. *)
-  dist_fn : (int -> int) ref;
-  (* distance-to-uncovered oracle (absolute pc); the default returns 0
-     everywhere, which makes the priority formulas collapse to the
-     classic Min_touch ordering *)
   glock : Mutex.t;
   (* protects the tables and lists below; hooks are invoked OUTSIDE it so
      callbacks may call back into the engine (e.g. [stats]) *)
@@ -214,21 +204,15 @@ let create ?(config = default_config) img base_mem symdev =
   let nblocks = max 1 (Array.length block_addrs) in
   let covered = Array.init nblocks (fun _ -> Atomic.make 0) in
   let counts = Array.init nblocks (fun _ -> Atomic.make 0) in
-  let dist_fn = ref (fun (_ : int) -> 0) in
   (* A state is scheduled by its current block, and the block's priority
-     combines how often it has run (the EXE-style Min_touch count) with
-     the static distance from it to uncovered code. Both components are
-     monotone non-decreasing over a session — counts only grow, and
-     covering blocks only removes shortest-path sources — which is what
-     the lazy min-heap requires. The frontier calls this from inside its
-     queue locks, so it takes no lock of its own. *)
+     is how often it has run (the EXE-style Min_touch count). Counts only
+     grow over a session, which is what the lazy min-heap requires. The
+     frontier calls this from inside its queue locks, so it takes no lock
+     of its own. *)
   let key st = if st.St.last_block <> 0 then st.St.last_block else st.St.pc in
   let priority block =
     let id = block_id img leader_ids block in
-    let c = if id < 0 then 0 else Atomic.get counts.(id) in
-    match config.strategy with
-    | Sched.Min_dist -> (min (!dist_fn block) 0x3FFFFF * 4096) + min c 4095
-    | _ -> (c * 4096) + min (!dist_fn block) 4095
+    if id < 0 then 0 else Atomic.get counts.(id)
   in
   let frontier =
     Frontier.create ~workers:(max 1 config.jobs) ~max_states
@@ -247,7 +231,6 @@ let create ?(config = default_config) img base_mem symdev =
     leader_ids;
     covered;
     counts;
-    dist_fn;
     glock = Mutex.create ();
     injected_sites_global = Hashtbl.create 64;
     done_states = [];
@@ -295,7 +278,6 @@ let set_kcall_hooks eng ~enter ~leave =
   eng.kcall_leave <- leave
 
 let set_replay eng script = eng.replay <- Some script
-let set_distance_fn eng f = eng.dist_fn := f
 let set_merge_points eng f = eng.merge_points <- f
 let set_governor eng f = eng.governor <- Some f
 let set_checkpoint_hook eng f = eng.checkpoint_hook <- Some f

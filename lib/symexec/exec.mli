@@ -39,12 +39,6 @@ type config = {
       local queues and steal from each other when idle; bug reports stay
       deterministic because keys are path-position-based and the report
       sink dedups by key. *)
-  static_guidance : bool;
-  (** let the static pre-analysis steer scheduling: when on, the session
-      installs a distance-to-uncovered oracle via {!set_distance_fn},
-      which keys the {!Sched.Min_dist} strategy and tiebreaks
-      [Min_touch]. Off by default; with no oracle installed every
-      strategy orders states exactly as before this knob existed. *)
   chaos : Guard.chaos option;
   (** deterministic fault injection for the chaos harness ({!Guard.chaos});
       [None] (the default) injects nothing and costs nothing *)
@@ -112,12 +106,6 @@ val set_replay : engine -> Ddt_trace.Replay.script -> unit
     to a recorded script, making the engine deterministic along that
     path (§3.5). *)
 
-val set_distance_fn : engine -> (int -> int) -> unit
-(** Install the distance-to-uncovered oracle (absolute pc -> ICFG
-    distance). Must be monotone non-decreasing per pc over the session
-    (covering code only raises distances) — the scheduler's lazy heap
-    relies on priorities never shrinking. The default oracle is
-    [fun _ -> 0]. *)
 
 val set_merge_points : engine -> (int -> int option) -> unit
 (** Install the merge-point map (absolute block leader -> absolute

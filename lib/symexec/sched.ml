@@ -1,6 +1,5 @@
 type strategy =
   | Min_touch
-  | Min_dist
   | Dfs
   | Bfs
   | Random_pick of int
@@ -88,8 +87,7 @@ let dq_remove_at d i =
 (* --- block-bucketed min-heap --------------------------------------------- *)
 (* A state's priority is a function of its key alone (the engine keys a
    state by its current block), and a key's priority never shrinks:
-   block-execution counts only grow and distances to uncovered code only
-   lengthen. The states waiting at one key form a bucket, in sequence
+   block-execution counts only grow. The states waiting at one key form a bucket, in sequence
    (FIFO) order, and the heap holds one entry per non-empty bucket,
    keyed by (stored priority, sequence of the bucket's head). A stored
    priority is a lower bound on the live one, so [hp_pop] re-checks the
@@ -239,7 +237,7 @@ type queue = {
 let create strategy ~key ~priority =
   let store =
     match strategy with
-    | Min_touch | Min_dist -> S_heap (hp_create ())
+    | Min_touch -> S_heap (hp_create ())
     | Dfs | Bfs | Random_pick _ -> S_deque (dq_create ())
   in
   { q_strategy = strategy; q_key = key; q_priority = priority; q_store = store }
@@ -276,7 +274,7 @@ let pop q =
               abs (Hashtbl.hash (seed, d.len, newest.Symstate.id)) mod d.len
             in
             Some (dq_remove_at d idx)
-      | Min_touch | Min_dist -> assert false)
+      | Min_touch -> assert false)
 
 let steal q =
   match q.q_store with
@@ -285,7 +283,7 @@ let steal q =
       match q.q_strategy with
       | Dfs -> dq_pop_back d       (* oldest: near the root, big subtree *)
       | Bfs | Random_pick _ -> dq_pop_front d
-      | Min_touch | Min_dist -> assert false)
+      | Min_touch -> assert false)
 
 let iter q f =
   match q.q_store with

@@ -6,7 +6,7 @@
     stuck in polling loops.
 
     The queue is a ring-buffer deque for DFS/BFS/random and, for
-    [Min_touch]/[Min_dist], a lazy binary heap over {e buckets}: the
+    [Min_touch], a lazy binary heap over {e buckets}: the
     states waiting at one key (the engine keys a state by its current
     block) share a priority, so they queue FIFO in one bucket and the
     heap holds one entry per non-empty bucket. Picks are O(1) / O(log b)
@@ -22,13 +22,6 @@ type strategy =
   | Min_touch
       (** Prefer the state whose next block has been executed least. Ties
           break FIFO toward the state queued earliest. *)
-  | Min_dist
-      (** Prefer the state statically closest to uncovered code: the
-          engine keys the heap on the ICFG distance-to-uncovered of the
-          state's current block (from [Ddt_staticx.Distmap], supplied via
-          [Exec.set_distance_fn]), with the block's execution count as
-          tiebreaker. Falls back to [Min_touch] ordering when no distance
-          function is installed. *)
   | Dfs  (** Newest-first: dive to path ends quickly (LIFO). *)
   | Bfs  (** Oldest-first: breadth over the fork tree (FIFO). *)
   | Random_pick of int  (** Deterministic pseudo-random pick from a seed. *)
@@ -40,7 +33,7 @@ val create :
 (** [create strategy ~key ~priority] makes an empty queue. [key] names
     what a state's priority depends on (it must not change while the
     state is queued) and [priority] prices a key; both are consulted by
-    [Min_touch]/[Min_dist] only. A key's priority may grow over time —
+    [Min_touch] only. A key's priority may grow over time —
     the heap re-evaluates lazily — but must never shrink. Pops return
     the state minimizing (live priority of its key, push order). *)
 

@@ -146,6 +146,48 @@ let test_fixed_corpus_clean_all_rules () =
         (li.Lockirql.r_findings = [] && races = []))
     Corpus.all
 
+(* --- stack adjustments -------------------------------------------------------- *)
+
+(* An [sp] adjustment immediate is a signed 32-bit byte count. A negative
+   [sub] frees words; one past the stack window drops tracking instead
+   of modelling ~2^29 words. Either way the pre-pass finishes at once. *)
+let kcall_args_after adjust =
+  let img =
+    Ddt_dvm.Asm.assemble ~name:"t"
+      (Printf.sprintf {|
+      .entry driver_entry
+      .func driver_entry
+          push fp
+          mov fp, sp
+          %s
+          kcall NdisAllocateMemoryWithTag
+          mov sp, fp
+          pop fp
+          ret
+    |} adjust)
+  in
+  let t0 = Unix.gettimeofday () in
+  let vals = Df.analyze (Icfg.build img) in
+  check_bool (adjust ^ ": finishes in under 1 s") true
+    (Unix.gettimeofday () -. t0 < 1.0);
+  List.concat_map
+    (fun (_, fi) ->
+      List.concat_map
+        (fun (_, bi) ->
+          List.filter_map
+            (function Df.E_kcall { args; _ } -> Some args | _ -> None)
+            bi.Df.bi_events)
+        fi.Df.fi_blocks)
+    vals.Df.funcs
+
+let test_negative_sp_adjust () =
+  check_bool "sub sp, sp, -8 frees the two words" true
+    (kcall_args_after "sub sp, sp, -8" = [ Some [] ])
+
+let test_huge_sp_adjust () =
+  check_bool "sub sp, sp, 0x7ffffff0 drops stack tracking" true
+    (kcall_args_after "sub sp, sp, 0x7ffffff0" = [ None ])
+
 let () =
   Alcotest.run "ddt_dataflow"
     [ ("join-av",
@@ -155,6 +197,11 @@ let () =
        [ qtest t_pick_invariance;
          Alcotest.test_case "lifo agrees with fifo" `Quick
            test_lifo_fifo_agree ]);
+      ("stack-adjust",
+       [ Alcotest.test_case "negative sub frees words" `Quick
+           test_negative_sp_adjust;
+         Alcotest.test_case "huge sub drops tracking" `Quick
+           test_huge_sp_adjust ]);
       ("fp-gate",
        [ Alcotest.test_case "fixed corpus clean under all rules" `Quick
            test_fixed_corpus_clean_all_rules ]) ]

@@ -385,8 +385,9 @@ let with_version blob v =
    2 the per-page write marks and the state's fork count, checkpoint
    version 3 the query cache's array-valued reuse models, checkpoint
    version 4 still carried the block compiler's dispositions, checkpoint
-   version 5 held the query-cache dump as an option, and checkpoint
-   version 6 flagged cache entries loaded from the on-disk store. *)
+   version 5 held the query-cache dump as an option, checkpoint version
+   6 flagged cache entries loaded from the on-disk store, and checkpoint
+   version 7 scaled each scheduler priority for a distance tiebreak. *)
 let older_versions current = List.init (current - 1) (fun i -> i + 1)
 
 let test_previous_version_refused () =
@@ -420,6 +421,8 @@ let test_previous_version_refused () =
     (List.mem 5 (older_versions Session.checkpoint_version));
   check_bool "version 6 is an older checkpoint layout" true
     (List.mem 6 (older_versions Session.checkpoint_version));
+  check_bool "version 7 is an older checkpoint layout" true
+    (List.mem 7 (older_versions Session.checkpoint_version));
   List.iter
     (fun v ->
       Out_channel.with_open_bin ckpt (fun oc ->

@@ -1,15 +1,14 @@
 (* Tests for ddt_staticx: VSA target classification, ICFG construction
    (recursive descent, dead-code exclusion, indirect-call resolution),
-   the static finding rules, the distance-to-uncovered map, the versioned
-   JSON report schema, and the guidance-changes-nothing property of the
-   min-dist strategy. *)
+   the static finding rules, the versioned JSON report schema, and
+   default-config sessions: coverage accounting against the static
+   universe and dynamic confirmation of the static warnings. *)
 
 module Isa = Ddt_dvm.Isa
 module Asm = Ddt_dvm.Asm
 module Disasm = Ddt_dvm.Disasm
 module Vsa = Ddt_staticx.Vsa
 module Icfg = Ddt_staticx.Icfg
-module Distmap = Ddt_staticx.Distmap
 module Sfind = Ddt_staticx.Sfind
 module Corpus = Ddt_drivers.Corpus
 module Session = Ddt_core.Session
@@ -179,7 +178,6 @@ let test_icfg_deterministic () =
   check_bool "gaps equal" true (a.Icfg.gaps = b.Icfg.gaps);
   check_bool "seeds equal" true (a.Icfg.seeds = b.Icfg.seeds);
   check_bool "call graph equal" true (a.Icfg.call_graph = b.Icfg.call_graph);
-  check_bool "edges equal" true (Icfg.edges a = Icfg.edges b);
   check_bool "findings equal" true (Sfind.analyze a = Sfind.analyze b);
   let render t =
     Format.asprintf "%a" Icfg.pp t
@@ -290,6 +288,39 @@ let test_const_arg_across_blocks () =
   let fs = Sfind.analyze ~contracts (Icfg.build img) in
   check_int "cross-block constant caught" 1
     (List.length (List.filter (fun f -> f.Sfind.f_rule = "const-arg-contract") fs))
+
+(* The value pre-pass carries the operand stack across blocks: a
+   constant pushed before a branch and consumed by the kernel call in
+   the next block is still a must-violation. *)
+let test_const_arg_pushed_before_branch () =
+  let img = assemble {|
+      .entry driver_entry
+      .func driver_entry
+          push fp
+          mov fp, sp
+          movi r1, 0
+          push r1              ; tag = 0 pushed here...
+          jmp docall           ; ...block boundary...
+      docall:
+          movi r2, 64
+          push r2              ; size positive
+          push r0
+          kcall NdisAllocateMemoryWithTag   ; ...consumed here
+          add sp, sp, 12
+          mov sp, fp
+          pop fp
+          ret
+    |}
+  in
+  let contracts = Ddt_annot.Ndis_annotations.contracts in
+  let fs = Sfind.analyze ~contracts (Icfg.build img) in
+  match List.filter (fun f -> f.Sfind.f_rule = "const-arg-contract") fs with
+  | [ f ] ->
+      check_int "reported at the kcall" 0x40 f.Sfind.f_pos;
+      check_bool "names the tag argument" true
+        (String.starts_with ~prefix:"NdisAllocateMemoryWithTag argument 2 "
+           f.Sfind.f_msg)
+  | fs -> Alcotest.failf "want one finding, got %d" (List.length fs)
 
 (* Must-join bias: when predecessors disagree on the value, the merge
    is Top and no finding fires, even though one path violates. *)
@@ -427,21 +458,12 @@ let test_rules_filter () =
 
 (* --- warning-directed confirmation ----------------------------------------- *)
 
-(* End to end: the rtl8029 static race warning becomes a distance goal,
-   the guided session triggers the dynamic timer crash in the same
-   function, and the warning comes back [Confirmed] with the witnessing
-   bug's key; lock rules without a dynamic witness stay [Unconfirmed]
-   and report under the static-unconfirmed severity tier. *)
+(* End to end at the default config: the rtl8029 session triggers the
+   dynamic timer crash in the function the static race warning names,
+   and the warning comes back [Confirmed] with the witnessing bug's key,
+   under the plain static severity tier. *)
 let test_race_warning_confirmed () =
-  let cfg = Corpus.config (Corpus.find "rtl8029") in
-  let cfg =
-    { cfg with
-      Config.exec_config =
-        { cfg.Config.exec_config with
-          Exec.static_guidance = true;
-          strategy = Ddt_symexec.Sched.Min_dist } }
-  in
-  let r = Session.run cfg in
+  let r = Session.run (Corpus.config (Corpus.find "rtl8029")) in
   let race =
     List.filter
       (fun sf -> sf.Report.sf_rule = "race-unguarded-use")
@@ -455,97 +477,7 @@ let test_race_warning_confirmed () =
       check_bool "confirmed severity is plain static" true
         (Report.severity_of_static (List.hd race) = Report.Static)
   | Report.Unconfirmed -> Alcotest.fail "race warning left unconfirmed"
-  | Report.Not_applicable -> Alcotest.fail "race warning not goal-directed"
-
-(* --- distance map ---------------------------------------------------------- *)
-
-let test_distmap_monotone () =
-  let img = assemble {|
-      .entry driver_entry
-      .func driver_entry
-          jmp b1
-      b1: jmp b2
-      b2: ret
-    |}
-  in
-  let icfg = Icfg.build img in
-  check_int "three blocks" 3 (List.length icfg.Icfg.universe);
-  let dm = Distmap.create icfg in
-  check_int "uncovered block is at distance 0" 0 (Distmap.dist dm 0);
-  Distmap.note_covered dm 0;
-  let d1 = Distmap.dist dm 0 in
-  check_bool "distance grows once covered" true (d1 > 0);
-  Distmap.note_covered dm 8;
-  let d2 = Distmap.dist dm 0 in
-  check_bool "monotone" true (d2 >= d1);
-  Distmap.note_covered dm 16;
-  check_int "all covered -> infinity" Distmap.infinity_dist
-    (Distmap.dist dm 0);
-  check_int "nothing uncovered left" 0 (List.length (Distmap.uncovered dm))
-
-(* Naive O(n^2) pick-min multi-source Dijkstra over the reversed graph:
-   the reference the heap-based [Distmap.recompute] must agree with on
-   every corpus driver, at every coverage stage. *)
-let reference_dists icfg covered =
-  let addrs = Array.of_list icfg.Icfg.universe in
-  let n = Array.length addrs in
-  let ids = Hashtbl.create (2 * n) in
-  Array.iteri (fun i a -> Hashtbl.replace ids a i) addrs;
-  let cov = Hashtbl.create 16 in
-  List.iter (fun a -> Hashtbl.replace cov a ()) covered;
-  let radj = Array.make (max 1 n) [] in
-  List.iter
-    (fun (src, dst, w) ->
-      match (Hashtbl.find_opt ids src, Hashtbl.find_opt ids dst) with
-      | Some s, Some d -> radj.(d) <- (s, w) :: radj.(d)
-      | _ -> ())
-    (Icfg.edges icfg);
-  let d = Array.make (max 1 n) 0 in
-  for i = 0 to n - 1 do
-    d.(i) <-
-      (if Hashtbl.mem cov addrs.(i) then Distmap.infinity_dist else 0)
-  done;
-  let settled = Array.make (max 1 n) false in
-  let continue_ = ref true in
-  while !continue_ do
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
-      if (not settled.(i)) && d.(i) < Distmap.infinity_dist
-         && (!best < 0 || d.(i) < d.(!best))
-      then best := i
-    done;
-    match !best with
-    | -1 -> continue_ := false
-    | u ->
-        settled.(u) <- true;
-        List.iter
-          (fun (p, w) ->
-            if (not settled.(p)) && d.(u) + w < d.(p) then d.(p) <- d.(u) + w)
-          radj.(u)
-  done;
-  (addrs, d)
-
-let test_distmap_matches_reference () =
-  List.iter
-    (fun (e : Corpus.entry) ->
-      let icfg = Icfg.build (e.Corpus.image ()) in
-      let leaders = icfg.Icfg.universe in
-      let check_stage stage covered =
-        let dm = Distmap.create icfg in
-        List.iter (Distmap.note_covered dm) covered;
-        let addrs, ref_d = reference_dists icfg covered in
-        Array.iteri
-          (fun i a ->
-            check_int
-              (Printf.sprintf "%s %s dist 0x%x" e.Corpus.short stage a)
-              ref_d.(i) (Distmap.dist dm a))
-          addrs
-      in
-      check_stage "fresh" [];
-      check_stage "half"
-        (List.filteri (fun i _ -> i mod 2 = 0) leaders);
-      check_stage "full" leaders)
-    Corpus.all
+  | Report.Not_applicable -> Alcotest.fail "race warning not confirmable"
 
 (* --- JSON report schema ---------------------------------------------------- *)
 
@@ -610,7 +542,7 @@ let test_report_json_roundtrip () =
     (J.of_string (J.to_string { s with J.j_schema = 5 }) = None);
   check_bool "garbage rejected" true (J.of_string "{nope" = None)
 
-(* --- guidance end-to-end --------------------------------------------------- *)
+(* --- default-config sessions ------------------------------------------------ *)
 
 let quick_cfg short =
   let cfg = Corpus.config (Corpus.find short) in
@@ -619,33 +551,46 @@ let quick_cfg short =
 let bug_keys (r : Session.result) =
   List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
 
-(* Every corpus driver at its default budgets: min-dist guidance may
-   reorder exploration but must find exactly the unguided bug keys. *)
-let test_guidance_changes_no_bugs () =
+let confirmable rule =
+  List.exists
+    (fun p -> String.starts_with ~prefix:p rule)
+    [ "lock-"; "irql-"; "race-" ]
+
+(* Every buggy corpus driver at the default config: coverage is
+   accounted against the static universe consistently, and every
+   confirmable static warning comes back [Confirmed] by a bug key that
+   is in the same report. *)
+let test_corpus_default_config () =
+  let confirmed = ref 0 in
   List.iter
     (fun e ->
-      let cfg = Corpus.config e in
-      let guided =
-        { cfg with
-          Config.exec_config =
-            { cfg.Config.exec_config with
-              Exec.static_guidance = true;
-              strategy = Ddt_symexec.Sched.Min_dist } }
-      in
-      let rb = Session.run cfg and rg = Session.run guided in
+      let r = Session.run (Corpus.config e) in
       let name = e.Corpus.short in
-      Alcotest.(check (list string))
-        (name ^ ": same bug keys with guidance on/off")
-        (bug_keys rb) (bug_keys rg);
       check_bool (name ^ ": reachable <= linear sweep") true
-        (rb.Session.r_reachable_blocks <= rb.Session.r_total_blocks);
+        (r.Session.r_reachable_blocks <= r.Session.r_total_blocks);
       check_bool (name ^ ": covered_reachable <= reachable") true
-        (rb.Session.r_covered_reachable <= rb.Session.r_reachable_blocks);
+        (r.Session.r_covered_reachable <= r.Session.r_reachable_blocks);
       check_int (name ^ ": never_reached complements covered")
-        rb.Session.r_reachable_blocks
-        (rb.Session.r_covered_reachable
-         + List.length rb.Session.r_never_reached))
-    Corpus.all
+        r.Session.r_reachable_blocks
+        (r.Session.r_covered_reachable
+         + List.length r.Session.r_never_reached);
+      List.iter
+        (fun sf ->
+          if confirmable sf.Report.sf_rule then
+            match sf.Report.sf_confirm with
+            | Report.Confirmed key ->
+                incr confirmed;
+                check_bool
+                  (Printf.sprintf "%s: %s confirmed by a reported bug" name
+                     sf.Report.sf_rule)
+                  true
+                  (List.mem key (bug_keys r))
+            | Report.Unconfirmed | Report.Not_applicable ->
+                Alcotest.failf "%s: %s at %06x not confirmed" name
+                  sf.Report.sf_rule sf.Report.sf_pos)
+        r.Session.r_static)
+    Corpus.all;
+  check_bool "some warning was confirmed" true (!confirmed > 0)
 
 let test_session_reports_identical_across_jobs () =
   let run jobs =
@@ -692,6 +637,8 @@ let () =
            test_const_arg_contract;
          Alcotest.test_case "const arg across blocks" `Quick
            test_const_arg_across_blocks;
+         Alcotest.test_case "const arg pushed before a branch" `Quick
+           test_const_arg_pushed_before_branch;
          Alcotest.test_case "join disagreement is clean" `Quick
            test_const_arg_join_disagreement_clean;
          Alcotest.test_case "in-contract args are clean" `Quick
@@ -709,14 +656,10 @@ let () =
       ("confirmation",
        [ Alcotest.test_case "rtl8029 race confirmed dynamically" `Quick
            test_race_warning_confirmed ]);
-      ("distmap",
-       [ Alcotest.test_case "monotone distances" `Quick test_distmap_monotone;
-         Alcotest.test_case "heap matches naive reference on corpus" `Quick
-           test_distmap_matches_reference ]);
       ("report-json",
        [ Alcotest.test_case "round-trip" `Quick test_report_json_roundtrip ]);
-      ("guidance",
-       [ Alcotest.test_case "same bugs on/off" `Quick
-           test_guidance_changes_no_bugs;
+      ("session",
+       [ Alcotest.test_case "corpus coverage and confirmation" `Quick
+           test_corpus_default_config;
          Alcotest.test_case "identical reports at -j 1/2/4" `Quick
            test_session_reports_identical_across_jobs ]) ]
