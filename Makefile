@@ -17,11 +17,14 @@ test:
 #   report byte for byte;
 # - usage errors: four removed `test` flags must be rejected with
 #   cmdliner's usage exit code 124;
-# - replay input: a missing, a garbage and an empty (entry-less) replay
-#   script must each be refused with exit 1;
+# - replay input: a missing, a garbage, an empty (entry-less) and an
+#   endless (/dev/zero, refused past the 1 MiB read bound) replay script
+#   must each be refused with exit 1;
 # - unwritable outputs: a `--json-out` that cannot be written fails the
-#   run with exit 1; a `--checkpoint` that cannot be written warns once
-#   on stderr and the run still completes with its usual exit code;
+#   run with exit 1; an `evidence --out` under a missing directory or
+#   naming a regular file fails with exit 1 and one stderr line; a
+#   `--checkpoint` that cannot be written warns once on stderr and the
+#   run still completes with its usual exit code;
 # - the static pre-analysis on two known-clean drivers (nonzero
 #   universe, zero findings under the syntactic rules; rtl8029's buggy
 #   variant legitimately fires the interprocedural race rule, so its
@@ -53,20 +56,28 @@ check: build test
 	printf 'not a replay script\n' > $$dir/garbage.replay; \
 	: > $$dir/empty.replay; \
 	for script in $$dir/missing.replay $$dir/garbage.replay \
-	    $$dir/empty.replay; do \
+	    $$dir/empty.replay /dev/zero; do \
 	  rc=0; $$cli replay rtl8029 $$script >/dev/null 2>&1 || rc=$$?; \
 	  [ $$rc -eq 1 ] || { echo "$$script: exit $$rc, want 1"; exit 1; }; \
 	done; \
-	echo "replay smoke: missing, garbage and empty scripts exit 1"; \
+	echo "replay smoke: missing, garbage, empty and endless scripts exit 1"; \
 	rc=0; $$cli test rtl8029 --fixed --json-out $$dir/no/x.json \
 	  >/dev/null 2>&1 || rc=$$?; \
 	[ $$rc -eq 1 ] || { echo "json-out: exit $$rc, want 1"; exit 1; }; \
+	for out in $$dir/no/ev $$dir/garbage.replay; do \
+	  rc=0; $$cli evidence rtl8029 --out $$out >/dev/null 2>$$dir/ev.err \
+	    || rc=$$?; \
+	  [ $$rc -eq 1 ] || { echo "evidence --out $$out: exit $$rc, want 1"; \
+	    exit 1; }; \
+	  [ $$(wc -l < $$dir/ev.err) -eq 1 ] \
+	    || { echo "evidence --out $$out: want one stderr line"; exit 1; }; \
+	done; \
 	rc=0; $$cli test rtl8029 --fixed --checkpoint-every 200 \
 	  --checkpoint $$dir/no/c.ckpt >/dev/null 2>$$dir/ckpt.err || rc=$$?; \
 	[ $$rc -eq 0 ] || { echo "checkpoint: exit $$rc, want 0"; exit 1; }; \
 	[ $$(grep -c "checkpoint: cannot write $$dir/no/c.ckpt" $$dir/ckpt.err) \
 	  -eq 1 ] || { echo "checkpoint: want one stderr warning"; exit 1; }; \
-	echo "unwritable-output smoke: json-out exits 1, checkpoint warns once"; \
+	echo "unwritable-output smoke: json-out and evidence exit 1, checkpoint warns once"; \
 	rm -rf $$dir
 	dune exec bin/ddt_cli.exe -- analyze rtl8029 --expect-clean \
 	  --rules unreachable-code,stack-imbalance,const-arg-contract > /dev/null

@@ -418,6 +418,18 @@ let info_cmd =
     (Cmd.info "info" ~doc:"Print Table 1 style image statistics")
     Term.(const run $ driver_arg $ fixed_flag)
 
+(* [dir] as a writable directory, created if it does not exist. *)
+let output_dir dir =
+  match Unix.mkdir dir 0o755 with
+  | () -> Ok ()
+  | exception Unix.Unix_error (Unix.EEXIST, _, _)
+    when (try Sys.is_directory dir with Sys_error _ -> false) -> (
+      match Unix.access dir [ Unix.W_OK; Unix.X_OK ] with
+      | () -> Ok ()
+      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> Error "not a directory"
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+
 (* Save each bug's replay script (and optional crash dumps) to a
    directory, then verify one can be re-executed. *)
 let evidence_cmd =
@@ -429,51 +441,77 @@ let evidence_cmd =
     match find_entry short with
     | Error e -> prerr_endline e; 1
     | Ok entry ->
-        let cfg =
-          { (Corpus.config ~fixed entry) with
-            Ddt_core.Config.collect_crashdumps = true }
-        in
-        let r = Ddt_core.Ddt.test_driver cfg in
-        (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        List.iteri
-          (fun i b ->
-            let path = Printf.sprintf "%s/%s-bug%d.replay" dir short (i + 1) in
-            let oc = open_out path in
-            output_string oc (Ddt_trace.Replay.to_string b.Report.b_replay);
-            close_out oc;
-            Format.printf "wrote %s (%s)@." path
-              (Ddt_checkers.Report.string_of_kind b.Report.b_kind))
-          r.Ddt_core.Session.r_bugs;
-        List.iter
-          (fun (state_id, dump) ->
-            let path = Printf.sprintf "%s/%s-state%d.dmp" dir short state_id in
-            let oc = open_out_bin path in
-            output_bytes oc (Ddt_trace.Crashdump.to_bytes dump);
-            close_out oc;
-            Format.printf "wrote %s@." path)
-          r.Ddt_core.Session.r_crashdumps;
-        Format.printf "execution tree: %d states, depth %d@."
-          (Ddt_trace.Tree.size r.Ddt_core.Session.r_tree)
-          (Ddt_trace.Tree.depth r.Ddt_core.Session.r_tree);
-        0
+        (* The directory is made ready before the session, so an
+           unusable one costs no exploration. *)
+        match output_dir dir with
+        | Error e -> Printf.eprintf "evidence: cannot use %s: %s\n" dir e; 1
+        | Ok () -> (
+            let cfg =
+              { (Corpus.config ~fixed entry) with
+                Ddt_core.Config.collect_crashdumps = true }
+            in
+            let r = Ddt_core.Ddt.test_driver cfg in
+            try
+              List.iteri
+                (fun i b ->
+                  let path =
+                    Printf.sprintf "%s/%s-bug%d.replay" dir short (i + 1)
+                  in
+                  Out_channel.with_open_bin path (fun oc ->
+                      Out_channel.output_string oc
+                        (Ddt_trace.Replay.to_string b.Report.b_replay));
+                  Format.printf "wrote %s (%s)@." path
+                    (Ddt_checkers.Report.string_of_kind b.Report.b_kind))
+                r.Ddt_core.Session.r_bugs;
+              List.iter
+                (fun (state_id, dump) ->
+                  let path =
+                    Printf.sprintf "%s/%s-state%d.dmp" dir short state_id
+                  in
+                  Out_channel.with_open_bin path (fun oc ->
+                      Out_channel.output_bytes oc
+                        (Ddt_trace.Crashdump.to_bytes dump));
+                  Format.printf "wrote %s@." path)
+                r.Ddt_core.Session.r_crashdumps;
+              Format.printf "execution tree: %d states, depth %d@."
+                (Ddt_trace.Tree.size r.Ddt_core.Session.r_tree)
+                (Ddt_trace.Tree.depth r.Ddt_core.Session.r_tree);
+              0
+            with Sys_error e -> Printf.eprintf "evidence: %s\n" e; 1)
   in
   Cmd.v
     (Cmd.info "evidence"
        ~doc:"Run DDT and save replay scripts + crash dumps to disk")
     Term.(const run $ driver_arg $ fixed_flag $ dir_arg)
 
+(* Recorded scripts are a few kilobytes; 1 MiB leaves room to spare. *)
+let max_script_bytes = 1 lsl 20
+
 let replay_cmd =
   let script_arg =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"SCRIPT" ~doc:"Replay script file (.replay).")
   in
-  (* An unreadable or malformed script is a one-line error, like a bad
-     checkpoint for `resume'. *)
+  (* An unreadable, oversized or malformed script is a one-line error,
+     like a bad checkpoint for `resume'. The read stops one byte past the
+     bound, so an endless input such as /dev/zero is refused too. *)
+  let read_bounded path =
+    In_channel.with_open_bin path (fun ic ->
+        let buf = Bytes.create (max_script_bytes + 1) in
+        let rec fill n =
+          if n > max_script_bytes then n
+          else
+            match In_channel.input ic buf n (max_script_bytes + 1 - n) with
+            | 0 -> n
+            | k -> fill (n + k)
+        in
+        let n = fill 0 in
+        if n > max_script_bytes then
+          failwith (Printf.sprintf "longer than %d bytes" max_script_bytes)
+        else Bytes.sub_string buf 0 n)
+  in
   let read_script path =
-    match
-      Ddt_trace.Replay.of_string
-        (In_channel.with_open_bin path In_channel.input_all)
-    with
+    match Ddt_trace.Replay.of_string (read_bounded path) with
     | { Ddt_trace.Replay.rs_entry = ""; _ } -> Error "no entry line"
     | script -> Ok script
     | exception (Sys_error e | Failure e) -> Error e

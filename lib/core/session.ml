@@ -254,8 +254,8 @@ let setup (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-(* 8: a Min_touch priority is the block count alone. *)
-let checkpoint_version = 8
+(* 9: the query cache is one table, not shards. *)
+let checkpoint_version = 9
 
 (* A checkpoint is one self-contained marshal image of every piece of
    session progress: the engine image (queues, merge pool, guard,
@@ -279,7 +279,7 @@ type checkpoint = {
   ck_bases : St.image list;
   ck_engine : Exec.image;
   ck_var_counter : int;
-  ck_qcache : Qcache.Sharded.dump;
+  ck_qcache : Qcache.dump;
 }
 
 let default_checkpoint_path (cfg : Config.t) =
@@ -303,7 +303,7 @@ let write_checkpoint ctx path =
       ck_bases = List.map St.to_image !(ctx.x_bases);
       ck_engine = Exec.checkpoint_image ctx.x_eng;
       ck_var_counter = Expr.var_counter_value ();
-      ck_qcache = Qcache.Sharded.dump (Solver.current_cache ());
+      ck_qcache = Qcache.dump (Solver.current_cache ());
     }
   in
   Blob.write_file path ck
@@ -543,7 +543,7 @@ let resume (cfg : Config.t) ~path : (result, string) Stdlib.result =
         Exec.restore_image ctx.x_eng ck.ck_engine;
         (* The checkpoint's cache dump reproduces the exact hit/miss
            sequence the uninterrupted run would have seen. *)
-        ignore (Qcache.Sharded.import (Solver.current_cache ()) ck.ck_qcache);
+        Qcache.import (Solver.current_cache ()) ck.ck_qcache;
         Report.restore_sink ctx.x_sink ck.ck_sink;
         ctx.x_invocations := ck.ck_invocations;
         ctx.x_finished_count := ck.ck_finished_count;

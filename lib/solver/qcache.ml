@@ -22,8 +22,7 @@ let terms_equal a b =
 let terms_hash k =
   List.fold_left (fun acc e -> (acc * 1000003) lxor Hashtbl.hash e) 0 k
 
-(* A table key carries its hash, computed once per query and shared by
-   the shard choice and the table probe. *)
+(* A table key carries its hash, computed once per query. *)
 module Key = struct
   type t = { k_hash : int; k_terms : Expr.t list }
 
@@ -54,9 +53,10 @@ type entry = {
   mutable e_last_use : int;
 }
 
-type t = {
-  capacity : int;
-  model_reuse : int;
+(* The cache state proper, kept apart from its lock so a checkpoint can
+   marshal it: entries, the subset index, the model-reuse list, the LRU
+   clock and the eviction count. *)
+type state = {
   table : entry KH.t;
   unsat_index : entry list ref EH.t;
       (* ORIGINAL constraint -> Unsat entries containing it, for subset
@@ -73,16 +73,26 @@ type t = {
   mutable evicted : int;
 }
 
-let create ?(capacity = 4096) ?(model_reuse = 12) () =
+(* One cache serves every worker domain, behind one mutex: at about two
+   thousand lookups a session the lock is never contended, and a single
+   table lets every lookup see every entry and every recent model. *)
+type t = { mu : Mutex.t; mutable st : state }
+
+let capacity = 4096
+let model_reuse = 12
+
+let create () =
   {
-    capacity = max 1 capacity;
-    model_reuse = max 0 model_reuse;
-    table = KH.create 256;
-    unsat_index = EH.create 256;
-    models = [];
-    tick = 0;
-    next_id = 0;
-    evicted = 0;
+    mu = Mutex.create ();
+    st =
+      {
+        table = KH.create 256;
+        unsat_index = EH.create 256;
+        models = [];
+        tick = 0;
+        next_id = 0;
+        evicted = 0;
+      };
   }
 
 (* --- structural normalization ------------------------------------------- *)
@@ -210,14 +220,6 @@ let prepare_canonical key =
 let query cs = prepare_canonical (canon cs)
 let query_of_normalized ns = prepare_canonical (canon_normalized ns)
 
-let size t = KH.length t.table
-let evictions t = t.evicted
-
-let clear t =
-  KH.reset t.table;
-  EH.reset t.unsat_index;
-  t.models <- []
-
 let env_of pairs =
   let tbl = Hashtbl.create (max 4 (2 * List.length pairs)) in
   List.iter (fun ((v : Expr.var), x) -> Hashtbl.replace tbl v.Expr.id x) pairs;
@@ -279,48 +281,46 @@ let model_of_pairs p pairs =
 
 let self_domain () = (Domain.self () :> int)
 
-let unindex t e =
+let unindex st e =
   List.iter
     (fun c ->
-      match EH.find_opt t.unsat_index c with
+      match EH.find_opt st.unsat_index c with
       | None -> ()
       | Some r ->
           r := List.filter (fun e' -> e'.e_id <> e.e_id) !r;
-          if !r = [] then EH.remove t.unsat_index c)
+          if !r = [] then EH.remove st.unsat_index c)
     e.e_orig
 
 (* Batch LRU eviction: drop the least recently used entries down to 3/4
    of capacity, so the O(n log n) sort amortizes over many inserts. *)
-let maybe_evict t =
-  if KH.length t.table > t.capacity then begin
-    let entries = KH.fold (fun _ e acc -> e :: acc) t.table [] in
+let maybe_evict st =
+  if KH.length st.table > capacity then begin
+    let entries = KH.fold (fun _ e acc -> e :: acc) st.table [] in
     let sorted =
       List.sort (fun a b -> compare a.e_last_use b.e_last_use) entries
     in
-    let drop = ref (KH.length t.table - (t.capacity * 3 / 4)) in
+    let drop = ref (KH.length st.table - (capacity * 3 / 4)) in
     List.iter
       (fun e ->
         if !drop > 0 then begin
           decr drop;
-          KH.remove t.table e.e_key;
-          (match e.e_verdict with V_unsat -> unindex t e | V_sat _ -> ());
-          t.evicted <- t.evicted + 1
+          KH.remove st.table e.e_key;
+          (match e.e_verdict with V_unsat -> unindex st e | V_sat _ -> ());
+          st.evicted <- st.evicted + 1
         end)
       sorted
   end
 
 (* Subset rule: an Unsat entry all of whose (original) constraints occur
    in the query proves the query Unsat. Count, per candidate entry, how
-   many of the query's constraints it contains. Factored out so the
-   sharded cache's cross-shard Bloom probe can run it against a foreign
-   shard's index under that shard's lock. *)
-let subset_winner t p_key =
+   many of the query's constraints it contains. *)
+let subset_winner st p_key =
   let hits = Hashtbl.create 8 in
   let winner = ref None in
   let found =
     List.exists
       (fun c ->
-        match EH.find_opt t.unsat_index c with
+        match EH.find_opt st.unsat_index c with
         | None -> false
         | Some entries ->
             List.exists
@@ -333,7 +333,7 @@ let subset_winner t p_key =
                 in
                 Hashtbl.replace hits e.e_id n;
                 if n = e.e_size then begin
-                  e.e_last_use <- t.tick;
+                  e.e_last_use <- st.tick;
                   winner := Some e;
                   true
                 end
@@ -343,11 +343,11 @@ let subset_winner t p_key =
   in
   if found then !winner else None
 
-let lookup_prepared t p =
-  t.tick <- t.tick + 1;
-  match KH.find_opt t.table p.p_rkey with
+let lookup_locked st p =
+  st.tick <- st.tick + 1;
+  match KH.find_opt st.table p.p_rkey with
   | Some e -> (
-      e.e_last_use <- t.tick;
+      e.e_last_use <- st.tick;
       let info =
         { i_renamed = not (terms_equal e.e_orig p.p_key); i_owner = e.e_domain }
       in
@@ -357,8 +357,8 @@ let lookup_prepared t p =
   | None -> (
       (* An empty Unsat index cannot prove a subset. *)
       match
-        if EH.length t.unsat_index = 0 then None
-        else subset_winner t p.p_key
+        if EH.length st.unsat_index = 0 then None
+        else subset_winner st p.p_key
       with
       | Some e ->
           (Subset_unsat, { i_renamed = false; i_owner = e.e_domain })
@@ -376,35 +376,37 @@ let lookup_prepared t p =
                    { i_renamed = false; i_owner = owner })
                 else try_models rest
           in
-          try_models t.models)
+          try_models st.models)
 
-let lookup_info t cs = lookup_prepared t (query cs)
+let locked t f = Mutex.protect t.mu (fun () -> f t.st)
 
-let lookup t cs = fst (lookup_info t cs)
+(* A hit's model reads only the query and the stored entry, both
+   immutable, so it is applied outside the lock. *)
+let lookup t p = locked t (fun st -> lookup_locked st p)
 
 let rec take n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
 
-let add_entry t p verdict =
-  t.tick <- t.tick + 1;
-  t.next_id <- t.next_id + 1;
+let add_entry st p verdict =
+  st.tick <- st.tick + 1;
+  st.next_id <- st.next_id + 1;
   let e =
     {
-      e_id = t.next_id;
+      e_id = st.next_id;
       e_key = p.p_rkey;
       e_orig = p.p_key;
       e_domain = self_domain ();
       e_verdict = verdict;
       e_size = List.length p.p_key;
-      e_last_use = t.tick;
+      e_last_use = st.tick;
     }
   in
-  KH.replace t.table p.p_rkey e;
+  KH.replace st.table p.p_rkey e;
   e
 
-let store_sat_prepared t p m =
-  if p.p_key <> [] && not (KH.mem t.table p.p_rkey) then begin
+let store_sat t p m =
+  if p.p_key <> [] then begin
     (* Store the model over renamed variables, in renamed-id order,
        valued through the inverse rename. *)
     let pairs =
@@ -414,28 +416,32 @@ let store_sat_prepared t p m =
              (Expr.canon_var (i + 1) v.Expr.var_width, m v))
            p.p_vars)
     in
-    ignore (add_entry t p (V_sat pairs));
-    if t.model_reuse > 0 then
-      t.models <-
-        (self_domain (), array_of_pairs pairs)
-        :: take (t.model_reuse - 1) t.models;
-    maybe_evict t
+    locked t (fun st ->
+        if not (KH.mem st.table p.p_rkey) then begin
+          ignore (add_entry st p (V_sat pairs));
+          st.models <-
+            (self_domain (), array_of_pairs pairs)
+            :: take (model_reuse - 1) st.models;
+          maybe_evict st
+        end)
   end
 
-let store_unsat_prepared t p =
-  if p.p_key <> [] && not (KH.mem t.table p.p_rkey) then begin
-    let e = add_entry t p V_unsat in
-    List.iter
-      (fun c ->
-        match EH.find_opt t.unsat_index c with
-        | Some r -> r := e :: !r
-        | None -> EH.replace t.unsat_index c (ref [ e ]))
-      p.p_key;
-    maybe_evict t
-  end
+let store_unsat t p =
+  if p.p_key <> [] then
+    locked t (fun st ->
+        if not (KH.mem st.table p.p_rkey) then begin
+          let e = add_entry st p V_unsat in
+          List.iter
+            (fun c ->
+              match EH.find_opt st.unsat_index c with
+              | Some r -> r := e :: !r
+              | None -> EH.replace st.unsat_index c (ref [ e ]))
+            p.p_key;
+          maybe_evict st
+        end)
 
-let store_sat t cs m = store_sat_prepared t (query cs) m
-let store_unsat t cs = store_unsat_prepared t (query cs)
+let size t = locked t (fun st -> KH.length st.table)
+let evictions t = locked t (fun st -> st.evicted)
 
 (* --- entry export -------------------------------------------------------- *)
 (* A [pentry] is the process-independent projection of an entry: the
@@ -448,264 +454,34 @@ type pentry = {
   pe_verdict : verdict;
 }
 
-(* --- the mutex-sharded shared cache -------------------------------------- *)
-(* One process-wide cache shared by every worker domain: shard by the hash
-   of the renamed canonical key, one mutex per shard, atomics for the
-   cross-shard statistics. Exact and renamed hits always land in the
-   right shard (same renamed key => same shard); subset-Unsat proofs and
-   model reuse only see the query's home shard — a deliberate trade of a
-   little hit rate for lock granularity. *)
+let export_entries t =
+  locked t (fun st ->
+      KH.fold
+        (fun _ e acc ->
+          { pe_key = e.e_key.Key.k_terms; pe_orig = e.e_orig;
+            pe_verdict = e.e_verdict }
+          :: acc)
+        st.table [])
 
+(* An alias whose one caller is perfbench/layer_trace.ml. *)
 module Sharded = struct
-  type shard = { mu : Mutex.t; cache : t }
+  type sharded = t
 
-  (* A small shared Bloom filter over the constraints of every stored
-     Unsat core, process-wide across shards. The subset rule only ever
-     fires when at least one of the query's constraints appears in some
-     stored core, so a query none of whose constraints is in the filter
-     cannot have a subset hit in ANY shard — which makes the filter a
-     sound gate for probing the other shards' per-shard Unsat indexes on
-     a home-shard miss. Bits are set with a CAS loop (a lost race only
-     re-runs the loop) and never cleared except by [clear]; stale bits
-     cost an extra probe, never a wrong answer. *)
-  let bloom_words = 1024 (* 1024 * 32 bits *)
-
-  type sharded = {
-    shards : shard array;
-    bloom : int Atomic.t array;
-    lookups : int Atomic.t;
-    hits : int Atomic.t;
-    misses : int Atomic.t;
-    renamed_hits : int Atomic.t;
-    cross_hits : int Atomic.t;
-    bloom_hits : int Atomic.t;
-  }
-
-  let create ?(shards = 8) ?(capacity = 4096) ?(model_reuse = 12) () =
-    let n = max 1 shards in
-    let per_shard_cap = max 1 (capacity / n) in
-    {
-      shards =
-        Array.init n (fun _ ->
-            {
-              mu = Mutex.create ();
-              cache = create ~capacity:per_shard_cap ~model_reuse ();
-            });
-      bloom = Array.init bloom_words (fun _ -> Atomic.make 0);
-      lookups = Atomic.make 0;
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
-      renamed_hits = Atomic.make 0;
-      cross_hits = Atomic.make 0;
-      bloom_hits = Atomic.make 0;
-    }
-
-  (* Two derived bit positions per constraint (classic double hashing). *)
-  let bloom_positions c =
-    let h1 = Hashtbl.hash c in
-    let h2 = (h1 * 0x9E3779B1) lxor (h1 lsr 16) in
-    let pos h =
-      let b = abs h mod (bloom_words * 32) in
-      (b lsr 5, 1 lsl (b land 31))
-    in
-    (pos h1, pos h2)
-
-  let rec bloom_set a i mask =
-    let cur = Atomic.get a.(i) in
-    if cur land mask = 0 then
-      if not (Atomic.compare_and_set a.(i) cur (cur lor mask)) then
-        bloom_set a i mask
-
-  let bloom_add sc c =
-    let (i1, m1), (i2, m2) = bloom_positions c in
-    bloom_set sc.bloom i1 m1;
-    bloom_set sc.bloom i2 m2
-
-  let bloom_maybe sc c =
-    let (i1, m1), (i2, m2) = bloom_positions c in
-    Atomic.get sc.bloom.(i1) land m1 <> 0
-    && Atomic.get sc.bloom.(i2) land m2 <> 0
-
-  let shard_for sc p =
-    sc.shards.(abs p.p_rkey.Key.k_hash mod Array.length sc.shards)
-
-  let with_shard s f = Mutex.protect s.mu f
-
-  (* Cross-shard subset-Unsat recovery: on a home-shard miss, if the
-     Bloom filter says some query constraint occurs in a stored Unsat
-     core, probe the remaining shards' subset indexes one at a time
-     (each under its own lock — the locks are never widened). *)
-  let cross_shard_subset sc home p =
-    if Array.length sc.shards <= 1
-       || not (List.exists (bloom_maybe sc) p.p_key)
-    then None
-    else begin
-      let found = ref None in
-      Array.iter
-        (fun s ->
-          if !found = None && s != home then
-            match
-              with_shard s (fun () ->
-                  s.cache.tick <- s.cache.tick + 1;
-                  subset_winner s.cache p.p_key)
-            with
-            | Some e -> found := Some e
-            | None -> ())
-        sc.shards;
-      !found
-    end
-
-  let lookup sc p =
-    let s = shard_for sc p in
-    let outcome, info =
-      with_shard s (fun () -> lookup_prepared s.cache p)
-    in
-    let outcome, info =
-      match outcome with
-      | Miss -> (
-          match cross_shard_subset sc s p with
-          | Some e ->
-              Atomic.incr sc.bloom_hits;
-              (Subset_unsat, { i_renamed = false; i_owner = e.e_domain })
-          | None -> (outcome, info))
-      | _ -> (outcome, info)
-    in
-    Atomic.incr sc.lookups;
-    (match outcome with
-    | Miss -> Atomic.incr sc.misses
-    | Exact_sat _ | Exact_unsat | Subset_unsat | Reuse_sat _ ->
-        Atomic.incr sc.hits;
-        if info.i_renamed then Atomic.incr sc.renamed_hits;
-        if info.i_owner >= 0 && info.i_owner <> self_domain () then
-          Atomic.incr sc.cross_hits);
-    (outcome, info)
-
-  let store_sat sc p m =
-    let s = shard_for sc p in
-    with_shard s (fun () -> store_sat_prepared s.cache p m)
-
-  let store_unsat sc p =
-    let s = shard_for sc p in
-    with_shard s (fun () -> store_unsat_prepared s.cache p);
-    List.iter (bloom_add sc) p.p_key
-
-  let size sc =
-    Array.fold_left
-      (fun acc s -> acc + with_shard s (fun () -> size s.cache))
-      0 sc.shards
-
-  let evictions sc =
-    Array.fold_left
-      (fun acc s -> acc + with_shard s (fun () -> evictions s.cache))
-      0 sc.shards
-
-  let clear sc =
-    Array.iter (fun s -> with_shard s (fun () -> clear s.cache)) sc.shards;
-    Array.iter (fun w -> Atomic.set w 0) sc.bloom
-
-  let n_shards sc = Array.length sc.shards
-
-  (* --- entry export ---------------------------------------------------- *)
-
-  let export_entries sc =
-    Array.fold_left
-      (fun acc s ->
-        with_shard s (fun () ->
-            KH.fold
-              (fun _ e acc ->
-                { pe_key = e.e_key.Key.k_terms; pe_orig = e.e_orig;
-                  pe_verdict = e.e_verdict }
-                :: acc)
-              s.cache.table acc))
-      [] sc.shards
-
-  (* --- checkpoint dump/import ------------------------------------------- *)
-
-  (* The full sharded cache as plain data, for session checkpoints: a
-     resumed run must replay the exact lookup outcomes (including model-
-     reuse order and LRU ticks) the killed run would have seen, or its
-     concretizations — and therefore its exploration — could diverge.
-     The dump aliases the live shard tables, so it must be serialized
-     (or dropped) before any further solver activity; checkpoints are
-     taken at quiescent points, where that holds. *)
-  type dump = {
-    d_shards : t array;
-    d_bloom : int array;
-    d_lookups : int;
-    d_hits : int;
-    d_misses : int;
-    d_renamed_hits : int;
-    d_cross_hits : int;
-    d_bloom_hits : int;
-  }
-
-  let dump sc =
-    {
-      d_shards = Array.map (fun s -> with_shard s (fun () -> s.cache)) sc.shards;
-      d_bloom = Array.map Atomic.get sc.bloom;
-      d_lookups = Atomic.get sc.lookups;
-      d_hits = Atomic.get sc.hits;
-      d_misses = Atomic.get sc.misses;
-      d_renamed_hits = Atomic.get sc.renamed_hits;
-      d_cross_hits = Atomic.get sc.cross_hits;
-      d_bloom_hits = Atomic.get sc.bloom_hits;
-    }
-
-  (* Import a dump into a freshly created sharded cache of the same
-     geometry. Entry identity inside each shard (table vs unsat index)
-     survives the Marshal round-trip, so LRU updates keep touching one
-     object per entry, as in the original run. Returns [false] (and
-     imports nothing) on a geometry mismatch — the caller falls back to
-     a cold cache, which costs solve time but changes no verdict. *)
-  let import sc d =
-    if
-      Array.length d.d_shards <> Array.length sc.shards
-      || Array.length d.d_bloom <> Array.length sc.bloom
-    then false
-    else begin
-      Array.iteri
-        (fun i s ->
-          let src = d.d_shards.(i) in
-          with_shard s (fun () ->
-              let c = s.cache in
-              KH.reset c.table;
-              EH.reset c.unsat_index;
-              KH.iter (fun k e -> KH.replace c.table k e) src.table;
-              EH.iter (fun k r -> EH.replace c.unsat_index k r)
-                src.unsat_index;
-              c.models <- src.models;
-              c.tick <- src.tick;
-              c.next_id <- src.next_id;
-              c.evicted <- src.evicted))
-        sc.shards;
-      Array.iteri (fun i w -> Atomic.set sc.bloom.(i) w) d.d_bloom;
-      Atomic.set sc.lookups d.d_lookups;
-      Atomic.set sc.hits d.d_hits;
-      Atomic.set sc.misses d.d_misses;
-      Atomic.set sc.renamed_hits d.d_renamed_hits;
-      Atomic.set sc.cross_hits d.d_cross_hits;
-      Atomic.set sc.bloom_hits d.d_bloom_hits;
-      true
-    end
-
-  type counts = {
-    sc_lookups : int;
-    sc_hits : int;
-    sc_misses : int;
-    sc_renamed_hits : int;
-    sc_cross_hits : int;
-    sc_bloom_hits : int;
-  }
-
-  let counts sc =
-    {
-      sc_lookups = Atomic.get sc.lookups;
-      sc_hits = Atomic.get sc.hits;
-      sc_misses = Atomic.get sc.misses;
-      sc_renamed_hits = Atomic.get sc.renamed_hits;
-      sc_cross_hits = Atomic.get sc.cross_hits;
-      sc_bloom_hits = Atomic.get sc.bloom_hits;
-    }
-
-  let bloom_recoveries sc = Atomic.get sc.bloom_hits
+  let export_entries = export_entries
 end
+
+(* --- checkpoint dump/import ---------------------------------------------- *)
+
+(* The whole cache state as plain data, for session checkpoints: a
+   resumed run must replay the exact lookup outcomes (including model-
+   reuse order and LRU ticks) the killed run would have seen, or its
+   concretizations — and therefore its exploration — could diverge.
+   The dump aliases the live tables, so it must be serialized (or
+   dropped) before any further solver activity; checkpoints are taken
+   at quiescent points, where that holds. Entry identity (table vs
+   unsat index) survives the Marshal round-trip, so LRU updates after an
+   import keep touching one object per entry, as in the original run. *)
+type dump = state
+
+let dump t = locked t Fun.id
+let import t d = Mutex.protect t.mu (fun () -> t.st <- d)

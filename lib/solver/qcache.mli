@@ -16,9 +16,10 @@
       concrete evaluation — a cheap [Expr.eval] pass instead of a
       bit-blast — and reused on success.
 
-    The store is bounded: when it exceeds its capacity the least recently
-    used quarter is evicted. One plain cache instance is {e not}
-    thread-safe; the process-wide shared instance is {!Sharded}. *)
+    The store is bounded: past 4096 entries the least recently used
+    quarter is evicted. A lookup re-tries the 12 most recent models. One
+    mutex guards the whole cache, so one instance serves every worker
+    domain. *)
 
 type t
 
@@ -49,10 +50,8 @@ type info = {
 
 val no_info : info
 
-val create : ?capacity:int -> ?model_reuse:int -> unit -> t
-(** [capacity] bounds the number of entries (default 4096);
-    [model_reuse] bounds how many recent models are tried per lookup
-    (default 12). *)
+val create : unit -> t
+(** An empty cache. *)
 
 val normalize : Expr.t -> Expr.t
 (** Put the operands of commutative operators, and the arms of an [ite]
@@ -73,17 +72,16 @@ val query_of_normalized : Expr.t list -> query
 (** [query_of_normalized (List.map normalize cs)] is [query cs], for
     callers that keep each constraint's normalization. *)
 
-val lookup : t -> Expr.t list -> outcome
-val lookup_info : t -> Expr.t list -> outcome * info
+val lookup : t -> query -> outcome * info
+(** The query's outcome, and where a hit's entry or model came from. *)
 
-val store_sat : t -> Expr.t list -> (Expr.var -> int) -> unit
+val store_sat : t -> query -> (Expr.var -> int) -> unit
 (** Record a verified model for the set (restricted to its variables). *)
 
-val store_unsat : t -> Expr.t list -> unit
+val store_unsat : t -> query -> unit
 
 val size : t -> int
 val evictions : t -> int
-val clear : t -> unit
 
 (** {1 Entry export} *)
 
@@ -98,67 +96,27 @@ type pentry = {
 (** The process-independent projection of a cache entry. Contains no
     closures and no process-local ids. *)
 
-(** A process-wide cache shared by all worker domains: shard by the hash
-    of the renamed canonical key, one mutex per shard, atomics for the
-    statistics. Exact/renamed hits always land in the right shard (same
-    renamed key, same shard); model reuse only consults the query's home
-    shard. Subset-Unsat proofs are recovered cross-shard: a shared Bloom
-    filter over the constraints of every stored Unsat core gates, on a
-    home-shard miss, a probe of the remaining shards' subset indexes (one
-    shard lock at a time — the locks are never widened). *)
+val export_entries : t -> pentry list
+(** Every cache entry, in unspecified order. *)
+
+(** An alias kept for perfbench/layer_trace.ml, its one caller. *)
 module Sharded : sig
-  type sharded
-
-  val create :
-    ?shards:int -> ?capacity:int -> ?model_reuse:int -> unit -> sharded
-  (** [capacity] is the total bound, split evenly across [shards]
-      (default 8 shards); [model_reuse] applies per shard. *)
-
-  val lookup : sharded -> query -> outcome * info
-
-  val store_sat : sharded -> query -> (Expr.var -> int) -> unit
-  val store_unsat : sharded -> query -> unit
-  val size : sharded -> int
-  val evictions : sharded -> int
-  val clear : sharded -> unit
-  val n_shards : sharded -> int
-
-  type counts = {
-    sc_lookups : int;
-    sc_hits : int;
-    sc_misses : int;
-    sc_renamed_hits : int;
-        (** exact hits whose stored original key differed from the query *)
-    sc_cross_hits : int;
-        (** hits on entries or models stored by a different domain *)
-    sc_bloom_hits : int;
-        (** subset-Unsat hits recovered from a non-home shard via the
-            Bloom-gated cross-shard probe *)
-  }
-
-  val counts : sharded -> counts
-  (** Always satisfies [sc_hits + sc_misses = sc_lookups]. *)
-
-  val bloom_recoveries : sharded -> int
-
-  (** {1 Entry export} *)
+  type sharded = t
 
   val export_entries : sharded -> pentry list
-  (** Every cache entry, in unspecified order. *)
-
-  (** {1 Checkpointing} *)
-
-  type dump
-  (** The complete cache state as marshal-safe data — entries, subset
-      indexes, model-reuse lists in order, LRU ticks, Bloom bits and
-      statistics — so a resumed run replays the killed run's lookup
-      outcomes exactly. The dump aliases live tables: serialize it
-      before any further solver activity. *)
-
-  val dump : sharded -> dump
-
-  val import : sharded -> dump -> bool
-  (** Load a dump into a freshly created cache of the same geometry.
-      [false] (nothing imported) on a shard/Bloom geometry mismatch;
-      the caller proceeds cold. *)
 end
+
+(** {1 Checkpointing} *)
+
+type dump
+(** The complete cache state as marshal-safe data — entries, the subset
+    index, the model-reuse list in order, the LRU clock and the eviction
+    count — so a resumed run replays the killed run's lookup outcomes
+    exactly. The dump aliases live tables: serialize it before any
+    further solver activity. *)
+
+val dump : t -> dump
+
+val import : t -> dump -> unit
+(** Replace the cache's state with a dump; the cache takes the dump
+    over. *)

@@ -5,76 +5,32 @@ type result =
   | Unsat
   | Unknown
 
-(* --- acceleration configuration ----------------------------------------- *)
+(* --- the query cache ------------------------------------------------------ *)
 
-type accel = {
-  use_slicing : bool;
-  use_cache : bool;
-  cache_capacity : int;
-  model_reuse : int;
-}
+(* One process-wide cache ({!Qcache}) serves every domain, so a group
+   solved by any worker is a hit for all of them. [clear_cache] swaps in
+   a fresh cache atomically; in-flight operations finish against their
+   snapshot. *)
+let cache = Atomic.make (Qcache.create ())
 
-let default_accel =
-  { use_slicing = true; use_cache = true; cache_capacity = 4096;
-    model_reuse = 12 }
-
-let no_accel =
-  { use_slicing = false; use_cache = false; cache_capacity = 1;
-    model_reuse = 0 }
-
-(* The accel knobs and the query cache are process-global: one
-   mutex-sharded cache ({!Qcache.Sharded}) serves every domain, so a
-   group solved by any worker is a hit for all of them — workers no
-   longer re-solve each other's queries. [set_accel]/[clear_cache] swap
-   in a fresh cache atomically; in-flight operations finish against
-   their snapshot. *)
-let accel = Atomic.make default_accel
-
-let fresh_cache a =
-  Qcache.Sharded.create ~capacity:a.cache_capacity ~model_reuse:a.model_reuse ()
-
-let cache = Atomic.make (fresh_cache default_accel)
-
-let current_accel () = Atomic.get accel
-
-let clear_cache () = Atomic.set cache (fresh_cache (current_accel ()))
-
-let set_accel a =
-  Atomic.set accel a;
-  clear_cache ()
+let clear_cache () = Atomic.set cache (Qcache.create ())
 
 (* The live shared cache instance, for the durability layer: checkpoint
-   dump/import go straight to it. Any [set_accel]/[clear_cache]
-   invalidates the handle — re-fetch it. *)
+   dump/import go straight to it. [clear_cache] invalidates the handle —
+   re-fetch it. *)
 let current_cache () = Atomic.get cache
 
 (* --- retry policy -------------------------------------------------------- *)
-
-type retry = {
-  base_conflicts : int;
-  escalated_conflicts : int;
-  deadline_s : float;
-}
 
 (* 200k conflicts settles every corpus query on the first attempt; the
    escalated retry restores the historical 2M ceiling for the rare group
    that needs it, so final verdicts are unchanged from the single-budget
    era — the retry only re-spends work that would previously have been
-   spent up front on every hard query. *)
-let default_retry =
-  { base_conflicts = 200_000; escalated_conflicts = 2_000_000;
-    deadline_s = 5.0 }
-
-let no_retry =
-  { base_conflicts = 2_000_000; escalated_conflicts = 0; deadline_s = 0. }
-
-let retry_policy = Atomic.make default_retry
-let set_retry r = Atomic.set retry_policy r
-let current_retry () = Atomic.get retry_policy
-
-let attempt_deadline r =
-  if r.deadline_s > 0. then Some (Unix.gettimeofday () +. r.deadline_s)
-  else None
+   spent up front on every hard query. Each attempt also stops after 5 s
+   of wall-clock time. *)
+let base_conflicts = 200_000
+let escalated_conflicts = 2_000_000
+let attempt_s = 5.0
 
 (* Fault injection for the chaos harness: when set, the hook is asked
    once per uncached group solve and [true] forces the first attempt to
@@ -112,7 +68,6 @@ type stats = {
   s_exhaustions : int;
   s_retries : int;
   s_retry_recovered : int;
-  s_cache_bloom_hits : int;
 }
 
 (* Counters are process-global atomics — parallel frontier workers all
@@ -154,11 +109,10 @@ let stats () =
     s_cache_cross_worker_hits = Atomic.get cnt.c_cross_worker_hits;
     s_interval_solves = Atomic.get cnt.c_interval_solves;
     s_bitblast_solves = Atomic.get cnt.c_bitblast_solves;
-    s_cache_evictions = Qcache.Sharded.evictions (Atomic.get cache);
+    s_cache_evictions = Qcache.evictions (Atomic.get cache);
     s_exhaustions = Atomic.get cnt.c_exhaustions;
     s_retries = Atomic.get cnt.c_retries;
     s_retry_recovered = Atomic.get cnt.c_retry_recovered;
-    s_cache_bloom_hits = Qcache.Sharded.bloom_recoveries (Atomic.get cache);
   }
 
 let diff_stats (b : stats) (a : stats) =
@@ -180,7 +134,6 @@ let diff_stats (b : stats) (a : stats) =
     s_exhaustions = b.s_exhaustions - a.s_exhaustions;
     s_retries = b.s_retries - a.s_retries;
     s_retry_recovered = b.s_retry_recovered - a.s_retry_recovered;
-    s_cache_bloom_hits = max 0 (b.s_cache_bloom_hits - a.s_cache_bloom_hits);
   }
 
 let cache_hits s =
@@ -192,29 +145,13 @@ let cache_hit_rate s =
   let total = hits + s.s_cache_misses in
   if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
-let stats_queries () = (stats ()).s_queries
-
-let reset_stats () =
-  Atomic.set cnt.c_queries 0;
-  Atomic.set cnt.c_group_solves 0;
-  Atomic.set cnt.c_exact_hits 0;
-  Atomic.set cnt.c_subset_unsat_hits 0;
-  Atomic.set cnt.c_model_reuse_hits 0;
-  Atomic.set cnt.c_misses 0;
-  Atomic.set cnt.c_renamed_hits 0;
-  Atomic.set cnt.c_cross_worker_hits 0;
-  Atomic.set cnt.c_interval_solves 0;
-  Atomic.set cnt.c_bitblast_solves 0;
-  Atomic.set cnt.c_exhaustions 0;
-  Atomic.set cnt.c_retries 0;
-  Atomic.set cnt.c_retry_recovered 0
-
 (* --- the layered solve of one (simplified, nontrivial) group ------------- *)
 
 let verified constraints env =
   List.for_all (fun c -> Expr.eval env c = 1) constraints
 
-let core_solve ~budget ~deadline constraints =
+let core_solve ~budget constraints =
+  let deadline = Unix.gettimeofday () +. attempt_s in
   let vars =
     List.concat_map Expr.vars constraints
     |> List.sort_uniq (fun a b -> compare a.Expr.id b.Expr.id)
@@ -238,7 +175,7 @@ let core_solve ~budget ~deadline constraints =
           Atomic.incr cnt.c_bitblast_solves;
           let ctx = Bitblast.create () in
           List.iter (Bitblast.assert_true ctx) constraints;
-          match Dpll.solve ~max_conflicts:budget ?deadline (Bitblast.cnf ctx) with
+          match Dpll.solve ~max_conflicts:budget ~deadline (Bitblast.cnf ctx) with
           | Some Dpll.Unsat -> Unsat
           | None -> Unknown
           | Some (Dpll.Sat assign) ->
@@ -280,52 +217,32 @@ let note_outcome ((outcome : Qcache.outcome), info) =
    attempt; on budget exhaustion the group is re-submitted once through
    the qcache (another worker may have answered it meanwhile) and then
    re-solved with the escalated budget before the Unknown is final. *)
-let solve_with_retry ~cached group =
-  let r = Atomic.get retry_policy in
+let solve_with_retry c q group =
   let forced =
     match Atomic.get chaos_exhaust with Some f -> f () | None -> false
   in
   let first =
-    if forced then Unknown
-    else
-      core_solve ~budget:r.base_conflicts ~deadline:(attempt_deadline r)
-        group
+    if forced then Unknown else core_solve ~budget:base_conflicts group
   in
   match first with
   | (Sat _ | Unsat) as v -> v
   | Unknown ->
       Atomic.incr cnt.c_exhaustions;
       incr (Domain.DLS.get dls_exhaustions);
-      if r.escalated_conflicts <= 0 then begin
-        incr (Domain.DLS.get dls_unrecovered);
-        Unknown
-      end
-      else begin
-        Atomic.incr cnt.c_retries;
-        (* Counters for the re-lookup are intentionally not bumped: the
-           group already accounted a miss, and a recovered verdict is
-           reported as s_retry_recovered instead. *)
-        let rehit =
-          match cached with
-          | None -> None
-          | Some (c, q) -> (
-              match Qcache.Sharded.lookup c q with
-              | Qcache.Exact_sat m, _ | Qcache.Reuse_sat m, _ -> Some (Sat m)
-              | Qcache.Exact_unsat, _ | Qcache.Subset_unsat, _ -> Some Unsat
-              | Qcache.Miss, _ -> None)
-        in
-        let v =
-          match rehit with
-          | Some v -> v
-          | None ->
-              core_solve ~budget:r.escalated_conflicts
-                ~deadline:(attempt_deadline r) group
-        in
-        (match v with
-        | Sat _ | Unsat -> Atomic.incr cnt.c_retry_recovered
-        | Unknown -> incr (Domain.DLS.get dls_unrecovered));
-        v
-      end
+      Atomic.incr cnt.c_retries;
+      (* Counters for the re-lookup are intentionally not bumped: the
+         group already accounted a miss, and a recovered verdict is
+         reported as s_retry_recovered instead. *)
+      let v =
+        match Qcache.lookup c q with
+        | Qcache.Exact_sat m, _ | Qcache.Reuse_sat m, _ -> Sat m
+        | Qcache.Exact_unsat, _ | Qcache.Subset_unsat, _ -> Unsat
+        | Qcache.Miss, _ -> core_solve ~budget:escalated_conflicts group
+      in
+      (match v with
+      | Sat _ | Unsat -> Atomic.incr cnt.c_retry_recovered
+      | Unknown -> incr (Domain.DLS.get dls_unrecovered));
+      v
 
 (* --- prepared constraints ------------------------------------------------ *)
 
@@ -378,65 +295,23 @@ let terms group = List.map (fun p -> p.term) group
 
 (* A miss: solve under the retry policy and store the verdict. *)
 let solve_miss c q group =
-  let r = solve_with_retry ~cached:(Some (c, q)) (terms group) in
+  let r = solve_with_retry c q (terms group) in
   (match r with
-  | Sat m -> Qcache.Sharded.store_sat c q m
-  | Unsat -> Qcache.Sharded.store_unsat c q
+  | Sat m -> Qcache.store_sat c q m
+  | Unsat -> Qcache.store_unsat c q
   | Unknown -> ());
   r
 
-let solve_group a group =
+let solve_group group =
   Atomic.incr cnt.c_group_solves;
-  if not a.use_cache then solve_with_retry ~cached:None (terms group)
-  else
-    let c = Atomic.get cache in
-    let q = cache_query group in
-    let ((outcome, _) as found) = Qcache.Sharded.lookup c q in
-    note_outcome found;
-    match outcome with
-    | Qcache.Exact_sat m | Qcache.Reuse_sat m -> Sat m
-    | Qcache.Exact_unsat | Qcache.Subset_unsat -> Unsat
-    | Qcache.Miss -> solve_miss c q group
-
-let check constraints =
-  Atomic.incr cnt.c_queries;
-  let prepared = List.map prepare constraints in
-  if List.exists (fun p -> p.term = Expr.fls) prepared then Unsat
-  else
-    let prepared = List.filter (fun p -> p.term <> Expr.tru) prepared in
-    if prepared = [] then Sat (fun _ -> 0)
-    else
-      let a = current_accel () in
-      let with_vars = List.map (fun p -> (p, p.vars)) prepared in
-      let groups =
-        if a.use_slicing then Indep.partition_vars with_vars else [ with_vars ]
-      in
-      (* Groups touch disjoint variables, so the union of their models is
-         a model of the conjunction. Any Unsat group sinks the whole set;
-         an Unknown group makes the verdict Unknown unless a later group
-         is Unsat. *)
-      let tbl = Hashtbl.create 16 in
-      let rec go unknown = function
-        | [] ->
-            if unknown then Unknown
-            else
-              Sat
-                (fun (v : Expr.var) ->
-                  match Hashtbl.find_opt tbl v.Expr.id with
-                  | Some x -> x
-                  | None -> 0)
-        | g :: rest -> (
-            match solve_group a (List.map fst g) with
-            | Unsat -> Unsat
-            | Unknown -> go true rest
-            | Sat m ->
-                List.iter
-                  (fun (v : Expr.var) -> Hashtbl.replace tbl v.Expr.id (m v))
-                  (List.concat_map snd g
-                  |> List.sort_uniq (fun a b -> compare a.Expr.id b.Expr.id));
-                go unknown rest)
-      in
-      go false groups
+  let c = Atomic.get cache in
+  let q = cache_query group in
+  let ((outcome, _) as found) = Qcache.lookup c q in
+  note_outcome found;
+  match outcome with
+  | Qcache.Exact_sat m | Qcache.Reuse_sat m -> Sat m
+  | Qcache.Exact_unsat | Qcache.Subset_unsat -> Unsat
+  | Qcache.Miss -> solve_miss c q group
 
 (* Each path condition's independence partition, memoized per domain by
    the physical identity of the list, like [prepare]. A miss walks down
@@ -481,29 +356,66 @@ let slice_with_pins cs ~pinned vs =
   let forced = List.filter (fun p -> not (List.memq p slice)) pinned in
   List.rev_append forced slice
 
-(* Without pins and with slicing on, [check (extra :: slice)] is
-   answered with less work: [extra]'s variables reach every group of
-   its slice, so the query is one group, in query order, built from the
-   partition's prepared members. Only the verdict is wanted, so the
-   hit's model is never applied and never builds its tables. The
-   counters move exactly as they would under [check]. *)
+(* A constraint whose simplified form has no variables belongs to no
+   independence group: its value is its verdict. *)
+let ground_holds p = Expr.eval (fun _ -> 0) p.term = 1
+
+let check constraints =
+  Atomic.incr cnt.c_queries;
+  if
+    List.exists
+      (fun c ->
+        let p = prepare c in
+        p.vars = [] && not (ground_holds p))
+      constraints
+  then Unsat
+  else
+    (* Groups touch disjoint variables, so the union of their models is
+       a model of the conjunction. Any Unsat group sinks the whole set;
+       an Unknown group makes the verdict Unknown unless a later group
+       is Unsat. *)
+    let tbl = Hashtbl.create 16 in
+    let rec go unknown = function
+      | [] ->
+          if unknown then Unknown
+          else
+            Sat
+              (fun (v : Expr.var) ->
+                match Hashtbl.find_opt tbl v.Expr.id with
+                | Some x -> x
+                | None -> 0)
+      | g :: rest -> (
+          match solve_group g with
+          | Unsat -> Unsat
+          | Unknown -> go true rest
+          | Sat m ->
+              List.iter
+                (fun (v : Expr.var) -> Hashtbl.replace tbl v.Expr.id (m v))
+                (List.concat_map (fun p -> p.vars) g
+                |> List.sort_uniq (fun a b -> compare a.Expr.id b.Expr.id));
+              go unknown rest)
+    in
+    go false (Indep.groups (partition_of constraints))
+
+(* Without pins, [check (extra :: slice)] is answered with less work:
+   [extra]'s variables reach every group of its slice, so the query is
+   one group, in query order, built from the partition's prepared
+   members. Only the verdict is wanted, so the hit's model is never
+   applied and never builds its tables. The counters move exactly as
+   they would under [check]. *)
 let feasible cs ~pinned extra =
-  let a = current_accel () in
-  if pinned = [] && a.use_slicing then begin
+  if pinned = [] then begin
     Atomic.incr cnt.c_queries;
     let x = prepare extra in
-    if x.term = Expr.fls then false
-    else if x.term = Expr.tru then true
-    else solve_group a (x :: Indep.slice (partition_of cs) x.vars) <> Unsat
+    if x.vars = [] then ground_holds x
+    else solve_group (x :: Indep.slice (partition_of cs) x.vars) <> Unsat
   end
   else
     let query =
-      if a.use_slicing then
-        extra
-        :: slice_with_pins cs ~pinned
-             ((prepare extra).vars
-             @ List.concat_map (fun p -> (prepare p).vars) pinned)
-      else extra :: cs
+      extra
+      :: slice_with_pins cs ~pinned
+           ((prepare extra).vars
+           @ List.concat_map (fun p -> (prepare p).vars) pinned)
     in
     match check query with Sat _ | Unknown -> true | Unsat -> false
 

@@ -26,10 +26,10 @@
     constraint at a time ({!Indep.add}) as states fork, so a query no
     longer re-partitions or re-looks-up every group of the path.
 
-    Slicing and caching are controlled process-wide by {!set_accel}; the
-    query cache is one shared mutex-sharded instance
-    ({!Qcache.Sharded}), normalized up to variable renaming, so a group
-    solved by any parallel exploration worker is a hit for all of them. *)
+    Every layer is always on. The query cache is one process-wide
+    {!Qcache.t} behind one mutex, normalized up to variable renaming, so
+    a group solved by any parallel exploration worker is a hit for all
+    of them. *)
 
 type model = Expr.var -> int
 
@@ -39,6 +39,9 @@ type result =
   | Unknown
 
 val check : Expr.t list -> result
+(** Decide the conjunction. A constraint whose simplified form has no
+    variables is decided by {!Expr.eval}; the rest are solved one
+    independence group of {!partition_of} at a time. *)
 
 val feasible : Expr.t list -> pinned:Expr.t list -> Expr.t -> bool
 (** [feasible constraints ~pinned extra] is whether [extra] can hold on
@@ -54,8 +57,7 @@ val feasible : Expr.t list -> pinned:Expr.t list -> Expr.t -> bool
     fork conditions, assumptions and concretization pins — and a merged
     state's [or(ga, gb)] head joins two satisfiable paths over a shared
     base. Replay pins are the one exception, added unchecked, so their
-    groups are always re-solved. Under the unaccelerated mode
-    ([use_slicing = false]) the whole set is solved. *)
+    groups are always re-solved. *)
 
 val concretize : Expr.t list -> Expr.t -> int option
 (** [concretize constraints e] returns a feasible concrete value of [e]
@@ -89,64 +91,25 @@ val partition_of : Expr.t list -> prepared Indep.t
     miss walks down to the nearest memoized tail, adds the constraints
     above it, and memoizes every tail it passed. Exposed for tests. *)
 
-(** {1 Acceleration knobs} *)
-
-type accel = {
-  use_slicing : bool;      (** split queries into variable-disjoint groups *)
-  use_cache : bool;        (** cache per-group verdicts and models *)
-  cache_capacity : int;    (** entry bound before LRU eviction *)
-  model_reuse : int;       (** recent models re-checked per lookup *)
-}
-
-val default_accel : accel
-(** Slicing and caching on (capacity 4096, model reuse 12). This is the
-    initial process-wide setting. *)
-
-val no_accel : accel
-(** The unaccelerated baseline: every query bit-blasts from scratch. *)
-
-val set_accel : accel -> unit
-(** Set the process-wide acceleration mode and swap in a fresh shared
-    cache (in-flight lookups finish against the old snapshot). *)
-
-val current_accel : unit -> accel
+(** {1 The query cache} *)
 
 val clear_cache : unit -> unit
-(** Drop the shared cache's entries (keeps the accel mode). *)
+(** Swap in a fresh, empty shared cache (in-flight lookups finish
+    against the old one). *)
 
-val current_cache : unit -> Qcache.Sharded.sharded
+val current_cache : unit -> Qcache.t
 (** The live shared cache instance, for the durability layer: checkpoint
-    dump/import address it directly. {!set_accel}/{!clear_cache} swap in
-    a fresh instance, so re-fetch the handle after either. *)
+    dump/import address it directly. {!clear_cache} swaps in a fresh
+    instance, so re-fetch the handle after it. *)
 
 (** {1 Retry policy}
 
     An [Unknown] from DPLL means a resource budget ran out, not that the
     query is undecidable — so before any Unknown verdict is final, the
     group is re-submitted once through the query cache and re-solved
-    with an escalated conflict budget. Each attempt also carries a
-    wall-clock deadline so one adversarial query cannot stall a worker. *)
-
-type retry = {
-  base_conflicts : int;       (** DPLL conflict budget of the first attempt *)
-  escalated_conflicts : int;  (** budget of the single retry; [<= 0] disables
-                                  retrying (one attempt, historical behavior) *)
-  deadline_s : float;         (** per-attempt wall-clock bound in seconds;
-                                  [<= 0.] means none *)
-}
-
-val default_retry : retry
-(** 200k conflicts then one 2M-conflict retry, 5s per attempt. The final
-    verdicts equal the historical single 2M-conflict attempt on any query
-    that fits those budgets; only the work schedule differs. *)
-
-val no_retry : retry
-(** Single attempt with the historical 2M-conflict budget, no deadline. *)
-
-val set_retry : retry -> unit
-(** Set the process-wide retry policy. *)
-
-val current_retry : unit -> retry
+    with an escalated conflict budget: 200k conflicts first, then one
+    2M-conflict retry. Each attempt also carries a 5 s wall-clock
+    deadline so one adversarial query cannot stall a worker. *)
 
 val set_chaos_exhaust : (unit -> bool) option -> unit
 (** Fault-injection hook for the chaos harness: when set, the hook is
@@ -161,7 +124,7 @@ val domain_exhaustions : unit -> int
 
 val domain_unrecovered : unit -> int
 (** Exhaustions on the calling domain whose verdict stayed [Unknown]
-    after the retry (or with retrying disabled). *)
+    after the retry. *)
 
 (** {1 Statistics}
 
@@ -194,23 +157,14 @@ type stats = {
   s_retries : int;                  (** escalated re-submissions issued *)
   s_retry_recovered : int;
   (** retries that settled to a definite Sat/Unsat verdict *)
-  s_cache_bloom_hits : int;
-  (** subset-Unsat hits recovered from a non-home cache shard through the
-      Bloom-gated cross-shard probe (a subset of
-      [s_cache_subset_unsat_hits]) *)
 }
 
 val stats : unit -> stats
 val diff_stats : stats -> stats -> stats
 (** [diff_stats after before] — field-wise difference. The cache's
-    eviction and Bloom-hit counts clamp at 0: a cache swapped in between
-    the snapshots restarts them. *)
+    eviction count clamps at 0: a cache swapped in between the snapshots
+    restarts it. *)
 
 val cache_hits : stats -> int
 val cache_hit_rate : stats -> float
 (** Hits / (hits + misses), 0 when no cached lookups happened. *)
-
-val stats_queries : unit -> int
-(** Number of [check] calls since start; used by the benchmark harness. *)
-
-val reset_stats : unit -> unit

@@ -182,9 +182,9 @@ let create ?(config = default_config) img base_mem symdev =
   Ddt_kernel.Ndis.install ();
   Ddt_kernel.Portcls.install ();
   Ddt_kernel.Usb.install ();
-  (* Every engine starts from a cold, fully accelerated query cache, so
-     in-process sessions never see each other's cached answers. *)
-  Solver.set_accel Solver.default_accel;
+  (* Every engine starts from a cold query cache, so in-process
+     sessions never see each other's cached answers. *)
+  Solver.clear_cache ();
   (* Disasm's leaders all lie inside the text section; keep the
      slot-aligned ones, the only pcs [fetch] serves from [Image.code]. *)
   let nslots = Array.length img.Image.code in
@@ -220,7 +220,7 @@ let create ?(config = default_config) img base_mem symdev =
   in
   let guard_st = Guard.create () in
   (* Install (or clear) the solver-side chaos injection for this engine;
-     like [set_accel] above this is a process-wide switch. *)
+     like the query cache above this is process-wide. *)
   Solver.set_chaos_exhaust (Guard.solver_chaos_fn guard_st config.chaos);
   {
     cfg = config;

@@ -386,8 +386,9 @@ let with_version blob v =
    version 3 the query cache's array-valued reuse models, checkpoint
    version 4 still carried the block compiler's dispositions, checkpoint
    version 5 held the query-cache dump as an option, checkpoint version
-   6 flagged cache entries loaded from the on-disk store, and checkpoint
-   version 7 scaled each scheduler priority for a distance tiebreak. *)
+   6 flagged cache entries loaded from the on-disk store, checkpoint
+   version 7 scaled each scheduler priority for a distance tiebreak, and
+   checkpoint version 8 dumped the query cache shard by shard. *)
 let older_versions current = List.init (current - 1) (fun i -> i + 1)
 
 let test_previous_version_refused () =
@@ -423,6 +424,8 @@ let test_previous_version_refused () =
     (List.mem 6 (older_versions Session.checkpoint_version));
   check_bool "version 7 is an older checkpoint layout" true
     (List.mem 7 (older_versions Session.checkpoint_version));
+  check_bool "version 8 is an older checkpoint layout" true
+    (List.mem 8 (older_versions Session.checkpoint_version));
   List.iter
     (fun v ->
       Out_channel.with_open_bin ckpt (fun oc ->

@@ -254,7 +254,7 @@ let test_qcache_commuted_renaming () =
       (Expr.cmp Expr.Eq (Expr.var vx1) (Expr.word 3))
       (Expr.cmp Expr.Ltu (Expr.var vy1) (Expr.word 7))
   in
-  Qcache.store_sat q [ d1 ]
+  Qcache.store_sat q (Qcache.query [ d1 ])
     (fun v -> if v.Expr.id = vx1.Expr.id then 3 else 0);
   (* the same disjunction under fresh names with the disjuncts written
      the other way round — exactly what two workers see when merge-guard
@@ -266,7 +266,7 @@ let test_qcache_commuted_renaming () =
       (Expr.cmp Expr.Ltu (Expr.var vy2) (Expr.word 7))
       (Expr.cmp Expr.Eq (Expr.var vx2) (Expr.word 3))
   in
-  match Qcache.lookup_info q [ d2 ] with
+  match Qcache.lookup q (Qcache.query [ d2 ]) with
   | Qcache.Exact_sat m, info ->
       check_bool "hit is a renaming" true info.Qcache.i_renamed;
       check_int "translated model satisfies the twin" 1 (Expr.eval m d2)
@@ -282,7 +282,7 @@ let test_indep_ite_guard_edges () =
   let c2 = Expr.cmp Expr.Ltu x (Expr.word 9) in
   let c3 = Expr.cmp Expr.Eq w (Expr.word 0) in
   check_int "guard variable joins the groups" 2
-    (List.length (Indep.partition [ c1; c2; c3 ]));
+    (List.length (Indep.groups (Solver.partition_of [ c1; c2; c3 ])));
   let slice =
     List.map Solver.original
       (Indep.slice (Solver.partition_of [ c1; c2; c3 ]) (Expr.vars y))

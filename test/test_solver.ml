@@ -491,9 +491,20 @@ let prop_two_var_relation =
 
 (* --- Indep: constraint-independence slicing --------------------------- *)
 
-let with_accel a f =
-  Solver.set_accel a;
-  Fun.protect ~finally:(fun () -> Solver.set_accel Solver.default_accel) f
+(* The reference the solver pipeline is compared against: the whole set
+   bit-blasted and searched at once, with no simplification, slicing,
+   interval layer or cache. *)
+let baseline cs =
+  let ctx = Bitblast.create () in
+  List.iter (Bitblast.assert_true ctx) cs;
+  match Dpll.solve ~max_conflicts:2_000_000 (Bitblast.cnf ctx) with
+  | Some (Dpll.Sat _) -> `Sat
+  | Some Dpll.Unsat -> `Unsat
+  | None -> `Unknown
+
+(* The memoized partition's groups, as the constraints the path holds. *)
+let groups_of cs =
+  List.map (List.map Solver.original) (Indep.groups (Solver.partition_of cs))
 
 let test_indep_partition () =
   let open Expr in
@@ -505,7 +516,7 @@ let test_indep_partition () =
   let c3 = cmp Ltu (word 1) x in
   (* c4 links y and z, so it must land in c2's group. *)
   let c4 = cmp Eq (binop Add y z) (word 9) in
-  let groups = Indep.partition [ c1; c2; c3; c4 ] in
+  let groups = groups_of [ c1; c2; c3; c4 ] in
   check_int "two groups" 2 (List.length groups);
   let has g c = List.exists (Expr.equal c) g in
   let gx = List.find (fun g -> has g c1) groups in
@@ -563,21 +574,15 @@ let test_indep_equisat () =
       cmp Ltu (var y) (word 7);
       cmp Eq (binop And (var x) (word 1)) (word 1) ]
   in
-  let sliced_only =
-    { Solver.default_accel with Solver.use_cache = false }
-  in
-  with_accel sliced_only (fun () ->
-      (match Solver.check sat_set with
-       | Solver.Sat m ->
-           check_int "x from group 1" 7 (m x);
-           check_int "y from group 2" 7 (m y)
-       | _ -> Alcotest.fail "sliced sat");
-      check_bool "sliced unsat" true (Solver.check unsat_set = Solver.Unsat));
-  with_accel Solver.no_accel (fun () ->
-      check_bool "unsliced sat" true
-        (match Solver.check sat_set with Solver.Sat _ -> true | _ -> false);
-      check_bool "unsliced unsat" true
-        (Solver.check unsat_set = Solver.Unsat))
+  Solver.clear_cache ();
+  (match Solver.check sat_set with
+   | Solver.Sat m ->
+       check_int "x from group 1" 7 (m x);
+       check_int "y from group 2" 7 (m y)
+   | _ -> Alcotest.fail "sliced sat");
+  check_bool "sliced unsat" true (Solver.check unsat_set = Solver.Unsat);
+  check_bool "unsliced sat" true (baseline sat_set = `Sat);
+  check_bool "unsliced unsat" true (baseline unsat_set = `Unsat)
 
 (* Field [i] holds [f i]: with [f] injective and nonzero, a dropped,
    clamped or swapped field shows. *)
@@ -587,7 +592,7 @@ let stats_of f =
     s_cache_misses = f 6; s_cache_renamed_hits = f 7;
     s_cache_cross_worker_hits = f 8; s_interval_solves = f 9;
     s_bitblast_solves = f 10; s_cache_evictions = f 11; s_exhaustions = f 12;
-    s_retries = f 13; s_retry_recovered = f 14; s_cache_bloom_hits = f 15 }
+    s_retries = f 13; s_retry_recovered = f 14 }
 
 let test_diff_stats () =
   check_bool "field-wise difference" true
@@ -597,20 +602,25 @@ let test_diff_stats () =
 
 (* --- Qcache: canonicalizing counterexample cache ----------------------- *)
 
+let lookup_info q cs = Qcache.lookup q (Qcache.query cs)
+let lookup q cs = fst (lookup_info q cs)
+let store_sat q cs m = Qcache.store_sat q (Qcache.query cs) m
+let store_unsat q cs = Qcache.store_unsat q (Qcache.query cs)
+
 let test_qcache_exact () =
   let open Expr in
   let q = Qcache.create () in
   let x = fresh_var W32 in
   let c1 = cmp Ltu (var x) (word 5) in
   let c2 = cmp Ltu (word 1) (var x) in
-  check_bool "miss first" true (Qcache.lookup q [ c1; c2 ] = Qcache.Miss);
-  Qcache.store_sat q [ c1; c2 ] (fun _ -> 3);
+  check_bool "miss first" true (lookup q [ c1; c2 ] = Qcache.Miss);
+  store_sat q [ c1; c2 ] (fun _ -> 3);
   (* Exact hits are canonical: order must not matter. *)
-  (match Qcache.lookup q [ c2; c1 ] with
+  (match lookup q [ c2; c1 ] with
    | Qcache.Exact_sat m -> check_int "model survives" 3 (m x)
    | _ -> Alcotest.fail "expected exact hit");
-  Qcache.store_unsat q [ c1 ];
-  check_bool "exact unsat" true (Qcache.lookup q [ c1 ] = Qcache.Exact_unsat)
+  store_unsat q [ c1 ];
+  check_bool "exact unsat" true (lookup q [ c1 ] = Qcache.Exact_unsat)
 
 let test_qcache_subset_unsat () =
   let open Expr in
@@ -619,45 +629,45 @@ let test_qcache_subset_unsat () =
   let c1 = cmp Ltu (var x) (word 5) in
   let c2 = cmp Ltu (word 10) (var x) in
   let extra = cmp Eq (var y) (word 0) in
-  Qcache.store_unsat q [ c1; c2 ];
+  store_unsat q [ c1; c2 ];
   (* The cached Unsat core {c1,c2} is a subset of the query. *)
   check_bool "superset proven unsat" true
-    (Qcache.lookup q [ extra; c2; c1 ] = Qcache.Subset_unsat);
+    (lookup q [ extra; c2; c1 ] = Qcache.Subset_unsat);
   (* A query containing only part of the core proves nothing. *)
   check_bool "partial overlap misses" true
-    (Qcache.lookup q [ extra; c1 ] = Qcache.Miss)
+    (lookup q [ extra; c1 ] = Qcache.Miss)
 
 let test_qcache_model_reuse () =
   let open Expr in
   let q = Qcache.create () in
   let x = fresh_var W32 in
   let c1 = cmp Ltu (word 5) (var x) in
-  Qcache.store_sat q [ c1 ] (fun _ -> 6);
+  store_sat q [ c1 ] (fun _ -> 6);
   (* x=6 also satisfies the tighter superset query: reused after a cheap
      evaluation, no solve needed. *)
-  (match Qcache.lookup q [ c1; cmp Ltu (var x) (word 10) ] with
+  (match lookup q [ c1; cmp Ltu (var x) (word 10) ] with
    | Qcache.Reuse_sat m -> check_int "model reused" 6 (m x)
    | _ -> Alcotest.fail "expected model reuse");
   (* x=6 violates x < 3: no reuse. *)
   check_bool "unsatisfying model rejected" true
-    (Qcache.lookup q [ c1; cmp Ltu (var x) (word 3) ] = Qcache.Miss)
+    (lookup q [ c1; cmp Ltu (var x) (word 3) ] = Qcache.Miss)
 
 let test_qcache_renaming () =
   let open Expr in
   let q = Qcache.create () in
   let x = fresh_var W32 in
-  Qcache.store_sat q [ cmp Ltu (var x) (word 5) ] (fun _ -> 3);
+  store_sat q [ cmp Ltu (var x) (word 5) ] (fun _ -> 3);
   (* A structurally identical query over a different variable is an exact
      hit — keys are normalized up to renaming — with the stored model
      translated onto this query's variable. *)
   let z = fresh_var W32 in
-  (match Qcache.lookup_info q [ cmp Ltu (var z) (word 5) ] with
+  (match lookup_info q [ cmp Ltu (var z) (word 5) ] with
    | Qcache.Exact_sat m, info ->
        check_int "translated model" 3 (m z);
        check_bool "flagged as renamed" true info.Qcache.i_renamed
    | _ -> Alcotest.fail "expected renamed exact hit");
   (* The original query itself is an exact hit but not a renamed one. *)
-  (match Qcache.lookup_info q [ cmp Ltu (var x) (word 5) ] with
+  (match lookup_info q [ cmp Ltu (var x) (word 5) ] with
    | Qcache.Exact_sat _, info ->
        check_bool "same-key hit not flagged" false info.Qcache.i_renamed
    | _ -> Alcotest.fail "expected exact hit");
@@ -666,18 +676,18 @@ let test_qcache_renaming () =
   let wide () = Array.init 12 (fun _ -> fresh_var W32) in
   let pins xs = Array.to_list (Array.mapi (fun i v -> cmp Eq (var v) (word (i + 1))) xs) in
   let xs = wide () and zs = wide () in
-  Qcache.store_sat q (pins xs) (fun v ->
+  store_sat q (pins xs) (fun v ->
       let i = ref 0 in
       Array.iteri (fun j u -> if u.id = v.id then i := j + 1) xs;
       !i);
-  (match Qcache.lookup q (pins zs) with
+  (match lookup q (pins zs) with
    | Qcache.Exact_sat m ->
        Array.iteri (fun i z -> check_int "wide translated model" (i + 1) (m z)) zs
    | _ -> Alcotest.fail "expected renamed exact hit over 12 variables");
   (* The same shape at a different width is a different renamed key. *)
   let b = fresh_var W8 in
   check_bool "width is part of the key" true
-    (match Qcache.lookup q [ cmp Ltu (var b) (byte 5) ] with
+    (match lookup q [ cmp Ltu (var b) (byte 5) ] with
      | Qcache.Exact_sat _ -> false
      | _ -> true)
 
@@ -685,21 +695,39 @@ let test_qcache_reuse_masks_width () =
   let open Expr in
   let q = Qcache.create () in
   let x = fresh_var W32 in
-  Qcache.store_sat q [ cmp Ltu (word 5) (var x) ] (fun _ -> 511);
+  store_sat q [ cmp Ltu (word 5) (var x) ] (fun _ -> 511);
   (* The stored 32-bit model value can reach an 8-bit twin through model
      reuse (the renamed keys differ in width, so it is not an exact hit,
      but evaluation masks at the Var node and verifies). The model handed
      back must be masked to the query variable's width. *)
   let b = fresh_var W8 in
-  (match Qcache.lookup q [ cmp Ltu (byte 5) (var b) ] with
+  (match lookup q [ cmp Ltu (byte 5) (var b) ] with
    | Qcache.Reuse_sat m -> check_int "masked to W8" 255 (m b)
    | Qcache.Exact_sat _ -> Alcotest.fail "widths must not collapse"
    | _ -> Alcotest.fail "expected model reuse")
 
-let test_qcache_sharded_concurrent () =
+let test_qcache_concurrent () =
   let open Expr in
-  let sc = Qcache.Sharded.create ~shards:4 ~capacity:1024 () in
+  let q = Qcache.create () in
   let rounds = 200 in
+  let lookups = Atomic.make 0 and hits = Atomic.make 0
+  and misses = Atomic.make 0 and renamed = Atomic.make 0
+  and cross = Atomic.make 0 in
+  (* Count each outcome from the value the cache returned. *)
+  let counted c =
+    Atomic.incr lookups;
+    let ((outcome, info) as r) = Qcache.lookup q c in
+    (match outcome with
+     | Qcache.Miss -> Atomic.incr misses
+     | Qcache.Exact_sat _ | Qcache.Exact_unsat | Qcache.Subset_unsat
+     | Qcache.Reuse_sat _ ->
+         Atomic.incr hits;
+         if info.Qcache.i_renamed then Atomic.incr renamed;
+         if info.Qcache.i_owner >= 0
+            && info.Qcache.i_owner <> (Domain.self () :> int)
+         then Atomic.incr cross);
+    fst r
+  in
   let work () =
     for i = 0 to rounds - 1 do
       (* Every domain mints its own variables, but the shapes repeat, so
@@ -707,8 +735,8 @@ let test_qcache_sharded_concurrent () =
          store owns the entry and everyone else hits it. *)
       let x = fresh_var W32 in
       let c = Qcache.query [ cmp Ltu (var x) (word (i mod 10)) ] in
-      (match fst (Qcache.Sharded.lookup sc c) with
-       | Qcache.Miss -> Qcache.Sharded.store_sat sc c (fun _ -> 0)
+      (match counted c with
+       | Qcache.Miss -> Qcache.store_sat q c (fun _ -> 0)
        | _ -> ());
       let y = fresh_var W32 in
       let u =
@@ -716,52 +744,48 @@ let test_qcache_sharded_concurrent () =
           [ cmp Ltu (var y) (word (i mod 7));
             cmp Ltu (word (7 + (i mod 7))) (var y) ]
       in
-      match fst (Qcache.Sharded.lookup sc u) with
-      | Qcache.Miss -> Qcache.Sharded.store_unsat sc u
+      match counted u with
+      | Qcache.Miss -> Qcache.store_unsat q u
       | _ -> ()
     done
   in
   let domains = List.init 3 (fun _ -> Domain.spawn work) in
   work ();
   List.iter Domain.join domains;
-  let c = Qcache.Sharded.counts sc in
-  check_int "every lookup is a hit or a miss"
-    c.Qcache.Sharded.sc_lookups
-    (c.Qcache.Sharded.sc_hits + c.Qcache.Sharded.sc_misses);
-  check_int "4 domains x 2 lookups per round"
-    (4 * 2 * rounds) c.Qcache.Sharded.sc_lookups;
-  check_bool "shared entries produce hits" true
-    (c.Qcache.Sharded.sc_hits > 0);
-  check_bool "renamed twins collapse" true
-    (c.Qcache.Sharded.sc_renamed_hits > 0);
-  check_bool "cross-domain hits observed" true
-    (c.Qcache.Sharded.sc_cross_hits > 0);
+  check_int "every lookup is a hit or a miss" (Atomic.get lookups)
+    (Atomic.get hits + Atomic.get misses);
+  check_int "4 domains x 2 lookups per round" (4 * 2 * rounds)
+    (Atomic.get lookups);
+  check_bool "shared entries produce hits" true (Atomic.get hits > 0);
+  check_bool "renamed twins collapse" true (Atomic.get renamed > 0);
+  check_bool "cross-domain hits observed" true (Atomic.get cross > 0);
   (* A shape any domain answered is an answer for all (exact entry or a
      reusable model — either way, not a miss). *)
   let z = fresh_var W32 in
   check_bool "post-join hit" true
-    (fst (Qcache.Sharded.lookup sc (Qcache.query [ cmp Ltu (var z) (word 3) ]))
-     <> Qcache.Miss)
+    (lookup q [ cmp Ltu (var z) (word 3) ] <> Qcache.Miss)
 
+(* The cache holds 4096 entries; one more evicts the least recently
+   used quarter. *)
 let test_qcache_eviction () =
   let open Expr in
-  let q = Qcache.create ~capacity:4 ~model_reuse:0 () in
+  let q = Qcache.create () in
   let cs =
-    List.init 6 (fun i ->
+    List.init 4097 (fun i ->
         [ cmp Eq (var (fresh_var W32)) (word i) ])
   in
-  List.iter (Qcache.store_unsat q) cs;
-  check_bool "bounded" true (Qcache.size q <= 4);
+  List.iter (store_unsat q) cs;
+  check_bool "bounded" true (Qcache.size q <= 4096);
   check_bool "evictions counted" true (Qcache.evictions q > 0);
   (* The oldest entry is gone — from the exact table and the unsat
      index (no phantom subset proofs). *)
-  check_bool "oldest evicted" true (Qcache.lookup q (List.hd cs) = Qcache.Miss);
+  check_bool "oldest evicted" true (lookup q (List.hd cs) = Qcache.Miss);
   (* The newest entry survived. *)
   check_bool "newest kept" true
-    (Qcache.lookup q (List.nth cs 5) = Qcache.Exact_unsat)
+    (lookup q (List.nth cs 4096) = Qcache.Exact_unsat)
 
-(* Property: the accelerated solver (slicing + cache, queries issued
-   twice to force hits) and the from-scratch baseline agree on Sat/Unsat
+(* Property: the solver pipeline (slicing + cache, queries issued twice
+   to force hits) and the from-scratch {!baseline} agree on Sat/Unsat
    for random multi-variable constraint sets. *)
 let prop_accel_agrees_with_baseline =
   let open Expr in
@@ -787,21 +811,19 @@ let prop_accel_agrees_with_baseline =
         | Solver.Unsat -> `Unsat
         | Solver.Unknown -> `Unknown
       in
-      let base =
-        with_accel Solver.no_accel (fun () -> verdict (Solver.check cs))
-      in
+      let base = baseline cs in
       let accel =
-        with_accel Solver.default_accel (fun () ->
-            (* First call populates the cache (misses), the second and the
-               growing prefixes exercise exact hits, subset-unsat proofs
-               and model reuse. *)
-            ignore (Solver.check cs);
-            List.iteri
-              (fun i _ ->
-                let prefix = List.filteri (fun j _ -> j <= i) cs in
-                ignore (Solver.check prefix))
-              cs;
-            verdict (Solver.check cs))
+        Solver.clear_cache ();
+        (* First call populates the cache (misses), the second and the
+           growing prefixes exercise exact hits, subset-unsat proofs and
+           model reuse. *)
+        ignore (Solver.check cs);
+        List.iteri
+          (fun i _ ->
+            let prefix = List.filteri (fun j _ -> j <= i) cs in
+            ignore (Solver.check prefix))
+          cs;
+        verdict (Solver.check cs)
       in
       base = `Unknown || accel = `Unknown || base = accel)
 
@@ -825,11 +847,40 @@ let prop_accel_models_verified =
             cmp ops.(op) (zext (var vars.(v))) (word k))
           spec
       in
-      with_accel Solver.default_accel (fun () ->
-          ignore (Solver.check cs);
-          match Solver.check cs with
-          | Solver.Sat m -> List.for_all (fun c -> eval m c = 1) cs
-          | Solver.Unsat | Solver.Unknown -> true))
+      Solver.clear_cache ();
+      ignore (Solver.check cs);
+      match Solver.check cs with
+      | Solver.Sat m -> List.for_all (fun c -> eval m c = 1) cs
+      | Solver.Unsat | Solver.Unknown -> true)
+
+(* One cache: a model stored for one query is re-tried for every later
+   query, whatever its key hashes to. *)
+let test_whole_cache_model_reuse () =
+  let open Expr in
+  let x = zext (var (fresh_var W8)) in
+  Solver.clear_cache ();
+  ignore (Solver.check [ cmp Ltu x (word 10) ]);
+  let before = Solver.stats () in
+  (match Solver.check [ cmp Ltu x (word 20); cmp Ne x (word 15) ] with
+   | Solver.Sat _ -> ()
+   | Solver.Unsat | Solver.Unknown -> Alcotest.fail "satisfiable");
+  check_int "one model-reuse hit" 1
+    (Solver.diff_stats (Solver.stats ()) before).Solver.s_cache_model_reuse_hits
+
+(* A ground constraint has no independence group: [check] decides it by
+   evaluation. A width-1 constant other than 0 or 1 is one the
+   simplifier leaves as it is. *)
+let test_check_ground () =
+  let open Expr in
+  let x = zext (var (fresh_var W8)) in
+  let odd = Const (W1, 2) in
+  check_bool "not folded" true
+    (let t = Simplify.simplify_bool odd in
+     t <> tru && t <> fls && vars t = []);
+  check_bool "evaluates false" true (eval (fun _ -> 0) odd <> 1);
+  check_bool "alone" true (Solver.check [ odd ] = Solver.Unsat);
+  check_bool "beside a live constraint" true
+    (Solver.check [ cmp Ltu x (word 9); odd ] = Solver.Unsat)
 
 (* --- relevant-slice concretization --------------------------------------- *)
 
@@ -900,15 +951,43 @@ let same_groups a b =
   in
   norm a = norm b
 
+(* The reference partition: a union-find over variable ids, rebuilt from
+   scratch, with ground constraints in no group. *)
 let scratch_partition cs =
-  Indep.partition_vars
-    (List.filter_map
-       (fun c ->
-         match Expr.vars (Simplify.simplify_bool c) with
-         | [] -> None
-         | vs -> Some (c, vs))
-       cs)
-  |> List.map (List.map fst)
+  let parent = Hashtbl.create 16 in
+  let rec find x =
+    match Hashtbl.find_opt parent x with
+    | Some p when p <> x ->
+        let r = find p in
+        Hashtbl.replace parent x r;
+        r
+    | _ -> x
+  in
+  let with_vars =
+    List.filter_map
+      (fun c ->
+        match Expr.vars (Simplify.simplify_bool c) with
+        | [] -> None
+        | vs -> Some (c, List.map (fun (v : Expr.var) -> v.Expr.id) vs))
+      cs
+  in
+  List.iter
+    (fun (_, ids) ->
+      let r = find (List.hd ids) in
+      List.iter
+        (fun v ->
+          let rv = find v in
+          if rv <> r then Hashtbl.replace parent rv r)
+        ids)
+    with_vars;
+  let groups = Hashtbl.create 8 in
+  List.iter
+    (fun (c, ids) ->
+      let r = find (List.hd ids) in
+      Hashtbl.replace groups r
+        (c :: Option.value ~default:[] (Hashtbl.find_opt groups r)))
+    with_vars;
+  Hashtbl.fold (fun _ g acc -> g :: acc) groups []
 
 let prop_feasible_matches_check =
   QCheck.Test.make ~count:200 ~name:"sliced feasibility = whole-set check"
@@ -963,10 +1042,7 @@ let prop_feasible_matches_check =
            (fun (cs, _) ->
              List.for_all
                (fun l ->
-                 same_groups
-                   (List.map (List.map Solver.original)
-                      (Indep.groups (Solver.partition_of l)))
-                   (scratch_partition l))
+                 same_groups (groups_of l) (scratch_partition l))
                (tails cs))
            !states)
 
@@ -983,14 +1059,7 @@ let test_feasible_stats_match_check () =
   let queries =
     [ (path, cmp Ltu (word 10) x);            (* miss *)
       (path, cmp Ltu (word 10) x);            (* exact hit *)
-      (* the cache is sharded and a stored model is only re-tried in
-         its own shard: a few weaker bounds, some land there *)
-      (path, cmp Ltu (word 5) x);
-      (path, cmp Ltu (word 6) x);
-      (path, cmp Ltu (word 7) x);
-      (path, cmp Ne x (word 1));
-      (path, cmp Ne x (word 2));
-      (path, cmp Leu (word 8) x);
+      (path, cmp Ltu (word 5) x);             (* model reuse *)
       (path, cmp Ltu (word 60) x);            (* miss, Unsat *)
       (* a branch joining two groups of the slice *)
       (cmp Ne y (word 4) :: path, cmp Ltu (word 60) (binop Add x y));
@@ -1136,13 +1205,13 @@ let test_sharing_deep_chain () =
   let r = Interval.range_of (fun v -> Interval.full v.var_width) a in
   check_bool "range covers the value" true (r.Interval.lo <= want && want <= r.Interval.hi);
   let q = Qcache.create () in
-  Qcache.store_sat q [ cmp Eq a (word want) ] env;
-  (match Qcache.lookup q [ cmp Eq b (word want) ] with
+  store_sat q [ cmp Eq a (word want) ] env;
+  (match lookup q [ cmp Eq b (word want) ] with
    | Qcache.Exact_sat _ -> ()
    | _ -> Alcotest.fail "rebuilt copy must hit the cached entry");
   let other = fresh_var W8 in
   check_int "independent groups" 2
-    (List.length (Indep.partition [ cmp Eq a (word want); cmp Eq (var other) (byte 1) ]));
+    (List.length (groups_of [ cmp Eq a (word want); cmp Eq (var other) (byte 1) ]));
   (* the whole pipeline, answered by a verified interval guess *)
   let below = cmp Ltu a (word 0xFFFFFFFF) in
   match Solver.check [ below ] with
@@ -1244,8 +1313,8 @@ let () =
            test_qcache_renaming;
          Alcotest.test_case "reuse masks width" `Quick
            test_qcache_reuse_masks_width;
-         Alcotest.test_case "sharded concurrent" `Quick
-           test_qcache_sharded_concurrent;
+         Alcotest.test_case "concurrent domains" `Quick
+           test_qcache_concurrent;
          Alcotest.test_case "lru eviction" `Quick test_qcache_eviction;
          qtest prop_accel_agrees_with_baseline;
          qtest prop_accel_models_verified ]);
@@ -1265,6 +1334,10 @@ let () =
          Alcotest.test_case "feasibility counts like check" `Quick
            test_feasible_stats_match_check;
          Alcotest.test_case "stats diff field-wise" `Quick test_diff_stats;
+         Alcotest.test_case "model reuse across the whole cache" `Quick
+           test_whole_cache_model_reuse;
+         Alcotest.test_case "ground constraint decided by eval" `Quick
+           test_check_ground;
          qtest prop_solver_sound_on_simple;
          qtest prop_divmod_matches_bruteforce;
          Alcotest.test_case "rem of a zero-extended byte" `Quick
