@@ -15,8 +15,11 @@ test:
 #   mid-exploration (the child must die with status 137, not finish),
 #   then `ddt_cli resume` must reproduce the uninterrupted oracle's
 #   report byte for byte;
-# - usage errors: four removed `test` flags must be rejected with
-#   cmdliner's usage exit code 124;
+# - chaos: `test pro100 --chaos` (injected worker crashes and solver
+#   exhaustions) must report the same sorted bug keys as the default run;
+# - usage errors: four removed `test` flags and an out-of-range `-j`
+#   (0 and 129; OCaml caps a process at 128 domains) must be rejected
+#   with cmdliner's usage exit code 124;
 # - replay input: a missing, a garbage, an empty (entry-less) and an
 #   endless (/dev/zero, refused past the 1 MiB read bound) replay script
 #   must each be refused with exit 1;
@@ -48,11 +51,18 @@ check: build test
 	  || [ $$? -eq 2 ]; \
 	cmp $$dir/oracle.json $$dir/resumed.json; \
 	echo "kill-resume smoke: resumed report byte-identical"; \
-	for flag in "--store-dir x" --no-persist --no-dbt --guided; do \
+	$$cli test pro100 --chaos --json-out $$dir/chaos.json >/dev/null \
+	  || [ $$? -eq 2 ]; \
+	for r in oracle chaos; do \
+	  grep -o '"key":"[^"]*"' $$dir/$$r.json | sort > $$dir/$$r.keys; done; \
+	[ -s $$dir/oracle.keys ] && cmp $$dir/oracle.keys $$dir/chaos.keys; \
+	echo "chaos smoke: same bug keys under fault injection"; \
+	for flag in "--store-dir x" --no-persist --no-dbt --guided "-j 0" \
+	    "-j 129"; do \
 	  rc=0; $$cli test rtl8029 $$flag >/dev/null 2>&1 || rc=$$?; \
 	  [ $$rc -eq 124 ] || { echo "$$flag: exit $$rc, want 124"; exit 1; }; \
 	done; \
-	echo "usage-error smoke: removed flags exit 124"; \
+	echo "usage-error smoke: removed flags and out-of-range -j exit 124"; \
 	printf 'not a replay script\n' > $$dir/garbage.replay; \
 	: > $$dir/empty.replay; \
 	for script in $$dir/missing.replay $$dir/garbage.replay \

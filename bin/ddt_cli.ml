@@ -31,12 +31,28 @@ let traces_flag =
   let doc = "Print the trace digest and replay script for each bug." in
   Arg.(value & flag & info [ "traces" ] ~doc)
 
+(* OCaml 5 caps a process at 128 domains ([Max_domains]) and [Exec.run]
+   spawns [jobs - 1] of them, so a larger N could only fail mid-session. *)
+let max_jobs = 128
+
+let jobs_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 && n <= max_jobs -> Ok n
+    | Ok n ->
+        Error (`Msg (Printf.sprintf "%d is not in 1..%d" n max_jobs))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let jobs_arg =
   let doc =
-    "Explore the session's fork tree with $(docv) cooperating worker \
-     domains (shared work-stealing frontier)."
+    Printf.sprintf
+      "Explore the session's fork tree with $(docv) cooperating worker \
+       domains (shared work-stealing frontier); 1 to %d."
+      max_jobs
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let find_entry short =
   match Corpus.find short with
@@ -65,10 +81,9 @@ let list_cmd =
 let chaos_flag =
   let doc =
     "Run under deterministic fault injection (worker crashes every 25th \
-     pick, every 3rd uncached solve budget-exhausted, simulated memory \
-     pressure with the resource governor). The session must survive and \
-     report the same bugs; the injected faults appear as quarantined \
-     engine incidents."
+     pick, every 3rd uncached solve budget-exhausted). The session must \
+     survive and report the same bugs; the injected faults appear as \
+     quarantined engine incidents."
   in
   Arg.(value & flag & info [ "chaos" ] ~doc)
 
@@ -96,7 +111,7 @@ let checkpoint_path_arg =
 
 let json_out_arg =
   let doc =
-    "Also write the machine-readable session report (JSON, schema v6) to \
+    "Also write the machine-readable session report (JSON, schema v7) to \
      $(docv), atomically (tmp + rename)."
   in
   Arg.(value & opt (some string) None & info [ "json-out" ] ~docv:"PATH" ~doc)
@@ -106,30 +121,19 @@ let json_out_arg =
    same way from the same flags. *)
 let apply_session_flags cfg ~jobs ~chaos ~no_merge
     ~checkpoint_every ~checkpoint_path =
-  let cfg =
-    { cfg with
-      Ddt_core.Config.exec_config =
-        { cfg.Ddt_core.Config.exec_config with
-          Ddt_symexec.Exec.jobs = max 1 jobs;
-          state_merging = not no_merge };
-      checkpoint_every;
-      checkpoint_path }
-  in
-  if chaos then
-    { cfg with
-      Ddt_core.Config.governor =
-        Some
-          { Ddt_core.Governor.default_limits with
-            Ddt_core.Governor.soft_live_words = 1;
-            min_states = 8; max_retire_per_trip = 1 };
-      exec_config =
-        { cfg.Ddt_core.Config.exec_config with
-          Ddt_symexec.Exec.chaos =
-            Some
-              { Ddt_symexec.Guard.chaos_worker_crash_period = 25;
-                chaos_solver_exhaust_period = 3;
-                chaos_pressure_words = 50_000_000 } } }
-  else cfg
+  { cfg with
+    Ddt_core.Config.exec_config =
+      { cfg.Ddt_core.Config.exec_config with
+        Ddt_symexec.Exec.jobs;
+        state_merging = not no_merge;
+        chaos =
+          (if chaos then
+             Some
+               { Ddt_symexec.Guard.chaos_worker_crash_period = 25;
+                 chaos_solver_exhaust_period = 3 }
+           else None) };
+    checkpoint_every;
+    checkpoint_path }
 
 let report_result ~traces ~json_out r =
   Format.printf "%a" Ddt_core.Ddt.pp_report r;

@@ -66,9 +66,6 @@ type bug = {
    "every finding comes with a trace" contract to engine faults. *)
 type incident = Ddt_symexec.Guard.incident
 
-let incident_kind_label (i : incident) =
-  Ddt_symexec.Guard.kind_label i.Ddt_symexec.Guard.inc_kind
-
 type sink = {
   mutable found : bug list;    (* newest first *)
   seen : (string, unit) Hashtbl.t;

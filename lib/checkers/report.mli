@@ -70,8 +70,6 @@ type incident = Ddt_symexec.Guard.incident
     they can never perturb bug keys, deduplication or ordering — but
     each carries a replayable script (§3.5 evidence for engine faults). *)
 
-val incident_kind_label : incident -> string
-
 type sink
 
 val create_sink : unit -> sink

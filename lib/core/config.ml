@@ -28,7 +28,6 @@ type t = {
   concrete_device : int option;
   replay : Ddt_trace.Replay.script option;
   collect_crashdumps : bool;
-  governor : Governor.limits option;
   checkpoint_every : int;
   (* checkpoint the session every N engine steps (0 = never); only
      effective with [jobs = 1] and fully symbolic hardware *)
@@ -52,7 +51,7 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     ?jobs ?state_merging
     ?(max_total_steps = 3_000_000) ?(plateau_steps = 250_000)
     ?(max_bases_per_phase = 3) ?concrete_device ?replay
-    ?(collect_crashdumps = false) ?governor ?(checkpoint_every = 0)
+    ?(collect_crashdumps = false) ?(checkpoint_every = 0)
     ?checkpoint_path () =
   let exec_config =
     match jobs with
@@ -84,17 +83,5 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     driver_name; image; driver_class; descriptor; registry; workload;
     use_annotations; annotations; exec_config; max_total_steps;
     plateau_steps; max_bases_per_phase; concrete_device; replay;
-    collect_crashdumps; governor; checkpoint_every; checkpoint_path;
+    collect_crashdumps; checkpoint_every; checkpoint_path;
   }
-
-let workload_name = function
-  | W_initialize -> "initialize"
-  | W_query -> "query"
-  | W_set -> "set"
-  | W_send -> "send"
-  | W_play -> "play"
-  | W_stop -> "stop"
-  | W_timers -> "timers"
-  | W_interrupt -> "interrupt"
-  | W_reset -> "reset"
-  | W_halt -> "halt"

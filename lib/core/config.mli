@@ -41,9 +41,6 @@ type t = {
   (** re-execute a recorded failing path deterministically (§3.5) *)
   collect_crashdumps : bool;
   (** snapshot every crashed state as a WinDbg-style crash dump *)
-  governor : Governor.limits option;
-  (** resource-governor soft caps ({!Governor}); [None] (the default)
-      leaves only the engine's hard [max_states] cap *)
   checkpoint_every : int;
   (** checkpoint the whole session every N engine steps (0, the
       default, never checkpoints). Mid-run checkpoints need a quiescent
@@ -76,9 +73,6 @@ val make :
   ?concrete_device:int ->
   ?replay:Ddt_trace.Replay.script ->
   ?collect_crashdumps:bool ->
-  ?governor:Governor.limits ->
   ?checkpoint_every:int ->
   ?checkpoint_path:string ->
   unit -> t
-
-val workload_name : workload_item -> string

@@ -48,14 +48,8 @@ let pp_report fmt (r : Session.result) =
   if stats.Ddt_symexec.Exec.st_states_dropped > 0 then
     Format.fprintf fmt
       "warning: %d state(s) dropped at the engine's %d-state frontier cap \
-       — results may be incomplete (configure the governor to retire \
-       states before the cap)@."
+       — results may be incomplete@."
       stats.Ddt_symexec.Exec.st_states_dropped Ddt_symexec.Exec.max_states;
-  if stats.Ddt_symexec.Exec.st_soft_retired > 0 then
-    Format.fprintf fmt
-      "governor: %d state(s) concretized and retired under resource \
-       pressure (%d trip(s))@."
-      stats.Ddt_symexec.Exec.st_soft_retired r.Session.r_governor_trips;
   if r.Session.r_checkpoint_failures > 0 then
     Format.fprintf fmt
       "warning: %d checkpoint write(s) failed — an interrupted run could \

@@ -5,7 +5,11 @@
 
 module Report = Ddt_checkers.Report
 
-let schema_version = 6
+let schema_version = 7
+
+(* The standalone static report ([statics_to_string]) has not changed
+   since schema 6. *)
+let statics_schema_version = 6
 
 type bug_row = {
   jb_kind : string;
@@ -53,7 +57,6 @@ type summary = {
   j_finished_states : int;
   j_paths_to_first_bug : int option;
   j_states_dropped : int;
-  j_soft_retired : int;
   j_incidents : incident_row list;
   j_total_steps : int;
   (* schema 4: post-dominator state-merging counters (all 0 when merging
@@ -106,7 +109,6 @@ let of_result (r : Session.result) =
     j_finished_states = r.Session.r_finished_states;
     j_paths_to_first_bug = r.Session.r_paths_to_first_bug;
     j_states_dropped = r.Session.r_stats.Ddt_symexec.Exec.st_states_dropped;
-    j_soft_retired = r.Session.r_stats.Ddt_symexec.Exec.st_soft_retired;
     j_incidents =
       List.map
         (fun (i : Report.incident) ->
@@ -190,7 +192,6 @@ let to_string s =
         | None -> "null"
         | Some n -> string_of_int n));
       ("states_dropped", string_of_int s.j_states_dropped);
-      ("soft_retired", string_of_int s.j_soft_retired);
       ("incidents", jlist incident_row_json s.j_incidents);
       ("total_steps", string_of_int s.j_total_steps);
       ("merged_states", string_of_int s.j_merged_states);
@@ -371,7 +372,6 @@ let of_string str =
                  | J_null -> None
                  | v -> Some (as_int v));
               j_states_dropped = as_int (field "states_dropped" j);
-              j_soft_retired = as_int (field "soft_retired" j);
               j_incidents =
                 List.map incident_row_of (as_arr (field "incidents" j));
               j_total_steps = as_int (field "total_steps" j);
@@ -382,11 +382,11 @@ let of_string str =
             }
       with Bad _ -> None)
 
-(* Standalone static-analysis report: the static rows only, under the
-   same schema version (for [ddt_cli analyze --json]). *)
+(* Standalone static-analysis report: the static rows only (for
+   [ddt_cli analyze --json]). *)
 let statics_to_string ~driver (findings : Report.static_finding list) =
   jobj
-    [ ("schema", string_of_int schema_version);
+    [ ("schema", string_of_int statics_schema_version);
       ("driver", jstr driver);
       ("static",
        jlist static_row_json (List.map static_row_of_finding findings)) ]

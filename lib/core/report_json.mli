@@ -55,7 +55,6 @@ type summary = {
   j_finished_states : int;
   j_paths_to_first_bug : int option;
   j_states_dropped : int;      (** states shed at the hard max_states cap *)
-  j_soft_retired : int;        (** states the governor concretized and retired *)
   j_incidents : incident_row list;
   j_total_steps : int;         (** instructions executed *)
   j_merged_states : int;       (** states fused at post-dominators (schema 4) *)
@@ -75,7 +74,9 @@ val of_string : string -> summary option
 val statics_to_string :
   driver:string -> Ddt_checkers.Report.static_finding list -> string
 (** Standalone static-analysis report (for [ddt_cli analyze --json]):
-    the schema version, driver name and static rows only. *)
+    a schema version, driver name and static rows only. Its schema
+    version is 6: the static rows have not changed since, so it trails
+    {!schema_version}. *)
 
 val write_file : string -> summary -> (unit, string) result
 (** Serialize with {!to_string} and write atomically (tmp + rename): a

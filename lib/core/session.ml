@@ -44,9 +44,6 @@ type result = {
   r_incidents : Report.incident list;
   (** quarantined engine incidents (worker crashes, state faults, solver
       exhaustions), each with a replayable script *)
-  r_governor_trips : int;
-  (** times the resource governor asked for retirements (0 with no
-      governor configured) *)
   r_checkpoint_failures : int;
 }
 
@@ -84,7 +81,6 @@ type ctx = {
   x_device : Pci.assigned;
   x_exec_config : Exec.config;
   x_eng : Exec.engine;
-  x_governor : Governor.t option;
   x_sink : Report.sink;
   x_icfg : Icfg.t;
   x_hmu : Mutex.t;
@@ -125,16 +121,6 @@ let setup (cfg : Config.t) =
   in
   let eng = Exec.create ~config:exec_config loaded base_mem symdev in
   Option.iter (Exec.set_replay eng) cfg.Config.replay;
-  (* Resource governance: policy from the config's soft limits, enforced
-     by the engine's deterministic concretize-and-retire path. *)
-  let governor =
-    match cfg.Config.governor with
-    | None -> None
-    | Some limits ->
-        let gov = Governor.create limits in
-        Exec.set_governor eng (Governor.decide gov);
-        Some gov
-  in
   let sink = Report.create_sink () in
   let driver = cfg.Config.driver_name in
   (* Static pre-analysis: always built (it is cheap and pure) for the
@@ -220,8 +206,7 @@ let setup (cfg : Config.t) =
   Exec.set_kcall_hooks eng
     ~enter:(fun st name mach ->
       Ddt_checkers.Lockcheck.on_kcall_enter lockcheck st name mach;
-      Ddt_checkers.Apicheck.on_kcall_enter apicheck st name mach)
-    ~leave:(fun _ _ _ -> ());
+      Ddt_checkers.Apicheck.on_kcall_enter apicheck st name mach);
   (* Annotations (§3.4): off for the ablation experiment. *)
   if cfg.Config.use_annotations then begin
     let set = cfg.Config.annotations in
@@ -244,7 +229,7 @@ let setup (cfg : Config.t) =
   {
     x_cfg = cfg; x_t0 = t0; x_loaded = loaded; x_device = device;
     x_exec_config = exec_config;
-    x_eng = eng; x_governor = governor; x_sink = sink; x_icfg = icfg;
+    x_eng = eng; x_sink = sink; x_icfg = icfg;
     x_hmu = hmu;
     x_finished_count = finished_count; x_crashdumps = crashdumps;
     x_first_bug_paths = first_bug_paths; x_coverage = coverage;
@@ -254,8 +239,9 @@ let setup (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-(* 9: the query cache is one table, not shards. *)
-let checkpoint_version = 9
+(* 10: no kernel-event listeners in Kstate, no Unsat subset index in
+   the query cache, no governor counters in the engine image. *)
+let checkpoint_version = 10
 
 (* A checkpoint is one self-contained marshal image of every piece of
    session progress: the engine image (queues, merge pool, guard,
@@ -320,11 +306,15 @@ let checkpointable ctx =
 
 let install_checkpointing ctx =
   if checkpointable ctx then begin
-    let cadence = Governor.cadence ctx.x_cfg.Config.checkpoint_every in
+    let every = ctx.x_cfg.Config.checkpoint_every in
     let path = default_checkpoint_path ctx.x_cfg in
+    (* The hook fires at every quiescent pick boundary; a checkpoint is
+       due once [every] engine steps have passed since the last one. *)
+    let last = ref 0 in
     Exec.set_checkpoint_hook ctx.x_eng (fun () ->
-        if Governor.checkpoint_due cadence ~now:(Exec.steps_now ctx.x_eng)
-        then
+        let now = Exec.steps_now ctx.x_eng in
+        if now - !last >= every then begin
+          last := now;
           (* Durability is best-effort: a full disk or unwritable path
              costs the checkpoint, never the run. [Blob.write_file]
              already guarantees the previous checkpoint survives a
@@ -337,7 +327,8 @@ let install_checkpointing ctx =
                 Printf.eprintf
                   "checkpoint: cannot write %s: %s (later failures are \
                    counted, not printed)\n%!"
-                  path e)
+                  path e
+        end)
   end
 
 (* {2 Phases} *)
@@ -490,8 +481,6 @@ let finalize ctx =
     r_static = statics;
     r_paths_to_first_bug = !(ctx.x_first_bug_paths);
     r_incidents = Exec.incidents eng;
-    r_governor_trips =
-      (match ctx.x_governor with Some g -> Governor.trips g | None -> 0);
     r_checkpoint_failures = !(ctx.x_ckpt_failures);
   }
 

@@ -42,9 +42,6 @@ type result = {
   (** quarantined engine incidents ([Ddt_symexec.Guard]): worker
       crashes, state faults, solver budget exhaustions — each with a
       replayable script, kept apart from [r_bugs] *)
-  r_governor_trips : int;
-  (** times the resource governor ({!Governor}) requested retirements;
-      0 when [Config.governor] is [None] *)
   r_checkpoint_failures : int;
   (** checkpoint writes that failed (see Durability below); the
       first failure is also reported on stderr *)

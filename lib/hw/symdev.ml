@@ -107,8 +107,3 @@ let concrete_mmio t mode =
            mmio_read = (fun _off -> next ());
            mmio_write = (fun _off _v -> ()) })
        t.bars)
-
-let pci_shell ~vendor ~device ?(revision = 1) ?(bar_sizes = [ 0x1000 ])
-    ?(irq = 9) () =
-  { Pci.vendor_id = vendor; device_id = device; revision; bar_sizes;
-    irq_line = irq }

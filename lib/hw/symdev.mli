@@ -47,9 +47,3 @@ type concrete_mode =
 
 val concrete_mmio : t -> concrete_mode -> Ddt_dvm.Mem.mmio list
 (** One MMIO region per BAR. Writes are discarded in every mode. *)
-
-val pci_shell :
-  vendor:int -> device:int -> ?revision:int -> ?bar_sizes:int list ->
-  ?irq:int -> unit -> Ddt_kernel.Pci.descriptor
-(** The fake-device "shell" of §4.2: a descriptor with vendor/device IDs
-    and resource sizes, and no behavior behind it. *)

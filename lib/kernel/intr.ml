@@ -14,7 +14,6 @@ let begin_isr ks =
         let saved = Kstate.irql ks in
         Kstate.set_irql ks Kstate.device_level;
         Kstate.set_in_isr ks true;
-        Kstate.emit ks (Kstate.Ev_interrupt "isr");
         Some ({ call_addr = addr; call_args = [ isr_ctx ks ] }, saved)
 
 let after_isr ks ~saved_irql ~isr_ret =
@@ -28,7 +27,6 @@ let after_isr ks ~saved_irql ~isr_ret =
     | Some addr ->
         Kstate.set_irql ks Kstate.dispatch_level;
         Kstate.set_in_dpc ks true;
-        Kstate.emit ks (Kstate.Ev_interrupt "dpc");
         Some { call_addr = addr; call_args = [ Kstate.driver_ctx ks ] }
     | None -> None
   else None
@@ -46,7 +44,6 @@ let begin_timer ks addr =
       let saved = Kstate.irql ks in
       Kstate.set_irql ks Kstate.dispatch_level;
       Kstate.set_in_dpc ks true;
-      Kstate.emit ks (Kstate.Ev_interrupt "timer");
       Some
         ({ call_addr = tm.Kstate.t_func; call_args = [ tm.Kstate.t_ctx ] },
          saved)

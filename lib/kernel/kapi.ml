@@ -5,16 +5,11 @@ let table : (string, impl) Hashtbl.t = Hashtbl.create 64
 let register name impl = Hashtbl.replace table name impl
 let find name = Hashtbl.find_opt table name
 
-let registered_names () =
-  Hashtbl.fold (fun k _ acc -> k :: acc) table [] |> List.sort compare
-
 let call ?(pre = fun _ _ _ -> ()) ?(post = fun _ _ _ -> ()) ks mach name =
   match find name with
   | None -> failwith (Printf.sprintf "driver imports unknown kernel API %S" name)
   | Some impl ->
       Kstate.bump_kcall ks;
-      Kstate.emit ks (Kstate.Ev_kcall_enter (name, mach.Mach.cur_pc ()));
       pre name ks mach;
       impl ks mach;
-      post name ks mach;
-      Kstate.emit ks (Kstate.Ev_kcall_leave name)
+      post name ks mach

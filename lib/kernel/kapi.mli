@@ -2,15 +2,14 @@
 
     Driver [Kcall]s land here by import name. Implementations are
     registered once per process (they are stateless; all mutable state
-    lives in {!Kstate}). The [call] wrapper emits the kcall events and
-    runs the annotation hooks the caller supplies — DDT's interface
+    lives in {!Kstate}). The [call] wrapper counts the call and runs
+    the annotation hooks the caller supplies — DDT's interface
     annotations (§3.4) attach at exactly these two points. *)
 
 type impl = Kstate.t -> Mach.t -> unit
 
 val register : string -> impl -> unit
 val find : string -> impl option
-val registered_names : unit -> string list
 
 val call :
   ?pre:(string -> Kstate.t -> Mach.t -> unit) ->

@@ -53,21 +53,6 @@ type timer = {
   mutable t_periodic : bool;
 }
 
-type event =
-  | Ev_kcall_enter of string * int
-  | Ev_kcall_leave of string
-  | Ev_alloc of alloc
-  | Ev_free of alloc
-  | Ev_grant of region
-  | Ev_revoke of region
-  | Ev_lock_acquire of int * bool
-  | Ev_lock_release of int * bool
-  | Ev_irql_set of int * int
-  | Ev_entry_enter of string
-  | Ev_entry_leave of string * int
-  | Ev_interrupt of string
-  | Ev_timer_set of int
-
 type t = {
   dev : Pci.assigned;
   mutable registry : (string * int) list;
@@ -83,14 +68,10 @@ type t = {
   entry_points : (string, int) Hashtbl.t;
   mutable drv_ctx : int;
   mutable isr_reg : bool;
-  mutable ints_masked : bool;
   mutable invocation_counter : int;
   mutable region_list : region list;
   mutable kcalls : int;
-  listeners : listener list ref;
 }
-
-and listener = t -> event -> unit
 
 let create ?(registry = []) ~device () =
   {
@@ -108,11 +89,9 @@ let create ?(registry = []) ~device () =
     entry_points = Hashtbl.create 8;
     drv_ctx = 0;
     isr_reg = false;
-    ints_masked = false;
     invocation_counter = 0;
     region_list = [];
     kcalls = 0;
-    listeners = ref [];
   }
 
 let copy t =
@@ -131,17 +110,11 @@ let copy t =
     region_list = t.region_list;
   }
 
-let add_listener t f = t.listeners := f :: !(t.listeners)
-let emit t ev = List.iter (fun f -> f t ev) !(t.listeners)
-
 let device t = t.dev
 let registry_find t name = List.assoc_opt name t.registry
 let irql t = t.cur_irql
 
-let set_irql t v =
-  let old = t.cur_irql in
-  t.cur_irql <- v;
-  if old <> v then emit t (Ev_irql_set (old, v))
+let set_irql t v = t.cur_irql <- v
 
 let in_dpc t = t.dpc_flag
 let set_in_dpc t v = t.dpc_flag <- v
@@ -154,28 +127,21 @@ let driver_ctx t = t.drv_ctx
 let set_driver_ctx t v = t.drv_ctx <- v
 let isr_registered t = t.isr_reg
 let set_isr_registered t v = t.isr_reg <- v
-let interrupts_masked t = t.ints_masked
-let set_interrupts_masked t v = t.ints_masked <- v
 
-let begin_invocation t name =
-  t.invocation_counter <- t.invocation_counter + 1;
-  emit t (Ev_entry_enter name)
+let begin_invocation t =
+  t.invocation_counter <- t.invocation_counter + 1
 
-let end_invocation t name ret = emit t (Ev_entry_leave (name, ret))
 let invocation t = t.invocation_counter
 
 (* --- allocation ------------------------------------------------------- *)
 
-let grant t r =
-  t.region_list <- r :: t.region_list;
-  emit t (Ev_grant r)
+let grant t r = t.region_list <- r :: t.region_list
 
 let revoke_at t start =
   match List.find_opt (fun r -> r.r_start = start) t.region_list with
   | None -> ()
   | Some r ->
-      t.region_list <- List.filter (fun r' -> r' != r) t.region_list;
-      emit t (Ev_revoke r)
+      t.region_list <- List.filter (fun r' -> r' != r) t.region_list
 
 let regions t = t.region_list
 
@@ -199,7 +165,6 @@ let heap_alloc t ~size ~kind ~tag =
   grant t
     { r_start = addr; r_size = size; r_writable = true;
       r_note = string_of_alloc_kind kind };
-  emit t (Ev_alloc a);
   a
 
 let scratch_alloc t ~size ~note =
@@ -216,7 +181,6 @@ let handle_alloc t ~kind ~tag =
       a_tag = tag; a_invocation = t.invocation_counter; a_freed = false }
   in
   Hashtbl.replace t.allocs a.a_id a;
-  emit t (Ev_alloc a);
   a
 
 let handle_of_alloc a = Ddt_dvm.Layout.kernel_base + (a.a_id * 16)
@@ -235,8 +199,7 @@ let alloc_of_addr t addr =
 
 let free_alloc t a =
   a.a_freed <- true;
-  if a.a_addr <> 0 then revoke_at t a.a_addr;
-  emit t (Ev_free a)
+  if a.a_addr <> 0 then revoke_at t a.a_addr
 
 let live_allocs t =
   Hashtbl.fold (fun _ a acc -> if a.a_freed then acc else a :: acc) t.allocs []
@@ -276,8 +239,7 @@ let acquire_lock t addr ~dpr =
   if not dpr then begin
     l.l_old_irql <- t.cur_irql;
     set_irql t dispatch_level
-  end;
-  emit t (Ev_lock_acquire (addr, dpr))
+  end
 
 let release_lock t addr ~dpr =
   match lock_at t addr with
@@ -286,7 +248,6 @@ let release_lock t addr ~dpr =
         "release of spinlock 0x%x which is not held" addr
   | Some l ->
       l.l_held <- false;
-      emit t (Ev_lock_release (addr, dpr));
       if not dpr then
         (* Restores whatever IRQL the matching acquire saved — if the lock
            was acquired with the Dpr variant this restores a stale value,
@@ -313,8 +274,7 @@ let set_timer t ~addr ~periodic =
         "NdisMSetTimer on uninitialized timer object 0x%x" addr
   | Some tm ->
       tm.t_armed <- true;
-      tm.t_periodic <- periodic;
-      emit t (Ev_timer_set addr)
+      tm.t_periodic <- periodic
 
 let cancel_timer t ~addr =
   match timer_at t addr with

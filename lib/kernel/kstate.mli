@@ -6,10 +6,8 @@
     device, and pending deferred work. The whole record is deep-copyable
     because the symbolic engine forks complete system states (§4.1.2 of
     the paper — "each execution state consists conceptually of a complete
-    system snapshot").
-
-    Kernel activity is broadcast as {!event}s; dynamic checkers subscribe
-    through the (shared, not forked) listener list. Per-path checker
+    system snapshot"). Dynamic checkers observe the driver at the
+    kernel-API boundary (the engine's kcall hooks); per-path checker
     bookkeeping lives inside this record so it forks with the path. *)
 
 (** {1 IRQLs} *)
@@ -63,26 +61,7 @@ type timer = {
   mutable t_periodic : bool;
 }
 
-(** {1 Events} *)
-
-type event =
-  | Ev_kcall_enter of string * int      (** API name, pc *)
-  | Ev_kcall_leave of string
-  | Ev_alloc of alloc
-  | Ev_free of alloc
-  | Ev_grant of region
-  | Ev_revoke of region
-  | Ev_lock_acquire of int * bool       (** lock address, dpr variant *)
-  | Ev_lock_release of int * bool
-  | Ev_irql_set of int * int            (** old, new *)
-  | Ev_entry_enter of string
-  | Ev_entry_leave of string * int      (** name, return value *)
-  | Ev_interrupt of string              (** "isr" / "dpc" / "timer" *)
-  | Ev_timer_set of int
-
 type t
-
-type listener = t -> event -> unit
 
 (** {1 Construction and forking} *)
 
@@ -90,10 +69,7 @@ val create :
   ?registry:(string * int) list -> device:Pci.assigned -> unit -> t
 
 val copy : t -> t
-(** Deep copy; the listener list is shared between copies. *)
-
-val add_listener : t -> listener -> unit
-val emit : t -> event -> unit
+(** Deep copy. *)
 
 (** {1 Accessors used across the kernel and the engines} *)
 
@@ -112,18 +88,17 @@ val driver_ctx : t -> int
 val set_driver_ctx : t -> int -> unit
 val isr_registered : t -> bool
 val set_isr_registered : t -> bool -> unit
-val interrupts_masked : t -> bool
-val set_interrupts_masked : t -> bool -> unit
+val begin_invocation : t -> unit
+(** Start the next entry-point invocation (see {!alloc}'s
+    [a_invocation]). *)
 
-val begin_invocation : t -> string -> unit
-val end_invocation : t -> string -> int -> unit
 val invocation : t -> int
 
 (** {1 Allocation and region tracking} *)
 
 val heap_alloc : t -> size:int -> kind:alloc_kind -> tag:int -> alloc
-(** Bump-allocates driver-accessible memory, grants the region, records
-    the resource, emits events. *)
+(** Bump-allocates driver-accessible memory, grants the region and
+    records the resource. *)
 
 val scratch_alloc : t -> size:int -> note:string -> int
 (** Bump-allocate and grant a region {e without} recording a driver-owned

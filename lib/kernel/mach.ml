@@ -16,7 +16,6 @@ type t = {
   assume : Ddt_solver.Expr.t -> unit;
   fork : (string * (t -> unit)) list -> unit;
   discard : string -> unit;
-  cur_pc : unit -> int;
   kstate : unit -> Kstate.t;
 }
 

@@ -42,7 +42,6 @@ type t = {
       normally on the symbolic engine *)
   discard : string -> unit;
   (** kill the current path (DDT's [ddt_discard_state]) *)
-  cur_pc : unit -> int;
   kstate : unit -> Kstate.t;
   (** the kernel state of the path this machine is bound to — fork
       alternative callbacks receive a machine bound to the forked path,

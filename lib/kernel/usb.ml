@@ -10,9 +10,6 @@ let default_descriptor =
   { u_vendor = 0x0BDA; u_product = 0x8150; u_class = 0xFF; u_max_packet = 64;
     u_num_endpoints = 3 }
 
-let current = ref default_descriptor
-let set_descriptor d = current := d
-
 let descriptor_bytes d =
   [| 18;                        (* bLength *)
      1;                         (* bDescriptorType: DEVICE *)
@@ -33,7 +30,7 @@ let status_stall = 1
 let usb_get_device_descriptor _ks (m : Mach.t) =
   let buf = m.Mach.arg 0 in
   let len = m.Mach.arg 1 in
-  let bytes = descriptor_bytes !current in
+  let bytes = descriptor_bytes default_descriptor in
   let n = min len (Array.length bytes) in
   for i = 0 to n - 1 do
     m.Mach.write_u8 (buf + i) bytes.(i)

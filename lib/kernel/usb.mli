@@ -28,10 +28,7 @@ type descriptor = {
 }
 
 val default_descriptor : descriptor
-
-val set_descriptor : descriptor -> unit
-(** The descriptor the next enumeration returns (process-wide, like the
-    bus). *)
+(** The descriptor every enumeration returns. *)
 
 val descriptor_bytes : descriptor -> int array
 (** The 18-byte standard device descriptor. *)

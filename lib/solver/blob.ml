@@ -1,5 +1,5 @@
 (* Checksummed binary containers for everything the durability layer
-   puts on disk: state snapshots and session checkpoints.
+   puts on disk: session checkpoints.
 
    The format is deliberately dumb — magic, format version, payload
    length, CRC-32, Marshal payload — because the safety property lives

@@ -1,7 +1,7 @@
 (** Checksummed binary containers for on-disk durability artifacts.
 
-    Every file the durability layer writes — state snapshots and session
-    checkpoints — is a [Blob]: a small header (magic, format version,
+    Every file the durability layer writes — a session checkpoint — is a
+    [Blob]: a small header (magic, format version,
     payload length, CRC-32) followed by a [Marshal] payload, written via
     tmp file + atomic rename. The reader is total: truncation,
     corruption, version skew and unreadable files all come back as

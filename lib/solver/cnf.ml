@@ -52,9 +52,6 @@ let g_xor t a b =
     o
   end
 
-let g_and_list t = List.fold_left (g_and t) lit_true
-let g_or_list t = List.fold_left (g_or t) lit_false
-
 let g_ite t c a b =
   if c = lit_true then a
   else if c = lit_false then b
@@ -76,7 +73,3 @@ let g_maj t a b c =
 
 let assert_lit t l = add_clause t [ l ]
 let assert_implies t a b = add_clause t [ -a; b ]
-
-let assert_eq t a b =
-  add_clause t [ -a; b ];
-  add_clause t [ a; -b ]

@@ -21,11 +21,8 @@ val lit_false : int
 val g_and : t -> int -> int -> int
 val g_or : t -> int -> int -> int
 val g_xor : t -> int -> int -> int
-val g_and_list : t -> int list -> int
-val g_or_list : t -> int list -> int
 val g_ite : t -> int -> int -> int -> int   (** [g_ite c a b] = if c then a else b *)
 val g_maj : t -> int -> int -> int -> int   (** majority of three, for adder carries *)
 
 val assert_lit : t -> int -> unit
 val assert_implies : t -> int -> int -> unit   (** add clause [(-a) \/ b] *)
-val assert_eq : t -> int -> int -> unit        (** a <-> b *)

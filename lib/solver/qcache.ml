@@ -3,7 +3,6 @@ type model = Expr.var -> int
 type outcome =
   | Exact_sat of model
   | Exact_unsat
-  | Subset_unsat
   | Reuse_sat of model
   | Miss
 
@@ -33,43 +32,27 @@ end
 
 module KH = Hashtbl.Make (Key)
 
-module EH = Hashtbl.Make (struct
-  type t = Expr.t
-
-  let equal = Expr.equal
-  let hash = Hashtbl.hash
-end)
-
 type verdict = V_sat of (Expr.var * int) list | V_unsat
 (* V_sat pairs are in renamed space. *)
 
 type entry = {
-  e_id : int;
   e_key : Key.t;             (* renamed canonical key (the table key) *)
   e_orig : Expr.t list;      (* the first storer's original canonical key *)
   e_domain : int;            (* domain that stored the entry *)
   e_verdict : verdict;
-  e_size : int;
   mutable e_last_use : int;
 }
 
 (* The cache state proper, kept apart from its lock so a checkpoint can
-   marshal it: entries, the subset index, the model-reuse list, the LRU
-   clock and the eviction count. *)
+   marshal it: entries, the model-reuse list, the LRU clock and the
+   eviction count. *)
 type state = {
   table : entry KH.t;
-  unsat_index : entry list ref EH.t;
-      (* ORIGINAL constraint -> Unsat entries containing it, for subset
-         proofs. The index stays in original space: a subset of a renamed
-         query is generally renamed differently than the same subset
-         renamed standalone, so indexing renamed constraints would lose
-         the structural-subset hits the old cache had. *)
   mutable models : (int * int array) list;
       (* (owner domain, renamed-space model), newest first; a model is
          an array of values indexed by renamed variable id, built once
          when stored rather than per reuse probe *)
   mutable tick : int;
-  mutable next_id : int;
   mutable evicted : int;
 }
 
@@ -87,10 +70,8 @@ let create () =
     st =
       {
         table = KH.create 256;
-        unsat_index = EH.create 256;
         models = [];
         tick = 0;
-        next_id = 0;
         evicted = 0;
       };
   }
@@ -281,16 +262,6 @@ let model_of_pairs p pairs =
 
 let self_domain () = (Domain.self () :> int)
 
-let unindex st e =
-  List.iter
-    (fun c ->
-      match EH.find_opt st.unsat_index c with
-      | None -> ()
-      | Some r ->
-          r := List.filter (fun e' -> e'.e_id <> e.e_id) !r;
-          if !r = [] then EH.remove st.unsat_index c)
-    e.e_orig
-
 (* Batch LRU eviction: drop the least recently used entries down to 3/4
    of capacity, so the O(n log n) sort amortizes over many inserts. *)
 let maybe_evict st =
@@ -305,43 +276,10 @@ let maybe_evict st =
         if !drop > 0 then begin
           decr drop;
           KH.remove st.table e.e_key;
-          (match e.e_verdict with V_unsat -> unindex st e | V_sat _ -> ());
           st.evicted <- st.evicted + 1
         end)
       sorted
   end
-
-(* Subset rule: an Unsat entry all of whose (original) constraints occur
-   in the query proves the query Unsat. Count, per candidate entry, how
-   many of the query's constraints it contains. *)
-let subset_winner st p_key =
-  let hits = Hashtbl.create 8 in
-  let winner = ref None in
-  let found =
-    List.exists
-      (fun c ->
-        match EH.find_opt st.unsat_index c with
-        | None -> false
-        | Some entries ->
-            List.exists
-              (fun e ->
-                let n =
-                  1
-                  + (match Hashtbl.find_opt hits e.e_id with
-                     | Some n -> n
-                     | None -> 0)
-                in
-                Hashtbl.replace hits e.e_id n;
-                if n = e.e_size then begin
-                  e.e_last_use <- st.tick;
-                  winner := Some e;
-                  true
-                end
-                else false)
-              !entries)
-      p_key
-  in
-  if found then !winner else None
 
 let lookup_locked st p =
   st.tick <- st.tick + 1;
@@ -354,29 +292,21 @@ let lookup_locked st p =
       match e.e_verdict with
       | V_sat pairs -> (Exact_sat (model_of_pairs p pairs), info)
       | V_unsat -> (Exact_unsat, info))
-  | None -> (
-      (* An empty Unsat index cannot prove a subset. *)
-      match
-        if EH.length st.unsat_index = 0 then None
-        else subset_winner st p.p_key
-      with
-      | Some e ->
-          (Subset_unsat, { i_renamed = false; i_owner = e.e_domain })
-      | None ->
-          (* Superset rule: re-check recent models by evaluation — against
-             the renamed query, so a model minted for a differently-named
-             twin still applies; any assignment that verifies is genuine. *)
-          let rec try_models = function
-            | [] -> (Miss, no_info)
-            | (owner, a) :: rest ->
-                let renv = env_of_array a in
-                if List.for_all (fun c -> Expr.eval renv c = 1) p.p_rkey.Key.k_terms
-                then
-                  (Reuse_sat (orig_env p renv),
-                   { i_renamed = false; i_owner = owner })
-                else try_models rest
-          in
-          try_models st.models)
+  | None ->
+      (* Superset rule: re-check recent models by evaluation — against
+         the renamed query, so a model minted for a differently-named
+         twin still applies; any assignment that verifies is genuine. *)
+      let rec try_models = function
+        | [] -> (Miss, no_info)
+        | (owner, a) :: rest ->
+            let renv = env_of_array a in
+            if List.for_all (fun c -> Expr.eval renv c = 1) p.p_rkey.Key.k_terms
+            then
+              (Reuse_sat (orig_env p renv),
+               { i_renamed = false; i_owner = owner })
+            else try_models rest
+      in
+      try_models st.models
 
 let locked t f = Mutex.protect t.mu (fun () -> f t.st)
 
@@ -390,20 +320,14 @@ let rec take n = function
 
 let add_entry st p verdict =
   st.tick <- st.tick + 1;
-  st.next_id <- st.next_id + 1;
-  let e =
+  KH.replace st.table p.p_rkey
     {
-      e_id = st.next_id;
       e_key = p.p_rkey;
       e_orig = p.p_key;
       e_domain = self_domain ();
       e_verdict = verdict;
-      e_size = List.length p.p_key;
       e_last_use = st.tick;
     }
-  in
-  KH.replace st.table p.p_rkey e;
-  e
 
 let store_sat t p m =
   if p.p_key <> [] then begin
@@ -418,7 +342,7 @@ let store_sat t p m =
     in
     locked t (fun st ->
         if not (KH.mem st.table p.p_rkey) then begin
-          ignore (add_entry st p (V_sat pairs));
+          add_entry st p (V_sat pairs);
           st.models <-
             (self_domain (), array_of_pairs pairs)
             :: take (model_reuse - 1) st.models;
@@ -430,13 +354,7 @@ let store_unsat t p =
   if p.p_key <> [] then
     locked t (fun st ->
         if not (KH.mem st.table p.p_rkey) then begin
-          let e = add_entry st p V_unsat in
-          List.iter
-            (fun c ->
-              match EH.find_opt st.unsat_index c with
-              | Some r -> r := e :: !r
-              | None -> EH.replace st.unsat_index c (ref [ e ]))
-            p.p_key;
+          add_entry st p V_unsat;
           maybe_evict st
         end)
 
@@ -478,9 +396,7 @@ end
    concretizations — and therefore its exploration — could diverge.
    The dump aliases the live tables, so it must be serialized (or
    dropped) before any further solver activity; checkpoints are taken
-   at quiescent points, where that holds. Entry identity (table vs
-   unsat index) survives the Marshal round-trip, so LRU updates after an
-   import keep touching one object per entry, as in the original run. *)
+   at quiescent points, where that holds. *)
 type dump = state
 
 let dump t = locked t Fun.id

@@ -6,15 +6,12 @@
     renumbered in first-occurrence order with names erased, so
     structurally identical queries from different states or workers share
     one entry; stored models are translated back through the rename.
-    Beyond exact hits, the cache applies the two subset/superset rules of
-    counterexample caching:
-
-    - a cached {e Unsat} set that is a subset of the query (in original,
-      un-renamed space — a renamed subset generally renumbers differently
-      than the same subset inside a larger query) proves the query Unsat;
-    - a cached {e Sat} model is re-checked against the renamed query by
-      concrete evaluation — a cheap [Expr.eval] pass instead of a
-      bit-blast — and reused on success.
+    Beyond exact hits, the cache applies the superset rule of
+    counterexample caching: a cached {e Sat} model is re-checked against
+    the renamed query by concrete evaluation — a cheap [Expr.eval] pass
+    instead of a bit-blast — and reused on success. The subset rule (a
+    cached Unsat set inside the query proves it Unsat) is left out: it
+    never hit on the driver corpus.
 
     The store is bounded: past 4096 entries the least recently used
     quarter is evicted. A lookup re-tries the 12 most recent models. One
@@ -32,7 +29,6 @@ type outcome =
   | Exact_sat of model
       (** same canonical set (up to renaming) seen before *)
   | Exact_unsat
-  | Subset_unsat  (** a cached Unsat set is a subset of the query *)
   | Reuse_sat of model
       (** a cached model satisfies the query (verified by evaluation);
           variables outside the model read as 0 *)
@@ -90,7 +86,7 @@ type verdict = V_sat of (Expr.var * int) list | V_unsat
 
 type pentry = {
   pe_key : Expr.t list;   (** renamed canonical key (process-independent) *)
-  pe_orig : Expr.t list;  (** original-space key, feeds the subset index *)
+  pe_orig : Expr.t list;  (** the first storer's original-space key *)
   pe_verdict : verdict;
 }
 (** The process-independent projection of a cache entry. Contains no
@@ -109,9 +105,8 @@ end
 (** {1 Checkpointing} *)
 
 type dump
-(** The complete cache state as marshal-safe data — entries, the subset
-    index, the model-reuse list in order, the LRU clock and the eviction
-    count — so a resumed run replays the killed run's lookup outcomes
+(** The complete cache state as marshal-safe data — entries, the
+    model-reuse list in order, the LRU clock and the eviction count — so a resumed run replays the killed run's lookup outcomes
     exactly. The dump aliases live tables: serialize it before any
     further solver activity. *)
 

@@ -57,7 +57,6 @@ type stats = {
   s_queries : int;
   s_group_solves : int;
   s_cache_exact_hits : int;
-  s_cache_subset_unsat_hits : int;
   s_cache_model_reuse_hits : int;
   s_cache_misses : int;
   s_cache_renamed_hits : int;
@@ -76,7 +75,6 @@ type counters = {
   c_queries : int Atomic.t;
   c_group_solves : int Atomic.t;
   c_exact_hits : int Atomic.t;
-  c_subset_unsat_hits : int Atomic.t;
   c_model_reuse_hits : int Atomic.t;
   c_misses : int Atomic.t;
   c_renamed_hits : int Atomic.t;
@@ -90,8 +88,8 @@ type counters = {
 
 let cnt =
   { c_queries = Atomic.make 0; c_group_solves = Atomic.make 0;
-    c_exact_hits = Atomic.make 0; c_subset_unsat_hits = Atomic.make 0;
-    c_model_reuse_hits = Atomic.make 0; c_misses = Atomic.make 0;
+    c_exact_hits = Atomic.make 0; c_model_reuse_hits = Atomic.make 0;
+    c_misses = Atomic.make 0;
     c_renamed_hits = Atomic.make 0; c_cross_worker_hits = Atomic.make 0;
     c_interval_solves = Atomic.make 0; c_bitblast_solves = Atomic.make 0;
     c_exhaustions = Atomic.make 0; c_retries = Atomic.make 0;
@@ -102,7 +100,6 @@ let stats () =
     s_queries = Atomic.get cnt.c_queries;
     s_group_solves = Atomic.get cnt.c_group_solves;
     s_cache_exact_hits = Atomic.get cnt.c_exact_hits;
-    s_cache_subset_unsat_hits = Atomic.get cnt.c_subset_unsat_hits;
     s_cache_model_reuse_hits = Atomic.get cnt.c_model_reuse_hits;
     s_cache_misses = Atomic.get cnt.c_misses;
     s_cache_renamed_hits = Atomic.get cnt.c_renamed_hits;
@@ -120,8 +117,6 @@ let diff_stats (b : stats) (a : stats) =
     s_queries = b.s_queries - a.s_queries;
     s_group_solves = b.s_group_solves - a.s_group_solves;
     s_cache_exact_hits = b.s_cache_exact_hits - a.s_cache_exact_hits;
-    s_cache_subset_unsat_hits =
-      b.s_cache_subset_unsat_hits - a.s_cache_subset_unsat_hits;
     s_cache_model_reuse_hits =
       b.s_cache_model_reuse_hits - a.s_cache_model_reuse_hits;
     s_cache_misses = b.s_cache_misses - a.s_cache_misses;
@@ -137,8 +132,7 @@ let diff_stats (b : stats) (a : stats) =
   }
 
 let cache_hits s =
-  s.s_cache_exact_hits + s.s_cache_subset_unsat_hits
-  + s.s_cache_model_reuse_hits
+  s.s_cache_exact_hits + s.s_cache_model_reuse_hits
 
 let cache_hit_rate s =
   let hits = cache_hits s in
@@ -205,9 +199,6 @@ let note_outcome ((outcome : Qcache.outcome), info) =
   | Qcache.Exact_sat _ | Qcache.Exact_unsat ->
       Atomic.incr cnt.c_exact_hits;
       note_hit_info info
-  | Qcache.Subset_unsat ->
-      Atomic.incr cnt.c_subset_unsat_hits;
-      note_hit_info info
   | Qcache.Reuse_sat _ ->
       Atomic.incr cnt.c_model_reuse_hits;
       note_hit_info info
@@ -236,7 +227,7 @@ let solve_with_retry c q group =
       let v =
         match Qcache.lookup c q with
         | Qcache.Exact_sat m, _ | Qcache.Reuse_sat m, _ -> Sat m
-        | Qcache.Exact_unsat, _ | Qcache.Subset_unsat, _ -> Unsat
+        | Qcache.Exact_unsat, _ -> Unsat
         | Qcache.Miss, _ -> core_solve ~budget:escalated_conflicts group
       in
       (match v with
@@ -310,7 +301,7 @@ let solve_group group =
   note_outcome found;
   match outcome with
   | Qcache.Exact_sat m | Qcache.Reuse_sat m -> Sat m
-  | Qcache.Exact_unsat | Qcache.Subset_unsat -> Unsat
+  | Qcache.Exact_unsat -> Unsat
   | Qcache.Miss -> solve_miss c q group
 
 (* Each path condition's independence partition, memoized per domain by

@@ -9,8 +9,8 @@
       variable-disjoint groups solved separately, with the per-group
       models unioned;
     + per-group query cache ({!Qcache}) — canonicalized groups hit stored
-      Sat models / Unsat verdicts, including counterexample-cache
-      subset/superset reasoning;
+      Sat models / Unsat verdicts, and a cached model that satisfies the
+      group is reused (the counterexample cache's superset rule);
     + interval inference — sound contradiction detection and cheap
       candidate models verified by concrete evaluation;
     + bit-blasting to CNF and DPLL search.
@@ -139,7 +139,6 @@ type stats = {
   (** per-group solves after slicing; a {!feasible} query counts only
       the groups of its slice *)
   s_cache_exact_hits : int;
-  s_cache_subset_unsat_hits : int;  (** Unsat proved by a cached subset *)
   s_cache_model_reuse_hits : int;   (** Sat via a re-checked cached model *)
   s_cache_misses : int;
   s_cache_renamed_hits : int;

@@ -72,15 +72,6 @@ type mem_access = {
   ma_sp : int;
 }
 
-(* The resource picture the governor is shown (see [set_governor]): the
-   engine samples it every 64 picks alongside the existing live-words
-   accounting, so governance costs nothing measurable on the hot path. *)
-type pressure = {
-  pr_live_states : int;
-  pr_cow_depth : int;
-  pr_live_words : int;
-}
-
 type engine = {
   cfg : config;
   base_mem : Mem.t;
@@ -117,7 +108,6 @@ type engine = {
   mutable annot_pre : string -> Kstate.t -> Mach.t -> unit;
   mutable annot_post : string -> Kstate.t -> Mach.t -> unit;
   mutable kcall_enter : St.t -> string -> Mach.t -> unit;
-  mutable kcall_leave : St.t -> string -> Mach.t -> unit;
   mutable replay : Replay.script option;
   pool : Merge.t;
   (* merge-token pool: parked arms, per-branch merge history, counters *)
@@ -126,11 +116,8 @@ type engine = {
      nothing, so no token ever opens; the session installs the
      post-dominator map ({!Ddt_staticx.Pdom}) when [cfg.state_merging]. *)
   guard_st : Guard.t;
-  soft_retired : int Atomic.t;
   rehomed : int Atomic.t;
   (* states rescued from a dead worker's queue by the reaper *)
-  mutable governor : (pressure -> int) option;
-  (* returns how many queued states to concretize-and-retire now *)
   mutable checkpoint_hook : (unit -> unit) option;
   (* called by worker 0 at pick boundaries (only when [jobs = 1], the
      one configuration where a pick boundary is a quiescent point); the
@@ -138,8 +125,6 @@ type engine = {
   mutable run_start_steps : int;
   (* [run]'s budget baseline ([total_steps] at entry); persisted in
      checkpoints so a resumed run charges the same budget window *)
-  priority_fn : St.t -> int;
-  (* the frontier's priority function, kept for governor victim ranking *)
   solver_base : Solver.stats;
   (* snapshot at creation; [stats] reports the delta, i.e. the solver
      work attributable to this engine. The counters are process-global,
@@ -249,17 +234,13 @@ let create ?(config = default_config) img base_mem symdev =
     annot_pre = (fun _ _ _ -> ());
     annot_post = (fun _ _ _ -> ());
     kcall_enter = (fun _ _ _ -> ());
-    kcall_leave = (fun _ _ _ -> ());
     replay = None;
     pool = Merge.create ();
     merge_points = (fun _ -> None);
     guard_st;
-    soft_retired = Atomic.make 0;
     rehomed = Atomic.make 0;
-    governor = None;
     checkpoint_hook = None;
     run_start_steps = 0;
-    priority_fn = (fun st -> priority (key st));
     solver_base = Solver.stats ();
   }
 
@@ -273,18 +254,14 @@ let set_annotations eng ~pre ~post =
   eng.annot_pre <- pre;
   eng.annot_post <- post
 
-let set_kcall_hooks eng ~enter ~leave =
-  eng.kcall_enter <- enter;
-  eng.kcall_leave <- leave
+let set_kcall_hooks eng ~enter = eng.kcall_enter <- enter
 
 let set_replay eng script = eng.replay <- Some script
 let set_merge_points eng f = eng.merge_points <- f
-let set_governor eng f = eng.governor <- Some f
 let set_checkpoint_hook eng f = eng.checkpoint_hook <- Some f
 let run_start eng = eng.run_start_steps
 let incidents eng = Guard.incidents eng.guard_st
 let worker_restarts eng = Guard.restarts eng.guard_st
-let soft_retired eng = Atomic.get eng.soft_retired
 let rehomed_states eng = Atomic.get eng.rehomed
 
 (* --- state management -------------------------------------------------- *)
@@ -566,7 +543,6 @@ let make_mach eng st =
         else raise (Mach.Path_terminated "assumption infeasible"));
     fork = (fun alts -> raise (Fork_alts alts));
     discard = (fun why -> raise (Mach.Path_terminated why));
-    cur_pc = (fun () -> st.St.pc);
     kstate = (fun () -> st.St.ks);
   }
 
@@ -650,8 +626,7 @@ let dispatch_kcall eng st name =
   let run_call target_st =
     let mach = make_mach eng target_st in
     eng.kcall_enter target_st name mach;
-    Kapi.call ~pre:eng.annot_pre ~post:eng.annot_post target_st.St.ks mach name;
-    eng.kcall_leave target_st name mach
+    Kapi.call ~pre:eng.annot_pre ~post:eng.annot_post target_st.St.ks mach name
   in
   try
     run_call st;
@@ -685,7 +660,6 @@ let dispatch_kcall eng st name =
           (try apply (make_mach eng target) with
            | Mach.Path_terminated why ->
                retire eng target (St.Discarded why) ~report:false);
-          Kstate.emit target.St.ks (Kstate.Ev_kcall_leave name);
           St.record target (Event.E_kcall_ret { name })
         in
         List.iter
@@ -767,7 +741,6 @@ let handle_sentinel eng st =
   match st.St.pending with
   | [] ->
       let ret = concretize st (St.reg_get st 0) "entry return value" in
-      Kstate.end_invocation st.St.ks st.St.entry_name ret;
       St.record st (Event.E_entry_ret { name = st.St.entry_name; ret });
       retire eng st (St.Returned ret) ~report:true
   | St.Pa_after_isr (ctx, saved_irql) :: rest ->
@@ -993,7 +966,7 @@ let start_timer_fire eng st ~timer_addr =
   | None -> ()
   | Some (call, saved_irql) ->
       st.St.entry_name <- "timer";
-      Kstate.begin_invocation st.St.ks "timer";
+      Kstate.begin_invocation st.St.ks;
       let ctx = save_ctx st in
       st.St.pending <- St.Pa_after_timer (ctx, saved_irql) :: st.St.pending;
       St.record st (Event.E_interrupt { site = "timer expiry"; phase = "timer" });
@@ -1009,7 +982,7 @@ let start_interrupt_fire eng st =
   | None -> ()
   | Some (call, saved_irql) ->
       st.St.entry_name <- "interrupt";
-      Kstate.begin_invocation st.St.ks "interrupt";
+      Kstate.begin_invocation st.St.ks;
       let ctx = save_ctx st in
       st.St.pending <- St.Pa_after_isr (ctx, saved_irql) :: st.St.pending;
       St.record st (Event.E_interrupt { site = "top-level"; phase = "isr" });
@@ -1023,7 +996,7 @@ let start_invocation eng st ~name ~addr ~args =
   st.St.injections <- 0;
   st.St.pc <- addr;
   St.reg_set st Isa.sp (Expr.word Layout.stack_top);
-  Kstate.begin_invocation st.St.ks name;
+  Kstate.begin_invocation st.St.ks;
   St.record st (Event.E_entry { name; addr });
   (* Push symbolic or concrete args, then the sentinel. *)
   List.iter (fun a -> push_word st a) (List.rev args);
@@ -1121,75 +1094,12 @@ let step_quantum eng st =
 
 type stop_reason = Stop_budget | Stop_plateau
 
-(* Graceful degradation under resource pressure: deterministically pick
-   the [n] least-promising queued states (worst scheduler priority, then
-   largest copy-on-write footprint, then highest id — youngest fork),
-   concretize each one's pending symbolic inputs to its cached model so
-   the discard reason records a concrete witness of the retired path,
-   and retire them — well before the hard [max_states] cap would start
-   dropping fresh forks silently. *)
-let soft_retire eng n =
-  let cands = ref [] in
-  Frontier.iter eng.frontier (fun s ->
-      cands :=
-        (eng.priority_fn s, Symmem.live_words s.St.mem, s.St.id) :: !cands);
-  let ranked =
-    List.sort
-      (fun (p1, w1, i1) (p2, w2, i2) ->
-        match compare p2 p1 with
-        | 0 -> ( match compare w2 w1 with 0 -> compare i2 i1 | c -> c)
-        | c -> c)
-      !cands
-  in
-  let vset = Hashtbl.create 8 in
-  List.iteri
-    (fun i (_, _, id) -> if i < n then Hashtbl.replace vset id ())
-    ranked;
-  let removed =
-    Frontier.remove eng.frontier (fun s -> Hashtbl.mem vset s.St.id)
-  in
-  List.iter
-    (fun s ->
-      let witness =
-        match Solver.check s.St.constraints with
-        | Solver.Sat m ->
-            s.St.sym_inputs
-            |> List.filteri (fun i _ -> i < 4)
-            |> List.map (fun ((v : Expr.var), _) ->
-                   Printf.sprintf "%s=%d" v.Expr.name (m v))
-            |> String.concat ","
-        | Solver.Unsat | Solver.Unknown -> "-"
-      in
-      Atomic.incr eng.soft_retired;
-      retire eng s
-        (St.Discarded
-           (Printf.sprintf "resource governor: soft cap (witness %s)" witness))
-        ~report:false)
-    removed
-
-(* Sample the copy-on-write footprint for the E5 accounting, and show the
-   resource governor (when installed) the same reading — one frontier
-   sweep serves both, so governance adds nothing to the hot path. *)
+(* Sample the copy-on-write footprint for the E5 peak-live-words
+   accounting: one frontier sweep every 64 picks. *)
 let sample_live eng st =
   let live = ref (Symmem.live_words st.St.mem) in
-  let depth = ref (Symmem.chain_depth st.St.mem) in
-  Frontier.iter eng.frontier (fun s ->
-      live := !live + Symmem.live_words s.St.mem;
-      depth := max !depth (Symmem.chain_depth s.St.mem));
-  amax eng.peak_live_words !live;
-  match eng.governor with
-  | None -> ()
-  | Some gov ->
-      let words = !live + Guard.pressure_boost eng.cfg.chaos in
-      let n =
-        gov
-          {
-            pr_live_states = Frontier.size eng.frontier;
-            pr_cow_depth = !depth;
-            pr_live_words = words;
-          }
-      in
-      if n > 0 then soft_retire eng n
+  Frontier.iter eng.frontier (fun s -> live := !live + Symmem.live_words s.St.mem);
+  amax eng.peak_live_words !live
 
 (* One explorer. Workers pull from their own deque, steal when it runs
    dry, and park (briefly sleeping, so co-scheduled domains on few cores
@@ -1501,7 +1411,6 @@ type stats = {
   st_rehomed : int;
   st_incidents : int;
   st_worker_restarts : int;
-  st_soft_retired : int;
   st_solver : Solver.stats;
   st_merged_states : int;
   st_merge_ites : int;
@@ -1539,7 +1448,6 @@ let stats eng =
     st_rehomed = Atomic.get eng.rehomed;
     st_incidents = Guard.incident_count eng.guard_st;
     st_worker_restarts = Guard.restarts eng.guard_st;
-    st_soft_retired = Atomic.get eng.soft_retired;
     st_solver = Solver.diff_stats (Solver.stats ()) eng.solver_base;
     st_merged_states = (let m, _, _, _ = Merge.stats eng.pool in m);
     st_merge_ites = (let _, i, _, _ = Merge.stats eng.pool in i);
@@ -1568,7 +1476,6 @@ type image = {
      high-water mark, exactly as [Sched.dump_entries] reports them *)
   ei_steals : int;
   ei_dropped : int;
-  ei_rr : int;
   ei_pool : St.image Merge.dump;
   ei_guard : Guard.dump;
   ei_done : St.image list;                  (* newest first *)
@@ -1584,7 +1491,6 @@ type image = {
   ei_picks : int;
   ei_last_new_block_step : int;
   ei_run_start : int;
-  ei_soft_retired : int;
   ei_rehomed : int;
   ei_symdev_reads : (string * Expr.var) list;
 }
@@ -1612,7 +1518,6 @@ let checkpoint_image eng =
     ei_queues = queues;
     ei_steals = Frontier.steals eng.frontier;
     ei_dropped = Frontier.dropped eng.frontier;
-    ei_rr = Frontier.rr_cursor eng.frontier;
     ei_pool = Merge.dump eng.pool ~f:St.to_image;
     ei_guard = Guard.dump eng.guard_st;
     ei_done = List.map St.to_image done_states;
@@ -1628,7 +1533,6 @@ let checkpoint_image eng =
     ei_picks = Atomic.get eng.picks;
     ei_last_new_block_step = Atomic.get eng.last_new_block_step;
     ei_run_start = eng.run_start_steps;
-    ei_soft_retired = Atomic.get eng.soft_retired;
     ei_rehomed = Atomic.get eng.rehomed;
     ei_symdev_reads = Ddt_hw.Symdev.reads_made eng.symdev;
   }
@@ -1653,7 +1557,7 @@ let restore_image eng im =
           ~hseq)
     im.ei_queues;
   Frontier.restore_counters eng.frontier ~steals:im.ei_steals
-    ~dropped:im.ei_dropped ~rr:im.ei_rr;
+    ~dropped:im.ei_dropped;
   Merge.restore eng.pool ~f:revive im.ei_pool;
   Guard.restore eng.guard_st im.ei_guard;
   Mutex.lock eng.glock;
@@ -1682,6 +1586,5 @@ let restore_image eng im =
   Atomic.set eng.picks im.ei_picks;
   Atomic.set eng.last_new_block_step im.ei_last_new_block_step;
   eng.run_start_steps <- im.ei_run_start;
-  Atomic.set eng.soft_retired im.ei_soft_retired;
   Atomic.set eng.rehomed im.ei_rehomed;
   Ddt_hw.Symdev.restore_reads eng.symdev im.ei_symdev_reads

@@ -93,13 +93,10 @@ val set_annotations :
   unit
 
 val set_kcall_hooks :
-  engine ->
-  enter:(Symstate.t -> string -> Ddt_kernel.Mach.t -> unit) ->
-  leave:(Symstate.t -> string -> Ddt_kernel.Mach.t -> unit) ->
-  unit
-(** Checker taps around each kernel call, with the state in hand — this is
-    where guest-OS-level verification tools (the Driver-Verifier analog)
-    observe the driver (§3.1.2). *)
+  engine -> enter:(Symstate.t -> string -> Ddt_kernel.Mach.t -> unit) -> unit
+(** Checker tap on entry to each kernel call, with the state in hand —
+    this is where guest-OS-level verification tools (the Driver-Verifier
+    analog) observe the driver (§3.1.2). *)
 
 val set_replay : engine -> Ddt_trace.Replay.script -> unit
 (** Replay mode: pin symbolic inputs, fork decisions and interrupt sites
@@ -115,29 +112,10 @@ val set_merge_points : engine -> (int -> int option) -> unit
 
 (** {1 Resilience} *)
 
-type pressure = {
-  pr_live_states : int;   (** states currently queued in the frontier *)
-  pr_cow_depth : int;     (** deepest copy-on-write chain seen in the sweep *)
-  pr_live_words : int;    (** live copy-on-write words across the frontier *)
-}
-(** The resource picture shown to the governor, sampled every 64 picks
-    alongside the existing live-words accounting. *)
-
-val set_governor : engine -> (pressure -> int) -> unit
-(** Install a resource governor (policy lives in [Ddt_core.Governor]).
-    The callback returns how many queued states the engine should
-    concretize-and-retire right now: victims are chosen
-    deterministically — worst scheduler priority first, then largest
-    footprint, then youngest — their pending inputs are pinned to the
-    cached model (the discard reason records the witness), and they are
-    retired quietly, well before the hard [max_states] cap would drop
-    fresh forks. *)
-
 val incidents : engine -> Guard.incident list
 (** Quarantined engine incidents so far, in deterministic order. *)
 
 val worker_restarts : engine -> int
-val soft_retired : engine -> int
 
 val rehomed_states : engine -> int
 (** States rescued from permanently-dead workers' queues by the reaper
@@ -231,7 +209,6 @@ type stats = {
       onto a live worker *)
   st_incidents : int;          (** quarantined engine incidents *)
   st_worker_restarts : int;    (** supervisor worker-loop restarts *)
-  st_soft_retired : int;       (** states retired by the resource governor *)
   st_solver : Ddt_solver.Solver.stats;
   (** solver queries/cache-hit/bit-blast counters attributable to this
       engine (snapshot delta since [create]; exact only while no other

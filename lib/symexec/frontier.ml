@@ -20,7 +20,6 @@ type t = {
   inflight : int Atomic.t;
   steals : int Atomic.t;
   dropped : int Atomic.t;
-  rr : int Atomic.t;  (* round-robin cursor for ownerless pushes *)
   max_states : int;
 }
 
@@ -34,7 +33,6 @@ let create ~workers ~max_states ~strategy ~key ~priority =
     inflight = Atomic.make 0;
     steals = Atomic.make 0;
     dropped = Atomic.make 0;
-    rr = Atomic.make 0;
     max_states;
   }
 
@@ -71,12 +69,6 @@ let requeue t ~worker st =
   let wq = t.workers.(worker mod Array.length t.workers) in
   Atomic.incr t.size;
   with_wq wq (fun () -> Sched.requeue wq.wq_q st)
-
-(* Seed a state with no owning worker (between phases, from the main
-   domain): spread round-robin so every worker starts with local work. *)
-let push_any t st =
-  let w = Atomic.fetch_and_add t.rr 1 in
-  push t ~worker:w st
 
 (* Victim selection: largest queue first, so a thief grabs from where the
    most unexplored work sits (and for Dfs/Min_touch, Sched.steal hands
@@ -132,26 +124,6 @@ let pick t ~worker =
 
 let task_done t = Atomic.decr t.inflight
 
-(* Governor support: pull out every queued state matching [pred]
-   (inflight states are not candidates). Survivors are re-admitted in
-   drain order, which preserves deque ordering exactly and re-queues heap
-   states in their pop order. *)
-let remove t pred =
-  let removed = ref [] in
-  Array.iter
-    (fun wq ->
-      with_wq wq (fun () ->
-          let all = Sched.drain wq.wq_q in
-          List.iter
-            (fun st ->
-              if pred st then removed := st :: !removed
-              else Sched.requeue wq.wq_q st)
-            all))
-    t.workers;
-  let n = List.length !removed in
-  if n > 0 then ignore (Atomic.fetch_and_add t.size (-n));
-  List.rev !removed
-
 let iter t f =
   Array.iter (fun wq -> with_wq wq (fun () -> Sched.iter wq.wq_q f)) t.workers
 
@@ -191,12 +163,9 @@ let restore_queue t ~worker entries ~hseq =
   with_wq wq (fun () -> Sched.restore_entries wq.wq_q entries ~hseq);
   ignore (Atomic.fetch_and_add t.size (List.length entries))
 
-let rr_cursor t = Atomic.get t.rr
-
-let restore_counters t ~steals ~dropped ~rr =
+let restore_counters t ~steals ~dropped =
   Atomic.set t.steals steals;
-  Atomic.set t.dropped dropped;
-  Atomic.set t.rr rr
+  Atomic.set t.dropped dropped
 
 (* Only sound once all workers have stopped; used by the main domain to
    retire leftovers after a budget/plateau stop. *)

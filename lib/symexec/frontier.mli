@@ -40,10 +40,6 @@ val requeue : t -> worker:int -> Symstate.t -> unit
     [max_states] cap does not apply: the state is already admitted and
     dropping it would silently lose a live path. *)
 
-val push_any : t -> Symstate.t -> bool
-(** Seed a state round-robin across workers (used between phases, before
-    workers exist). *)
-
 val pick : t -> worker:int -> Symstate.t option
 (** Pop from the own queue or steal; [Some] means the caller now holds an
     inflight state and {b must} call {!task_done} after executing it (and
@@ -52,11 +48,6 @@ val pick : t -> worker:int -> Symstate.t option
     fault raised by the priority function propagates with the inflight
     counter restored, so a crashing worker cannot wedge termination
     detection. *)
-
-val remove : t -> (Symstate.t -> bool) -> Symstate.t list
-(** Remove every queued state matching the predicate (inflight states
-    are not candidates); survivors keep their order. Used by the
-    resource governor to retire states under memory pressure. *)
 
 val task_done : t -> unit
 val quiescent : t -> bool
@@ -92,8 +83,5 @@ val restore_queue :
   t -> worker:int -> (Symstate.t * int * int) list -> hseq:int -> unit
 (** Refill one (empty) worker queue and account the states in [size]. *)
 
-val rr_cursor : t -> int
-(** The round-robin seeding cursor, for checkpoints. *)
-
-val restore_counters : t -> steals:int -> dropped:int -> rr:int -> unit
-(** Restore the statistics and seeding cursor of a fresh frontier. *)
+val restore_counters : t -> steals:int -> dropped:int -> unit
+(** Restore the statistics of a fresh frontier. *)

@@ -39,13 +39,7 @@ type chaos = {
       (* raise in the worker loop every Nth frontier pick *)
   chaos_solver_exhaust_period : int;
       (* force every Nth uncached group solve's first attempt Unknown *)
-  chaos_pressure_words : int;
-      (* inflate the live-words reading the governor sees *)
 }
-
-let no_chaos =
-  { chaos_worker_crash_period = 0; chaos_solver_exhaust_period = 0;
-    chaos_pressure_words = 0 }
 
 exception Chaos_crash
 
@@ -136,9 +130,6 @@ let solver_chaos_fn t chaos =
           let n = Atomic.fetch_and_add t.chaos_solver_ticks 1 + 1 in
           n mod c.chaos_solver_exhaust_period = 0)
   | _ -> None
-
-let pressure_boost chaos =
-  match chaos with Some c -> c.chaos_pressure_words | None -> 0
 
 (* Fault classification ------------------------------------------------- *)
 

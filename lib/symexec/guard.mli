@@ -50,12 +50,7 @@ type chaos = {
   chaos_solver_exhaust_period : int;
       (** force every Nth uncached group solve's first attempt to report
           budget exhaustion (the escalated retry then recovers it) *)
-  chaos_pressure_words : int;
-      (** words added to the live-heap reading the resource governor
-          sees, simulating memory pressure *)
 }
-
-val no_chaos : chaos
 
 exception Chaos_crash
 (** The injected worker fault. The state-level boundary deliberately
@@ -92,8 +87,6 @@ val maybe_crash : t -> chaos option -> unit
 val solver_chaos_fn : t -> chaos option -> (unit -> bool) option
 (** The injection closure to install via
     [Ddt_solver.Solver.set_chaos_exhaust]. *)
-
-val pressure_boost : chaos option -> int
 
 val absorbable : exn -> bool
 (** Whether the state-level fault boundary may absorb this exception

@@ -223,8 +223,6 @@ let write_u32 t addr v =
       write_u8 t (addr + i) (split v i)
     done
 
-let read_u8_concrete_view t valuation addr = valuation (read_u8 t addr)
-
 (* The addresses of the marked slots of [p], onto [acc]. *)
 let marked p acc =
   let base = p.index lsl page_bits in

@@ -54,9 +54,6 @@ val write_u8 : t -> int -> Ddt_solver.Expr.t -> unit
 val read_u32 : t -> int -> Ddt_solver.Expr.t
 val write_u32 : t -> int -> Ddt_solver.Expr.t -> unit
 
-val read_u8_concrete_view : t -> (Ddt_solver.Expr.t -> int) -> int -> int
-(** Read a byte and concretize it with the supplied valuation. *)
-
 val cow_diff : t -> t -> int list option
 (** Addresses at which two sibling memories can disagree: the union of
     addresses either side wrote since their common copy-on-write

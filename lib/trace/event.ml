@@ -1,7 +1,6 @@
 module Expr = Ddt_solver.Expr
 
 type t =
-  | E_exec of int
   | E_branch of { pc : int; taken : bool; forked : bool; cond : Expr.t }
   | E_mem of { pc : int; write : bool; addr : Expr.t; width : int;
                value : Expr.t }
@@ -19,7 +18,6 @@ type t =
           (the [ite] condition selecting its values) *)
 
 let pp fmt = function
-  | E_exec pc -> Format.fprintf fmt "exec 0x%x" pc
   | E_branch { pc; taken; forked; cond } ->
       Format.fprintf fmt "branch 0x%x taken=%b forked=%b cond=%a" pc taken
         forked Expr.pp cond
@@ -47,17 +45,11 @@ let pp fmt = function
 
 let to_string e = Format.asprintf "%a" pp e
 
-let pcs events =
-  List.fold_left
-    (fun acc e -> match e with E_exec pc -> pc :: acc | _ -> acc)
-    [] events
-
 let summarize events =
-  let execs = ref 0 and mems = ref 0 and branches = ref 0 and forks = ref 0 in
+  let mems = ref 0 and branches = ref 0 and forks = ref 0 in
   let syms = ref 0 and kcalls = ref 0 and irqs = ref 0 in
   List.iter
     (function
-      | E_exec _ -> incr execs
       | E_mem _ -> incr mems
       | E_branch { forked; _ } ->
           incr branches;
@@ -70,9 +62,9 @@ let summarize events =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf
-       "%d instructions, %d memory accesses, %d branches (%d forked), %d \
-        symbolic values, %d kernel calls, %d interrupts\n"
-       !execs !mems !branches !forks !syms !kcalls !irqs);
+       "%d memory accesses, %d branches (%d forked), %d symbolic values, \
+        %d kernel calls, %d interrupts\n"
+       !mems !branches !forks !syms !kcalls !irqs);
   Buffer.add_string buf "last events:\n";
   let rec take n = function
     | [] -> []

@@ -1,15 +1,12 @@
 (** Execution-trace events (§3.5 of the paper).
 
-    DDT's traces record executed program counters, memory accesses with
-    address/value/kind, creation and propagation of symbolic values,
+    DDT's traces record memory accesses with address/value/kind, creation and propagation of symbolic values,
     constraints added at branches, and whether each branch forked. Each
     symbolic state carries its trace as a prepend-only list, so forking
     shares the common prefix structurally — the trace analog of the
     copy-on-write state representation. *)
 
 type t =
-  | E_exec of int
-      (** program counter of an executed instruction *)
   | E_branch of { pc : int; taken : bool; forked : bool;
                   cond : Ddt_solver.Expr.t }
   | E_mem of { pc : int; write : bool; addr : Ddt_solver.Expr.t;
@@ -35,9 +32,6 @@ type t =
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-
-val pcs : t list -> int list
-(** Executed program counters, oldest first (input is newest-first). *)
 
 val summarize : t list -> string
 (** A short multi-line digest: counts per event class plus the last few

@@ -1,0 +1,54 @@
+(* Writes the golden corpus reports into the current directory: for every
+   corpus driver D and both variants, the session report that
+   `ddt_cli test D [--fixed] --json-out` writes ([D.json],
+   [D-fixed.json]) and the document `ddt_cli analyze D [--fixed] --json`
+   prints ([D.analyze.json], [D-fixed.analyze.json]), byte for byte.
+   The dune rules next to this file diff each one against the checked-in
+   copy; `dune promote` accepts an intended change. *)
+
+module Corpus = Ddt_drivers.Corpus
+module Config = Ddt_core.Config
+module Report = Ddt_checkers.Report
+module Report_json = Ddt_core.Report_json
+module Sfind = Ddt_staticx.Sfind
+
+let write name doc =
+  Out_channel.with_open_bin name (fun oc -> Out_channel.output_string oc doc)
+
+(* The CLI's default session: one worker, merging on, no chaos. *)
+let session_doc entry ~fixed =
+  Report_json.to_string
+    (Report_json.of_result
+       (Ddt_core.Ddt.test_driver (Corpus.config ~fixed entry)))
+
+(* What `analyze --json` prints: every rule, no confirmation pass. *)
+let analyze_doc (entry : Corpus.entry) ~fixed =
+  let image =
+    if fixed then entry.Corpus.fixed_image () else entry.Corpus.image ()
+  in
+  let contracts, model =
+    match entry.Corpus.driver_class with
+    | Config.Network ->
+        (Ddt_annot.Ndis_annotations.contracts, Ddt_annot.Ndis_annotations.model)
+    | Config.Audio ->
+        ( Ddt_annot.Portcls_annotations.contracts,
+          Ddt_annot.Portcls_annotations.model )
+  in
+  Report_json.statics_to_string ~driver:entry.Corpus.name
+    (List.map
+       (fun (f : Sfind.finding) ->
+         { Report.sf_rule = f.Sfind.f_rule; sf_func = f.Sfind.f_func;
+           sf_pos = f.Sfind.f_pos; sf_message = f.Sfind.f_msg;
+           sf_confirm = Report.Not_applicable })
+       (Sfind.analyze ~contracts ~model (Ddt_staticx.Icfg.build image)))
+
+let () =
+  List.iter
+    (fun (entry : Corpus.entry) ->
+      List.iter
+        (fun fixed ->
+          let stem = entry.Corpus.short ^ if fixed then "-fixed" else "" in
+          write (stem ^ ".json.gen") (session_doc entry ~fixed);
+          write (stem ^ ".analyze.json.gen") (analyze_doc entry ~fixed))
+        [ false; true ])
+    Corpus.all

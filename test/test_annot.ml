@@ -62,7 +62,6 @@ let test_set_dispatch () =
       assume = ignore;
       fork = ignore;
       discard = ignore;
-      cur_pc = (fun () -> 0);
       kstate = (fun () -> assert false);
     }
   in

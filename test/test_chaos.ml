@@ -10,7 +10,6 @@
 
 module Config = Ddt_core.Config
 module Session = Ddt_core.Session
-module Governor = Ddt_core.Governor
 module Exec = Ddt_symexec.Exec
 module Guard = Ddt_symexec.Guard
 module Solver = Ddt_solver.Solver
@@ -24,9 +23,8 @@ let quick_cfg (e : Corpus.entry) =
   let cfg = Corpus.config e in
   { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
 
-let run_with ?governor chaos e =
+let run_with chaos e =
   let cfg = quick_cfg e in
-  let cfg = { cfg with Config.governor = governor } in
   let cfg =
     { cfg with
       Config.exec_config =
@@ -69,7 +67,7 @@ let test_worker_crashes () =
         run_with
           (Some
              { Guard.chaos_worker_crash_period = 25;
-               chaos_solver_exhaust_period = 0; chaos_pressure_words = 0 })
+               chaos_solver_exhaust_period = 0 })
           e
       in
       check_bool (e.Corpus.short ^ " bug set unchanged by worker crashes")
@@ -93,7 +91,7 @@ let test_crash_incident_has_replay () =
     run_with
       (Some
          { Guard.chaos_worker_crash_period = 25;
-           chaos_solver_exhaust_period = 0; chaos_pressure_words = 0 })
+           chaos_solver_exhaust_period = 0 })
       e
   in
   let crashes =
@@ -120,7 +118,7 @@ let test_solver_exhaustion () =
         run_with
           (Some
              { Guard.chaos_worker_crash_period = 0;
-               chaos_solver_exhaust_period = 3; chaos_pressure_words = 0 })
+               chaos_solver_exhaust_period = 3 })
           e
       in
       check_bool (e.Corpus.short ^ " bug set unchanged by solver exhaustion")
@@ -138,54 +136,25 @@ let test_solver_exhaustion () =
   check_bool "escalated retries were issued" true (!total_retries > 0);
   check_bool "exhaustions surfaced as incidents" true (!total_incidents > 0)
 
-(* --- simulated memory pressure --------------------------------------------- *)
-
-let pressure_limits =
-  { Governor.soft_states = 0; soft_cow_depth = 0; soft_live_words = 1;
-    min_states = 8; max_retire_per_trip = 1 }
-
-let test_memory_pressure () =
-  let total_trips = ref 0 in
-  List.iter
-    (fun (e : Corpus.entry) ->
-      let base = baseline e in
-      let chaos =
-        run_with ~governor:pressure_limits
-          (Some
-             { Guard.chaos_worker_crash_period = 0;
-               chaos_solver_exhaust_period = 0;
-               chaos_pressure_words = 50_000_000 })
-          e
-      in
-      check_bool (e.Corpus.short ^ " bug set unchanged under pressure") true
-        (bug_keys base = bug_keys chaos);
-      total_trips := !total_trips + chaos.Session.r_governor_trips)
-    Corpus.all;
-  check_bool "governor tripped somewhere" true (!total_trips > 0)
-
 (* --- everything at once ---------------------------------------------------- *)
 
 let test_combined () =
-  let total_trips = ref 0 in
   List.iter
     (fun (e : Corpus.entry) ->
       let base = baseline e in
       let chaos =
-        run_with ~governor:pressure_limits
+        run_with
           (Some
              { Guard.chaos_worker_crash_period = 25;
-               chaos_solver_exhaust_period = 3;
-               chaos_pressure_words = 50_000_000 })
+               chaos_solver_exhaust_period = 3 })
           e
       in
       check_bool (e.Corpus.short ^ " bug set unchanged under combined chaos")
         true
         (bug_keys base = bug_keys chaos);
       check_bool (e.Corpus.short ^ " session produced a report") true
-        (chaos.Session.r_finished_states > 0);
-      total_trips := !total_trips + chaos.Session.r_governor_trips)
-    Corpus.all;
-  check_bool "governor tripped somewhere" true (!total_trips > 0)
+        (chaos.Session.r_finished_states > 0))
+    Corpus.all
 
 let () =
   Alcotest.run "ddt_chaos"
@@ -197,8 +166,5 @@ let () =
       ("solver-exhaustion",
        [ Alcotest.test_case "bug sets identical, retries recover" `Quick
            test_solver_exhaustion ]);
-      ("memory-pressure",
-       [ Alcotest.test_case "bug sets identical, governor trips" `Quick
-           test_memory_pressure ]);
       ("combined",
        [ Alcotest.test_case "all injections at once" `Quick test_combined ]) ]

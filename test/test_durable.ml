@@ -1,5 +1,5 @@
-(* Durability tests: checksummed blob containers, single-state
-   snapshot/restore, and session checkpoint/kill-resume equivalence.
+(* Durability tests: checksummed blob containers, state images through
+   blobs, and session checkpoint/kill-resume equivalence.
 
    The contract under test everywhere: a durability artifact that is
    corrupted, truncated or unwritable costs time (cold cache, lost
@@ -15,7 +15,6 @@ module Kstate = Ddt_kernel.Kstate
 module Pci = Ddt_kernel.Pci
 module Symmem = Ddt_symexec.Symmem
 module St = Ddt_symexec.Symstate
-module Snapshot = Ddt_symexec.Snapshot
 module Config = Ddt_core.Config
 module Session = Ddt_core.Session
 module Report_json = Ddt_core.Report_json
@@ -142,7 +141,10 @@ let test_blob_concurrent_writers () =
        (fun f -> Filename.check_suffix f ".tmp")
        (Sys.readdir dir))
 
-(* --- Snapshot round-trip --------------------------------------------------- *)
+(* --- State images through blobs -------------------------------------------- *)
+(* A checkpoint carries each state as a [Symstate.image] inside one
+   [Blob], next to the variable counter; these tests drive a single state
+   down that path. *)
 
 let device () =
   Pci.assign_resources
@@ -226,6 +228,19 @@ let states_agree base (a : St.t) (b : St.t) =
       done;
       !ok)
 
+(* The state and the variable counter in one blob, as a checkpoint
+   holds them. *)
+let encode_state st = Blob.encode (St.to_image st, Expr.var_counter_value ())
+
+(* Decode as [Session.resume] restores: never lower the counter, so
+   fresh variables stay above every id the blob's state uses. *)
+let restore_state ~base blob =
+  match Blob.decode blob with
+  | Error _ as e -> e
+  | Ok ((im : St.image), counter) ->
+      Expr.set_var_counter (max (Expr.var_counter_value ()) counter);
+      Ok (St.of_image ~base ~symdev:None im)
+
 let test_snapshot_roundtrip =
   QCheck.Test.make ~count:60 ~name:"snapshot/restore round-trips states"
     (QCheck.make gen_ops ~print:(fun ops ->
@@ -234,23 +249,26 @@ let test_snapshot_roundtrip =
       let base = Mem.create () in
       Mem.write_u32 base 0x0060_0000 0xBEEF;
       let st = build_state base ops in
-      match Snapshot.restore ~base ~symdev:None (Snapshot.snapshot st) with
+      match restore_state ~base (encode_state st) with
       | Error e -> QCheck.Test.fail_reportf "restore failed: %s" e
       | Ok st' -> states_agree base st st')
 
-(* Snapshot restore keeps minting fresh variables above everything the
-   snapshot used — a resumed state can never collide with new ones. *)
+(* A restored state's variables never collide with fresh ones, even in
+   a process whose counter starts lower. *)
 let test_snapshot_var_counter () =
   let base = Mem.create () in
   let st = build_state base [ Constrain 7; WriteSym 3 ] in
-  let s = Snapshot.snapshot st in
-  let high = Expr.var_counter_value () in
+  let s = encode_state st in
   Expr.reset_var_counter ();
-  match Snapshot.restore ~base ~symdev:None s with
+  match restore_state ~base s with
   | Error e -> Alcotest.failf "restore: %s" e
-  | Ok _ ->
-      check_bool "counter restored above snapshot's" true
-        (Expr.var_counter_value () >= high)
+  | Ok st' ->
+      let fresh = Expr.fresh_var Expr.W8 in
+      List.iter
+        (fun (v : Expr.var) ->
+          check_bool "fresh id above the state's" true
+            (fresh.Expr.id > v.Expr.id))
+        (List.concat_map Expr.vars st'.St.constraints)
 
 let test_snapshot_corrupt_fuzz =
   QCheck.Test.make ~count:120 ~name:"corrupted snapshots fail cleanly"
@@ -258,26 +276,27 @@ let test_snapshot_corrupt_fuzz =
     (fun (ops, (pos_seed, flip)) ->
       let base = Mem.create () in
       let st = build_state base ops in
-      let s = Snapshot.snapshot st in
-      let b = Bytes.of_string s in
+      let b = Bytes.of_string (encode_state st) in
       let pos = pos_seed mod Bytes.length b in
       Bytes.set b pos
         (Char.chr (Char.code (Bytes.get b pos) lxor (1 + (flip mod 255))));
-      is_error (Snapshot.restore ~base ~symdev:None (Bytes.to_string b)))
+      is_error (restore_state ~base (Bytes.to_string b)))
 
 let test_snapshot_save_load () =
   let dir = tmpdir () in
   let path = Filename.concat dir "st.snap" in
   let base = Mem.create () in
   let st = build_state base [ Write32 (8, 77); Fork; Constrain 3 ] in
-  (match Snapshot.save path st with
+  (match Blob.write_file path (St.to_image st) with
    | Ok () -> ()
    | Error e -> Alcotest.failf "save: %s" e);
-  (match Snapshot.load ~base ~symdev:None path with
-   | Ok st' -> check_bool "file round-trip" true (states_agree base st st')
+  (match Blob.read_file path with
+   | Ok (im : St.image) ->
+       check_bool "file round-trip" true
+         (states_agree base st (St.of_image ~base ~symdev:None im))
    | Error e -> Alcotest.failf "load: %s" e);
   check_bool "missing file is a clean error" true
-    (is_error (Snapshot.load ~base ~symdev:None (path ^ ".nope")))
+    (is_error (Blob.read_file (path ^ ".nope")))
 
 (* --- Report JSON atomic write --------------------------------------------- *)
 
@@ -369,9 +388,9 @@ let test_checkpoint_corrupt_resume_errors () =
   check_bool "wrong-driver checkpoint refused" true
     (is_error (Session.resume other ~path:ckpt))
 
-(* A real durability blob re-framed with its leading version field set
-   to [v]: snapshot and checkpoint payloads both start with their
-   version, which is all a reader looks at before trusting the layout. *)
+(* A real checkpoint blob re-framed with its leading version field set
+   to [v]: the payload starts with its version, which is all a reader
+   looks at before trusting the layout. *)
 let with_version blob v =
   match Blob.decode blob with
   | Error e -> Alcotest.failf "decode: %s" e
@@ -380,30 +399,19 @@ let with_version blob v =
       Obj.set_field p 0 (Obj.repr v);
       Blob.encode p
 
-(* Blobs from every earlier layout must be refused, not unmarshalled as
-   the current one: version 1 predates the page-granular memory, version
-   2 the per-page write marks and the state's fork count, checkpoint
-   version 3 the query cache's array-valued reuse models, checkpoint
-   version 4 still carried the block compiler's dispositions, checkpoint
-   version 5 held the query-cache dump as an option, checkpoint version
-   6 flagged cache entries loaded from the on-disk store, checkpoint
-   version 7 scaled each scheduler priority for a distance tiebreak, and
-   checkpoint version 8 dumped the query cache shard by shard. *)
+(* Checkpoints from every earlier layout must be refused, not
+   unmarshalled as the current one: version 1 predates the page-granular
+   memory, version 2 the per-page write marks and the state's fork
+   count, version 3 the query cache's array-valued reuse models, version
+   4 still carried the block compiler's dispositions, version 5 held the
+   query-cache dump as an option, version 6 flagged cache entries loaded
+   from the on-disk store, version 7 scaled each scheduler priority for
+   a distance tiebreak, version 8 dumped the query cache shard by shard,
+   and version 9 carried kernel-event listeners, the cache's Unsat
+   subset index and the governor's retirement count. *)
 let older_versions current = List.init (current - 1) (fun i -> i + 1)
 
 let test_previous_version_refused () =
-  let base = Mem.create () in
-  let s = Snapshot.snapshot (build_state base [ Write32 (8, 77); Fork ]) in
-  check_bool "re-framed current snapshot restores" true
-    (not (is_error (Snapshot.restore ~base ~symdev:None
-                      (with_version s Snapshot.snapshot_version))));
-  check_bool "version 2 is an older snapshot layout" true
-    (List.mem 2 (older_versions Snapshot.snapshot_version));
-  List.iter
-    (fun v ->
-      check_bool (Printf.sprintf "version-%d snapshot refused" v) true
-        (is_error (Snapshot.restore ~base ~symdev:None (with_version s v))))
-    (older_versions Snapshot.snapshot_version);
   let dir = tmpdir () in
   let ckpt = Filename.concat dir "drv.ckpt" in
   let ck_cfg =
@@ -426,6 +434,8 @@ let test_previous_version_refused () =
     (List.mem 7 (older_versions Session.checkpoint_version));
   check_bool "version 8 is an older checkpoint layout" true
     (List.mem 8 (older_versions Session.checkpoint_version));
+  check_bool "version 9 is an older checkpoint layout" true
+    (List.mem 9 (older_versions Session.checkpoint_version));
   List.iter
     (fun v ->
       Out_channel.with_open_bin ckpt (fun oc ->

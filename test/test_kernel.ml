@@ -52,7 +52,6 @@ let concrete_mach ks =
       assume = (fun _ -> ());
       fork = (fun _alts -> () (* concrete: stay on the primary path *));
       discard = (fun _ -> ());
-      cur_pc = (fun () -> 0);
       kstate = (fun () -> ks);
     }
   in
@@ -89,14 +88,14 @@ let test_red_zone () =
 
 let test_invocation_ledger () =
   let ks = fresh_ks () in
-  Kstate.begin_invocation ks "initialize";
+  Kstate.begin_invocation ks;
   let inv = Kstate.invocation ks in
   let _ = Kstate.heap_alloc ks ~size:8 ~kind:Kstate.Pool ~tag:0 in
   let b = Kstate.heap_alloc ks ~size:8 ~kind:Kstate.Packet ~tag:0 in
   Kstate.free_alloc ks b;
   check_int "one live from invocation" 1
     (List.length (Kstate.live_allocs_of_invocation ks inv));
-  Kstate.begin_invocation ks "send";
+  Kstate.begin_invocation ks;
   check_int "none from new invocation" 0
     (List.length (Kstate.live_allocs_of_invocation ks (Kstate.invocation ks)))
 

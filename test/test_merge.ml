@@ -307,11 +307,11 @@ let bug_keys (r : Session.result) =
 
 let chaos_spec =
   { Ddt_symexec.Guard.chaos_worker_crash_period = 25;
-    chaos_solver_exhaust_period = 3; chaos_pressure_words = 50_000_000 }
+    chaos_solver_exhaust_period = 3 }
 
 (* The seeded corpus at its default budgets: merging must report exactly
-   the unmerged bug keys, also while worker crashes, solver exhaustions
-   and memory pressure are injected. *)
+   the unmerged bug keys, also while worker crashes and solver
+   exhaustions are injected. *)
 let test_corpus_parity ~chaos short () =
   let run merging =
     let cfg = Corpus.config (Corpus.find short) in

@@ -588,11 +588,11 @@ let test_indep_equisat () =
    clamped or swapped field shows. *)
 let stats_of f =
   { Solver.s_queries = f 1; s_group_solves = f 2; s_cache_exact_hits = f 3;
-    s_cache_subset_unsat_hits = f 4; s_cache_model_reuse_hits = f 5;
-    s_cache_misses = f 6; s_cache_renamed_hits = f 7;
-    s_cache_cross_worker_hits = f 8; s_interval_solves = f 9;
-    s_bitblast_solves = f 10; s_cache_evictions = f 11; s_exhaustions = f 12;
-    s_retries = f 13; s_retry_recovered = f 14 }
+    s_cache_model_reuse_hits = f 4; s_cache_misses = f 5;
+    s_cache_renamed_hits = f 6; s_cache_cross_worker_hits = f 7;
+    s_interval_solves = f 8; s_bitblast_solves = f 9;
+    s_cache_evictions = f 10; s_exhaustions = f 11; s_retries = f 12;
+    s_retry_recovered = f 13 }
 
 let test_diff_stats () =
   check_bool "field-wise difference" true
@@ -621,21 +621,6 @@ let test_qcache_exact () =
    | _ -> Alcotest.fail "expected exact hit");
   store_unsat q [ c1 ];
   check_bool "exact unsat" true (lookup q [ c1 ] = Qcache.Exact_unsat)
-
-let test_qcache_subset_unsat () =
-  let open Expr in
-  let q = Qcache.create () in
-  let x = fresh_var W32 and y = fresh_var W32 in
-  let c1 = cmp Ltu (var x) (word 5) in
-  let c2 = cmp Ltu (word 10) (var x) in
-  let extra = cmp Eq (var y) (word 0) in
-  store_unsat q [ c1; c2 ];
-  (* The cached Unsat core {c1,c2} is a subset of the query. *)
-  check_bool "superset proven unsat" true
-    (lookup q [ extra; c2; c1 ] = Qcache.Subset_unsat);
-  (* A query containing only part of the core proves nothing. *)
-  check_bool "partial overlap misses" true
-    (lookup q [ extra; c1 ] = Qcache.Miss)
 
 let test_qcache_model_reuse () =
   let open Expr in
@@ -719,8 +704,7 @@ let test_qcache_concurrent () =
     let ((outcome, info) as r) = Qcache.lookup q c in
     (match outcome with
      | Qcache.Miss -> Atomic.incr misses
-     | Qcache.Exact_sat _ | Qcache.Exact_unsat | Qcache.Subset_unsat
-     | Qcache.Reuse_sat _ ->
+     | Qcache.Exact_sat _ | Qcache.Exact_unsat | Qcache.Reuse_sat _ ->
          Atomic.incr hits;
          if info.Qcache.i_renamed then Atomic.incr renamed;
          if info.Qcache.i_owner >= 0
@@ -777,8 +761,7 @@ let test_qcache_eviction () =
   List.iter (store_unsat q) cs;
   check_bool "bounded" true (Qcache.size q <= 4096);
   check_bool "evictions counted" true (Qcache.evictions q > 0);
-  (* The oldest entry is gone — from the exact table and the unsat
-     index (no phantom subset proofs). *)
+  (* The oldest entry is gone. *)
   check_bool "oldest evicted" true (lookup q (List.hd cs) = Qcache.Miss);
   (* The newest entry survived. *)
   check_bool "newest kept" true
@@ -815,8 +798,7 @@ let prop_accel_agrees_with_baseline =
       let accel =
         Solver.clear_cache ();
         (* First call populates the cache (misses), the second and the
-           growing prefixes exercise exact hits, subset-unsat proofs and
-           model reuse. *)
+           growing prefixes exercise exact hits and model reuse. *)
         ignore (Solver.check cs);
         List.iteri
           (fun i _ ->
@@ -1049,8 +1031,8 @@ let prop_feasible_matches_check =
 (* A pin-free [feasible] answers [check (extra :: slice)] with less
    work, but must account exactly the same: on a fresh cache, a run of
    queries moves every counter as the same run through [check] does.
-   The run is built to reach a miss, an exact hit, a model-reuse hit and
-   a subset-Unsat hit. *)
+   The run is built to reach a miss, an exact hit and a model-reuse
+   hit. *)
 let test_feasible_stats_match_check () =
   let open Expr in
   let x = zext (var (fresh_var W8)) and y = zext (var (fresh_var W8))
@@ -1063,7 +1045,7 @@ let test_feasible_stats_match_check () =
       (path, cmp Ltu (word 60) x);            (* miss, Unsat *)
       (* a branch joining two groups of the slice *)
       (cmp Ne y (word 4) :: path, cmp Ltu (word 60) (binop Add x y));
-      (cmp Eq x y :: path, cmp Ltu (word 60) x);  (* Unsat subset *)
+      (cmp Eq x y :: path, cmp Ltu (word 60) x);  (* Unsat, x and y joined *)
       (path, cmp Eq y (word 2));
       ([], cmp Eq z (word 3));
       (path, tru);
@@ -1093,7 +1075,6 @@ let test_feasible_stats_match_check () =
     [ ("queries", s.Solver.s_queries);
       ("group solves", s.Solver.s_group_solves);
       ("exact hits", s.Solver.s_cache_exact_hits);
-      ("subset-unsat hits", s.Solver.s_cache_subset_unsat_hits);
       ("model-reuse hits", s.Solver.s_cache_model_reuse_hits);
       ("misses", s.Solver.s_cache_misses);
       ("renamed hits", s.Solver.s_cache_renamed_hits);
@@ -1307,7 +1288,6 @@ let () =
          Alcotest.test_case "sliced equisatisfiable" `Quick test_indep_equisat ]);
       ("qcache",
        [ Alcotest.test_case "exact hit" `Quick test_qcache_exact;
-         Alcotest.test_case "subset unsat" `Quick test_qcache_subset_unsat;
          Alcotest.test_case "model reuse" `Quick test_qcache_model_reuse;
          Alcotest.test_case "renaming normalization" `Quick
            test_qcache_renaming;

@@ -395,9 +395,11 @@ let prop_cow_pool_matches_model =
           | M_snap i -> (
               let m = get i in
               let st = Symstate.create ~id:1 ~mem:m.mem ~ks in
-              match Snapshot.restore ~base ~symdev:(Some sd) (Snapshot.snapshot st) with
-              | Error e -> expect ("snapshot restore: " ^ e) false
-              | Ok st' ->
+              let blob = Ddt_solver.Blob.encode (Symstate.to_image st) in
+              match Ddt_solver.Blob.decode blob with
+              | Error e -> expect ("image restore: " ^ e) false
+              | Ok im ->
+                  let st' = Symstate.of_image ~base ~symdev:(Some sd) im in
                   add { mem = st'.Symstate.mem; bytes = Hashtbl.copy m.bytes;
                         leaf = copy_chain m.leaf })
           | M_diff (i, j) ->

@@ -9,26 +9,21 @@ let check_str = Alcotest.(check string)
 
 (* --- events ------------------------------------------------------------- *)
 
-let test_event_pcs () =
-  let events =
-    [ Event.E_exec 3; Event.E_kcall { pc = 2; name = "X" }; Event.E_exec 2;
-      Event.E_exec 1 ]
-  in
-  Alcotest.(check (list int)) "oldest first" [ 1; 2; 3 ] (Event.pcs events)
-
 let test_event_summary () =
   let v = Ddt_solver.Expr.fresh_var Ddt_solver.Expr.W8 in
   let events =
-    [ Event.E_exec 1;
+    [ Event.E_mem
+        { pc = 1; write = false; addr = Ddt_solver.Expr.word 0x10; width = 1;
+          value = Ddt_solver.Expr.byte 0 };
       Event.E_branch
         { pc = 2; taken = true; forked = true; cond = Ddt_solver.Expr.tru };
       Event.E_sym_create { name = "hw"; origin = "device read"; var = v };
       Event.E_interrupt { site = "s"; phase = "isr" } ]
   in
   let s = Event.summarize events in
-  check_bool "mentions instructions" true
+  check_bool "mentions memory accesses" true
     (String.length s > 0
-     && String.sub s 0 1 = "1" (* "1 instructions, ..." *));
+     && String.sub s 0 1 = "1" (* "1 memory accesses, ..." *));
   check_bool "mentions forked" true
     (let needle = "(1 forked)" in
      let rec go i =
@@ -131,8 +126,7 @@ let qtest t = QCheck_alcotest.to_alcotest t
 let () =
   Alcotest.run "ddt_trace"
     [ ("events",
-       [ Alcotest.test_case "pcs" `Quick test_event_pcs;
-         Alcotest.test_case "summary" `Quick test_event_summary ]);
+       [ Alcotest.test_case "summary" `Quick test_event_summary ]);
       ("tree", [ Alcotest.test_case "build and query" `Quick test_tree ]);
       ("replay",
        [ Alcotest.test_case "roundtrip" `Quick test_replay_roundtrip;
