@@ -5,7 +5,7 @@
      dune exec bench/main.exe -- table2    # one experiment
 
    Experiments: table1 table2 fig2 (= fig3) stress sdv synthetic
-   ablation sched memory micro. An unknown name is a usage error (exit
+   ablation memory micro. An unknown name is a usage error (exit
    2) and runs nothing. Absolute numbers differ from the paper (the
    substrate is a simulator, not a 2 GHz Xeon running Windows XP); the
    shapes are what each experiment checks. *)
@@ -301,42 +301,6 @@ let memory () =
         (max 0 (after - before)))
     Corpus.all
 
-(* --- scheduler ablation ---------------------------------------------------------- *)
-
-let sched () =
-  section
-    "Scheduler ablation: coverage under a tight budget per search strategy      (the EXE-style min-touch heuristic is the paper's default, §4.3)";
-  Printf.printf "%-14s %10s %10s %8s\n" "strategy" "blocks" "of total" "bugs";
-  let entry = Corpus.find "pro1000" in
-  List.iter
-    (fun (name, strategy) ->
-      let exec_config =
-        { Exec.default_config with Exec.strategy } in
-      let cfg =
-        { (Corpus.config entry) with
-          Config.exec_config;
-          max_total_steps = 40_000;
-          plateau_steps = 35_000 }
-      in
-      let r = Ddt_core.Ddt.test_driver cfg in
-      let covered =
-        match List.rev r.Session.r_coverage with
-        | [] -> 0
-        | p :: _ -> p.Session.cp_blocks
-      in
-      Printf.printf "%-14s %10d %9.1f%% %8d\n" name covered
-        (100.0 *. float_of_int covered /. float_of_int r.Session.r_total_blocks)
-        (List.length r.Session.r_bugs))
-    [ ("min-touch", Ddt_symexec.Sched.Min_touch);
-      ("dfs", Ddt_symexec.Sched.Dfs);
-      ("bfs", Ddt_symexec.Sched.Bfs);
-      ("random", Ddt_symexec.Sched.Random_pick 7) ];
-  Printf.printf
-    "\n(min-touch -- the paper's default -- leads or ties here and is the \
-     strategy that cannot be trapped by a device polling loop; dfs trails \
-     by herding on fork siblings; at realistic budgets all strategies \
-     converge under the coverage-plateau rule)\n"
-
 (* --- micro-benchmarks ----------------------------------------------------------- *)
 
 let bechamel_run name fn =
@@ -421,14 +385,13 @@ let micro () =
       Ddt_symexec.Symmem.write_u32 sm 0x103E (Expr.word 0x12345678);
       ignore (Ddt_symexec.Symmem.read_u32 sm 0x103E));
   (* A min-touch pick: 256 queued states spread over 8 blocks, one
-     block's count bumped before each pop (the popped state is requeued,
-     so the queue stays at 256). *)
+     block's count bumped before each pop (the popped state is pushed
+     back, so the queue stays at 256). *)
   let module Sched = Ddt_symexec.Sched in
   let ks = Ddt_kernel.Kstate.create ~device:(bench_device ()) () in
   let counts = Array.make 8 0 in
   let q =
-    Sched.create Sched.Min_touch
-      ~key:(fun st -> st.Ddt_symexec.Symstate.id land 7)
+    Sched.create ~key:(fun st -> st.Ddt_symexec.Symstate.id land 7)
       ~priority:(fun b -> counts.(b))
   in
   for id = 0 to 255 do
@@ -438,7 +401,7 @@ let micro () =
   bechamel_run "sched: pop of 256 states over 8 blocks" (fun () ->
       incr bump;
       counts.(!bump land 7) <- counts.(!bump land 7) + 1;
-      match Sched.pop q with Some st -> Sched.requeue q st | None -> ());
+      match Sched.pop q with Some st -> Sched.push q st | None -> ());
   (* A pin-free branch-feasibility question whose group is cached, the
      common case on the corpus: a fresh branch condition over one of six
      device-read bytes, each constrained twice on the path. *)
@@ -460,7 +423,7 @@ let micro () =
 let all_experiments =
   [ ("table1", table1); ("table2", table2); ("fig2", figures);
     ("stress", stress); ("sdv", sdv); ("synthetic", synthetic);
-    ("ablation", ablation); ("sched", sched); ("memory", memory);
+    ("ablation", ablation); ("memory", memory);
     ("micro", micro) ]
 
 let () =

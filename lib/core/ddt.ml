@@ -84,10 +84,6 @@ let pp_report fmt (r : Session.result) =
       stats.Ddt_symexec.Exec.st_workers stats.Ddt_symexec.Exec.st_steals
       sv.Ddt_solver.Solver.s_cache_renamed_hits
       sv.Ddt_solver.Solver.s_cache_cross_worker_hits;
-  if stats.Ddt_symexec.Exec.st_rehomed > 0 then
-    Format.fprintf fmt
-      "dead-worker recovery: %d state(s) re-homed@."
-      stats.Ddt_symexec.Exec.st_rehomed;
   (* Engine incidents: faults of the testing engine itself, quarantined
      by the guard instead of killing the session. *)
   (match r.Session.r_incidents with

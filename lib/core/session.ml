@@ -239,9 +239,9 @@ let setup (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-(* 10: no kernel-event listeners in Kstate, no Unsat subset index in
-   the query cache, no governor counters in the engine image. *)
-let checkpoint_version = 10
+(* 11: the engine image holds one scheduler queue, not a per-worker
+   array, and no steal or dead-worker re-home counters. *)
+let checkpoint_version = 11
 
 (* A checkpoint is one self-contained marshal image of every piece of
    session progress: the engine image (queues, merge pool, guard,
@@ -309,8 +309,11 @@ let install_checkpointing ctx =
     let every = ctx.x_cfg.Config.checkpoint_every in
     let path = default_checkpoint_path ctx.x_cfg in
     (* The hook fires at every quiescent pick boundary; a checkpoint is
-       due once [every] engine steps have passed since the last one. *)
-    let last = ref 0 in
+       due once [every] engine steps have passed since the last one. A
+       resumed engine starts at its checkpoint's step count, which is
+       where the uninterrupted run last wrote one, so both runs write at
+       the same steps. *)
+    let last = ref (Exec.steps_now ctx.x_eng) in
     Exec.set_checkpoint_hook ctx.x_eng (fun () ->
         let now = Exec.steps_now ctx.x_eng in
         if now - !last >= every then begin

@@ -33,7 +33,6 @@ type config = {
   concrete_hardware : bool;
   (** route device reads to the concrete MMIO hooks instead of minting
       symbolic values — used by the stress baseline *)
-  strategy : Sched.strategy;
   jobs : int;
   (** worker domains exploring this engine's frontier cooperatively
       (1 = the classic sequential loop) *)
@@ -55,7 +54,6 @@ let default_config =
     max_steps_per_state = 200_000;
     inject_interrupts = true;
     concrete_hardware = false;
-    strategy = Sched.Min_touch;
     jobs = 1;
     chaos = None;
     state_merging = true;
@@ -116,8 +114,6 @@ type engine = {
      nothing, so no token ever opens; the session installs the
      post-dominator map ({!Ddt_staticx.Pdom}) when [cfg.state_merging]. *)
   guard_st : Guard.t;
-  rehomed : int Atomic.t;
-  (* states rescued from a dead worker's queue by the reaper *)
   mutable checkpoint_hook : (unit -> unit) option;
   (* called by worker 0 at pick boundaries (only when [jobs = 1], the
      one configuration where a pick boundary is a quiescent point); the
@@ -190,7 +186,7 @@ let create ?(config = default_config) img base_mem symdev =
   let covered = Array.init nblocks (fun _ -> Atomic.make 0) in
   let counts = Array.init nblocks (fun _ -> Atomic.make 0) in
   (* A state is scheduled by its current block, and the block's priority
-     is how often it has run (the EXE-style Min_touch count). Counts only
+     is how often it has run (the EXE-style min-touch count). Counts only
      grow over a session, which is what the lazy min-heap requires. The
      frontier calls this from inside its queue locks, so it takes no lock
      of its own. *)
@@ -200,8 +196,7 @@ let create ?(config = default_config) img base_mem symdev =
     if id < 0 then 0 else Atomic.get counts.(id)
   in
   let frontier =
-    Frontier.create ~workers:(max 1 config.jobs) ~max_states
-      ~strategy:config.strategy ~key ~priority
+    Frontier.create ~workers:(max 1 config.jobs) ~max_states ~key ~priority
   in
   let guard_st = Guard.create () in
   (* Install (or clear) the solver-side chaos injection for this engine;
@@ -238,7 +233,6 @@ let create ?(config = default_config) img base_mem symdev =
     pool = Merge.create ();
     merge_points = (fun _ -> None);
     guard_st;
-    rehomed = Atomic.make 0;
     checkpoint_hook = None;
     run_start_steps = 0;
     solver_base = Solver.stats ();
@@ -262,7 +256,6 @@ let set_checkpoint_hook eng f = eng.checkpoint_hook <- Some f
 let run_start eng = eng.run_start_steps
 let incidents eng = Guard.incidents eng.guard_st
 let worker_restarts eng = Guard.restarts eng.guard_st
-let rehomed_states eng = Atomic.get eng.rehomed
 
 (* --- state management -------------------------------------------------- *)
 
@@ -1101,7 +1094,7 @@ let sample_live eng st =
   Frontier.iter eng.frontier (fun s -> live := !live + Symmem.live_words s.St.mem);
   amax eng.peak_live_words !live
 
-(* One explorer. Workers pull from their own deque, steal when it runs
+(* One explorer. Workers pull from their own queue, steal when it runs
    dry, and park (briefly sleeping, so co-scheduled domains on few cores
    get the CPU) until the frontier is quiescent — the idle-worker
    barrier: [Frontier.quiescent] can only hold once no state is queued or
@@ -1112,26 +1105,7 @@ let sample_live eng st =
    state; the wrapper tells the supervisor not to record it twice. *)
 exception Quarantined of exn
 
-let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps ~alive wid =
-  (* Dead-worker reaper: an idle worker that notices a permanently-dead
-     sibling (supervisor gave up, or the domain body unwound) with work
-     still queued re-homes that queue onto itself, so no path is stranded
-     until [run]'s final drain. [alive] flips false only on domain exit;
-     a merely-restarting worker is still alive. *)
-  let reap () =
-    Array.iteri
-      (fun w a ->
-        if
-          w <> wid
-          && (not (Atomic.get a))
-          && Frontier.queue_length eng.frontier ~worker:w > 0
-        then begin
-          let moved = Frontier.rehome eng.frontier ~from_:w ~to_:wid in
-          if moved > 0 then
-            ignore (Atomic.fetch_and_add eng.rehomed moved)
-        end)
-      alive
-  in
+let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps wid =
   let rec loop () =
     if Atomic.get stop = None then
       if Atomic.get eng.total_steps - start >= max_total_steps then
@@ -1178,7 +1152,6 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps ~alive wid =
             loop ()
         | None ->
             if not (Frontier.quiescent eng.frontier) then begin
-              reap ();
               Unix.sleepf 2e-4;
               loop ()
             end
@@ -1188,8 +1161,9 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps ~alive wid =
      after a short exponential backoff. The restart budget only burns
      when the worker wedges — crashing again before completing a single
      pick; any progress resets the counter, so sporadic faults never
-     exhaust it. A worker that gives up leaves the frontier to the
-     surviving workers (and [run]'s final drain). *)
+     exhaust it. A worker that gives up leaves its queue to the surviving
+     workers, which steal from it like from any other (and to [run]'s
+     final drain). *)
   let rec supervised attempts last_picks =
     Domain.DLS.set worker_key wid;
     try loop () with
@@ -1260,13 +1234,8 @@ let run eng ?(max_total_steps = 20_000_000) ?(plateau_steps = 150_000)
   eng.run_start_steps <- start;
   let stop : stop_reason option Atomic.t = Atomic.make None in
   let jobs = max 1 eng.cfg.jobs in
-  let alive = Array.init jobs (fun _ -> Atomic.make true) in
   let worker wid =
-    Fun.protect
-      ~finally:(fun () -> Atomic.set alive.(wid) false)
-      (fun () ->
-        worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps ~alive
-          wid)
+    worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps wid
   in
   if jobs = 1 then worker 0
   else begin
@@ -1408,7 +1377,6 @@ type stats = {
   st_live_words : int;
   st_steals : int;
   st_workers : int;
-  st_rehomed : int;
   st_incidents : int;
   st_worker_restarts : int;
   st_solver : Solver.stats;
@@ -1419,7 +1387,6 @@ type stats = {
 }
 
 let steps_now eng = Atomic.get eng.total_steps
-let steals eng = Frontier.steals eng.frontier
 
 let block_coverage eng =
   let n = ref 0 in
@@ -1445,7 +1412,6 @@ let stats eng =
     st_live_words = max !live (Atomic.get eng.peak_live_words);
     st_steals = Frontier.steals eng.frontier;
     st_workers = Frontier.n_workers eng.frontier;
-    st_rehomed = Atomic.get eng.rehomed;
     st_incidents = Guard.incident_count eng.guard_st;
     st_worker_restarts = Guard.restarts eng.guard_st;
     st_solver = Solver.diff_stats (Solver.stats ()) eng.solver_base;
@@ -1471,10 +1437,11 @@ let stats eng =
    Marshal only preserves sharing within one call. *)
 
 type image = {
-  ei_queues : ((St.image * int * int) list * int) array;
-  (* per worker: scheduler entries (state, priority, seq) and the seq
-     high-water mark, exactly as [Sched.dump_entries] reports them *)
-  ei_steals : int;
+  ei_queue : (St.image * int * int) list * int;
+  (* the one worker's scheduler entries (state, priority, seq) and the
+     seq high-water mark, exactly as [Sched.dump_entries] reports them;
+     a checkpoint is only taken with a single worker, which never
+     steals *)
   ei_dropped : int;
   ei_pool : St.image Merge.dump;
   ei_guard : Guard.dump;
@@ -1491,16 +1458,13 @@ type image = {
   ei_picks : int;
   ei_last_new_block_step : int;
   ei_run_start : int;
-  ei_rehomed : int;
   ei_symdev_reads : (string * Expr.var) list;
 }
 
 let checkpoint_image eng =
-  let jobs = Frontier.n_workers eng.frontier in
-  let queues =
-    Array.init jobs (fun w ->
-        let entries, hseq = Frontier.dump_queue eng.frontier ~worker:w in
-        (List.map (fun (st, p, s) -> (St.to_image st, p, s)) entries, hseq))
+  let queue =
+    let entries, hseq = Frontier.dump_queue eng.frontier in
+    (List.map (fun (st, p, s) -> (St.to_image st, p, s)) entries, hseq)
   in
   let block_counts = ref [] in
   for i = Array.length eng.block_addrs - 1 downto 0 do
@@ -1515,8 +1479,7 @@ let checkpoint_image eng =
   let lineage = eng.lineage in
   Mutex.unlock eng.glock;
   {
-    ei_queues = queues;
-    ei_steals = Frontier.steals eng.frontier;
+    ei_queue = queue;
     ei_dropped = Frontier.dropped eng.frontier;
     ei_pool = Merge.dump eng.pool ~f:St.to_image;
     ei_guard = Guard.dump eng.guard_st;
@@ -1533,7 +1496,6 @@ let checkpoint_image eng =
     ei_picks = Atomic.get eng.picks;
     ei_last_new_block_step = Atomic.get eng.last_new_block_step;
     ei_run_start = eng.run_start_steps;
-    ei_rehomed = Atomic.get eng.rehomed;
     ei_symdev_reads = Ddt_hw.Symdev.reads_made eng.symdev;
   }
 
@@ -1547,17 +1509,12 @@ let revive_image eng imst =
   st
 
 let restore_image eng im =
-  let jobs = Frontier.n_workers eng.frontier in
   let revive = revive_image eng in
-  Array.iteri
-    (fun w (entries, hseq) ->
-      if w < jobs then
-        Frontier.restore_queue eng.frontier ~worker:w
-          (List.map (fun (imst, p, s) -> (revive imst, p, s)) entries)
-          ~hseq)
-    im.ei_queues;
-  Frontier.restore_counters eng.frontier ~steals:im.ei_steals
-    ~dropped:im.ei_dropped;
+  let entries, hseq = im.ei_queue in
+  Frontier.restore_queue eng.frontier
+    (List.map (fun (imst, p, s) -> (revive imst, p, s)) entries)
+    ~hseq;
+  Frontier.restore_counters eng.frontier ~dropped:im.ei_dropped;
   Merge.restore eng.pool ~f:revive im.ei_pool;
   Guard.restore eng.guard_st im.ei_guard;
   Mutex.lock eng.glock;
@@ -1586,5 +1543,4 @@ let restore_image eng im =
   Atomic.set eng.picks im.ei_picks;
   Atomic.set eng.last_new_block_step im.ei_last_new_block_step;
   eng.run_start_steps <- im.ei_run_start;
-  Atomic.set eng.rehomed im.ei_rehomed;
   Ddt_hw.Symdev.restore_reads eng.symdev im.ei_symdev_reads

@@ -31,14 +31,13 @@ type config = {
   concrete_hardware : bool;
   (** route device reads to the concrete MMIO hooks instead of minting
       symbolic values — used by the stress baseline *)
-  strategy : Sched.strategy;
   jobs : int;
   (** number of worker domains cooperatively exploring this engine's
       shared frontier ({!Frontier}); 1 (the default) is the classic
       sequential loop with no domain spawns. Workers keep per-domain
-      local queues and steal from each other when idle; bug reports stay
-      deterministic because keys are path-position-based and the report
-      sink dedups by key. *)
+      min-touch queues ({!Sched}, the only search order) and steal from
+      each other when idle; bug reports stay deterministic because keys
+      are path-position-based and the report sink dedups by key. *)
   chaos : Guard.chaos option;
   (** deterministic fault injection for the chaos harness ({!Guard.chaos});
       [None] (the default) injects nothing and costs nothing *)
@@ -116,11 +115,6 @@ val incidents : engine -> Guard.incident list
 (** Quarantined engine incidents so far, in deterministic order. *)
 
 val worker_restarts : engine -> int
-
-val rehomed_states : engine -> int
-(** States rescued from permanently-dead workers' queues by the reaper
-    (an idle worker re-homes a dead sibling's queue onto itself). Also
-    surfaced as {!stats}' [st_rehomed]. *)
 
 val replay_script :
   ?extra:Expr.t list -> ?constraints:Expr.t list -> Symstate.t ->
@@ -204,9 +198,6 @@ type stats = {
   st_steals : int;
   (** successful cross-worker frontier steals (0 when [jobs = 1]) *)
   st_workers : int;            (** frontier worker slots ([config.jobs]) *)
-  st_rehomed : int;
-  (** states the reaper re-homed from permanently dead workers' queues
-      onto a live worker *)
   st_incidents : int;          (** quarantined engine incidents *)
   st_worker_restarts : int;    (** supervisor worker-loop restarts *)
   st_solver : Ddt_solver.Solver.stats;
@@ -227,8 +218,6 @@ val steps_now : engine -> int
 (** Instructions executed so far — a cheap accessor for hot hooks that
     only need the step counter, not the whole {!stats} record. *)
 
-val steals : engine -> int
-(** Successful cross-worker frontier steals so far. *)
 val block_coverage : engine -> int
 (** Number of distinct basic blocks executed so far. *)
 
@@ -236,7 +225,7 @@ val covered_blocks : engine -> int list
 
 (** {1 Checkpointing}
 
-    The engine's whole mutable universe — frontier queues with exact
+    The engine's whole mutable universe — the frontier queue with exact
     scheduler keys, merge pool, guard ledger, finished states, lineage, coverage, counters, the device's reads
     ledger — as one marshal-safe value. Only meaningful at quiescent
     points: the [jobs = 1] pick boundary where the checkpoint hook

@@ -23,10 +23,8 @@ type t = {
   max_states : int;
 }
 
-let create ~workers ~max_states ~strategy ~key ~priority =
-  let mk _ =
-    { wq_mu = Mutex.create (); wq_q = Sched.create strategy ~key ~priority }
-  in
+let create ~workers ~max_states ~key ~priority =
+  let mk _ = { wq_mu = Mutex.create (); wq_q = Sched.create ~key ~priority } in
   {
     workers = Array.init (max 1 workers) mk;
     size = Atomic.make 0;
@@ -45,35 +43,32 @@ let with_wq wq f =
   Mutex.lock wq.wq_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock wq.wq_mu) f
 
-(* The cap check is racy across workers (a handful of states may slip past
-   max_states under contention); the old single-threaded check had the
-   same "admit when strictly below" semantics. *)
-let push_on t ~worker ~fresh st =
-  if Atomic.get t.size >= t.max_states then begin
-    Atomic.incr t.dropped;
-    false
-  end
-  else begin
-    let wq = t.workers.(worker mod Array.length t.workers) in
-    Atomic.incr t.size;
-    with_wq wq (fun () ->
-        if fresh then Sched.push wq.wq_q st else Sched.requeue wq.wq_q st);
-    true
-  end
-
-let push t ~worker st = push_on t ~worker ~fresh:true st
-
 (* A quantum-expired state is already admitted; dropping it here would
    silently lose a live path, so the cap does not apply. *)
 let requeue t ~worker st =
   let wq = t.workers.(worker mod Array.length t.workers) in
   Atomic.incr t.size;
-  with_wq wq (fun () -> Sched.requeue wq.wq_q st)
+  with_wq wq (fun () -> Sched.push wq.wq_q st)
+
+(* The cap check is racy across workers (a handful of states may slip past
+   max_states under contention); the old single-threaded check had the
+   same "admit when strictly below" semantics. *)
+let push t ~worker st =
+  if Atomic.get t.size >= t.max_states then begin
+    Atomic.incr t.dropped;
+    false
+  end
+  else begin
+    requeue t ~worker st;
+    true
+  end
 
 (* Victim selection: largest queue first, so a thief grabs from where the
-   most unexplored work sits (and for Dfs/Min_touch, Sched.steal hands
-   over the root-most / highest-key state — the biggest subtree). Lengths
-   are read without the victim's lock; staleness only costs ordering. *)
+   most unexplored work sits, and Sched.steal hands over what the victim
+   values least. Any non-empty queue is a victim — a worker whose
+   supervisor gave up included — so no queued state is stranded while
+   one worker still picks. Lengths are read without the victim's lock;
+   staleness only costs ordering. *)
 let pick_locked t ~worker =
   let n = Array.length t.workers in
   let me = worker mod n in
@@ -127,45 +122,28 @@ let task_done t = Atomic.decr t.inflight
 let iter t f =
   Array.iter (fun wq -> with_wq wq (fun () -> Sched.iter wq.wq_q f)) t.workers
 
-(* Reaper support: move every state queued on [from_] onto [to_]'s queue.
-   [size] is untouched (states only change queues), so termination
-   detection never observes an intermediate dip; the two locks are taken
-   one at a time, drain first, so the usual lock-ordering concerns don't
-   apply. Returns the number of states moved. *)
-let rehome t ~from_ ~to_ =
-  let n = Array.length t.workers in
-  let src = t.workers.(from_ mod n) and dst = t.workers.(to_ mod n) in
-  if src == dst then 0
-  else begin
-    let moved = with_wq src (fun () -> Sched.drain src.wq_q) in
-    with_wq dst (fun () -> List.iter (Sched.requeue dst.wq_q) moved);
-    List.length moved
-  end
-
-let queue_length t ~worker =
-  Sched.length t.workers.(worker mod Array.length t.workers).wq_q
-
 let quiescent t = Atomic.get t.size = 0 && Atomic.get t.inflight = 0
 
 (* --- checkpoint dump/restore --------------------------------------------- *)
-(* Per-queue entry dumps preserve each scheduler key exactly (see
-   Sched.dump_entries); the counters ride along so a resumed report's
-   steals/dropped totals match the uninterrupted run's. Dumping is only
+(* A checkpoint is only taken at a single worker's pick boundary, so it
+   holds one queue. The entry dump preserves each scheduler key exactly
+   (see Sched.dump_entries); the dropped counter rides along so a resumed
+   report's total matches the uninterrupted run's. Dumping is only
    meaningful at a quiescent point (no inflight states — an inflight
    state would simply be missing from the checkpoint). *)
 
-let dump_queue t ~worker =
-  let wq = t.workers.(worker mod Array.length t.workers) in
+let dump_queue t =
+  if Array.length t.workers <> 1 then
+    invalid_arg "Frontier.dump_queue: more than one worker";
+  let wq = t.workers.(0) in
   with_wq wq (fun () -> Sched.dump_entries wq.wq_q)
 
-let restore_queue t ~worker entries ~hseq =
-  let wq = t.workers.(worker mod Array.length t.workers) in
+let restore_queue t entries ~hseq =
+  let wq = t.workers.(0) in
   with_wq wq (fun () -> Sched.restore_entries wq.wq_q entries ~hseq);
   ignore (Atomic.fetch_and_add t.size (List.length entries))
 
-let restore_counters t ~steals ~dropped =
-  Atomic.set t.steals steals;
-  Atomic.set t.dropped dropped
+let restore_counters t ~dropped = Atomic.set t.dropped dropped
 
 (* Only sound once all workers have stopped; used by the main domain to
    retire leftovers after a budget/plateau stop. *)

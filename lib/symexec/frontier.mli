@@ -1,9 +1,10 @@
 (** Shared exploration frontier for multicore path exploration.
 
-    One {!Sched.queue} per worker domain, each behind its own mutex; a
-    worker pops from its own queue and, when empty, steals from the victim
-    with the largest queue (taking the end the victim's strategy values
-    least — see {!Sched.steal}).
+    One min-touch {!Sched.queue} per worker domain, each behind its own
+    mutex; a worker pops from its own queue and, when empty, steals from
+    the victim with the largest queue (taking what the victim values
+    least — see {!Sched.steal}). Every non-empty queue is a victim, so a
+    worker whose loop died leaves its queue to be drained by the others.
 
     Termination detection: [size] (queued states) and [inflight] (states
     being executed) are process-wide atomics; [inflight] is raised before
@@ -16,7 +17,6 @@ type t
 val create :
   workers:int ->
   max_states:int ->
-  strategy:Sched.strategy ->
   key:(Symstate.t -> int) ->
   priority:(int -> int) ->
   t
@@ -36,7 +36,7 @@ val push : t -> worker:int -> Symstate.t -> bool
     [max_states] cap rejected it (caller retires the state). *)
 
 val requeue : t -> worker:int -> Symstate.t -> unit
-(** Re-add a quantum-expired state ({!Sched.requeue} semantics). The
+(** Re-add a quantum-expired state (queued like a fresh push). The
     [max_states] cap does not apply: the state is already admitted and
     dropping it would silently lose a live path. *)
 
@@ -56,17 +56,6 @@ val iter : t -> (Symstate.t -> unit) -> unit
 (** Visit every queued state (each queue under its lock); inflight states
     are not visited. *)
 
-val rehome : t -> from_:int -> to_:int -> int
-(** Move every state queued on [from_]'s queue to [to_]'s queue,
-    preserving them for [to_]'s strategy ({!Sched.requeue} semantics).
-    [size] is unchanged throughout, so termination detection never sees
-    an intermediate dip. Returns the number of states moved. Used by the
-    dead-worker reaper to rescue the queue of a crashed domain. *)
-
-val queue_length : t -> worker:int -> int
-(** Length of one worker's queue, read without its lock (staleness only
-    costs a redundant reaper check). *)
-
 val drain_all : t -> Symstate.t list
 (** Remove every queued state (worker-index order). Only sound once all
     workers have stopped. *)
@@ -76,12 +65,13 @@ val drain_all : t -> Symstate.t list
     Dumps are only meaningful at quiescent points — an inflight state
     would be missing from the checkpoint. *)
 
-val dump_queue : t -> worker:int -> (Symstate.t * int * int) list * int
-(** One worker queue's {!Sched.dump_entries}. Non-destructive. *)
+val dump_queue : t -> (Symstate.t * int * int) list * int
+(** The one queue's {!Sched.dump_entries}. Non-destructive. A checkpoint
+    is only taken with a single worker; raises [Invalid_argument] on a
+    frontier of several. *)
 
-val restore_queue :
-  t -> worker:int -> (Symstate.t * int * int) list -> hseq:int -> unit
-(** Refill one (empty) worker queue and account the states in [size]. *)
+val restore_queue : t -> (Symstate.t * int * int) list -> hseq:int -> unit
+(** Refill worker 0's (empty) queue and account the states in [size]. *)
 
-val restore_counters : t -> steals:int -> dropped:int -> unit
-(** Restore the statistics of a fresh frontier. *)
+val restore_counters : t -> dropped:int -> unit
+(** Restore the drop count of a fresh frontier. *)

@@ -1,15 +1,8 @@
-type strategy =
-  | Min_touch
-  | Dfs
-  | Bfs
-  | Random_pick of int
-
 (* --- growable ring-buffer deque ----------------------------------------- *)
-(* Slots hold options so no dummy element is needed; the buffer doubles on
-   overflow. For the strategy queues, [front] is where add_state inserts
-   (newest) and [back] is where quantum-expired states are requeued
-   (oldest side); a heap bucket appends at the back and pops its oldest
-   entry from the front. *)
+(* A bucket's FIFO of waiting states. Slots hold options so no dummy
+   element is needed; the buffer doubles on overflow. A bucket appends at
+   the back, pops its oldest entry from the front and gives a thief its
+   newest from the back. *)
 
 type 'a deque = {
   mutable buf : 'a option array;
@@ -27,13 +20,6 @@ let dq_grow d =
   done;
   d.buf <- buf';
   d.head <- 0
-
-let dq_push_front d x =
-  if d.len = Array.length d.buf then dq_grow d;
-  let cap = Array.length d.buf in
-  d.head <- (d.head + cap - 1) mod cap;
-  d.buf.(d.head) <- Some x;
-  d.len <- d.len + 1
 
 let dq_push_back d x =
   if d.len = Array.length d.buf then dq_grow d;
@@ -62,27 +48,6 @@ let dq_pop_back d =
   end
 
 let dq_get d i = Option.get d.buf.((d.head + i) mod Array.length d.buf)
-
-(* Remove the element at logical index [i], shifting the shorter side. *)
-let dq_remove_at d i =
-  let x = dq_get d i in
-  let cap = Array.length d.buf in
-  if i < d.len - i then begin
-    (* shift the front segment right *)
-    for j = i downto 1 do
-      d.buf.((d.head + j) mod cap) <- d.buf.((d.head + j - 1) mod cap)
-    done;
-    d.buf.(d.head) <- None;
-    d.head <- (d.head + 1) mod cap
-  end
-  else begin
-    for j = i to d.len - 2 do
-      d.buf.((d.head + j) mod cap) <- d.buf.((d.head + j + 1) mod cap)
-    done;
-    d.buf.((d.head + d.len - 1) mod cap) <- None
-  end;
-  d.len <- d.len - 1;
-  x
 
 (* --- block-bucketed min-heap --------------------------------------------- *)
 (* A state's priority is a function of its key alone (the engine keys a
@@ -223,90 +188,34 @@ let hp_steal h =
     Some st
   end
 
-(* --- the strategy-dispatched queue --------------------------------------- *)
-
-type store = S_deque of Symstate.t deque | S_heap of heap
+(* --- the queue ------------------------------------------------------------ *)
 
 type queue = {
-  q_strategy : strategy;
   q_key : Symstate.t -> int;
   q_priority : int -> int;
-  q_store : store;
+  q_heap : heap;
 }
 
-let create strategy ~key ~priority =
-  let store =
-    match strategy with
-    | Min_touch -> S_heap (hp_create ())
-    | Dfs | Bfs | Random_pick _ -> S_deque (dq_create ())
-  in
-  { q_strategy = strategy; q_key = key; q_priority = priority; q_store = store }
+let create ~key ~priority =
+  { q_key = key; q_priority = priority; q_heap = hp_create () }
 
-let strategy q = q.q_strategy
-
-let length q =
-  match q.q_store with S_deque d -> d.len | S_heap h -> h.hcount
-
-let is_empty q = length q = 0
-
-let push q st =
-  match q.q_store with
-  | S_deque d -> dq_push_front d st
-  | S_heap h -> hp_push h ~key:q.q_key ~priority:q.q_priority st
-
-let requeue q st =
-  match q.q_store with
-  | S_deque d -> dq_push_back d st
-  | S_heap h -> hp_push h ~key:q.q_key ~priority:q.q_priority st
-
-let pop q =
-  match q.q_store with
-  | S_heap h -> hp_pop h ~priority:q.q_priority
-  | S_deque d -> (
-      match q.q_strategy with
-      | Dfs -> dq_pop_front d
-      | Bfs -> dq_pop_back d
-      | Random_pick seed ->
-          if d.len = 0 then None
-          else
-            let newest = dq_get d 0 in
-            let idx =
-              abs (Hashtbl.hash (seed, d.len, newest.Symstate.id)) mod d.len
-            in
-            Some (dq_remove_at d idx)
-      | Min_touch -> assert false)
-
-let steal q =
-  match q.q_store with
-  | S_heap h -> hp_steal h
-  | S_deque d -> (
-      match q.q_strategy with
-      | Dfs -> dq_pop_back d       (* oldest: near the root, big subtree *)
-      | Bfs | Random_pick _ -> dq_pop_front d
-      | Min_touch -> assert false)
+let length q = q.q_heap.hcount
+let push q st = hp_push q.q_heap ~key:q.q_key ~priority:q.q_priority st
+let pop q = hp_pop q.q_heap ~priority:q.q_priority
+let steal q = hp_steal q.q_heap
 
 let iter q f =
-  match q.q_store with
-  | S_deque d ->
-      for i = 0 to d.len - 1 do
-        f (dq_get d i)
-      done
-  | S_heap h ->
-      for i = 0 to h.hlen - 1 do
-        let items = h.harr.(i).b_items in
-        for j = 0 to items.len - 1 do
-          f (snd (dq_get items j))
-        done
-      done
+  let h = q.q_heap in
+  for i = 0 to h.hlen - 1 do
+    let items = h.harr.(i).b_items in
+    for j = 0 to items.len - 1 do
+      f (snd (dq_get items j))
+    done
+  done
 
 let drain q =
   let rec go acc =
-    let next =
-      match q.q_store with
-      | S_heap h -> hp_pop h ~priority:q.q_priority
-      | S_deque d -> dq_pop_front d
-    in
-    match next with None -> List.rev acc | Some st -> go (st :: acc)
+    match pop q with None -> List.rev acc | Some st -> go (st :: acc)
   in
   go []
 
@@ -318,26 +227,19 @@ let drain q =
    re-push with fresh sequence numbers would tie-break future
    equal-priority entries differently than the uninterrupted run. Each
    entry carries its bucket's stored priority, a lower bound on the live
-   one. For a deque, order is just front-to-back. *)
+   one. *)
 
 let dump_entries q =
-  match q.q_store with
-  | S_deque d ->
-      let entries = ref [] in
-      for i = d.len - 1 downto 0 do
-        entries := (dq_get d i, 0, i) :: !entries
-      done;
-      (!entries, 0)
-  | S_heap h ->
-      let entries = ref [] in
-      for i = h.hlen - 1 downto 0 do
-        let b = h.harr.(i) in
-        for j = b.b_items.len - 1 downto 0 do
-          let seq, st = dq_get b.b_items j in
-          entries := (st, b.b_prio, seq) :: !entries
-        done
-      done;
-      (!entries, h.hseq)
+  let h = q.q_heap in
+  let entries = ref [] in
+  for i = h.hlen - 1 downto 0 do
+    let b = h.harr.(i) in
+    for j = b.b_items.len - 1 downto 0 do
+      let seq, st = dq_get b.b_items j in
+      entries := (st, b.b_prio, seq) :: !entries
+    done
+  done;
+  (!entries, h.hseq)
 
 (* Only meaningful on a freshly created (empty) queue. Buckets are
    rebuilt in the order their keys first appear, which for a dump of this
@@ -347,28 +249,26 @@ let dump_entries q =
    each is a lower bound on the key's live priority, so the least is
    too. *)
 let restore_entries q entries ~hseq =
-  match q.q_store with
-  | S_deque d -> List.iter (fun (st, _, _) -> dq_push_back d st) entries
-  | S_heap h ->
-      let pending = Hashtbl.create 16 and order = ref [] in
+  let h = q.q_heap in
+  let pending = Hashtbl.create 16 and order = ref [] in
+  List.iter
+    (fun ((st, prio, _) as e) ->
+      let k = q.q_key st in
+      match Hashtbl.find_opt pending k with
+      | Some (p, es) -> Hashtbl.replace pending k (min p prio, e :: es)
+      | None ->
+          Hashtbl.replace pending k (prio, [ e ]);
+          order := k :: !order)
+    entries;
+  List.iter
+    (fun k ->
+      let prio, es = Hashtbl.find pending k in
+      let b = { b_key = k; b_prio = prio; b_items = dq_create () } in
       List.iter
-        (fun ((st, prio, _) as e) ->
-          let k = q.q_key st in
-          match Hashtbl.find_opt pending k with
-          | Some (p, es) -> Hashtbl.replace pending k (min p prio, e :: es)
-          | None ->
-              Hashtbl.replace pending k (prio, [ e ]);
-              order := k :: !order)
-        entries;
-      List.iter
-        (fun k ->
-          let prio, es = Hashtbl.find pending k in
-          let b = { b_key = k; b_prio = prio; b_items = dq_create () } in
-          List.iter
-            (fun (st, _, seq) -> dq_push_back b.b_items (seq, st))
-            (List.sort (fun (_, _, a) (_, _, b) -> compare a b) es);
-          h.hcount <- h.hcount + List.length es;
-          IH.replace h.buckets k b;
-          hp_insert h b)
-        (List.rev !order);
-      h.hseq <- max h.hseq hseq
+        (fun (st, _, seq) -> dq_push_back b.b_items (seq, st))
+        (List.sort (fun (_, _, a) (_, _, b) -> compare a b) es);
+      h.hcount <- h.hcount + List.length es;
+      IH.replace h.buckets k b;
+      hp_insert h b)
+    (List.rev !order);
+  h.hseq <- max h.hseq hseq

@@ -6,7 +6,8 @@
    (never as session death), and the dynamic bug report is identical to
    the fault-free run. Injection points are counted on engine-owned
    atomics, so at jobs = 1 every run injects at exactly the same
-   places. *)
+   places; the jobs = 2 case checks the same contract where the crashed
+   worker varies from run to run. *)
 
 module Config = Ddt_core.Config
 module Session = Ddt_core.Session
@@ -23,12 +24,11 @@ let quick_cfg (e : Corpus.entry) =
   let cfg = Corpus.config e in
   { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
 
-let run_with chaos e =
+let run_with ?(jobs = 1) chaos e =
   let cfg = quick_cfg e in
   let cfg =
     { cfg with
-      Config.exec_config =
-        { cfg.Config.exec_config with Exec.jobs = 1; chaos } }
+      Config.exec_config = { cfg.Config.exec_config with Exec.jobs; chaos } }
   in
   (* Start every run from a cold query cache so the fault-free and the
      chaos run issue the same uncached solves (injections fire on
@@ -84,6 +84,29 @@ let test_worker_crashes () =
     Corpus.all;
   check_bool "crashes were actually injected somewhere" true
     (!total_crashes > 0)
+
+(* Two workers: a crashed worker's loop is restarted while the other
+   keeps picking (and steals from its queue), so every injected crash
+   is still one restart and no path is lost. *)
+let test_worker_crashes_two_jobs () =
+  List.iter
+    (fun short ->
+      let e = Corpus.find short in
+      let chaos =
+        run_with ~jobs:2
+          (Some
+             { Guard.chaos_worker_crash_period = 25;
+               chaos_solver_exhaust_period = 0 })
+          e
+      in
+      check_bool (short ^ " -j 2 bug set equals the fault-free -j 1 run")
+        true
+        (bug_keys (baseline e) = bug_keys chaos);
+      let crashes = count_kind Guard.Worker_crash chaos in
+      check_bool (short ^ " crashes were injected") true (crashes > 0);
+      check_int (short ^ " one restart per crash at -j 2") crashes
+        chaos.Session.r_stats.Exec.st_worker_restarts)
+    [ "rtl8029"; "pro100" ]
 
 let test_crash_incident_has_replay () =
   let e = Corpus.find "rtl8029" in
@@ -161,6 +184,9 @@ let () =
     [ ("worker-crash",
        [ Alcotest.test_case "bug sets identical, crashes absorbed" `Quick
            test_worker_crashes;
+         Alcotest.test_case "-j 2: bug sets identical, crashes absorbed"
+           `Quick
+           test_worker_crashes_two_jobs;
          Alcotest.test_case "crash incidents carry a replay" `Quick
            test_crash_incident_has_replay ]);
       ("solver-exhaustion",

@@ -357,6 +357,32 @@ let test_checkpoint_resume_identical () =
       check_string "resumed report is byte-identical" oracle
         (Report_json.to_string (Report_json.of_result r))
 
+(* A resumed run keeps the uninterrupted run's checkpoint cadence: the
+   leftover checkpoint is the last one that run wrote, so resuming it
+   with the same interval reaches no further checkpoint step, and a
+   fresh checkpoint path stays unwritten. *)
+let test_resume_keeps_checkpoint_cadence () =
+  let dir = tmpdir () in
+  let ckpt = Filename.concat dir "drv.ckpt" in
+  let again = Filename.concat dir "again.ckpt" in
+  let e = Corpus.find "rtl8029" in
+  let ck_cfg =
+    { (quick_cfg e) with
+      Config.checkpoint_every = 1500; checkpoint_path = Some ckpt }
+  in
+  ignore (fresh_run ck_cfg);
+  check_bool "a mid-run checkpoint was left behind" true (Sys.file_exists ckpt);
+  Solver.clear_cache ();
+  Expr.reset_var_counter ();
+  (match
+     Session.resume { ck_cfg with Config.checkpoint_path = Some again }
+       ~path:ckpt
+   with
+   | Ok _ -> ()
+   | Error err -> Alcotest.failf "resume: %s" err);
+  check_bool "the resumed run wrote no checkpoint" false
+    (Sys.file_exists again)
+
 let test_checkpoint_corrupt_resume_errors () =
   let dir = tmpdir () in
   let ckpt = Filename.concat dir "drv.ckpt" in
@@ -407,8 +433,9 @@ let with_version blob v =
    query-cache dump as an option, version 6 flagged cache entries loaded
    from the on-disk store, version 7 scaled each scheduler priority for
    a distance tiebreak, version 8 dumped the query cache shard by shard,
-   and version 9 carried kernel-event listeners, the cache's Unsat
-   subset index and the governor's retirement count. *)
+   version 9 carried kernel-event listeners, the cache's Unsat subset
+   index and the governor's retirement count, and version 10 held one
+   scheduler queue per worker with steal and re-home counters. *)
 let older_versions current = List.init (current - 1) (fun i -> i + 1)
 
 let test_previous_version_refused () =
@@ -436,6 +463,8 @@ let test_previous_version_refused () =
     (List.mem 8 (older_versions Session.checkpoint_version));
   check_bool "version 9 is an older checkpoint layout" true
     (List.mem 9 (older_versions Session.checkpoint_version));
+  check_bool "version 10 is an older checkpoint layout" true
+    (List.mem 10 (older_versions Session.checkpoint_version));
   List.iter
     (fun v ->
       Out_channel.with_open_bin ckpt (fun oc ->
@@ -492,6 +521,8 @@ let () =
       ( "checkpoint",
         [ Alcotest.test_case "kill-resume byte-identical" `Quick
             test_checkpoint_resume_identical;
+          Alcotest.test_case "resume keeps the checkpoint cadence" `Quick
+            test_resume_keeps_checkpoint_cadence;
           Alcotest.test_case "corrupt/foreign checkpoints refused" `Quick
             test_checkpoint_corrupt_resume_errors;
           Alcotest.test_case "previous-version blobs refused" `Quick

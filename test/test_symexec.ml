@@ -779,7 +779,7 @@ junk: .word 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF
     (Exec.covered_blocks eng = [ entry ]);
   check_int "coverage counts one block" 1 (Exec.block_coverage eng)
 
-(* --- scheduler strategies ---------------------------------------------------- *)
+(* --- min-touch scheduler ----------------------------------------------------- *)
 
 let mk_states eng ks n =
   List.init n (fun _ -> Exec.new_root_state eng ks)
@@ -791,30 +791,22 @@ let sid = function
 (* A min-touch queue over states placed at blocks: [key] reads a state's
    block from [blocks], [priority] a block's execution count from
    [counts]; both default to 0. *)
-let block_queue ?(strategy = Sched.Min_touch) blocks counts =
+let block_queue blocks counts =
   let lookup tbl k = try Hashtbl.find tbl k with Not_found -> 0 in
-  Sched.create strategy
+  Sched.create
     ~key:(fun s -> lookup blocks s.Symstate.id)
     ~priority:(lookup counts)
 
-let test_sched_strategies () =
+let test_sched_min_touch () =
   let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
   let sts = mk_states eng ks 4 in
   let ids = List.map (fun s -> s.Symstate.id) sts in
   let nth = List.nth ids in
-  let fill ?(blocks = Hashtbl.create 1) ?(counts = Hashtbl.create 1) strategy =
-    let q = block_queue ~strategy blocks counts in
+  let fill ?(counts = Hashtbl.create 1) blocks =
+    let q = block_queue blocks counts in
     List.iter (Sched.push q) sts;
     q
   in
-  (* DFS pops the newest push (LIFO); a thief steals the oldest. *)
-  let q = fill Sched.Dfs in
-  check_int "dfs pops newest" (nth 3) (sid (Sched.pop q));
-  check_int "dfs length after pop" 3 (Sched.length q);
-  check_int "dfs steal takes oldest" (nth 0) (sid (Sched.steal q));
-  (* BFS pops the oldest push (FIFO). *)
-  let q = fill Sched.Bfs in
-  check_int "bfs pops oldest" (nth 0) (sid (Sched.pop q));
   (* Min-touch: the state at the least-run block wins. States 0, 1 and 3
      wait at block 20 (run 5 times), state 2 at block 10 (never run). *)
   let blocks = Hashtbl.create 4 and counts = Hashtbl.create 4 in
@@ -822,20 +814,15 @@ let test_sched_strategies () =
     (fun i id -> Hashtbl.replace blocks id (if i = 2 then 10 else 20))
     ids;
   Hashtbl.replace counts 20 5;
-  let q = fill ~blocks ~counts Sched.Min_touch in
+  let q = fill ~counts blocks in
   check_int "min wins" (nth 2) (sid (Sched.pop q));
   check_int "min-touch length after pop" 3 (Sched.length q);
   (* Ties break FIFO, within one block and across equally-run blocks. *)
-  let q = fill ~blocks Sched.Min_touch in
+  let q = fill blocks in
   check_int "fifo tie-break" (nth 0) (sid (Sched.pop q));
   check_int "fifo tie-break (2nd)" (nth 1) (sid (Sched.pop q));
   check_int "fifo tie-break across blocks" (nth 2) (sid (Sched.pop q));
   check_int "fifo tie-break (4th)" (nth 3) (sid (Sched.pop q));
-  (* Random pick is deterministic for a given seed and queue. *)
-  let q = fill (Sched.Random_pick 42) in
-  let picked = sid (Sched.pop q) in
-  check_bool "random picks a member" true (List.mem picked ids);
-  check_int "random length after pop" 3 (Sched.length q);
   (* Empty queues answer None. *)
   let q = block_queue (Hashtbl.create 1) (Hashtbl.create 1) in
   check_bool "empty pop" true (Sched.pop q = None);
@@ -859,7 +846,7 @@ let test_sched_lazy_heap () =
   check_int "still skipped" (nth 2) (sid (Sched.pop q));
   check_int "third pop" (nth 3) (sid (Sched.pop q));
   check_int "hot block comes last" (nth 0) (sid (Sched.pop q));
-  check_bool "drained" true (Sched.is_empty q);
+  check_int "drained" 0 (Sched.length q);
   (* A heap steal never takes the current minimum (with >= 2 states):
      not across blocks of distinct priority ... *)
   Hashtbl.reset counts;
@@ -878,11 +865,11 @@ let test_sched_lazy_heap () =
 
 (* The bucketed heap against a reference queue that recomputes every
    priority at each pick and takes the minimum by (priority, push
-   sequence). A pool of states is spread over four blocks; steps push or
-   requeue an idle state, pop, steal, drain, dump and restore into a
-   fresh queue, or bump a block's count (counts only grow). Steps are
-   (operation, argument): 0-1 push, 2 requeue, 3-4 pop, 5 steal,
-   6 drain, 7 dump/restore, 8-9 bump. *)
+   sequence). A pool of states is spread over four blocks; steps push an
+   idle state, pop, steal, drain, dump and restore into a fresh queue, or
+   bump a block's count (counts only grow). Steps are (operation,
+   argument): 0-2 push, 3-4 pop, 5 steal, 6 drain, 7 dump/restore, 8-9
+   bump. *)
 let prop_sched_matches_reference =
   QCheck.Test.make ~count:300
     ~name:"bucket heap matches recompute-every-pick reference"
@@ -923,7 +910,7 @@ let prop_sched_matches_reference =
           (match op with
           | 0 | 1 | 2 ->
               if not (queued s) then begin
-                (if op = 2 then Sched.requeue else Sched.push) !q s;
+                Sched.push !q s;
                 incr seq;
                 model := (!seq, s) :: !model
               end
@@ -972,8 +959,8 @@ let test_frontier_steal_and_quiesce () =
   let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
   let sts = mk_states eng ks 6 in
   let f =
-    Frontier.create ~workers:2 ~max_states:64 ~strategy:Sched.Dfs
-      ~key:(fun _ -> 0) ~priority:(fun _ -> 0)
+    Frontier.create ~workers:2 ~max_states:64 ~key:(fun _ -> 0)
+      ~priority:(fun _ -> 0)
   in
   List.iter (fun s -> ignore (Frontier.push f ~worker:0 s)) sts;
   check_int "size" 6 (Frontier.size f);
@@ -993,14 +980,35 @@ let test_frontier_steal_and_quiesce () =
   in
   check_int "worker 0 drains the rest" 5 (drain 0);
   check_bool "quiescent when empty and nothing inflight" true
-    (Frontier.quiescent f)
+    (Frontier.quiescent f);
+  (* A queue nobody pops from (its worker died) is drained by stealing:
+     every state queued on worker 1 reaches worker 0, each by a steal. *)
+  let f =
+    Frontier.create ~workers:2 ~max_states:64 ~key:(fun _ -> 0)
+      ~priority:(fun _ -> 0)
+  in
+  List.iter (fun s -> ignore (Frontier.push f ~worker:1 s)) sts;
+  let rec take acc =
+    if Frontier.quiescent f then acc
+    else
+      match Frontier.pick f ~worker:0 with
+      | Some s ->
+          Frontier.task_done f;
+          take (s.Symstate.id :: acc)
+      | None -> Alcotest.fail "pick found no work on a non-quiescent frontier"
+  in
+  let got = take [] in
+  check_bool "worker 0 receives every state" true
+    (List.sort compare got
+     = List.sort compare (List.map (fun s -> s.Symstate.id) sts));
+  check_int "one steal per state" (List.length sts) (Frontier.steals f)
 
 let test_frontier_cap_and_requeue () =
   let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
   let sts = mk_states eng ks 4 in
   let f =
-    Frontier.create ~workers:1 ~max_states:2 ~strategy:Sched.Bfs
-      ~key:(fun _ -> 0) ~priority:(fun _ -> 0)
+    Frontier.create ~workers:1 ~max_states:2 ~key:(fun _ -> 0)
+      ~priority:(fun _ -> 0)
   in
   let admitted =
     List.filter (fun s -> Frontier.push f ~worker:0 s) sts
@@ -1047,7 +1055,7 @@ let () =
          Alcotest.test_case "wild indirect targets" `Quick
            test_wild_indirect_targets ]);
       ("scheduler",
-       [ Alcotest.test_case "strategies" `Quick test_sched_strategies;
+       [ Alcotest.test_case "min-touch order" `Quick test_sched_min_touch;
          Alcotest.test_case "lazy heap" `Quick test_sched_lazy_heap;
          qtest prop_sched_matches_reference ]);
       ("frontier",
