@@ -15,6 +15,9 @@ test:
 #   mid-exploration (the child must die with status 137, not finish),
 #   then `ddt_cli resume` must reproduce the uninterrupted oracle's
 #   report byte for byte;
+# - resume mismatch: resuming that checkpoint with `--fixed` (another
+#   image under the same driver name) must be refused with exit 1 and
+#   exactly one stderr line;
 # - chaos: `test pro100 --chaos` (injected worker crashes and solver
 #   exhaustions) must report the same sorted bug keys as the default run;
 # - usage errors: four removed `test` flags and an out-of-range `-j`
@@ -51,6 +54,12 @@ check: build test
 	  || [ $$? -eq 2 ]; \
 	cmp $$dir/oracle.json $$dir/resumed.json; \
 	echo "kill-resume smoke: resumed report byte-identical"; \
+	rc=0; $$cli resume $$dir/p.ckpt --fixed >/dev/null 2>$$dir/resume.err \
+	  || rc=$$?; \
+	[ $$rc -eq 1 ] || { echo "resume --fixed: exit $$rc, want 1"; exit 1; }; \
+	[ $$(wc -l < $$dir/resume.err) -eq 1 ] \
+	  || { echo "resume --fixed: want one stderr line"; exit 1; }; \
+	echo "resume-mismatch smoke: a fixed-image resume exits 1"; \
 	$$cli test pro100 --chaos --json-out $$dir/chaos.json >/dev/null \
 	  || [ $$? -eq 2 ]; \
 	for r in oracle chaos; do \

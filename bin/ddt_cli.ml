@@ -189,7 +189,10 @@ let resume_cmd =
     let doc =
       "Checkpoint file written by $(b,test --checkpoint-every). The \
        resumed session must be given the same flags (e.g. $(b,--fixed), \
-       $(b,--no-annotations)) as the run that wrote it."
+       $(b,--no-annotations), $(b,--no-merge), $(b,--chaos)) as the run \
+       that wrote it; a checkpoint from another image or with other \
+       settings is refused with exit 1. $(b,-j) and the checkpoint \
+       cadence may differ."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"CKPT" ~doc)
   in

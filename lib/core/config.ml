@@ -48,21 +48,10 @@ let default_descriptor =
 let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     ?(registry = []) ?workload ?(use_annotations = true)
     ?annotations ?(exec_config = Ddt_symexec.Exec.default_config)
-    ?jobs ?state_merging
     ?(max_total_steps = 3_000_000) ?(plateau_steps = 250_000)
     ?(max_bases_per_phase = 3) ?concrete_device ?replay
     ?(collect_crashdumps = false) ?(checkpoint_every = 0)
     ?checkpoint_path () =
-  let exec_config =
-    match jobs with
-    | None -> exec_config
-    | Some j -> { exec_config with Ddt_symexec.Exec.jobs = max 1 j }
-  in
-  let exec_config =
-    match state_merging with
-    | None -> exec_config
-    | Some m -> { exec_config with Ddt_symexec.Exec.state_merging = m }
-  in
   let workload =
     match workload with
     | Some w -> w

@@ -63,10 +63,6 @@ val make :
   ?use_annotations:bool ->
   ?annotations:Ddt_annot.Annot.set ->
   ?exec_config:Ddt_symexec.Exec.config ->
-  ?jobs:int ->
-  ?state_merging:bool ->
-  (** override [exec_config.state_merging]: fuse sibling states at
-      branch post-dominators (see {!Ddt_symexec.Exec.config}) *)
   ?max_total_steps:int ->
   ?plateau_steps:int ->
   ?max_bases_per_phase:int ->

@@ -239,9 +239,29 @@ let setup (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-(* 11: the engine image holds one scheduler queue, not a per-worker
-   array, and no steal or dead-worker re-home counters. *)
-let checkpoint_version = 11
+(* 12: the merge pool dump has no per-branch statistics and its tokens
+   no branch pc; the checkpoint records digests of the driver image and
+   of the exploration settings. *)
+let checkpoint_version = 12
+
+(* What a resumed run must share with the run that wrote the checkpoint
+   for the two to converge: the driver image, and every setting that
+   shapes the explored tree. The job count and the checkpoint cadence and
+   path are left out; they change neither. *)
+let image_digest (cfg : Config.t) =
+  Digest.bytes (Image.to_bytes cfg.Config.image)
+
+let settings_digest (cfg : Config.t) =
+  let x = cfg.Config.exec_config in
+  Digest.string
+    (Marshal.to_string
+       ( (cfg.Config.use_annotations, cfg.Config.workload,
+          cfg.Config.registry, cfg.Config.descriptor),
+         (x.Exec.state_merging, x.Exec.chaos, x.Exec.max_steps_per_state,
+          x.Exec.inject_interrupts),
+         (cfg.Config.max_total_steps, cfg.Config.plateau_steps,
+          cfg.Config.max_bases_per_phase) )
+       [ Marshal.No_sharing ])
 
 (* A checkpoint is one self-contained marshal image of every piece of
    session progress: the engine image (queues, merge pool, guard,
@@ -254,6 +274,8 @@ let checkpoint_version = 11
 type checkpoint = {
   ck_version : int;
   ck_driver : string;
+  ck_image_digest : Digest.t;
+  ck_settings_digest : Digest.t;
   ck_phase : int;
   ck_invocations : int;
   ck_finished_count : int;
@@ -278,6 +300,8 @@ let write_checkpoint ctx path =
     {
       ck_version = checkpoint_version;
       ck_driver = ctx.x_cfg.Config.driver_name;
+      ck_image_digest = image_digest ctx.x_cfg;
+      ck_settings_digest = settings_digest ctx.x_cfg;
       ck_phase = !(ctx.x_phase);
       ck_invocations = !(ctx.x_invocations);
       ck_finished_count = !(ctx.x_finished_count);
@@ -521,6 +545,12 @@ let resume (cfg : Config.t) ~path : (result, string) Stdlib.result =
         Error
           (Printf.sprintf "checkpoint is for driver %S, config is for %S"
              ck.ck_driver cfg.Config.driver_name)
+      else if ck.ck_image_digest <> image_digest cfg then
+        Error "checkpoint was taken from a different driver image"
+      else if ck.ck_settings_digest <> settings_digest cfg then
+        Error
+          "checkpoint was taken with different session settings \
+           (annotations, merging, chaos, workload or budgets)"
       else if ck.ck_phase > List.length cfg.Config.workload then
         Error
           (Printf.sprintf "checkpoint phase %d is past the config's %d-item \

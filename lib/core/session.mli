@@ -79,9 +79,12 @@ val resume : Config.t -> path:string -> (result, string) Stdlib.result
 (** [resume cfg ~path] rebuilds the session over [cfg] (which must name
     the same driver the checkpoint was taken from), restores the
     checkpointed progress, and runs to completion. [Error _] if the
-    checkpoint cannot be read, belongs to another driver or records a
-    phase past [cfg]'s workload; a resumed session keeps checkpointing
-    to the same path. *)
+    checkpoint cannot be read, belongs to another driver, was taken from
+    a different image (a [--fixed] variant keeps its driver's name) or
+    with different exploration settings (annotations, merging, chaos,
+    workload, budgets, registry, device descriptor), or records a phase
+    past [cfg]'s workload; the job count and checkpoint cadence may
+    differ. A resumed session keeps checkpointing to the same path. *)
 
 val coverage_percent : result -> float
 (** Final dynamic coverage against the linear-sweep block count. *)

@@ -434,23 +434,6 @@ let vars e =
       go e;
       List.sort (fun a b -> Stdlib.compare a.id b.id) (Idtbl.values seen))
 
-(* Saturating: the tree unfolding of a merged DAG can outgrow [max_int]. *)
-let ( +| ) a b =
-  let s = a + b in
-  if s < 0 then max_int else s
-
-let size e =
-  run (fun m ->
-      let rec go e = memo m count e
-      and count = function
-        | Const _ | Var _ -> 1
-        | Binop (_, a, b) | Cmp (_, a, b) -> 1 +| go a +| go b
-        | Ite (c, a, b) -> 1 +| go c +| go a +| go b
-        | Extract (x, _) | Zext x | Not x -> 1 +| go x
-        | Concat4 (b3, b2, b1, b0) -> 1 +| go b3 +| go b2 +| go b1 +| go b0
-      in
-      go e)
-
 let string_of_binop = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Divu -> "/u" | Remu -> "%u"
   | And -> "&" | Or -> "|" | Xor -> "^"
@@ -486,13 +469,20 @@ let children = function
   | Extract (x, _) | Zext x | Not x -> [ x ]
   | Concat4 (b3, b2, b1, b0) -> [ b3; b2; b1; b0 ]
 
+(* The tree unfolding has at most [plain_budget] nodes; the walk stops
+   as soon as it has seen more. *)
+let fits_plain e =
+  let m = { left = plain_budget; table = None } in
+  let rec go e = memo m (fun e -> List.iter go (children e)) e in
+  match go e with () -> true | exception Unshared -> false
+
 (* A term whose tree unfolding outgrows the budget is printed as a DAG:
    a compound subterm referenced more than once is named at its first
    occurrence, [$k=(...)], and printed as [$k] after that, so the text
    stays linear in the distinct nodes. *)
 let pp fmt e =
   let rec tree fmt e = pp_node tree fmt e in
-  if size e <= plain_budget then tree fmt e
+  if fits_plain e then tree fmt e
   else begin
     let refs = Phys.create 64 in
     let rec count e =

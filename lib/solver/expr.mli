@@ -94,10 +94,6 @@ module Idtbl : sig
   (** In insertion order. *)
 end
 
-val size : t -> int
-(** Node count of the tree unfolding, saturating at [max_int]: a shared
-    subterm counts once per occurrence, though the walk itself visits it
-    once. *)
 
 (** {1 Concrete evaluation} *)
 
@@ -135,9 +131,9 @@ val compare : t -> t -> int
     Expressions are DAGs. A merged state lifts values to
     [ite(g, f x, h x)] whose arms share [x], so k nested merges unfold to
     a tree exponential in k over only O(k) distinct nodes. Every walk in
-    this library (including {!equal}, {!compare}, {!vars}, {!size} and
-    {!eval}) walks plainly, as a tree, within a small node budget, and
-    past it restarts memoized by physical identity, in time linear in the
+    this library (including {!equal}, {!compare}, {!vars} and {!eval})
+    walks plainly, as a tree, within a small node budget, and past it
+    restarts memoized by physical identity, in time linear in the
     distinct nodes. Both modes compute the same value. *)
 
 type 'a memo

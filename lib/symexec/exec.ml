@@ -548,11 +548,6 @@ let push_word st v =
   St.reg_set st Isa.sp (Expr.word sp);
   Symmem.write_u32 st.St.mem sp v
 
-let setup_forced_call st ~addr ~args =
-  List.iter (fun a -> push_word st a) (List.rev args);
-  push_word st (Expr.word Layout.return_sentinel);
-  st.St.pc <- addr
-
 let save_ctx st =
   { St.s_regs = Array.copy st.St.regs; s_pc = st.St.pc;
     s_int = st.St.int_enabled }
@@ -561,6 +556,19 @@ let restore_ctx st (ctx : St.saved_ctx) =
   Array.blit ctx.St.s_regs 0 st.St.regs 0 (Array.length ctx.St.s_regs);
   st.St.pc <- ctx.St.s_pc;
   st.St.int_enabled <- ctx.St.s_int
+
+(* Enter a forced handler (ISR, DPC or timer routine) from the state's
+   current context: push the continuation [cont] that runs when the
+   handler returns to the sentinel, record the entry, push the
+   arguments and the sentinel return address, and jump. *)
+let enter_handler st cont ~site ~phase (call : Intr.call) =
+  st.St.pending <- cont :: st.St.pending;
+  St.record st (Event.E_interrupt { site; phase });
+  List.iter
+    (fun a -> push_word st (Expr.word a))
+    (List.rev call.Intr.call_args);
+  push_word st (Expr.word Layout.return_sentinel);
+  st.St.pc <- call.Intr.call_addr
 
 (* Inject a symbolic interrupt at a kernel/driver boundary crossing: fork a
    successor in which the interrupt fires right now (§3.3, §4.3). *)
@@ -599,12 +607,9 @@ let maybe_inject eng st ~site ~phase =
     match Intr.begin_isr child.St.ks with
     | None -> ()
     | Some (call, saved_irql) ->
-        let ctx = save_ctx child in
-        child.St.pending <-
-          St.Pa_after_isr (ctx, saved_irql) :: child.St.pending;
-        St.record child (Event.E_interrupt { site = phase; phase = "isr" });
-        setup_forced_call child ~addr:call.Intr.call_addr
-          ~args:(List.map (fun a -> Expr.word a) call.Intr.call_args);
+        enter_handler child
+          (St.Pa_after_isr (save_ctx child, saved_irql))
+          ~site:phase ~phase:"isr" call;
         add_state eng child
   end
 
@@ -753,13 +758,9 @@ let handle_sentinel eng st =
                ~isr_ret:(if wants_dpc then 2 else 0)
            with
            | Some call ->
-               s.St.pending <-
-                 St.Pa_after_dpc (ctx, saved_irql) :: s.St.pending;
-               St.record s
-                 (Event.E_interrupt { site = "isr-completion"; phase = "dpc" });
                restore_ctx s ctx;
-               setup_forced_call s ~addr:call.Intr.call_addr
-                 ~args:(List.map (fun a -> Expr.word a) call.Intr.call_args)
+               enter_handler s (St.Pa_after_dpc (ctx, saved_irql))
+                 ~site:"isr-completion" ~phase:"dpc" call
            | None ->
                Intr.finish s.St.ks ~saved_irql;
                restore_ctx s ctx);
@@ -894,9 +895,7 @@ let step eng st =
            | [ (a, _); (b, _) ] -> (
                match eng.merge_points st.St.last_block with
                | Some mpc when mpc <> pc ->
-                   ignore
-                     (Merge.open_token eng.pool ~branch_pc:pc ~merge_pc:mpc
-                        ~base:cs_before a b)
+                   Merge.open_token eng.pool ~merge_pc:mpc ~base:cs_before a b
                | _ -> ())
            | _ -> ());
         List.iter
@@ -960,11 +959,8 @@ let start_timer_fire eng st ~timer_addr =
   | Some (call, saved_irql) ->
       st.St.entry_name <- "timer";
       Kstate.begin_invocation st.St.ks;
-      let ctx = save_ctx st in
-      st.St.pending <- St.Pa_after_timer (ctx, saved_irql) :: st.St.pending;
-      St.record st (Event.E_interrupt { site = "timer expiry"; phase = "timer" });
-      setup_forced_call st ~addr:call.Intr.call_addr
-        ~args:(List.map (fun a -> Expr.word a) call.Intr.call_args);
+      enter_handler st (St.Pa_after_timer (save_ctx st, saved_irql))
+        ~site:"timer expiry" ~phase:"timer" call;
       add_state eng st
 
 (* Fire one interrupt at top level (between invocations) — the timing a
@@ -976,11 +972,8 @@ let start_interrupt_fire eng st =
   | Some (call, saved_irql) ->
       st.St.entry_name <- "interrupt";
       Kstate.begin_invocation st.St.ks;
-      let ctx = save_ctx st in
-      st.St.pending <- St.Pa_after_isr (ctx, saved_irql) :: st.St.pending;
-      St.record st (Event.E_interrupt { site = "top-level"; phase = "isr" });
-      setup_forced_call st ~addr:call.Intr.call_addr
-        ~args:(List.map (fun a -> Expr.word a) call.Intr.call_args);
+      enter_handler st (St.Pa_after_isr (save_ctx st, saved_irql))
+        ~site:"top-level" ~phase:"isr" call;
       add_state eng st
 
 let start_invocation eng st ~name ~addr ~args =

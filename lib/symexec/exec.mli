@@ -209,7 +209,11 @@ type stats = {
   st_merge_forks_avoided : int;
   (** forks performed by states that had absorbed siblings — each would
       have been duplicated once per absorbed sibling without merging *)
-  st_merge_refusals : int;      (** fusions refused (context or cost) *)
+  st_merge_refusals : int;
+  (** fold arrivals that fused with none of the survivors before them,
+      because a compatibility check failed against each (differing
+      symbolic inputs, injected sites, pending continuations, choices or
+      pins, or a kernel call inside an arm); nothing refuses on cost *)
 }
 
 val stats : engine -> stats

@@ -25,12 +25,11 @@
    the results handed back as an [outcome] record so the caller can
    retire absorbed states and requeue survivors *outside* the lock.
 
-   Cost heuristic: a fold refuses a pair whose symbolic stores diverge
-   too widely (COW diff over 256 addresses, more than 64 lifted values,
-   oversized guards), and per-branch token/fused/refused counters bias
-   future decisions — a branch whose merges keep getting refused stops
-   opening tokens until fusions catch back up, falling back to plain
-   forking. *)
+   There is no cost policy: every compatible pair fuses, however wide
+   its store divergence, and every reconverging fork opens a token.
+   Refusals come only from the compatibility checks; on the corpus they
+   are symbolic-input streams that differ between the arms, kernel calls
+   made inside an arm and differing injected fault sites. *)
 
 module St = Symstate
 module Expr = Ddt_solver.Expr
@@ -38,7 +37,6 @@ module Event = Ddt_trace.Event
 
 type token = {
   tk_id : int;
-  tk_branch_pc : int;             (* branch instruction, for heuristics *)
   tk_merge_pc : int;
   tk_base : Expr.t list;          (* constraint-list cell captured before
                                      the fork: the physical sync point
@@ -49,16 +47,9 @@ type token = {
   mutable tk_parked : St.t list;
 }
 
-type bstat = {
-  mutable bs_tokens : int;
-  mutable bs_fused : int;
-  mutable bs_refused : int;
-}
-
 type t = {
   lock : Mutex.t;
   tokens : (int, token) Hashtbl.t;
-  branch_stats : (int, bstat) Hashtbl.t;
   weights : (int, int) Hashtbl.t;
       (* survivor state id -> states ever absorbed into it (transitive);
          each later fork of that survivor is that many forks avoided *)
@@ -85,7 +76,6 @@ let create () =
   {
     lock = Mutex.create ();
     tokens = Hashtbl.create 64;
-    branch_stats = Hashtbl.create 64;
     weights = Hashtbl.create 64;
     next_token = 0;
     ever_opened = false;
@@ -94,25 +84,6 @@ let create () =
     n_forks_avoided = 0;
     n_refused = 0;
   }
-
-let bstat t pc =
-  match Hashtbl.find_opt t.branch_stats pc with
-  | Some b -> b
-  | None ->
-      let b = { bs_tokens = 0; bs_fused = 0; bs_refused = 0 } in
-      Hashtbl.replace t.branch_stats pc b;
-      b
-
-(* Widest nesting we will commit a state to: a loop that opens a token
-   per iteration resolves each at the join, so real stacks stay shallow;
-   deeper ones mean the merge points are not being reached. *)
-let max_nesting = 16
-
-(* --- cost / compatibility limits ------------------------------------------ *)
-
-let max_mem_diff = 256   (* differing COW addresses before we refuse *)
-let max_ites = 64        (* lifted values per fused pair *)
-let max_guard_size = 160 (* combined node count of the two guards *)
 
 (* The constraint suffix a state accumulated since the token opened:
    newest-first walk of the list down to the physically captured base
@@ -130,7 +101,7 @@ let conj = function
   | c :: rest -> List.fold_left Expr.and1 c rest
 
 (* Fuse [b] into [a] (the survivor), or refuse. Only mutates [a] after
-   every check has passed. *)
+   every check has passed; every compatible pair fuses. *)
 let try_fuse t tok (a : St.t) (b : St.t) =
   let module K = Ddt_kernel.Kstate in
   let compatible =
@@ -155,51 +126,34 @@ let try_fuse t tok (a : St.t) (b : St.t) =
         Symmem.cow_diff a.St.mem b.St.mem )
     with
     | None, _, _ | _, None, _ | _, _, None -> false
-    | Some sa, Some sb, Some addrs when List.length addrs <= max_mem_diff ->
+    | Some sa, Some sb, Some addrs ->
         let ga = conj sa and gb = conj sb in
-        (* sizes saturate at max_int, so compare without adding them *)
-        if Expr.size ga > max_guard_size - Expr.size gb then false
-        else begin
-          let reg_diffs = ref [] in
-          Array.iteri
-            (fun r va ->
-              if not (Expr.equal va b.St.regs.(r)) then
-                reg_diffs := r :: !reg_diffs)
-            a.St.regs;
-          let mem_diffs =
-            List.filter_map
-              (fun addr ->
-                let va = Symmem.read_u8 a.St.mem addr
-                and vb = Symmem.read_u8 b.St.mem addr in
-                if Expr.equal va vb then None else Some (addr, va, vb))
-              addrs
-          in
-          if List.length !reg_diffs + List.length mem_diffs > max_ites then
-            false
-          else begin
-            (* all checks passed: lift and absorb *)
-            a.St.constraints <- Expr.or1 ga gb :: tok.tk_base;
-            List.iter
-              (fun r ->
-                a.St.regs.(r) <- Expr.ite gb b.St.regs.(r) a.St.regs.(r);
-                t.n_ites <- t.n_ites + 1)
-              !reg_diffs;
-            List.iter
-              (fun (addr, va, vb) ->
-                Symmem.write_u8 a.St.mem addr (Expr.ite gb vb va);
-                t.n_ites <- t.n_ites + 1)
-              mem_diffs;
-            a.St.steps <- max a.St.steps b.St.steps;
-            a.St.depth <- max a.St.depth b.St.depth;
-            a.St.injections <- max a.St.injections b.St.injections;
-            St.record a
-              (Event.E_merge
-                 { pc = tok.tk_merge_pc; absorbed = b.St.id; cond = gb });
-            t.n_merged <- t.n_merged + 1;
-            true
-          end
-        end
-    | _ -> false
+        a.St.constraints <- Expr.or1 ga gb :: tok.tk_base;
+        Array.iteri
+          (fun r va ->
+            let vb = b.St.regs.(r) in
+            if not (Expr.equal va vb) then begin
+              a.St.regs.(r) <- Expr.ite gb vb va;
+              t.n_ites <- t.n_ites + 1
+            end)
+          a.St.regs;
+        List.iter
+          (fun addr ->
+            let va = Symmem.read_u8 a.St.mem addr
+            and vb = Symmem.read_u8 b.St.mem addr in
+            if not (Expr.equal va vb) then begin
+              Symmem.write_u8 a.St.mem addr (Expr.ite gb vb va);
+              t.n_ites <- t.n_ites + 1
+            end)
+          addrs;
+        a.St.steps <- max a.St.steps b.St.steps;
+        a.St.depth <- max a.St.depth b.St.depth;
+        a.St.injections <- max a.St.injections b.St.injections;
+        St.record a
+          (Event.E_merge
+             { pc = tok.tk_merge_pc; absorbed = b.St.id; cond = gb });
+        t.n_merged <- t.n_merged + 1;
+        true
 
 (* Fold every token in [work] (outstanding reached 0), cascading into
    outer tokens released by absorbed states. Runs under [t.lock]. *)
@@ -221,20 +175,15 @@ let fold_worklist t work =
         | tag :: rest when tag.St.mt_token = tok.tk_id -> st.St.tags <- rest
         | _ -> ())
       arrivals;
-    let bs = bstat t tok.tk_branch_pc in
     let survivors = ref [] in
     List.iter
       (fun st ->
         let rec attach = function
           | [] ->
-              if !survivors <> [] then begin
-                t.n_refused <- t.n_refused + 1;
-                bs.bs_refused <- bs.bs_refused + 1
-              end;
+              if !survivors <> [] then t.n_refused <- t.n_refused + 1;
               survivors := !survivors @ [ st ]
           | s :: rest ->
               if try_fuse t tok s st then begin
-                bs.bs_fused <- bs.bs_fused + 1;
                 (* credit the survivor with everything [st] carried *)
                 let w_st =
                   match Hashtbl.find_opt t.weights st.St.id with
@@ -271,35 +220,22 @@ let fold_worklist t work =
 
 (* --- engine-facing operations --------------------------------------------- *)
 
-(* Open a token for a fresh two-way fork at [branch_pc] whose arms
-   reconverge at [merge_pc]. [base] is the parent's constraint list as
-   captured *before* the fork added either arm's constraint. Returns
-   false (and tags nothing) when the per-branch history says merging
-   here keeps getting refused. *)
-let open_token t ~branch_pc ~merge_pc ~base (a : St.t) (b : St.t) =
+(* Open a token for a fresh two-way fork whose arms reconverge at
+   [merge_pc]. [base] is the parent's constraint list as captured
+   *before* the fork added either arm's constraint. *)
+let open_token t ~merge_pc ~base (a : St.t) (b : St.t) =
   Mutex.lock t.lock;
-  let bs = bstat t branch_pc in
-  let ok =
-    bs.bs_refused <= (2 * bs.bs_fused) + 8
-    && List.length a.St.tags < max_nesting
-  in
-  if ok then begin
-    t.ever_opened <- true;
-    let id = t.next_token in
-    t.next_token <- id + 1;
-    let tok =
-      { tk_id = id; tk_branch_pc = branch_pc; tk_merge_pc = merge_pc;
-        tk_base = base; tk_kcalls = Ddt_kernel.Kstate.kcall_count a.St.ks;
-        tk_outstanding = 2; tk_parked = [] }
-    in
-    Hashtbl.replace t.tokens id tok;
-    bs.bs_tokens <- bs.bs_tokens + 1;
-    let tag = { St.mt_token = id; mt_pc = merge_pc } in
-    a.St.tags <- tag :: a.St.tags;
-    b.St.tags <- tag :: b.St.tags
-  end;
-  Mutex.unlock t.lock;
-  ok
+  t.ever_opened <- true;
+  let id = t.next_token in
+  t.next_token <- id + 1;
+  Hashtbl.replace t.tokens id
+    { tk_id = id; tk_merge_pc = merge_pc; tk_base = base;
+      tk_kcalls = Ddt_kernel.Kstate.kcall_count a.St.ks;
+      tk_outstanding = 2; tk_parked = [] };
+  let tag = { St.mt_token = id; mt_pc = merge_pc } in
+  a.St.tags <- tag :: a.St.tags;
+  b.St.tags <- tag :: b.St.tags;
+  Mutex.unlock t.lock
 
 (* Every engine fork: a child inherits its parent's tags (one more live
    carrier per open token) and its merge weight (forks it performs were
@@ -407,7 +343,6 @@ let stats t =
 
 type 'a token_dump = {
   td_id : int;
-  td_branch_pc : int;
   td_merge_pc : int;
   td_base : Expr.t list;
   td_kcalls : int;
@@ -417,7 +352,6 @@ type 'a token_dump = {
 
 type 'a dump = {
   md_tokens : 'a token_dump list;         (* sorted by td_id *)
-  md_branch_stats : (int * (int * int * int)) list;
   md_weights : (int * int) list;
   md_next_token : int;
   md_ever_opened : bool;
@@ -434,7 +368,6 @@ let dump t ~f =
       (fun _ tok acc ->
         {
           td_id = tok.tk_id;
-          td_branch_pc = tok.tk_branch_pc;
           td_merge_pc = tok.tk_merge_pc;
           td_base = tok.tk_base;
           td_kcalls = tok.tk_kcalls;
@@ -445,12 +378,6 @@ let dump t ~f =
       t.tokens []
     |> List.sort (fun a b -> compare a.td_id b.td_id)
   in
-  let branch_stats =
-    Hashtbl.fold
-      (fun pc b acc -> (pc, (b.bs_tokens, b.bs_fused, b.bs_refused)) :: acc)
-      t.branch_stats []
-    |> List.sort compare
-  in
   let weights =
     Hashtbl.fold (fun id w acc -> (id, w) :: acc) t.weights []
     |> List.sort compare
@@ -458,7 +385,6 @@ let dump t ~f =
   let d =
     {
       md_tokens = tokens;
-      md_branch_stats = branch_stats;
       md_weights = weights;
       md_next_token = t.next_token;
       md_ever_opened = t.ever_opened;
@@ -474,14 +400,12 @@ let dump t ~f =
 let restore t ~f d =
   Mutex.lock t.lock;
   Hashtbl.reset t.tokens;
-  Hashtbl.reset t.branch_stats;
   Hashtbl.reset t.weights;
   List.iter
     (fun td ->
       Hashtbl.replace t.tokens td.td_id
         {
           tk_id = td.td_id;
-          tk_branch_pc = td.td_branch_pc;
           tk_merge_pc = td.td_merge_pc;
           tk_base = td.td_base;
           tk_kcalls = td.td_kcalls;
@@ -489,11 +413,6 @@ let restore t ~f d =
           tk_parked = List.map f td.td_parked;
         })
     d.md_tokens;
-  List.iter
-    (fun (pc, (tk, fu, re)) ->
-      Hashtbl.replace t.branch_stats pc
-        { bs_tokens = tk; bs_fused = fu; bs_refused = re })
-    d.md_branch_stats;
   List.iter (fun (id, w) -> Hashtbl.replace t.weights id w) d.md_weights;
   t.next_token <- d.md_next_token;
   t.ever_opened <- d.md_ever_opened;

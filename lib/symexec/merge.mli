@@ -8,11 +8,14 @@
     copy-on-write memory are lifted to [ite(cond_b, v_b, v_a)] over the
     disjoined path-condition suffixes.
 
-    Fusion refuses states whose kernel context, replay pins, pending
-    actions or checker-visible streams differ, and a cost heuristic
-    (store-divergence caps plus per-branch fused/refused history) falls
-    back to plain forking when lifting would be more expensive than the
-    fork subtree it replaces.
+    Every compatible pair fuses; there is no cost policy, no cap on the
+    store divergence or on nesting, and every reconverging fork opens a
+    token. Fusion refuses only states whose kernel context, replay pins,
+    pending actions or checker-visible streams differ. On the corpus at
+    default settings the failed fusion attempts are differing
+    symbolic-input streams, kernel calls made inside an arm and differing
+    injected fault sites: pro1000 403, 17 and 0; pro100 249, 285 and 66;
+    rtl8029 0, 34 and 0.
 
     All operations are safe to call from any worker; folds run under
     the pool's lock and hand their effects back as an {!outcome} so the
@@ -37,18 +40,16 @@ val create : unit -> t
 
 val open_token :
   t ->
-  branch_pc:int ->
   merge_pc:int ->
   base:Ddt_solver.Expr.t list ->
   Symstate.t ->
   Symstate.t ->
-  bool
+  unit
 (** Open a token for a fresh two-way fork whose arms reconverge at
-    [merge_pc]. [base] is the parent's constraint list captured before
-    the fork consed either arm's constraint. Tags both states and
-    returns [true], or returns [false] without tagging when the
-    per-branch history says merging here keeps getting refused (or the
-    states' tag stacks are already at the nesting cap). *)
+    [merge_pc] and tag both states with it. [base] is the parent's
+    constraint list captured before the fork consed either arm's
+    constraint. Whether the arms later fuse is decided at the fold by
+    the compatibility checks alone. *)
 
 val note_fork : t -> Symstate.t -> Symstate.t -> unit
 (** [note_fork t parent child]: the child inherited the parent's tags —
@@ -82,7 +83,6 @@ val stats : t -> int * int * int * int
 
 type 'a token_dump = {
   td_id : int;
-  td_branch_pc : int;
   td_merge_pc : int;
   td_base : Ddt_solver.Expr.t list;
   td_kcalls : int;
@@ -92,7 +92,6 @@ type 'a token_dump = {
 
 type 'a dump = {
   md_tokens : 'a token_dump list;  (** sorted by [td_id] *)
-  md_branch_stats : (int * (int * int * int)) list;
   md_weights : (int * int) list;
   md_next_token : int;
   md_ever_opened : bool;

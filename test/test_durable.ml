@@ -414,6 +414,57 @@ let test_checkpoint_corrupt_resume_errors () =
   check_bool "wrong-driver checkpoint refused" true
     (is_error (Session.resume other ~path:ckpt))
 
+(* A checkpoint resumes only over the image and the exploration settings
+   that wrote it: the fixed variant keeps its driver's name, and a flag
+   such as --no-annotations or --no-merge changes the explored tree, so
+   each would finish a run neither configuration would have produced.
+   The checkpoint cadence may differ. *)
+let test_resume_refuses_other_image_or_settings () =
+  let dir = tmpdir () in
+  let ckpt = Filename.concat dir "drv.ckpt" in
+  let e = Corpus.find "audiopci" in
+  let with_ck cfg =
+    { cfg with Config.checkpoint_every = 500; checkpoint_path = Some ckpt }
+  in
+  let ck_cfg = with_ck (quick_cfg e) in
+  ignore (fresh_run ck_cfg);
+  check_bool "checkpoint exists" true (Sys.file_exists ckpt);
+  let fixed =
+    let cfg = Corpus.config ~fixed:true e in
+    with_ck { (quick_cfg e) with Config.image = cfg.Config.image }
+  in
+  let x = ck_cfg.Config.exec_config in
+  List.iter
+    (fun (what, cfg) ->
+      match Session.resume cfg ~path:ckpt with
+      | Ok _ -> Alcotest.failf "%s: resumed a mismatched checkpoint" what
+      | Error _ -> ())
+    [ ("fixed image", fixed);
+      ("no annotations", { ck_cfg with Config.use_annotations = false });
+      ("no merging",
+       { ck_cfg with
+         Config.exec_config = { x with Ddt_symexec.Exec.state_merging = false } });
+      ("chaos",
+       { ck_cfg with
+         Config.exec_config =
+           { x with
+             Ddt_symexec.Exec.chaos =
+               Some
+                 { Ddt_symexec.Guard.chaos_worker_crash_period = 25;
+                   chaos_solver_exhaust_period = 3 } } });
+      ("shorter workload",
+       { ck_cfg with
+         Config.workload =
+           List.filteri (fun i _ -> i < List.length ck_cfg.Config.workload - 1)
+             ck_cfg.Config.workload });
+      ("step budget", { ck_cfg with Config.max_total_steps = 70_000 });
+      ("plateau", { ck_cfg with Config.plateau_steps = 40_000 }) ];
+  Solver.clear_cache ();
+  Expr.reset_var_counter ();
+  match Session.resume { ck_cfg with Config.checkpoint_every = 0 } ~path:ckpt with
+  | Ok _ -> ()
+  | Error err -> Alcotest.failf "another cadence: %s" err
+
 (* A real checkpoint blob re-framed with its leading version field set
    to [v]: the payload starts with its version, which is all a reader
    looks at before trusting the layout. *)
@@ -434,8 +485,10 @@ let with_version blob v =
    from the on-disk store, version 7 scaled each scheduler priority for
    a distance tiebreak, version 8 dumped the query cache shard by shard,
    version 9 carried kernel-event listeners, the cache's Unsat subset
-   index and the governor's retirement count, and version 10 held one
-   scheduler queue per worker with steal and re-home counters. *)
+   index and the governor's retirement count, version 10 held one
+   scheduler queue per worker with steal and re-home counters, and
+   version 11 kept per-branch merge statistics and recorded neither an
+   image nor a settings digest. *)
 let older_versions current = List.init (current - 1) (fun i -> i + 1)
 
 let test_previous_version_refused () =
@@ -465,6 +518,8 @@ let test_previous_version_refused () =
     (List.mem 9 (older_versions Session.checkpoint_version));
   check_bool "version 10 is an older checkpoint layout" true
     (List.mem 10 (older_versions Session.checkpoint_version));
+  check_bool "version 11 is an older checkpoint layout" true
+    (List.mem 11 (older_versions Session.checkpoint_version));
   List.iter
     (fun v ->
       Out_channel.with_open_bin ckpt (fun oc ->
@@ -525,6 +580,8 @@ let () =
             test_resume_keeps_checkpoint_cadence;
           Alcotest.test_case "corrupt/foreign checkpoints refused" `Quick
             test_checkpoint_corrupt_resume_errors;
+          Alcotest.test_case "other image or settings refused" `Quick
+            test_resume_refuses_other_image_or_settings;
           Alcotest.test_case "previous-version blobs refused" `Quick
             test_previous_version_refused;
           Alcotest.test_case "disk-full degrades gracefully" `Quick

@@ -123,9 +123,7 @@ let sibling_pair () =
   b.St.pc <- 0x200;
   (base_cs, a, b)
 
-let open_or_fail pool base a b =
-  check_bool "token opened" true
-    (Merge.open_token pool ~branch_pc:0x100 ~merge_pc:0x200 ~base a b)
+let open_pair pool base a b = Merge.open_token pool ~merge_pc:0x200 ~base a b
 
 let park_first pool st =
   match Merge.on_arrival pool st with
@@ -153,7 +151,7 @@ let test_fuse_lifts_to_ite () =
   check_int "b's guard holds at v = 1" 1
     (Expr.eval (on_arm 1) (List.hd b.St.constraints));
   let b_byte = Expr.eval (on_arm 1) (Symmem.read_u8 b.St.mem 0x3000) in
-  open_or_fail pool base_cs a b;
+  open_pair pool base_cs a b;
   park_first pool a;
   let o = fold_on_last pool b in
   check_int "one survivor" 1 (List.length o.Merge.mo_requeue);
@@ -201,36 +199,57 @@ let test_refuse_divergent_pins () =
   (* one arm carries a replay pin the other does not: fusing would let
      the unpinned arm's models leak into a pinned replay *)
   a.St.pinned <- [ Expr.tru ];
-  open_or_fail pool base_cs a b;
+  open_pair pool base_cs a b;
   park_first pool a;
   expect_refusal "pins" pool (fold_on_last pool b)
 
 let test_refuse_divergent_kernel_calls () =
   let pool = Merge.create () in
   let base_cs, a, b = sibling_pair () in
-  open_or_fail pool base_cs a b;
+  open_pair pool base_cs a b;
   (* one arm performed a checker-visible kernel call inside the diamond;
      fusing would fold its hook-event stream into the other path *)
   Kstate.bump_kcall a.St.ks;
   park_first pool a;
   expect_refusal "kcalls" pool (fold_on_last pool b)
 
-let test_refuse_wide_store_divergence () =
+(* No cost cap: a store divergence wider than any former limit (256
+   addresses, 64 lifted values) fuses, each byte lifted to the value its
+   own arm stored. *)
+let test_fuse_wide_store_divergence () =
   let pool = Merge.create () in
   let base_cs, a, b = sibling_pair () in
-  (* past the cost cap: lifting hundreds of bytes to ites would cost
-     more than the fork subtree the fusion saves *)
   for i = 0 to 300 do
-    Symmem.write_u8 a.St.mem (0x4000 + i) (Expr.byte 1)
+    Symmem.write_u8 a.St.mem (0x4000 + i) (Expr.byte (1 + (i mod 255)))
   done;
-  open_or_fail pool base_cs a b;
+  Symmem.write_u8 b.St.mem 0x4000 (Expr.byte 0xEE);
+  let guard = List.hd a.St.constraints in
+  let v = List.hd (Expr.vars guard) in
+  let on_arm k (x : Expr.var) = if x.Expr.id = v.Expr.id then k else 0 in
+  let b_bytes = List.init 301 (fun i -> Symmem.read_u8 b.St.mem (0x4000 + i)) in
+  open_pair pool base_cs a b;
   park_first pool a;
-  expect_refusal "stores" pool (fold_on_last pool b)
+  let o = fold_on_last pool b in
+  check_int "one survivor" 1 (List.length o.Merge.mo_requeue);
+  check_int "one absorbed" 1 (List.length o.Merge.mo_absorbed);
+  let s = List.hd o.Merge.mo_requeue in
+  List.iteri
+    (fun i bb ->
+      let byte = Symmem.read_u8 s.St.mem (0x4000 + i) in
+      check_int "byte under a's guard" (1 + (i mod 255))
+        (Expr.eval (on_arm 0) byte);
+      check_int "byte under b's guard" (Expr.eval (on_arm 1) bb)
+        (Expr.eval (on_arm 1) byte))
+    b_bytes;
+  let merged, ites, _, refused = Merge.stats pool in
+  check_int "one fusion" 1 merged;
+  check_int "one ite per differing byte" 301 ites;
+  check_int "no refusals" 0 refused
 
 let test_dead_carrier_releases_token () =
   let pool = Merge.create () in
   let base_cs, a, b = sibling_pair () in
-  open_or_fail pool base_cs a b;
+  open_pair pool base_cs a b;
   park_first pool b;
   (* the other arm crashes without reaching the merge point: its death
      must fold the token and hand the parked sibling back *)
@@ -242,6 +261,232 @@ let test_dead_carrier_releases_token () =
   let merged, _, _, refused = Merge.stats pool in
   check_int "no fusion" 0 merged;
   check_int "no refusal either" 0 refused
+
+(* --- QCheck: fusion soundness on hand-built sibling pairs ------------------- *)
+
+(* A value one arm holds: a constant, or an offset from a symbolic word
+   both arms share. *)
+type value = V_const of int | V_sym of int
+
+(* A field the fusion does not lift; set on one arm, the pair must be
+   refused. *)
+type divergence =
+  | D_pending | D_choices | D_pins | D_kcall | D_sym_inputs | D_injected
+
+type pair_spec = {
+  ps_regs : (int * value * value) list;  (* register, a's value, b's *)
+  ps_wide : int;                         (* leading bytes only [a] stores *)
+  ps_bytes : (bool * int * value) list;  (* [a]'s store?, offset, value *)
+  ps_guards : (bool * int) list * (bool * int) list;
+      (* extra suffix constraints per arm: [w <u k] or [w <> k], k >= 1 *)
+  ps_divergence : (bool * divergence) option;  (* on [a]?, which field *)
+}
+
+let string_of_value = function
+  | V_const k -> Printf.sprintf "%d" k
+  | V_sym k -> Printf.sprintf "w+%d" k
+
+let string_of_divergence = function
+  | D_pending -> "pending" | D_choices -> "choices" | D_pins -> "pins"
+  | D_kcall -> "kcall" | D_sym_inputs -> "sym_inputs"
+  | D_injected -> "injected_sites"
+
+let print_pair p =
+  let guards l =
+    String.concat ","
+      (List.map (fun (lt, k) -> Printf.sprintf "%s%d" (if lt then "<" else "!=") k) l)
+  in
+  Printf.sprintf "regs=[%s] wide=%d bytes=[%s] guards=[%s]/[%s] div=%s"
+    (String.concat "; "
+       (List.map
+          (fun (r, va, vb) ->
+            Printf.sprintf "r%d:%s/%s" r (string_of_value va) (string_of_value vb))
+          p.ps_regs))
+    p.ps_wide
+    (String.concat "; "
+       (List.map
+          (fun (on_a, off, v) ->
+            Printf.sprintf "%s+%d:%s" (if on_a then "a" else "b") off (string_of_value v))
+          p.ps_bytes))
+    (guards (fst p.ps_guards)) (guards (snd p.ps_guards))
+    (match p.ps_divergence with
+     | None -> "none"
+     | Some (on_a, d) ->
+         Printf.sprintf "%s on %s" (string_of_divergence d) (if on_a then "a" else "b"))
+
+let gen_pair =
+  QCheck.Gen.(
+    let value =
+      frequency [ (2, map (fun k -> V_const k) (int_bound 300));
+                  (1, map (fun k -> V_sym k) (int_bound 300)) ]
+    in
+    let guard = pair bool (int_range 1 1000) in
+    let* regs =
+      list_size (int_bound 6)
+        (triple (int_bound (Isa.sp - 1)) value value)
+    in
+    (* wider than the old 256-address cap half of the time *)
+    let* wide = frequency [ (1, int_bound 20); (1, int_range 257 400) ] in
+    let* bytes = list_size (int_bound 12) (triple bool (int_bound 0x3FF) value) in
+    let* ga = list_size (int_bound 2) guard in
+    let* gb = list_size (int_bound 2) guard in
+    let* divergence =
+      frequency
+        [ (3, return None);
+          (2, map Option.some
+                (pair bool
+                   (oneofl [ D_pending; D_choices; D_pins; D_kcall;
+                             D_sym_inputs; D_injected ]))) ]
+    in
+    return
+      { ps_regs = regs; ps_wide = wide; ps_bytes = bytes; ps_guards = (ga, gb);
+        ps_divergence = divergence })
+
+let diverge (st : St.t) = function
+  | D_pending ->
+      let ctx = { St.s_regs = Array.copy st.St.regs; s_pc = 0; s_int = true } in
+      st.St.pending <- St.Pa_after_dpc (ctx, 0) :: st.St.pending
+  | D_choices -> st.St.choices <- ("alloc", "fail") :: st.St.choices
+  | D_pins -> st.St.pinned <- [ Expr.tru ]
+  | D_kcall -> Kstate.bump_kcall st.St.ks
+  | D_sym_inputs ->
+      st.St.sym_inputs <- (Expr.fresh_var Expr.W32, "hw") :: st.St.sym_inputs
+  | D_injected -> st.St.injected_sites <- 0x100 :: st.St.injected_sites
+
+let conj_all l = List.fold_left Expr.and1 Expr.tru l
+
+(* What one arm looks like before the fold, for comparing afterwards. *)
+type arm_view = {
+  av_regs : Expr.t array;
+  av_bytes : Expr.t list;            (* at the pair's cow_diff addresses *)
+  av_constraints : Expr.t list;
+  av_counters : int * int * int;     (* steps, depth, injections *)
+}
+
+let view addrs (st : St.t) =
+  { av_regs = Array.copy st.St.regs;
+    av_bytes = List.map (Symmem.read_u8 st.St.mem) addrs;
+    av_constraints = st.St.constraints;
+    av_counters = (st.St.steps, st.St.depth, st.St.injections) }
+
+let unchanged addrs (st : St.t) v =
+  let now = view addrs st in
+  Array.for_all2 ( == ) now.av_regs v.av_regs
+  && List.for_all2 ( == ) now.av_bytes v.av_bytes
+  && now.av_constraints == v.av_constraints
+  && now.av_counters = v.av_counters
+
+(* Under every valuation satisfying one arm's path condition, the fused
+   state's registers and bytes take that arm's values. *)
+let agrees_on_arm envs addrs (s : St.t) side v =
+  let path = conj_all v.av_constraints in
+  List.for_all
+    (fun env ->
+      let ev = Expr.eval env in
+      ev path = 0
+      || (Array.for_all2 (fun x y -> ev x = ev y) s.St.regs v.av_regs
+          || QCheck.Test.fail_reportf "%s: a register lost its value" side)
+         && (List.for_all2
+               (fun addr y -> ev (Symmem.read_u8 s.St.mem addr) = ev y)
+               addrs v.av_bytes
+             || QCheck.Test.fail_reportf "%s: a byte lost its value" side))
+    envs
+
+let prop_fusion_sound =
+  QCheck.Test.make ~count:200
+    ~name:"fusion keeps each arm's values under its guard; refusal keeps both"
+    (QCheck.make gen_pair ~print:print_pair)
+    (fun p ->
+      let pool = Merge.create () in
+      let base_cs, a, b = sibling_pair () in
+      let gv = List.hd (Expr.vars (List.hd a.St.constraints)) in
+      let wv = Expr.fresh_var Expr.W32 in
+      let w = Expr.var wv in
+      let reg_value = function
+        | V_const k -> Expr.word k
+        | V_sym k -> Expr.binop Expr.Add w (Expr.word k)
+      in
+      let byte_value = function
+        | V_const k -> Expr.byte (k land 0xFF)
+        | V_sym k -> Expr.extract (reg_value (V_sym k)) (k land 3)
+      in
+      let add_guards st =
+        List.iter (fun (lt, k) ->
+            St.add_constraint st
+              (Expr.cmp (if lt then Expr.Ltu else Expr.Ne) w (Expr.word k)))
+      in
+      add_guards a (fst p.ps_guards);
+      add_guards b (snd p.ps_guards);
+      open_pair pool base_cs a b;
+      List.iter
+        (fun (r, va, vb) ->
+          St.reg_set a r (reg_value va);
+          St.reg_set b r (reg_value vb))
+        p.ps_regs;
+      for i = 0 to p.ps_wide - 1 do
+        Symmem.write_u8 a.St.mem (0x4000 + i) (Expr.byte (1 + (i mod 255)))
+      done;
+      List.iter
+        (fun (on_a, off, v) ->
+          Symmem.write_u8 (if on_a then a else b).St.mem (0x4000 + off)
+            (byte_value v))
+        p.ps_bytes;
+      Option.iter (fun (on_a, d) -> diverge (if on_a then a else b) d)
+        p.ps_divergence;
+      let addrs = Option.get (Symmem.cow_diff a.St.mem b.St.mem) in
+      let va = view addrs a and vb = view addrs b in
+      ignore (Merge.on_arrival pool a);
+      let o =
+        match Merge.on_arrival pool b with
+        | Merge.A_parked o -> o
+        | Merge.A_continue -> QCheck.Test.fail_reportf "tagged state must park"
+      in
+      match o.Merge.mo_absorbed, p.ps_divergence with
+      | [], None -> QCheck.Test.fail_reportf "compatible pair refused"
+      | _ :: _, Some _ -> QCheck.Test.fail_reportf "divergent pair fused"
+      | [], Some _ ->
+          (unchanged addrs a va && unchanged addrs b vb)
+          || QCheck.Test.fail_reportf "a refused arm changed"
+      | _ :: _, None ->
+          let s = List.hd o.Merge.mo_requeue in
+          let suffix v =
+            let rec go l =
+              if l == base_cs then []
+              else match l with c :: rest -> c :: go rest | [] -> []
+            in
+            go v.av_constraints
+          in
+          let want =
+            Expr.and1 (conj_all base_cs)
+              (Expr.or1 (conj_all (suffix va)) (conj_all (suffix vb)))
+          in
+          (* The arms' guards test [gv = 0] and [w] against constants
+             k: valuing [w] at 0, max and each k-1, k, k+1 realizes every
+             truth assignment of those atoms. *)
+          let ws =
+            List.concat_map (fun (_, k) -> [ k - 1; k; k + 1 ])
+              (fst p.ps_guards @ snd p.ps_guards)
+          in
+          let envs =
+            List.concat_map
+              (fun gval ->
+                List.map
+                  (fun wval (x : Expr.var) ->
+                    if x.Expr.id = gv.Expr.id then gval
+                    else if x.Expr.id = wv.Expr.id then wval
+                    else 0)
+                  (0 :: 0xFFFFFFFF :: ws))
+              [ 0; 1 ]
+          in
+          let fused = conj_all s.St.constraints in
+          List.for_all
+            (fun env ->
+              Expr.eval env fused = Expr.eval env want
+              || QCheck.Test.fail_reportf
+                   "fused path is not base /\\ (ga \\/ gb)")
+            envs
+          && agrees_on_arm envs addrs s "a" va
+          && agrees_on_arm envs addrs s "b" vb)
 
 (* --- solver stack under merged values --------------------------------------- *)
 
@@ -426,7 +671,8 @@ let run_spec ?replay ~merging image =
   Session.run
     (Config.make ~driver_name:"p" ~image ~driver_class:Config.Network
        ~workload:Config.[ W_initialize ]
-       ~jobs:1 ~state_merging:merging ~max_total_steps:20_000
+       ~exec_config:{ Exec.default_config with Exec.state_merging = merging }
+       ~max_total_steps:20_000
        ~plateau_steps:15_000 ?replay ())
 
 (* Twenty merged rounds fold the accumulator into an ite DAG whose tree
@@ -479,10 +725,11 @@ let () =
            test_refuse_divergent_pins;
          Alcotest.test_case "refuse divergent kernel calls" `Quick
            test_refuse_divergent_kernel_calls;
-         Alcotest.test_case "refuse wide store divergence" `Quick
-           test_refuse_wide_store_divergence;
+         Alcotest.test_case "fuse wide store divergence" `Quick
+           test_fuse_wide_store_divergence;
          Alcotest.test_case "dead carrier releases token" `Quick
-           test_dead_carrier_releases_token ]);
+           test_dead_carrier_releases_token;
+         QCheck_alcotest.to_alcotest prop_fusion_sound ]);
       ("solver",
        [ Alcotest.test_case "qcache commuted renaming" `Quick
            test_qcache_commuted_renaming;

@@ -1167,12 +1167,9 @@ let test_sharing_deep_chain () =
   check_int "antisymmetric" (- sign (compare a c)) (sign (compare c a));
   check_int "compare_shape ignores names and ids" 0 (compare_shape a c);
   check_bool "vars" true (List.map (fun v -> v.id) (vars a) = List.map (fun v -> v.id) vs);
-  check_bool "tree size beyond 2^40" true (size a > 1 lsl 40);
   let printed = to_string a in
   check_bool "printed as a DAG" true
     (String.length printed < 100_000 && String.contains printed '$');
-  check_int "tree size saturates" max_int
-    (size (merged_chain (List.init 80 (fun _ -> fresh_var W8))));
   let env = byte_env 3 in
   let want = chain_value env vs in
   check_int "eval" want (eval env a);
@@ -1207,7 +1204,6 @@ let test_sharing_matches_tree_walks () =
   let vs = List.init 12 (fun _ -> fresh_var ~name:"s" W8) in
   let a = merged_chain vs in
   check_bool "past the plain budget" true (tree_size a > 4096);
-  check_int "size" (tree_size a) (size a);
   let small = merged_chain [ List.hd vs ] in
   check_bool "small terms print as trees" false
     (String.contains (to_string small) '$');
