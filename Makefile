@@ -18,9 +18,7 @@ test:
 # - resume mismatch: resuming that checkpoint with `--fixed` (another
 #   image under the same driver name) must be refused with exit 1 and
 #   exactly one stderr line;
-# - chaos: `test pro100 --chaos` (injected worker crashes and solver
-#   exhaustions) must report the same sorted bug keys as the default run;
-# - usage errors: four removed `test` flags and an out-of-range `-j`
+# - usage errors: five removed `test` flags and an out-of-range `-j`
 #   (0 and 129; OCaml caps a process at 128 domains) must be rejected
 #   with cmdliner's usage exit code 124;
 # - replay input: a missing, a garbage, an empty (entry-less) and an
@@ -60,14 +58,8 @@ check: build test
 	[ $$(wc -l < $$dir/resume.err) -eq 1 ] \
 	  || { echo "resume --fixed: want one stderr line"; exit 1; }; \
 	echo "resume-mismatch smoke: a fixed-image resume exits 1"; \
-	$$cli test pro100 --chaos --json-out $$dir/chaos.json >/dev/null \
-	  || [ $$? -eq 2 ]; \
-	for r in oracle chaos; do \
-	  grep -o '"key":"[^"]*"' $$dir/$$r.json | sort > $$dir/$$r.keys; done; \
-	[ -s $$dir/oracle.keys ] && cmp $$dir/oracle.keys $$dir/chaos.keys; \
-	echo "chaos smoke: same bug keys under fault injection"; \
-	for flag in "--store-dir x" --no-persist --no-dbt --guided "-j 0" \
-	    "-j 129"; do \
+	for flag in "--store-dir x" --no-persist --no-dbt --guided --chaos \
+	    "-j 0" "-j 129"; do \
 	  rc=0; $$cli test rtl8029 $$flag >/dev/null 2>&1 || rc=$$?; \
 	  [ $$rc -eq 124 ] || { echo "$$flag: exit $$rc, want 124"; exit 1; }; \
 	done; \

@@ -78,15 +78,6 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the bundled driver corpus")
     Term.(const run $ const ())
 
-let chaos_flag =
-  let doc =
-    "Run under deterministic fault injection (worker crashes every 25th \
-     pick, every 3rd uncached solve budget-exhausted). The session must \
-     survive and report the same bugs; the injected faults appear as \
-     quarantined engine incidents."
-  in
-  Arg.(value & flag & info [ "chaos" ] ~doc)
-
 let no_merge_flag =
   let doc =
     "Disable dynamic state merging at branch post-dominators and fork on \
@@ -119,19 +110,13 @@ let json_out_arg =
 (* Flag application shared by `test' and `resume': for a resumed run to
    converge with the uninterrupted one, both must build their config the
    same way from the same flags. *)
-let apply_session_flags cfg ~jobs ~chaos ~no_merge
+let apply_session_flags cfg ~jobs ~no_merge
     ~checkpoint_every ~checkpoint_path =
   { cfg with
     Ddt_core.Config.exec_config =
       { cfg.Ddt_core.Config.exec_config with
         Ddt_symexec.Exec.jobs;
-        state_merging = not no_merge;
-        chaos =
-          (if chaos then
-             Some
-               { Ddt_symexec.Guard.chaos_worker_crash_period = 25;
-                 chaos_solver_exhaust_period = 3 }
-           else None) };
+        state_merging = not no_merge };
     checkpoint_every;
     checkpoint_path }
 
@@ -163,7 +148,7 @@ let report_result ~traces ~json_out r =
   else 2
 
 let test_cmd =
-  let run short fixed no_annot traces jobs chaos no_merge
+  let run short fixed no_annot traces jobs no_merge
       checkpoint_every checkpoint_path json_out =
     match find_entry short with
     | Error e -> prerr_endline e; 1
@@ -172,7 +157,7 @@ let test_cmd =
           Corpus.config ~fixed ~use_annotations:(not no_annot) entry
         in
         let cfg =
-          apply_session_flags cfg ~jobs ~chaos ~no_merge
+          apply_session_flags cfg ~jobs ~no_merge
             ~checkpoint_every ~checkpoint_path
         in
         report_result ~traces ~json_out (Ddt_core.Ddt.test_driver cfg)
@@ -181,7 +166,7 @@ let test_cmd =
     (Cmd.info "test" ~doc:"Test a driver binary with DDT")
     Term.(
       const run $ driver_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ chaos_flag $ no_merge_flag
+      $ jobs_arg $ no_merge_flag
       $ checkpoint_every_arg $ checkpoint_path_arg $ json_out_arg)
 
 let resume_cmd =
@@ -189,14 +174,14 @@ let resume_cmd =
     let doc =
       "Checkpoint file written by $(b,test --checkpoint-every). The \
        resumed session must be given the same flags (e.g. $(b,--fixed), \
-       $(b,--no-annotations), $(b,--no-merge), $(b,--chaos)) as the run \
+       $(b,--no-annotations), $(b,--no-merge)) as the run \
        that wrote it; a checkpoint from another image or with other \
        settings is refused with exit 1. $(b,-j) and the checkpoint \
        cadence may differ."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"CKPT" ~doc)
   in
-  let run ckpt fixed no_annot traces jobs chaos no_merge
+  let run ckpt fixed no_annot traces jobs no_merge
       checkpoint_every checkpoint_path json_out =
     match Ddt_core.Session.checkpoint_driver ckpt with
     | Error e -> Printf.eprintf "cannot read checkpoint: %s\n" e; 1
@@ -213,7 +198,7 @@ let resume_cmd =
               Corpus.config ~fixed ~use_annotations:(not no_annot) entry
             in
             let cfg =
-              apply_session_flags cfg ~jobs ~chaos ~no_merge
+              apply_session_flags cfg ~jobs ~no_merge
                 ~checkpoint_every
                 (* keep checkpointing into the file being resumed unless
                    told otherwise *)
@@ -231,7 +216,7 @@ let resume_cmd =
           checkpoint and run it to completion")
     Term.(
       const run $ ckpt_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ chaos_flag $ no_merge_flag
+      $ jobs_arg $ no_merge_flag
       $ checkpoint_every_arg $ checkpoint_path_arg $ json_out_arg)
 
 let static_cmd =

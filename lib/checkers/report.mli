@@ -63,8 +63,8 @@ type bug = {
 }
 
 type incident = Ddt_symexec.Guard.incident
-(** A fault of the testing engine itself (worker crash, quarantined
-    state, solver budget exhaustion), quarantined by
+(** A fault of the testing engine itself (a faulting state, a solver
+    verdict left Unknown), quarantined by
     [Ddt_symexec.Guard]. Engine incidents are not driver findings: like
     static findings they are kept apart from the dynamic bug list, so
     they can never perturb bug keys, deduplication or ordering — but

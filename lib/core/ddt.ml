@@ -71,12 +71,6 @@ let pp_report fmt (r : Session.result) =
     sv.Ddt_solver.Solver.s_queries sv.Ddt_solver.Solver.s_group_solves
     (100.0 *. Ddt_solver.Solver.cache_hit_rate sv)
     sv.Ddt_solver.Solver.s_bitblast_solves;
-  if sv.Ddt_solver.Solver.s_exhaustions > 0 then
-    Format.fprintf fmt
-      "solver retries: %d budget exhaustion(s), %d escalated retries, %d \
-       recovered@."
-      sv.Ddt_solver.Solver.s_exhaustions sv.Ddt_solver.Solver.s_retries
-      sv.Ddt_solver.Solver.s_retry_recovered;
   if stats.Ddt_symexec.Exec.st_workers > 1 then
     Format.fprintf fmt
       "parallel: %d workers | %d steals | %d renamed cache hits | \
@@ -89,9 +83,8 @@ let pp_report fmt (r : Session.result) =
   (match r.Session.r_incidents with
   | [] -> ()
   | incs ->
-      Format.fprintf fmt
-        "%d engine incident(s) quarantined (%d worker restart(s)):@."
-        (List.length incs) stats.Ddt_symexec.Exec.st_worker_restarts;
+      Format.fprintf fmt "%d engine incident(s) quarantined:@."
+        (List.length incs);
       List.iteri
         (fun i inc ->
           Format.fprintf fmt "%2d. %a@." (i + 1) Report.pp_incident inc)

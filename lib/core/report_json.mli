@@ -30,9 +30,9 @@ type static_row = {
 }
 
 type incident_row = {
-  ji_kind : string;     (** "worker-crash" | "state-fault" | "solver-exhaustion" *)
-  ji_worker : int;      (** worker id, or -1 for a dead domain *)
-  ji_state_id : int;    (** 0 when no state was in flight *)
+  ji_kind : string;     (** "state-fault" | "solver-exhaustion" *)
+  ji_worker : int;      (** worker slot that hit the fault *)
+  ji_state_id : int;    (** the faulting state *)
   ji_entry : string;
   ji_pc : int;
   ji_message : string;

@@ -42,8 +42,8 @@ type result = {
   r_paths_to_first_bug : int option;
   (** completed paths when the first bug surfaced; [None] if bug-free *)
   r_incidents : Report.incident list;
-  (** quarantined engine incidents (worker crashes, state faults, solver
-      exhaustions), each with a replayable script *)
+  (** quarantined engine incidents (state faults, verdicts left
+      Unknown), each with a replayable script *)
   r_checkpoint_failures : int;
 }
 
@@ -239,10 +239,9 @@ let setup (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-(* 12: the merge pool dump has no per-branch statistics and its tokens
-   no branch pc; the checkpoint records digests of the driver image and
-   of the exploration settings. *)
-let checkpoint_version = 12
+(* 13: the guard dump has no restart or fault-injection counters, and
+   the settings digest no fault-injection term. *)
+let checkpoint_version = 13
 
 (* What a resumed run must share with the run that wrote the checkpoint
    for the two to converge: the driver image, and every setting that
@@ -257,7 +256,7 @@ let settings_digest (cfg : Config.t) =
     (Marshal.to_string
        ( (cfg.Config.use_annotations, cfg.Config.workload,
           cfg.Config.registry, cfg.Config.descriptor),
-         (x.Exec.state_merging, x.Exec.chaos, x.Exec.max_steps_per_state,
+         (x.Exec.state_merging, x.Exec.max_steps_per_state,
           x.Exec.inject_interrupts),
          (cfg.Config.max_total_steps, cfg.Config.plateau_steps,
           cfg.Config.max_bases_per_phase) )
@@ -550,7 +549,7 @@ let resume (cfg : Config.t) ~path : (result, string) Stdlib.result =
       else if ck.ck_settings_digest <> settings_digest cfg then
         Error
           "checkpoint was taken with different session settings \
-           (annotations, merging, chaos, workload or budgets)"
+           (annotations, merging, workload or budgets)"
       else if ck.ck_phase > List.length cfg.Config.workload then
         Error
           (Printf.sprintf "checkpoint phase %d is past the config's %d-item \

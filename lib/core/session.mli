@@ -39,9 +39,9 @@ type result = {
   r_paths_to_first_bug : int option;
   (** completed paths when the first dynamic bug surfaced *)
   r_incidents : Ddt_checkers.Report.incident list;
-  (** quarantined engine incidents ([Ddt_symexec.Guard]): worker
-      crashes, state faults, solver budget exhaustions — each with a
-      replayable script, kept apart from [r_bugs] *)
+  (** quarantined engine incidents ([Ddt_symexec.Guard]): state
+      faults and solver verdicts left Unknown — each with a replayable
+      script, kept apart from [r_bugs] *)
   r_checkpoint_failures : int;
   (** checkpoint writes that failed (see Durability below); the
       first failure is also reported on stderr *)
@@ -81,7 +81,7 @@ val resume : Config.t -> path:string -> (result, string) Stdlib.result
     checkpointed progress, and runs to completion. [Error _] if the
     checkpoint cannot be read, belongs to another driver, was taken from
     a different image (a [--fixed] variant keeps its driver's name) or
-    with different exploration settings (annotations, merging, chaos,
+    with different exploration settings (annotations, merging,
     workload, budgets, registry, device descriptor), or records a phase
     past [cfg]'s workload; the job count and checkpoint cadence may
     differ. A resumed session keeps checkpointing to the same path. *)

@@ -51,9 +51,9 @@ let get_u32 s off =
   lor (Char.code s.[off + 2] lsl 16)
   lor (Char.code s.[off + 3] lsl 24)
 
-(* Chaos hook: when set, the next [count] payload writes raise ENOSPC
-   after the tmp file is created — the disk-full injection the chaos
-   harness uses to prove a full disk only costs durability, never
+(* Disk-full test hook: when set, the next [count] payload writes raise
+   ENOSPC after the tmp file is created — the injection the durability
+   tests use to prove a full disk only costs durability, never
    correctness. *)
 let chaos_enospc = Atomic.make 0
 

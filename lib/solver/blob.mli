@@ -32,5 +32,5 @@ val read_file : string -> ('a, string) result
     [Marshal]; wrap per-format sanity checks around the result. *)
 
 val set_chaos_enospc : int -> unit
-(** Chaos injection: make the next [n] {!write_file} calls fail as if
-    the disk were full (after creating the tmp file). 0 disables. *)
+(** Disk-full test hook: make the next [n] {!write_file} calls fail as
+    if the disk were full (after creating the tmp file). 0 disables. *)

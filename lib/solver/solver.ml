@@ -20,36 +20,27 @@ let clear_cache () = Atomic.set cache (Qcache.create ())
    re-fetch it. *)
 let current_cache () = Atomic.get cache
 
-(* --- retry policy -------------------------------------------------------- *)
+(* --- the solve budget ------------------------------------------------------
 
-(* 200k conflicts settles every corpus query on the first attempt; the
-   escalated retry restores the historical 2M ceiling for the rare group
-   that needs it, so final verdicts are unchanged from the single-budget
-   era — the retry only re-spends work that would previously have been
-   spent up front on every hard query. Each attempt also stops after 5 s
-   of wall-clock time. *)
-let base_conflicts = 200_000
-let escalated_conflicts = 2_000_000
+   Each uncached group is solved once: DPLL stops after 2M conflicts or
+   5 s of wall-clock time, whichever comes first, and the verdict is then
+   Unknown. Callers treat Unknown conservatively (a branch stays
+   feasible, a concretization falls back to a verified guess or fails). *)
+let max_conflicts = 2_000_000
 let attempt_s = 5.0
 
-(* Fault injection for the chaos harness: when set, the hook is asked
-   once per uncached group solve and [true] forces the first attempt to
-   report budget exhaustion without running, exercising the retry path
-   deterministically. *)
-let chaos_exhaust : (unit -> bool) option Atomic.t = Atomic.make None
-let set_chaos_exhaust f = Atomic.set chaos_exhaust f
+(* Test hook: when set, it is asked once per uncached group solve and
+   [true] makes that solve answer Unknown without running. *)
+let force_unknown : (unit -> bool) option Atomic.t = Atomic.make None
+let set_force_unknown f = Atomic.set force_unknown f
 
-(* Per-domain exhaustion counters let the engine attribute a budget
-   exhaustion to the state whose quantum was executing on this domain
-   (the process-global counters can't tell workers apart). *)
-let dls_exhaustions : int ref Domain.DLS.key =
+(* Per-domain Unknown count, so the engine can attribute an Unknown to
+   the state whose quantum was executing on this domain (the
+   process-global counter cannot tell workers apart). *)
+let dls_unknowns : int ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref 0)
 
-let dls_unrecovered : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref 0)
-
-let domain_exhaustions () = !(Domain.DLS.get dls_exhaustions)
-let domain_unrecovered () = !(Domain.DLS.get dls_unrecovered)
+let domain_unknowns () = !(Domain.DLS.get dls_unknowns)
 
 (* --- statistics ---------------------------------------------------------- *)
 
@@ -64,9 +55,7 @@ type stats = {
   s_interval_solves : int;
   s_bitblast_solves : int;
   s_cache_evictions : int;
-  s_exhaustions : int;
-  s_retries : int;
-  s_retry_recovered : int;
+  s_unknowns : int;
 }
 
 (* Counters are process-global atomics — parallel frontier workers all
@@ -81,9 +70,7 @@ type counters = {
   c_cross_worker_hits : int Atomic.t;
   c_interval_solves : int Atomic.t;
   c_bitblast_solves : int Atomic.t;
-  c_exhaustions : int Atomic.t;
-  c_retries : int Atomic.t;
-  c_retry_recovered : int Atomic.t;
+  c_unknowns : int Atomic.t;
 }
 
 let cnt =
@@ -92,8 +79,7 @@ let cnt =
     c_misses = Atomic.make 0;
     c_renamed_hits = Atomic.make 0; c_cross_worker_hits = Atomic.make 0;
     c_interval_solves = Atomic.make 0; c_bitblast_solves = Atomic.make 0;
-    c_exhaustions = Atomic.make 0; c_retries = Atomic.make 0;
-    c_retry_recovered = Atomic.make 0 }
+    c_unknowns = Atomic.make 0 }
 
 let stats () =
   {
@@ -107,9 +93,7 @@ let stats () =
     s_interval_solves = Atomic.get cnt.c_interval_solves;
     s_bitblast_solves = Atomic.get cnt.c_bitblast_solves;
     s_cache_evictions = Qcache.evictions (Atomic.get cache);
-    s_exhaustions = Atomic.get cnt.c_exhaustions;
-    s_retries = Atomic.get cnt.c_retries;
-    s_retry_recovered = Atomic.get cnt.c_retry_recovered;
+    s_unknowns = Atomic.get cnt.c_unknowns;
   }
 
 let diff_stats (b : stats) (a : stats) =
@@ -126,9 +110,7 @@ let diff_stats (b : stats) (a : stats) =
     s_interval_solves = b.s_interval_solves - a.s_interval_solves;
     s_bitblast_solves = b.s_bitblast_solves - a.s_bitblast_solves;
     s_cache_evictions = max 0 (b.s_cache_evictions - a.s_cache_evictions);
-    s_exhaustions = b.s_exhaustions - a.s_exhaustions;
-    s_retries = b.s_retries - a.s_retries;
-    s_retry_recovered = b.s_retry_recovered - a.s_retry_recovered;
+    s_unknowns = b.s_unknowns - a.s_unknowns;
   }
 
 let cache_hits s =
@@ -144,7 +126,7 @@ let cache_hit_rate s =
 let verified constraints env =
   List.for_all (fun c -> Expr.eval env c = 1) constraints
 
-let core_solve ~budget constraints =
+let core_solve constraints =
   let deadline = Unix.gettimeofday () +. attempt_s in
   let vars =
     List.concat_map Expr.vars constraints
@@ -169,7 +151,7 @@ let core_solve ~budget constraints =
           Atomic.incr cnt.c_bitblast_solves;
           let ctx = Bitblast.create () in
           List.iter (Bitblast.assert_true ctx) constraints;
-          match Dpll.solve ~max_conflicts:budget ~deadline (Bitblast.cnf ctx) with
+          match Dpll.solve ~max_conflicts ~deadline (Bitblast.cnf ctx) with
           | Some Dpll.Unsat -> Unsat
           | None -> Unknown
           | Some (Dpll.Sat assign) ->
@@ -203,37 +185,6 @@ let note_outcome ((outcome : Qcache.outcome), info) =
       Atomic.incr cnt.c_model_reuse_hits;
       note_hit_info info
   | Qcache.Miss -> Atomic.incr cnt.c_misses
-
-(* One uncached group solve under the retry policy: a bounded first
-   attempt; on budget exhaustion the group is re-submitted once through
-   the qcache (another worker may have answered it meanwhile) and then
-   re-solved with the escalated budget before the Unknown is final. *)
-let solve_with_retry c q group =
-  let forced =
-    match Atomic.get chaos_exhaust with Some f -> f () | None -> false
-  in
-  let first =
-    if forced then Unknown else core_solve ~budget:base_conflicts group
-  in
-  match first with
-  | (Sat _ | Unsat) as v -> v
-  | Unknown ->
-      Atomic.incr cnt.c_exhaustions;
-      incr (Domain.DLS.get dls_exhaustions);
-      Atomic.incr cnt.c_retries;
-      (* Counters for the re-lookup are intentionally not bumped: the
-         group already accounted a miss, and a recovered verdict is
-         reported as s_retry_recovered instead. *)
-      let v =
-        match Qcache.lookup c q with
-        | Qcache.Exact_sat m, _ | Qcache.Reuse_sat m, _ -> Sat m
-        | Qcache.Exact_unsat, _ -> Unsat
-        | Qcache.Miss, _ -> core_solve ~budget:escalated_conflicts group
-      in
-      (match v with
-      | Sat _ | Unsat -> Atomic.incr cnt.c_retry_recovered
-      | Unknown -> incr (Domain.DLS.get dls_unrecovered));
-      v
 
 (* --- prepared constraints ------------------------------------------------ *)
 
@@ -284,13 +235,18 @@ let normalized p =
 let cache_query group = Qcache.query_of_normalized (List.map normalized group)
 let terms group = List.map (fun p -> p.term) group
 
-(* A miss: solve under the retry policy and store the verdict. *)
+(* A miss: solve once and store a definite verdict. *)
 let solve_miss c q group =
-  let r = solve_with_retry c q (terms group) in
+  let forced =
+    match Atomic.get force_unknown with Some f -> f () | None -> false
+  in
+  let r = if forced then Unknown else core_solve (terms group) in
   (match r with
   | Sat m -> Qcache.store_sat c q m
   | Unsat -> Qcache.store_unsat c q
-  | Unknown -> ());
+  | Unknown ->
+      Atomic.incr cnt.c_unknowns;
+      incr (Domain.DLS.get dls_unknowns));
   r
 
 let solve_group group =

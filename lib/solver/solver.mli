@@ -102,29 +102,21 @@ val current_cache : unit -> Qcache.t
     dump/import address it directly. {!clear_cache} swaps in a fresh
     instance, so re-fetch the handle after it. *)
 
-(** {1 Retry policy}
+(** {1 Solve budget}
 
-    An [Unknown] from DPLL means a resource budget ran out, not that the
-    query is undecidable — so before any Unknown verdict is final, the
-    group is re-submitted once through the query cache and re-solved
-    with an escalated conflict budget: 200k conflicts first, then one
-    2M-conflict retry. Each attempt also carries a 5 s wall-clock
-    deadline so one adversarial query cannot stall a worker. *)
+    Each uncached group is solved once, with DPLL capped at 2M conflicts
+    and 5 s of wall-clock time; a group that runs out of either is
+    Unknown, is not cached, and is counted in [s_unknowns]. Callers treat
+    Unknown conservatively ({!feasible}, {!concretize}). *)
 
-val set_chaos_exhaust : (unit -> bool) option -> unit
-(** Fault-injection hook for the chaos harness: when set, the hook is
-    consulted once per uncached group solve, and [true] forces the first
-    attempt to report budget exhaustion without running — the escalated
-    retry then recovers the real verdict. [None] (the default) disables
-    injection. *)
+val set_force_unknown : (unit -> bool) option -> unit
+(** Test hook: when set, the hook is consulted once per uncached group
+    solve, and [true] makes that solve answer Unknown without running.
+    [None] (the default) disables it. *)
 
-val domain_exhaustions : unit -> int
-(** First-attempt budget exhaustions observed on the calling domain —
-    lets the engine attribute exhaustions to the state being stepped. *)
-
-val domain_unrecovered : unit -> int
-(** Exhaustions on the calling domain whose verdict stayed [Unknown]
-    after the retry. *)
+val domain_unknowns : unit -> int
+(** Verdicts left Unknown on the calling domain, so the engine can
+    attribute them to the state being stepped. *)
 
 (** {1 Statistics}
 
@@ -150,12 +142,9 @@ type stats = {
   s_interval_solves : int;          (** groups settled by interval layer *)
   s_bitblast_solves : int;          (** groups that reached CNF + DPLL *)
   s_cache_evictions : int;
-  s_exhaustions : int;
-  (** first-attempt conflict-budget / deadline exhaustions (includes
-      chaos-injected ones) *)
-  s_retries : int;                  (** escalated re-submissions issued *)
-  s_retry_recovered : int;
-  (** retries that settled to a definite Sat/Unsat verdict *)
+  s_unknowns : int;
+  (** uncached group solves left Unknown (conflict budget or deadline
+      ran out, or forced by {!set_force_unknown}) *)
 }
 
 val stats : unit -> stats

@@ -23,10 +23,6 @@ let quantum = 2_000
 (* Symbolic interrupts injected per path. *)
 let max_injections = 1
 
-(* Restarts granted to a worker that keeps crashing without making
-   progress (the counter resets once the worker completes a pick). *)
-let max_worker_restarts = 3
-
 type config = {
   max_steps_per_state : int;
   inject_interrupts : bool;
@@ -36,9 +32,6 @@ type config = {
   jobs : int;
   (** worker domains exploring this engine's frontier cooperatively
       (1 = the classic sequential loop) *)
-  chaos : Guard.chaos option;
-  (** deterministic fault injection for the chaos harness; [None] (the
-      default) injects nothing *)
   state_merging : bool;
   (** fuse sibling states back together at branch post-dominators
       ({!Merge}): a symbolic fork whose arms reconverge — per the
@@ -55,7 +48,6 @@ let default_config =
     inject_interrupts = true;
     concrete_hardware = false;
     jobs = 1;
-    chaos = None;
     state_merging = true;
   }
 
@@ -198,10 +190,6 @@ let create ?(config = default_config) img base_mem symdev =
   let frontier =
     Frontier.create ~workers:(max 1 config.jobs) ~max_states ~key ~priority
   in
-  let guard_st = Guard.create () in
-  (* Install (or clear) the solver-side chaos injection for this engine;
-     like the query cache above this is process-wide. *)
-  Solver.set_chaos_exhaust (Guard.solver_chaos_fn guard_st config.chaos);
   {
     cfg = config;
     base_mem;
@@ -232,7 +220,7 @@ let create ?(config = default_config) img base_mem symdev =
     replay = None;
     pool = Merge.create ();
     merge_points = (fun _ -> None);
-    guard_st;
+    guard_st = Guard.create ();
     checkpoint_hook = None;
     run_start_steps = 0;
     solver_base = Solver.stats ();
@@ -255,7 +243,6 @@ let set_merge_points eng f = eng.merge_points <- f
 let set_checkpoint_hook eng f = eng.checkpoint_hook <- Some f
 let run_start eng = eng.run_start_steps
 let incidents eng = Guard.incidents eng.guard_st
-let worker_restarts eng = Guard.restarts eng.guard_st
 
 (* --- state management -------------------------------------------------- *)
 
@@ -329,13 +316,19 @@ let replay_script ?(extra = []) ?constraints (st : St.t) =
     rs_entry = st.St.entry_name;
   }
 
-(* A quarantined state's script must never raise — the guard paths call
-   this while already handling a fault. *)
-let safe_replay_script st =
-  try replay_script st
-  with _ ->
-    { Replay.rs_inputs = []; rs_choices = []; rs_inject_sites = [];
-      rs_entry = st.St.entry_name }
+(* Record an engine incident against [st]. Its script must never raise:
+   this runs while a fault is already being handled. *)
+let record_incident eng kind st message =
+  let replay =
+    try replay_script st
+    with _ ->
+      { Replay.rs_inputs = []; rs_choices = []; rs_inject_sites = [];
+        rs_entry = st.St.entry_name }
+  in
+  Guard.record eng.guard_st
+    { Guard.inc_kind = kind; inc_worker = Domain.DLS.get worker_key;
+      inc_state_id = st.St.id; inc_entry = st.St.entry_name;
+      inc_pc = st.St.pc; inc_message = message; inc_replay = replay }
 
 let rec retire eng st status ~report =
   (* A dying carrier releases every merge token it holds; the last
@@ -357,20 +350,11 @@ let rec retire eng st status ~report =
      engine fault, not a driver finding: it is quarantined as an
      incident (with the state's script) instead of unwinding the
      worker. *)
-  if report then begin
+  if report then
     try eng.on_state_done st
-    with exn when Guard.absorbable exn ->
-      Guard.record eng.guard_st
-        {
-          Guard.inc_kind = Guard.State_fault;
-          inc_worker = Domain.DLS.get worker_key;
-          inc_state_id = st.St.id;
-          inc_entry = st.St.entry_name;
-          inc_pc = st.St.pc;
-          inc_message = "checker exception: " ^ Guard.describe exn;
-          inc_replay = safe_replay_script st;
-        }
-  end
+    with exn ->
+      record_incident eng Guard.State_fault st
+        ("checker exception: " ^ Guard.describe exn)
 
 (* Apply a fold's results outside the pool lock: absorbed states are
    gone (their paths live on as the ite-lifted survivor), survivors go
@@ -993,10 +977,9 @@ let start_invocation eng st ~name ~addr ~args =
 let step_quantum eng st =
   let budget = ref quantum in
   let wid = Domain.DLS.get worker_key in
-  (* Snapshot this domain's solver exhaustion counters so a budget that
-     runs dry during this quantum can be attributed to [st]. *)
-  let exh0 = Solver.domain_exhaustions () in
-  let unrec0 = Solver.domain_unrecovered () in
+  (* Snapshot this domain's Unknown count so a verdict left Unknown
+     during this quantum can be attributed to [st]. *)
+  let unknown0 = Solver.domain_unknowns () in
   (try
      while
        (not (St.terminated st))
@@ -1041,44 +1024,29 @@ let step_quantum eng st =
             { c_code = Bugcheck.string_of_code code; c_msg = msg;
               c_pc = st.St.pc })
          ~report:true
-   | exn when Guard.absorbable exn ->
+   | exn ->
        (* The fault boundary: an interpreter fault, stack overflow,
-          out-of-memory, or any other exception escaping this state's
-          execution quarantines the state — replayable script and all —
-          instead of unwinding the worker and killing the session. *)
-       Guard.record eng.guard_st
-         {
-           Guard.inc_kind = Guard.State_fault;
-           inc_worker = wid;
-           inc_state_id = st.St.id;
-           inc_entry = st.St.entry_name;
-           inc_pc = st.St.pc;
-           inc_message = Guard.describe exn;
-           inc_replay = safe_replay_script st;
-         };
+          out-of-memory, a hook's exception or any other exception
+          escaping this state's execution quarantines the state —
+          replayable script and all — instead of unwinding the worker
+          and killing the session. *)
+       record_incident eng Guard.State_fault st (Guard.describe exn);
        retire eng st
          (St.Discarded ("quarantined: " ^ Guard.describe exn))
          ~report:false);
-  let d_exh = Solver.domain_exhaustions () - exh0 in
-  if d_exh > 0 && Guard.claim_solver_flag eng.guard_st st.St.id then begin
-    let d_unrec = Solver.domain_unrecovered () - unrec0 in
-    Guard.record eng.guard_st
-      {
-        Guard.inc_kind = Guard.Solver_exhaustion;
-        inc_worker = wid;
-        inc_state_id = st.St.id;
-        inc_entry = st.St.entry_name;
-        inc_pc = st.St.pc;
-        inc_message =
-          Printf.sprintf
-            "%d solver budget exhaustion(s) during quantum (%d recovered \
-             by escalated retry, %d left Unknown)"
-            d_exh (d_exh - d_unrec) d_unrec;
-        inc_replay = safe_replay_script st;
-      }
-  end
+  let unknowns = Solver.domain_unknowns () - unknown0 in
+  if unknowns > 0 && Guard.claim_solver_flag eng.guard_st st.St.id then
+    record_incident eng Guard.Solver_exhaustion st
+      (Printf.sprintf "%d solver verdict(s) left Unknown during quantum"
+         unknowns)
 
-type stop_reason = Stop_budget | Stop_plateau
+(* Why the workers stopped: a limit was reached, or an exception
+   escaped a worker loop — outside every state's fault boundary, so an
+   engine bug that ends the session once every worker has exited. *)
+type stop_reason =
+  | Stop_budget
+  | Stop_plateau
+  | Stop_fault of exn * Printexc.raw_backtrace
 
 (* Sample the copy-on-write footprint for the E5 peak-live-words
    accounting: one frontier sweep every 64 picks. *)
@@ -1093,11 +1061,9 @@ let sample_live eng st =
    barrier: [Frontier.quiescent] can only hold once no state is queued or
    in motion anywhere, at which point every worker agrees exploration is
    complete. Any worker noticing the budget or plateau limit publishes
-   the stop reason; the others exit at their next pick. *)
-(* A worker-level fault was already quarantined against its in-flight
-   state; the wrapper tells the supervisor not to record it twice. *)
-exception Quarantined of exn
-
+   the stop reason; the others exit at their next pick. A worker whose
+   loop raises publishes the fault as the stop reason, so no other worker
+   waits on the in-flight state it will never finish. *)
 let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps wid =
   let rec loop () =
     if Atomic.get stop = None then
@@ -1117,30 +1083,8 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps wid =
         match Frontier.pick eng.frontier ~worker:wid with
         | Some st ->
             let picks = Atomic.fetch_and_add eng.picks 1 + 1 in
-            (try
-               Guard.maybe_crash eng.guard_st eng.cfg.chaos;
-               if picks land 63 = 0 then sample_live eng st;
-               step_quantum eng st
-             with exn ->
-               (* A fault that escaped the state-level boundary hit the
-                  worker itself ([step_quantum] absorbs the state's own
-                  faults), so [st] was not mid-execution and is intact:
-                  quarantine a replayable snapshot, requeue the state so
-                  no path is lost, fix the inflight accounting, and hand
-                  the fault to the supervisor below. *)
-               Frontier.task_done eng.frontier;
-               Guard.record eng.guard_st
-                 {
-                   Guard.inc_kind = Guard.Worker_crash;
-                   inc_worker = wid;
-                   inc_state_id = st.St.id;
-                   inc_entry = st.St.entry_name;
-                   inc_pc = st.St.pc;
-                   inc_message = Guard.describe exn;
-                   inc_replay = safe_replay_script st;
-                 };
-               Frontier.requeue eng.frontier ~worker:wid st;
-               raise (Quarantined exn));
+            if picks land 63 = 0 then sample_live eng st;
+            step_quantum eng st;
             Frontier.task_done eng.frontier;
             loop ()
         | None ->
@@ -1150,44 +1094,10 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps wid =
             end
       end
   in
-  (* Worker supervision: a crashed loop is relaunched on a fresh stack
-     after a short exponential backoff. The restart budget only burns
-     when the worker wedges — crashing again before completing a single
-     pick; any progress resets the counter, so sporadic faults never
-     exhaust it. A worker that gives up leaves its queue to the surviving
-     workers, which steal from it like from any other (and to [run]'s
-     final drain). *)
-  let rec supervised attempts last_picks =
-    Domain.DLS.set worker_key wid;
-    try loop () with
-    | Stdlib.Exit -> ()
-    | exn ->
-        (match exn with
-        | Quarantined _ -> ()
-        | exn ->
-            (* Fault outside any pick (scheduler, sampler): no state to
-               attribute, but the crash itself is still an incident. *)
-            Guard.record eng.guard_st
-              {
-                Guard.inc_kind = Guard.Worker_crash;
-                inc_worker = wid;
-                inc_state_id = 0;
-                inc_entry = "";
-                inc_pc = 0;
-                inc_message = Guard.describe exn;
-                inc_replay =
-                  { Replay.rs_inputs = []; rs_choices = [];
-                    rs_inject_sites = []; rs_entry = "" };
-              });
-        let picks_now = Atomic.get eng.picks in
-        let attempts = if picks_now > last_picks then 0 else attempts in
-        if attempts < max_worker_restarts then begin
-          Guard.note_restart eng.guard_st;
-          Guard.backoff attempts;
-          supervised (attempts + 1) picks_now
-        end
-  in
-  supervised 0 (Atomic.get eng.picks)
+  Domain.DLS.set worker_key wid;
+  try loop ()
+  with exn ->
+    Atomic.set stop (Some (Stop_fault (exn, Printexc.get_raw_backtrace ())))
 
 (* Drain the frontier to empty through merge folds: retiring a token
    carrier can fold its token and requeue the fold's survivors, so a
@@ -1236,47 +1146,19 @@ let run eng ?(max_total_steps = 20_000_000) ?(plateau_steps = 150_000)
       List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
     in
     worker 0;
-    (* The supervisor absorbs every fault, so these joins cannot re-raise;
-       the belt-and-suspenders handler still prevents a dead domain from
-       taking the session down through the join. *)
-    List.iter
-      (fun d ->
-        try Domain.join d
-        with exn ->
-          Guard.record eng.guard_st
-            {
-              Guard.inc_kind = Guard.Worker_crash;
-              inc_worker = -1;
-              inc_state_id = 0;
-              inc_entry = "";
-              inc_pc = 0;
-              inc_message = "worker domain died: " ^ Guard.describe exn;
-              inc_replay =
-                { Replay.rs_inputs = []; rs_choices = [];
-                  rs_inject_sites = []; rs_entry = "" };
-            })
-      doms;
+    List.iter Domain.join doms;
     (* The caller's domain goes back to being worker 0 for the seeding of
        the next phase. *)
     Domain.DLS.set worker_key 0
   end;
   match Atomic.get stop with
+  | Some (Stop_fault (exn, bt)) -> Printexc.raise_with_backtrace exn bt
   | None ->
-      (* Every worker exhausted its restart budget with work remaining —
-         only reachable after repeated wedges. Drain the leftovers quietly
-         so the session still terminates cleanly and reports what was
-         explored. *)
-      if not (Frontier.quiescent eng.frontier) then
-        drain_retire eng (fun st ->
-            retire eng st
-              (St.Discarded "workers exhausted restart budget")
-              ~report:false)
-      else
-        (* Quiescent frontier can still leave parked states behind when
-           every surviving sibling of a token was quarantined without
-           reaching the pool; release them so no path is silently lost. *)
-        drain_retire eng (fun st ->
-            retire eng st (St.Discarded "merge token abandoned") ~report:false)
+      (* The frontier is quiescent, but a token can still hold parked
+         states when every surviving sibling was quarantined without
+         reaching the pool; release them so no path is silently lost. *)
+      drain_retire eng (fun st ->
+          retire eng st (St.Discarded "merge token abandoned") ~report:false)
   | Some Stop_budget ->
       (* Session budget exhausted: the states left on the frontier were
          truncated by the *global* step budget, not by their own step
@@ -1371,7 +1253,6 @@ type stats = {
   st_steals : int;
   st_workers : int;
   st_incidents : int;
-  st_worker_restarts : int;
   st_solver : Solver.stats;
   st_merged_states : int;
   st_merge_ites : int;
@@ -1406,7 +1287,6 @@ let stats eng =
     st_steals = Frontier.steals eng.frontier;
     st_workers = Frontier.n_workers eng.frontier;
     st_incidents = Guard.incident_count eng.guard_st;
-    st_worker_restarts = Guard.restarts eng.guard_st;
     st_solver = Solver.diff_stats (Solver.stats ()) eng.solver_base;
     st_merged_states = (let m, _, _, _ = Merge.stats eng.pool in m);
     st_merge_ites = (let _, i, _, _ = Merge.stats eng.pool in i);

@@ -14,10 +14,12 @@
 
     Exploration is fault tolerant ({!Guard}): every state's step loop
     runs inside a fault boundary that quarantines the state (with its
-    replayable script) when an exception escapes — interpreter faults,
-    [Stack_overflow], [Out_of_memory], checker exceptions — a crashed
-    worker loop is restarted with backoff, and solver budget exhaustions
-    during a state's quantum are recorded as incidents ({!incidents}). *)
+    replayable script) when any exception escapes — interpreter faults,
+    [Stack_overflow], [Out_of_memory], hook and checker exceptions — and
+    a solver verdict left Unknown during a state's quantum is recorded
+    as an incident too ({!incidents}). An exception outside every
+    state's boundary (scheduler, checkpoint hook) is an engine bug: it
+    stops every worker and {!run} re-raises it. *)
 
 module Expr = Ddt_solver.Expr
 
@@ -38,9 +40,6 @@ type config = {
       min-touch queues ({!Sched}, the only search order) and steal from
       each other when idle; bug reports stay deterministic because keys
       are path-position-based and the report sink dedups by key. *)
-  chaos : Guard.chaos option;
-  (** deterministic fault injection for the chaos harness ({!Guard.chaos});
-      [None] (the default) injects nothing and costs nothing *)
   state_merging : bool;
   (** fuse sibling states back together at branch post-dominators
       ({!Merge}): a symbolic fork whose arms reconverge — per the
@@ -114,8 +113,6 @@ val set_merge_points : engine -> (int -> int option) -> unit
 val incidents : engine -> Guard.incident list
 (** Quarantined engine incidents so far, in deterministic order. *)
 
-val worker_restarts : engine -> int
-
 val replay_script :
   ?extra:Expr.t list -> ?constraints:Expr.t list -> Symstate.t ->
   Ddt_trace.Replay.script
@@ -154,6 +151,9 @@ val run :
     been covered for [plateau_steps] instructions — the paper's stopping
     rule (§5.2); plateau leftovers are redundant siblings and are dropped
     silently.
+
+    An exception that escapes a worker loop outside every state's fault
+    boundary stops all workers; [run] joins them and re-raises it.
 
     [start_steps] resumes a checkpointed run: it overrides the budget
     baseline (normally [total_steps] at entry) with the original run's,
@@ -199,7 +199,6 @@ type stats = {
   (** successful cross-worker frontier steals (0 when [jobs = 1]) *)
   st_workers : int;            (** frontier worker slots ([config.jobs]) *)
   st_incidents : int;          (** quarantined engine incidents *)
-  st_worker_restarts : int;    (** supervisor worker-loop restarts *)
   st_solver : Ddt_solver.Solver.stats;
   (** solver queries/cache-hit/bit-blast counters attributable to this
       engine (snapshot delta since [create]; exact only while no other

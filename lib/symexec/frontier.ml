@@ -65,9 +65,8 @@ let push t ~worker st =
 
 (* Victim selection: largest queue first, so a thief grabs from where the
    most unexplored work sits, and Sched.steal hands over what the victim
-   values least. Any non-empty queue is a victim — a worker whose
-   supervisor gave up included — so no queued state is stranded while
-   one worker still picks. Lengths are read without the victim's lock;
+   values least. Any non-empty queue is a victim, so no queued state is
+   stranded while one worker still picks. Lengths are read without the victim's lock;
    staleness only costs ordering. *)
 let pick_locked t ~worker =
   let n = Array.length t.workers in
@@ -101,17 +100,7 @@ let pick_locked t ~worker =
 
 let pick t ~worker =
   Atomic.incr t.inflight;
-  (* Exception safety: the priority function runs under the queue locks
-     inside [pick_locked], and a fault escaping between the inflight
-     raise and the return would leak the counter and wedge termination
-     detection for every other worker — so the raise is undone before
-     re-raising. *)
-  let got =
-    try pick_locked t ~worker
-    with exn ->
-      Atomic.decr t.inflight;
-      raise exn
-  in
+  let got = pick_locked t ~worker in
   (match got with
   | Some _ -> Atomic.decr t.size
   | None -> Atomic.decr t.inflight);

@@ -45,9 +45,9 @@ val pick : t -> worker:int -> Symstate.t option
     inflight state and {b must} call {!task_done} after executing it (and
     after pushing any children). [None] means no work was available at
     this instant — not necessarily termination; check {!quiescent}. A
-    fault raised by the priority function propagates with the inflight
-    counter restored, so a crashing worker cannot wedge termination
-    detection. *)
+    fault raised by the priority function propagates and leaves the
+    inflight count raised; the engine then stops every worker instead
+    of waiting for quiescence ([Exec.run]). *)
 
 val task_done : t -> unit
 val quiescent : t -> bool

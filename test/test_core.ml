@@ -416,6 +416,42 @@ let test_diagnose_hardware_verdict () =
     (al.Ddt_checkers.Diagnose.a_hardware
      = Ddt_checkers.Diagnose.No_hardware_dependence)
 
+(* A verdict left Unknown is not a failure: the engine treats it
+   conservatively, notes it once per state as an incident with a replay
+   script, and the session goes on. Forcing every 3rd uncached solve
+   Unknown stands in for groups the solve budget cannot decide. *)
+let test_forced_unknown () =
+  let module Solver = Ddt_solver.Solver in
+  let module Guard = Ddt_symexec.Guard in
+  let solves = Atomic.make 0 in
+  Solver.set_force_unknown
+    (Some (fun () -> Atomic.fetch_and_add solves 1 mod 3 = 2));
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Solver.set_force_unknown None)
+      (fun () ->
+        Ddt.test_driver
+          (Ddt_drivers.Corpus.config (Ddt_drivers.Corpus.find "rtl8029")))
+  in
+  check_bool "session completed" true (r.Session.r_finished_states > 0);
+  check_bool "verdicts left Unknown" true
+    (r.Session.r_stats.Exec.st_solver.Solver.s_unknowns > 0);
+  let unknowns =
+    List.filter
+      (fun (i : Report.incident) -> i.Guard.inc_kind = Guard.Solver_exhaustion)
+      r.Session.r_incidents
+  in
+  check_bool "Unknowns surface as incidents" true (unknowns <> []);
+  let ids = List.map (fun (i : Report.incident) -> i.Guard.inc_state_id) unknowns in
+  check_int "at most one incident per state" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  List.iter
+    (fun (i : Report.incident) ->
+      check_bool "incident names an entry" true (i.Guard.inc_entry <> "");
+      Alcotest.(check string) "replay names the entry" i.Guard.inc_entry
+        i.Guard.inc_replay.Ddt_trace.Replay.rs_entry)
+    unknowns
+
 let () =
   Alcotest.run "ddt_core"
     [ ("memcheck rules",
@@ -441,6 +477,9 @@ let () =
            test_failed_init_ends_session;
          Alcotest.test_case "failed initialize ends a resumed session"
            `Quick test_failed_init_ends_resumed_session ]);
+      ("resilience",
+       [ Alcotest.test_case "forced Unknowns quarantined"
+           `Quick test_forced_unknown ]);
       ("apicheck",
        [ Alcotest.test_case "free length mismatch" `Quick
            test_free_length_mismatch;

@@ -444,14 +444,6 @@ let test_resume_refuses_other_image_or_settings () =
       ("no merging",
        { ck_cfg with
          Config.exec_config = { x with Ddt_symexec.Exec.state_merging = false } });
-      ("chaos",
-       { ck_cfg with
-         Config.exec_config =
-           { x with
-             Ddt_symexec.Exec.chaos =
-               Some
-                 { Ddt_symexec.Guard.chaos_worker_crash_period = 25;
-                   chaos_solver_exhaust_period = 3 } } });
       ("shorter workload",
        { ck_cfg with
          Config.workload =
@@ -488,7 +480,8 @@ let with_version blob v =
    index and the governor's retirement count, version 10 held one
    scheduler queue per worker with steal and re-home counters, and
    version 11 kept per-branch merge statistics and recorded neither an
-   image nor a settings digest. *)
+   image nor a settings digest, and version 12 carried the worker
+   supervisor's restart count and the fault-injection counters. *)
 let older_versions current = List.init (current - 1) (fun i -> i + 1)
 
 let test_previous_version_refused () =
@@ -520,6 +513,8 @@ let test_previous_version_refused () =
     (List.mem 10 (older_versions Session.checkpoint_version));
   check_bool "version 11 is an older checkpoint layout" true
     (List.mem 11 (older_versions Session.checkpoint_version));
+  check_bool "version 12 is an older checkpoint layout" true
+    (List.mem 12 (older_versions Session.checkpoint_version));
   List.iter
     (fun v ->
       Out_channel.with_open_bin ckpt (fun oc ->

@@ -550,22 +550,16 @@ let quick_cfg ?(merging = true) (e : Corpus.entry) =
 let bug_keys (r : Session.result) =
   List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
 
-let chaos_spec =
-  { Ddt_symexec.Guard.chaos_worker_crash_period = 25;
-    chaos_solver_exhaust_period = 3 }
-
 (* The seeded corpus at its default budgets: merging must report exactly
-   the unmerged bug keys, also while worker crashes and solver
-   exhaustions are injected. *)
-let test_corpus_parity ~chaos short () =
+   the unmerged bug keys. *)
+let test_corpus_parity short () =
   let run merging =
     let cfg = Corpus.config (Corpus.find short) in
     Session.run
       { cfg with
         Config.exec_config =
           { cfg.Config.exec_config with
-            Exec.jobs = 1; state_merging = merging;
-            chaos = (if chaos then Some chaos_spec else None) } }
+            Exec.jobs = 1; state_merging = merging } }
   in
   let off = run false in
   let on = run true in
@@ -740,13 +734,8 @@ let () =
          (fun e ->
            let d = e.Corpus.short in
            Alcotest.test_case ("parity " ^ d) `Quick
-             (test_corpus_parity ~chaos:false d))
-         Corpus.all
-       @ List.map
-           (fun d ->
-             Alcotest.test_case ("parity " ^ d ^ " +chaos") `Quick
-               (test_corpus_parity ~chaos:true d))
-           [ "rtl8029"; "deeploop" ]);
+             (test_corpus_parity d))
+         Corpus.all);
       ("session",
        [ Alcotest.test_case "deeploop collapses paths" `Quick
            test_deeploop_collapses_paths;

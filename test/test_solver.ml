@@ -591,8 +591,7 @@ let stats_of f =
     s_cache_model_reuse_hits = f 4; s_cache_misses = f 5;
     s_cache_renamed_hits = f 6; s_cache_cross_worker_hits = f 7;
     s_interval_solves = f 8; s_bitblast_solves = f 9;
-    s_cache_evictions = f 10; s_exhaustions = f 11; s_retries = f 12;
-    s_retry_recovered = f 13 }
+    s_cache_evictions = f 10; s_unknowns = f 11 }
 
 let test_diff_stats () =
   check_bool "field-wise difference" true

@@ -512,13 +512,14 @@ let test_report_json_roundtrip () =
       j_paths_to_first_bug = Some 3;
       j_states_dropped = 2;
       j_incidents =
-        [ { J.ji_kind = "worker-crash"; ji_worker = 1; ji_state_id = 7;
+        [ { J.ji_kind = "state-fault"; ji_worker = 1; ji_state_id = 7;
             ji_entry = "send"; ji_pc = 0x1240;
-            ji_message = "chaos: injected crash";
+            ji_message = "checker exception: Failure(\"hook\")";
             ji_replay = "input mmio 0x0 0xff\nchoice irq \"late\"\n" };
           { J.ji_kind = "solver-exhaustion"; ji_worker = 0; ji_state_id = 0;
             ji_entry = ""; ji_pc = 0;
-            ji_message = "1 solver budget exhaustion(s)"; ji_replay = "" } ];
+            ji_message = "1 solver verdict(s) left Unknown during quantum";
+            ji_replay = "" } ];
       j_total_steps = 100_000;
       j_merged_states = 46;
       j_merge_ites = 424;

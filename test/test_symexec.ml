@@ -779,6 +779,92 @@ junk: .word 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF
     (Exec.covered_blocks eng = [ entry ]);
   check_int "coverage counts one block" 1 (Exec.block_coverage eng)
 
+(* --- the state fault boundary ---------------------------------------------- *)
+
+(* A three-way dispatch on a symbolic argument: three paths, each
+   returning its own value. *)
+let fault_src = {|
+  int driver_entry(int x) {
+    if (x == 1234) { return 1; }
+    if (x < 10) { return 2; }
+    return 3;
+  }
+|}
+
+(* Run [fault_src] at [jobs] after [arm] installs a raising hook, and
+   check the boundary's contract: the session completes, and the one
+   faulting state yields exactly one [State_fault] incident whose replay
+   script names its entry. Returns that incident and the states that
+   returned. *)
+let run_with_faulty_hook ~jobs arm =
+  let config = { Exec.default_config with Exec.jobs } in
+  let eng, loaded, ks = build_engine ~config fault_src in
+  let st = Exec.new_root_state eng ks in
+  let x = Exec.fresh_symbolic eng st ~name:"x" ~origin:"test" Expr.W32 in
+  arm eng;
+  let finished =
+    run_to_completion eng st ~name:"load"
+      ~addr:(loaded.Image.base + loaded.Image.image.Image.entry)
+      ~args:[ x ]
+  in
+  let fault =
+    match Exec.incidents eng with
+    | [ i ] -> i
+    | l -> Alcotest.failf "%d incidents, want one" (List.length l)
+  in
+  check_bool "a state fault" true (fault.Guard.inc_kind = Guard.State_fault);
+  Alcotest.(check string) "replay names the entry" "load"
+    fault.Guard.inc_replay.Ddt_trace.Replay.rs_entry;
+  let returned =
+    List.filter
+      (fun s ->
+        match s.Symstate.status with
+        | Some (Symstate.Returned _) -> true
+        | _ -> false)
+      finished
+  in
+  (fault, returned)
+
+(* The third newly covered block raises: the state that covered it is
+   quarantined; a block is new only once, so no other state faults. *)
+let test_new_block_fault ~jobs () =
+  let calls = Atomic.make 0 in
+  let fault, returned =
+    run_with_faulty_hook ~jobs (fun eng ->
+        Exec.set_on_new_block eng (fun _ _ ->
+            if Atomic.fetch_and_add calls 1 = 2 then failwith "block hook"))
+  in
+  Alcotest.(check string) "message names the exception"
+    (Printexc.to_string (Failure "block hook")) fault.Guard.inc_message;
+  check_bool "other states still return" true (returned <> [])
+
+(* The first finished state's hook raises: that state stays finished,
+   the hook's fault is one incident, and the others finish normally. *)
+let test_state_done_fault ~jobs () =
+  let first = Atomic.make true in
+  let fault, returned =
+    run_with_faulty_hook ~jobs (fun eng ->
+        Exec.set_on_state_done eng (fun _ ->
+            if Atomic.exchange first false then failwith "done hook"))
+  in
+  check_bool "a hook fault is a checker exception" true
+    (String.starts_with ~prefix:"checker exception:" fault.Guard.inc_message);
+  check_int "every path returns" 3 (List.length returned)
+
+(* A fault outside every state's boundary is an engine bug: [run]
+   raises it instead of quarantining anything. *)
+let test_checkpoint_hook_fault_raises () =
+  let eng, loaded, ks = build_engine fault_src in
+  let st = Exec.new_root_state eng ks in
+  let x = Exec.fresh_symbolic eng st ~name:"x" ~origin:"test" Expr.W32 in
+  Exec.set_checkpoint_hook eng (fun () -> failwith "checkpoint hook");
+  Exec.start_invocation eng st ~name:"load"
+    ~addr:(loaded.Image.base + loaded.Image.image.Image.entry)
+    ~args:[ x ];
+  Alcotest.check_raises "run re-raises" (Failure "checkpoint hook") (fun () ->
+      Exec.run eng ());
+  check_int "nothing quarantined" 0 (List.length (Exec.incidents eng))
+
 (* --- min-touch scheduler ----------------------------------------------------- *)
 
 let mk_states eng ks n =
@@ -1054,6 +1140,17 @@ let () =
          Alcotest.test_case "coverage" `Quick test_coverage_accounting;
          Alcotest.test_case "wild indirect targets" `Quick
            test_wild_indirect_targets ]);
+      ("fault boundary",
+       [ Alcotest.test_case "new-block hook fault, one job" `Quick
+           (test_new_block_fault ~jobs:1);
+         Alcotest.test_case "new-block hook fault, two jobs" `Quick
+           (test_new_block_fault ~jobs:2);
+         Alcotest.test_case "state-done hook fault, one job" `Quick
+           (test_state_done_fault ~jobs:1);
+         Alcotest.test_case "state-done hook fault, two jobs" `Quick
+           (test_state_done_fault ~jobs:2);
+         Alcotest.test_case "checkpoint hook fault ends the run" `Quick
+           test_checkpoint_hook_fault_raises ]);
       ("scheduler",
        [ Alcotest.test_case "min-touch order" `Quick test_sched_min_touch;
          Alcotest.test_case "lazy heap" `Quick test_sched_lazy_heap;
