@@ -1140,7 +1140,7 @@ let () =
          Alcotest.test_case "coverage" `Quick test_coverage_accounting;
          Alcotest.test_case "wild indirect targets" `Quick
            test_wild_indirect_targets ]);
-      ("fault boundary",
+      ("faults",
        [ Alcotest.test_case "new-block hook fault, one job" `Quick
            (test_new_block_fault ~jobs:1);
          Alcotest.test_case "new-block hook fault, two jobs" `Quick
