@@ -24,7 +24,6 @@ type t = {
   exec_config : Ddt_symexec.Exec.config;
   max_total_steps : int;
   plateau_steps : int;
-  max_bases_per_phase : int;
   concrete_device : int option;
   replay : Ddt_trace.Replay.script option;
   collect_crashdumps : bool;
@@ -49,7 +48,7 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     ?(registry = []) ?workload ?(use_annotations = true)
     ?annotations ?(exec_config = Ddt_symexec.Exec.default_config)
     ?(max_total_steps = 3_000_000) ?(plateau_steps = 250_000)
-    ?(max_bases_per_phase = 3) ?concrete_device ?replay
+    ?concrete_device ?replay
     ?(collect_crashdumps = false) ?(checkpoint_every = 0)
     ?checkpoint_path () =
   let workload =
@@ -71,6 +70,6 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
   {
     driver_name; image; driver_class; descriptor; registry; workload;
     use_annotations; annotations; exec_config; max_total_steps;
-    plateau_steps; max_bases_per_phase; concrete_device; replay;
+    plateau_steps; concrete_device; replay;
     collect_crashdumps; checkpoint_every; checkpoint_path;
   }

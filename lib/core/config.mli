@@ -32,8 +32,6 @@ type t = {
   plateau_steps : int;
   (** stop a phase when no new basic block appears for this many
       instructions — the paper's §5.2 stopping rule *)
-  max_bases_per_phase : int;
-  (** how many completed states seed the next workload phase *)
   concrete_device : int option;
   (** [Some seed]: hardware reads return seeded pseudo-random concrete
       bytes instead of symbolic values (stress-baseline mode) *)
@@ -65,7 +63,6 @@ val make :
   ?exec_config:Ddt_symexec.Exec.config ->
   ?max_total_steps:int ->
   ?plateau_steps:int ->
-  ?max_bases_per_phase:int ->
   ?concrete_device:int ->
   ?replay:Ddt_trace.Replay.script ->
   ?collect_crashdumps:bool ->

@@ -79,7 +79,6 @@ type ctx = {
   x_t0 : float;
   x_loaded : Image.loaded;
   x_device : Pci.assigned;
-  x_exec_config : Exec.config;
   x_eng : Exec.engine;
   x_sink : Report.sink;
   x_icfg : Icfg.t;
@@ -111,15 +110,14 @@ let setup (cfg : Config.t) =
     Pci.assign_resources cfg.Config.descriptor ~mmio_base:Layout.mmio_base
   in
   let symdev = Ddt_hw.Symdev.create device in
-  let exec_config =
-    match cfg.Config.concrete_device with
-    | None -> cfg.Config.exec_config
-    | Some seed ->
-        List.iter (Mem.add_mmio base_mem)
-          (Ddt_hw.Symdev.concrete_mmio symdev (Ddt_hw.Symdev.Random seed));
-        { cfg.Config.exec_config with Exec.concrete_hardware = true }
-  in
-  let eng = Exec.create ~config:exec_config loaded base_mem symdev in
+  (* A concrete device mapped into base memory answers every device
+     read; the engine then mints no symbolic hardware values. *)
+  Option.iter
+    (fun seed ->
+      List.iter (Mem.add_mmio base_mem)
+        (Ddt_hw.Symdev.concrete_mmio symdev (Ddt_hw.Symdev.Random seed)))
+    cfg.Config.concrete_device;
+  let eng = Exec.create ~config:cfg.Config.exec_config loaded base_mem symdev in
   Option.iter (Exec.set_replay eng) cfg.Config.replay;
   let sink = Report.create_sink () in
   let driver = cfg.Config.driver_name in
@@ -158,7 +156,8 @@ let setup (cfg : Config.t) =
      it knows, per branch block, where diverging siblings reconverge.
      Never installed for replay runs — a script follows exactly one
      concrete path, and merging would fold it into its siblings. *)
-  if exec_config.Exec.state_merging && cfg.Config.replay = None then begin
+  if cfg.Config.exec_config.Exec.state_merging && cfg.Config.replay = None
+  then begin
     let pd = Ddt_staticx.Pdom.compute icfg in
     Exec.set_merge_points eng (fun abs ->
         Option.map
@@ -228,7 +227,6 @@ let setup (cfg : Config.t) =
       Mutex.unlock hmu);
   {
     x_cfg = cfg; x_t0 = t0; x_loaded = loaded; x_device = device;
-    x_exec_config = exec_config;
     x_eng = eng; x_sink = sink; x_icfg = icfg;
     x_hmu = hmu;
     x_finished_count = finished_count; x_crashdumps = crashdumps;
@@ -239,9 +237,10 @@ let setup (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-(* 13: the guard dump has no restart or fault-injection counters, and
-   the settings digest no fault-injection term. *)
-let checkpoint_version = 13
+(* 14: the scheduler dump holds (state, sequence) pairs and no bucket
+   priority, a state image holds no replay-pin list, and the settings
+   digest has no bases-per-phase term. *)
+let checkpoint_version = 14
 
 (* What a resumed run must share with the run that wrote the checkpoint
    for the two to converge: the driver image, and every setting that
@@ -258,8 +257,7 @@ let settings_digest (cfg : Config.t) =
           cfg.Config.registry, cfg.Config.descriptor),
          (x.Exec.state_merging, x.Exec.max_steps_per_state,
           x.Exec.inject_interrupts),
-         (cfg.Config.max_total_steps, cfg.Config.plateau_steps,
-          cfg.Config.max_bases_per_phase) )
+         (cfg.Config.max_total_steps, cfg.Config.plateau_steps) )
        [ Marshal.No_sharing ])
 
 (* A checkpoint is one self-contained marshal image of every piece of
@@ -323,7 +321,7 @@ let write_checkpoint ctx path =
    script (scripts carry their own position). *)
 let checkpointable ctx =
   ctx.x_cfg.Config.checkpoint_every > 0
-  && ctx.x_exec_config.Exec.jobs <= 1
+  && ctx.x_cfg.Config.exec_config.Exec.jobs <= 1
   && ctx.x_cfg.Config.concrete_device = None
   && ctx.x_cfg.Config.replay = None
 
@@ -379,9 +377,12 @@ let start_load_phase ctx =
 let finish_load_phase ctx =
   ctx.x_bases := pick_bases (Exec.drain_finished ctx.x_eng) 1
 
+(* How many completed states seed the next workload phase. *)
+let max_bases_per_phase = 3
+
 let finish_workload_phase ctx item =
   let finished = Exec.drain_finished ctx.x_eng in
-  let limit = ctx.x_cfg.Config.max_bases_per_phase in
+  let limit = max_bases_per_phase in
   match item with
   | Config.W_initialize ->
       (* Only adapters that initialized go on; if every initialize
@@ -431,7 +432,7 @@ let finalize ctx =
      on scheduling; sort by key so the report is reproducible. A
      single-worker run keeps discovery order. *)
   let bugs =
-    if ctx.x_exec_config.Exec.jobs > 1 then
+    if ctx.x_cfg.Config.exec_config.Exec.jobs > 1 then
       List.sort
         (fun a b -> compare a.Report.b_key b.Report.b_key)
         (Report.bugs sink)
@@ -498,7 +499,7 @@ let finalize ctx =
     r_kcalls = kcalls;
     r_tree = Exec.execution_tree eng;
     r_crashdumps =
-      (if ctx.x_exec_config.Exec.jobs > 1 then
+      (if ctx.x_cfg.Config.exec_config.Exec.jobs > 1 then
          List.sort (fun (a, _) (b, _) -> compare a b) !(ctx.x_crashdumps)
        else List.rev !(ctx.x_crashdumps));
     r_reachable_blocks = List.length icfg.Icfg.universe;

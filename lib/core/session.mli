@@ -67,9 +67,6 @@ val run : Config.t -> result
 val checkpoint_version : int
 (** Layout version of checkpoint blobs; {!resume} refuses any other. *)
 
-val default_checkpoint_path : Config.t -> string
-(** [Config.checkpoint_path], or ["<driver>.ckpt"]. *)
-
 val checkpoint_driver : string -> (string, string) Stdlib.result
 (** Peek a checkpoint file's driver name (to rebuild the matching
     config) without restoring it. Corrupt, truncated or version-skewed

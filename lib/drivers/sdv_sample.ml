@@ -1,4 +1,3 @@
-let seeded_bug_count = 8
 let image = Prebuilt.image Dxe.sdv_sample
 let fixed_image = Prebuilt.image Dxe.sdv_sample_fixed
 

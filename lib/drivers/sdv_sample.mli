@@ -18,9 +18,6 @@
 val image : unit -> Ddt_dvm.Image.t
 val fixed_image : unit -> Ddt_dvm.Image.t
 
-val seeded_bug_count : int
-(** 8 *)
-
 val synthetic_images : unit -> (string * Ddt_dvm.Image.t) list
 (** [(name, image)]: deadlock, out_of_order, extra_release,
     forgotten_release, wrong_irql. *)

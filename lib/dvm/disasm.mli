@@ -1,13 +1,8 @@
 (** Disassembler for DXE images: linear sweep over the text section. *)
 
-val linear_sweep : Image.t -> (int * Isa.instr) list * (int * int) list
-(** [(decoded, gaps)]: every [(image-relative offset, instruction)] the
-    sweep decodes, plus [(offset, length)] byte runs that do {e not}
-    decode — data placed in the text section, reported instead of
-    silently skipped. Runs are sorted and non-adjacent. *)
-
 val disassemble : Image.t -> (int * Isa.instr) list
-(** The decoded half of {!linear_sweep}. *)
+(** Every [(image-relative offset, instruction)] the linear sweep
+    decodes. *)
 
 val unreached_gaps : Image.t -> reached:(int -> bool) -> (int * int) list
 (** [(offset, length)] byte runs of the text section whose instruction

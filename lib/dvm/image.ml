@@ -90,8 +90,6 @@ let load img mem ~base =
 
 let export_addr l name = l.base + List.assoc name l.image.exports
 
-let in_text l addr = addr >= l.text_start && addr < l.text_end
-
 (* --- serialization --------------------------------------------------- *)
 
 let magic = "DXE1"

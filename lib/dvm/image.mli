@@ -58,9 +58,6 @@ val memoize : (t -> 'a) -> t -> 'a
 val export_addr : loaded -> string -> int
 (** Absolute address of an exported symbol. @raise Not_found *)
 
-val in_text : loaded -> int -> bool
-(** Is this address inside the image's executable section? This predicate
-    defines the selective-symbolic-execution boundary. *)
 
 (** {1 Serialization} — the on-disk binary form. *)
 

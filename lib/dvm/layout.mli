@@ -6,9 +6,7 @@ val heap_limit : int
 val stack_top : int         (** initial [sp]; the stack grows down *)
 val stack_limit : int       (** lowest legal stack address *)
 val kernel_base : int       (** kernel-owned objects (opaque handles) *)
-val kernel_limit : int
 val mmio_base : int         (** device BARs are allocated from here *)
-val mmio_limit : int
 val return_sentinel : int
 (** Pseudo return address pushed by the engines when the kernel invokes a
     driver function; a [Ret] to this address ends the nested invocation. *)

@@ -79,27 +79,11 @@ let reads_made t = Atomic.get t.reads
    findings would name variables the device never minted. *)
 let restore_reads t l = Atomic.set t.reads l
 
-type concrete_mode =
-  | Zeros
-  | Random of int
-  | Scripted of int list
+type concrete_mode = Random of int
 
-let concrete_mmio t mode =
-  let next =
-    match mode with
-    | Zeros -> fun () -> 0
-    | Random seed ->
-        let st = Random.State.make [| seed |] in
-        fun () -> Random.State.int st 256
-    | Scripted values ->
-        let remaining = ref values in
-        fun () ->
-          (match !remaining with
-           | [] -> 0
-           | v :: rest ->
-               remaining := rest;
-               v land 0xFF)
-  in
+let concrete_mmio t (Random seed) =
+  let st = Random.State.make [| seed |] in
+  let next () = Random.State.int st 256 in
   Array.to_list
     (Array.map
        (fun (bar, size) ->

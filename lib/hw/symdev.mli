@@ -2,9 +2,10 @@
 
     A symbolic device ignores all writes to its registers and produces a
     fresh unconstrained symbolic value for every read. The symbolic engine
-    consults {!is_device_addr}/{!fresh_read}; the concrete engines (replay
-    and the stress baseline) install {!concrete_mmio}, which replaces the
-    symbolic reads with scripted or pseudo-random values.
+    consults {!is_device_addr}/{!fresh_read}. The stress baseline instead
+    maps {!concrete_mmio} into base memory, which replaces the symbolic
+    reads with seeded pseudo-random values; replay keeps the symbolic
+    reads and pins each one to its recorded value.
 
     Every RAM access of the symbolic engine asks whether it touches the
     device, so the test is cheap: {!create} records the hull of the BARs
@@ -39,11 +40,8 @@ val restore_reads : t -> (string * Ddt_solver.Expr.var) list -> unit
 
 (** {1 Concrete stand-ins} *)
 
-type concrete_mode =
-  | Zeros
-  | Random of int                  (** seed *)
-  | Scripted of int list           (** byte values consumed in read order;
-                                       zeros once exhausted *)
+type concrete_mode = Random of int  (** seed *)
 
 val concrete_mmio : t -> concrete_mode -> Ddt_dvm.Mem.mmio list
-(** One MMIO region per BAR. Writes are discarded in every mode. *)
+(** One MMIO region per BAR, each read a seeded pseudo-random byte.
+    Writes are discarded. *)

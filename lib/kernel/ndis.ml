@@ -1,8 +1,5 @@
 let status_success = 0
 let status_failure = 1
-let status_resources = 2
-let status_pending = 3
-let status_not_supported = 4
 
 let entry_point_names =
   [ "initialize"; "query"; "set"; "send"; "isr"; "dpc"; "halt"; "reset" ]

@@ -16,9 +16,6 @@
 
 val status_success : int
 val status_failure : int
-val status_resources : int
-val status_pending : int
-val status_not_supported : int
 
 (** Characteristics-block word offsets, in registration order. *)
 val entry_point_names : string list

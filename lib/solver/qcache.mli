@@ -1,8 +1,8 @@
 (** Counterexample-style query cache over canonicalized constraint sets
     (Klee's second query optimization).
 
-    Keys are constraint sets canonicalized by {!canon} (sorted, deduped)
-    and then {e normalized up to variable renaming}: variables are
+    Keys are constraint sets canonicalized ({!normalize}d, sorted by
+    {!Expr.compare} and deduped) and then {e normalized up to variable renaming}: variables are
     renumbered in first-occurrence order with names erased, so
     structurally identical queries from different states or workers share
     one entry; stored models are translated back through the rename.
@@ -44,8 +44,6 @@ type info = {
           unknown or on a miss *)
 }
 
-val no_info : info
-
 val create : unit -> t
 (** An empty cache. *)
 
@@ -53,10 +51,6 @@ val normalize : Expr.t -> Expr.t
 (** Put the operands of commutative operators, and the arms of an [ite]
     under a negated guard, in a canonical order stable under variable
     renaming. Not idempotent: apply it once, to an original term. *)
-
-val canon : Expr.t list -> Expr.t list
-(** {!normalize} each constraint, sort by {!Expr.compare} and drop
-    duplicates — the canonical key. *)
 
 type query
 (** A constraint set canonicalized and renamed once, so a lookup and

@@ -295,14 +295,6 @@ let partition_of cs =
       p)
     base above
 
-(* The slice of [cs] over [vs], with the replay pins force-included:
-   pins are the one kind of constraint added without a feasibility
-   check, so a contradiction among them must surface in every answer. *)
-let slice_with_pins cs ~pinned vs =
-  let slice = List.map original (Indep.slice (partition_of cs) vs) in
-  let forced = List.filter (fun p -> not (List.memq p slice)) pinned in
-  List.rev_append forced slice
-
 (* A constraint whose simplified form has no variables belongs to no
    independence group: its value is its verdict. *)
 let ground_holds p = Expr.eval (fun _ -> 0) p.term = 1
@@ -344,27 +336,16 @@ let check constraints =
     in
     go false (Indep.groups (partition_of constraints))
 
-(* Without pins, [check (extra :: slice)] is answered with less work:
-   [extra]'s variables reach every group of its slice, so the query is
-   one group, in query order, built from the partition's prepared
-   members. Only the verdict is wanted, so the hit's model is never
-   applied and never builds its tables. The counters move exactly as
-   they would under [check]. *)
-let feasible cs ~pinned extra =
-  if pinned = [] then begin
-    Atomic.incr cnt.c_queries;
-    let x = prepare extra in
-    if x.vars = [] then ground_holds x
-    else solve_group (x :: Indep.slice (partition_of cs) x.vars) <> Unsat
-  end
-  else
-    let query =
-      extra
-      :: slice_with_pins cs ~pinned
-           ((prepare extra).vars
-           @ List.concat_map (fun p -> (prepare p).vars) pinned)
-    in
-    match check query with Sat _ | Unknown -> true | Unsat -> false
+(* [check (extra :: slice)] answered with less work: [extra]'s variables
+   reach every group of its slice, so the query is one group, in query
+   order, built from the partition's prepared members. Only the verdict
+   is wanted, so the hit's model is never applied and never builds its
+   tables. The counters move exactly as they would under [check]. *)
+let feasible cs extra =
+  Atomic.incr cnt.c_queries;
+  let x = prepare extra in
+  if x.vars = [] then ground_holds x
+  else solve_group (x :: Indep.slice (partition_of cs) x.vars) <> Unsat
 
 let concretize constraints e =
   match check constraints with
@@ -378,5 +359,6 @@ let concretize constraints e =
       let zeros (_ : Expr.var) = 0 in
       if verified constraints zeros then Some (Expr.eval zeros e) else None
 
-let concretize_relevant cs ~pinned e =
-  concretize (slice_with_pins cs ~pinned (Expr.vars e)) e
+let concretize_relevant cs e =
+  let slice = Indep.slice (partition_of cs) (Expr.vars e) in
+  concretize (List.map original slice) e

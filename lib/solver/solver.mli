@@ -43,21 +43,21 @@ val check : Expr.t list -> result
     variables is decided by {!Expr.eval}; the rest are solved one
     independence group of {!partition_of} at a time. *)
 
-val feasible : Expr.t list -> pinned:Expr.t list -> Expr.t -> bool
-(** [feasible constraints ~pinned extra] is whether [extra] can hold on
-    the path [constraints], i.e. whether [check (extra :: constraints)]
-    is not [Unsat]. Unknown is treated as feasible (the engine must never
-    drop a path that might be real; over-approximation can only cost
-    false positives, which the replay step weeds out).
+val feasible : Expr.t list -> Expr.t -> bool
+(** [feasible constraints extra] is whether [extra] can hold on the path
+    [constraints], i.e. whether [check (extra :: constraints)] is not
+    [Unsat]. Unknown is treated as feasible (the engine must never drop
+    a path that might be real; over-approximation can only cost false
+    positives, which the replay step weeds out).
 
-    It solves only the groups holding [extra]'s variables plus the groups
-    holding a [pinned] constraint. That is exact under the engine's
-    invariant: a live path condition is never proven Unsat, because
-    every constraint on it was checked feasible before it was added —
-    fork conditions, assumptions and concretization pins — and a merged
-    state's [or(ga, gb)] head joins two satisfiable paths over a shared
-    base. Replay pins are the one exception, added unchecked, so their
-    groups are always re-solved. *)
+    It solves only the groups holding [extra]'s variables. That is exact
+    under the engine's invariant: a live path condition is never proven
+    Unsat, because every constraint on it was checked feasible before it
+    was added — fork conditions, assumptions and concretization pins —
+    or is a replay pin, which fixes a variable minted in the same step
+    to a constant of its width and so is satisfiable and shares no
+    variable with the path when added; and a merged state's [or(ga, gb)]
+    head joins two satisfiable paths over a shared base. *)
 
 val concretize : Expr.t list -> Expr.t -> int option
 (** [concretize constraints e] returns a feasible concrete value of [e]
@@ -65,17 +65,15 @@ val concretize : Expr.t list -> Expr.t -> int option
     Unknown verdict the zero valuation is tried and returned only when it
     {e verifiably} satisfies the constraints. *)
 
-val concretize_relevant :
-  Expr.t list -> pinned:Expr.t list -> Expr.t -> int option
-(** [concretize_relevant constraints ~pinned e] picks a feasible concrete
-    value of [e] by querying only the {!Indep.slice} of the memoized
-    partition over [e]'s variables, with the replay-pinned constraints
-    force-included so a pin contradiction still answers [None]. Values
-    agree with {!concretize} on the full set: the slice contains every independence
-    group that can influence [e], and groups resolve through the same
-    shared cache. The slice drops ground constraints, so unlike
-    {!concretize} a constant-false constraint outside [pinned] does not
-    answer [None] here. *)
+val concretize_relevant : Expr.t list -> Expr.t -> int option
+(** [concretize_relevant constraints e] picks a feasible concrete value
+    of [e] by querying only the {!Indep.slice} of the memoized partition
+    over [e]'s variables. Values agree with {!concretize} on the full
+    set: the slice contains every independence group that can influence
+    [e] (a replay pin sits in its variable's group), and groups resolve
+    through the same shared cache. The slice drops ground constraints,
+    so unlike {!concretize} a constant-false constraint does not answer
+    [None] here. *)
 
 type prepared
 (** A constraint prepared for the solver once: its simplified form, that

@@ -186,10 +186,6 @@ type event =
   | E_load of { ev_off : int; addr : av; guards : int list }
   | E_store of { ev_off : int; addr : av; value : av; guards : int list }
 
-let event_off = function
-  | E_kcall { ev_off; _ } | E_load { ev_off; _ } | E_store { ev_off; _ } ->
-      ev_off
-
 (* --- instruction transfer --------------------------------------------- *)
 
 let definitely_nonzero v =
@@ -573,8 +569,6 @@ let analyze (icfg : Icfg.t) =
   in
   { icfg; funcs }
 
-let func_info t entry = List.assoc_opt entry t.funcs
-
 let block_info t leader =
   match Icfg.func_of_block t.icfg leader with
   | Some fn -> (
@@ -590,11 +584,6 @@ type roles = {
   ro_interrupt : int list;  (* entries reachable from ISR/DPC handlers *)
   ro_roots : (int * Annot.handler_role) list; (* analysis roots *)
 }
-
-let role_of roles entry =
-  match List.assoc_opt entry roles.ro_map with
-  | Some r -> r
-  | None -> Annot.Hr_main
 
 (* Handler tables are written at run time ([lea table; ...; lea code;
    stw]) or pre-initialized in relocated data; registration passes the

@@ -70,8 +70,6 @@ type event =
   | E_load of { ev_off : int; addr : av; guards : int list }
   | E_store of { ev_off : int; addr : av; value : av; guards : int list }
 
-val event_off : event -> int
-
 (** {1 Value pre-pass} *)
 
 type vstate = {
@@ -105,7 +103,6 @@ val analyze : Icfg.t -> t
     (so callee return values are visible to callers; cycle members see
     top).  Deterministic. *)
 
-val func_info : t -> int -> finfo option
 val block_info : t -> int -> binfo option
 
 (** {1 Handler-role recovery} *)
@@ -125,8 +122,6 @@ val roles : t -> model:Ddt_annot.Annot.api_model -> roles
     ([lea table; ...; lea code; stw]) or pre-initialized in relocated
     data, whose base reaches a [Reg_table] API, and code pointers passed
     to [Reg_arg] APIs. *)
-
-val role_of : roles -> int -> Ddt_annot.Annot.handler_role
 
 (** {1 Interprocedural client fixpoint} *)
 

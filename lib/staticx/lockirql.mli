@@ -24,10 +24,6 @@ type tok = { tc : tclass; td : int }
 
 type hold = Held of Ddt_annot.Annot.lock_variant | Maybe
 
-val pp_tok : tok -> string
-val token_of : Dataflow.av -> tok option
-val context_independent : tok -> bool
-
 type site = {
   s_fn : Icfg.func;
   s_interrupt : bool;

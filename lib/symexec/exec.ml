@@ -26,9 +26,6 @@ let max_injections = 1
 type config = {
   max_steps_per_state : int;
   inject_interrupts : bool;
-  concrete_hardware : bool;
-  (** route device reads to the concrete MMIO hooks instead of minting
-      symbolic values — used by the stress baseline *)
   jobs : int;
   (** worker domains exploring this engine's frontier cooperatively
       (1 = the classic sequential loop) *)
@@ -46,7 +43,6 @@ let default_config =
   {
     max_steps_per_state = 200_000;
     inject_interrupts = true;
-    concrete_hardware = false;
     jobs = 1;
     state_merging = true;
   }
@@ -67,6 +63,9 @@ type engine = {
   base_mem : Mem.t;
   img : Image.loaded;
   symdev : Ddt_hw.Symdev.t;
+  mem_symdev : Ddt_hw.Symdev.t option;
+  (* what a state's memory asks about device reads: [None] when base
+     memory maps the device concretely, so its hooks answer them *)
   block_addrs : int array;                  (* dense id -> abs leader, sorted *)
   leader_ids : int array;
   (* text slot -> dense id of the block starting there, or -1; see
@@ -178,10 +177,9 @@ let create ?(config = default_config) img base_mem symdev =
   let covered = Array.init nblocks (fun _ -> Atomic.make 0) in
   let counts = Array.init nblocks (fun _ -> Atomic.make 0) in
   (* A state is scheduled by its current block, and the block's priority
-     is how often it has run (the EXE-style min-touch count). Counts only
-     grow over a session, which is what the lazy min-heap requires. The
-     frontier calls this from inside its queue locks, so it takes no lock
-     of its own. *)
+     is how often it has run (the EXE-style min-touch count), read afresh
+     at every pick. The frontier calls this from inside its queue locks,
+     so it takes no lock of its own. *)
   let key st = if st.St.last_block <> 0 then st.St.last_block else st.St.pc in
   let priority block =
     let id = block_id img leader_ids block in
@@ -190,11 +188,19 @@ let create ?(config = default_config) img base_mem symdev =
   let frontier =
     Frontier.create ~workers:(max 1 config.jobs) ~max_states ~key ~priority
   in
+  (* The stress baseline maps a seeded concrete device into base memory;
+     otherwise every device read mints a symbolic value. *)
+  let mapped =
+    List.exists
+      (fun bar -> Mem.find_mmio base_mem bar <> None)
+      (Ddt_hw.Symdev.device symdev).Ddt_kernel.Pci.bars
+  in
   {
     cfg = config;
     base_mem;
     img;
     symdev;
+    mem_symdev = (if mapped then None else Some symdev);
     block_addrs;
     leader_ids;
     covered;
@@ -246,28 +252,29 @@ let incidents eng = Guard.incidents eng.guard_st
 
 (* --- state management -------------------------------------------------- *)
 
+(* In replay mode, pin a freshly created symbolic value to the recorded
+   concrete value when the head of the state's input queue matches. *)
+let replay_pin eng st name e =
+  match eng.replay with
+  | None -> ()
+  | Some _ -> (
+      match st.St.replay_inputs with
+      | (n, v) :: rest when n = name ->
+          st.St.replay_inputs <- rest;
+          St.add_constraint st
+            (Expr.cmp Expr.Eq e (Expr.const (Expr.width_of e) v))
+      | _ -> ())
+
 let install_sym_hook eng st =
   Symmem.set_sym_read_hook st.St.mem (fun name var ->
       st.St.sym_inputs <- (var, "device read") :: st.St.sym_inputs;
       St.record st (Event.E_sym_create { name; origin = "device read"; var });
-      match eng.replay with
-      | None -> ()
-      | Some _ -> (
-          match st.St.replay_inputs with
-          | (n, v) :: rest when n = name ->
-              st.St.replay_inputs <- rest;
-              let pin = Expr.cmp Expr.Eq (Expr.var var) (Expr.byte v) in
-              st.St.pinned <- pin :: st.St.pinned;
-              St.add_constraint st pin
-          | _ -> ()))
+      replay_pin eng st name (Expr.var var))
 
 let new_root_state eng ks =
   let id = Atomic.fetch_and_add eng.next_id 1 + 1 in
   Atomic.incr eng.states_created;
-  let mem =
-    Symmem.create ~base:eng.base_mem
-      ~symdev:(if eng.cfg.concrete_hardware then None else Some eng.symdev)
-  in
+  let mem = Symmem.create ~base:eng.base_mem ~symdev:eng.mem_symdev in
   let st = St.create ~id ~mem ~ks in
   (match eng.replay with
    | Some script ->
@@ -392,11 +399,9 @@ let concretize_symbolic st e reason =
       match Expr.to_const e with
       | Some v -> v
       | None ->
-      (* Only the relevant slice (plus audited replay pins) can influence
-         the value — see {!Ddt_solver.Solver.concretize_relevant}. *)
-      match
-        Solver.concretize_relevant st.St.constraints ~pinned:st.St.pinned e
-      with
+      (* Only the relevant slice can influence the value — see
+         {!Ddt_solver.Solver.concretize_relevant}. *)
+      match Solver.concretize_relevant st.St.constraints e with
       | None -> raise (Discard_state "infeasible path condition")
       | Some v ->
           St.add_constraint st
@@ -414,8 +419,7 @@ let concretize st e reason =
 
 (* Only [extra]'s slice needs solving: a live state's path condition is
    never proven Unsat — see {!Ddt_solver.Solver.feasible}. *)
-let feasible st extra =
-  Solver.feasible st.St.constraints ~pinned:st.St.pinned extra
+let feasible st extra = Solver.feasible st.St.constraints extra
 
 (* Split on a boolean condition. Returns the live successors, each paired
    with the condition's value on that path. The input state is reused for
@@ -443,20 +447,6 @@ let fork_bool eng st cond =
         [ (st, false) ]
       end
       else []
-
-(* In replay mode, pin a freshly created symbolic value to the recorded
-   concrete value when the head of the state's input queue matches. *)
-let replay_pin eng st name e =
-  match eng.replay with
-  | None -> ()
-  | Some _ -> (
-      match st.St.replay_inputs with
-      | (n, v) :: rest when n = name ->
-          st.St.replay_inputs <- rest;
-          let pin = Expr.cmp Expr.Eq e (Expr.const (Expr.width_of e) v) in
-          st.St.pinned <- pin :: st.St.pinned;
-          St.add_constraint st pin
-      | _ -> ())
 
 let fresh_symbolic eng st ~name ~origin width =
   let var = Expr.fresh_var ~name width in
@@ -1310,9 +1300,9 @@ let stats eng =
    Marshal only preserves sharing within one call. *)
 
 type image = {
-  ei_queue : (St.image * int * int) list * int;
-  (* the one worker's scheduler entries (state, priority, seq) and the
-     seq high-water mark, exactly as [Sched.dump_entries] reports them;
+  ei_queue : (St.image * int) list * int;
+  (* the one worker's scheduler entries (state, seq) and the seq
+     counter, exactly as [Sched.dump_entries] reports them;
      a checkpoint is only taken with a single worker, which never
      steals *)
   ei_dropped : int;
@@ -1336,8 +1326,8 @@ type image = {
 
 let checkpoint_image eng =
   let queue =
-    let entries, hseq = Frontier.dump_queue eng.frontier in
-    (List.map (fun (st, p, s) -> (St.to_image st, p, s)) entries, hseq)
+    let entries, seq = Frontier.dump_queue eng.frontier in
+    (List.map (fun (st, s) -> (St.to_image st, s)) entries, seq)
   in
   let block_counts = ref [] in
   for i = Array.length eng.block_addrs - 1 downto 0 do
@@ -1373,20 +1363,16 @@ let checkpoint_image eng =
   }
 
 let revive_image eng imst =
-  let st =
-    St.of_image ~base:eng.base_mem
-      ~symdev:(if eng.cfg.concrete_hardware then None else Some eng.symdev)
-      imst
-  in
+  let st = St.of_image ~base:eng.base_mem ~symdev:eng.mem_symdev imst in
   install_sym_hook eng st;
   st
 
 let restore_image eng im =
   let revive = revive_image eng in
-  let entries, hseq = im.ei_queue in
+  let entries, seq = im.ei_queue in
   Frontier.restore_queue eng.frontier
-    (List.map (fun (imst, p, s) -> (revive imst, p, s)) entries)
-    ~hseq;
+    (List.map (fun (imst, s) -> (revive imst, s)) entries)
+    ~seq;
   Frontier.restore_counters eng.frontier ~dropped:im.ei_dropped;
   Merge.restore eng.pool ~f:revive im.ei_pool;
   Guard.restore eng.guard_st im.ei_guard;

@@ -30,9 +30,6 @@ val max_states : int
 type config = {
   max_steps_per_state : int;   (** per-invocation instruction budget *)
   inject_interrupts : bool;
-  concrete_hardware : bool;
-  (** route device reads to the concrete MMIO hooks instead of minting
-      symbolic values — used by the stress baseline *)
   jobs : int;
   (** number of worker domains cooperatively exploring this engine's
       shared frontier ({!Frontier}); 1 (the default) is the classic
@@ -211,8 +208,8 @@ type stats = {
   st_merge_refusals : int;
   (** fold arrivals that fused with none of the survivors before them,
       because a compatibility check failed against each (differing
-      symbolic inputs, injected sites, pending continuations, choices or
-      pins, or a kernel call inside an arm); nothing refuses on cost *)
+      symbolic inputs, injected sites, pending continuations or choices,
+      or a kernel call inside an arm); nothing refuses on cost *)
 }
 
 val stats : engine -> stats

@@ -115,7 +115,7 @@ let quiescent t = Atomic.get t.size = 0 && Atomic.get t.inflight = 0
 
 (* --- checkpoint dump/restore --------------------------------------------- *)
 (* A checkpoint is only taken at a single worker's pick boundary, so it
-   holds one queue. The entry dump preserves each scheduler key exactly
+   holds one queue. The entry dump preserves each push sequence number
    (see Sched.dump_entries); the dropped counter rides along so a resumed
    report's total matches the uninterrupted run's. Dumping is only
    meaningful at a quiescent point (no inflight states — an inflight
@@ -127,9 +127,9 @@ let dump_queue t =
   let wq = t.workers.(0) in
   with_wq wq (fun () -> Sched.dump_entries wq.wq_q)
 
-let restore_queue t entries ~hseq =
+let restore_queue t entries ~seq =
   let wq = t.workers.(0) in
-  with_wq wq (fun () -> Sched.restore_entries wq.wq_q entries ~hseq);
+  with_wq wq (fun () -> Sched.restore_entries wq.wq_q entries ~seq);
   ignore (Atomic.fetch_and_add t.size (List.length entries))
 
 let restore_counters t ~dropped = Atomic.set t.dropped dropped

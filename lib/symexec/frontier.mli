@@ -65,12 +65,12 @@ val drain_all : t -> Symstate.t list
     Dumps are only meaningful at quiescent points — an inflight state
     would be missing from the checkpoint. *)
 
-val dump_queue : t -> (Symstate.t * int * int) list * int
+val dump_queue : t -> (Symstate.t * int) list * int
 (** The one queue's {!Sched.dump_entries}. Non-destructive. A checkpoint
     is only taken with a single worker; raises [Invalid_argument] on a
     frontier of several. *)
 
-val restore_queue : t -> (Symstate.t * int * int) list -> hseq:int -> unit
+val restore_queue : t -> (Symstate.t * int) list -> seq:int -> unit
 (** Refill worker 0's (empty) queue and account the states in [size]. *)
 
 val restore_counters : t -> dropped:int -> unit

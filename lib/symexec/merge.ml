@@ -12,7 +12,7 @@
 
    Soundness does not lean on the post-dominator map: two states are
    only fused when they sit at the same pc with identical kernel
-   context, replay pins, pending actions and checker-visible streams
+   context, pending actions and checker-visible streams
    (all checked here), and their guards are disjoint by construction —
    every pair of fork-tree paths diverging from the token's base carries
    complementary branch constraints in both suffixes. The map only
@@ -111,9 +111,6 @@ let try_fuse t tok (a : St.t) (b : St.t) =
     && a.St.choices == b.St.choices
     && a.St.injected_sites == b.St.injected_sites
     && a.St.sym_inputs == b.St.sym_inputs
-    && a.St.pinned == b.St.pinned
-    && a.St.replay_inputs == b.St.replay_inputs
-    && a.St.replay_choices == b.St.replay_choices
     && K.kcall_count a.St.ks = tok.tk_kcalls
     && K.kcall_count b.St.ks = tok.tk_kcalls
     && Expr.equal a.St.regs.(Ddt_dvm.Isa.sp) b.St.regs.(Ddt_dvm.Isa.sp)

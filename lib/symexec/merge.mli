@@ -10,8 +10,9 @@
 
     Every compatible pair fuses; there is no cost policy, no cap on the
     store divergence or on nesting, and every reconverging fork opens a
-    token. Fusion refuses only states whose kernel context, replay pins,
-    pending actions or checker-visible streams differ. On the corpus at
+    token. Fusion refuses only states whose kernel context, pending
+    actions or checker-visible streams differ (replay runs open no
+    tokens). On the corpus at
     default settings the failed fusion attempts are differing
     symbolic-input streams, kernel calls made inside an arm and differing
     injected fault sites: pro1000 403, 17 and 0; pro100 249, 285 and 66;
@@ -33,8 +34,6 @@ type arrival =
   | A_continue  (** stale tag dropped — keep executing *)
   | A_parked of outcome
       (** the state now belongs to the pool; stop executing it *)
-
-val empty_outcome : outcome
 
 val create : unit -> t
 

@@ -49,169 +49,91 @@ let dq_pop_back d =
 
 let dq_get d i = Option.get d.buf.((d.head + i) mod Array.length d.buf)
 
-(* --- block-bucketed min-heap --------------------------------------------- *)
+(* --- the queue ------------------------------------------------------------ *)
 (* A state's priority is a function of its key alone (the engine keys a
-   state by its current block), and a key's priority never shrinks:
-   block-execution counts only grow. The states waiting at one key form a bucket, in sequence
-   (FIFO) order, and the heap holds one entry per non-empty bucket,
-   keyed by (stored priority, sequence of the bucket's head). A stored
-   priority is a lower bound on the live one, so [hp_pop] re-checks the
-   minimum bucket against the live [priority] and re-sifts it when it
-   went stale (lazy re-evaluation). That returns exactly the state
-   minimizing (live priority, sequence), as recomputing every priority
-   per pick would, while a count bump stales one heap entry per block
-   instead of one per waiting state. *)
+   state by its current block), so the states waiting at one key form a
+   bucket in sequence (FIFO) order, and the least (priority, sequence)
+   state is the head of some bucket. A pick scans the non-empty buckets
+   and prices each key afresh: no corpus pick sees more than 13 waiting
+   blocks, and a count bump costs nothing until the next pick reads it.
+   Sequence numbers are unique, so the pick does not depend on the
+   table's iteration order. *)
 
 module IH = Hashtbl.Make (Int)
 
-type bucket = {
-  b_key : int;
-  mutable b_prio : int;
-  b_items : (int * Symstate.t) deque;  (* (sequence, state), ascending *)
-}
-
-type heap = {
-  mutable harr : bucket array;
-  mutable hlen : int;
-  mutable hseq : int;
-  mutable hcount : int;                  (* queued states *)
-  buckets : bucket IH.t;                 (* key -> its non-empty bucket *)
-}
-
-(* Fills the unused heap slots; never compared or popped. *)
-let no_bucket = { b_key = 0; b_prio = 0; b_items = dq_create () }
-
-let hp_create () =
-  { harr = Array.make 16 no_bucket; hlen = 0; hseq = 0; hcount = 0;
-    buckets = IH.create 16 }
-
-let head_seq b = fst (dq_get b.b_items 0)
-
-let he_lt a b =
-  a.b_prio < b.b_prio || (a.b_prio = b.b_prio && head_seq a < head_seq b)
-
-let hp_swap h i j =
-  let t = h.harr.(i) in
-  h.harr.(i) <- h.harr.(j);
-  h.harr.(j) <- t
-
-let rec hp_sift_up h i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if he_lt h.harr.(i) h.harr.(p) then begin
-      hp_swap h i p;
-      hp_sift_up h p
-    end
-  end
-
-let rec hp_sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.hlen && he_lt h.harr.(l) h.harr.(!smallest) then smallest := l;
-  if r < h.hlen && he_lt h.harr.(r) h.harr.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    hp_swap h i !smallest;
-    hp_sift_down h !smallest
-  end
-
-let hp_insert h b =
-  if h.hlen = Array.length h.harr then begin
-    let arr' = Array.make (2 * h.hlen) no_bucket in
-    Array.blit h.harr 0 arr' 0 h.hlen;
-    h.harr <- arr'
-  end;
-  h.harr.(h.hlen) <- b;
-  h.hlen <- h.hlen + 1;
-  hp_sift_up h (h.hlen - 1)
-
-(* Drop the bucket in the last slot: always a leaf, so the heap shape is
-   intact with no sifting. *)
-let hp_drop_last h =
-  h.hlen <- h.hlen - 1;
-  IH.remove h.buckets h.harr.(h.hlen).b_key;
-  h.harr.(h.hlen) <- no_bucket
-
-(* A new sequence number is the largest yet, so appending keeps the
-   bucket in order and its head (hence its heap key) unchanged; only a
-   key's first state opens a bucket and prices it. The counters move
-   last, so a fault in [priority] leaves the heap as it was. *)
-let hp_push h ~key ~priority st =
-  let k = key st and seq = h.hseq + 1 in
-  (match IH.find_opt h.buckets k with
-  | Some b -> dq_push_back b.b_items (seq, st)
-  | None ->
-      let b = { b_key = k; b_prio = priority k; b_items = dq_create () } in
-      dq_push_back b.b_items (seq, st);
-      IH.replace h.buckets k b;
-      hp_insert h b);
-  h.hseq <- seq;
-  h.hcount <- h.hcount + 1
-
-let rec hp_pop h ~priority =
-  if h.hlen = 0 then None
-  else begin
-    let b = h.harr.(0) in
-    let cur = priority b.b_key in
-    if cur <> b.b_prio then begin
-      (* Stale key: store the fresh priority, re-sift and retry. Each
-         retry stores the recomputed value, so the loop terminates. *)
-      b.b_prio <- cur;
-      hp_sift_down h 0;
-      hp_pop h ~priority
-    end
-    else begin
-      let _, st = Option.get (dq_pop_front b.b_items) in
-      h.hcount <- h.hcount - 1;
-      if b.b_items.len = 0 then begin
-        hp_swap h 0 (h.hlen - 1);
-        hp_drop_last h
-      end;
-      (* The head's sequence grew, or another bucket moved up. *)
-      if h.hlen > 0 then hp_sift_down h 0;
-      Some st
-    end
-  end
-
-(* Take the newest state of the bucket in the last heap slot. A leaf
-   bucket's states all sort after the root's head, and within the root
-   bucket the newest is not the head, so with two or more states queued
-   (and current stored priorities) this never takes the minimum: it is
-   what the owner values least and a thief should take. Removing a
-   bucket's tail leaves its head, hence its heap key, as it was. *)
-let hp_steal h =
-  if h.hlen = 0 then None
-  else begin
-    let b = h.harr.(h.hlen - 1) in
-    let _, st = Option.get (dq_pop_back b.b_items) in
-    h.hcount <- h.hcount - 1;
-    if b.b_items.len = 0 then hp_drop_last h;
-    Some st
-  end
-
-(* --- the queue ------------------------------------------------------------ *)
-
 type queue = {
-  q_key : Symstate.t -> int;
-  q_priority : int -> int;
-  q_heap : heap;
+  key : Symstate.t -> int;
+  priority : int -> int;
+  buckets : (int * Symstate.t) deque IH.t;
+  (* key -> its non-empty FIFO of (sequence, state), ascending *)
+  mutable seq : int;                    (* last sequence number handed out *)
+  mutable count : int;                  (* queued states *)
 }
 
 let create ~key ~priority =
-  { q_key = key; q_priority = priority; q_heap = hp_create () }
+  { key; priority; buckets = IH.create 16; seq = 0; count = 0 }
 
-let length q = q.q_heap.hcount
-let push q st = hp_push q.q_heap ~key:q.q_key ~priority:q.q_priority st
-let pop q = hp_pop q.q_heap ~priority:q.q_priority
-let steal q = hp_steal q.q_heap
+let length q = q.count
+
+(* Append to the key's bucket; only a key's first state opens one. *)
+let enqueue q st seq =
+  let k = q.key st in
+  let d =
+    match IH.find_opt q.buckets k with
+    | Some d -> d
+    | None ->
+        let d = dq_create () in
+        IH.replace q.buckets k d;
+        d
+  in
+  dq_push_back d (seq, st);
+  q.count <- q.count + 1
+
+(* A new sequence number is the largest yet, so appending keeps the
+   bucket in order. *)
+let push q st =
+  enqueue q st (q.seq + 1);
+  q.seq <- q.seq + 1
+
+(* Remove a state from the bucket whose (live priority, head sequence)
+   is least ([sign = 1]) or greatest ([sign = -1]): its head for a pop,
+   its tail for a steal. Every priority is read before anything moves,
+   so a fault in [priority] leaves the queue as it was. *)
+let take q ~sign remove =
+  let best =
+    IH.fold
+      (fun k d best ->
+        let p = q.priority k and s = fst (dq_get d 0) in
+        match best with
+        | Some (p', s', _, _)
+          when sign * (if p <> p' then compare p p' else compare s s') >= 0 ->
+            best
+        | _ -> Some (p, s, k, d))
+      q.buckets None
+  in
+  Option.map
+    (fun (_, _, k, d) ->
+      let _, st = Option.get (remove d) in
+      if d.len = 0 then IH.remove q.buckets k;
+      q.count <- q.count - 1;
+      st)
+    best
+
+let pop q = take q ~sign:1 dq_pop_front
+
+(* The newest state of the greatest bucket: with two or more buckets it
+   is not the least one, and inside a lone bucket the newest is not the
+   head, so with two or more states queued this never takes the
+   minimum. *)
+let steal q = take q ~sign:(-1) dq_pop_back
 
 let iter q f =
-  let h = q.q_heap in
-  for i = 0 to h.hlen - 1 do
-    let items = h.harr.(i).b_items in
-    for j = 0 to items.len - 1 do
-      f (snd (dq_get items j))
-    done
-  done
+  IH.iter
+    (fun _ d ->
+      for j = 0 to d.len - 1 do
+        f (snd (dq_get d j))
+      done)
+    q.buckets
 
 let drain q =
   let rec go acc =
@@ -220,55 +142,24 @@ let drain q =
   go []
 
 (* --- checkpoint dump/restore --------------------------------------------- *)
-(* Pop order must survive a checkpoint exactly. For a heap that means the
-   recorded sequence numbers and the sequence counter, not the array
-   layout: pops follow (live priority, sequence) with unique sequences,
-   so any bucket heap over the same entries pops in the same order, but a
-   re-push with fresh sequence numbers would tie-break future
-   equal-priority entries differently than the uninterrupted run. Each
-   entry carries its bucket's stored priority, a lower bound on the live
-   one. *)
+(* Pop order must survive a checkpoint exactly: that needs the recorded
+   sequence numbers and the sequence counter, since a re-push with fresh
+   numbers would tie-break future equal-priority picks differently than
+   the uninterrupted run. Priorities are read live, so none is stored. *)
 
 let dump_entries q =
-  let h = q.q_heap in
   let entries = ref [] in
-  for i = h.hlen - 1 downto 0 do
-    let b = h.harr.(i) in
-    for j = b.b_items.len - 1 downto 0 do
-      let seq, st = dq_get b.b_items j in
-      entries := (st, b.b_prio, seq) :: !entries
-    done
-  done;
-  (!entries, h.hseq)
+  IH.iter
+    (fun _ d ->
+      for j = 0 to d.len - 1 do
+        let seq, st = dq_get d j in
+        entries := (st, seq) :: !entries
+      done)
+    q.buckets;
+  (List.sort (fun (_, a) (_, b) -> compare a b) !entries, q.seq)
 
-(* Only meaningful on a freshly created (empty) queue. Buckets are
-   rebuilt in the order their keys first appear, which for a dump of this
-   heap re-creates its array layout (a valid heap inserted level by level
-   never sifts), so steals after a resume take what they would have
-   taken. A bucket stores the least priority recorded for its entries:
-   each is a lower bound on the key's live priority, so the least is
-   too. *)
-let restore_entries q entries ~hseq =
-  let h = q.q_heap in
-  let pending = Hashtbl.create 16 and order = ref [] in
-  List.iter
-    (fun ((st, prio, _) as e) ->
-      let k = q.q_key st in
-      match Hashtbl.find_opt pending k with
-      | Some (p, es) -> Hashtbl.replace pending k (min p prio, e :: es)
-      | None ->
-          Hashtbl.replace pending k (prio, [ e ]);
-          order := k :: !order)
-    entries;
-  List.iter
-    (fun k ->
-      let prio, es = Hashtbl.find pending k in
-      let b = { b_key = k; b_prio = prio; b_items = dq_create () } in
-      List.iter
-        (fun (st, _, seq) -> dq_push_back b.b_items (seq, st))
-        (List.sort (fun (_, _, a) (_, _, b) -> compare a b) es);
-      h.hcount <- h.hcount + List.length es;
-      IH.replace h.buckets k b;
-      hp_insert h b)
-    (List.rev !order);
-  h.hseq <- max h.hseq hseq
+(* Only meaningful on a freshly created (empty) queue. The dump is in
+   push order, so every bucket is refilled in order. *)
+let restore_entries q entries ~seq =
+  List.iter (fun (st, s) -> enqueue q st s) entries;
+  q.seq <- max q.seq seq

@@ -56,7 +56,6 @@ type t = {
   mutable depth : int;
   mutable replay_inputs : (string * int) list;
   mutable replay_choices : (string * string) list;
-  mutable pinned : Expr.t list;
   mutable tags : merge_tag list;
 }
 
@@ -84,7 +83,6 @@ let create ~id ~mem ~ks =
     depth = 0;
     replay_inputs = [];
     replay_choices = [];
-    pinned = [];
     tags = [];
   }
 
@@ -103,7 +101,7 @@ let fork t ~id =
 (* --- snapshot projection -------------------------------------------------- *)
 (* Everything but [mem] is plain data; it is projected through
    Symmem.image (drops the shared base/device/hook). Crucially the list
-   fields (constraints, pending, choices, sym_inputs, pinned, replay_*,
+   fields (constraints, pending, choices, sym_inputs, replay_*,
    injected_sites, tags) are carried as-is: forked siblings share their
    tails physically, the merge pool matches states by that sharing
    ([==]), and Marshal preserves it for every image travelling in one
@@ -132,7 +130,6 @@ type image = {
   im_depth : int;
   im_replay_inputs : (string * int) list;
   im_replay_choices : (string * string) list;
-  im_pinned : Expr.t list;
   im_tags : merge_tag list;
 }
 
@@ -160,7 +157,6 @@ let to_image t =
     im_depth = t.depth;
     im_replay_inputs = t.replay_inputs;
     im_replay_choices = t.replay_choices;
-    im_pinned = t.pinned;
     im_tags = t.tags;
   }
 
@@ -188,7 +184,6 @@ let of_image ~base ~symdev im =
     depth = im.im_depth;
     replay_inputs = im.im_replay_inputs;
     replay_choices = im.im_replay_choices;
-    pinned = im.im_pinned;
     tags = im.im_tags;
   }
 

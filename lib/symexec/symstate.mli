@@ -70,9 +70,6 @@ type t = {
   (** replay mode: pending (name, value) pins, oldest first *)
   mutable replay_choices : (string * string) list;
   (** replay mode: pending (api, alternative) decisions, oldest first *)
-  mutable pinned : Expr.t list;
-  (** replay-mode pin constraints (a subset of [constraints], physically)
-      — force-included when concretizing over a relevant slice *)
   mutable tags : merge_tag list;
   (** open merge tokens, innermost first; shared structurally with
       children on fork (the engine tells the pool about the new carrier

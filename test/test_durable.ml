@@ -213,7 +213,7 @@ let states_agree base (a : St.t) (b : St.t) =
   && a.St.pc = b.St.pc && a.St.regs = b.St.regs
   && a.St.constraints = b.St.constraints
   && a.St.replay_inputs = b.St.replay_inputs
-  && a.St.pinned = b.St.pinned && a.St.status = b.St.status
+  && a.St.status = b.St.status
   && a.St.depth = b.St.depth && a.St.entry_name = b.St.entry_name
   && a.St.steps = b.St.steps
   && a.St.forks = b.St.forks
@@ -480,8 +480,10 @@ let with_version blob v =
    index and the governor's retirement count, version 10 held one
    scheduler queue per worker with steal and re-home counters, and
    version 11 kept per-branch merge statistics and recorded neither an
-   image nor a settings digest, and version 12 carried the worker
-   supervisor's restart count and the fault-injection counters. *)
+   image nor a settings digest, version 12 carried the worker
+   supervisor's restart count and the fault-injection counters, and
+   version 13 stored each queued state's bucket priority and its replay
+   pins. *)
 let older_versions current = List.init (current - 1) (fun i -> i + 1)
 
 let test_previous_version_refused () =
@@ -515,6 +517,8 @@ let test_previous_version_refused () =
     (List.mem 11 (older_versions Session.checkpoint_version));
   check_bool "version 12 is an older checkpoint layout" true
     (List.mem 12 (older_versions Session.checkpoint_version));
+  check_bool "version 13 is an older checkpoint layout" true
+    (List.mem 13 (older_versions Session.checkpoint_version));
   List.iter
     (fun v ->
       Out_channel.with_open_bin ckpt (fun oc ->

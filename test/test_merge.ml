@@ -193,16 +193,6 @@ let expect_refusal name pool o =
   check_int (name ^ ": no fusion") 0 merged;
   check_bool (name ^ ": refusal counted") true (refused >= 1)
 
-let test_refuse_divergent_pins () =
-  let pool = Merge.create () in
-  let base_cs, a, b = sibling_pair () in
-  (* one arm carries a replay pin the other does not: fusing would let
-     the unpinned arm's models leak into a pinned replay *)
-  a.St.pinned <- [ Expr.tru ];
-  open_pair pool base_cs a b;
-  park_first pool a;
-  expect_refusal "pins" pool (fold_on_last pool b)
-
 let test_refuse_divergent_kernel_calls () =
   let pool = Merge.create () in
   let base_cs, a, b = sibling_pair () in
@@ -271,7 +261,7 @@ type value = V_const of int | V_sym of int
 (* A field the fusion does not lift; set on one arm, the pair must be
    refused. *)
 type divergence =
-  | D_pending | D_choices | D_pins | D_kcall | D_sym_inputs | D_injected
+  | D_pending | D_choices | D_kcall | D_sym_inputs | D_injected
 
 type pair_spec = {
   ps_regs : (int * value * value) list;  (* register, a's value, b's *)
@@ -287,8 +277,8 @@ let string_of_value = function
   | V_sym k -> Printf.sprintf "w+%d" k
 
 let string_of_divergence = function
-  | D_pending -> "pending" | D_choices -> "choices" | D_pins -> "pins"
-  | D_kcall -> "kcall" | D_sym_inputs -> "sym_inputs"
+  | D_pending -> "pending" | D_choices -> "choices" | D_kcall -> "kcall"
+  | D_sym_inputs -> "sym_inputs"
   | D_injected -> "injected_sites"
 
 let print_pair p =
@@ -335,8 +325,8 @@ let gen_pair =
         [ (3, return None);
           (2, map Option.some
                 (pair bool
-                   (oneofl [ D_pending; D_choices; D_pins; D_kcall;
-                             D_sym_inputs; D_injected ]))) ]
+                   (oneofl [ D_pending; D_choices; D_kcall; D_sym_inputs;
+                             D_injected ]))) ]
     in
     return
       { ps_regs = regs; ps_wide = wide; ps_bytes = bytes; ps_guards = (ga, gb);
@@ -347,7 +337,6 @@ let diverge (st : St.t) = function
       let ctx = { St.s_regs = Array.copy st.St.regs; s_pc = 0; s_int = true } in
       st.St.pending <- St.Pa_after_dpc (ctx, 0) :: st.St.pending
   | D_choices -> st.St.choices <- ("alloc", "fail") :: st.St.choices
-  | D_pins -> st.St.pinned <- [ Expr.tru ]
   | D_kcall -> Kstate.bump_kcall st.St.ks
   | D_sym_inputs ->
       st.St.sym_inputs <- (Expr.fresh_var Expr.W32, "hw") :: st.St.sym_inputs
@@ -715,8 +704,6 @@ let () =
          Alcotest.test_case "loop latch" `Quick test_pdom_loop_latch ]);
       ("pool",
        [ Alcotest.test_case "fuse lifts to ite" `Quick test_fuse_lifts_to_ite;
-         Alcotest.test_case "refuse divergent pins" `Quick
-           test_refuse_divergent_pins;
          Alcotest.test_case "refuse divergent kernel calls" `Quick
            test_refuse_divergent_kernel_calls;
          Alcotest.test_case "fuse wide store divergence" `Quick

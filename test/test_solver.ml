@@ -871,38 +871,18 @@ let test_concretize_relevant () =
   let cs =
     [ cmp Eq (var y) (word 7); cmp Eq (var x) (word 5) ]
   in
-  (match Solver.concretize_relevant cs ~pinned:[] (var x) with
-   | Some v -> check_int "only the relevant slice constrains x" 5 v
-   | None -> Alcotest.fail "feasible concretization");
-  (* a replay pin outside the slice must still be audited: an
-     unsatisfiable pin surfaces as None, not as a fabricated value *)
-  let pin = cmp Ltu (var y) (word 0) in
-  match Solver.concretize_relevant (pin :: cs) ~pinned:[ pin ] (var x) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "contradictory pin must poison the answer"
+  match Solver.concretize_relevant cs (var x) with
+  | Some v -> check_int "only the relevant slice constrains x" 5 v
+  | None -> Alcotest.fail "feasible concretization"
 
 (* --- sliced feasibility ------------------------------------------------------ *)
-
-(* A pin added without a check that contradicts the path must make every
-   later question infeasible, even one about an unrelated variable. *)
-let test_feasible_audits_pins () =
-  let open Expr in
-  let x = fresh_var W32 and y = fresh_var W32 in
-  let cs = [ cmp Ltu (var x) (word 5) ] in
-  let extra = cmp Eq (var y) (word 3) in
-  check_bool "unrelated branch is feasible" true
-    (Solver.feasible cs ~pinned:[] extra);
-  let pin = cmp Eq (var x) (word 9) in
-  check_bool "contradictory pin in another group" false
-    (Solver.feasible (pin :: cs) ~pinned:[ pin ] extra);
-  let ok_pin = cmp Eq (var x) (word 2) in
-  check_bool "consistent pin" true
-    (Solver.feasible (ok_pin :: cs) ~pinned:[ ok_pin ] extra)
 
 (* Random fork trees over a handful of byte variables, grown the way the
    engine grows path conditions: fork children share their parent's list
    physically, merges push [or(ga, gb)] on a shared base, and replay pins
-   are pushed unchecked. Every checked addition must agree with the
+   fix a freshly minted variable (it replaces its pool slot, so later
+   steps constrain it) and are pushed unchecked. Every checked addition
+   must agree with the
    whole-set answer, and every memoized partition must equal the one
    recomputed from scratch. Each step is (operation, state, value):
    operations 0-5 fork, 6-7 merge, 8-9 replay pin, 10-11 concretize (a
@@ -975,10 +955,10 @@ let prop_feasible_matches_check =
     (QCheck.make gen_fork_tree)
     (fun spec ->
       let pool = fork_vars () in
-      let states = ref [| ([], []) |] in
+      let states = ref [| [] |] in
       let ok = ref true in
-      let agree (cs, pinned) extra =
-        let f = Solver.feasible cs ~pinned extra in
+      let agree cs extra =
+        let f = Solver.feasible cs extra in
         let whole =
           match Solver.check (extra :: cs) with
           | Solver.Sat _ | Solver.Unknown -> true
@@ -990,29 +970,28 @@ let prop_feasible_matches_check =
       let push st = states := Array.append !states [| st |] in
       List.iter
         (fun (op, k, r) ->
-          let ((cs, pinned) as st) = !states.(k mod Array.length !states) in
+          let cs = !states.(k mod Array.length !states) in
           if op < 6 then
             let c = random_constraint pool k r in
             List.iter
-              (fun c -> if agree st c then push (c :: cs, pinned))
+              (fun c -> if agree cs c then push (c :: cs))
               [ c; Expr.not_ c ]
           else if op < 8 then begin
             let ga = random_constraint pool r k
             and gb = random_constraint pool (k + 1) (r + 7) in
-            if agree st ga && agree st gb then
-              push (Expr.or1 ga gb :: cs, pinned)
+            if agree cs ga && agree cs gb then push (Expr.or1 ga gb :: cs)
           end
-          else if op < 10 then
-            let pin =
-              Expr.cmp Expr.Eq
-                (Expr.zext (Expr.var pool.(r mod 5)))
-                (Expr.word (k mod 256))
-            in
-            push (pin :: cs, pin :: pinned)
+          else if op < 10 then begin
+            let v = Expr.fresh_var Expr.W8 in
+            pool.(r mod 5) <- v;
+            push
+              (Expr.cmp Expr.Eq (Expr.zext (Expr.var v)) (Expr.word (k mod 256))
+              :: cs)
+          end
           else
             let e = Expr.zext (Expr.var pool.(r mod 5)) in
-            match Solver.concretize_relevant cs ~pinned e with
-            | Some v -> push (Expr.cmp Expr.Eq e (Expr.word v) :: cs, pinned)
+            match Solver.concretize_relevant cs e with
+            | Some v -> push (Expr.cmp Expr.Eq e (Expr.word v) :: cs)
             | None -> ())
         spec;
       (* Every tail, not only the lists queried: a walk down to a
@@ -1020,14 +999,14 @@ let prop_feasible_matches_check =
       let rec tails l = l :: (match l with [] -> [] | _ :: r -> tails r) in
       !ok
       && Array.for_all
-           (fun (cs, _) ->
+           (fun cs ->
              List.for_all
                (fun l ->
                  same_groups (groups_of l) (scratch_partition l))
                (tails cs))
            !states)
 
-(* A pin-free [feasible] answers [check (extra :: slice)] with less
+(* [feasible] answers [check (extra :: slice)] with less
    work, but must account exactly the same: on a fresh cache, a run of
    queries moves every counter as the same run through [check] does.
    The run is built to reach a miss, an exact hit and a model-reuse
@@ -1057,7 +1036,7 @@ let test_feasible_stats_match_check () =
     (verdicts, Solver.diff_stats (Solver.stats ()) before)
   in
   let f_verdicts, f_stats =
-    run (fun (cs, extra) -> Solver.feasible cs ~pinned:[] extra)
+    run (fun (cs, extra) -> Solver.feasible cs extra)
   in
   let c_verdicts, c_stats =
     run (fun (cs, extra) ->
@@ -1301,10 +1280,8 @@ let () =
          Alcotest.test_case "shift" `Quick test_solver_shift;
          Alcotest.test_case "byte variables" `Quick test_solver_bytes;
          Alcotest.test_case "concretize" `Quick test_concretize;
-         Alcotest.test_case "sliced concretize audits pins" `Quick
+         Alcotest.test_case "sliced concretize" `Quick
            test_concretize_relevant;
-         Alcotest.test_case "sliced feasibility audits pins" `Quick
-           test_feasible_audits_pins;
          qtest prop_feasible_matches_check;
          Alcotest.test_case "feasibility counts like check" `Quick
            test_feasible_stats_match_check;

@@ -914,15 +914,15 @@ let test_sched_min_touch () =
   check_bool "empty pop" true (Sched.pop q = None);
   check_bool "empty steal" true (Sched.steal q = None)
 
-let test_sched_lazy_heap () =
+let test_sched_live_priority () =
   let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
   let sts = mk_states eng ks 4 in
   let ids = List.map (fun s -> s.Symstate.id) sts in
   let nth = List.nth ids in
   (* State 0 waits at block 10, states 1 and 3 at block 11, state 2 at
      block 12. A block's count may grow while states wait there (another
-     state runs it); the heap re-checks lazily and must not return a
-     state whose block's stored priority went stale. *)
+     state runs it); a pick reads the live count and must not return a
+     state whose block grew hot since it was queued. *)
   let blocks = Hashtbl.create 4 and counts = Hashtbl.create 4 in
   List.iteri (fun i id -> Hashtbl.replace blocks id [| 10; 11; 12; 11 |].(i)) ids;
   let q = block_queue blocks counts in
@@ -933,7 +933,7 @@ let test_sched_lazy_heap () =
   check_int "third pop" (nth 3) (sid (Sched.pop q));
   check_int "hot block comes last" (nth 0) (sid (Sched.pop q));
   check_int "drained" 0 (Sched.length q);
-  (* A heap steal never takes the current minimum (with >= 2 states):
+  (* A steal never takes the current minimum (with >= 2 states):
      not across blocks of distinct priority ... *)
   Hashtbl.reset counts;
   List.iteri (fun i id -> Hashtbl.replace blocks id (10 + i)) ids;
@@ -949,16 +949,17 @@ let test_sched_lazy_heap () =
     (sid (Sched.steal q) <> nth 0);
   check_int "min still pops first" (nth 0) (sid (Sched.pop q))
 
-(* The bucketed heap against a reference queue that recomputes every
+(* The bucket scan against a reference queue that recomputes every
    priority at each pick and takes the minimum by (priority, push
    sequence). A pool of states is spread over four blocks; steps push an
    idle state, pop, steal, drain, dump and restore into a fresh queue, or
-   bump a block's count (counts only grow). Steps are (operation,
+   bump a block's count. A steal never takes the reference minimum while
+   two or more states are queued, count bumps or not. Steps are (operation,
    argument): 0-2 push, 3-4 pop, 5 steal, 6 drain, 7 dump/restore, 8-9
    bump. *)
 let prop_sched_matches_reference =
   QCheck.Test.make ~count:300
-    ~name:"bucket heap matches recompute-every-pick reference"
+    ~name:"bucket scan matches recompute-every-pick reference"
     QCheck.(
       make
         Gen.(
@@ -975,7 +976,7 @@ let prop_sched_matches_reference =
       let count b = try Hashtbl.find counts b with Not_found -> 0 in
       let q = ref (block_queue blocks counts) in
       (* reference: (sequence, state), plus the sequence counter *)
-      let model = ref [] and seq = ref 0 and bumped = ref false in
+      let model = ref [] and seq = ref 0 in
       let fails = ref [] in
       let fail fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
       let live (sq, s) = (count (Hashtbl.find blocks s.Symstate.id), sq) in
@@ -1012,9 +1013,8 @@ let prop_sched_matches_reference =
               | None -> if !model <> [] then fail "step %d: steal None" step
               | Some st ->
                   if not (queued st) then fail "step %d: stole unqueued" step;
-                  if (not !bumped) && List.length !model >= 2
-                     && Some st == min
-                  then fail "step %d: steal took the min" step;
+                  if List.length !model >= 2 && Some st == min then
+                    fail "step %d: steal took the min" step;
                   forget st)
           | 6 ->
               let want =
@@ -1025,14 +1025,13 @@ let prop_sched_matches_reference =
               if got <> want then fail "step %d: drain order" step;
               model := []
           | 7 ->
-              let entries, hseq = Sched.dump_entries !q in
+              let entries, last = Sched.dump_entries !q in
               let q' = block_queue blocks counts in
-              Sched.restore_entries q' entries ~hseq;
+              Sched.restore_entries q' entries ~seq:last;
               q := q'
           | _ ->
               let b = 100 + (arg mod 4) in
-              Hashtbl.replace counts b (count b + 1 + (arg mod 3));
-              bumped := true);
+              Hashtbl.replace counts b (count b + 1 + (arg mod 3)));
           if Sched.length !q <> List.length !model then
             fail "step %d: length %d, reference %d" step (Sched.length !q)
               (List.length !model))
@@ -1153,7 +1152,8 @@ let () =
            test_checkpoint_hook_fault_raises ]);
       ("scheduler",
        [ Alcotest.test_case "min-touch order" `Quick test_sched_min_touch;
-         Alcotest.test_case "lazy heap" `Quick test_sched_lazy_heap;
+         Alcotest.test_case "live priority scan" `Quick
+           test_sched_live_priority;
          qtest prop_sched_matches_reference ]);
       ("frontier",
        [ Alcotest.test_case "steal + quiescence" `Quick
