@@ -29,6 +29,9 @@ test:
 #   naming a regular file fails with exit 1 and one stderr line; a
 #   `--checkpoint` that cannot be written warns once on stderr and the
 #   run still completes with its usual exit code;
+# - traces: `test --traces` on each buggy corpus driver finishes within
+#   20 s with exit 2 and prints one `memory accesses` summary line per
+#   reported bug;
 # - the static pre-analysis on two known-clean drivers (nonzero
 #   universe, zero findings under the syntactic rules; rtl8029's buggy
 #   variant legitimately fires the interprocedural race rule, so its
@@ -89,6 +92,14 @@ check: build test
 	[ $$(grep -c "checkpoint: cannot write $$dir/no/c.ckpt" $$dir/ckpt.err) \
 	  -eq 1 ] || { echo "checkpoint: want one stderr warning"; exit 1; }; \
 	echo "unwritable-output smoke: json-out and evidence exit 1, checkpoint warns once"; \
+	for d in pro1000 pro100 ac97 audiopci pcnet rtl8029 deeploop; do \
+	  rc=0; timeout 20 $$cli test $$d --traces > $$dir/traces.out || rc=$$?; \
+	  [ $$rc -eq 2 ] || { echo "$$d --traces: exit $$rc, want 2"; exit 1; }; \
+	  bugs=$$(sed -n 's/^\([0-9]*\) bug(s) found:$$/\1/p' $$dir/traces.out); \
+	  [ $$(grep -c ' memory accesses, ' $$dir/traces.out) -eq "$$bugs" ] \
+	    || { echo "$$d --traces: want $$bugs memory-access lines"; exit 1; }; \
+	done; \
+	echo "traces smoke: every buggy driver's --traces run exits 2, one summary per bug"; \
 	rm -rf $$dir
 	dune exec bin/ddt_cli.exe -- analyze rtl8029 --expect-clean \
 	  --rules unreachable-code,stack-imbalance,const-arg-contract > /dev/null

@@ -23,18 +23,22 @@ let kind_of (st : St.t) (c : St.crash) =
 let on_state_done t (st : St.t) =
   match st.St.status with
   | Some (St.Crashed c) ->
-      Report.report t.sink
-        {
-          Report.b_kind = kind_of st c;
-          b_driver = t.driver;
-          b_entry = st.St.entry_name;
-          b_pc = c.St.c_pc;
-          b_message = Printf.sprintf "%s: %s" c.St.c_code c.St.c_msg;
-          b_key = Printf.sprintf "crash:%s:%s:0x%x" t.driver c.St.c_code c.St.c_pc;
-          b_state_id = st.St.id;
-          b_events = st.St.trace;
-          b_choices = st.St.choices;
-          b_with_interrupt = st.St.injections > 0;
-      b_replay = Ddt_symexec.Exec.replay_script st;
-        }
+      let key =
+        Printf.sprintf "crash:%s:%s:0x%x" t.driver c.St.c_code c.St.c_pc
+      in
+      Report.report t.sink ~key (fun () ->
+          {
+            Report.b_kind = kind_of st c;
+            b_driver = t.driver;
+            b_entry = st.St.entry_name;
+            b_pc = c.St.c_pc;
+            b_message = Printf.sprintf "%s: %s" c.St.c_code c.St.c_msg;
+            b_key = key;
+            b_state_id = st.St.id;
+            b_events = st.St.trace;
+            b_mem_accesses = st.St.mem_accesses;
+            b_choices = st.St.choices;
+            b_with_interrupt = st.St.injections > 0;
+            b_replay = Ddt_symexec.Exec.replay_script st;
+          })
   | _ -> ()

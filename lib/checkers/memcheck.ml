@@ -79,26 +79,31 @@ let symbolic_escape t (st : St.t) (ma : Exec.mem_access) =
                 granted region (unchecked input used in address arithmetic)"
                range.Interval.lo range.Interval.hi)
 
-let bug_of ?(witness = []) ?constraints t (st : St.t) (ma : Exec.mem_access)
-    msg =
-  {
-    Report.b_kind =
-      (if Kstate.in_isr st.St.ks || Kstate.in_dpc st.St.ks then
-         Report.Race_condition
-       else Report.Memory_error);
-    b_driver = t.driver;
-    b_entry = st.St.entry_name;
-    b_pc = ma.Exec.ma_pc;
-    b_message = msg;
-    b_key =
-      Printf.sprintf "mem:%s:0x%x:%s" t.driver ma.Exec.ma_pc
-        (if ma.Exec.ma_write then "w" else "r");
-    b_state_id = st.St.id;
-    b_events = st.St.trace;
-    b_choices = st.St.choices;
-    b_with_interrupt = st.St.injections > 0;
-      b_replay = Ddt_symexec.Exec.replay_script ~extra:witness ?constraints st;
-  }
+let report_bug ?(witness = []) ?constraints t (st : St.t)
+    (ma : Exec.mem_access) msg =
+  let key =
+    Printf.sprintf "mem:%s:0x%x:%s" t.driver ma.Exec.ma_pc
+      (if ma.Exec.ma_write then "w" else "r")
+  in
+  Report.report t.sink ~key (fun () ->
+      {
+        Report.b_kind =
+          (if Kstate.in_isr st.St.ks || Kstate.in_dpc st.St.ks then
+             Report.Race_condition
+           else Report.Memory_error);
+        b_driver = t.driver;
+        b_entry = st.St.entry_name;
+        b_pc = ma.Exec.ma_pc;
+        b_message = msg;
+        b_key = key;
+        b_state_id = st.St.id;
+        b_events = st.St.trace;
+        b_mem_accesses = st.St.mem_accesses;
+        b_choices = st.St.choices;
+        b_with_interrupt = st.St.injections > 0;
+        b_replay =
+          Ddt_symexec.Exec.replay_script ~extra:witness ?constraints st;
+      })
 
 let on_mem_access t (ma : Exec.mem_access) =
   let st = ma.Exec.ma_state in
@@ -116,8 +121,7 @@ let on_mem_access t (ma : Exec.mem_access) =
        let witness =
          [ Expr.cmp Expr.Ltu (Expr.word escape_bound) ma.Exec.ma_addr ]
        in
-       Report.report t.sink
-         (bug_of ~witness ~constraints:ma.Exec.ma_constraints t st ma msg)
+       report_bug ~witness ~constraints:ma.Exec.ma_constraints t st ma msg
    | None -> ());
   match
     classify t st ~write:ma.Exec.ma_write ~sp:ma.Exec.ma_sp ma.Exec.ma_conc
@@ -127,4 +131,4 @@ let on_mem_access t (ma : Exec.mem_access) =
       (* The very low addresses fault in the engine and surface through
          the crash checker; avoid double-reporting them here. *)
       if ma.Exec.ma_conc >= Layout.null_guard then
-        Report.report t.sink (bug_of t st ma msg)
+        report_bug t st ma msg

@@ -52,6 +52,7 @@ type bug = {
   b_key : string;
   b_state_id : int;
   b_events : Ddt_trace.Event.t list;
+  b_mem_accesses : int;
   b_choices : (string * string) list;
   b_with_interrupt : bool;
   b_replay : Ddt_trace.Replay.script;
@@ -84,13 +85,26 @@ let create_sink () =
   { found = []; seen = Hashtbl.create 16; statics = [];
     statics_seen = Hashtbl.create 16; mu = Mutex.create () }
 
-let report sink bug =
-  Mutex.lock sink.mu;
-  if not (Hashtbl.mem sink.seen bug.b_key) then begin
-    Hashtbl.add sink.seen bug.b_key ();
-    sink.found <- bug :: sink.found
-  end;
-  Mutex.unlock sink.mu
+(* The same defect is reached on many paths, and building a bug's
+   replay script is a solver call: check the key first, build outside
+   the lock, and insert only if no other worker got there meanwhile. *)
+let report sink ~key mk =
+  let seen () =
+    Mutex.lock sink.mu;
+    let r = Hashtbl.mem sink.seen key in
+    Mutex.unlock sink.mu;
+    r
+  in
+  if not (seen ()) then begin
+    let bug = mk () in
+    if bug.b_key <> key then invalid_arg "Report.report: key mismatch";
+    Mutex.lock sink.mu;
+    if not (Hashtbl.mem sink.seen key) then begin
+      Hashtbl.add sink.seen key ();
+      sink.found <- bug :: sink.found
+    end;
+    Mutex.unlock sink.mu
+  end
 
 let bugs sink =
   Mutex.lock sink.mu;

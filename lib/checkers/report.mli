@@ -1,8 +1,9 @@
 (** Bug reports and the report sink.
 
     Checkers deposit findings here; the sink deduplicates (the same defect
-    is typically reached on many paths) and keeps, per bug, the trace of
-    the first path that exposed it — the replayable evidence of §3.5. *)
+    is typically reached on many paths) and keeps, per bug, the trace and
+    replay script of the first path that exposed it — the replayable
+    evidence of §3.5. *)
 
 type kind =
   | Memory_error        (** OOB access, access to unowned/freed memory *)
@@ -56,6 +57,8 @@ type bug = {
   b_key : string;              (** deduplication key *)
   b_state_id : int;
   b_events : Ddt_trace.Event.t list;       (** trace, newest first *)
+  b_mem_accesses : int;
+  (** loads and stores on the path ([Symstate.mem_accesses]) *)
   b_choices : (string * string) list;      (** annotation decisions taken *)
   b_with_interrupt : bool;
   b_replay : Ddt_trace.Replay.script;
@@ -73,7 +76,13 @@ type incident = Ddt_symexec.Guard.incident
 type sink
 
 val create_sink : unit -> sink
-val report : sink -> bug -> unit
+val report : sink -> key:string -> (unit -> bug) -> unit
+(** [report sink ~key mk] deposits [mk ()] unless a bug with [b_key =
+    key] is already in the sink. [mk] runs only for a new key, outside
+    the lock, and at once: it builds the replay script (a solver call
+    over the whole path) from the reporting state as it is now. Two
+    workers racing on one new key may both run [mk]; the first to finish
+    is kept. @raise Invalid_argument if [mk ()] has another [b_key]. *)
 val bugs : sink -> bug list
 (** In first-reported order. *)
 

@@ -92,4 +92,5 @@ let pp_report fmt (r : Session.result) =
 
 let pp_bug_detail fmt (b : Report.bug) =
   Format.fprintf fmt "%a@.--- execution trace ---@.%s@." Report.pp_bug b
-    (Ddt_trace.Event.summarize b.Report.b_events)
+    (Ddt_trace.Event.summarize ~mem_accesses:b.Report.b_mem_accesses
+       b.Report.b_events)

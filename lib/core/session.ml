@@ -189,7 +189,7 @@ let setup (cfg : Config.t) =
        | Some (St.Crashed c) when cfg.Config.collect_crashdumps ->
            crashdumps :=
              (st.St.id,
-              Exec.crashdump eng st
+              Exec.crashdump st
                 ~note:(Printf.sprintf "%s: %s" c.St.c_code c.St.c_msg))
              :: !crashdumps
        | _ -> ());
@@ -237,10 +237,9 @@ let setup (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-(* 14: the scheduler dump holds (state, sequence) pairs and no bucket
-   priority, a state image holds no replay-pin list, and the settings
-   digest has no bases-per-phase term. *)
-let checkpoint_version = 14
+(* 15: a state image holds its memory-access count and touched pages,
+   its trace no memory-access events, and a bug its access count. *)
+let checkpoint_version = 15
 
 (* What a resumed run must share with the run that wrote the checkpoint
    for the two to converge: the driver image, and every setting that

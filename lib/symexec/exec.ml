@@ -480,6 +480,21 @@ let checked_access eng st ~pc ~write ~addr_expr ~width =
       (Vm_crash
          ("DRIVER_FAULT",
           Printf.sprintf "null pointer dereference at 0x%x (pc 0x%x)" conc pc));
+  (* The access goes ahead: count it, and keep its page for the crash
+     dump when the address is a constant of its own (not one the path
+     condition pinned). Device pages are not dumpable: every read would
+     mint a fresh symbolic value (the device has no stable state). *)
+  st.St.mem_accesses <- st.St.mem_accesses + 1;
+  let const_addr =
+    match addr_expr with
+    | Expr.Const (_, a) -> Some a
+    | e -> Expr.to_const (Simplify.simplify e)
+  in
+  (match const_addr with
+   | Some a when not (Ddt_hw.Symdev.is_device_addr eng.symdev a) ->
+       st.St.touched_pages <-
+         St.Pages.add (a land lnot 0xFFF) st.St.touched_pages
+   | _ -> ());
   conc
 
 (* --- the machine interface for kernel calls ---------------------------- *)
@@ -758,9 +773,6 @@ let step eng st =
     let next = pc + Isa.instr_size in
     let g r = St.reg_get st r in
     let s r e = St.reg_set st r e in
-    let record_mem ~write ~addr ~width ~value =
-      St.record st (Event.E_mem { pc; write; addr; width; value })
-    in
     match instr with
     | Isa.Nop -> st.St.pc <- next
     | Isa.Hlt ->
@@ -814,27 +826,23 @@ let step eng st =
         let addr_expr = Expr.binop Expr.Add (g rs1) (Expr.word off) in
         let a = checked_access eng st ~pc ~write:false ~addr_expr ~width:4 in
         let v = Symmem.read_u32 st.St.mem a in
-        record_mem ~write:false ~addr:addr_expr ~width:4 ~value:v;
         s rd v;
         st.St.pc <- next
     | Isa.Ldb (rd, rs1, off) ->
         let addr_expr = Expr.binop Expr.Add (g rs1) (Expr.word off) in
         let a = checked_access eng st ~pc ~write:false ~addr_expr ~width:1 in
         let v = Symmem.read_u8 st.St.mem a in
-        record_mem ~write:false ~addr:addr_expr ~width:1 ~value:v;
         s rd (Expr.zext v);
         st.St.pc <- next
     | Isa.Stw (rs1, off, rs2) ->
         let addr_expr = Expr.binop Expr.Add (g rs1) (Expr.word off) in
         let a = checked_access eng st ~pc ~write:true ~addr_expr ~width:4 in
-        record_mem ~write:true ~addr:addr_expr ~width:4 ~value:(g rs2);
         Symmem.write_u32 st.St.mem a (g rs2);
         st.St.pc <- next
     | Isa.Stb (rs1, off, rs2) ->
         let addr_expr = Expr.binop Expr.Add (g rs1) (Expr.word off) in
         let a = checked_access eng st ~pc ~write:true ~addr_expr ~width:1 in
         let byte_v = Expr.extract (g rs2) 0 in
-        record_mem ~write:true ~addr:addr_expr ~width:1 ~value:byte_v;
         Symmem.write_u8 st.St.mem a byte_v;
         st.St.pc <- next
     | Isa.Push rs ->
@@ -1173,10 +1181,10 @@ let execution_tree eng =
   Ddt_trace.Tree.build lineage
 
 (* A crash-dump of a state: concretized registers plus the pages its
-   copy-on-write store touched, valued under the path condition's model
-   (§3.5: "each execution state maintained by DDT is a complete snapshot
-   of the system"). *)
-let crashdump eng (st : St.t) ~note =
+   loads and stores touched ([St.touched_pages]), valued under the path
+   condition's model (§3.5: "each execution state maintained by DDT is a
+   complete snapshot of the system"). *)
+let crashdump (st : St.t) ~note =
   let model =
     match Solver.check st.St.constraints with
     | Solver.Sat m -> m
@@ -1186,38 +1194,18 @@ let crashdump eng (st : St.t) ~note =
     let e = Simplify.simplify e in
     match Expr.to_const e with Some v -> v | None -> Expr.eval model e
   in
-  let regs = Array.map value st.St.regs in
-  (* Reconstruct the touched pages. *)
-  let pages = Hashtbl.create 8 in
-  let page_of addr = addr land lnot 0xFFF in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Event.E_mem { addr; _ } -> (
-          match Expr.to_const (Simplify.simplify addr) with
-          | Some a ->
-              (* Device pages are not dumpable: every read would mint a
-                 fresh symbolic value (the device has no stable state). *)
-              if not (Ddt_hw.Symdev.is_device_addr eng.symdev a) then
-                Hashtbl.replace pages (page_of a) ()
-          | None -> ())
-      | _ -> ())
-    st.St.trace;
-  let dump_pages =
-    Hashtbl.fold
-      (fun base () acc ->
-        let b = Bytes.create 4096 in
-        for i = 0 to 4095 do
-          Bytes.set_uint8 b i (value (Symmem.read_u8 st.St.mem (base + i)))
-        done;
-        (base, b) :: acc)
-      pages []
+  let page base =
+    let b = Bytes.create 4096 in
+    for i = 0 to 4095 do
+      Bytes.set_uint8 b i (value (Symmem.read_u8 st.St.mem (base + i)))
+    done;
+    (base, b)
   in
   {
     Ddt_trace.Crashdump.d_pc = st.St.pc;
-    d_regs = regs;
+    d_regs = Array.map value st.St.regs;
     d_note = note;
-    d_pages = List.sort compare dump_pages;
+    d_pages = List.map page (St.Pages.elements st.St.touched_pages);
   }
 
 let finished eng =

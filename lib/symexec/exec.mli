@@ -161,10 +161,10 @@ val execution_tree : engine -> Ddt_trace.Tree.t
 (** The tree of every explored path (§3.5): nodes are states, children are
     fork successors, labels carry the terminal status. *)
 
-val crashdump :
-  engine -> Symstate.t -> note:string -> Ddt_trace.Crashdump.t
-(** Snapshot a state as a crash dump: registers and touched memory pages
-    concretized under the path condition's model. *)
+val crashdump : Symstate.t -> note:string -> Ddt_trace.Crashdump.t
+(** Snapshot a state as a crash dump: its registers and its
+    [Symstate.touched_pages], concretized under the path condition's
+    model. *)
 
 val finished : engine -> Symstate.t list
 (** Terminated states, in completion order (newest first). *)

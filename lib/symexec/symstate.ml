@@ -1,4 +1,5 @@
 module Expr = Ddt_solver.Expr
+module Pages = Set.Make (Int)
 
 type crash = {
   c_code : string;
@@ -45,6 +46,8 @@ type t = {
   mutable pending : post_action list;
   mutable trace : Ddt_trace.Event.t list;
   mutable forks : int;
+  mutable mem_accesses : int;
+  mutable touched_pages : Pages.t;
   mutable choices : (string * string) list;
   mutable sym_inputs : (Expr.var * string) list;
   mutable injections : int;
@@ -72,6 +75,8 @@ let create ~id ~mem ~ks =
     pending = [];
     trace = [];
     forks = 0;
+    mem_accesses = 0;
+    touched_pages = Pages.empty;
     choices = [];
     sym_inputs = [];
     injections = 0;
@@ -119,6 +124,8 @@ type image = {
   im_pending : post_action list;
   im_trace : Ddt_trace.Event.t list;
   im_forks : int;
+  im_mem_accesses : int;
+  im_touched_pages : Pages.t;
   im_choices : (string * string) list;
   im_sym_inputs : (Expr.var * string) list;
   im_injections : int;
@@ -146,6 +153,8 @@ let to_image t =
     im_pending = t.pending;
     im_trace = t.trace;
     im_forks = t.forks;
+    im_mem_accesses = t.mem_accesses;
+    im_touched_pages = t.touched_pages;
     im_choices = t.choices;
     im_sym_inputs = t.sym_inputs;
     im_injections = t.injections;
@@ -173,6 +182,8 @@ let of_image ~base ~symdev im =
     pending = im.im_pending;
     trace = im.im_trace;
     forks = im.im_forks;
+    mem_accesses = im.im_mem_accesses;
+    touched_pages = im.im_touched_pages;
     choices = im.im_choices;
     sym_inputs = im.im_sym_inputs;
     injections = im.im_injections;

@@ -5,6 +5,9 @@
 
 module Expr = Ddt_solver.Expr
 
+module Pages : Set.S with type elt = int
+(** Sets of 4 KiB page base addresses. *)
+
 type crash = {
   c_code : string;
   c_msg : string;
@@ -53,6 +56,15 @@ type t = {
   mutable forks : int;
   (** forked branches ([E_branch] with [forked = true]) in [trace], kept
       by {!record}; copied to children on fork *)
+  mutable mem_accesses : int;
+  (** loads and stores the driver executed on this path ([Ldw], [Ldb],
+      [Stw], [Stb]; not pushes, pops or kernel accesses); copied to
+      children on fork *)
+  mutable touched_pages : Pages.t;
+  (** pages of those accesses whose address simplified to a constant
+      outside the device's ranges: the pages a crash dump holds; copied
+      to children on fork. A merge survivor keeps its own count and
+      pages, as it keeps its own [trace]. *)
   mutable choices : (string * string) list;     (** annotation decisions *)
   mutable sym_inputs : (Expr.var * string) list;
   mutable injections : int;

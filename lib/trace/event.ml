@@ -2,8 +2,6 @@ module Expr = Ddt_solver.Expr
 
 type t =
   | E_branch of { pc : int; taken : bool; forked : bool; cond : Expr.t }
-  | E_mem of { pc : int; write : bool; addr : Expr.t; width : int;
-               value : Expr.t }
   | E_sym_create of { name : string; origin : string; var : Expr.var }
   | E_concretize of { pc : int; expr : Expr.t; value : int; reason : string }
   | E_kcall of { pc : int; name : string }
@@ -21,10 +19,6 @@ let pp fmt = function
   | E_branch { pc; taken; forked; cond } ->
       Format.fprintf fmt "branch 0x%x taken=%b forked=%b cond=%a" pc taken
         forked Expr.pp cond
-  | E_mem { pc; write; addr; width; value } ->
-      Format.fprintf fmt "%s 0x%x [%a] w%d = %a"
-        (if write then "write" else "read")
-        pc Expr.pp addr width Expr.pp value
   | E_sym_create { name; origin; var } ->
       Format.fprintf fmt "symbolic %s (%s) as %a" name origin Expr.pp_var var
   | E_concretize { pc; expr; value; reason } ->
@@ -45,12 +39,11 @@ let pp fmt = function
 
 let to_string e = Format.asprintf "%a" pp e
 
-let summarize events =
-  let mems = ref 0 and branches = ref 0 and forks = ref 0 in
+let summarize ~mem_accesses events =
+  let branches = ref 0 and forks = ref 0 in
   let syms = ref 0 and kcalls = ref 0 and irqs = ref 0 in
   List.iter
     (function
-      | E_mem _ -> incr mems
       | E_branch { forked; _ } ->
           incr branches;
           if forked then incr forks
@@ -64,7 +57,7 @@ let summarize events =
     (Printf.sprintf
        "%d memory accesses, %d branches (%d forked), %d symbolic values, \
         %d kernel calls, %d interrupts\n"
-       !mems !branches !forks !syms !kcalls !irqs);
+       mem_accesses !branches !forks !syms !kcalls !irqs);
   Buffer.add_string buf "last events:\n";
   let rec take n = function
     | [] -> []

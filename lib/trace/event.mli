@@ -1,16 +1,17 @@
 (** Execution-trace events (§3.5 of the paper).
 
-    DDT's traces record memory accesses with address/value/kind, creation and propagation of symbolic values,
+    DDT's traces record the creation and propagation of symbolic values,
     constraints added at branches, and whether each branch forked. Each
     symbolic state carries its trace as a prepend-only list, so forking
     shares the common prefix structurally — the trace analog of the
-    copy-on-write state representation. *)
+    copy-on-write state representation. Loads and stores are not
+    events: a state counts them and keeps the set of pages they touched
+    ([Symstate.mem_accesses], [Symstate.touched_pages]), which is all
+    the bug summary and the crash dump read of them. *)
 
 type t =
   | E_branch of { pc : int; taken : bool; forked : bool;
                   cond : Ddt_solver.Expr.t }
-  | E_mem of { pc : int; write : bool; addr : Ddt_solver.Expr.t;
-               width : int; value : Ddt_solver.Expr.t }
   | E_sym_create of { name : string; origin : string;
                       var : Ddt_solver.Expr.var }
       (** a fresh symbolic value entered the system (device read,
@@ -33,6 +34,7 @@ type t =
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val summarize : t list -> string
-(** A short multi-line digest: counts per event class plus the last few
-    events; used in bug reports. *)
+val summarize : mem_accesses:int -> t list -> string
+(** A short multi-line digest used in bug reports: the path's
+    [mem_accesses] and counts per event class, then its last 12
+    events. *)

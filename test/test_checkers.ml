@@ -20,6 +20,7 @@ let mk_bug ?(kind = Report.Segfault) ?(key = "k") ?(msg = "boom")
     b_key = key;
     b_state_id = 1;
     b_events = events;
+    b_mem_accesses = 0;
     b_choices = choices;
     b_with_interrupt = with_interrupt;
     b_replay = replay;
@@ -27,24 +28,33 @@ let mk_bug ?(kind = Report.Segfault) ?(key = "k") ?(msg = "boom")
 
 (* --- the report sink ------------------------------------------------------ *)
 
+let report sink b = Report.report sink ~key:b.Report.b_key (fun () -> b)
+
 let test_sink_dedup () =
   let sink = Report.create_sink () in
-  Report.report sink (mk_bug ~key:"a" ());
-  Report.report sink (mk_bug ~key:"a" ~msg:"different text, same defect" ());
-  Report.report sink (mk_bug ~key:"b" ());
+  report sink (mk_bug ~key:"a" ());
+  report sink (mk_bug ~key:"a" ~msg:"different text, same defect" ());
+  report sink (mk_bug ~key:"b" ());
   check_int "two distinct bugs" 2 (Report.count sink);
-  (* First report wins for a given key. *)
+  (* First report wins for a given key, and a seen key's bug (with its
+     replay script) is never built. *)
   let first = List.hd (Report.bugs sink) in
   Alcotest.(check string) "first kept" "boom" first.Report.b_message;
+  Report.report sink ~key:"a" (fun () -> Alcotest.fail "built a seen key");
+  check_bool "key mismatch refused" true
+    (try
+       Report.report sink ~key:"c" (fun () -> mk_bug ~key:"d" ());
+       false
+     with Invalid_argument _ -> true);
   Report.clear sink;
   check_int "cleared" 0 (Report.count sink);
-  Report.report sink (mk_bug ~key:"a" ());
+  report sink (mk_bug ~key:"a" ());
   check_int "key reusable after clear" 1 (Report.count sink)
 
 let test_sink_order () =
   let sink = Report.create_sink () in
   List.iter
-    (fun k -> Report.report sink (mk_bug ~key:k ~msg:k ()))
+    (fun k -> report sink (mk_bug ~key:k ~msg:k ()))
     [ "one"; "two"; "three" ];
   Alcotest.(check (list string)) "first-reported order"
     [ "one"; "two"; "three" ]
@@ -52,7 +62,7 @@ let test_sink_order () =
 
 let test_summary_rendering () =
   let sink = Report.create_sink () in
-  Report.report sink (mk_bug ~kind:Report.Race_condition ~msg:"the race" ());
+  report sink (mk_bug ~kind:Report.Race_condition ~msg:"the race" ());
   let s = Format.asprintf "%a" Report.pp_summary sink in
   check_bool "summary mentions kind" true
     (let needle = "Race condition" in

@@ -367,7 +367,51 @@ let test_crashdumps () =
   (* The dump round-trips through its binary format. *)
   let d' = Ddt_trace.Crashdump.of_bytes (Ddt_trace.Crashdump.to_bytes d) in
   check_bool "dump roundtrip" true (d' = d);
-  check_bool "dump has pages" true (d.Ddt_trace.Crashdump.d_pages <> [])
+  check_bool "dump has pages" true (d.Ddt_trace.Crashdump.d_pages <> []);
+  (* A dump holds exactly the crashed state's touched pages: two data
+     pages written before a null dereference, not the device page its
+     register read touched. *)
+  let img =
+    Ddt_dvm.Asm.assemble ~name:"dump" {|
+.func driver_entry
+driver_entry:
+    lea   r4, first
+    movi  r1, 0x1234
+    stw   [r4+0], r1
+    stw   [r4+4096], r1
+    movi  r7, 0xD0000000
+    ldw   r8, [r7+0]
+    movi  r2, 0
+    ldw   r0, [r2+0]
+    ret
+.data
+first: .space 4100
+|}
+  in
+  let base = Ddt_dvm.Mem.create () in
+  let loaded = Ddt_dvm.Image.load img base ~base:Ddt_dvm.Layout.image_base in
+  let dev =
+    Ddt_kernel.Pci.assign_resources
+      { Ddt_kernel.Pci.vendor_id = 1; device_id = 2; revision = 0;
+        bar_sizes = [ 0x1000 ]; irq_line = 9 }
+      ~mmio_base:Ddt_dvm.Layout.mmio_base
+  in
+  let eng = Exec.create loaded base (Ddt_hw.Symdev.create dev) in
+  let st = Exec.new_root_state eng (Ddt_kernel.Kstate.create ~device:dev ()) in
+  Exec.start_invocation eng st ~name:"dump"
+    ~addr:(loaded.Ddt_dvm.Image.base + img.Ddt_dvm.Image.entry) ~args:[];
+  Exec.run eng ();
+  let st = List.hd (Exec.finished eng) in
+  let d = Exec.crashdump st ~note:"null dereference" in
+  let pages = List.map fst d.Ddt_trace.Crashdump.d_pages in
+  check_bool "dump pages are the touched pages" true
+    (pages
+     = Ddt_symexec.Symstate.(Pages.elements st.touched_pages));
+  check_int "two data pages" 2 (List.length pages);
+  let first = loaded.Ddt_dvm.Image.data_start in
+  check_bool "stores in the dump" true
+    (Ddt_trace.Crashdump.find_u32 d first = Some 0x1234
+     && Ddt_trace.Crashdump.find_u32 d (first + 4096) = Some 0x1234)
 
 (* --- §3.6 automated diagnosis ---------------------------------------------- *)
 

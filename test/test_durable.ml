@@ -181,12 +181,20 @@ let build_state base ops =
   let mem = Symmem.create ~base ~symdev:None in
   let st = ref (St.create ~id:1 ~mem ~ks:(Kstate.create ~device:(device ()) ())) in
   let next_id = ref 2 in
+  (* as the executor accounts a driver store *)
+  let count_store a =
+    !st.St.mem_accesses <- !st.St.mem_accesses + 1;
+    !st.St.touched_pages <-
+      St.Pages.add (a land lnot 0xFFF) !st.St.touched_pages
+  in
   List.iter
     (fun op ->
       match op with
       | Write8 (a, v) ->
+          count_store (heap + a);
           Symmem.write_u8 !st.St.mem (heap + a) (Expr.byte v)
       | Write32 (a, v) ->
+          count_store (heap + a);
           Symmem.write_u32 !st.St.mem (heap + a) (Expr.word v)
       | WriteSym a ->
           Symmem.write_u8 !st.St.mem (heap + a)
@@ -217,6 +225,8 @@ let states_agree base (a : St.t) (b : St.t) =
   && a.St.depth = b.St.depth && a.St.entry_name = b.St.entry_name
   && a.St.steps = b.St.steps
   && a.St.forks = b.St.forks
+  && a.St.mem_accesses = b.St.mem_accesses
+  && St.Pages.equal a.St.touched_pages b.St.touched_pages
   && Symmem.chain_depth a.St.mem = Symmem.chain_depth b.St.mem
   && Symmem.live_words a.St.mem = Symmem.live_words b.St.mem
   && (ignore base;
@@ -481,9 +491,10 @@ let with_version blob v =
    scheduler queue per worker with steal and re-home counters, and
    version 11 kept per-branch merge statistics and recorded neither an
    image nor a settings digest, version 12 carried the worker
-   supervisor's restart count and the fault-injection counters, and
+   supervisor's restart count and the fault-injection counters,
    version 13 stored each queued state's bucket priority and its replay
-   pins. *)
+   pins, and version 14 logged every memory access in each state's
+   trace. *)
 let older_versions current = List.init (current - 1) (fun i -> i + 1)
 
 let test_previous_version_refused () =
@@ -519,6 +530,8 @@ let test_previous_version_refused () =
     (List.mem 12 (older_versions Session.checkpoint_version));
   check_bool "version 13 is an older checkpoint layout" true
     (List.mem 13 (older_versions Session.checkpoint_version));
+  check_bool "version 14 is an older checkpoint layout" true
+    (List.mem 14 (older_versions Session.checkpoint_version));
   List.iter
     (fun v ->
       Out_channel.with_open_bin ckpt (fun oc ->

@@ -779,6 +779,73 @@ junk: .word 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF
     (Exec.covered_blocks eng = [ entry ]);
   check_int "coverage counts one block" 1 (Exec.block_coverage eng)
 
+(* Loads and stores at constant addresses in two data pages, a push and
+   a pop, then a device-register read that forks: each path counts the
+   four access opcodes alone, and keeps the two data pages but neither
+   the device page nor the page only the push wrote. *)
+let test_memory_access_accounting () =
+  let img =
+    Ddt_dvm.Asm.assemble ~name:"mem" {|
+.func driver_entry
+driver_entry:
+    lea   r4, first
+    lea   r5, second
+    movi  r1, 0x1234
+    stw   [r4+0], r1
+    ldw   r2, [r4+0]
+    stb   [r5+8], r1
+    ldb   r3, [r5+8]
+    push  r2
+    mov   r6, sp
+    pop   r2
+    movi  r7, 0xD0000000
+    ldw   r8, [r7+0]
+    jz    r8, zero
+    movi  r0, 1
+    ret
+zero:
+    movi  r0, 2
+    ret
+.data
+first:  .space 4096
+second: .space 16
+|}
+  in
+  let eng, loaded, ks = engine_of_image img in
+  let finished =
+    run_to_completion eng (Exec.new_root_state eng ks) ~name:"mem"
+      ~addr:(loaded.Image.base + img.Image.entry) ~args:[]
+  in
+  check_int "the device read forked" 2 (List.length finished);
+  let reg st r =
+    match Symstate.reg_get st r with
+    | Expr.Const (_, v) -> v
+    | _ -> Alcotest.fail "register not concrete"
+  in
+  let page a = a land lnot 0xFFF in
+  List.iter
+    (fun st ->
+      let pages = st.Symstate.touched_pages in
+      check_int "ldw, stw, ldb, stb and the device ldw" 5
+        st.Symstate.mem_accesses;
+      check_bool "both data pages" true
+        (Symstate.Pages.elements pages
+         = List.sort_uniq compare [ page (reg st 4); page (reg st 5) ]);
+      check_bool "two pages" true (Symstate.Pages.cardinal pages = 2);
+      check_bool "no device page" false
+        (Symstate.Pages.mem (page Layout.mmio_base) pages);
+      check_bool "no push-only stack page" false
+        (Symstate.Pages.mem (page (reg st 6)) pages);
+      let st' =
+        Symstate.of_image ~base:(Mem.create ()) ~symdev:None
+          (Symstate.to_image st)
+      in
+      check_int "count survives an image round trip" 5
+        st'.Symstate.mem_accesses;
+      check_bool "pages survive an image round trip" true
+        (Symstate.Pages.equal pages st'.Symstate.touched_pages))
+    finished
+
 (* --- the state fault boundary ---------------------------------------------- *)
 
 (* A three-way dispatch on a symbolic argument: three paths, each
@@ -1138,7 +1205,9 @@ let () =
            test_interrupt_injection_forks;
          Alcotest.test_case "coverage" `Quick test_coverage_accounting;
          Alcotest.test_case "wild indirect targets" `Quick
-           test_wild_indirect_targets ]);
+           test_wild_indirect_targets;
+         Alcotest.test_case "memory access accounting" `Quick
+           test_memory_access_accounting ]);
       ("faults",
        [ Alcotest.test_case "new-block hook fault, one job" `Quick
            (test_new_block_fault ~jobs:1);

@@ -12,18 +12,16 @@ let check_str = Alcotest.(check string)
 let test_event_summary () =
   let v = Ddt_solver.Expr.fresh_var Ddt_solver.Expr.W8 in
   let events =
-    [ Event.E_mem
-        { pc = 1; write = false; addr = Ddt_solver.Expr.word 0x10; width = 1;
-          value = Ddt_solver.Expr.byte 0 };
-      Event.E_branch
+    [ Event.E_branch
         { pc = 2; taken = true; forked = true; cond = Ddt_solver.Expr.tru };
       Event.E_sym_create { name = "hw"; origin = "device read"; var = v };
       Event.E_interrupt { site = "s"; phase = "isr" } ]
   in
-  let s = Event.summarize events in
-  check_bool "mentions memory accesses" true
-    (String.length s > 0
-     && String.sub s 0 1 = "1" (* "1 memory accesses, ..." *));
+  let s = Event.summarize ~mem_accesses:7 events in
+  check_str "first line"
+    "7 memory accesses, 1 branches (1 forked), 1 symbolic values, 0 kernel \
+     calls, 1 interrupts"
+    (List.hd (String.split_on_char '\n' s));
   check_bool "mentions forked" true
     (let needle = "(1 forked)" in
      let rec go i =
