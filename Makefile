@@ -11,24 +11,16 @@ test:
 # Tier-1 verification plus these checks of the built CLI, in order:
 # - no runtime compile: the driver corpus ships as DXE binaries built by
 #   lib/drivers/gen, so `nm` must find no ddt_minicc symbol in the CLI;
-# - kill-resume: once the first checkpoint exists, a real SIGKILL
-#   mid-exploration (the child must die with status 137, not finish),
-#   then `ddt_cli resume` must reproduce the uninterrupted oracle's
-#   report byte for byte;
-# - resume mismatch: resuming that checkpoint with `--fixed` (another
-#   image under the same driver name) must be refused with exit 1 and
-#   exactly one stderr line;
-# - usage errors: five removed `test` flags and an out-of-range `-j`
+# - usage errors: seven removed `test` flags and an out-of-range `-j`
 #   (0 and 129; OCaml caps a process at 128 domains) must be rejected
-#   with cmdliner's usage exit code 124;
+#   with cmdliner's usage exit code 124, and so must the removed
+#   `resume` command;
 # - replay input: a missing, a garbage, an empty (entry-less) and an
 #   endless (/dev/zero, refused past the 1 MiB read bound) replay script
 #   must each be refused with exit 1;
 # - unwritable outputs: a `--json-out` that cannot be written fails the
 #   run with exit 1; an `evidence --out` under a missing directory or
-#   naming a regular file fails with exit 1 and one stderr line; a
-#   `--checkpoint` that cannot be written warns once on stderr and the
-#   run still completes with its usual exit code;
+#   naming a regular file fails with exit 1 and one stderr line;
 # - traces: `test --traces` on each buggy corpus driver finishes within
 #   20 s with exit 2 and prints one `memory accesses` summary line per
 #   reported bug;
@@ -43,30 +35,14 @@ check: build test
 	nm $$cli > $$dir/syms; n=$$(grep -c camlDdt_minicc $$dir/syms || true); \
 	[ $$n -eq 0 ] || { echo "ddt_cli links ddt_minicc ($$n symbols)"; exit 1; }; \
 	echo "no-compile check: ddt_cli has no ddt_minicc symbol"; \
-	$$cli test pro100 --json-out $$dir/oracle.json >/dev/null || [ $$? -eq 2 ]; \
-	$$cli test pro100 --checkpoint-every 1000 \
-	  --checkpoint $$dir/p.ckpt >/dev/null 2>&1 & pid=$$!; \
-	n=0; while [ ! -f $$dir/p.ckpt ] && [ $$n -lt 500 ]; do \
-	  sleep 0.01; n=$$((n + 1)); done; \
-	kill -9 $$pid 2>/dev/null || true; rc=0; wait $$pid || rc=$$?; \
-	[ $$rc -eq 137 ] || { echo "kill-resume: child exit $$rc, want 137"; exit 1; }; \
-	test -f $$dir/p.ckpt; \
-	$$cli resume $$dir/p.ckpt --json-out $$dir/resumed.json >/dev/null \
-	  || [ $$? -eq 2 ]; \
-	cmp $$dir/oracle.json $$dir/resumed.json; \
-	echo "kill-resume smoke: resumed report byte-identical"; \
-	rc=0; $$cli resume $$dir/p.ckpt --fixed >/dev/null 2>$$dir/resume.err \
-	  || rc=$$?; \
-	[ $$rc -eq 1 ] || { echo "resume --fixed: exit $$rc, want 1"; exit 1; }; \
-	[ $$(wc -l < $$dir/resume.err) -eq 1 ] \
-	  || { echo "resume --fixed: want one stderr line"; exit 1; }; \
-	echo "resume-mismatch smoke: a fixed-image resume exits 1"; \
 	for flag in "--store-dir x" --no-persist --no-dbt --guided --chaos \
-	    "-j 0" "-j 129"; do \
+	    "--checkpoint-every 1" "--checkpoint x" "-j 0" "-j 129"; do \
 	  rc=0; $$cli test rtl8029 $$flag >/dev/null 2>&1 || rc=$$?; \
 	  [ $$rc -eq 124 ] || { echo "$$flag: exit $$rc, want 124"; exit 1; }; \
 	done; \
-	echo "usage-error smoke: removed flags and out-of-range -j exit 124"; \
+	rc=0; $$cli resume x >/dev/null 2>&1 || rc=$$?; \
+	[ $$rc -eq 124 ] || { echo "resume x: exit $$rc, want 124"; exit 1; }; \
+	echo "usage-error smoke: removed flags, out-of-range -j and resume exit 124"; \
 	printf 'not a replay script\n' > $$dir/garbage.replay; \
 	: > $$dir/empty.replay; \
 	for script in $$dir/missing.replay $$dir/garbage.replay \
@@ -86,12 +62,7 @@ check: build test
 	  [ $$(wc -l < $$dir/ev.err) -eq 1 ] \
 	    || { echo "evidence --out $$out: want one stderr line"; exit 1; }; \
 	done; \
-	rc=0; $$cli test rtl8029 --fixed --checkpoint-every 200 \
-	  --checkpoint $$dir/no/c.ckpt >/dev/null 2>$$dir/ckpt.err || rc=$$?; \
-	[ $$rc -eq 0 ] || { echo "checkpoint: exit $$rc, want 0"; exit 1; }; \
-	[ $$(grep -c "checkpoint: cannot write $$dir/no/c.ckpt" $$dir/ckpt.err) \
-	  -eq 1 ] || { echo "checkpoint: want one stderr warning"; exit 1; }; \
-	echo "unwritable-output smoke: json-out and evidence exit 1, checkpoint warns once"; \
+	echo "unwritable-output smoke: json-out and evidence exit 1"; \
 	for d in pro1000 pro100 ac97 audiopci pcnet rtl8029 deeploop; do \
 	  rc=0; timeout 20 $$cli test $$d --traces > $$dir/traces.out || rc=$$?; \
 	  [ $$rc -eq 2 ] || { echo "$$d --traces: exit $$rc, want 2"; exit 1; }; \

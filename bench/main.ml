@@ -287,7 +287,7 @@ let ablation () =
 
 let memory () =
   section "E5: state memory stays bounded (paper: prototype capped at 4 GB)";
-  Printf.printf "%-22s %8s %8s %10s %10s %12s\n" "Driver" "states" "dropped"
+  Printf.printf "%-22s %8s %10s %10s %12s\n" "Driver" "states"
     "cow depth" "live words" "major words";
   List.iter
     (fun e ->
@@ -295,9 +295,8 @@ let memory () =
       let r = run_ddt e in
       let s = r.Session.r_stats in
       let after = (Gc.stat ()).Gc.live_words in
-      Printf.printf "%-22s %8d %8d %10d %10d %12d\n" e.Corpus.name
-        s.Exec.st_states_created s.Exec.st_states_dropped
-        s.Exec.st_max_cow_depth s.Exec.st_live_words
+      Printf.printf "%-22s %8d %10d %10d %12d\n" e.Corpus.name
+        s.Exec.st_states_created s.Exec.st_max_cow_depth s.Exec.st_live_words
         (max 0 (after - before)))
     Corpus.all
 

@@ -4,7 +4,6 @@
      list                      show the bundled driver corpus
      test <driver>             run DDT on a corpus driver (buggy variant)
      test --fixed <driver>     ... on the repaired variant
-     resume <ckpt>             resume an interrupted test session
      static <driver>           run the static-analysis baseline
      analyze <driver>          run the DXE static pre-analysis (ICFG)
      stress <driver>           run the concrete stress baseline
@@ -87,38 +86,12 @@ let no_merge_flag =
   in
   Arg.(value & flag & info [ "no-merge" ] ~doc)
 
-let checkpoint_every_arg =
-  let doc =
-    "Write a session checkpoint every $(docv) engine steps (0 disables). \
-     Only effective with a single worker, fully symbolic hardware and no \
-     replay script; a SIGKILL'd run restarted with $(b,resume) produces \
-     the same report as an uninterrupted one."
-  in
-  Arg.(value & opt int 0 & info [ "checkpoint-every" ] ~docv:"STEPS" ~doc)
-
-let checkpoint_path_arg =
-  let doc = "Checkpoint file path (default $(i,<driver>.ckpt))." in
-  Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"PATH" ~doc)
-
 let json_out_arg =
   let doc =
-    "Also write the machine-readable session report (JSON, schema v7) to \
+    "Also write the machine-readable session report (JSON, schema v8) to \
      $(docv), atomically (tmp + rename)."
   in
   Arg.(value & opt (some string) None & info [ "json-out" ] ~docv:"PATH" ~doc)
-
-(* Flag application shared by `test' and `resume': for a resumed run to
-   converge with the uninterrupted one, both must build their config the
-   same way from the same flags. *)
-let apply_session_flags cfg ~jobs ~no_merge
-    ~checkpoint_every ~checkpoint_path =
-  { cfg with
-    Ddt_core.Config.exec_config =
-      { cfg.Ddt_core.Config.exec_config with
-        Ddt_symexec.Exec.jobs;
-        state_merging = not no_merge };
-    checkpoint_every;
-    checkpoint_path }
 
 let report_result ~traces ~json_out r =
   Format.printf "%a" Ddt_core.Ddt.pp_report r;
@@ -148,8 +121,7 @@ let report_result ~traces ~json_out r =
   else 2
 
 let test_cmd =
-  let run short fixed no_annot traces jobs no_merge
-      checkpoint_every checkpoint_path json_out =
+  let run short fixed no_annot traces jobs no_merge json_out =
     match find_entry short with
     | Error e -> prerr_endline e; 1
     | Ok entry ->
@@ -157,8 +129,11 @@ let test_cmd =
           Corpus.config ~fixed ~use_annotations:(not no_annot) entry
         in
         let cfg =
-          apply_session_flags cfg ~jobs ~no_merge
-            ~checkpoint_every ~checkpoint_path
+          { cfg with
+            Ddt_core.Config.exec_config =
+              { cfg.Ddt_core.Config.exec_config with
+                Ddt_symexec.Exec.jobs;
+                state_merging = not no_merge } }
         in
         report_result ~traces ~json_out (Ddt_core.Ddt.test_driver cfg)
   in
@@ -166,58 +141,7 @@ let test_cmd =
     (Cmd.info "test" ~doc:"Test a driver binary with DDT")
     Term.(
       const run $ driver_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ no_merge_flag
-      $ checkpoint_every_arg $ checkpoint_path_arg $ json_out_arg)
-
-let resume_cmd =
-  let ckpt_arg =
-    let doc =
-      "Checkpoint file written by $(b,test --checkpoint-every). The \
-       resumed session must be given the same flags (e.g. $(b,--fixed), \
-       $(b,--no-annotations), $(b,--no-merge)) as the run \
-       that wrote it; a checkpoint from another image or with other \
-       settings is refused with exit 1. $(b,-j) and the checkpoint \
-       cadence may differ."
-    in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"CKPT" ~doc)
-  in
-  let run ckpt fixed no_annot traces jobs no_merge
-      checkpoint_every checkpoint_path json_out =
-    match Ddt_core.Session.checkpoint_driver ckpt with
-    | Error e -> Printf.eprintf "cannot read checkpoint: %s\n" e; 1
-    | Ok name -> (
-        match
-          List.find_opt (fun e -> e.Corpus.name = name) Corpus.all
-        with
-        | None ->
-            Printf.eprintf "checkpoint driver %S is not in the corpus\n"
-              name;
-            1
-        | Some entry ->
-            let cfg =
-              Corpus.config ~fixed ~use_annotations:(not no_annot) entry
-            in
-            let cfg =
-              apply_session_flags cfg ~jobs ~no_merge
-                ~checkpoint_every
-                (* keep checkpointing into the file being resumed unless
-                   told otherwise *)
-                ~checkpoint_path:
-                  (Some (Option.value checkpoint_path ~default:ckpt))
-            in
-            (match Ddt_core.Session.resume cfg ~path:ckpt with
-             | Error e -> Printf.eprintf "resume: %s\n" e; 1
-             | Ok r -> report_result ~traces ~json_out r))
-  in
-  Cmd.v
-    (Cmd.info "resume"
-       ~doc:
-         "Resume an interrupted (e.g. SIGKILL'd) test session from its \
-          checkpoint and run it to completion")
-    Term.(
-      const run $ ckpt_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ no_merge_flag
-      $ checkpoint_every_arg $ checkpoint_path_arg $ json_out_arg)
+      $ jobs_arg $ no_merge_flag $ json_out_arg)
 
 let static_cmd =
   let run short fixed =
@@ -484,9 +408,9 @@ let replay_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"SCRIPT" ~doc:"Replay script file (.replay).")
   in
-  (* An unreadable, oversized or malformed script is a one-line error,
-     like a bad checkpoint for `resume'. The read stops one byte past the
-     bound, so an endless input such as /dev/zero is refused too. *)
+  (* An unreadable, oversized or malformed script is a one-line error.
+     The read stops one byte past the bound, so an endless input such as
+     /dev/zero is refused too. *)
   let read_bounded path =
     In_channel.with_open_bin path (fun ic ->
         let buf = Bytes.create (max_script_bytes + 1) in
@@ -538,6 +462,5 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group (Cmd.info "ddt_cli" ~doc)
-          [ list_cmd; test_cmd; resume_cmd;
-            static_cmd; analyze_cmd; stress_cmd; disasm_cmd; info_cmd;
-            evidence_cmd; replay_cmd ]))
+          [ list_cmd; test_cmd; static_cmd; analyze_cmd; stress_cmd;
+            disasm_cmd; info_cmd; evidence_cmd; replay_cmd ]))

@@ -139,32 +139,6 @@ let confirm_statics sink f =
     List.map (fun sf -> { sf with sf_confirm = f sf }) sink.statics;
   Mutex.unlock sink.mu
 
-(* Checkpointing: the sink minus its lock. The dedup tables are derived
-   (rebuilt from the lists' keys), so a dump is just the two lists in
-   their live newest-first order. *)
-type sink_dump = {
-  sk_found : bug list;
-  sk_statics : static_finding list;
-}
-
-let dump_sink sink =
-  Mutex.lock sink.mu;
-  let d = { sk_found = sink.found; sk_statics = sink.statics } in
-  Mutex.unlock sink.mu;
-  d
-
-let restore_sink sink d =
-  Mutex.lock sink.mu;
-  sink.found <- d.sk_found;
-  Hashtbl.reset sink.seen;
-  List.iter (fun b -> Hashtbl.replace sink.seen b.b_key ()) d.sk_found;
-  sink.statics <- d.sk_statics;
-  Hashtbl.reset sink.statics_seen;
-  List.iter
-    (fun f -> Hashtbl.replace sink.statics_seen (static_key f) ())
-    d.sk_statics;
-  Mutex.unlock sink.mu
-
 let clear sink =
   Mutex.lock sink.mu;
   sink.found <- [];

@@ -101,20 +101,6 @@ val confirm_statics : sink -> (static_finding -> confirmation) -> unit
 
 val clear : sink -> unit
 
-(** {1 Checkpointing}
-
-    The sink as marshal-safe data: the bug and static-finding lists in
-    live (newest-first) order. Dedup tables are derived and rebuilt by
-    {!restore_sink}. *)
-
-type sink_dump = {
-  sk_found : bug list;
-  sk_statics : static_finding list;
-}
-
-val dump_sink : sink -> sink_dump
-val restore_sink : sink -> sink_dump -> unit
-
 val pp_bug : Format.formatter -> bug -> unit
 val pp_static_finding : Format.formatter -> static_finding -> unit
 val pp_incident : Format.formatter -> incident -> unit

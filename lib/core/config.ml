@@ -27,11 +27,6 @@ type t = {
   concrete_device : int option;
   replay : Ddt_trace.Replay.script option;
   collect_crashdumps : bool;
-  checkpoint_every : int;
-  (* checkpoint the session every N engine steps (0 = never); only
-     effective with [jobs = 1] and fully symbolic hardware *)
-  checkpoint_path : string option;
-  (* where the checkpoint blob goes; default "<driver>.ckpt" *)
 }
 
 let default_network_workload =
@@ -49,8 +44,7 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     ?annotations ?(exec_config = Ddt_symexec.Exec.default_config)
     ?(max_total_steps = 3_000_000) ?(plateau_steps = 250_000)
     ?concrete_device ?replay
-    ?(collect_crashdumps = false) ?(checkpoint_every = 0)
-    ?checkpoint_path () =
+    ?(collect_crashdumps = false) () =
   let workload =
     match workload with
     | Some w -> w
@@ -71,5 +65,5 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     driver_name; image; driver_class; descriptor; registry; workload;
     use_annotations; annotations; exec_config; max_total_steps;
     plateau_steps; concrete_device; replay;
-    collect_crashdumps; checkpoint_every; checkpoint_path;
+    collect_crashdumps;
   }

@@ -39,13 +39,6 @@ type t = {
   (** re-execute a recorded failing path deterministically (§3.5) *)
   collect_crashdumps : bool;
   (** snapshot every crashed state as a WinDbg-style crash dump *)
-  checkpoint_every : int;
-  (** checkpoint the whole session every N engine steps (0, the
-      default, never checkpoints). Mid-run checkpoints need a quiescent
-      frontier, so the knob is only effective with [jobs = 1] and fully
-      symbolic hardware; it is ignored otherwise. *)
-  checkpoint_path : string option;
-  (** checkpoint blob location; default ["<driver_name>.ckpt"] *)
 }
 
 val default_network_workload : workload_item list
@@ -66,6 +59,4 @@ val make :
   ?concrete_device:int ->
   ?replay:Ddt_trace.Replay.script ->
   ?collect_crashdumps:bool ->
-  ?checkpoint_every:int ->
-  ?checkpoint_path:string ->
   unit -> t

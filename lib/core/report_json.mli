@@ -54,7 +54,6 @@ type summary = {
   j_invocations : int;
   j_finished_states : int;
   j_paths_to_first_bug : int option;
-  j_states_dropped : int;      (** states shed at the hard max_states cap *)
   j_incidents : incident_row list;
   j_total_steps : int;         (** instructions executed *)
   j_merged_states : int;       (** states fused at post-dominators (schema 4) *)

@@ -42,46 +42,9 @@ type result = {
   (** quarantined engine incidents ([Ddt_symexec.Guard]): state
       faults and solver verdicts left Unknown — each with a replayable
       script, kept apart from [r_bugs] *)
-  r_checkpoint_failures : int;
-  (** checkpoint writes that failed (see Durability below); the
-      first failure is also reported on stderr *)
 }
 
 val run : Config.t -> result
-
-(** {1 Durability}
-
-    With [Config.checkpoint_every > 0] (and a single worker, fully
-    symbolic hardware, no replay script) the session writes a
-    checkpoint blob — engine image, phase bases, report sink, query
-    cache, session counters — every N engine steps, at quiescent
-    scheduler boundaries, via atomic tmp+rename ({!Ddt_solver.Blob}).
-    A SIGKILL'd run restarted with {!resume} finishes the interrupted
-    phase and the remaining workload, producing the same report the
-    uninterrupted run would have: with one worker, byte-identical
-    report JSON. Checkpoint writes are best-effort — a full disk
-    costs durability, never the run: the first failed write prints one
-    stderr line naming the path and the error, and later failures are
-    only counted ([r_checkpoint_failures]). *)
-
-val checkpoint_version : int
-(** Layout version of checkpoint blobs; {!resume} refuses any other. *)
-
-val checkpoint_driver : string -> (string, string) Stdlib.result
-(** Peek a checkpoint file's driver name (to rebuild the matching
-    config) without restoring it. Corrupt, truncated or version-skewed
-    files are [Error _]. *)
-
-val resume : Config.t -> path:string -> (result, string) Stdlib.result
-(** [resume cfg ~path] rebuilds the session over [cfg] (which must name
-    the same driver the checkpoint was taken from), restores the
-    checkpointed progress, and runs to completion. [Error _] if the
-    checkpoint cannot be read, belongs to another driver, was taken from
-    a different image (a [--fixed] variant keeps its driver's name) or
-    with different exploration settings (annotations, merging,
-    workload, budgets, registry, device descriptor), or records a phase
-    past [cfg]'s workload; the job count and checkpoint cadence may
-    differ. A resumed session keeps checkpointing to the same path. *)
 
 val coverage_percent : result -> float
 (** Final dynamic coverage against the linear-sweep block count. *)

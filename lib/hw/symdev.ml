@@ -9,9 +9,6 @@ type t = {
   hi : int;
   (* the lowest BAR start and the highest BAR end (exclusive): an address
      outside [lo, hi) is RAM without a scan. Empty when there is no BAR. *)
-  reads : (string * Expr.var) list Atomic.t;
-  (* shared by every state of a session — parallel frontier workers cons
-     concurrently, hence the atomic (plain mutation would lose reads) *)
 }
 
 let create dev =
@@ -29,7 +26,7 @@ let create dev =
   in
   let lo = Array.fold_left (fun m (bar, _) -> min m bar) max_int bars in
   let hi = Array.fold_left (fun m (bar, size) -> max m (bar + size)) 0 bars in
-  { dev; bars; lo; hi; reads = Atomic.make [] }
+  { dev; bars; lo; hi }
 
 let device t = t.dev
 
@@ -64,20 +61,7 @@ let fresh_read t addr =
     | Some (i, off) -> Printf.sprintf "hw_bar%d+0x%x" i off
     | None -> Printf.sprintf "hw_0x%x" addr
   in
-  let v = Expr.fresh_var ~name Expr.W8 in
-  let rec cons () =
-    let old = Atomic.get t.reads in
-    if not (Atomic.compare_and_set t.reads old ((name, v) :: old)) then cons ()
-  in
-  cons ();
-  Expr.var v
-
-let reads_made t = Atomic.get t.reads
-
-(* Checkpoint restore: the reads ledger is session-global state that a
-   resumed run must carry over, or replay scripts for pre-checkpoint
-   findings would name variables the device never minted. *)
-let restore_reads t l = Atomic.set t.reads l
+  Expr.var (Expr.fresh_var ~name Expr.W8)
 
 type concrete_mode = Random of int
 

@@ -31,13 +31,6 @@ val fresh_read : t -> int -> Ddt_solver.Expr.t
 (** A fresh symbolic byte for a device-register read; names encode the
     register offset so traces show provenance ("hw_bar0+0x04"). *)
 
-val reads_made : t -> (string * Ddt_solver.Expr.var) list
-(** Every symbolic variable created by device reads, newest first. *)
-
-val restore_reads : t -> (string * Ddt_solver.Expr.var) list -> unit
-(** Checkpoint restore: replace the reads ledger with a saved one
-    (as returned by {!reads_made}). *)
-
 (** {1 Concrete stand-ins} *)
 
 type concrete_mode = Random of int  (** seed *)

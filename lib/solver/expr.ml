@@ -41,15 +41,6 @@ let var_counter = Atomic.make 0
 let fresh_var ?(name = "v") w =
   { id = Atomic.fetch_and_add var_counter 1 + 1; name; var_width = w }
 
-let reset_var_counter () = Atomic.set var_counter 0
-
-(* Checkpoint/restore of the allocator position: a resumed run must mint
-   fresh variables from exactly where the killed run stopped, or restored
-   states' inputs would collide with newly created ones. The position is
-   the id of the last variable minted. *)
-let var_counter_value () = Atomic.get var_counter
-let set_var_counter n = Atomic.set var_counter (max 0 n)
-
 (* Canonical variables for cache normalization: ids live in a small dense
    namespace separate from [fresh_var]'s counter, names are erased (the
    name participates in structural equality, so two renamings agree only

@@ -37,17 +37,6 @@ val width_of : t -> width
 
 val fresh_var : ?name:string -> width -> var
 
-val reset_var_counter : unit -> unit
-(** For test isolation only. *)
-
-val var_counter_value : unit -> int
-(** Current allocator position, captured into checkpoints. *)
-
-val set_var_counter : int -> unit
-(** Restore the allocator position from a checkpoint so resumed states'
-    variables never collide with freshly minted ones. The position is the
-    id of the last variable minted. *)
-
 val canon_var : int -> width -> var
 (** A canonical variable for cache normalization up to renaming: the name
     is erased and the id is the caller's dense index (first-occurrence

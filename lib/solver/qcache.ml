@@ -43,9 +43,8 @@ type entry = {
   mutable e_last_use : int;
 }
 
-(* The cache state proper, kept apart from its lock so a checkpoint can
-   marshal it: entries, the model-reuse list, the LRU clock and the
-   eviction count. *)
+(* The cache state proper: entries, the model-reuse list, the LRU clock
+   and the eviction count. *)
 type state = {
   table : entry KH.t;
   mutable models : (int * int array) list;
@@ -59,7 +58,7 @@ type state = {
 (* One cache serves every worker domain, behind one mutex: at about two
    thousand lookups a session the lock is never contended, and a single
    table lets every lookup see every entry and every recent model. *)
-type t = { mu : Mutex.t; mutable st : state }
+type t = { mu : Mutex.t; st : state }
 
 let capacity = 4096
 let model_reuse = 12
@@ -387,17 +386,3 @@ module Sharded = struct
 
   let export_entries = export_entries
 end
-
-(* --- checkpoint dump/import ---------------------------------------------- *)
-
-(* The whole cache state as plain data, for session checkpoints: a
-   resumed run must replay the exact lookup outcomes (including model-
-   reuse order and LRU ticks) the killed run would have seen, or its
-   concretizations — and therefore its exploration — could diverge.
-   The dump aliases the live tables, so it must be serialized (or
-   dropped) before any further solver activity; checkpoints are taken
-   at quiescent points, where that holds. *)
-type dump = state
-
-let dump t = locked t Fun.id
-let import t d = Mutex.protect t.mu (fun () -> t.st <- d)

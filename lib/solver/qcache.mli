@@ -95,17 +95,3 @@ module Sharded : sig
 
   val export_entries : sharded -> pentry list
 end
-
-(** {1 Checkpointing} *)
-
-type dump
-(** The complete cache state as marshal-safe data — entries, the
-    model-reuse list in order, the LRU clock and the eviction count — so a resumed run replays the killed run's lookup outcomes
-    exactly. The dump aliases live tables: serialize it before any
-    further solver activity. *)
-
-val dump : t -> dump
-
-val import : t -> dump -> unit
-(** Replace the cache's state with a dump; the cache takes the dump
-    over. *)

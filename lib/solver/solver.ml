@@ -15,9 +15,8 @@ let cache = Atomic.make (Qcache.create ())
 
 let clear_cache () = Atomic.set cache (Qcache.create ())
 
-(* The live shared cache instance, for the durability layer: checkpoint
-   dump/import go straight to it. [clear_cache] invalidates the handle —
-   re-fetch it. *)
+(* The live shared cache instance, for perfbench's layer trace.
+   [clear_cache] invalidates the handle — re-fetch it. *)
 let current_cache () = Atomic.get cache
 
 (* --- the solve budget ------------------------------------------------------
@@ -265,9 +264,7 @@ let solve_group group =
    to the nearest memoized tail and adds the constraints above it one
    {!Indep.add} each, memoizing every tail on the way up: the lists a
    path grows between two queries (a concretize pin, a merge's [or]
-   head) are the tails of its later queries and of its descendants'.
-   States restored from a checkpoint miss once and rebuild from the
-   empty partition. *)
+   head) are the tails of its later queries and of its descendants'. *)
 let part_slots = 1024
 
 let part_cache : (Expr.t list * prepared Indep.t) option array Domain.DLS.key =

@@ -96,9 +96,9 @@ val clear_cache : unit -> unit
     against the old one). *)
 
 val current_cache : unit -> Qcache.t
-(** The live shared cache instance, for the durability layer: checkpoint
-    dump/import address it directly. {!clear_cache} swaps in a fresh
-    instance, so re-fetch the handle after it. *)
+(** The live shared cache instance; its one caller is perfbench's layer
+    trace. {!clear_cache} swaps in a fresh instance, so re-fetch the
+    handle after it. *)
 
 (** {1 Solve budget}
 

@@ -14,9 +14,6 @@ module Event = Ddt_trace.Event
 module Replay = Ddt_trace.Replay
 module St = Symstate
 
-(* Cap on simultaneously queued states. *)
-let max_states = 512
-
 (* Instructions per scheduling slice. *)
 let quantum = 2_000
 
@@ -105,13 +102,6 @@ type engine = {
      nothing, so no token ever opens; the session installs the
      post-dominator map ({!Ddt_staticx.Pdom}) when [cfg.state_merging]. *)
   guard_st : Guard.t;
-  mutable checkpoint_hook : (unit -> unit) option;
-  (* called by worker 0 at pick boundaries (only when [jobs = 1], the
-     one configuration where a pick boundary is a quiescent point); the
-     session's checkpointer decides its own cadence inside the hook *)
-  mutable run_start_steps : int;
-  (* [run]'s budget baseline ([total_steps] at entry); persisted in
-     checkpoints so a resumed run charges the same budget window *)
   solver_base : Solver.stats;
   (* snapshot at creation; [stats] reports the delta, i.e. the solver
      work attributable to this engine. The counters are process-global,
@@ -186,7 +176,7 @@ let create ?(config = default_config) img base_mem symdev =
     if id < 0 then 0 else Atomic.get counts.(id)
   in
   let frontier =
-    Frontier.create ~workers:(max 1 config.jobs) ~max_states ~key ~priority
+    Frontier.create ~workers:(max 1 config.jobs) ~key ~priority
   in
   (* The stress baseline maps a seeded concrete device into base memory;
      otherwise every device read mints a symbolic value. *)
@@ -227,8 +217,6 @@ let create ?(config = default_config) img base_mem symdev =
     pool = Merge.create ();
     merge_points = (fun _ -> None);
     guard_st = Guard.create ();
-    checkpoint_hook = None;
-    run_start_steps = 0;
     solver_base = Solver.stats ();
   }
 
@@ -246,8 +234,6 @@ let set_kcall_hooks eng ~enter = eng.kcall_enter <- enter
 
 let set_replay eng script = eng.replay <- Some script
 let set_merge_points eng f = eng.merge_points <- f
-let set_checkpoint_hook eng f = eng.checkpoint_hook <- Some f
-let run_start eng = eng.run_start_steps
 let incidents eng = Guard.incidents eng.guard_st
 
 (* --- state management -------------------------------------------------- *)
@@ -374,16 +360,11 @@ and handle_merge_outcome eng mo =
       retire eng s (St.Discarded "fused into merged sibling") ~report:false)
     mo.Merge.mo_absorbed;
   List.iter
-    (fun s ->
-      Frontier.requeue eng.frontier ~worker:(Domain.DLS.get worker_key) s)
+    (fun s -> Frontier.push eng.frontier ~worker:(Domain.DLS.get worker_key) s)
     mo.Merge.mo_requeue
 
 let add_state eng st =
-  (* Cap rejections are counted by the frontier; a rejected state
-     carrying open merge tokens must still release them, or its siblings
-     would park forever waiting for a carrier that never runs. *)
-  if not (Frontier.push eng.frontier ~worker:(Domain.DLS.get worker_key) st)
-  then handle_merge_outcome eng (Merge.note_dead eng.pool st)
+  Frontier.push eng.frontier ~worker:(Domain.DLS.get worker_key) st
 
 (* --- expression helpers ------------------------------------------------ *)
 
@@ -1002,7 +983,7 @@ let step_quantum eng st =
      if St.terminated st then ()
      else if st.St.steps >= eng.cfg.max_steps_per_state then
        retire eng st St.Exhausted ~report:true
-     else Frontier.requeue eng.frontier ~worker:wid st
+     else Frontier.push eng.frontier ~worker:wid st
    with
    | Parked ->
        (* The state now belongs to the merge pool: neither requeued nor
@@ -1071,13 +1052,7 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps wid =
         Atomic.get eng.total_steps - Atomic.get eng.last_new_block_step
         >= plateau_steps
       then ignore (Atomic.compare_and_set stop None (Some Stop_plateau))
-      else begin
-        (* Pick boundary: with one worker nothing is inflight here, so
-           this is a quiescent point — the only mid-run moment a
-           checkpoint can capture every live path. *)
-        (match eng.checkpoint_hook with
-         | Some f when wid = 0 && eng.cfg.jobs <= 1 -> f ()
-         | _ -> ());
+      else
         match Frontier.pick eng.frontier ~worker:wid with
         | Some st ->
             let picks = Atomic.fetch_and_add eng.picks 1 + 1 in
@@ -1090,7 +1065,6 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps wid =
               Unix.sleepf 2e-4;
               loop ()
             end
-      end
   in
   Domain.DLS.set worker_key wid;
   try loop ()
@@ -1100,7 +1074,7 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps wid =
 (* Drain the frontier to empty through merge folds: retiring a token
    carrier can fold its token and requeue the fold's survivors, so a
    single [drain_all] pass is not enough. Once the frontier is truly
-   empty, any state still parked lost every sibling to caps or crashes
+   empty, any state still parked lost every sibling to crashes
    without a fold firing — hand those to [f] as well. *)
 let drain_retire eng f =
   let rec go () =
@@ -1117,22 +1091,9 @@ let drain_retire eng f =
   in
   go ()
 
-let run eng ?(max_total_steps = 20_000_000) ?(plateau_steps = 150_000)
-    ?start_steps () =
-  let start =
-    match start_steps with
-    | Some s ->
-        (* Resuming a checkpointed run: the budget baseline is the
-           *original* run's entry point, and [last_new_block_step] was
-           restored from the checkpoint — clobbering it would restart
-           the plateau clock and diverge from the uninterrupted run. *)
-        s
-    | None ->
-        let s = Atomic.get eng.total_steps in
-        Atomic.set eng.last_new_block_step s;
-        s
-  in
-  eng.run_start_steps <- start;
+let run eng ?(max_total_steps = 20_000_000) ?(plateau_steps = 150_000) () =
+  let start = Atomic.get eng.total_steps in
+  Atomic.set eng.last_new_block_step start;
   let stop : stop_reason option Atomic.t = Atomic.make None in
   let jobs = max 1 eng.cfg.jobs in
   let worker wid =
@@ -1224,7 +1185,6 @@ let drain_finished eng =
 type stats = {
   st_total_steps : int;
   st_states_created : int;
-  st_states_dropped : int;
   st_blocks_covered : int;
   st_max_cow_depth : int;
   st_live_words : int;
@@ -1258,7 +1218,6 @@ let stats eng =
   {
     st_total_steps = Atomic.get eng.total_steps;
     st_states_created = Atomic.get eng.states_created;
-    st_states_dropped = Frontier.dropped eng.frontier;
     st_blocks_covered = block_coverage eng;
     st_max_cow_depth = Atomic.get eng.max_cow_depth;
     st_live_words = max !live (Atomic.get eng.peak_live_words);
@@ -1271,123 +1230,3 @@ let stats eng =
     st_merge_forks_avoided = (let _, _, f, _ = Merge.stats eng.pool in f);
     st_merge_refusals = (let _, _, _, r = Merge.stats eng.pool in r);
   }
-
-(* --- checkpointing -------------------------------------------------------
-
-   The engine's whole mutable universe as marshal-safe data. Only valid
-   at quiescent points (no inflight states): the [jobs = 1] pick
-   boundary where [set_checkpoint_hook] fires, or between workload
-   phases. The immutable scaffolding — config, loaded image, base
-   memory, hooks, the static maps the session installs — is *not* in
-   the image; a resume rebuilds it by re-running session setup and then
-   pouring the image into the fresh engine.
-
-   Every [St.image] in one engine image must be marshalled in a single
-   blob: sibling states share constraint-list tails and copy-on-write
-   ancestors physically, the merge pool matches suffixes by [==], and
-   Marshal only preserves sharing within one call. *)
-
-type image = {
-  ei_queue : (St.image * int) list * int;
-  (* the one worker's scheduler entries (state, seq) and the seq
-     counter, exactly as [Sched.dump_entries] reports them;
-     a checkpoint is only taken with a single worker, which never
-     steals *)
-  ei_dropped : int;
-  ei_pool : St.image Merge.dump;
-  ei_guard : Guard.dump;
-  ei_done : St.image list;                  (* newest first *)
-  ei_lineage : (int * int * string * int) list;
-  ei_injected_sites : int list;
-  ei_block_counts : (int * int) list;
-  ei_covered : int array;
-  ei_next_id : int;
-  ei_total_steps : int;
-  ei_states_created : int;
-  ei_max_cow_depth : int;
-  ei_peak_live_words : int;
-  ei_picks : int;
-  ei_last_new_block_step : int;
-  ei_run_start : int;
-  ei_symdev_reads : (string * Expr.var) list;
-}
-
-let checkpoint_image eng =
-  let queue =
-    let entries, seq = Frontier.dump_queue eng.frontier in
-    (List.map (fun (st, s) -> (St.to_image st, s)) entries, seq)
-  in
-  let block_counts = ref [] in
-  for i = Array.length eng.block_addrs - 1 downto 0 do
-    let c = Atomic.get eng.counts.(i) in
-    if c > 0 then block_counts := (eng.block_addrs.(i), c) :: !block_counts
-  done;
-  Mutex.lock eng.glock;
-  let injected =
-    Hashtbl.fold (fun k () acc -> k :: acc) eng.injected_sites_global []
-  in
-  let done_states = eng.done_states in
-  let lineage = eng.lineage in
-  Mutex.unlock eng.glock;
-  {
-    ei_queue = queue;
-    ei_dropped = Frontier.dropped eng.frontier;
-    ei_pool = Merge.dump eng.pool ~f:St.to_image;
-    ei_guard = Guard.dump eng.guard_st;
-    ei_done = List.map St.to_image done_states;
-    ei_lineage = lineage;
-    ei_injected_sites = List.sort compare injected;
-    ei_block_counts = !block_counts;
-    ei_covered = Array.map Atomic.get eng.covered;
-    ei_next_id = Atomic.get eng.next_id;
-    ei_total_steps = Atomic.get eng.total_steps;
-    ei_states_created = Atomic.get eng.states_created;
-    ei_max_cow_depth = Atomic.get eng.max_cow_depth;
-    ei_peak_live_words = Atomic.get eng.peak_live_words;
-    ei_picks = Atomic.get eng.picks;
-    ei_last_new_block_step = Atomic.get eng.last_new_block_step;
-    ei_run_start = eng.run_start_steps;
-    ei_symdev_reads = Ddt_hw.Symdev.reads_made eng.symdev;
-  }
-
-let revive_image eng imst =
-  let st = St.of_image ~base:eng.base_mem ~symdev:eng.mem_symdev imst in
-  install_sym_hook eng st;
-  st
-
-let restore_image eng im =
-  let revive = revive_image eng in
-  let entries, seq = im.ei_queue in
-  Frontier.restore_queue eng.frontier
-    (List.map (fun (imst, s) -> (revive imst, s)) entries)
-    ~seq;
-  Frontier.restore_counters eng.frontier ~dropped:im.ei_dropped;
-  Merge.restore eng.pool ~f:revive im.ei_pool;
-  Guard.restore eng.guard_st im.ei_guard;
-  Mutex.lock eng.glock;
-  eng.done_states <- List.map revive im.ei_done;
-  eng.lineage <- im.ei_lineage;
-  Hashtbl.reset eng.injected_sites_global;
-  List.iter
-    (fun k -> Hashtbl.replace eng.injected_sites_global k ())
-    im.ei_injected_sites;
-  Mutex.unlock eng.glock;
-  Array.iter (fun c -> Atomic.set c 0) eng.counts;
-  List.iter
-    (fun (pc, c) ->
-      let id = block_id eng.img eng.leader_ids pc in
-      if id >= 0 then Atomic.set eng.counts.(id) c)
-    im.ei_block_counts;
-  let n = min (Array.length eng.covered) (Array.length im.ei_covered) in
-  for i = 0 to n - 1 do
-    Atomic.set eng.covered.(i) im.ei_covered.(i)
-  done;
-  Atomic.set eng.next_id im.ei_next_id;
-  Atomic.set eng.total_steps im.ei_total_steps;
-  Atomic.set eng.states_created im.ei_states_created;
-  Atomic.set eng.max_cow_depth im.ei_max_cow_depth;
-  Atomic.set eng.peak_live_words im.ei_peak_live_words;
-  Atomic.set eng.picks im.ei_picks;
-  Atomic.set eng.last_new_block_step im.ei_last_new_block_step;
-  eng.run_start_steps <- im.ei_run_start;
-  Ddt_hw.Symdev.restore_reads eng.symdev im.ei_symdev_reads

@@ -18,14 +18,10 @@
     [Stack_overflow], [Out_of_memory], hook and checker exceptions — and
     a solver verdict left Unknown during a state's quantum is recorded
     as an incident too ({!incidents}). An exception outside every
-    state's boundary (scheduler, checkpoint hook) is an engine bug: it
-    stops every worker and {!run} re-raises it. *)
+    state's boundary (the scheduler) is an engine bug: it stops every
+    worker and {!run} re-raises it. *)
 
 module Expr = Ddt_solver.Expr
-
-val max_states : int
-(** Cap on simultaneously queued states (512); forks past it are
-    dropped and counted in [st_states_dropped]. *)
 
 type config = {
   max_steps_per_state : int;   (** per-invocation instruction budget *)
@@ -141,8 +137,7 @@ val start_interrupt_fire : engine -> Symstate.t -> unit
     boundary-crossing injection of symbolic interrupts. *)
 
 val run :
-  engine -> ?max_total_steps:int -> ?plateau_steps:int -> ?start_steps:int ->
-  unit -> unit
+  engine -> ?max_total_steps:int -> ?plateau_steps:int -> unit -> unit
 (** Explore until the worklist empties, the step budget is exhausted
     (leftover states are marked [Exhausted]), or no new basic block has
     been covered for [plateau_steps] instructions — the paper's stopping
@@ -150,12 +145,7 @@ val run :
     silently.
 
     An exception that escapes a worker loop outside every state's fault
-    boundary stops all workers; [run] joins them and re-raises it.
-
-    [start_steps] resumes a checkpointed run: it overrides the budget
-    baseline (normally [total_steps] at entry) with the original run's,
-    and keeps the restored plateau clock instead of resetting it — so
-    the resumed run stops exactly where the uninterrupted one would. *)
+    boundary stops all workers; [run] joins them and re-raises it. *)
 
 val execution_tree : engine -> Ddt_trace.Tree.t
 (** The tree of every explored path (§3.5): nodes are states, children are
@@ -187,7 +177,6 @@ val concretize : Symstate.t -> Expr.t -> string -> int
 type stats = {
   st_total_steps : int;
   st_states_created : int;
-  st_states_dropped : int;     (** children not queued due to max_states *)
   st_blocks_covered : int;
   st_max_cow_depth : int;
   st_live_words : int;
@@ -222,41 +211,3 @@ val block_coverage : engine -> int
 (** Number of distinct basic blocks executed so far. *)
 
 val covered_blocks : engine -> int list
-
-(** {1 Checkpointing}
-
-    The engine's whole mutable universe — the frontier queue with exact
-    scheduler keys, merge pool, guard ledger, finished states, lineage, coverage, counters, the device's reads
-    ledger — as one marshal-safe value. Only meaningful at quiescent
-    points: the [jobs = 1] pick boundary where the checkpoint hook
-    fires, or between workload phases. Config, loaded image, base
-    memory and hooks are {e not} captured; a resume re-runs session
-    setup on a fresh engine and then pours the image in. The image must
-    be marshalled in a single blob so the physical sharing that sibling
-    states and merge-token bases rely on survives. *)
-
-type image
-
-val checkpoint_image : engine -> image
-(** Non-destructive. Block-execution counts are recorded as a sorted
-    (leader pc, count) list of the blocks that ran. *)
-
-val revive_image : engine -> Symstate.image -> Symstate.t
-(** Rebuild one session-owned state (e.g. a workload-phase base) over
-    this engine's base memory and device, with the engine's sym-read
-    hook installed. *)
-
-val restore_image : engine -> image -> unit
-(** Pour a checkpoint into a freshly created engine for the same image
-    and configuration. States get live memories over the engine's base
-    image and device, and fresh sym-read hooks. *)
-
-val set_checkpoint_hook : engine -> (unit -> unit) -> unit
-(** Install a callback invoked by worker 0 at every pick boundary while
-    [config.jobs = 1] (the only mid-run quiescent points). The callback
-    owns its cadence. Never fired with [jobs > 1] — multicore runs
-    checkpoint between phases only. *)
-
-val run_start : engine -> int
-(** The running (or last) [run]'s budget baseline — [total_steps] at
-    its entry — for checkpoints ({!run}'s [start_steps]). *)

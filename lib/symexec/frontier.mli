@@ -16,7 +16,6 @@ type t
 
 val create :
   workers:int ->
-  max_states:int ->
   key:(Symstate.t -> int) ->
   priority:(int -> int) ->
   t
@@ -28,17 +27,9 @@ val size : t -> int
 val steals : t -> int
 (** Successful cross-worker steals since creation. *)
 
-val dropped : t -> int
-(** States rejected by the [max_states] cap. *)
-
-val push : t -> worker:int -> Symstate.t -> bool
-(** Add a freshly forked state to [worker]'s queue; [false] if the
-    [max_states] cap rejected it (caller retires the state). *)
-
-val requeue : t -> worker:int -> Symstate.t -> unit
-(** Re-add a quantum-expired state (queued like a fresh push). The
-    [max_states] cap does not apply: the state is already admitted and
-    dropping it would silently lose a live path. *)
+val push : t -> worker:int -> Symstate.t -> unit
+(** Add a state — freshly forked or quantum-expired — to [worker]'s
+    queue. *)
 
 val pick : t -> worker:int -> Symstate.t option
 (** Pop from the own queue or steal; [Some] means the caller now holds an
@@ -59,19 +50,3 @@ val iter : t -> (Symstate.t -> unit) -> unit
 val drain_all : t -> Symstate.t list
 (** Remove every queued state (worker-index order). Only sound once all
     workers have stopped. *)
-
-(** {1 Checkpointing}
-
-    Dumps are only meaningful at quiescent points — an inflight state
-    would be missing from the checkpoint. *)
-
-val dump_queue : t -> (Symstate.t * int) list * int
-(** The one queue's {!Sched.dump_entries}. Non-destructive. A checkpoint
-    is only taken with a single worker; raises [Invalid_argument] on a
-    frontier of several. *)
-
-val restore_queue : t -> (Symstate.t * int) list -> seq:int -> unit
-(** Refill worker 0's (empty) queue and account the states in [size]. *)
-
-val restore_counters : t -> dropped:int -> unit
-(** Restore the drop count of a fresh frontier. *)

@@ -76,30 +76,6 @@ let incident_count t =
   Mutex.unlock t.mu;
   n
 
-(* Checkpointing ------------------------------------------------------- *)
-
-(* Everything in the guard is data except the mutex, so a dump is a
-   plain record. The incidents list keeps its recording order (newest
-   first) so a resumed run's [incidents] sort sees the same multiset. *)
-type dump = {
-  gd_incidents : incident list;
-  gd_solver_flagged : int list;
-}
-
-let dump t =
-  Mutex.lock t.mu;
-  let incidents = t.incidents in
-  let flagged = Hashtbl.fold (fun id () acc -> id :: acc) t.solver_flagged [] in
-  Mutex.unlock t.mu;
-  { gd_incidents = incidents; gd_solver_flagged = List.sort compare flagged }
-
-let restore t d =
-  Mutex.lock t.mu;
-  t.incidents <- d.gd_incidents;
-  Hashtbl.reset t.solver_flagged;
-  List.iter (fun id -> Hashtbl.replace t.solver_flagged id ()) d.gd_solver_flagged;
-  Mutex.unlock t.mu
-
 let describe exn =
   match exn with
   | Ddt_dvm.Interp.Fault (f, pc) ->

@@ -51,19 +51,3 @@ val incidents : t -> incident list
 val incident_count : t -> int
 
 val describe : exn -> string
-
-(** {1 Checkpointing}
-
-    Everything in the guard is marshal-safe data once the mutex is
-    projected away; a dump carries the incident list (recording order)
-    and the per-state solver-exhaustion flags. *)
-
-type dump = {
-  gd_incidents : incident list;
-  gd_solver_flagged : int list;
-}
-
-val dump : t -> dump
-
-val restore : t -> dump -> unit
-(** Replace a fresh guard's contents with the dump's. *)

@@ -315,9 +315,8 @@ let drain_parked t =
   Mutex.lock t.lock;
   let parked =
     Hashtbl.fold (fun _ tok acc -> tok.tk_parked @ acc) t.tokens []
-    (* sorted: hash-order here would leak into the final retirement
-       order, which must not depend on table internals (a resumed run
-       rebuilds the table and would iterate differently) *)
+    (* sorted: hash order here would leak into the final retirement
+       order, which a report must not take from table internals *)
     |> List.sort (fun a b -> compare a.St.id b.St.id)
   in
   List.iter (fun st -> st.St.tags <- []) parked;
@@ -330,92 +329,3 @@ let stats t =
   let r = (t.n_merged, t.n_ites, t.n_forks_avoided, t.n_refused) in
   Mutex.unlock t.lock;
   r
-
-(* --- checkpoint dump/restore ---------------------------------------------- *)
-(* The pool minus its mutex, with parked states projected through ['a]
-   (the caller passes [St.to_image]/[St.of_image]) so the dump can
-   travel in the same Marshal blob as the frontier states — which is
-   also what preserves the physical [tk_base]-is-a-suffix-of-the-
-   carriers'-constraints identity that [suffix_to] depends on. *)
-
-type 'a token_dump = {
-  td_id : int;
-  td_merge_pc : int;
-  td_base : Expr.t list;
-  td_kcalls : int;
-  td_outstanding : int;
-  td_parked : 'a list;
-}
-
-type 'a dump = {
-  md_tokens : 'a token_dump list;         (* sorted by td_id *)
-  md_weights : (int * int) list;
-  md_next_token : int;
-  md_ever_opened : bool;
-  md_merged : int;
-  md_ites : int;
-  md_forks_avoided : int;
-  md_refused : int;
-}
-
-let dump t ~f =
-  Mutex.lock t.lock;
-  let tokens =
-    Hashtbl.fold
-      (fun _ tok acc ->
-        {
-          td_id = tok.tk_id;
-          td_merge_pc = tok.tk_merge_pc;
-          td_base = tok.tk_base;
-          td_kcalls = tok.tk_kcalls;
-          td_outstanding = tok.tk_outstanding;
-          td_parked = List.map f tok.tk_parked;
-        }
-        :: acc)
-      t.tokens []
-    |> List.sort (fun a b -> compare a.td_id b.td_id)
-  in
-  let weights =
-    Hashtbl.fold (fun id w acc -> (id, w) :: acc) t.weights []
-    |> List.sort compare
-  in
-  let d =
-    {
-      md_tokens = tokens;
-      md_weights = weights;
-      md_next_token = t.next_token;
-      md_ever_opened = t.ever_opened;
-      md_merged = t.n_merged;
-      md_ites = t.n_ites;
-      md_forks_avoided = t.n_forks_avoided;
-      md_refused = t.n_refused;
-    }
-  in
-  Mutex.unlock t.lock;
-  d
-
-let restore t ~f d =
-  Mutex.lock t.lock;
-  Hashtbl.reset t.tokens;
-  Hashtbl.reset t.weights;
-  List.iter
-    (fun td ->
-      Hashtbl.replace t.tokens td.td_id
-        {
-          tk_id = td.td_id;
-          tk_merge_pc = td.td_merge_pc;
-          tk_base = td.td_base;
-          tk_kcalls = td.td_kcalls;
-          tk_outstanding = td.td_outstanding;
-          tk_parked = List.map f td.td_parked;
-        })
-    d.md_tokens;
-  List.iter (fun (id, w) -> Hashtbl.replace t.weights id w) d.md_weights;
-  t.next_token <- d.md_next_token;
-  t.ever_opened <- d.md_ever_opened;
-  t.n_merged <- d.md_merged;
-  t.n_ites <- d.md_ites;
-  t.n_forks_avoided <- d.md_forks_avoided;
-  t.n_refused <- d.md_refused;
-  Mutex.unlock t.lock
-

@@ -70,37 +70,3 @@ val drain_parked : t -> Symstate.t list
 
 val stats : t -> int * int * int * int
 (** (states merged, ites introduced, forks avoided, merges refused). *)
-
-(** {1 Checkpointing}
-
-    The pool as marshal-safe data. Parked states are projected through
-    ['a] — pass [Symstate.to_image]/[Symstate.of_image] — and token
-    base lists are carried verbatim, so a dump marshalled in the same
-    blob as the frontier's state images preserves the physical
-    base-is-a-suffix-of-the-carrier's-constraints identity that suffix
-    extraction matches on. *)
-
-type 'a token_dump = {
-  td_id : int;
-  td_merge_pc : int;
-  td_base : Ddt_solver.Expr.t list;
-  td_kcalls : int;
-  td_outstanding : int;
-  td_parked : 'a list;
-}
-
-type 'a dump = {
-  md_tokens : 'a token_dump list;  (** sorted by [td_id] *)
-  md_weights : (int * int) list;
-  md_next_token : int;
-  md_ever_opened : bool;
-  md_merged : int;
-  md_ites : int;
-  md_forks_avoided : int;
-  md_refused : int;
-}
-
-val dump : t -> f:(Symstate.t -> 'a) -> 'a dump
-
-val restore : t -> f:('a -> Symstate.t) -> 'a dump -> unit
-(** Replace a fresh pool's contents with the dump's. *)

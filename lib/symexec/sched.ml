@@ -75,8 +75,10 @@ let create ~key ~priority =
 
 let length q = q.count
 
-(* Append to the key's bucket; only a key's first state opens one. *)
-let enqueue q st seq =
+(* Append to the key's bucket; only a key's first state opens one. A new
+   sequence number is the largest yet, so appending keeps the bucket in
+   order. *)
+let push q st =
   let k = q.key st in
   let d =
     match IH.find_opt q.buckets k with
@@ -86,14 +88,9 @@ let enqueue q st seq =
         IH.replace q.buckets k d;
         d
   in
-  dq_push_back d (seq, st);
+  q.seq <- q.seq + 1;
+  dq_push_back d (q.seq, st);
   q.count <- q.count + 1
-
-(* A new sequence number is the largest yet, so appending keeps the
-   bucket in order. *)
-let push q st =
-  enqueue q st (q.seq + 1);
-  q.seq <- q.seq + 1
 
 (* Remove a state from the bucket whose (live priority, head sequence)
    is least ([sign = 1]) or greatest ([sign = -1]): its head for a pop,
@@ -140,26 +137,3 @@ let drain q =
     match pop q with None -> List.rev acc | Some st -> go (st :: acc)
   in
   go []
-
-(* --- checkpoint dump/restore --------------------------------------------- *)
-(* Pop order must survive a checkpoint exactly: that needs the recorded
-   sequence numbers and the sequence counter, since a re-push with fresh
-   numbers would tie-break future equal-priority picks differently than
-   the uninterrupted run. Priorities are read live, so none is stored. *)
-
-let dump_entries q =
-  let entries = ref [] in
-  IH.iter
-    (fun _ d ->
-      for j = 0 to d.len - 1 do
-        let seq, st = dq_get d j in
-        entries := (st, seq) :: !entries
-      done)
-    q.buckets;
-  (List.sort (fun (_, a) (_, b) -> compare a b) !entries, q.seq)
-
-(* Only meaningful on a freshly created (empty) queue. The dump is in
-   push order, so every bucket is refilled in order. *)
-let restore_entries q entries ~seq =
-  List.iter (fun (st, s) -> enqueue q st s) entries;
-  q.seq <- max q.seq seq

@@ -49,14 +49,3 @@ val iter : queue -> (Symstate.t -> unit) -> unit
 val drain : queue -> Symstate.t list
 (** Remove and return everything, in pop order (used to retire leftovers
     on budget or plateau stops). *)
-
-val dump_entries : queue -> (Symstate.t * int) list * int
-(** Checkpoint support: every queued state with its push sequence
-    number, in push order, plus the queue's sequence counter.
-    Non-destructive. Restoring these exactly (rather than re-pushing with
-    fresh numbers) is what keeps future equal-priority tie-breaks
-    identical to the uninterrupted run. *)
-
-val restore_entries : queue -> (Symstate.t * int) list -> seq:int -> unit
-(** Refill a freshly created (empty) queue from {!dump_entries} output:
-    entries keep their sequence numbers and [seq] restores the counter. *)

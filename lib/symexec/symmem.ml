@@ -40,9 +40,7 @@ type t = {
 }
 
 (* The "never written on this path" slot. Constants are masked to their
-   width, so no expression the engine stores is a negative [Const]. The
-   test is structural: [Marshal] copies the marker, and a copy is not
-   physically equal to the original. *)
+   width, so no expression the engine stores is a negative [Const]. *)
 let unwritten = Expr.Const (Expr.W8, -1)
 let is_unwritten = function Expr.Const (_, v) -> v < 0 | _ -> false
 
@@ -264,29 +262,3 @@ let cow_diff a b =
 
 let chain_depth t = t.node.depth
 let live_words t = t.node.frozen_words + t.node.written
-
-(* --- snapshot projection -------------------------------------------------- *)
-(* The marshal-safe part of a memory: the COW node chain and the page
-   map — pure data. The shared base image, the symbolic device and the
-   read hook are session infrastructure, reattached at restore; dropping
-   them here is also what keeps sibling snapshots small (they share every
-   node below their fork points and every page neither has written since,
-   and Marshal preserves that sharing when siblings travel in one blob,
-   including each page's [owner == node] identity and each node's
-   [owned] pages being the very pages of the map). *)
-
-type image = {
-  im_node : node;
-  im_pages : page IntMap.t;
-}
-
-let to_image t = { im_node = t.node; im_pages = t.pages }
-
-let of_image ~base ~symdev im =
-  {
-    node = im.im_node;
-    pages = im.im_pages;
-    base;
-    symdev;
-    sym_read_hook = (fun _ _ -> ());
-  }

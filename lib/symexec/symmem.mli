@@ -69,23 +69,3 @@ val live_words : t -> int
     accounting, E5): each node's distinct written addresses (its marked
     slots), summed. A byte written again by the same node counts once.
     O(1). *)
-
-(** {1 Snapshots} *)
-
-type image
-(** The marshal-safe projection of a memory: its copy-on-write node
-    chain and page map, without the shared base image, device or read
-    hook (session infrastructure, reattached at restore). Sibling
-    images marshalled in one blob keep sharing their common ancestor
-    nodes and unwritten pages, each page keeps its owner and marks, and
-    each node's copied pages stay the pages of the map. *)
-
-val to_image : t -> image
-(** Non-destructive; the image aliases the live node chain and the live
-    pages. The memory keeps writing its own pages in place, so the image
-    is a stable copy only once it has been marshalled. *)
-
-val of_image :
-  base:Ddt_dvm.Mem.t -> symdev:Ddt_hw.Symdev.t option -> image -> t
-(** Rebuild a memory over the session's base image and device. The
-    sym-read hook is reset to a no-op; the engine reinstalls its own. *)

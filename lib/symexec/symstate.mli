@@ -91,24 +91,6 @@ type t = {
 val create : id:int -> mem:Symmem.t -> ks:Ddt_kernel.Kstate.t -> t
 val fork : t -> id:int -> t
 
-(** {1 Snapshots} *)
-
-type image
-(** The marshal-safe projection of a state: every field as plain data,
-    with [mem] projected via {!Symmem.image}. The sibling-shared
-    list tails that the merge pool matches by physical identity are
-    carried as-is, so images marshalled together keep that sharing. *)
-
-val to_image : t -> image
-(** Non-destructive; the image aliases the live state's data. *)
-
-val of_image :
-  base:Ddt_dvm.Mem.t ->
-  symdev:Ddt_hw.Symdev.t option ->
-  image ->
-  t
-(** Rebuild a state over the session's base image and device, with a
-    no-op sym-read hook (the engine reinstalls its own). *)
 val record : t -> Ddt_trace.Event.t -> unit
 (** Prepend an event to [trace], counting it in [forks] if it is a
     forked branch. *)

@@ -321,24 +321,29 @@ let check_nothing_after_init what r =
 let test_failed_init_ends_session () =
   check_nothing_after_init "run" (Ddt.test_driver (failing_init_cfg ()))
 
-(* The resume path picks bases with the same rule: a checkpoint taken
-   inside the initialize phase resumes into no further phase. *)
-let test_failed_init_ends_resumed_session () =
-  let path = Filename.temp_file "ddt_failinit" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let cfg =
-        { (failing_init_cfg ()) with
-          Config.checkpoint_every = 1; checkpoint_path = Some path }
-      in
-      ignore (Session.run cfg);
-      (match Session.resume cfg ~path with
-       | Error e -> Alcotest.failf "resume: %s" e
-       | Ok r -> check_nothing_after_init "resume" r);
-      check_bool "a phase past the workload is refused" true
-        (Result.is_error
-           (Session.resume { cfg with Config.workload = [] } ~path)))
+(* --- report JSON ------------------------------------------------------------- *)
+
+(* The report lands under a temporary name and is renamed into place:
+   no tmp file is left behind, and the file holds the whole document. *)
+let test_report_json_write_file () =
+  let dir = Filename.temp_dir "ddt_report" "" in
+  let path = Filename.concat dir "report.json" in
+  let cfg = Ddt_drivers.Corpus.config (Ddt_drivers.Corpus.find "audiopci") in
+  let r =
+    Session.run
+      { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
+  in
+  let summary = Report_json.of_result r in
+  (match Report_json.write_file path summary with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "write_file: %s" e);
+  check_int "no tmp litter" 1 (Array.length (Sys.readdir dir));
+  let doc = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "document round-trips"
+    (Report_json.to_string summary) doc;
+  check_bool "parses back" true (Report_json.of_string doc <> None);
+  Sys.remove path;
+  Sys.rmdir dir
 
 (* --- evidence artifacts ------------------------------------------------------ *)
 
@@ -518,9 +523,10 @@ let () =
          Alcotest.test_case "coverage accounting" `Quick
            test_coverage_counts_consistent;
          Alcotest.test_case "failed initialize ends the session" `Quick
-           test_failed_init_ends_session;
-         Alcotest.test_case "failed initialize ends a resumed session"
-           `Quick test_failed_init_ends_resumed_session ]);
+           test_failed_init_ends_session ]);
+      ("report-json",
+       [ Alcotest.test_case "atomic write_file" `Quick
+           test_report_json_write_file ]);
       ("resilience",
        [ Alcotest.test_case "forced Unknowns quarantined"
            `Quick test_forced_unknown ]);

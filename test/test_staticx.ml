@@ -510,7 +510,6 @@ let test_report_json_roundtrip () =
       j_invocations = 12;
       j_finished_states = 40;
       j_paths_to_first_bug = Some 3;
-      j_states_dropped = 2;
       j_incidents =
         [ { J.ji_kind = "state-fault"; ji_worker = 1; ji_state_id = 7;
             ji_entry = "send"; ji_pc = 0x1240;
@@ -537,9 +536,9 @@ let test_report_json_roundtrip () =
     (J.of_string
        (J.to_string { s with J.j_schema = J.schema_version + 1 })
      = None);
-  check_int "schema version" 7 J.schema_version;
-  check_bool "schema-6 document rejected" true
-    (J.of_string (J.to_string { s with J.j_schema = 6 }) = None);
+  check_int "schema version" 8 J.schema_version;
+  check_bool "schema-7 document rejected" true
+    (J.of_string (J.to_string { s with J.j_schema = 7 }) = None);
   check_bool "garbage rejected" true (J.of_string "{nope" = None)
 
 (* --- default-config sessions ------------------------------------------------ *)

@@ -187,7 +187,6 @@ type mem_op =
   | M_r32 of int * int
   | M_mmio_r of int * int
   | M_mmio_w of int * int
-  | M_snap of int
   | M_diff of int * int
 
 let pp_mem_op = function
@@ -200,7 +199,6 @@ let pp_mem_op = function
   | M_r32 (i, a) -> Printf.sprintf "r32 %d 0x%x" i a
   | M_mmio_r (i, o) -> Printf.sprintf "mmio_r %d +0x%x" i o
   | M_mmio_w (i, o) -> Printf.sprintf "mmio_w %d +0x%x" i o
-  | M_snap i -> Printf.sprintf "snap %d" i
   | M_diff (i, j) -> Printf.sprintf "diff %d %d" i j
 
 (* The pool's device: two BARs with a RAM gap between them, so words can
@@ -260,7 +258,6 @@ let prop_cow_pool_matches_model =
         (4, map2 (fun i a -> M_r32 (i, a)) mem_i word_addr);
         (1, map2 (fun i o -> M_mmio_r (i, o)) mem_i (int_bound 0xFFF));
         (1, map2 (fun i o -> M_mmio_w (i, o)) mem_i (int_bound 0xFFF));
-        (1, map (fun i -> M_snap i) mem_i);
         (2, map2 (fun i j -> M_diff (i, j)) mem_i mem_i) ]
   in
   QCheck.Test.make ~count:300 ~name:"cow memory pool matches per-node model"
@@ -276,7 +273,6 @@ let prop_cow_pool_matches_model =
           done)
         windows;
       let sd = Symdev.create (pool_device ()) in
-      let ks = Kstate.create ~device:(device ()) () in
       let is_dev a =
         List.exists (fun (b, size) -> a >= b && a < b + size) pool_bars
       in
@@ -343,12 +339,6 @@ let prop_cow_pool_matches_model =
             above cb;
             Some (List.sort compare (Hashtbl.fold (fun k () l -> k :: l) acc []))
       in
-      (* A marshalled chain is a copy: same logs, new node identities. *)
-      let rec copy_chain n =
-        let c = node (Option.map copy_chain n.nparent) in
-        Hashtbl.iter (fun k () -> Hashtbl.replace c.nwrites k ()) n.nwrites;
-        c
-      in
       List.iter
         (fun op ->
           (match op with
@@ -392,16 +382,6 @@ let prop_cow_pool_matches_model =
                  | Expr.Var _ -> true
                  | _ -> false)
           | M_mmio_w (i, o) -> write8 (get i) (Layout.mmio_base + o) (Expr.byte 0x5A)
-          | M_snap i -> (
-              let m = get i in
-              let st = Symstate.create ~id:1 ~mem:m.mem ~ks in
-              let blob = Ddt_solver.Blob.encode (Symstate.to_image st) in
-              match Ddt_solver.Blob.decode blob with
-              | Error e -> expect ("image restore: " ^ e) false
-              | Ok im ->
-                  let st' = Symstate.of_image ~base ~symdev:(Some sd) im in
-                  add { mem = st'.Symstate.mem; bytes = Hashtbl.copy m.bytes;
-                        leaf = copy_chain m.leaf })
           | M_diff (i, j) ->
               expect "cow_diff"
                 (Symmem.cow_diff (get i).mem (get j).mem = model_diff (get i) (get j)));
@@ -493,7 +473,7 @@ let prop_symdev_range_matches_scan =
 
 (* --- the executor on small driver programs -------------------------------- *)
 
-let engine_of_image ?config img =
+let engine_for ?config img =
   let base = Mem.create () in
   let loaded = Image.load img base ~base:Layout.image_base in
   let dev = device () in
@@ -503,7 +483,7 @@ let engine_of_image ?config img =
   (eng, loaded, ks)
 
 let build_engine ?config src =
-  engine_of_image ?config (Ddt_minicc.Codegen.compile ~name:"unit" src)
+  engine_for ?config (Ddt_minicc.Codegen.compile ~name:"unit" src)
 
 let run_to_completion eng st ~name ~addr ~args =
   Exec.start_invocation eng st ~name ~addr ~args;
@@ -744,7 +724,7 @@ driver_entry:
 junk: .word 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF
 |}
   in
-  let eng, loaded, ks = engine_of_image img in
+  let eng, loaded, ks = engine_for img in
   let targets =
     [ ("data", loaded.Image.data_start + 8);
       ("misaligned", loaded.Image.text_start + 4);
@@ -811,7 +791,7 @@ first:  .space 4096
 second: .space 16
 |}
   in
-  let eng, loaded, ks = engine_of_image img in
+  let eng, loaded, ks = engine_for img in
   let finished =
     run_to_completion eng (Exec.new_root_state eng ks) ~name:"mem"
       ~addr:(loaded.Image.base + img.Image.entry) ~args:[]
@@ -835,15 +815,7 @@ second: .space 16
       check_bool "no device page" false
         (Symstate.Pages.mem (page Layout.mmio_base) pages);
       check_bool "no push-only stack page" false
-        (Symstate.Pages.mem (page (reg st 6)) pages);
-      let st' =
-        Symstate.of_image ~base:(Mem.create ()) ~symdev:None
-          (Symstate.to_image st)
-      in
-      check_int "count survives an image round trip" 5
-        st'.Symstate.mem_accesses;
-      check_bool "pages survive an image round trip" true
-        (Symstate.Pages.equal pages st'.Symstate.touched_pages))
+        (Symstate.Pages.mem (page (reg st 6)) pages))
     finished
 
 (* --- the state fault boundary ---------------------------------------------- *)
@@ -917,20 +889,6 @@ let test_state_done_fault ~jobs () =
   check_bool "a hook fault is a checker exception" true
     (String.starts_with ~prefix:"checker exception:" fault.Guard.inc_message);
   check_int "every path returns" 3 (List.length returned)
-
-(* A fault outside every state's boundary is an engine bug: [run]
-   raises it instead of quarantining anything. *)
-let test_checkpoint_hook_fault_raises () =
-  let eng, loaded, ks = build_engine fault_src in
-  let st = Exec.new_root_state eng ks in
-  let x = Exec.fresh_symbolic eng st ~name:"x" ~origin:"test" Expr.W32 in
-  Exec.set_checkpoint_hook eng (fun () -> failwith "checkpoint hook");
-  Exec.start_invocation eng st ~name:"load"
-    ~addr:(loaded.Image.base + loaded.Image.image.Image.entry)
-    ~args:[ x ];
-  Alcotest.check_raises "run re-raises" (Failure "checkpoint hook") (fun () ->
-      Exec.run eng ());
-  check_int "nothing quarantined" 0 (List.length (Exec.incidents eng))
 
 (* --- min-touch scheduler ----------------------------------------------------- *)
 
@@ -1019,11 +977,10 @@ let test_sched_live_priority () =
 (* The bucket scan against a reference queue that recomputes every
    priority at each pick and takes the minimum by (priority, push
    sequence). A pool of states is spread over four blocks; steps push an
-   idle state, pop, steal, drain, dump and restore into a fresh queue, or
-   bump a block's count. A steal never takes the reference minimum while
-   two or more states are queued, count bumps or not. Steps are (operation,
-   argument): 0-2 push, 3-4 pop, 5 steal, 6 drain, 7 dump/restore, 8-9
-   bump. *)
+   idle state, pop, steal, drain, or bump a block's count. A steal never
+   takes the reference minimum while two or more states are queued, count
+   bumps or not. Steps are (operation, argument): 0-2 push, 3-4 pop,
+   5 steal, 6 drain, 7-9 bump. *)
 let prop_sched_matches_reference =
   QCheck.Test.make ~count:300
     ~name:"bucket scan matches recompute-every-pick reference"
@@ -1041,7 +998,7 @@ let prop_sched_matches_reference =
         (fun i s -> Hashtbl.replace blocks s.Symstate.id (100 + placement.(i)))
         pool;
       let count b = try Hashtbl.find counts b with Not_found -> 0 in
-      let q = ref (block_queue blocks counts) in
+      let q = block_queue blocks counts in
       (* reference: (sequence, state), plus the sequence counter *)
       let model = ref [] and seq = ref 0 in
       let fails = ref [] in
@@ -1064,19 +1021,19 @@ let prop_sched_matches_reference =
           (match op with
           | 0 | 1 | 2 ->
               if not (queued s) then begin
-                Sched.push !q s;
+                Sched.push q s;
                 incr seq;
                 model := (!seq, s) :: !model
               end
           | 3 | 4 ->
               let want = Option.map snd (ref_min ()) in
-              let got = Sched.pop !q in
+              let got = Sched.pop q in
               if id got <> id want then
                 fail "step %d: pop %d, reference %d" step (id got) (id want);
               Option.iter forget got
           | 5 -> (
               let min = Option.map snd (ref_min ()) in
-              match Sched.steal !q with
+              match Sched.steal q with
               | None -> if !model <> [] then fail "step %d: steal None" step
               | Some st ->
                   if not (queued st) then fail "step %d: stole unqueued" step;
@@ -1088,19 +1045,14 @@ let prop_sched_matches_reference =
                 List.sort (fun a b -> compare (live a) (live b)) !model
                 |> List.map (fun (_, s) -> s.Symstate.id)
               in
-              let got = List.map (fun s -> s.Symstate.id) (Sched.drain !q) in
+              let got = List.map (fun s -> s.Symstate.id) (Sched.drain q) in
               if got <> want then fail "step %d: drain order" step;
               model := []
-          | 7 ->
-              let entries, last = Sched.dump_entries !q in
-              let q' = block_queue blocks counts in
-              Sched.restore_entries q' entries ~seq:last;
-              q := q'
           | _ ->
               let b = 100 + (arg mod 4) in
               Hashtbl.replace counts b (count b + 1 + (arg mod 3)));
-          if Sched.length !q <> List.length !model then
-            fail "step %d: length %d, reference %d" step (Sched.length !q)
+          if Sched.length q <> List.length !model then
+            fail "step %d: length %d, reference %d" step (Sched.length q)
               (List.length !model))
         steps;
       match !fails with
@@ -1111,10 +1063,10 @@ let test_frontier_steal_and_quiesce () =
   let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
   let sts = mk_states eng ks 6 in
   let f =
-    Frontier.create ~workers:2 ~max_states:64 ~key:(fun _ -> 0)
+    Frontier.create ~workers:2 ~key:(fun _ -> 0)
       ~priority:(fun _ -> 0)
   in
-  List.iter (fun s -> ignore (Frontier.push f ~worker:0 s)) sts;
+  List.iter (fun s -> Frontier.push f ~worker:0 s) sts;
   check_int "size" 6 (Frontier.size f);
   check_bool "not quiescent with queued work" false (Frontier.quiescent f);
   (* Worker 1's own queue is empty, so its pick must steal from worker 0. *)
@@ -1136,10 +1088,10 @@ let test_frontier_steal_and_quiesce () =
   (* A queue nobody pops from (its worker died) is drained by stealing:
      every state queued on worker 1 reaches worker 0, each by a steal. *)
   let f =
-    Frontier.create ~workers:2 ~max_states:64 ~key:(fun _ -> 0)
+    Frontier.create ~workers:2 ~key:(fun _ -> 0)
       ~priority:(fun _ -> 0)
   in
-  List.iter (fun s -> ignore (Frontier.push f ~worker:1 s)) sts;
+  List.iter (fun s -> Frontier.push f ~worker:1 s) sts;
   let rec take acc =
     if Frontier.quiescent f then acc
     else
@@ -1155,28 +1107,21 @@ let test_frontier_steal_and_quiesce () =
      = List.sort compare (List.map (fun s -> s.Symstate.id) sts));
   check_int "one steal per state" (List.length sts) (Frontier.steals f)
 
-let test_frontier_cap_and_requeue () =
+(* No push is refused: every fork is queued, and a quantum-expired
+   state pushed back keeps its place in the count. *)
+let test_frontier_push_and_drain () =
   let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
-  let sts = mk_states eng ks 4 in
-  let f =
-    Frontier.create ~workers:1 ~max_states:2 ~key:(fun _ -> 0)
-      ~priority:(fun _ -> 0)
-  in
-  let admitted =
-    List.filter (fun s -> Frontier.push f ~worker:0 s) sts
-  in
-  check_int "cap admits max_states" 2 (List.length admitted);
-  check_int "cap drops the rest" 2 (Frontier.dropped f);
-  (* A quantum-expired state bypasses the cap: it was already admitted
-     once and dropping it would silently lose a live path. *)
+  let sts = mk_states eng ks 600 in
+  let f = Frontier.create ~workers:1 ~key:(fun _ -> 0) ~priority:(fun _ -> 0) in
+  List.iter (fun s -> Frontier.push f ~worker:0 s) sts;
+  check_int "every push is queued" 600 (Frontier.size f);
   (match Frontier.pick f ~worker:0 with
    | Some s ->
-       Frontier.requeue f ~worker:0 s;
+       Frontier.push f ~worker:0 s;
        Frontier.task_done f
    | None -> Alcotest.fail "pick");
-  check_int "requeue kept the state" 2 (Frontier.size f);
-  check_int "requeue did not drop" 2 (Frontier.dropped f);
-  check_int "drain_all returns everything" 2
+  check_int "a pushed-back state is queued again" 600 (Frontier.size f);
+  check_int "drain_all returns everything" 600
     (List.length (Frontier.drain_all f));
   check_int "drain_all empties" 0 (Frontier.size f)
 
@@ -1216,9 +1161,7 @@ let () =
          Alcotest.test_case "state-done hook fault, one job" `Quick
            (test_state_done_fault ~jobs:1);
          Alcotest.test_case "state-done hook fault, two jobs" `Quick
-           (test_state_done_fault ~jobs:2);
-         Alcotest.test_case "checkpoint hook fault ends the run" `Quick
-           test_checkpoint_hook_fault_raises ]);
+           (test_state_done_fault ~jobs:2) ]);
       ("scheduler",
        [ Alcotest.test_case "min-touch order" `Quick test_sched_min_touch;
          Alcotest.test_case "live priority scan" `Quick
@@ -1227,5 +1170,5 @@ let () =
       ("frontier",
        [ Alcotest.test_case "steal + quiescence" `Quick
            test_frontier_steal_and_quiesce;
-         Alcotest.test_case "cap + requeue" `Quick
-           test_frontier_cap_and_requeue ]) ]
+         Alcotest.test_case "push + drain_all" `Quick
+           test_frontier_push_and_drain ]) ]
