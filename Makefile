@@ -24,6 +24,9 @@ test:
 # - traces: `test --traces` on each buggy corpus driver finishes within
 #   20 s with exit 2 and prints one `memory accesses` summary line per
 #   reported bug;
+# - static warnings: `analyze` (the only way to get them; `test` runs
+#   no static finder) on pro100, ac97, audiopci and rtl8029 exits 0 and
+#   lists 1, 1, 3 and 1 findings;
 # - the static pre-analysis on two known-clean drivers (nonzero
 #   universe, zero findings under the syntactic rules; rtl8029's buggy
 #   variant legitimately fires the interprocedural race rule, so its
@@ -71,6 +74,15 @@ check: build test
 	    || { echo "$$d --traces: want $$bugs memory-access lines"; exit 1; }; \
 	done; \
 	echo "traces smoke: every buggy driver's --traces run exits 2, one summary per bug"; \
+	for df in pro100:1 ac97:1 audiopci:3 rtl8029:1; do \
+	  d=$${df%%:*}; want=$${df#*:}; \
+	  rc=0; $$cli analyze $$d > $$dir/analyze.out || rc=$$?; \
+	  [ $$rc -eq 0 ] || { echo "analyze $$d: exit $$rc, want 0"; exit 1; }; \
+	  n=$$(sed -n 's/^\([0-9]*\) static finding(s):$$/\1/p' $$dir/analyze.out); \
+	  [ "$$n" = "$$want" ] \
+	    || { echo "analyze $$d: $$n findings, want $$want"; exit 1; }; \
+	done; \
+	echo "analyze smoke: pro100, ac97, audiopci and rtl8029 list 1, 1, 3 and 1 findings"; \
 	rm -rf $$dir
 	dune exec bin/ddt_cli.exe -- analyze rtl8029 --expect-clean \
 	  --rules unreachable-code,stack-imbalance,const-arg-contract > /dev/null

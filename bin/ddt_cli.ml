@@ -5,10 +5,14 @@
      test <driver>             run DDT on a corpus driver (buggy variant)
      test --fixed <driver>     ... on the repaired variant
      static <driver>           run the static-analysis baseline
-     analyze <driver>          run the DXE static pre-analysis (ICFG)
+     analyze <driver>          run the DXE static pre-analysis (ICFG and
+                               static warnings)
      stress <driver>           run the concrete stress baseline
      disasm <driver>           print the driver binary's disassembly
-     info <driver>             Table 1 style image statistics *)
+     info <driver>             Table 1 style image statistics
+     evidence <driver>         run DDT and save each bug's replay script
+                               (and crash dumps) to a directory
+     replay <driver> <script>  re-execute a recorded failing path *)
 
 open Cmdliner
 module Corpus = Ddt_drivers.Corpus
@@ -88,7 +92,7 @@ let no_merge_flag =
 
 let json_out_arg =
   let doc =
-    "Also write the machine-readable session report (JSON, schema v8) to \
+    "Also write the machine-readable session report (JSON, schema v9) to \
      $(docv), atomically (tmp + rename)."
   in
   Arg.(value & opt (some string) None & info [ "json-out" ] ~docv:"PATH" ~doc)
@@ -169,8 +173,8 @@ let analyze_cmd =
   in
   let json_flag =
     let doc =
-      "Emit the findings as a machine-readable JSON document (same static \
-       row schema as the full session report) instead of the listing."
+      "Emit the findings as a machine-readable JSON document (schema 6) \
+       instead of the listing."
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
@@ -236,15 +240,7 @@ let analyze_cmd =
           if json then
             print_string
               (Ddt_core.Report_json.statics_to_string
-                 ~driver:entry.Corpus.name
-                 (List.map
-                    (fun f ->
-                      { Report.sf_rule = f.Ddt_staticx.Sfind.f_rule;
-                        sf_func = f.Ddt_staticx.Sfind.f_func;
-                        sf_pos = f.Ddt_staticx.Sfind.f_pos;
-                        sf_message = f.Ddt_staticx.Sfind.f_msg;
-                        sf_confirm = Report.Not_applicable })
-                    findings))
+                 ~driver:entry.Corpus.name findings)
           else begin
             Format.printf "%a" Ddt_staticx.Icfg.pp icfg;
             if findings = [] then Format.printf "no static findings@."

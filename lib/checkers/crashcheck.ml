@@ -13,10 +13,6 @@ let kind_of (st : St.t) (c : St.crash) =
     Kstate.in_isr st.St.ks || Kstate.in_dpc st.St.ks || st.St.pending <> []
   in
   if interrupt_context && st.St.injections > 0 then Report.Race_condition
-  else if
-    c.St.c_code = "DRIVER_FAULT"
-    && (String.length c.St.c_msg >= 4 && String.sub c.St.c_msg 0 4 = "null")
-  then Report.Segfault
   else if c.St.c_code = "DRIVER_FAULT" then Report.Segfault
   else Report.Kernel_crash
 
@@ -27,18 +23,7 @@ let on_state_done t (st : St.t) =
         Printf.sprintf "crash:%s:%s:0x%x" t.driver c.St.c_code c.St.c_pc
       in
       Report.report t.sink ~key (fun () ->
-          {
-            Report.b_kind = kind_of st c;
-            b_driver = t.driver;
-            b_entry = st.St.entry_name;
-            b_pc = c.St.c_pc;
-            b_message = Printf.sprintf "%s: %s" c.St.c_code c.St.c_msg;
-            b_key = key;
-            b_state_id = st.St.id;
-            b_events = st.St.trace;
-            b_mem_accesses = st.St.mem_accesses;
-            b_choices = st.St.choices;
-            b_with_interrupt = st.St.injections > 0;
-            b_replay = Ddt_symexec.Exec.replay_script st;
-          })
+          Report.of_state st ~kind:(kind_of st c) ~driver:t.driver ~key
+            ~pc:c.St.c_pc
+            (Printf.sprintf "%s: %s" c.St.c_code c.St.c_msg))
   | _ -> ()

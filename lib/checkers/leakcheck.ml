@@ -22,28 +22,16 @@ let describe allocs =
 let report_leak t (st : St.t) allocs ~context =
   let key = Printf.sprintf "leak:%s:%s" t.driver st.St.entry_name in
   Report.report t.sink ~key (fun () ->
-      {
-        Report.b_kind = Report.Resource_leak;
-        b_driver = t.driver;
-        b_entry = st.St.entry_name;
-        b_pc = st.St.pc;
-        b_message =
-          Printf.sprintf "%s: %s not released (%s)" context (describe allocs)
-            (String.concat ", "
-               (List.map
-                  (fun a ->
-                    Printf.sprintf "%s id=%d"
-                      (Kstate.string_of_alloc_kind a.Kstate.a_kind)
-                      a.Kstate.a_id)
-                  allocs));
-        b_key = key;
-        b_state_id = st.St.id;
-        b_events = st.St.trace;
-        b_mem_accesses = st.St.mem_accesses;
-        b_choices = st.St.choices;
-        b_with_interrupt = st.St.injections > 0;
-        b_replay = Ddt_symexec.Exec.replay_script st;
-      })
+      Report.of_state st ~kind:Report.Resource_leak ~driver:t.driver ~key
+        ~pc:st.St.pc
+        (Printf.sprintf "%s: %s not released (%s)" context (describe allocs)
+           (String.concat ", "
+              (List.map
+                 (fun a ->
+                   Printf.sprintf "%s id=%d"
+                     (Kstate.string_of_alloc_kind a.Kstate.a_kind)
+                     a.Kstate.a_id)
+                 allocs))))
 
 let on_state_done t (st : St.t) =
   match st.St.status with

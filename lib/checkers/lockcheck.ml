@@ -12,20 +12,8 @@ let create ~sink ~driver = { sink; driver }
 let bug t (st : St.t) ~key ~msg =
   let key = Printf.sprintf "lock:%s:%s" t.driver key in
   Report.report t.sink ~key (fun () ->
-      {
-        Report.b_kind = Report.Lock_misuse;
-        b_driver = t.driver;
-        b_entry = st.St.entry_name;
-        b_pc = st.St.pc;
-        b_message = msg;
-        b_key = key;
-        b_state_id = st.St.id;
-        b_events = st.St.trace;
-        b_mem_accesses = st.St.mem_accesses;
-        b_choices = st.St.choices;
-        b_with_interrupt = st.St.injections > 0;
-        b_replay = Ddt_symexec.Exec.replay_script st;
-      })
+      Report.of_state st ~kind:Report.Lock_misuse ~driver:t.driver ~key
+        ~pc:st.St.pc msg)
 
 let acquire_names = [ "NdisAcquireSpinLock"; "KeAcquireSpinLock" ]
 let acquire_dpr_names =

@@ -86,24 +86,13 @@ let report_bug ?(witness = []) ?constraints t (st : St.t)
       (if ma.Exec.ma_write then "w" else "r")
   in
   Report.report t.sink ~key (fun () ->
-      {
-        Report.b_kind =
+      Report.of_state st
+        ~replay:(Exec.replay_script ~extra:witness ?constraints st)
+        ~kind:
           (if Kstate.in_isr st.St.ks || Kstate.in_dpc st.St.ks then
              Report.Race_condition
-           else Report.Memory_error);
-        b_driver = t.driver;
-        b_entry = st.St.entry_name;
-        b_pc = ma.Exec.ma_pc;
-        b_message = msg;
-        b_key = key;
-        b_state_id = st.St.id;
-        b_events = st.St.trace;
-        b_mem_accesses = st.St.mem_accesses;
-        b_choices = st.St.choices;
-        b_with_interrupt = st.St.injections > 0;
-        b_replay =
-          Ddt_symexec.Exec.replay_script ~extra:witness ?constraints st;
-      })
+           else Report.Memory_error)
+        ~driver:t.driver ~key ~pc:ma.Exec.ma_pc msg)
 
 let on_mem_access t (ma : Exec.mem_access) =
   let st = ma.Exec.ma_state in

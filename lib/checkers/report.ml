@@ -1,3 +1,5 @@
+module St = Ddt_symexec.Symstate
+
 type kind =
   | Memory_error
   | Segfault
@@ -16,33 +18,6 @@ let string_of_kind = function
   | Kernel_crash -> "Kernel crash"
   | Infinite_loop -> "Infinite loop"
 
-type severity = Dynamic | Static | Static_unconfirmed
-
-let string_of_severity = function
-  | Dynamic -> "dynamic"
-  | Static -> "static"
-  | Static_unconfirmed -> "static-unconfirmed"
-
-type confirmation =
-  | Not_applicable
-  | Unconfirmed
-  | Confirmed of string
-
-type static_finding = {
-  sf_rule : string;
-  sf_func : string;
-  sf_pos : int;
-  sf_message : string;
-  sf_confirm : confirmation;
-}
-
-let severity_of_static f =
-  match f.sf_confirm with
-  | Unconfirmed -> Static_unconfirmed
-  | Not_applicable | Confirmed _ -> Static
-
-let static_key f = Printf.sprintf "%s@%x:%s" f.sf_rule f.sf_pos f.sf_func
-
 type bug = {
   b_kind : kind;
   b_driver : string;
@@ -58,23 +33,37 @@ type bug = {
   b_replay : Ddt_trace.Replay.script;
 }
 
-(* Engine incidents: faults of the testing engine itself (worker
-   crashes, quarantined states, solver budget exhaustions), quarantined
-   by [Ddt_symexec.Guard] instead of killing the session. They are not
-   driver findings — like static findings they live apart from the bug
-   list so they can never perturb dynamic bug keys or ordering — but
-   each carries a replayable script, extending the paper's
-   "every finding comes with a trace" contract to engine faults. *)
+let of_state ?replay (st : St.t) ~kind ~driver ~key ~pc message =
+  {
+    b_kind = kind;
+    b_driver = driver;
+    b_entry = st.St.entry_name;
+    b_pc = pc;
+    b_message = message;
+    b_key = key;
+    b_state_id = st.St.id;
+    b_events = st.St.trace;
+    b_mem_accesses = st.St.mem_accesses;
+    b_choices = st.St.choices;
+    b_with_interrupt = st.St.injections > 0;
+    b_replay =
+      (match replay with
+       | Some r -> r
+       | None -> Ddt_symexec.Exec.replay_script st);
+  }
+
+(* Engine incidents: faults of the testing engine itself (a faulting
+   state, a solver verdict left Unknown), quarantined by
+   [Ddt_symexec.Guard] instead of killing the session. They are not
+   driver findings — they live apart from the bug list so they can never
+   perturb bug keys or ordering — but each carries its state's
+   replayable script, extending the paper's "every finding comes with a
+   trace" contract to engine faults. *)
 type incident = Ddt_symexec.Guard.incident
 
 type sink = {
   mutable found : bug list;    (* newest first *)
   seen : (string, unit) Hashtbl.t;
-  mutable statics : static_finding list;   (* newest first *)
-  statics_seen : (string, unit) Hashtbl.t;
-  (* static findings live in their own list under the same lock: they
-     carry the [Static] severity and never mix with the dynamic bug list,
-     so their presence cannot perturb dynamic bug keys or ordering *)
   mu : Mutex.t;
   (* one sink collects from every checker on every frontier worker; the
      internal lock makes the check-and-add atomic so a bug key is
@@ -82,8 +71,7 @@ type sink = {
 }
 
 let create_sink () =
-  { found = []; seen = Hashtbl.create 16; statics = [];
-    statics_seen = Hashtbl.create 16; mu = Mutex.create () }
+  { found = []; seen = Hashtbl.create 16; mu = Mutex.create () }
 
 (* The same defect is reached on many paths, and building a bug's
    replay script is a solver call: check the key first, build outside
@@ -118,33 +106,10 @@ let count sink =
   Mutex.unlock sink.mu;
   n
 
-let report_static sink f =
-  Mutex.lock sink.mu;
-  let k = static_key f in
-  if not (Hashtbl.mem sink.statics_seen k) then begin
-    Hashtbl.add sink.statics_seen k ();
-    sink.statics <- f :: sink.statics
-  end;
-  Mutex.unlock sink.mu
-
-let static_findings sink =
-  Mutex.lock sink.mu;
-  let r = sink.statics in
-  Mutex.unlock sink.mu;
-  List.rev r
-
-let confirm_statics sink f =
-  Mutex.lock sink.mu;
-  sink.statics <-
-    List.map (fun sf -> { sf with sf_confirm = f sf }) sink.statics;
-  Mutex.unlock sink.mu
-
 let clear sink =
   Mutex.lock sink.mu;
   sink.found <- [];
   Hashtbl.reset sink.seen;
-  sink.statics <- [];
-  Hashtbl.reset sink.statics_seen;
   Mutex.unlock sink.mu
 
 let pp_bug fmt b =
@@ -158,35 +123,15 @@ let pp_bug fmt b =
     (if b.b_with_interrupt then " [under symbolic interrupt]" else "")
     b.b_message
 
-let pp_static_finding fmt f =
-  let tag =
-    match f.sf_confirm with
-    | Not_applicable -> "static"
-    | Unconfirmed -> "static, unconfirmed"
-    | Confirmed _ -> "static, CONFIRMED"
-  in
-  Format.fprintf fmt "[%s:%s] %s%s@.    %s%s" tag f.sf_rule
-    (if f.sf_func = "" then "" else f.sf_func ^ " ")
-    (Printf.sprintf "at 0x%x" f.sf_pos)
-    f.sf_message
-    (match f.sf_confirm with
-     | Confirmed key ->
-         Printf.sprintf "\n    confirmed dynamically by %s" key
-     | _ -> "")
-
 let pp_incident fmt (i : incident) =
   let open Ddt_symexec.Guard in
-  if i.inc_state_id = 0 then
-    Format.fprintf fmt "[engine:%s] worker %d@.    %s" (kind_label i.inc_kind)
-      i.inc_worker i.inc_message
-  else
-    Format.fprintf fmt
-      "[engine:%s] state %d (entry %s, pc 0x%x, worker %d)@.    %s@.    \
-       replay: %d input(s), %d choice(s)"
-      (kind_label i.inc_kind) i.inc_state_id i.inc_entry i.inc_pc i.inc_worker
-      i.inc_message
-      (List.length i.inc_replay.Ddt_trace.Replay.rs_inputs)
-      (List.length i.inc_replay.Ddt_trace.Replay.rs_choices)
+  Format.fprintf fmt
+    "[engine:%s] state %d (entry %s, pc 0x%x, worker %d)@.    %s@.    \
+     replay: %d input(s), %d choice(s)"
+    (kind_label i.inc_kind) i.inc_state_id i.inc_entry i.inc_pc i.inc_worker
+    i.inc_message
+    (List.length i.inc_replay.Ddt_trace.Replay.rs_inputs)
+    (List.length i.inc_replay.Ddt_trace.Replay.rs_choices)
 
 let pp_summary fmt sink =
   Format.fprintf fmt "%-18s %-18s %s@." "Tested Driver" "Bug Type" "Description";

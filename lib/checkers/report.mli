@@ -16,38 +16,6 @@ type kind =
 
 val string_of_kind : kind -> string
 
-type severity = Dynamic | Static | Static_unconfirmed
-(** [Dynamic] findings come from executing the driver (the bug list);
-    [Static] findings come from the pre-analysis ([Ddt_staticx]) and are
-    kept in a separate list so they can never perturb dynamic bug keys,
-    deduplication or ordering.  [Static_unconfirmed] is the distinct
-    reporting tier for warnings that directed symbolic confirmation was
-    attempted on but could not witness dynamically. *)
-
-val string_of_severity : severity -> string
-
-type confirmation =
-  | Not_applicable
-      (** no confirmation attempted (pure [analyze] runs, or rules with
-          no dynamic witness class) *)
-  | Unconfirmed
-      (** directed symbolic execution sought a witness and found none *)
-  | Confirmed of string
-      (** a dynamic bug with this key witnessed the warning *)
-
-type static_finding = {
-  sf_rule : string;     (** e.g. "unreachable-code", "race-unguarded-use" *)
-  sf_func : string;     (** enclosing function name, or "" *)
-  sf_pos : int;         (** image-relative text offset *)
-  sf_message : string;
-  sf_confirm : confirmation;
-}
-
-val severity_of_static : static_finding -> severity
-
-val static_key : static_finding -> string
-(** Deduplication key: rule + position + function. *)
-
 type bug = {
   b_kind : kind;
   b_driver : string;
@@ -65,13 +33,21 @@ type bug = {
   (** concrete inputs + system events that reproduce this path (§3.5) *)
 }
 
+val of_state :
+  ?replay:Ddt_trace.Replay.script -> Ddt_symexec.Symstate.t -> kind:kind ->
+  driver:string -> key:string -> pc:int -> string -> bug
+(** [of_state st ~kind ~driver ~key ~pc message] is the bug the checkers
+    report against [st]: entry point, state id, trace, memory-access
+    count, annotation choices and interrupt flag come from [st].
+    [replay] defaults to [Ddt_symexec.Exec.replay_script st]. *)
+
 type incident = Ddt_symexec.Guard.incident
 (** A fault of the testing engine itself (a faulting state, a solver
     verdict left Unknown), quarantined by
-    [Ddt_symexec.Guard]. Engine incidents are not driver findings: like
-    static findings they are kept apart from the dynamic bug list, so
-    they can never perturb bug keys, deduplication or ordering — but
-    each carries a replayable script (§3.5 evidence for engine faults). *)
+    [Ddt_symexec.Guard]. Engine incidents are not driver findings: they
+    are kept apart from the bug list, so they can never perturb bug
+    keys, deduplication or ordering — but each carries its state's
+    replayable script (§3.5 evidence for engine faults). *)
 
 type sink
 
@@ -88,21 +64,9 @@ val bugs : sink -> bug list
 
 val count : sink -> int
 
-val report_static : sink -> static_finding -> unit
-(** Deposit a static-analysis finding; deduplicated by {!static_key},
-    stored apart from the dynamic bug list. *)
-
-val static_findings : sink -> static_finding list
-(** In first-reported order. *)
-
-val confirm_statics : sink -> (static_finding -> confirmation) -> unit
-(** Rewrite every collected static finding's confirmation status (used
-    once after the dynamic phase has run against the warnings). *)
-
 val clear : sink -> unit
 
 val pp_bug : Format.formatter -> bug -> unit
-val pp_static_finding : Format.formatter -> static_finding -> unit
 val pp_incident : Format.formatter -> incident -> unit
 val pp_summary : Format.formatter -> sink -> unit
 (** The Table 2 style listing: driver, bug type, description. *)

@@ -11,14 +11,6 @@ let pp_report fmt (r : Session.result) =
       (fun i b -> Format.fprintf fmt "%2d. %a@." (i + 1) Report.pp_bug b)
       r.Session.r_bugs
   end;
-  (match r.Session.r_static with
-   | [] -> ()
-   | fs ->
-       Format.fprintf fmt "%d static finding(s):@." (List.length fs);
-       List.iteri
-         (fun i f ->
-           Format.fprintf fmt "%2d. %a@." (i + 1) Report.pp_static_finding f)
-         fs);
   let stats = r.Session.r_stats in
   Format.fprintf fmt
     "coverage: %d/%d reachable blocks (%.1f%%), %d/%d by linear sweep | \

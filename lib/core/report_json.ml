@@ -5,7 +5,7 @@
 
 module Report = Ddt_checkers.Report
 
-let schema_version = 8
+let schema_version = 9
 
 (* The standalone static report ([statics_to_string]) has not changed
    since schema 6. *)
@@ -17,18 +17,6 @@ type bug_row = {
   jb_entry : string;
   jb_pc : int;
   jb_message : string;
-}
-
-type static_row = {
-  js_rule : string;
-  js_func : string;
-  js_pos : int;
-  js_message : string;
-  (* schema 5: confirmation tier ("n/a" | "unconfirmed" | "confirmed")
-     and, when confirmed, the key of the witnessing dynamic bug *)
-  js_severity : string;
-  js_confirm : string;
-  js_confirmed_by : string;
 }
 
 type incident_row = {
@@ -47,7 +35,6 @@ type summary = {
   j_schema : int;
   j_driver : string;
   j_bugs : bug_row list;
-  j_static : static_row list;
   j_total_blocks : int;
   j_reachable_blocks : int;
   j_covered_blocks : int;
@@ -65,19 +52,6 @@ type summary = {
   j_merge_forks_avoided : int;
 }
 
-let confirm_strings = function
-  | Report.Not_applicable -> ("n/a", "")
-  | Report.Unconfirmed -> ("unconfirmed", "")
-  | Report.Confirmed key -> ("confirmed", key)
-
-let static_row_of_finding (f : Report.static_finding) =
-  let confirm, by = confirm_strings f.Report.sf_confirm in
-  { js_rule = f.Report.sf_rule; js_func = f.Report.sf_func;
-    js_pos = f.Report.sf_pos; js_message = f.Report.sf_message;
-    js_severity =
-      Report.string_of_severity (Report.severity_of_static f);
-    js_confirm = confirm; js_confirmed_by = by }
-
 let of_result (r : Session.result) =
   {
     j_schema = schema_version;
@@ -91,11 +65,6 @@ let of_result (r : Session.result) =
             jb_pc = b.Report.b_pc;
             jb_message = b.Report.b_message })
         r.Session.r_bugs;
-    j_static =
-      List.map
-        (fun (f : Report.static_finding) ->
-          static_row_of_finding f)
-        r.Session.r_static;
     j_total_blocks = r.Session.r_total_blocks;
     j_reachable_blocks = r.Session.r_reachable_blocks;
     j_covered_blocks =
@@ -157,14 +126,6 @@ let bug_row_json b =
       ("entry", jstr b.jb_entry); ("pc", string_of_int b.jb_pc);
       ("message", jstr b.jb_message) ]
 
-let static_row_json s =
-  jobj
-    [ ("rule", jstr s.js_rule); ("func", jstr s.js_func);
-      ("pos", string_of_int s.js_pos); ("message", jstr s.js_message);
-      ("severity", jstr s.js_severity);
-      ("confirm", jstr s.js_confirm);
-      ("confirmed_by", jstr s.js_confirmed_by) ]
-
 let incident_row_json i =
   jobj
     [ ("kind", jstr i.ji_kind); ("worker", string_of_int i.ji_worker);
@@ -177,7 +138,6 @@ let to_string s =
     [ ("schema", string_of_int s.j_schema);
       ("driver", jstr s.j_driver);
       ("bugs", jlist bug_row_json s.j_bugs);
-      ("static", jlist static_row_json s.j_static);
       ("total_blocks", string_of_int s.j_total_blocks);
       ("reachable_blocks", string_of_int s.j_reachable_blocks);
       ("covered_blocks", string_of_int s.j_covered_blocks);
@@ -327,13 +287,6 @@ let bug_row_of j =
     jb_entry = as_str (field "entry" j); jb_pc = as_int (field "pc" j);
     jb_message = as_str (field "message" j) }
 
-let static_row_of j =
-  { js_rule = as_str (field "rule" j); js_func = as_str (field "func" j);
-    js_pos = as_int (field "pos" j); js_message = as_str (field "message" j);
-    js_severity = as_str (field "severity" j);
-    js_confirm = as_str (field "confirm" j);
-    js_confirmed_by = as_str (field "confirmed_by" j) }
-
 let incident_row_of j =
   { ji_kind = as_str (field "kind" j); ji_worker = as_int (field "worker" j);
     ji_state_id = as_int (field "state_id" j);
@@ -355,7 +308,6 @@ let of_string str =
               j_schema = schema;
               j_driver = as_str (field "driver" j);
               j_bugs = List.map bug_row_of (as_arr (field "bugs" j));
-              j_static = List.map static_row_of (as_arr (field "static" j));
               j_total_blocks = as_int (field "total_blocks" j);
               j_reachable_blocks = as_int (field "reachable_blocks" j);
               j_covered_blocks = as_int (field "covered_blocks" j);
@@ -378,14 +330,22 @@ let of_string str =
             }
       with Bad _ -> None)
 
-(* Standalone static-analysis report: the static rows only (for
-   [ddt_cli analyze --json]). *)
-let statics_to_string ~driver (findings : Report.static_finding list) =
+(* Standalone static-analysis report (for [ddt_cli analyze --json]).
+   Each row keeps the schema-6 confirmation columns at their fixed
+   "no confirmation" values, so existing consumers read it unchanged. *)
+let static_row_json (f : Ddt_staticx.Sfind.finding) =
+  let open Ddt_staticx.Sfind in
+  jobj
+    [ ("rule", jstr f.f_rule); ("func", jstr f.f_func);
+      ("pos", string_of_int f.f_pos); ("message", jstr f.f_msg);
+      ("severity", jstr "static"); ("confirm", jstr "n/a");
+      ("confirmed_by", jstr "") ]
+
+let statics_to_string ~driver findings =
   jobj
     [ ("schema", string_of_int statics_schema_version);
       ("driver", jstr driver);
-      ("static",
-       jlist static_row_json (List.map static_row_of_finding findings)) ]
+      ("static", jlist static_row_json findings) ]
 
 (* Crash-safe report emission: the document lands under a temporary name
    and is renamed into place, so a reader (or a crash mid-write) never

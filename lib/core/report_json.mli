@@ -16,19 +16,6 @@ type bug_row = {
   jb_message : string;
 }
 
-type static_row = {
-  js_rule : string;
-  js_func : string;
-  js_pos : int;
-  js_message : string;
-  js_severity : string;
-  (** "static" | "static-unconfirmed" (schema 5) *)
-  js_confirm : string;
-  (** "n/a" | "unconfirmed" | "confirmed" (schema 5) *)
-  js_confirmed_by : string;
-  (** key of the witnessing dynamic bug, or "" (schema 5) *)
-}
-
 type incident_row = {
   ji_kind : string;     (** "state-fault" | "solver-exhaustion" *)
   ji_worker : int;      (** worker slot that hit the fault *)
@@ -45,7 +32,6 @@ type summary = {
   j_schema : int;
   j_driver : string;
   j_bugs : bug_row list;
-  j_static : static_row list;
   j_total_blocks : int;        (** linear-sweep block count *)
   j_reachable_blocks : int;    (** ICFG universe size *)
   j_covered_blocks : int;
@@ -71,11 +57,12 @@ val of_string : string -> summary option
     or a schema-version mismatch. *)
 
 val statics_to_string :
-  driver:string -> Ddt_checkers.Report.static_finding list -> string
+  driver:string -> Ddt_staticx.Sfind.finding list -> string
 (** Standalone static-analysis report (for [ddt_cli analyze --json]):
     a schema version, driver name and static rows only. Its schema
-    version is 6: the static rows have not changed since, so it trails
-    {!schema_version}. *)
+    version is 6 and its rows are unchanged since: every row reads
+    ["severity":"static","confirm":"n/a","confirmed_by":""]. The session
+    document ({!schema_version}) has no static rows. *)
 
 val write_file : string -> summary -> (unit, string) result
 (** Serialize with {!to_string} and write atomically (tmp + rename): a

@@ -7,7 +7,6 @@ module Exec = Ddt_symexec.Exec
 module St = Ddt_symexec.Symstate
 module Report = Ddt_checkers.Report
 module Icfg = Ddt_staticx.Icfg
-module Sfind = Ddt_staticx.Sfind
 
 type coverage_point = {
   cp_time : float;
@@ -34,7 +33,6 @@ type result = {
   (** covered blocks that lie inside the reachable universe *)
   r_never_reached : int list;
   (** sorted image-relative leaders of reachable blocks never executed *)
-  r_static : Report.static_finding list;
   r_paths_to_first_bug : int option;
   (** completed paths when the first bug surfaced; [None] if bug-free *)
   r_incidents : Report.incident list;
@@ -86,37 +84,9 @@ let run (cfg : Config.t) =
   Option.iter (Exec.set_replay eng) cfg.Config.replay;
   let sink = Report.create_sink () in
   let driver = cfg.Config.driver_name in
-  (* Static pre-analysis: always built (it is cheap and pure) for the
-     reachable-universe coverage denominator and the static findings. *)
+  (* The ICFG gives the reachable-universe coverage denominator and,
+     through [Pdom], the merge points. *)
   let icfg = Icfg.build cfg.Config.image in
-  let contracts, model =
-    match cfg.Config.driver_class with
-    | Config.Network ->
-        (Ddt_annot.Ndis_annotations.contracts,
-         Ddt_annot.Ndis_annotations.model)
-    | Config.Audio ->
-        (Ddt_annot.Portcls_annotations.contracts,
-         Ddt_annot.Portcls_annotations.model)
-  in
-  (* Rules with a dynamic witness class start [Unconfirmed] and are
-     promoted by the post-run confirmation pass; purely structural rules
-     have nothing to witness. *)
-  let confirmable rule =
-    List.exists
-      (fun p -> String.starts_with ~prefix:p rule)
-      [ "lock-"; "irql-"; "race-" ]
-  in
-  let statics =
-    List.map
-      (fun (f : Sfind.finding) ->
-        { Report.sf_rule = f.Sfind.f_rule; sf_func = f.Sfind.f_func;
-          sf_pos = f.Sfind.f_pos; sf_message = f.Sfind.f_msg;
-          sf_confirm =
-            (if confirmable f.Sfind.f_rule then Report.Unconfirmed
-             else Report.Not_applicable) })
-      (Sfind.analyze ~contracts ~model icfg)
-  in
-  List.iter (Report.report_static sink) statics;
   (* State merging: hand the engine the immediate-post-dominator map so
      it knows, per branch block, where diverging siblings reconverge.
      Never installed for replay runs — a script follows exactly one
@@ -246,42 +216,6 @@ let run (cfg : Config.t) =
         (Report.bugs sink)
     else Report.bugs sink
   in
-  (* Confirmation pass: a static warning is witnessed by a dynamic bug
-     of a compatible kind whose pc falls in the warned function.  The
-     position is matched at function granularity — the crash site of a
-     race or deadlock is rarely the exact flagged instruction. *)
-  let func_of_relpc rel =
-    match Hashtbl.find_opt icfg.Icfg.leader_of rel with
-    | Some l ->
-        Option.map (fun f -> f.Icfg.fn_name) (Icfg.func_of_block icfg l)
-    | None -> None
-  in
-  let kind_compatible rule (k : Report.kind) =
-    if String.starts_with ~prefix:"race-" rule then
-      match k with
-      | Report.Race_condition | Report.Segfault | Report.Memory_error
-      | Report.Kernel_crash -> true
-      | _ -> false
-    else
-      match k with
-      | Report.Lock_misuse | Report.Kernel_crash -> true
-      | _ -> false
-  in
-  Report.confirm_statics sink (fun sf ->
-      match sf.Report.sf_confirm with
-      | Report.Not_applicable -> Report.Not_applicable
-      | Report.Unconfirmed | Report.Confirmed _ -> (
-          match
-            List.find_opt
-              (fun (b : Report.bug) ->
-                kind_compatible sf.Report.sf_rule b.Report.b_kind
-                && func_of_relpc (b.Report.b_pc - loaded.Image.base)
-                   = Some sf.Report.sf_func)
-              bugs
-          with
-          | Some b -> Report.Confirmed b.Report.b_key
-          | None -> Report.Unconfirmed));
-  let statics = Report.static_findings sink in
   (* Reachable-universe coverage: intersect the covered block set with the
      static universe (both image-relative leaders). *)
   let covered_rel = Hashtbl.create 256 in
@@ -313,7 +247,6 @@ let run (cfg : Config.t) =
     r_reachable_blocks = List.length icfg.Icfg.universe;
     r_covered_reachable = covered_reachable;
     r_never_reached = never_reached;
-    r_static = statics;
     r_paths_to_first_bug = !first_bug_paths;
     r_incidents = Exec.incidents eng;
   }

@@ -33,9 +33,6 @@ type result = {
   (** executed blocks inside the reachable universe *)
   r_never_reached : int list;
   (** sorted image-relative leaders of reachable blocks never executed *)
-  r_static : Ddt_checkers.Report.static_finding list;
-  (** pre-analysis findings ([Ddt_staticx.Sfind]); kept apart from
-      [r_bugs], never influencing dynamic bug keys *)
   r_paths_to_first_bug : int option;
   (** completed paths when the first dynamic bug surfaced *)
   r_incidents : Ddt_checkers.Report.incident list;

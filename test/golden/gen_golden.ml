@@ -8,20 +8,19 @@
 
 module Corpus = Ddt_drivers.Corpus
 module Config = Ddt_core.Config
-module Report = Ddt_checkers.Report
 module Report_json = Ddt_core.Report_json
 module Sfind = Ddt_staticx.Sfind
 
 let write name doc =
   Out_channel.with_open_bin name (fun oc -> Out_channel.output_string oc doc)
 
-(* The CLI's default session: one worker, merging on, no chaos. *)
+(* The CLI's default session: one worker, merging on. *)
 let session_doc entry ~fixed =
   Report_json.to_string
     (Report_json.of_result
        (Ddt_core.Ddt.test_driver (Corpus.config ~fixed entry)))
 
-(* What `analyze --json` prints: every rule, no confirmation pass. *)
+(* What `analyze --json` prints: every rule. *)
 let analyze_doc (entry : Corpus.entry) ~fixed =
   let image =
     if fixed then entry.Corpus.fixed_image () else entry.Corpus.image ()
@@ -35,12 +34,7 @@ let analyze_doc (entry : Corpus.entry) ~fixed =
           Ddt_annot.Portcls_annotations.model )
   in
   Report_json.statics_to_string ~driver:entry.Corpus.name
-    (List.map
-       (fun (f : Sfind.finding) ->
-         { Report.sf_rule = f.Sfind.f_rule; sf_func = f.Sfind.f_func;
-           sf_pos = f.Sfind.f_pos; sf_message = f.Sfind.f_msg;
-           sf_confirm = Report.Not_applicable })
-       (Sfind.analyze ~contracts ~model (Ddt_staticx.Icfg.build image)))
+    (Sfind.analyze ~contracts ~model (Ddt_staticx.Icfg.build image))
 
 let () =
   List.iter

@@ -2,7 +2,8 @@
    (recursive descent, dead-code exclusion, indirect-call resolution),
    the static finding rules, the versioned JSON report schema, and
    default-config sessions: coverage accounting against the static
-   universe and dynamic confirmation of the static warnings. *)
+   universe, and every static lock/IRQL/race warning on the corpus
+   matched by a dynamic bug. *)
 
 module Isa = Ddt_dvm.Isa
 module Asm = Ddt_dvm.Asm
@@ -456,29 +457,6 @@ let test_rules_filter () =
   Alcotest.(check (list string))
     "exact name selects one rule" [ "lock-double-acquire" ] (rules_of one)
 
-(* --- warning-directed confirmation ----------------------------------------- *)
-
-(* End to end at the default config: the rtl8029 session triggers the
-   dynamic timer crash in the function the static race warning names,
-   and the warning comes back [Confirmed] with the witnessing bug's key,
-   under the plain static severity tier. *)
-let test_race_warning_confirmed () =
-  let r = Session.run (Corpus.config (Corpus.find "rtl8029")) in
-  let race =
-    List.filter
-      (fun sf -> sf.Report.sf_rule = "race-unguarded-use")
-      r.Session.r_static
-  in
-  check_int "one race warning" 1 (List.length race);
-  match (List.hd race).Report.sf_confirm with
-  | Report.Confirmed key ->
-      check_bool "confirming bug is in the report" true
-        (List.exists (fun b -> b.Report.b_key = key) r.Session.r_bugs);
-      check_bool "confirmed severity is plain static" true
-        (Report.severity_of_static (List.hd race) = Report.Static)
-  | Report.Unconfirmed -> Alcotest.fail "race warning left unconfirmed"
-  | Report.Not_applicable -> Alcotest.fail "race warning not confirmable"
-
 (* --- JSON report schema ---------------------------------------------------- *)
 
 let test_report_json_roundtrip () =
@@ -490,18 +468,6 @@ let test_report_json_roundtrip () =
       j_bugs =
         [ { J.jb_kind = "Memory corruption"; jb_key = "k1";
             jb_entry = "send"; jb_pc = 0x1234; jb_message = "oob \"write\"" } ];
-      j_static =
-        [ { J.js_rule = "stack-imbalance"; js_func = "f"; js_pos = 8;
-            js_message = "displaced"; js_severity = "static";
-            js_confirm = "n/a"; js_confirmed_by = "" };
-          { J.js_rule = "race-unguarded-use"; js_func = "isr"; js_pos = 416;
-            js_message = "timer armed early";
-            js_severity = "static"; js_confirm = "confirmed";
-            js_confirmed_by = "crash:RTL8029:BAD_TIMER_OBJECT:0x4001a8" };
-          { J.js_rule = "lock-double-acquire"; js_func = "g"; js_pos = 64;
-            js_message = "still held";
-            js_severity = "static-unconfirmed"; js_confirm = "unconfirmed";
-            js_confirmed_by = "" } ];
       j_total_blocks = 97;
       j_reachable_blocks = 88;
       j_covered_blocks = 80;
@@ -536,9 +502,9 @@ let test_report_json_roundtrip () =
     (J.of_string
        (J.to_string { s with J.j_schema = J.schema_version + 1 })
      = None);
-  check_int "schema version" 8 J.schema_version;
-  check_bool "schema-7 document rejected" true
-    (J.of_string (J.to_string { s with J.j_schema = 7 }) = None);
+  check_int "schema version" 9 J.schema_version;
+  check_bool "schema-8 document rejected" true
+    (J.of_string (J.to_string { s with J.j_schema = 8 }) = None);
   check_bool "garbage rejected" true (J.of_string "{nope" = None)
 
 (* --- default-config sessions ------------------------------------------------ *)
@@ -550,17 +516,9 @@ let quick_cfg short =
 let bug_keys (r : Session.result) =
   List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
 
-let confirmable rule =
-  List.exists
-    (fun p -> String.starts_with ~prefix:p rule)
-    [ "lock-"; "irql-"; "race-" ]
-
 (* Every buggy corpus driver at the default config: coverage is
-   accounted against the static universe consistently, and every
-   confirmable static warning comes back [Confirmed] by a bug key that
-   is in the same report. *)
+   accounted against the static universe consistently. *)
 let test_corpus_default_config () =
-  let confirmed = ref 0 in
   List.iter
     (fun e ->
       let r = Session.run (Corpus.config e) in
@@ -572,24 +530,68 @@ let test_corpus_default_config () =
       check_int (name ^ ": never_reached complements covered")
         r.Session.r_reachable_blocks
         (r.Session.r_covered_reachable
-         + List.length r.Session.r_never_reached);
+         + List.length r.Session.r_never_reached))
+    Corpus.all
+
+(* The premise that keeps the static tier out of the session: on the
+   corpus it finds nothing the dynamic run misses. A lock/IRQL/race
+   warning is matched by a dynamic bug of a compatible kind whose pc
+   lies in the warned function; the position is matched at function
+   granularity because the crash site of a race or deadlock is rarely
+   the flagged instruction. Fixed variants give no warning and no bug. *)
+let witnessed_rule rule =
+  List.exists
+    (fun p -> String.starts_with ~prefix:p rule)
+    [ "lock-"; "irql-"; "race-" ]
+
+let kind_compatible rule (k : Report.kind) =
+  if String.starts_with ~prefix:"race-" rule then
+    match k with
+    | Report.Race_condition | Report.Segfault | Report.Memory_error
+    | Report.Kernel_crash -> true
+    | _ -> false
+  else
+    match k with Report.Lock_misuse | Report.Kernel_crash -> true | _ -> false
+
+let func_of_pc icfg pc =
+  match
+    Hashtbl.find_opt icfg.Icfg.leader_of (pc - Ddt_dvm.Layout.image_base)
+  with
+  | Some l -> Option.map (fun f -> f.Icfg.fn_name) (Icfg.func_of_block icfg l)
+  | None -> None
+
+let test_static_warnings_are_dynamic_bugs () =
+  let warned = ref 0 in
+  List.iter
+    (fun (e : Corpus.entry) ->
+      let name = e.Corpus.short in
+      let contracts, model = class_annot e.Corpus.driver_class in
+      let icfg = Icfg.build (e.Corpus.image ()) in
+      let r = Session.run (Corpus.config e) in
       List.iter
-        (fun sf ->
-          if confirmable sf.Report.sf_rule then
-            match sf.Report.sf_confirm with
-            | Report.Confirmed key ->
-                incr confirmed;
-                check_bool
-                  (Printf.sprintf "%s: %s confirmed by a reported bug" name
-                     sf.Report.sf_rule)
-                  true
-                  (List.mem key (bug_keys r))
-            | Report.Unconfirmed | Report.Not_applicable ->
-                Alcotest.failf "%s: %s at %06x not confirmed" name
-                  sf.Report.sf_rule sf.Report.sf_pos)
-        r.Session.r_static)
+        (fun (f : Sfind.finding) ->
+          if witnessed_rule f.Sfind.f_rule then begin
+            incr warned;
+            if
+              not
+                (List.exists
+                   (fun (b : Report.bug) ->
+                     kind_compatible f.Sfind.f_rule b.Report.b_kind
+                     && func_of_pc icfg b.Report.b_pc = Some f.Sfind.f_func)
+                   r.Session.r_bugs)
+            then
+              Alcotest.failf "%s: %s in %s at %06x has no dynamic bug" name
+                f.Sfind.f_rule f.Sfind.f_func f.Sfind.f_pos
+          end)
+        (Sfind.analyze ~contracts ~model icfg);
+      let fixed_icfg = Icfg.build (e.Corpus.fixed_image ()) in
+      check_int (name ^ " fixed: no static warning") 0
+        (List.length (Sfind.analyze ~contracts ~model fixed_icfg));
+      check_int (name ^ " fixed: no dynamic bug") 0
+        (List.length
+           (Session.run (Corpus.config ~fixed:true e)).Session.r_bugs))
     Corpus.all;
-  check_bool "some warning was confirmed" true (!confirmed > 0)
+  check_int "six corpus warnings, each a dynamic bug" 6 !warned
 
 let test_session_reports_identical_across_jobs () =
   let run jobs =
@@ -604,11 +606,6 @@ let test_session_reports_identical_across_jobs () =
   let r1 = run 1 and r2 = run 2 and r4 = run 4 in
   check_bool "bug keys identical 1 vs 2 jobs" true (bug_keys r1 = bug_keys r2);
   check_bool "bug keys identical 1 vs 4 jobs" true (bug_keys r1 = bug_keys r4);
-  let statics r =
-    List.map (fun f -> Report.static_key f) r.Session.r_static
-  in
-  check_bool "static findings identical across jobs" true
-    (statics r1 = statics r2 && statics r1 = statics r4);
   check_bool "universe identical across jobs" true
     (r1.Session.r_reachable_blocks = r2.Session.r_reachable_blocks
      && r1.Session.r_reachable_blocks = r4.Session.r_reachable_blocks)
@@ -652,13 +649,12 @@ let () =
          Alcotest.test_case "corpus rules buggy vs fixed" `Quick
            test_corpus_interproc_rules;
          Alcotest.test_case "rules filter" `Quick test_rules_filter ]);
-      ("confirmation",
-       [ Alcotest.test_case "rtl8029 race confirmed dynamically" `Quick
-           test_race_warning_confirmed ]);
       ("report-json",
        [ Alcotest.test_case "round-trip" `Quick test_report_json_roundtrip ]);
       ("session",
-       [ Alcotest.test_case "corpus coverage and confirmation" `Quick
+       [ Alcotest.test_case "corpus coverage at default config" `Quick
            test_corpus_default_config;
+         Alcotest.test_case "static warnings are dynamic bugs" `Quick
+           test_static_warnings_are_dynamic_bugs;
          Alcotest.test_case "identical reports at -j 1/2/4" `Quick
            test_session_reports_identical_across_jobs ]) ]
