@@ -24,7 +24,7 @@ type result = {
   r_invocations : int;
   r_finished_states : int;
   r_kcalls : int;
-  r_tree : Ddt_trace.Tree.t;
+  r_tree : Exec.tree;
   r_crashdumps : (int * Ddt_trace.Crashdump.t) list;
   (** state id -> dump, for crashed states (when enabled) *)
   r_reachable_blocks : int;

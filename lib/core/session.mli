@@ -21,7 +21,7 @@ type result = {
   r_invocations : int;
   r_finished_states : int;
   r_kcalls : int;
-  r_tree : Ddt_trace.Tree.t;
+  r_tree : Ddt_symexec.Exec.tree;
   (** the reconstructed execution tree of all explored paths (§3.5) *)
   r_crashdumps : (int * Ddt_trace.Crashdump.t) list;
   (** crashed-state id -> crash dump (when [collect_crashdumps]) *)

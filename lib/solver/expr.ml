@@ -41,13 +41,6 @@ let var_counter = Atomic.make 0
 let fresh_var ?(name = "v") w =
   { id = Atomic.fetch_and_add var_counter 1 + 1; name; var_width = w }
 
-(* Canonical variables for cache normalization: ids live in a small dense
-   namespace separate from [fresh_var]'s counter, names are erased (the
-   name participates in structural equality, so two renamings agree only
-   if both normalize it). Expressions built from these must never leak
-   into engine state — they exist to key and store cache entries. *)
-let canon_var id w = { id; name = ""; var_width = w }
-
 let const w v = Const (w, v land mask_of_width w)
 let word v = const W32 v
 let byte v = const W8 v
@@ -147,90 +140,14 @@ module Pairs = Hashtbl.Make (struct
   let hash (a, b) = (Hashtbl.hash a * 65599) + Hashtbl.hash b
 end)
 
-let tag = function
-  | Const _ -> 0
-  | Var _ -> 1
-  | Binop _ -> 2
-  | Cmp _ -> 3
-  | Ite _ -> 4
-  | Extract _ -> 5
-  | Concat4 _ -> 6
-  | Zext _ -> 7
-  | Not _ -> 8
+(* Results of the lockstep walk: the budget left (>= 0) while the
+   operands are equal so far, otherwise one of these. *)
+let unequal = -1
+let exhausted = -2
 
-(* Results of a lockstep walk: the budget left (>= 0) while the operands
-   are equal so far, otherwise one of these. *)
-let less = -1
-let greater = -2
-let exhausted = -3
-
-(* Order two immediate fields (widths, operators, indexes, variables);
-   they are usually identical, and only a difference needs
-   [Stdlib.compare]. *)
-let[@inline] imm left a b =
-  if left < 0 || a == b then left
-  else
-    match Stdlib.compare a b with
-    | 0 -> left
-    | c -> if c < 0 then less else greater
-
-(* Walk [a] and [b] in lockstep in the order of [Stdlib.compare] —
-   constructor first, then fields left to right — so canonical cache keys
-   sort as they always have. With [~shape], variables compare by width
-   only and an extract's byte index before its operand. A lexicographic
-   walk stops at the first unequal pair, so every pair it finishes is
-   equal: in memo mode [proven] remembers those, which bounds the walk by
-   the distinct pairs. *)
-let rec walk ~shape proven left a b =
-  if a == b || left < 0 then left
-  else if match proven with Some p -> Pairs.mem p (a, b) | None -> false then
-    left
-  else if left = 0 then exhausted
-  else begin
-    let left = left - 1 in
-    let left =
-      match a, b with
-      | Const (w1, v1), Const (w2, v2) -> imm (imm left w1 w2) v1 v2
-      | Var v1, Var v2 ->
-          if shape then imm left v1.var_width v2.var_width else imm left v1 v2
-      | Binop (o1, x1, y1), Binop (o2, x2, y2) ->
-          let left = walk ~shape proven (imm left o1 o2) x1 x2 in
-          walk ~shape proven left y1 y2
-      | Cmp (o1, x1, y1), Cmp (o2, x2, y2) ->
-          let left = walk ~shape proven (imm left o1 o2) x1 x2 in
-          walk ~shape proven left y1 y2
-      | Ite (c1, x1, y1), Ite (c2, x2, y2) ->
-          let left = walk ~shape proven left c1 c2 in
-          walk ~shape proven (walk ~shape proven left x1 x2) y1 y2
-      | Extract (x1, i1), Extract (x2, i2) ->
-          if shape then walk ~shape proven (imm left i1 i2) x1 x2
-          else imm (walk ~shape proven left x1 x2) i1 i2
-      | Concat4 (a3, a2, a1, a0), Concat4 (b3, b2, b1, b0) ->
-          let left = walk ~shape proven left a3 b3 in
-          let left = walk ~shape proven left a2 b2 in
-          walk ~shape proven (walk ~shape proven left a1 b1) a0 b0
-      | Zext x1, Zext x2 | Not x1, Not x2 -> walk ~shape proven left x1 x2
-      | _ -> imm left (tag a) (tag b)
-    in
-    (match proven with Some p when left >= 0 -> Pairs.add p (a, b) () | _ -> ());
-    left
-  end
-
-let compare_with ~shape a b =
-  let r = walk ~shape None plain_budget a b in
-  let r =
-    if r = exhausted then walk ~shape (Some (Pairs.create 64)) max_int a b
-    else r
-  in
-  if r = less then -1 else if r = greater then 1 else 0
-
-let compare (a : t) (b : t) = compare_with ~shape:false a b
-let compare_shape (a : t) (b : t) = compare_with ~shape:true a b
-
-(* Equality is the hot case — smart constructors ask it on every build —
-   so it gets the same walk without the ordering, which would cost a
-   [Stdlib.compare] at the first difference: any difference reads as
-   [less]. *)
+(* Equality walks [a] and [b] in lockstep and stops at the first unequal
+   pair, so every pair it finishes is equal: in memo mode [proven]
+   remembers those, which bounds the walk by the distinct pairs. *)
 let rec eq proven left a b =
   if a == b || left < 0 then left
   else if match proven with Some p -> Pairs.mem p (a, b) | None -> false then
@@ -240,21 +157,21 @@ let rec eq proven left a b =
     let left = left - 1 in
     let left =
       match a, b with
-      | Const (w1, v1), Const (w2, v2) -> if w1 == w2 && v1 = v2 then left else less
-      | Var v1, Var v2 -> if v1 == v2 || v1 = v2 then left else less
+      | Const (w1, v1), Const (w2, v2) -> if w1 == w2 && v1 = v2 then left else unequal
+      | Var v1, Var v2 -> if v1 == v2 || v1 = v2 then left else unequal
       | Binop (o1, x1, y1), Binop (o2, x2, y2) ->
-          if o1 == o2 then eq proven (eq proven left x1 x2) y1 y2 else less
+          if o1 == o2 then eq proven (eq proven left x1 x2) y1 y2 else unequal
       | Cmp (o1, x1, y1), Cmp (o2, x2, y2) ->
-          if o1 == o2 then eq proven (eq proven left x1 x2) y1 y2 else less
+          if o1 == o2 then eq proven (eq proven left x1 x2) y1 y2 else unequal
       | Ite (c1, x1, y1), Ite (c2, x2, y2) ->
           eq proven (eq proven (eq proven left c1 c2) x1 x2) y1 y2
       | Extract (x1, i1), Extract (x2, i2) ->
-          if i1 = i2 then eq proven left x1 x2 else less
+          if i1 = i2 then eq proven left x1 x2 else unequal
       | Concat4 (a3, a2, a1, a0), Concat4 (b3, b2, b1, b0) ->
           let left = eq proven (eq proven left a3 b3) a2 b2 in
           eq proven (eq proven left a1 b1) a0 b0
       | Zext x1, Zext x2 | Not x1, Not x2 -> eq proven left x1 x2
-      | _ -> less
+      | _ -> unequal
     in
     (match proven with Some p when left >= 0 -> Pairs.add p (a, b) () | _ -> ());
     left

@@ -37,11 +37,6 @@ val width_of : t -> width
 
 val fresh_var : ?name:string -> width -> var
 
-val canon_var : int -> width -> var
-(** A canonical variable for cache normalization up to renaming: the name
-    is erased and the id is the caller's dense index (first-occurrence
-    order). Only for building cache keys — never for engine state. *)
-
 (** {1 Smart constructors} *)
 
 val const : width -> int -> t
@@ -107,23 +102,20 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val pp_var : Format.formatter -> var -> unit
 
-(** {1 Equality and order} *)
+(** {1 Equality} *)
 
 val equal : t -> t -> bool
 (** Structural equality. *)
-
-val compare : t -> t -> int
-(** Structural order, the same as [Stdlib.compare]'s. *)
 
 (** {1 Sharing-aware traversal}
 
     Expressions are DAGs. A merged state lifts values to
     [ite(g, f x, h x)] whose arms share [x], so k nested merges unfold to
     a tree exponential in k over only O(k) distinct nodes. Every walk in
-    this library (including {!equal}, {!compare}, {!vars} and {!eval})
-    walks plainly, as a tree, within a small node budget, and past it
-    restarts memoized by physical identity, in time linear in the
-    distinct nodes. Both modes compute the same value. *)
+    this library (including {!equal}, {!vars} and {!eval}) walks plainly,
+    as a tree, within a small node budget, and past it restarts memoized
+    by physical identity, in time linear in the distinct nodes. Both
+    modes compute the same value. *)
 
 type 'a memo
 (** The memo of one walk, in plain or memoized mode. *)
@@ -138,9 +130,3 @@ val run : ('a memo -> 'r) -> 'r
 (** [run body] is [body m] with [m] in plain mode. When the walk outgrows
     the budget, [body] is called again from the start in memoized mode,
     so [body] must create all of its mutable state itself. *)
-
-val compare_shape : t -> t -> int
-(** Order by name-erased shape: like {!compare}, except that variables
-    compare by width only and an extract's byte index is compared before
-    its operand. Stable under variable renaming, which is what the query
-    cache needs to order commutative operands before it renames. *)

@@ -20,9 +20,9 @@
     proportional to the smaller groups it joins, and the old value stays
     valid, so forked path conditions share their common tail's
     partition. Members are of any type ['a] standing for a constraint:
-    the solver keeps each constraint's prepared form (simplified term,
-    variables, cache normalization) there, so a query built from a
-    slice prepares nothing again. *)
+    the solver keeps each constraint's prepared form (simplified term
+    and variables) there, so a query built from a slice prepares
+    nothing again. *)
 
 type 'a t
 

@@ -46,14 +46,11 @@ let domain_unknowns () = !(Domain.DLS.get dls_unknowns)
 type stats = {
   s_queries : int;
   s_group_solves : int;
-  s_cache_exact_hits : int;
   s_cache_model_reuse_hits : int;
   s_cache_misses : int;
-  s_cache_renamed_hits : int;
   s_cache_cross_worker_hits : int;
   s_interval_solves : int;
   s_bitblast_solves : int;
-  s_cache_evictions : int;
   s_unknowns : int;
 }
 
@@ -62,10 +59,8 @@ type stats = {
 type counters = {
   c_queries : int Atomic.t;
   c_group_solves : int Atomic.t;
-  c_exact_hits : int Atomic.t;
   c_model_reuse_hits : int Atomic.t;
   c_misses : int Atomic.t;
-  c_renamed_hits : int Atomic.t;
   c_cross_worker_hits : int Atomic.t;
   c_interval_solves : int Atomic.t;
   c_bitblast_solves : int Atomic.t;
@@ -74,9 +69,8 @@ type counters = {
 
 let cnt =
   { c_queries = Atomic.make 0; c_group_solves = Atomic.make 0;
-    c_exact_hits = Atomic.make 0; c_model_reuse_hits = Atomic.make 0;
-    c_misses = Atomic.make 0;
-    c_renamed_hits = Atomic.make 0; c_cross_worker_hits = Atomic.make 0;
+    c_model_reuse_hits = Atomic.make 0; c_misses = Atomic.make 0;
+    c_cross_worker_hits = Atomic.make 0;
     c_interval_solves = Atomic.make 0; c_bitblast_solves = Atomic.make 0;
     c_unknowns = Atomic.make 0 }
 
@@ -84,14 +78,11 @@ let stats () =
   {
     s_queries = Atomic.get cnt.c_queries;
     s_group_solves = Atomic.get cnt.c_group_solves;
-    s_cache_exact_hits = Atomic.get cnt.c_exact_hits;
     s_cache_model_reuse_hits = Atomic.get cnt.c_model_reuse_hits;
     s_cache_misses = Atomic.get cnt.c_misses;
-    s_cache_renamed_hits = Atomic.get cnt.c_renamed_hits;
     s_cache_cross_worker_hits = Atomic.get cnt.c_cross_worker_hits;
     s_interval_solves = Atomic.get cnt.c_interval_solves;
     s_bitblast_solves = Atomic.get cnt.c_bitblast_solves;
-    s_cache_evictions = Qcache.evictions (Atomic.get cache);
     s_unknowns = Atomic.get cnt.c_unknowns;
   }
 
@@ -99,21 +90,17 @@ let diff_stats (b : stats) (a : stats) =
   {
     s_queries = b.s_queries - a.s_queries;
     s_group_solves = b.s_group_solves - a.s_group_solves;
-    s_cache_exact_hits = b.s_cache_exact_hits - a.s_cache_exact_hits;
     s_cache_model_reuse_hits =
       b.s_cache_model_reuse_hits - a.s_cache_model_reuse_hits;
     s_cache_misses = b.s_cache_misses - a.s_cache_misses;
-    s_cache_renamed_hits = b.s_cache_renamed_hits - a.s_cache_renamed_hits;
     s_cache_cross_worker_hits =
       b.s_cache_cross_worker_hits - a.s_cache_cross_worker_hits;
     s_interval_solves = b.s_interval_solves - a.s_interval_solves;
     s_bitblast_solves = b.s_bitblast_solves - a.s_bitblast_solves;
-    s_cache_evictions = max 0 (b.s_cache_evictions - a.s_cache_evictions);
     s_unknowns = b.s_unknowns - a.s_unknowns;
   }
 
-let cache_hits s =
-  s.s_cache_exact_hits + s.s_cache_model_reuse_hits
+let cache_hits s = s.s_cache_model_reuse_hits
 
 let cache_hit_rate s =
   let hits = cache_hits s in
@@ -170,26 +157,10 @@ let core_solve constraints =
               assert (verified constraints m);
               Sat m))
 
-let note_hit_info (info : Qcache.info) =
-  if info.Qcache.i_renamed then Atomic.incr cnt.c_renamed_hits;
-  if info.Qcache.i_owner >= 0 && info.Qcache.i_owner <> (Domain.self () :> int)
-  then Atomic.incr cnt.c_cross_worker_hits
-
-let note_outcome ((outcome : Qcache.outcome), info) =
-  match outcome with
-  | Qcache.Exact_sat _ | Qcache.Exact_unsat ->
-      Atomic.incr cnt.c_exact_hits;
-      note_hit_info info
-  | Qcache.Reuse_sat _ ->
-      Atomic.incr cnt.c_model_reuse_hits;
-      note_hit_info info
-  | Qcache.Miss -> Atomic.incr cnt.c_misses
-
 (* --- prepared constraints ------------------------------------------------ *)
 
-(* A constraint prepared once: its simplified form, that form's
-   variables, and — computed on first use — the form normalized for the
-   query cache key. Path conditions are persistent lists, so successive
+(* A constraint prepared once: its simplified form and that form's
+   variables. Path conditions are persistent lists, so successive
    queries re-present the same constraint objects: on the corpus about
    95% of the constraints a query sees were in an earlier one. The
    partition of a path condition keeps these records as its members,
@@ -199,7 +170,6 @@ type prepared = {
   orig : Expr.t;
   term : Expr.t;
   vars : Expr.var list;
-  mutable norm : Expr.t option;
 }
 
 let original p = p.orig
@@ -216,33 +186,24 @@ let prepare c =
   | Some p when p.orig == c -> p
   | _ ->
       let term = Simplify.simplify_bool c in
-      let p = { orig = c; term; vars = Expr.vars term; norm = None } in
+      let p = { orig = c; term; vars = Expr.vars term } in
       slots.(i) <- Some p;
       p
 
-(* [normalize] is not idempotent, so the record keeps the one result
-   computed from [term]; a race between domains on the same record only
-   computes the same value twice. *)
-let normalized p =
-  match p.norm with
-  | Some n -> n
-  | None ->
-      let n = Qcache.normalize p.term in
-      p.norm <- Some n;
-      n
+let cache_query group =
+  Qcache.query (List.map (fun p -> (p.term, p.vars)) group)
 
-let cache_query group = Qcache.query_of_normalized (List.map normalized group)
-let terms group = List.map (fun p -> p.term) group
-
-(* A miss: solve once and store a definite verdict. *)
+(* A miss: solve once and store a Sat model for later groups to reuse. *)
 let solve_miss c q group =
   let forced =
     match Atomic.get force_unknown with Some f -> f () | None -> false
   in
-  let r = if forced then Unknown else core_solve (terms group) in
+  let r =
+    if forced then Unknown else core_solve (List.map (fun p -> p.term) group)
+  in
   (match r with
-  | Sat m -> Qcache.store_sat c q m
-  | Unsat -> Qcache.store_unsat c q
+  | Sat m -> Qcache.store c q m
+  | Unsat -> ()
   | Unknown ->
       Atomic.incr cnt.c_unknowns;
       incr (Domain.DLS.get dls_unknowns));
@@ -252,12 +213,15 @@ let solve_group group =
   Atomic.incr cnt.c_group_solves;
   let c = Atomic.get cache in
   let q = cache_query group in
-  let ((outcome, _) as found) = Qcache.lookup c q in
-  note_outcome found;
-  match outcome with
-  | Qcache.Exact_sat m | Qcache.Reuse_sat m -> Sat m
-  | Qcache.Exact_unsat -> Unsat
-  | Qcache.Miss -> solve_miss c q group
+  match Qcache.lookup c q with
+  | Qcache.Hit (m, owner) ->
+      Atomic.incr cnt.c_model_reuse_hits;
+      if owner <> (Domain.self () :> int) then
+        Atomic.incr cnt.c_cross_worker_hits;
+      Sat m
+  | Qcache.Miss ->
+      Atomic.incr cnt.c_misses;
+      solve_miss c q group
 
 (* Each path condition's independence partition, memoized per domain by
    the physical identity of the list, like [prepare]. A miss walks down
@@ -335,9 +299,8 @@ let check constraints =
 
 (* [check (extra :: slice)] answered with less work: [extra]'s variables
    reach every group of its slice, so the query is one group, in query
-   order, built from the partition's prepared members. Only the verdict
-   is wanted, so the hit's model is never applied and never builds its
-   tables. The counters move exactly as they would under [check]. *)
+   order, built from the partition's prepared members. The counters
+   move exactly as they would under [check]. *)
 let feasible cs extra =
   Atomic.incr cnt.c_queries;
   let x = prepare extra in

@@ -8,9 +8,9 @@
     + constraint-independence slicing ({!Indep}) — the set is split into
       variable-disjoint groups solved separately, with the per-group
       models unioned;
-    + per-group query cache ({!Qcache}) — canonicalized groups hit stored
-      Sat models / Unsat verdicts, and a cached model that satisfies the
-      group is reused (the counterexample cache's superset rule);
+    + per-group query cache ({!Qcache}) — a recently stored Sat model
+      that satisfies the group answers it (the counterexample cache's
+      superset rule);
     + interval inference — sound contradiction detection and cheap
       candidate models verified by concrete evaluation;
     + bit-blasting to CNF and DPLL search.
@@ -27,9 +27,8 @@
     longer re-partitions or re-looks-up every group of the path.
 
     Every layer is always on. The query cache is one process-wide
-    {!Qcache.t} behind one mutex, normalized up to variable renaming, so
-    a group solved by any parallel exploration worker is a hit for all
-    of them. *)
+    {!Qcache.t} behind one mutex, so a model found by any parallel
+    exploration worker can answer a group for all of them. *)
 
 type model = Expr.var -> int
 
@@ -76,8 +75,8 @@ val concretize_relevant : Expr.t list -> Expr.t -> int option
     [None] here. *)
 
 type prepared
-(** A constraint prepared for the solver once: its simplified form, that
-    form's variables and its query-cache normalization. *)
+(** A constraint prepared for the solver once: its simplified form and
+    that form's variables. *)
 
 val original : prepared -> Expr.t
 (** The constraint as the path condition holds it. *)
@@ -128,18 +127,13 @@ type stats = {
   s_group_solves : int;
   (** per-group solves after slicing; a {!feasible} query counts only
       the groups of its slice *)
-  s_cache_exact_hits : int;
   s_cache_model_reuse_hits : int;   (** Sat via a re-checked cached model *)
   s_cache_misses : int;
-  s_cache_renamed_hits : int;
-  (** exact hits on an entry stored under a different original key — the
-      win from normalization up to variable renaming *)
   s_cache_cross_worker_hits : int;
-  (** hits on entries/models stored by a different domain — the win from
-      sharing the cache across workers *)
+  (** hits on models stored by a different domain — the win from sharing
+      the cache across workers *)
   s_interval_solves : int;          (** groups settled by interval layer *)
   s_bitblast_solves : int;          (** groups that reached CNF + DPLL *)
-  s_cache_evictions : int;
   s_unknowns : int;
   (** uncached group solves left Unknown (conflict budget or deadline
       ran out, or forced by {!set_force_unknown}) *)
@@ -147,10 +141,10 @@ type stats = {
 
 val stats : unit -> stats
 val diff_stats : stats -> stats -> stats
-(** [diff_stats after before] — field-wise difference. The cache's
-    eviction count clamps at 0: a cache swapped in between the snapshots
-    restarts it. *)
+(** [diff_stats after before] — field-wise difference. *)
 
 val cache_hits : stats -> int
+(** Model-reuse hits, the cache's one rule. *)
+
 val cache_hit_rate : stats -> float
 (** Hits / (hits + misses), 0 when no cached lookups happened. *)

@@ -79,7 +79,7 @@ type engine = {
      callbacks may call back into the engine (e.g. [stats]) *)
   injected_sites_global : (int, unit) Hashtbl.t;
   mutable done_states : St.t list;
-  mutable lineage : (int * int * string * int) list;
+  mutable lineage : (int * int * (string * St.status) * int) list;
   frontier : Frontier.t;
   next_id : int Atomic.t;
   total_steps : int Atomic.t;
@@ -332,9 +332,7 @@ let rec retire eng st status ~report =
   st.St.status <- Some status;
   Mutex.lock eng.glock;
   eng.lineage <-
-    (st.St.id, st.St.parent_id,
-     Format.asprintf "%s: %a" st.St.entry_name St.pp_status status,
-     st.St.forks)
+    (st.St.id, st.St.parent_id, (st.St.entry_name, status), st.St.forks)
     :: eng.lineage;
   if report then eng.done_states <- st :: eng.done_states;
   Mutex.unlock eng.glock;
@@ -1135,11 +1133,17 @@ let run eng ?(max_total_steps = 20_000_000) ?(plateau_steps = 150_000) () =
       drain_retire eng (fun st ->
           retire eng st (St.Discarded "coverage plateau") ~report:false)
 
+type tree = (string * St.status) Ddt_trace.Tree.t
+
 let execution_tree eng =
   Mutex.lock eng.glock;
   let lineage = eng.lineage in
   Mutex.unlock eng.glock;
   Ddt_trace.Tree.build lineage
+
+let pp_tree =
+  Ddt_trace.Tree.pp_with (fun fmt (entry, status) ->
+      Format.fprintf fmt "%s: %a" entry St.pp_status status)
 
 (* A crash-dump of a state: concretized registers plus the pages its
    loads and stores touched ([St.touched_pages]), valued under the path

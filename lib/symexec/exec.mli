@@ -147,9 +147,15 @@ val run :
     An exception that escapes a worker loop outside every state's fault
     boundary stops all workers; [run] joins them and re-raises it. *)
 
-val execution_tree : engine -> Ddt_trace.Tree.t
+type tree = (string * Symstate.status) Ddt_trace.Tree.t
+(** Each state labelled with its entry point and terminal status. *)
+
+val execution_tree : engine -> tree
 (** The tree of every explored path (§3.5): nodes are states, children are
-    fork successors, labels carry the terminal status. *)
+    fork successors. *)
+
+val pp_tree : Format.formatter -> tree -> unit
+(** Indented rendering, each state as ["entry: status"]. *)
 
 val crashdump : Symstate.t -> note:string -> Ddt_trace.Crashdump.t
 (** Snapshot a state as a crash dump: its registers and its

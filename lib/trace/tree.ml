@@ -1,13 +1,13 @@
-type node = {
+type 'l node = {
   t_id : int;
   t_parent : int;
-  t_label : string;
+  t_label : 'l;
   t_forks : int;
   mutable t_children : int list;
 }
 
-type t = {
-  nodes : (int, node) Hashtbl.t;
+type 'l t = {
+  nodes : (int, 'l node) Hashtbl.t;
   mutable root_ids : int list;
 }
 
@@ -52,13 +52,16 @@ let path_to_root t id =
   in
   List.rev (go id [])
 
-let pp fmt t =
+let pp_with pp_label fmt t =
   let rec render indent id =
     match node t id with
     | None -> ()
     | Some n ->
-        Format.fprintf fmt "%s+- state %d: %s%s@." indent n.t_id n.t_label
+        Format.fprintf fmt "%s+- state %d: %a%s@." indent n.t_id pp_label
+          n.t_label
           (if n.t_forks > 0 then Printf.sprintf " (%d forks)" n.t_forks else "");
         List.iter (render (indent ^ "|  ")) n.t_children
   in
   List.iter (render "") t.root_ids
+
+let pp = pp_with Format.pp_print_string

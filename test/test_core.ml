@@ -347,6 +347,13 @@ let test_report_json_write_file () =
 
 (* --- evidence artifacts ------------------------------------------------------ *)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 let test_execution_tree () =
   let entry = Ddt_drivers.Corpus.find "rtl8029" in
   let r = Ddt.test_driver (Ddt_drivers.Corpus.config entry) in
@@ -354,6 +361,11 @@ let test_execution_tree () =
   check_bool "tree covers many states" true (Ddt_trace.Tree.size tree > 20);
   check_bool "tree has depth (fork lineage)" true
     (Ddt_trace.Tree.depth tree >= 3);
+  (* Labels are formatted only when the tree is printed. *)
+  let rendering = Format.asprintf "%a" Exec.pp_tree tree in
+  check_bool "labels name entry and status" true
+    (contains rendering "+- state 1: load: returned 0x0\n"
+     && contains rendering "|  +- state 2: initialize: returned 0x0\n");
   (* Every reported bug's state appears in the tree with a path to a root. *)
   List.iter
     (fun b ->

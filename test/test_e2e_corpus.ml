@@ -78,6 +78,36 @@ let check_replays entry () =
         replayed)
     full.Session.r_bugs
 
+(* A tripwire for lost cache hits: every corpus session's cache misses
+   and bit-blasts stay within twice their count at the time the cache
+   became reuse-only, plus 4. A change that stops stored models from
+   applying fails here rather than only in a benchmark. Each row is
+   (driver, fixed, misses, bit-blasts) as measured then. *)
+let solver_counts =
+  [ ("pro1000", false, 18, 5); ("pro1000", true, 18, 5);
+    ("pro100", false, 9, 1); ("pro100", true, 9, 1);
+    ("ac97", false, 2, 0); ("ac97", true, 2, 0);
+    ("audiopci", false, 2, 0); ("audiopci", true, 2, 0);
+    ("pcnet", false, 5, 0); ("pcnet", true, 5, 0);
+    ("rtl8029", false, 6, 2); ("rtl8029", true, 6, 0);
+    ("deeploop", false, 5, 1); ("deeploop", true, 5, 1) ]
+
+let check_solver_counts () =
+  List.iter
+    (fun (short, fixed, misses, blasts) ->
+      let r = run ~fixed (Corpus.find short) in
+      let sv = r.Session.r_stats.Ddt_symexec.Exec.st_solver in
+      let bounded what got n =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s%s: %d %s <= 2 x %d + 4" short
+             (if fixed then " fixed" else "") got what n)
+          true
+          (got <= (2 * n) + 4)
+      in
+      bounded "misses" sv.Ddt_solver.Solver.s_cache_misses misses;
+      bounded "bit-blasts" sv.Ddt_solver.Solver.s_bitblast_solves blasts)
+    solver_counts
+
 let () =
   let driver_cases =
     List.concat_map
@@ -97,4 +127,7 @@ let () =
              `Quick (check_replays e))
          Corpus.all);
       ("summary",
-       [ Alcotest.test_case "14 bugs total" `Quick total_bug_count ]) ]
+       [ Alcotest.test_case "14 bugs total" `Quick total_bug_count ]);
+      ("solver",
+       [ Alcotest.test_case "cache misses and bit-blasts bounded" `Quick
+           check_solver_counts ]) ]

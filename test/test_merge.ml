@@ -2,15 +2,13 @@
 
    Layered the same way as the feature: Pdom unit tests over hand-built
    CFGs, directed fuse/refuse tests driving the merge pool with
-   hand-built states, solver-stack regressions (Qcache renaming
-   stability over commuted disjunctions, Indep treating ite guards as
-   dependence edges), and session-level differential properties — a
+   hand-built states, a solver-stack regression (Indep treating ite
+   guards as dependence edges), and session-level differential properties — a
    merged run must report exactly the bugs an unmerged run reports and
    its replay scripts must still reproduce. *)
 
 module Expr = Ddt_solver.Expr
 module Solver = Ddt_solver.Solver
-module Qcache = Ddt_solver.Qcache
 module Indep = Ddt_solver.Indep
 module Isa = Ddt_dvm.Isa
 module Asm = Ddt_dvm.Asm
@@ -479,33 +477,6 @@ let prop_fusion_sound =
 
 (* --- solver stack under merged values --------------------------------------- *)
 
-let test_qcache_commuted_renaming () =
-  let q = Qcache.create () in
-  let mk () = (Expr.fresh_var Expr.W32, Expr.fresh_var Expr.W32) in
-  let vx1, vy1 = mk () in
-  let d1 =
-    Expr.or1
-      (Expr.cmp Expr.Eq (Expr.var vx1) (Expr.word 3))
-      (Expr.cmp Expr.Ltu (Expr.var vy1) (Expr.word 7))
-  in
-  Qcache.store_sat q (Qcache.query [ d1 ])
-    (fun v -> if v.Expr.id = vx1.Expr.id then 3 else 0);
-  (* the same disjunction under fresh names with the disjuncts written
-     the other way round — exactly what two workers see when merge-guard
-     disjunctions are built in opposite arrival order; renaming alone
-     would renumber the two forms differently *)
-  let vx2, vy2 = mk () in
-  let d2 =
-    Expr.or1
-      (Expr.cmp Expr.Ltu (Expr.var vy2) (Expr.word 7))
-      (Expr.cmp Expr.Eq (Expr.var vx2) (Expr.word 3))
-  in
-  match Qcache.lookup q (Qcache.query [ d2 ]) with
-  | Qcache.Exact_sat m, info ->
-      check_bool "hit is a renaming" true info.Qcache.i_renamed;
-      check_int "translated model satisfies the twin" 1 (Expr.eval m d2)
-  | _ -> Alcotest.fail "commuted renaming of a disjunction must hit exactly"
-
 let test_indep_ite_guard_edges () =
   let v () = Expr.var (Expr.fresh_var Expr.W32) in
   let x = v () and y = v () and z = v () and w = v () in
@@ -712,9 +683,7 @@ let () =
            test_dead_carrier_releases_token;
          QCheck_alcotest.to_alcotest prop_fusion_sound ]);
       ("solver",
-       [ Alcotest.test_case "qcache commuted renaming" `Quick
-           test_qcache_commuted_renaming;
-         Alcotest.test_case "indep ite guard edges" `Quick
+       [ Alcotest.test_case "indep ite guard edges" `Quick
            test_indep_ite_guard_edges ]);
       ("corpus",
        List.map

@@ -587,11 +587,10 @@ let test_indep_equisat () =
 (* Field [i] holds [f i]: with [f] injective and nonzero, a dropped,
    clamped or swapped field shows. *)
 let stats_of f =
-  { Solver.s_queries = f 1; s_group_solves = f 2; s_cache_exact_hits = f 3;
-    s_cache_model_reuse_hits = f 4; s_cache_misses = f 5;
-    s_cache_renamed_hits = f 6; s_cache_cross_worker_hits = f 7;
-    s_interval_solves = f 8; s_bitblast_solves = f 9;
-    s_cache_evictions = f 10; s_unknowns = f 11 }
+  { Solver.s_queries = f 1; s_group_solves = f 2;
+    s_cache_model_reuse_hits = f 3; s_cache_misses = f 4;
+    s_cache_cross_worker_hits = f 5; s_interval_solves = f 6;
+    s_bitblast_solves = f 7; s_unknowns = f 8 }
 
 let test_diff_stats () =
   check_bool "field-wise difference" true
@@ -599,137 +598,76 @@ let test_diff_stats () =
        (stats_of (fun i -> 100 * i))
      = stats_of (fun i -> i))
 
-(* --- Qcache: canonicalizing counterexample cache ----------------------- *)
+(* --- Qcache: the counterexample cache's superset rule ------------------ *)
 
-let lookup_info q cs = Qcache.lookup q (Qcache.query cs)
-let lookup q cs = fst (lookup_info q cs)
-let store_sat q cs m = Qcache.store_sat q (Qcache.query cs) m
-let store_unsat q cs = Qcache.store_unsat q (Qcache.query cs)
-
-let test_qcache_exact () =
-  let open Expr in
-  let q = Qcache.create () in
-  let x = fresh_var W32 in
-  let c1 = cmp Ltu (var x) (word 5) in
-  let c2 = cmp Ltu (word 1) (var x) in
-  check_bool "miss first" true (lookup q [ c1; c2 ] = Qcache.Miss);
-  store_sat q [ c1; c2 ] (fun _ -> 3);
-  (* Exact hits are canonical: order must not matter. *)
-  (match lookup q [ c2; c1 ] with
-   | Qcache.Exact_sat m -> check_int "model survives" 3 (m x)
-   | _ -> Alcotest.fail "expected exact hit");
-  store_unsat q [ c1 ];
-  check_bool "exact unsat" true (lookup q [ c1 ] = Qcache.Exact_unsat)
+let cquery cs = Qcache.query (List.map (fun c -> (c, Expr.vars c)) cs)
+let lookup q cs = Qcache.lookup q (cquery cs)
+let store q cs m = Qcache.store q (cquery cs) m
 
 let test_qcache_model_reuse () =
   let open Expr in
   let q = Qcache.create () in
   let x = fresh_var W32 in
   let c1 = cmp Ltu (word 5) (var x) in
-  store_sat q [ c1 ] (fun _ -> 6);
+  check_bool "miss first" true (lookup q [ c1 ] = Qcache.Miss);
+  store q [ c1 ] (fun _ -> 6);
   (* x=6 also satisfies the tighter superset query: reused after a cheap
      evaluation, no solve needed. *)
   (match lookup q [ c1; cmp Ltu (var x) (word 10) ] with
-   | Qcache.Reuse_sat m -> check_int "model reused" 6 (m x)
-   | _ -> Alcotest.fail "expected model reuse");
+   | Qcache.Hit (m, _) -> check_int "model reused" 6 (m x)
+   | Qcache.Miss -> Alcotest.fail "expected model reuse");
   (* x=6 violates x < 3: no reuse. *)
   check_bool "unsatisfying model rejected" true
     (lookup q [ c1; cmp Ltu (var x) (word 3) ] = Qcache.Miss)
-
-let test_qcache_renaming () =
-  let open Expr in
-  let q = Qcache.create () in
-  let x = fresh_var W32 in
-  store_sat q [ cmp Ltu (var x) (word 5) ] (fun _ -> 3);
-  (* A structurally identical query over a different variable is an exact
-     hit — keys are normalized up to renaming — with the stored model
-     translated onto this query's variable. *)
-  let z = fresh_var W32 in
-  (match lookup_info q [ cmp Ltu (var z) (word 5) ] with
-   | Qcache.Exact_sat m, info ->
-       check_int "translated model" 3 (m z);
-       check_bool "flagged as renamed" true info.Qcache.i_renamed
-   | _ -> Alcotest.fail "expected renamed exact hit");
-  (* The original query itself is an exact hit but not a renamed one. *)
-  (match lookup_info q [ cmp Ltu (var x) (word 5) ] with
-   | Qcache.Exact_sat _, info ->
-       check_bool "same-key hit not flagged" false info.Qcache.i_renamed
-   | _ -> Alcotest.fail "expected exact hit");
-  (* Past the rename's short-list threshold (8 variables) the twin still
-     hits exactly, and every variable reads its own stored value. *)
-  let wide () = Array.init 12 (fun _ -> fresh_var W32) in
-  let pins xs = Array.to_list (Array.mapi (fun i v -> cmp Eq (var v) (word (i + 1))) xs) in
-  let xs = wide () and zs = wide () in
-  store_sat q (pins xs) (fun v ->
-      let i = ref 0 in
-      Array.iteri (fun j u -> if u.id = v.id then i := j + 1) xs;
-      !i);
-  (match lookup q (pins zs) with
-   | Qcache.Exact_sat m ->
-       Array.iteri (fun i z -> check_int "wide translated model" (i + 1) (m z)) zs
-   | _ -> Alcotest.fail "expected renamed exact hit over 12 variables");
-  (* The same shape at a different width is a different renamed key. *)
-  let b = fresh_var W8 in
-  check_bool "width is part of the key" true
-    (match lookup q [ cmp Ltu (var b) (byte 5) ] with
-     | Qcache.Exact_sat _ -> false
-     | _ -> true)
 
 let test_qcache_reuse_masks_width () =
   let open Expr in
   let q = Qcache.create () in
   let x = fresh_var W32 in
-  store_sat q [ cmp Ltu (word 5) (var x) ] (fun _ -> 511);
-  (* The stored 32-bit model value can reach an 8-bit twin through model
-     reuse (the renamed keys differ in width, so it is not an exact hit,
-     but evaluation masks at the Var node and verifies). The model handed
-     back must be masked to the query variable's width. *)
+  store q [ cmp Ltu (word 5) (var x) ] (fun _ -> 511);
+  (* The stored 32-bit model value reaches an 8-bit twin at the same
+     variable number (evaluation masks at the Var node and verifies). The
+     model handed back must be masked to the query variable's width. *)
   let b = fresh_var W8 in
-  (match lookup q [ cmp Ltu (byte 5) (var b) ] with
-   | Qcache.Reuse_sat m -> check_int "masked to W8" 255 (m b)
-   | Qcache.Exact_sat _ -> Alcotest.fail "widths must not collapse"
-   | _ -> Alcotest.fail "expected model reuse")
+  match lookup q [ cmp Ltu (byte 5) (var b) ] with
+  | Qcache.Hit (m, _) -> check_int "masked to W8" 255 (m b)
+  | Qcache.Miss -> Alcotest.fail "expected model reuse"
 
 let test_qcache_concurrent () =
   let open Expr in
   let q = Qcache.create () in
   let rounds = 200 in
   let lookups = Atomic.make 0 and hits = Atomic.make 0
-  and misses = Atomic.make 0 and renamed = Atomic.make 0
-  and cross = Atomic.make 0 in
+  and misses = Atomic.make 0 and cross = Atomic.make 0
+  and unsat_hits = Atomic.make 0 in
   (* Count each outcome from the value the cache returned. *)
   let counted c =
     Atomic.incr lookups;
-    let ((outcome, info) as r) = Qcache.lookup q c in
-    (match outcome with
+    let r = Qcache.lookup q c in
+    (match r with
      | Qcache.Miss -> Atomic.incr misses
-     | Qcache.Exact_sat _ | Qcache.Exact_unsat | Qcache.Reuse_sat _ ->
+     | Qcache.Hit (_, owner) ->
          Atomic.incr hits;
-         if info.Qcache.i_renamed then Atomic.incr renamed;
-         if info.Qcache.i_owner >= 0
-            && info.Qcache.i_owner <> (Domain.self () :> int)
-         then Atomic.incr cross);
-    fst r
+         if owner <> (Domain.self () :> int) then Atomic.incr cross);
+    r
   in
   let work () =
     for i = 0 to rounds - 1 do
       (* Every domain mints its own variables, but the shapes repeat, so
-         renaming collapses them onto shared entries: the first domain to
-         store owns the entry and everyone else hits it. *)
+         a model any domain stored answers the others' twins. *)
       let x = fresh_var W32 in
-      let c = Qcache.query [ cmp Ltu (var x) (word (i mod 10)) ] in
+      let c = cquery [ cmp Ltu (var x) (word (1 + (i mod 10))) ] in
       (match counted c with
-       | Qcache.Miss -> Qcache.store_sat q c (fun _ -> 0)
-       | _ -> ());
+       | Qcache.Miss -> Qcache.store q c (fun _ -> 0)
+       | Qcache.Hit _ -> ());
+      (* No model satisfies this one, and Unsat answers are not stored. *)
       let y = fresh_var W32 in
       let u =
-        Qcache.query
+        cquery
           [ cmp Ltu (var y) (word (i mod 7));
             cmp Ltu (word (7 + (i mod 7))) (var y) ]
       in
-      match counted u with
-      | Qcache.Miss -> Qcache.store_unsat q u
-      | _ -> ()
+      if counted u <> Qcache.Miss then Atomic.incr unsat_hits
     done
   in
   let domains = List.init 3 (fun _ -> Domain.spawn work) in
@@ -739,32 +677,74 @@ let test_qcache_concurrent () =
     (Atomic.get hits + Atomic.get misses);
   check_int "4 domains x 2 lookups per round" (4 * 2 * rounds)
     (Atomic.get lookups);
-  check_bool "shared entries produce hits" true (Atomic.get hits > 0);
-  check_bool "renamed twins collapse" true (Atomic.get renamed > 0);
+  check_bool "shared models produce hits" true (Atomic.get hits > 0);
+  check_int "no model satisfies an unsat group" 0 (Atomic.get unsat_hits);
   check_bool "cross-domain hits observed" true (Atomic.get cross > 0);
-  (* A shape any domain answered is an answer for all (exact entry or a
-     reusable model — either way, not a miss). *)
+  check_int "every miss exported" (Atomic.get misses)
+    (List.length (Qcache.export_entries q));
+  (* A model any domain stored answers a later twin. *)
   let z = fresh_var W32 in
   check_bool "post-join hit" true
     (lookup q [ cmp Ltu (var z) (word 3) ] <> Qcache.Miss)
 
-(* The cache holds 4096 entries; one more evicts the least recently
-   used quarter. *)
-let test_qcache_eviction () =
+(* Property over random groups and stored models. A group is up to four
+   comparisons over three variables of random widths; each stored model
+   is a model of its group, as the solver stores. A hit's model
+   satisfies every term of the probe, and each of its values fits its
+   variable's width; a stored group rebuilt over fresh variables hits. *)
+let prop_qcache_hits_sound =
   let open Expr in
-  let q = Qcache.create () in
-  let cs =
-    List.init 4097 (fun i ->
-        [ cmp Eq (var (fresh_var W32)) (word i) ])
+  let widths = [| W1; W8; W32 |] and ops = [| Eq; Ne; Ltu; Leu; Lts; Les |] in
+  let gen =
+    QCheck.Gen.(
+      let group =
+        pair
+          (array_size (return 3) (int_bound 2))
+          (list_size (int_range 1 4)
+             (triple (int_bound 5) (int_bound 2) (int_bound 300)))
+      in
+      pair
+        (list_size (int_range 1 6)
+           (pair group (array_size (return 3) (int_bound 600))))
+        group)
   in
-  List.iter (store_unsat q) cs;
-  check_bool "bounded" true (Qcache.size q <= 4096);
-  check_bool "evictions counted" true (Qcache.evictions q > 0);
-  (* The oldest entry is gone. *)
-  check_bool "oldest evicted" true (lookup q (List.hd cs) = Qcache.Miss);
-  (* The newest entry survived. *)
-  check_bool "newest kept" true
-    (lookup q (List.nth cs 4096) = Qcache.Exact_unsat)
+  let build (ws, clauses) =
+    let vs = Array.map (fun w -> fresh_var widths.(w)) ws in
+    let term (op, slot, k) =
+      let v = vs.(slot) in
+      cmp ops.(op) (if v.var_width = W32 then var v else zext (var v)) (word k)
+    in
+    (vs, List.map term clauses)
+  in
+  let fits m (v : var) = m v land mask_of_width v.var_width = m v in
+  QCheck.Test.make ~count:300 ~name:"hits satisfy their terms"
+    (QCheck.make gen)
+    (fun (stored, probe) ->
+      let q = Qcache.create () in
+      let twins_hit =
+        List.for_all
+          (fun (group, values) ->
+            let vs, cs = build group in
+            let m (v : var) =
+              let i = ref 0 in
+              Array.iteri (fun j u -> if u.id = v.id then i := j) vs;
+              values.(!i) land mask_of_width v.var_width
+            in
+            (not (List.for_all (fun c -> eval m c = 1) cs))
+            || begin
+                 store q cs m;
+                 lookup q (snd (build group)) <> Qcache.Miss
+               end)
+          stored
+      in
+      let vs, cs = build probe in
+      twins_hit
+      &&
+      match lookup q cs with
+      | Qcache.Miss -> true
+      | Qcache.Hit (m, _) ->
+          List.for_all (fun c -> eval m c = 1) cs
+          && Array.for_all (fits m) vs)
 
 (* Property: the solver pipeline (slicing + cache, queries issued twice
    to force hits) and the from-scratch {!baseline} agree on Sat/Unsat
@@ -797,7 +777,7 @@ let prop_accel_agrees_with_baseline =
       let accel =
         Solver.clear_cache ();
         (* First call populates the cache (misses), the second and the
-           growing prefixes exercise exact hits and model reuse. *)
+           growing prefixes exercise model reuse. *)
         ignore (Solver.check cs);
         List.iteri
           (fun i _ ->
@@ -1009,8 +989,7 @@ let prop_feasible_matches_check =
 (* [feasible] answers [check (extra :: slice)] with less
    work, but must account exactly the same: on a fresh cache, a run of
    queries moves every counter as the same run through [check] does.
-   The run is built to reach a miss, an exact hit and a model-reuse
-   hit. *)
+   The run is built to reach misses and model-reuse hits. *)
 let test_feasible_stats_match_check () =
   let open Expr in
   let x = zext (var (fresh_var W8)) and y = zext (var (fresh_var W8))
@@ -1018,7 +997,7 @@ let test_feasible_stats_match_check () =
   let path = [ cmp Ltu x (word 50); cmp Ltu y (word 9); cmp Eq z (word 3) ] in
   let queries =
     [ (path, cmp Ltu (word 10) x);            (* miss *)
-      (path, cmp Ltu (word 10) x);            (* exact hit *)
+      (path, cmp Ltu (word 10) x);            (* model reuse, same group *)
       (path, cmp Ltu (word 5) x);             (* model reuse *)
       (path, cmp Ltu (word 60) x);            (* miss, Unsat *)
       (* a branch joining two groups of the slice *)
@@ -1052,10 +1031,8 @@ let test_feasible_stats_match_check () =
   let fields (s : Solver.stats) =
     [ ("queries", s.Solver.s_queries);
       ("group solves", s.Solver.s_group_solves);
-      ("exact hits", s.Solver.s_cache_exact_hits);
       ("model-reuse hits", s.Solver.s_cache_model_reuse_hits);
       ("misses", s.Solver.s_cache_misses);
-      ("renamed hits", s.Solver.s_cache_renamed_hits);
       ("interval solves", s.Solver.s_interval_solves);
       ("bit-blast solves", s.Solver.s_bitblast_solves) ]
   in
@@ -1065,7 +1042,7 @@ let test_feasible_stats_match_check () =
   List.iter
     (fun (name, n) -> check_bool (name ^ " reached") true (n > 0))
     (List.filter
-       (fun (name, _) -> name <> "renamed hits" && name <> "bit-blast solves")
+       (fun (name, _) -> name <> "bit-blast solves")
        (fields f_stats))
 
 (* --- sharing ---------------------------------------------------------------- *)
@@ -1129,8 +1106,6 @@ let rec tree_size (e : Expr.t) =
   | Expr.Concat4 (b3, b2, b1, b0) ->
       1 + tree_size b3 + tree_size b2 + tree_size b1 + tree_size b0
 
-let sign x = compare x 0
-
 (* 48 merges unfold to ~2^50 tree nodes: every walk here must take time
    linear in the DAG, or the test never finishes. *)
 let test_sharing_deep_chain () =
@@ -1140,10 +1115,7 @@ let test_sharing_deep_chain () =
   let c = merged_chain (fresh_var ~name:"t" W8 :: List.tl vs) in
   check_bool "copies are distinct objects" true (a != b);
   check_bool "equal copies" true (equal a b);
-  check_int "compare copies" 0 (compare a b);
   check_bool "different first round" false (equal a c);
-  check_int "antisymmetric" (- sign (compare a c)) (sign (compare c a));
-  check_int "compare_shape ignores names and ids" 0 (compare_shape a c);
   check_bool "vars" true (List.map (fun v -> v.id) (vars a) = List.map (fun v -> v.id) vs);
   let printed = to_string a in
   check_bool "printed as a DAG" true
@@ -1161,10 +1133,10 @@ let test_sharing_deep_chain () =
   let r = Interval.range_of (fun v -> Interval.full v.var_width) a in
   check_bool "range covers the value" true (r.Interval.lo <= want && want <= r.Interval.hi);
   let q = Qcache.create () in
-  store_sat q [ cmp Eq a (word want) ] env;
+  store q [ cmp Eq a (word want) ] env;
   (match lookup q [ cmp Eq b (word want) ] with
-   | Qcache.Exact_sat _ -> ()
-   | _ -> Alcotest.fail "rebuilt copy must hit the cached entry");
+   | Qcache.Hit (m, _) -> check_int "reused model" want (eval m b)
+   | Qcache.Miss -> Alcotest.fail "rebuilt copy must reuse the stored model");
   let other = fresh_var W8 in
   check_int "independent groups" 2
     (List.length (groups_of [ cmp Eq a (word want); cmp Eq (var other) (byte 1) ]));
@@ -1196,7 +1168,6 @@ let test_sharing_matches_tree_walks () =
     (fun i _ ->
       let vs' = List.mapi (fun j v -> if i = j then fresh_var W8 else v) vs in
       let c = merged_chain vs' in
-      check_int "compare agrees with Stdlib" (sign (Stdlib.compare a c)) (sign (compare a c));
       check_bool "equal agrees with (=)" (a = c) (equal a c))
     vs
 
@@ -1217,13 +1188,10 @@ let prop_vars_sorted_distinct =
       in
       List.map (fun (v : Expr.var) -> v.Expr.id) (Expr.vars term) = want)
 
-let prop_compare_matches_stdlib =
-  QCheck.Test.make ~count:500 ~name:"compare and equal agree with Stdlib"
+let prop_equal_matches_stdlib =
+  QCheck.Test.make ~count:500 ~name:"equal agrees with Stdlib"
     (QCheck.pair arb_expr arb_expr)
-    (fun (a, b) ->
-      sign (Expr.compare a b) = sign (Stdlib.compare a b)
-      && Expr.equal a b = (a = b)
-      && Expr.equal a a)
+    (fun (a, b) -> Expr.equal a b = (a = b) && Expr.equal a a)
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
@@ -1245,7 +1213,7 @@ let () =
            test_sharing_deep_chain;
          Alcotest.test_case "memoized walks match tree walks" `Quick
            test_sharing_matches_tree_walks;
-         qtest prop_compare_matches_stdlib ]);
+         qtest prop_equal_matches_stdlib ]);
       ("interval",
        [ Alcotest.test_case "infeasible" `Quick test_interval_infeasible;
          Alcotest.test_case "narrowing" `Quick test_interval_narrowing;
@@ -1261,15 +1229,12 @@ let () =
          Alcotest.test_case "relevant slice" `Quick test_indep_relevant;
          Alcotest.test_case "sliced equisatisfiable" `Quick test_indep_equisat ]);
       ("qcache",
-       [ Alcotest.test_case "exact hit" `Quick test_qcache_exact;
-         Alcotest.test_case "model reuse" `Quick test_qcache_model_reuse;
-         Alcotest.test_case "renaming normalization" `Quick
-           test_qcache_renaming;
+       [ Alcotest.test_case "model reuse" `Quick test_qcache_model_reuse;
          Alcotest.test_case "reuse masks width" `Quick
            test_qcache_reuse_masks_width;
          Alcotest.test_case "concurrent domains" `Quick
            test_qcache_concurrent;
-         Alcotest.test_case "lru eviction" `Quick test_qcache_eviction;
+         qtest prop_qcache_hits_sound;
          qtest prop_accel_agrees_with_baseline;
          qtest prop_accel_models_verified ]);
       ("solver",
