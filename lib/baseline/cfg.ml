@@ -1,5 +1,6 @@
 module Isa = Ddt_dvm.Isa
 module Image = Ddt_dvm.Image
+module Icfg = Ddt_staticx.Icfg
 
 type token =
   | Tok_offset of int
@@ -16,7 +17,7 @@ type block = {
   b_start : int;
   b_instrs : (int * Isa.instr) list;
   b_kcalls : kcall_site list;
-  mutable b_succs : int list;
+  b_succs : int list;
   b_is_exit : bool;
 }
 
@@ -66,18 +67,7 @@ let arg0_token instrs_before =
   | _ -> Tok_unknown
 
 let build (img : Image.t) =
-  (* decode-once: index the shared per-image instruction array rather
-     than re-decoding the text section. *)
-  let instrs =
-    let code = Image.code_array img in
-    let acc = ref [] in
-    for i = Array.length code - 1 downto 0 do
-      match code.(i) with
-      | Some instr -> acc := (i * Isa.instr_size, instr) :: !acc
-      | None -> ()
-    done;
-    !acc
-  in
+  let icfg = Icfg.build img in
   let funcs_sorted =
     List.sort (fun (_, a) (_, b) -> compare a b) img.Image.funcs
   in
@@ -89,67 +79,50 @@ let build (img : Image.t) =
     in
     next funcs_sorted
   in
-  let block_leaders = Ddt_dvm.Disasm.basic_block_starts img in
   List.map
     (fun (fname, fstart) ->
       let fend = func_extent fstart in
-      let f_instrs =
-        List.filter (fun (pos, _) -> pos >= fstart && pos < fend) instrs
-      in
-      let leaders =
-        fstart
-        :: List.filter (fun l -> l > fstart && l < fend) block_leaders
-        |> List.sort_uniq compare
-      in
+      let inside t = t >= fstart && t < fend in
       let blocks = Hashtbl.create 16 in
-      let rec build_blocks = function
-        | [] -> ()
-        | leader :: rest ->
-            let block_end =
-              match rest with [] -> fend | next :: _ -> next
-            in
-            let b_instrs =
-              List.filter
-                (fun (pos, _) -> pos >= leader && pos < block_end)
-                f_instrs
-            in
-            (* Collect kcalls with their recovered argument tokens. *)
-            let kcalls = ref [] in
-            let seen_rev = ref [] in
-            List.iter
-              (fun (pos, i) ->
-                (match i with
-                 | Isa.Kcall n
-                   when n >= 0 && n < Array.length img.Image.imports ->
-                     kcalls :=
-                       { kc_name = img.Image.imports.(n);
-                         kc_arg0 = arg0_token !seen_rev;
-                         kc_pos = pos }
-                       :: !kcalls
-                 | _ -> ());
-                seen_rev := (pos, i) :: !seen_rev)
-              b_instrs;
-            let last = List.nth_opt (List.rev b_instrs) 0 in
-            let succs, is_exit =
-              match last with
-              | Some (_pos, Isa.Jmp t) when t >= fstart && t < fend ->
-                  ([ t ], false)
-              | Some (_, Isa.Jmp _) -> ([], true)
-              | Some (pos, (Isa.Jz (_, t) | Isa.Jnz (_, t))) ->
-                  let fall = pos + Isa.instr_size in
-                  let ss = if t >= fstart && t < fend then [ t ] else [] in
-                  ((if fall < fend then fall :: ss else ss), false)
-              | Some (_, (Isa.Ret | Isa.Hlt)) -> ([], true)
-              | Some (pos, _) ->
-                  let fall = pos + Isa.instr_size in
-                  ((if fall < fend then [ fall ] else []), fall >= fend)
-              | None -> ([], true)
-            in
-            Hashtbl.replace blocks leader
-              { b_start = leader; b_instrs; b_kcalls = List.rev !kcalls;
-                b_succs = succs; b_is_exit = is_exit };
-            build_blocks rest
-      in
-      build_blocks leaders;
+      List.iter
+        (fun leader ->
+          match Icfg.block icfg leader with
+          | Some ib when inside leader ->
+              let b_instrs = ib.Icfg.bb_instrs in
+              (* Collect kcalls with their recovered argument tokens. *)
+              let kcalls = ref [] in
+              let seen_rev = ref [] in
+              List.iter
+                (fun (pos, i) ->
+                  (match i with
+                   | Isa.Kcall n
+                     when n >= 0 && n < Array.length img.Image.imports ->
+                       kcalls :=
+                         { kc_name = img.Image.imports.(n);
+                           kc_arg0 = arg0_token !seen_rev;
+                           kc_pos = pos }
+                         :: !kcalls
+                   | _ -> ());
+                  seen_rev := (pos, i) :: !seen_rev)
+                b_instrs;
+              (* Successors stay inside the function: a direct or
+                 indirect call is a plain instruction, and flow that
+                 leaves the extent is an exit. *)
+              let fall = fst (List.hd (List.rev b_instrs)) + Isa.instr_size in
+              let succs, is_exit =
+                match ib.Icfg.bb_term with
+                | Icfg.T_jmp t -> if inside t then ([ t ], false) else ([], true)
+                | Icfg.T_branch t ->
+                    let ss = if inside t then [ t ] else [] in
+                    ((if fall < fend then fall :: ss else ss), false)
+                | Icfg.T_ret | Icfg.T_stop -> ([], true)
+                | Icfg.T_fall | Icfg.T_call _ | Icfg.T_callr _ ->
+                    if fall < fend then ([ fall ], false) else ([], true)
+              in
+              Hashtbl.replace blocks leader
+                { b_start = leader; b_instrs; b_kcalls = List.rev !kcalls;
+                  b_succs = succs; b_is_exit = is_exit }
+          | _ -> ())
+        icfg.Icfg.universe;
       { f_name = fname; f_start = fstart; f_blocks = blocks; f_entry = fstart })
     img.Image.funcs

@@ -1,8 +1,11 @@
 (** Control-flow graphs over DXE binaries, for the static-analysis
     baseline.
 
-    Functions are delimited by the image's function symbols; basic blocks
-    by branch targets and fall-throughs. Because the input is a binary,
+    Functions are delimited by the image's function symbols, each
+    extending to the next symbol. Basic blocks are the reachable blocks
+    of {!Ddt_staticx.Icfg} that start inside the function; successors
+    stay inside it (calls, direct or indirect, are plain instructions,
+    and flow leaving the extent is an exit). Because the input is a binary,
     call arguments are recovered syntactically: the analyzer walks
     backwards from the [push] that set up argument 0 and recognizes the
     compiler's addressing idioms ("base + constant offset" for lock/ctx
@@ -25,8 +28,9 @@ type block = {
   b_start : int;                       (** image-relative offset *)
   b_instrs : (int * Ddt_dvm.Isa.instr) list;
   b_kcalls : kcall_site list;          (** in order *)
-  mutable b_succs : int list;          (** successor block starts *)
-  b_is_exit : bool;                    (** ends in Ret/Hlt *)
+  b_succs : int list;                  (** successor block starts *)
+  b_is_exit : bool;
+  (** ends in [ret]/[hlt], or flows out of the function *)
 }
 
 type func = {

@@ -13,14 +13,10 @@ let pp_report fmt (r : Session.result) =
   end;
   let stats = r.Session.r_stats in
   Format.fprintf fmt
-    "coverage: %d/%d reachable blocks (%.1f%%), %d/%d by linear sweep | \
-     %d invocations | %d states | %d instructions | %.2fs@."
+    "coverage: %d/%d reachable blocks (%.1f%%) | %d invocations | \
+     %d states | %d instructions | %.2fs@."
     r.Session.r_covered_reachable r.Session.r_reachable_blocks
     (Session.reachable_coverage_percent r)
-    (match List.rev r.Session.r_coverage with
-     | [] -> 0
-     | p :: _ -> p.Session.cp_blocks)
-    r.Session.r_total_blocks
     r.Session.r_invocations
     stats.Ddt_symexec.Exec.st_states_created
     stats.Ddt_symexec.Exec.st_total_steps r.Session.r_wall_time;

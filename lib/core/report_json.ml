@@ -5,7 +5,7 @@
 
 module Report = Ddt_checkers.Report
 
-let schema_version = 9
+let schema_version = 10
 
 (* The standalone static report ([statics_to_string]) has not changed
    since schema 6. *)
@@ -35,9 +35,7 @@ type summary = {
   j_schema : int;
   j_driver : string;
   j_bugs : bug_row list;
-  j_total_blocks : int;
   j_reachable_blocks : int;
-  j_covered_blocks : int;
   j_covered_reachable : int;
   j_never_reached : int list;
   j_invocations : int;
@@ -65,12 +63,7 @@ let of_result (r : Session.result) =
             jb_pc = b.Report.b_pc;
             jb_message = b.Report.b_message })
         r.Session.r_bugs;
-    j_total_blocks = r.Session.r_total_blocks;
     j_reachable_blocks = r.Session.r_reachable_blocks;
-    j_covered_blocks =
-      (match List.rev r.Session.r_coverage with
-       | [] -> 0
-       | p :: _ -> p.Session.cp_blocks);
     j_covered_reachable = r.Session.r_covered_reachable;
     j_never_reached = r.Session.r_never_reached;
     j_invocations = r.Session.r_invocations;
@@ -138,9 +131,7 @@ let to_string s =
     [ ("schema", string_of_int s.j_schema);
       ("driver", jstr s.j_driver);
       ("bugs", jlist bug_row_json s.j_bugs);
-      ("total_blocks", string_of_int s.j_total_blocks);
       ("reachable_blocks", string_of_int s.j_reachable_blocks);
-      ("covered_blocks", string_of_int s.j_covered_blocks);
       ("covered_reachable", string_of_int s.j_covered_reachable);
       ("never_reached", jlist string_of_int s.j_never_reached);
       ("invocations", string_of_int s.j_invocations);
@@ -308,9 +299,7 @@ let of_string str =
               j_schema = schema;
               j_driver = as_str (field "driver" j);
               j_bugs = List.map bug_row_of (as_arr (field "bugs" j));
-              j_total_blocks = as_int (field "total_blocks" j);
               j_reachable_blocks = as_int (field "reachable_blocks" j);
-              j_covered_blocks = as_int (field "covered_blocks" j);
               j_covered_reachable = as_int (field "covered_reachable" j);
               j_never_reached =
                 List.map as_int (as_arr (field "never_reached" j));

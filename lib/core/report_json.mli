@@ -32,10 +32,8 @@ type summary = {
   j_schema : int;
   j_driver : string;
   j_bugs : bug_row list;
-  j_total_blocks : int;        (** linear-sweep block count *)
   j_reachable_blocks : int;    (** ICFG universe size *)
-  j_covered_blocks : int;
-  j_covered_reachable : int;
+  j_covered_reachable : int;   (** blocks of that universe executed *)
   j_never_reached : int list;  (** sorted image-relative leaders *)
   j_invocations : int;
   j_finished_states : int;

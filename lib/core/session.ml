@@ -18,19 +18,17 @@ type result = {
   r_driver : string;
   r_bugs : Report.bug list;
   r_coverage : coverage_point list;
-  r_total_blocks : int;
   r_stats : Exec.stats;
   r_wall_time : float;
   r_invocations : int;
   r_finished_states : int;
-  r_kcalls : int;
   r_tree : Exec.tree;
   r_crashdumps : (int * Ddt_trace.Crashdump.t) list;
   (** state id -> dump, for crashed states (when enabled) *)
   r_reachable_blocks : int;
   (** statically reachable block universe (ICFG), the sound denominator *)
   r_covered_reachable : int;
-  (** covered blocks that lie inside the reachable universe *)
+  (** blocks of that universe executed *)
   r_never_reached : int list;
   (** sorted image-relative leaders of reachable blocks never executed *)
   r_paths_to_first_bug : int option;
@@ -80,13 +78,17 @@ let run (cfg : Config.t) =
       List.iter (Mem.add_mmio base_mem)
         (Ddt_hw.Symdev.concrete_mmio symdev (Ddt_hw.Symdev.Random seed)))
     cfg.Config.concrete_device;
-  let eng = Exec.create ~config:cfg.Config.exec_config loaded base_mem symdev in
+  (* The ICFG's reachable leaders are the engine's block universe (the
+     coverage denominator and the min-touch keys) and, through [Pdom],
+     give the merge points. *)
+  let icfg = Icfg.build cfg.Config.image in
+  let eng =
+    Exec.create ~config:cfg.Config.exec_config ~leaders:icfg.Icfg.universe
+      loaded base_mem symdev
+  in
   Option.iter (Exec.set_replay eng) cfg.Config.replay;
   let sink = Report.create_sink () in
   let driver = cfg.Config.driver_name in
-  (* The ICFG gives the reachable-universe coverage denominator and,
-     through [Pdom], the merge points. *)
-  let icfg = Icfg.build cfg.Config.image in
   (* State merging: hand the engine the immediate-post-dominator map so
      it knows, per branch block, where diverging siblings reconverge.
      Never installed for replay runs — a script follows exactly one
@@ -201,11 +203,6 @@ let run (cfg : Config.t) =
       end)
     cfg.Config.workload;
   let stats = Exec.stats eng in
-  let kcalls =
-    List.fold_left
-      (fun acc st -> acc + Kstate.kcall_count st.St.ks)
-      0 !bases
-  in
   (* With several frontier workers the sink's insertion order depends
      on scheduling; sort by key so the report is reproducible. A
      single-worker run keeps discovery order. *)
@@ -216,48 +213,26 @@ let run (cfg : Config.t) =
         (Report.bugs sink)
     else Report.bugs sink
   in
-  (* Reachable-universe coverage: intersect the covered block set with the
-     static universe (both image-relative leaders). *)
-  let covered_rel = Hashtbl.create 256 in
-  List.iter
-    (fun pc -> Hashtbl.replace covered_rel (pc - loaded.Image.base) ())
-    (Exec.covered_blocks eng);
-  let never_reached =
-    List.filter (fun b -> not (Hashtbl.mem covered_rel b)) icfg.Icfg.universe
-  in
-  let covered_reachable =
-    List.length icfg.Icfg.universe - List.length never_reached
-  in
   {
     r_driver = cfg.Config.driver_name;
     r_bugs = bugs;
     r_coverage = List.rev !coverage;
-    r_total_blocks =
-      List.length (Ddt_dvm.Disasm.basic_block_starts cfg.Config.image);
     r_stats = stats;
     r_wall_time = Unix.gettimeofday () -. t0;
     r_invocations = !invocations;
     r_finished_states = !finished_count;
-    r_kcalls = kcalls;
     r_tree = Exec.execution_tree eng;
     r_crashdumps =
       (if cfg.Config.exec_config.Exec.jobs > 1 then
          List.sort (fun (a, _) (b, _) -> compare a b) !crashdumps
        else List.rev !crashdumps);
     r_reachable_blocks = List.length icfg.Icfg.universe;
-    r_covered_reachable = covered_reachable;
-    r_never_reached = never_reached;
+    r_covered_reachable = stats.Exec.st_blocks_covered;
+    r_never_reached =
+      List.map (fun pc -> pc - loaded.Image.base) (Exec.uncovered_blocks eng);
     r_paths_to_first_bug = !first_bug_paths;
     r_incidents = Exec.incidents eng;
   }
-
-let coverage_percent r =
-  if r.r_total_blocks = 0 then 0.0
-  else
-    match List.rev r.r_coverage with
-    | [] -> 0.0
-    | last :: _ ->
-        100.0 *. float_of_int last.cp_blocks /. float_of_int r.r_total_blocks
 
 let reachable_coverage_percent r =
   if r.r_reachable_blocks = 0 then 0.0

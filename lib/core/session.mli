@@ -15,22 +15,20 @@ type result = {
   r_driver : string;
   r_bugs : Ddt_checkers.Report.bug list;
   r_coverage : coverage_point list;      (** chronological *)
-  r_total_blocks : int;                  (** static basic-block count *)
   r_stats : Ddt_symexec.Exec.stats;
   r_wall_time : float;
   r_invocations : int;
   r_finished_states : int;
-  r_kcalls : int;
   r_tree : Ddt_symexec.Exec.tree;
   (** the reconstructed execution tree of all explored paths (§3.5) *)
   r_crashdumps : (int * Ddt_trace.Crashdump.t) list;
   (** crashed-state id -> crash dump (when [collect_crashdumps]) *)
   r_reachable_blocks : int;
   (** size of the statically reachable block universe
-      ([Ddt_staticx.Icfg]) — the sound coverage denominator, as opposed to
-      [r_total_blocks], the linear-sweep over-approximation *)
+      ([Ddt_staticx.Icfg]) — the engine's blocks and the coverage
+      denominator *)
   r_covered_reachable : int;
-  (** executed blocks inside the reachable universe *)
+  (** executed blocks of that universe *)
   r_never_reached : int list;
   (** sorted image-relative leaders of reachable blocks never executed *)
   r_paths_to_first_bug : int option;
@@ -43,9 +41,5 @@ type result = {
 
 val run : Config.t -> result
 
-val coverage_percent : result -> float
-(** Final dynamic coverage against the linear-sweep block count. *)
-
 val reachable_coverage_percent : result -> float
-(** Final dynamic coverage against the statically reachable universe —
-    the honest number a session report should lead with. *)
+(** Final dynamic coverage against the statically reachable universe. *)

@@ -14,10 +14,3 @@ val unreached_gaps : Image.t -> reached:(int -> bool) -> (int * int) list
 val pp_listing : Format.formatter -> Image.t -> unit
 (** Human-readable listing with function labels interleaved; undecodable
     runs print as [<N byte(s) of non-code>]. *)
-
-val basic_block_starts : Image.t -> int list
-(** Image-relative offsets of basic-block leaders: function entries,
-    branch targets, and fall-throughs after branches/calls/returns. Used
-    for the coverage accounting of Figures 2 and 3. This is the {e linear
-    sweep} universe; [Ddt_staticx.Icfg] refines it to the statically
-    reachable subset. Computed once per image value. *)

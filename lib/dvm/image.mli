@@ -46,8 +46,8 @@ val load : t -> Mem.t -> base:int -> loaded
 val code_array : t -> Isa.instr option array
 (** Pre-load sibling of {!field-loaded.code}: the {e unrelocated} text
     decoded once per image (address immediates stay image-relative).
-    Memoized per image value, so the linear sweep, the baseline CFG and
-    the interprocedural ICFG all index one shared array instead of
+    Memoized per image value, so the linear sweep and the
+    interprocedural ICFG index one shared array instead of
     re-decoding the text section. Do not mutate the result. *)
 
 val memoize : (t -> 'a) -> t -> 'a

@@ -3,18 +3,16 @@
     The kernel executes natively (concretely) while the driver may be
     running symbolically — DDT's selective symbolic execution (§3.2).
     Kernel API implementations therefore access driver-visible memory and
-    kcall arguments only through this record. The symbolic engine's
-    implementation concretizes symbolic values on demand and records
-    concretization constraints; the concrete engine's implementation is
-    plain memory access.
+    kcall arguments only through this record. Its one implementation is
+    the symbolic engine's ([Ddt_symexec.Exec]; the stress baseline runs
+    that engine with a concrete device), which concretizes symbolic
+    values on demand and records concretization constraints.
 
     [fork] is the annotation/fork primitive: the current path is replaced
-    by one successor per alternative. In the symbolic engine every
-    alternative becomes an independent state; in a concrete engine one
-    alternative is chosen. Code after a [fork] call never runs on the
-    original path, so kernel functions must perform shared side effects
-    before forking and per-successor effects inside the alternative
-    callbacks. *)
+    by one successor per alternative, each an independent state. Code
+    after a [fork] call never runs on the original path, so kernel
+    functions must perform shared side effects before forking and
+    per-successor effects inside the alternative callbacks. *)
 
 type t = {
   arg : int -> int;
@@ -33,13 +31,12 @@ type t = {
   read_expr_u8 : int -> Ddt_solver.Expr.t;
   write_expr_u8 : int -> Ddt_solver.Expr.t -> unit;
   fresh_symbolic : string -> Ddt_solver.Expr.width -> Ddt_solver.Expr.t;
-  (** a new unconstrained symbolic value (concrete engines return a
-      random concrete stand-in) *)
+  (** a new unconstrained symbolic value *)
   assume : Ddt_solver.Expr.t -> unit;
   (** add a path constraint; discards the path if infeasible *)
   fork : (string * (t -> unit)) list -> unit;
   (** replace this path by one successor per alternative; never returns
-      normally on the symbolic engine *)
+      normally *)
   discard : string -> unit;
   (** kill the current path (DDT's [ddt_discard_state]) *)
   kstate : unit -> Kstate.t;

@@ -56,10 +56,10 @@ let build (img : Image.t) =
   (* Seeds: the entry point, declared functions and every address-taken
      code target. Plain exported labels are deliberately NOT seeds: the
      assembler exports every label, including ones in the middle of
-     straight-line code, and seeding those would mint block leaders the
-     dynamic engine (keyed on [Disasm.basic_block_starts]) can never
-     cover. Anything actually callable from outside is either a [.func]
-     symbol or address-taken, so soundness is preserved. *)
+     straight-line code, and seeding those would split blocks at points
+     no control transfer reaches. Anything actually callable from
+     outside is either a [.func] symbol or address-taken, so soundness
+     is preserved. *)
   let seeds =
     sort_uniq
       (List.filter valid
@@ -91,8 +91,9 @@ let build (img : Image.t) =
             (succs_of off instr)
   done;
   (* Leaders: seeds, branch/call targets, and fall-throughs after any
-     control transfer (mirrors [Disasm.basic_block_starts] on the
-     reachable subset). *)
+     control transfer. This is the repo's one leader rule: the engine's
+     coverage and min-touch keys, the session's coverage denominator and
+     the static baseline's blocks all come from [universe]. *)
   let leaders = Hashtbl.create 64 in
   let add_leader off = if Hashtbl.mem reached off then Hashtbl.replace leaders off () in
   List.iter add_leader seeds;

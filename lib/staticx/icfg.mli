@@ -5,8 +5,12 @@
     targets of the {!Vsa} pass (which is how interrupt / DPC / miniport
     handlers registered through data tables are found). Plain exported
     labels are not seeds — the assembler exports every label, and seeding
-    mid-block labels would mint leaders the dynamic engine's
-    [basic_block_starts]-keyed coverage can never claim.
+    mid-block labels would split blocks at points no control transfer
+    reaches.
+    The reachable leaders ({!field:t.universe}) are the one block
+    universe: the symbolic engine keys coverage and scheduling on them,
+    sessions report coverage against them, and the static baseline's
+    CFG uses these blocks.
     The linear sweep of [Ddt_dvm.Disasm] is used only to report the text
     bytes no descent path reaches ({!field:t.gaps}), so data-in-text never
     inflates the block universe.

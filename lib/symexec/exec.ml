@@ -140,24 +140,25 @@ let block_id (img : Image.loaded) leader_ids pc =
     let slot = off / Isa.instr_size in
     if slot < Array.length leader_ids then leader_ids.(slot) else -1
 
-let create ?(config = default_config) img base_mem symdev =
+let create ?(config = default_config) ~leaders img base_mem symdev =
   Ddt_kernel.Ndis.install ();
   Ddt_kernel.Portcls.install ();
   Ddt_kernel.Usb.install ();
   (* Every engine starts from a cold query cache, so in-process
      sessions never see each other's cached answers. *)
   Solver.clear_cache ();
-  (* Disasm's leaders all lie inside the text section; keep the
-     slot-aligned ones, the only pcs [fetch] serves from [Image.code]. *)
+  (* Keep the slot-aligned in-text leaders, the only pcs [fetch] serves
+     from [Image.code]. *)
   let nslots = Array.length img.Image.code in
   let block_addrs =
     Array.of_list
       (List.filter_map
          (fun off ->
-           if off land (Isa.instr_size - 1) = 0 && off / Isa.instr_size < nslots
+           if off >= 0 && off land (Isa.instr_size - 1) = 0
+              && off / Isa.instr_size < nslots
            then Some (img.Image.text_start + off)
            else None)
-         (Ddt_dvm.Disasm.basic_block_starts img.Image.image))
+         leaders)
   in
   let leader_ids = Array.make nslots (-1) in
   Array.iteri
@@ -220,8 +221,6 @@ let create ?(config = default_config) img base_mem symdev =
     solver_base = Solver.stats ();
   }
 
-let config eng = eng.cfg
-let loaded eng = eng.img
 let set_on_mem_access eng f = eng.on_mem_access <- f
 let set_on_state_done eng f = eng.on_state_done <- f
 let set_on_new_block eng f = eng.on_new_block <- f
@@ -1194,7 +1193,6 @@ type stats = {
   st_live_words : int;
   st_steals : int;
   st_workers : int;
-  st_incidents : int;
   st_solver : Solver.stats;
   st_merged_states : int;
   st_merge_ites : int;
@@ -1209,12 +1207,16 @@ let block_coverage eng =
   Array.iter (fun f -> if Atomic.get f <> 0 then incr n) eng.covered;
   !n
 
-let covered_blocks eng =
+let blocks_where eng covered =
   let acc = ref [] in
   for i = Array.length eng.block_addrs - 1 downto 0 do
-    if Atomic.get eng.covered.(i) <> 0 then acc := eng.block_addrs.(i) :: !acc
+    if (Atomic.get eng.covered.(i) <> 0) = covered then
+      acc := eng.block_addrs.(i) :: !acc
   done;
   !acc
+
+let covered_blocks eng = blocks_where eng true
+let uncovered_blocks eng = blocks_where eng false
 
 let stats eng =
   let live = ref 0 in
@@ -1227,7 +1229,6 @@ let stats eng =
     st_live_words = max !live (Atomic.get eng.peak_live_words);
     st_steals = Frontier.steals eng.frontier;
     st_workers = Frontier.n_workers eng.frontier;
-    st_incidents = Guard.incident_count eng.guard_st;
     st_solver = Solver.diff_stats (Solver.stats ()) eng.solver_base;
     st_merged_states = (let m, _, _, _ = Merge.stats eng.pool in m);
     st_merge_ites = (let _, i, _, _ = Merge.stats eng.pool in i);

@@ -61,11 +61,12 @@ type mem_access = {
 type engine
 
 val create :
-  ?config:config -> Ddt_dvm.Image.loaded -> Ddt_dvm.Mem.t ->
-  Ddt_hw.Symdev.t -> engine
-
-val config : engine -> config
-val loaded : engine -> Ddt_dvm.Image.loaded
+  ?config:config -> leaders:int list -> Ddt_dvm.Image.loaded ->
+  Ddt_dvm.Mem.t -> Ddt_hw.Symdev.t -> engine
+(** [leaders] are the sorted image-relative basic-block starts the
+    engine counts coverage and min-touch priorities over — the session
+    passes the ICFG's reachable universe ([Ddt_staticx.Icfg]). Offsets
+    outside the text section or off an instruction slot are ignored. *)
 
 (** {1 Hooks} *)
 
@@ -190,7 +191,6 @@ type stats = {
   st_steals : int;
   (** successful cross-worker frontier steals (0 when [jobs = 1]) *)
   st_workers : int;            (** frontier worker slots ([config.jobs]) *)
-  st_incidents : int;          (** quarantined engine incidents *)
   st_solver : Ddt_solver.Solver.stats;
   (** solver queries/cache-hit/bit-blast counters attributable to this
       engine (snapshot delta since [create]; exact only while no other
@@ -217,3 +217,7 @@ val block_coverage : engine -> int
 (** Number of distinct basic blocks executed so far. *)
 
 val covered_blocks : engine -> int list
+(** Absolute leaders of the blocks executed so far, sorted. *)
+
+val uncovered_blocks : engine -> int list
+(** Absolute leaders of the blocks never executed so far, sorted. *)

@@ -70,17 +70,8 @@ let incidents t =
       | c -> c)
     l
 
-let incident_count t =
-  Mutex.lock t.mu;
-  let n = List.length t.incidents in
-  Mutex.unlock t.mu;
-  n
-
 let describe exn =
   match exn with
-  | Ddt_dvm.Interp.Fault (f, pc) ->
-      Printf.sprintf "concrete interpreter fault at %#x: %s" pc
-        (Ddt_dvm.Interp.string_of_fault f)
   | Stack_overflow -> "stack overflow"
   | Out_of_memory -> "out of memory"
   | exn -> Printexc.to_string exn

@@ -15,9 +15,10 @@
 
 type incident_kind =
   | State_fault
-      (** the state's own execution faulted (interpreter fault, stack
-          overflow, out of memory, a hook or checker exception); the
-          state is retired, its script quarantined *)
+      (** the state's own execution faulted (an exception from the
+          engine's step loop, stack overflow, out of memory, a hook or
+          checker exception); the state is retired, its script
+          quarantined *)
   | Solver_exhaustion
       (** a solver verdict stayed Unknown during the state's quantum (at
           most one incident per state) *)
@@ -47,7 +48,5 @@ val claim_solver_flag : t -> int -> bool
 val incidents : t -> incident list
 (** All incidents so far, sorted by (state id, kind, worker) so the
     report order does not depend on worker interleaving. *)
-
-val incident_count : t -> int
 
 val describe : exn -> string

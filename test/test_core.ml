@@ -225,8 +225,8 @@ let test_coverage_counts_consistent () =
   (match List.rev r.Session.r_coverage with
    | [] -> Alcotest.fail "no coverage points"
    | last :: _ ->
-       check_bool "blocks covered <= total" true
-         (last.Session.cp_blocks <= r.Session.r_total_blocks);
+       check_int "curve ends at the covered reachable blocks"
+         r.Session.r_covered_reachable last.Session.cp_blocks;
        check_bool "monotone time" true
          (let rec mono = function
             | (a : Session.coverage_point) :: (b :: _ as rest) ->
@@ -413,7 +413,8 @@ first: .space 4100
         bar_sizes = [ 0x1000 ]; irq_line = 9 }
       ~mmio_base:Ddt_dvm.Layout.mmio_base
   in
-  let eng = Exec.create loaded base (Ddt_hw.Symdev.create dev) in
+  let leaders = (Ddt_staticx.Icfg.build img).Ddt_staticx.Icfg.universe in
+  let eng = Exec.create ~leaders loaded base (Ddt_hw.Symdev.create dev) in
   let st = Exec.new_root_state eng (Ddt_kernel.Kstate.create ~device:dev ()) in
   Exec.start_invocation eng st ~name:"dump"
     ~addr:(loaded.Ddt_dvm.Image.base + img.Ddt_dvm.Image.entry) ~args:[];

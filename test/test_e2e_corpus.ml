@@ -108,6 +108,46 @@ let check_solver_counts () =
       bounded "bit-blasts" sv.Ddt_solver.Solver.s_bitblast_solves blasts)
     solver_counts
 
+(* The ICFG's reachable leaders are the engine's only blocks: on every
+   variant the blocks never reached are universe leaders, and together
+   with the blocks the engine covered they make up the universe exactly,
+   so every covered block is a universe leader too. *)
+let check_single_universe () =
+  let check_int = Alcotest.(check int) in
+  List.iter
+    (fun (e : Corpus.entry) ->
+      List.iter
+        (fun fixed ->
+          let name = e.Corpus.short ^ if fixed then " fixed" else "" in
+          let image =
+            if fixed then e.Corpus.fixed_image () else e.Corpus.image ()
+          in
+          let universe =
+            (Ddt_staticx.Icfg.build image).Ddt_staticx.Icfg.universe
+          in
+          let r = run ~fixed e in
+          let covered =
+            r.Session.r_stats.Ddt_symexec.Exec.st_blocks_covered
+          in
+          let never = r.Session.r_never_reached in
+          check_int (name ^ ": universe size") (List.length universe)
+            r.Session.r_reachable_blocks;
+          check_int (name ^ ": covered reachable is the engine's count")
+            covered r.Session.r_covered_reachable;
+          Alcotest.(check bool)
+            (name ^ ": never reached are universe leaders") true
+            (List.sort_uniq compare never = never
+             && List.for_all (fun l -> List.mem l universe) never);
+          check_int (name ^ ": covered + never reached = universe")
+            (List.length universe) (covered + List.length never);
+          check_int (name ^ ": coverage curve ends at the covered count")
+            covered
+            (match List.rev r.Session.r_coverage with
+             | [] -> 0
+             | p :: _ -> p.Session.cp_blocks))
+        [ false; true ])
+    Corpus.all
+
 let () =
   let driver_cases =
     List.concat_map
@@ -127,7 +167,9 @@ let () =
              `Quick (check_replays e))
          Corpus.all);
       ("summary",
-       [ Alcotest.test_case "14 bugs total" `Quick total_bug_count ]);
+       [ Alcotest.test_case "14 bugs total" `Quick total_bug_count;
+         Alcotest.test_case "one block universe" `Quick
+           check_single_universe ]);
       ("solver",
        [ Alcotest.test_case "cache misses and bit-blasts bounded" `Quick
            check_solver_counts ]) ]

@@ -35,7 +35,7 @@ let test_fixed_is_clean () =
 let test_coverage_reasonable () =
   let r = run_ddt (Ddt_drivers.Rtl8029.image ()) in
   Alcotest.(check bool) "covers more than half the blocks" true
-    (Session.coverage_percent r > 50.0)
+    (Session.reachable_coverage_percent r > 50.0)
 
 let () =
   Alcotest.run "ddt_e2e_rtl8029"

@@ -478,7 +478,8 @@ let engine_for ?config img =
   let loaded = Image.load img base ~base:Layout.image_base in
   let dev = device () in
   let symdev = Symdev.create dev in
-  let eng = Exec.create ?config loaded base symdev in
+  let leaders = (Ddt_staticx.Icfg.build img).Ddt_staticx.Icfg.universe in
+  let eng = Exec.create ?config ~leaders loaded base symdev in
   let ks = Kstate.create ~device:dev () in
   (eng, loaded, ks)
 
