@@ -63,10 +63,11 @@ type engine
 val create :
   ?config:config -> leaders:int list -> Ddt_dvm.Image.loaded ->
   Ddt_dvm.Mem.t -> Ddt_hw.Symdev.t -> engine
-(** [leaders] are the sorted image-relative basic-block starts the
-    engine counts coverage and min-touch priorities over — the session
-    passes the ICFG's reachable universe ([Ddt_staticx.Icfg]). Offsets
-    outside the text section or off an instruction slot are ignored. *)
+(** [leaders] are the sorted, distinct image-relative basic-block
+    starts the engine counts coverage and min-touch priorities over —
+    the session passes the ICFG's reachable universe
+    ([Ddt_staticx.Icfg]). Offsets outside the text section or off an
+    instruction slot are ignored. *)
 
 (** {1 Hooks} *)
 
