@@ -1,4 +1,5 @@
-(* Tests for ddt_dvm: ISA encoding, assembler, interpreter, images. *)
+(* Tests for ddt_dvm: ISA encoding, assembler, interpreter, images (their
+   basic-block leaders come from Ddt_staticx.Icfg). *)
 
 open Ddt_dvm
 
@@ -361,6 +362,24 @@ let test_relocation () =
   let r0, _, _ = run_program src in
   check_int "indirect call through data" 99 r0
 
+let test_basic_blocks () =
+  let src = {|
+    .entry main
+    .func main
+    main:
+      movi r0, 1
+      jz r0, a
+      movi r0, 2
+    a:
+      ret
+  |} in
+  let img = Asm.assemble ~name:"bb" src in
+  let blocks = (Ddt_staticx.Icfg.build img).Ddt_staticx.Icfg.universe in
+  (* main (0), fall-through after jz (16), target a (24). *)
+  check_bool "has entry block" true (List.mem 0 blocks);
+  check_bool "has fallthrough" true (List.mem 16 blocks);
+  check_bool "has branch target" true (List.mem 24 blocks)
+
 let test_interrupt_nesting () =
   (* Simulate an interrupt: nested call_function mid-run mutates a global
      the main code then observes. *)
@@ -502,7 +521,8 @@ let () =
       ("image",
        [ Alcotest.test_case "serialization roundtrip" `Quick
            test_image_serialization;
-         Alcotest.test_case "relocation" `Quick test_relocation ]);
+         Alcotest.test_case "relocation" `Quick test_relocation;
+         Alcotest.test_case "basic blocks" `Quick test_basic_blocks ]);
       ("tools",
        [ Alcotest.test_case "assembler diagnostics" `Quick test_asm_errors;
          Alcotest.test_case "memory snapshot" `Quick test_mem_snapshot;

@@ -73,8 +73,9 @@ let test_vsa_classification () =
 (* --- ICFG ------------------------------------------------------------------ *)
 
 (* The ICFG's leaders are the repo's one block universe (the engine's
-   coverage keys, the report's denominator, the baseline's blocks). *)
-let test_block_leaders () =
+   coverage keys, the report's denominator, the baseline's blocks); each
+   must be an instruction the linear sweep decodes. *)
+let test_universe_subset_of_linear_sweep () =
   let img = compile {|
     int helper(int x) { if (x) { return x + 1; } return 0; }
     int driver_entry(int a) {
@@ -85,23 +86,14 @@ let test_block_leaders () =
     }
   |}
   in
-  check_bool "nonzero universe" true ((Icfg.build img).Icfg.universe <> []);
-  let img = assemble {|
-      .entry main
-      .func main
-      main:
-          movi r0, 1
-          jz r0, a
-          movi r0, 2
-      a:
-          ret
-    |}
-  in
-  let blocks = (Icfg.build img).Icfg.universe in
-  (* main (0), fall-through after jz (16), target a (24). *)
-  check_bool "has entry block" true (List.mem 0 blocks);
-  check_bool "has fallthrough" true (List.mem 16 blocks);
-  check_bool "has branch target" true (List.mem 24 blocks)
+  let icfg = Icfg.build img in
+  let sweep = List.map fst (Disasm.disassemble img) in
+  check_bool "nonzero universe" true (icfg.Icfg.universe <> []);
+  List.iter
+    (fun b ->
+      check_bool "universe leader is a linear-sweep instruction" true
+        (List.mem b sweep))
+    icfg.Icfg.universe
 
 let test_dead_code_excluded_and_reported () =
   let img = assemble {|
@@ -623,7 +615,8 @@ let () =
        [ Alcotest.test_case "target classification" `Quick
            test_vsa_classification ]);
       ("icfg",
-       [ Alcotest.test_case "block leaders" `Quick test_block_leaders;
+       [ Alcotest.test_case "universe within linear sweep" `Quick
+           test_universe_subset_of_linear_sweep;
          Alcotest.test_case "dead code excluded + reported" `Quick
            test_dead_code_excluded_and_reported;
          Alcotest.test_case "compiler fallback not flagged" `Quick
