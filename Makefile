@@ -14,7 +14,7 @@ test:
 # - usage errors: seven removed `test` flags and an out-of-range `-j`
 #   (0 and 129; OCaml caps a process at 128 domains) must be rejected
 #   with cmdliner's usage exit code 124, and so must the removed
-#   `resume` command;
+#   `resume` and `analyze` commands;
 # - replay input: a missing, a garbage, an empty (entry-less) and an
 #   endless (/dev/zero, refused past the 1 MiB read bound) replay script
 #   must each be refused with exit 1;
@@ -24,14 +24,6 @@ test:
 # - traces: `test --traces` on each buggy corpus driver finishes within
 #   20 s with exit 2 and prints one `memory accesses` summary line per
 #   reported bug;
-# - static warnings: `analyze` (the only way to get them; `test` runs
-#   no static finder) on pro100, ac97, audiopci and rtl8029 exits 0 and
-#   lists 1, 1, 3 and 1 findings;
-# - the static pre-analysis on two known-clean drivers (nonzero
-#   universe, zero findings under the syntactic rules; rtl8029's buggy
-#   variant legitimately fires the interprocedural race rule, so its
-#   clean smoke is scoped to the syntactic families), and a full-rule
-#   false-positive smoke over every fixed-variant image;
 # - a warning-clean doc build.
 check: build test
 	@set -e; dir=$$(mktemp -d); cli=./_build/default/bin/ddt_cli.exe; \
@@ -43,9 +35,11 @@ check: build test
 	  rc=0; $$cli test rtl8029 $$flag >/dev/null 2>&1 || rc=$$?; \
 	  [ $$rc -eq 124 ] || { echo "$$flag: exit $$rc, want 124"; exit 1; }; \
 	done; \
-	rc=0; $$cli resume x >/dev/null 2>&1 || rc=$$?; \
-	[ $$rc -eq 124 ] || { echo "resume x: exit $$rc, want 124"; exit 1; }; \
-	echo "usage-error smoke: removed flags, out-of-range -j and resume exit 124"; \
+	for cmd in "resume x" "analyze x"; do \
+	  rc=0; $$cli $$cmd >/dev/null 2>&1 || rc=$$?; \
+	  [ $$rc -eq 124 ] || { echo "$$cmd: exit $$rc, want 124"; exit 1; }; \
+	done; \
+	echo "usage-error smoke: removed flags, out-of-range -j, resume and analyze exit 124"; \
 	printf 'not a replay script\n' > $$dir/garbage.replay; \
 	: > $$dir/empty.replay; \
 	for script in $$dir/missing.replay $$dir/garbage.replay \
@@ -74,23 +68,7 @@ check: build test
 	    || { echo "$$d --traces: want $$bugs memory-access lines"; exit 1; }; \
 	done; \
 	echo "traces smoke: every buggy driver's --traces run exits 2, one summary per bug"; \
-	for df in pro100:1 ac97:1 audiopci:3 rtl8029:1; do \
-	  d=$${df%%:*}; want=$${df#*:}; \
-	  rc=0; $$cli analyze $$d > $$dir/analyze.out || rc=$$?; \
-	  [ $$rc -eq 0 ] || { echo "analyze $$d: exit $$rc, want 0"; exit 1; }; \
-	  n=$$(sed -n 's/^\([0-9]*\) static finding(s):$$/\1/p' $$dir/analyze.out); \
-	  [ "$$n" = "$$want" ] \
-	    || { echo "analyze $$d: $$n findings, want $$want"; exit 1; }; \
-	done; \
-	echo "analyze smoke: pro100, ac97, audiopci and rtl8029 list 1, 1, 3 and 1 findings"; \
 	rm -rf $$dir
-	dune exec bin/ddt_cli.exe -- analyze rtl8029 --expect-clean \
-	  --rules unreachable-code,stack-imbalance,const-arg-contract > /dev/null
-	dune exec bin/ddt_cli.exe -- analyze pcnet --expect-clean > /dev/null
-	for d in pro1000 pro100 ac97 audiopci pcnet rtl8029 deeploop; do \
-	  dune exec bin/ddt_cli.exe -- analyze $$d --fixed --expect-clean \
-	    > /dev/null || exit 1; \
-	done
 	dune build @doc
 
 bench:

@@ -5,8 +5,6 @@
      test <driver>             run DDT on a corpus driver (buggy variant)
      test --fixed <driver>     ... on the repaired variant
      static <driver>           run the static-analysis baseline
-     analyze <driver>          run the DXE static pre-analysis (ICFG and
-                               static warnings)
      stress <driver>           run the concrete stress baseline
      disasm <driver>           print the driver binary's disassembly
      info <driver>             Table 1 style image statistics
@@ -92,8 +90,10 @@ let no_merge_flag =
 
 let json_out_arg =
   let doc =
-    "Also write the machine-readable session report (JSON, schema v9) to \
-     $(docv), atomically (tmp + rename)."
+    Printf.sprintf
+      "Also write the machine-readable session report (JSON, schema v%d) \
+       to $(docv), atomically (tmp + rename)."
+      Ddt_core.Report_json.schema_version
   in
   Arg.(value & opt (some string) None & info [ "json-out" ] ~docv:"PATH" ~doc)
 
@@ -134,10 +134,7 @@ let test_cmd =
         in
         let cfg =
           { cfg with
-            Ddt_core.Config.exec_config =
-              { cfg.Ddt_core.Config.exec_config with
-                Ddt_symexec.Exec.jobs;
-                state_merging = not no_merge } }
+            Ddt_core.Config.jobs; state_merging = not no_merge }
         in
         report_result ~traces ~json_out (Ddt_core.Ddt.test_driver cfg)
   in
@@ -162,114 +159,6 @@ let static_cmd =
   Cmd.v
     (Cmd.info "static" ~doc:"Run the static-analysis baseline on a driver")
     Term.(const run $ driver_arg $ fixed_flag)
-
-let analyze_cmd =
-  let expect_clean_flag =
-    let doc =
-      "Exit nonzero unless the analysis finds a nonempty block universe \
-       and zero static findings (CI smoke for known-clean drivers)."
-    in
-    Arg.(value & flag & info [ "expect-clean" ] ~doc)
-  in
-  let json_flag =
-    let doc =
-      "Emit the findings as a machine-readable JSON document (schema 6) \
-       instead of the listing."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let rules_arg =
-    let doc =
-      Printf.sprintf
-        "Comma-separated rule filter; a name selects the rule or, as a \
-         prefix, a whole family (e.g. $(b,lock) selects every lock-* \
-         rule). Known rules: %s."
-        (String.concat ", " Ddt_staticx.Sfind.all_rules)
-    in
-    Arg.(value & opt (some string) None & info [ "rules" ] ~docv:"LIST" ~doc)
-  in
-  let run short fixed expect_clean json rules_opt =
-    match find_entry short with
-    | Error e -> prerr_endline e; 1
-    | Ok entry ->
-        let rules =
-          Option.map
-            (fun s ->
-              String.split_on_char ',' s
-              |> List.map String.trim
-              |> List.filter (fun r -> r <> ""))
-            rules_opt
-        in
-        let bad =
-          match rules with
-          | None -> []
-          | Some rs ->
-              List.filter
-                (fun r ->
-                  not
-                    (List.exists
-                       (fun known ->
-                         known = r || String.starts_with ~prefix:r known)
-                       Ddt_staticx.Sfind.all_rules))
-                rs
-        in
-        if bad <> [] then begin
-          Printf.eprintf "unknown rule(s): %s; known: %s\n"
-            (String.concat ", " bad)
-            (String.concat ", " Ddt_staticx.Sfind.all_rules);
-          1
-        end
-        else begin
-          let image =
-            if fixed then entry.Corpus.fixed_image ()
-            else entry.Corpus.image ()
-          in
-          let icfg = Ddt_staticx.Icfg.build image in
-          let contracts, model =
-            match entry.Corpus.driver_class with
-            | Ddt_core.Config.Network ->
-                ( Ddt_annot.Ndis_annotations.contracts,
-                  Ddt_annot.Ndis_annotations.model )
-            | Ddt_core.Config.Audio ->
-                ( Ddt_annot.Portcls_annotations.contracts,
-                  Ddt_annot.Portcls_annotations.model )
-          in
-          let findings =
-            Ddt_staticx.Sfind.analyze ~contracts ~model ?rules icfg
-          in
-          if json then
-            print_string
-              (Ddt_core.Report_json.statics_to_string
-                 ~driver:entry.Corpus.name findings)
-          else begin
-            Format.printf "%a" Ddt_staticx.Icfg.pp icfg;
-            if findings = [] then Format.printf "no static findings@."
-            else begin
-              Format.printf "%d static finding(s):@." (List.length findings);
-              List.iter
-                (fun f -> Format.printf "  %a@." Ddt_staticx.Sfind.pp f)
-                findings
-            end
-          end;
-          if expect_clean then
-            if icfg.Ddt_staticx.Icfg.universe = [] then begin
-              prerr_endline "expect-clean: empty block universe";
-              3
-            end
-            else if findings <> [] then begin
-              prerr_endline "expect-clean: static findings present";
-              3
-            end
-            else 0
-          else 0
-        end
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:"Run the interprocedural static pre-analysis on a driver")
-    Term.(
-      const run $ driver_arg $ fixed_flag $ expect_clean_flag $ json_flag
-      $ rules_arg)
 
 let stress_cmd =
   let runs_arg =
@@ -458,5 +347,5 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group (Cmd.info "ddt_cli" ~doc)
-          [ list_cmd; test_cmd; static_cmd; analyze_cmd; stress_cmd;
+          [ list_cmd; test_cmd; static_cmd; stress_cmd;
             disasm_cmd; info_cmd; evidence_cmd; replay_cmd ]))

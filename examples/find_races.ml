@@ -7,37 +7,31 @@
    at exactly those instants; symbolic interrupts fork execution at every
    kernel/driver boundary crossing and land in both windows.
 
+   The stress baseline ([Ddt_baseline.Stress], `ddt_cli stress`) drives
+   the same binary with a concrete device and interrupts between
+   operations; DDT makes device reads symbolic, which also turns on
+   symbolic interrupt injection.
+
      dune exec examples/find_races.exe *)
 
 module Report = Ddt_checkers.Report
 
-let run ~inject =
-  let exec_config =
-    { Ddt_symexec.Exec.default_config with
-      Ddt_symexec.Exec.inject_interrupts = inject }
-  in
-  let cfg =
-    Ddt_core.Config.make ~driver_name:"Ensoniq AudioPCI"
-      ~image:(Ddt_drivers.Audiopci.image ())
-      ~driver_class:Ddt_core.Config.Audio
-      ~descriptor:Ddt_drivers.Audiopci.descriptor
-      ~registry:Ddt_drivers.Audiopci.registry ~exec_config ()
-  in
-  Ddt_core.Ddt.test_driver cfg
-
-let races r =
-  List.filter
-    (fun b -> b.Report.b_kind = Report.Race_condition)
-    r.Ddt_core.Session.r_bugs
+let races bugs =
+  List.filter (fun b -> b.Report.b_kind = Report.Race_condition) bugs
 
 let () =
-  Format.printf "--- without symbolic interrupts ---@.";
-  let without = run ~inject:false in
-  Format.printf "race conditions found: %d@.@." (List.length (races without));
+  let cfg =
+    Ddt_drivers.Corpus.config (Ddt_drivers.Corpus.find "audiopci")
+  in
+  Format.printf "--- classic stress testing ---@.";
+  let stress = Ddt_baseline.Stress.run cfg in
+  Format.printf "%d concrete runs: %d bug(s), %d race condition(s)@.@."
+    stress.Ddt_baseline.Stress.s_runs
+    (List.length stress.Ddt_baseline.Stress.s_bugs)
+    (List.length (races stress.Ddt_baseline.Stress.s_bugs));
 
-  Format.printf "--- with symbolic interrupts ---@.";
-  let with_si = run ~inject:true in
-  let rs = races with_si in
+  Format.printf "--- DDT with symbolic interrupts ---@.";
+  let rs = races (Ddt_core.Ddt.test_driver cfg).Ddt_core.Session.r_bugs in
   Format.printf "race conditions found: %d@." (List.length rs);
   List.iter (fun b -> Format.printf "  %a@." Report.pp_bug b) rs;
 

@@ -1,6 +1,5 @@
 module Config = Ddt_core.Config
 module Session = Ddt_core.Session
-module Exec = Ddt_symexec.Exec
 module Report = Ddt_checkers.Report
 
 type result = {
@@ -29,9 +28,10 @@ let run ?(runs = 10) ?(seed = 42) (cfg : Config.t) =
   let seen = Hashtbl.create 16 in
   for i = 1 to runs do
     (* Fully concrete execution: seeded random hardware, real registry
-       values, no annotations, no symbolic interrupts. Nothing is
-       symbolic, so no forking occurs and each run is one concrete path —
-       exactly what a stress tool executes. *)
+       values, no annotations, and so no symbolic interrupts (the
+       engine injects them only when device reads are symbolic). Nothing
+       is symbolic, so no forking occurs and each run is one concrete
+       path — exactly what a stress tool executes. *)
     let stress_cfg =
       {
         cfg with
@@ -39,8 +39,6 @@ let run ?(runs = 10) ?(seed = 42) (cfg : Config.t) =
         concrete_device = Some (seed + (1000 * i));
         workload = stress_workload cfg.Config.workload;
         max_total_steps = 400_000;
-        exec_config =
-          { cfg.Config.exec_config with Exec.inject_interrupts = false };
       }
     in
     let r = Session.run stress_cfg in

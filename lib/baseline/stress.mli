@@ -3,7 +3,8 @@
 
     Runs the driver {e concretely}: hardware reads return pseudo-random
     values, registry reads return the actual registry contents, kernel
-    calls never fail, and interrupts fire at random instruction counts.
+    calls never fail, and an interrupt fires after each initialize, send
+    and play operation.
     The same dynamic checkers watch the execution. The paper's finding —
     that this setup reproduces none of the 14 bugs DDT finds — comes from
     exactly what is missing here: no forking over allocation failure, no
@@ -11,9 +12,10 @@
     no interrupt at the precise boundary that exposes a race.
 
     Implemented over the symbolic engine with symbolic features disabled
-    (no annotations, no injected interrupts) plus randomized concrete
-    device values, so the comparison isolates the technique, not the
-    infrastructure. *)
+    (no annotations) plus randomized concrete device values, which also
+    turn off injected interrupts (the engine injects them only when
+    device reads are symbolic), so the comparison isolates the
+    technique, not the infrastructure. *)
 
 type result = {
   s_driver : string;

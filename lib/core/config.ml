@@ -21,9 +21,9 @@ type t = {
   workload : workload_item list;
   use_annotations : bool;
   annotations : Ddt_annot.Annot.set;
-  exec_config : Ddt_symexec.Exec.config;
+  jobs : int;
+  state_merging : bool;
   max_total_steps : int;
-  plateau_steps : int;
   concrete_device : int option;
   replay : Ddt_trace.Replay.script option;
   collect_crashdumps : bool;
@@ -41,10 +41,7 @@ let default_descriptor =
 
 let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
     ?(registry = []) ?workload ?(use_annotations = true)
-    ?annotations ?(exec_config = Ddt_symexec.Exec.default_config)
-    ?(max_total_steps = 3_000_000) ?(plateau_steps = 250_000)
-    ?concrete_device ?replay
-    ?(collect_crashdumps = false) () =
+    ?annotations ?concrete_device ?replay ?(collect_crashdumps = false) () =
   let workload =
     match workload with
     | Some w -> w
@@ -63,7 +60,7 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
   in
   {
     driver_name; image; driver_class; descriptor; registry; workload;
-    use_annotations; annotations; exec_config; max_total_steps;
-    plateau_steps; concrete_device; replay;
+    use_annotations; annotations; jobs = 1; state_merging = true;
+    max_total_steps = 3_000_000; concrete_device; replay;
     collect_crashdumps;
   }

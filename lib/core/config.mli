@@ -27,11 +27,15 @@ type t = {
   (** master switch for the §5.1 ablation: disables both the API
       annotation set and the concrete-to-symbolic workload hints *)
   annotations : Ddt_annot.Annot.set;
-  exec_config : Ddt_symexec.Exec.config;
+  jobs : int;
+  (** worker domains exploring the fork tree (1, the default, runs no
+      domain; [ddt_cli test -j]) *)
+  state_merging : bool;
+  (** fuse sibling states at branch post-dominators (on by default;
+      [ddt_cli test --no-merge] turns it off, replays never merge) *)
   max_total_steps : int;
-  plateau_steps : int;
-  (** stop a phase when no new basic block appears for this many
-      instructions — the paper's §5.2 stopping rule *)
+  (** instructions each workload phase may run (3 000 000 by default;
+      the stress baseline lowers it) *)
   concrete_device : int option;
   (** [Some seed]: hardware reads return seeded pseudo-random concrete
       bytes instead of symbolic values (stress-baseline mode) *)
@@ -53,9 +57,6 @@ val make :
   ?workload:workload_item list ->
   ?use_annotations:bool ->
   ?annotations:Ddt_annot.Annot.set ->
-  ?exec_config:Ddt_symexec.Exec.config ->
-  ?max_total_steps:int ->
-  ?plateau_steps:int ->
   ?concrete_device:int ->
   ?replay:Ddt_trace.Replay.script ->
   ?collect_crashdumps:bool ->

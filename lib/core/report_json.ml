@@ -7,10 +7,6 @@ module Report = Ddt_checkers.Report
 
 let schema_version = 10
 
-(* The standalone static report ([statics_to_string]) has not changed
-   since schema 6. *)
-let statics_schema_version = 6
-
 type bug_row = {
   jb_kind : string;
   jb_key : string;
@@ -318,23 +314,6 @@ let of_string str =
                 as_int (field "merge_forks_avoided" j);
             }
       with Bad _ -> None)
-
-(* Standalone static-analysis report (for [ddt_cli analyze --json]).
-   Each row keeps the schema-6 confirmation columns at their fixed
-   "no confirmation" values, so existing consumers read it unchanged. *)
-let static_row_json (f : Ddt_staticx.Sfind.finding) =
-  let open Ddt_staticx.Sfind in
-  jobj
-    [ ("rule", jstr f.f_rule); ("func", jstr f.f_func);
-      ("pos", string_of_int f.f_pos); ("message", jstr f.f_msg);
-      ("severity", jstr "static"); ("confirm", jstr "n/a");
-      ("confirmed_by", jstr "") ]
-
-let statics_to_string ~driver findings =
-  jobj
-    [ ("schema", string_of_int statics_schema_version);
-      ("driver", jstr driver);
-      ("static", jlist static_row_json findings) ]
 
 (* Crash-safe report emission: the document lands under a temporary name
    and is renamed into place, so a reader (or a crash mid-write) never

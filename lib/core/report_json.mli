@@ -54,14 +54,6 @@ val of_string : string -> summary option
 (** Parse a document emitted by {!to_string}. [None] on malformed input
     or a schema-version mismatch. *)
 
-val statics_to_string :
-  driver:string -> Ddt_staticx.Sfind.finding list -> string
-(** Standalone static-analysis report (for [ddt_cli analyze --json]):
-    a schema version, driver name and static rows only. Its schema
-    version is 6 and its rows are unchanged since: every row reads
-    ["severity":"static","confirm":"n/a","confirmed_by":""]. The session
-    document ({!schema_version}) has no static rows. *)
-
 val write_file : string -> summary -> (unit, string) result
 (** Serialize with {!to_string} and write atomically (tmp + rename): a
     crash mid-write leaves either the previous file or the new one,

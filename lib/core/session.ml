@@ -83,7 +83,7 @@ let run (cfg : Config.t) =
      give the merge points. *)
   let icfg = Icfg.build cfg.Config.image in
   let eng =
-    Exec.create ~config:cfg.Config.exec_config ~leaders:icfg.Icfg.universe
+    Exec.create ~jobs:cfg.Config.jobs ~leaders:icfg.Icfg.universe
       loaded base_mem symdev
   in
   Option.iter (Exec.set_replay eng) cfg.Config.replay;
@@ -93,8 +93,7 @@ let run (cfg : Config.t) =
      it knows, per branch block, where diverging siblings reconverge.
      Never installed for replay runs — a script follows exactly one
      concrete path, and merging would fold it into its siblings. *)
-  if cfg.Config.exec_config.Exec.state_merging && cfg.Config.replay = None
-  then begin
+  if cfg.Config.state_merging && cfg.Config.replay = None then begin
     let pd = Ddt_staticx.Pdom.compute icfg in
     Exec.set_merge_points eng (fun abs ->
         Option.map
@@ -165,7 +164,6 @@ let run (cfg : Config.t) =
   let invocations = ref 0 in
   let run_engine () =
     Exec.run eng ~max_total_steps:cfg.Config.max_total_steps
-      ~plateau_steps:cfg.Config.plateau_steps ()
   in
   (* Phase 0: the kernel invokes the image entry point, which registers
      the miniport. *)
@@ -207,7 +205,7 @@ let run (cfg : Config.t) =
      on scheduling; sort by key so the report is reproducible. A
      single-worker run keeps discovery order. *)
   let bugs =
-    if cfg.Config.exec_config.Exec.jobs > 1 then
+    if cfg.Config.jobs > 1 then
       List.sort
         (fun a b -> compare a.Report.b_key b.Report.b_key)
         (Report.bugs sink)
@@ -223,7 +221,7 @@ let run (cfg : Config.t) =
     r_finished_states = !finished_count;
     r_tree = Exec.execution_tree eng;
     r_crashdumps =
-      (if cfg.Config.exec_config.Exec.jobs > 1 then
+      (if cfg.Config.jobs > 1 then
          List.sort (fun (a, _) (b, _) -> compare a b) !crashdumps
        else List.rev !crashdumps);
     r_reachable_blocks = List.length icfg.Icfg.universe;

@@ -11,4 +11,3 @@
 
 val image : unit -> Ddt_dvm.Image.t
 val fixed_image : unit -> Ddt_dvm.Image.t
-val registry : (string * int) list

@@ -9,22 +9,5 @@ let create () =
   { regs = Array.make Isa.num_regs 0; pc = 0; int_enabled = true;
     halted = false }
 
-let reset t =
-  Array.fill t.regs 0 Isa.num_regs 0;
-  t.pc <- 0;
-  t.int_enabled <- true;
-  t.halted <- false
-
 let get t r = t.regs.(r)
 let set t r v = t.regs.(r) <- v land 0xFFFFFFFF
-
-let copy t =
-  { regs = Array.copy t.regs; pc = t.pc; int_enabled = t.int_enabled;
-    halted = t.halted }
-
-let pp fmt t =
-  Format.fprintf fmt "pc=0x%x sp=0x%x fp=0x%x int=%b" t.pc
-    t.regs.(Isa.sp) t.regs.(Isa.fp) t.int_enabled;
-  Array.iteri
-    (fun i v -> if v <> 0 && i < 14 then Format.fprintf fmt " r%d=0x%x" i v)
-    t.regs

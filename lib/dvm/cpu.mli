@@ -9,8 +9,5 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 val get : t -> Isa.reg -> int
 val set : t -> Isa.reg -> int -> unit
-val copy : t -> t
-val pp : Format.formatter -> t -> unit

@@ -143,8 +143,6 @@ let revoke_at t start =
   | Some r ->
       t.region_list <- List.filter (fun r' -> r' != r) t.region_list
 
-let regions t = t.region_list
-
 let region_containing t addr =
   List.find_opt
     (fun r -> addr >= r.r_start && addr < r.r_start + r.r_size)

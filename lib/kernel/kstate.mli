@@ -118,7 +118,6 @@ val live_allocs_of_invocation : t -> int -> alloc list
 
 val grant : t -> region -> unit
 val revoke_at : t -> int -> unit
-val regions : t -> region list
 val region_containing : t -> int -> region option
 
 (** {1 Spinlocks} *)

@@ -159,13 +159,10 @@ let core_solve constraints =
 
 (* --- prepared constraints ------------------------------------------------ *)
 
-(* A constraint prepared once: its simplified form and that form's
-   variables. Path conditions are persistent lists, so successive
-   queries re-present the same constraint objects: on the corpus about
-   95% of the constraints a query sees were in an earlier one. The
-   partition of a path condition keeps these records as its members,
-   and each domain keeps a small direct-mapped cache from a constraint,
-   by physical identity, to its record. *)
+(* A constraint prepared for the solver: its simplified form and that
+   form's variables. The partition of a path condition keeps these
+   records as its members, and the partition memo ([partition_of])
+   prepares each cell of a path condition once. *)
 type prepared = {
   orig : Expr.t;
   term : Expr.t;
@@ -174,21 +171,9 @@ type prepared = {
 
 let original p = p.orig
 
-let prep_slots = 8192
-
-let prep_cache : prepared option array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make prep_slots None)
-
 let prepare c =
-  let slots = Domain.DLS.get prep_cache in
-  let i = Hashtbl.hash c land (prep_slots - 1) in
-  match slots.(i) with
-  | Some p when p.orig == c -> p
-  | _ ->
-      let term = Simplify.simplify_bool c in
-      let p = { orig = c; term; vars = Expr.vars term } in
-      slots.(i) <- Some p;
-      p
+  let term = Simplify.simplify_bool c in
+  { orig = c; term; vars = Expr.vars term }
 
 let cache_query group =
   Qcache.query (List.map (fun p -> (p.term, p.vars)) group)
@@ -224,7 +209,7 @@ let solve_group group =
       solve_miss c q group
 
 (* Each path condition's independence partition, memoized per domain by
-   the physical identity of the list, like [prepare]. A miss walks down
+   the physical identity of the list. A miss walks down
    to the nearest memoized tail and adds the constraints above it one
    {!Indep.add} each, memoizing every tail on the way up: the lists a
    path grows between two queries (a concretize pin, a merge's [or]

@@ -190,17 +190,7 @@ let model_findings ~model vals =
       { f_rule = rule; f_func = func; f_pos = pos; f_msg = msg })
     (li.Lockirql.r_findings @ races)
 
-let all_rules =
-  [ "unreachable-code"; "stack-imbalance"; "const-arg-contract";
-    "lock-double-acquire"; "lock-extra-release"; "lock-wrong-variant";
-    "lock-out-of-order"; "lock-forgotten-release"; "irql-passive-api";
-    "race-unguarded-deref"; "race-unguarded-use" ]
-
-let rule_matches requested rule =
-  List.exists (fun r -> r = rule || String.starts_with ~prefix:r rule)
-    requested
-
-let analyze ?(contracts = []) ?model ?rules icfg =
+let analyze ?(contracts = []) ?model icfg =
   (* one value pre-pass, shared by the contract scan and the model rules *)
   let vals = lazy (Dataflow.analyze icfg) in
   let all =
@@ -212,19 +202,8 @@ let analyze ?(contracts = []) ?model ?rules icfg =
        | Some model -> model_findings ~model (Lazy.force vals)
        | None -> [])
   in
-  let all =
-    match rules with
-    | None -> all
-    | Some req -> List.filter (fun f -> rule_matches req f.f_rule) all
-  in
   List.sort_uniq
     (fun a b ->
       compare (a.f_pos, a.f_rule, a.f_func, a.f_msg)
         (b.f_pos, b.f_rule, b.f_func, b.f_msg))
     all
-
-let pp fmt f =
-  Format.fprintf fmt "[static:%s] %s%s: %s" f.f_rule
-    (if f.f_func = "" then "" else f.f_func ^ " ")
-    (Printf.sprintf "at %06x" f.f_pos)
-    f.f_msg

@@ -1,7 +1,8 @@
 (** Purely static findings over the {!Icfg}.
 
     Three intraprocedural rule families, all conservative enough to be
-    false-positive-free on clean drivers (asserted by the CI smoke):
+    false-positive-free on clean drivers (asserted by the fixed-corpus
+    tests and goldens):
 
     - [unreachable-code]: text byte runs no recursive-descent path reaches
       (decodable dead code as well as data-in-text; the finding reports
@@ -35,17 +36,8 @@ type finding = {
   f_msg : string;
 }
 
-val all_rules : string list
-(** Every rule name {!analyze} can emit, for CLI help and validation. *)
-
 val analyze :
   ?contracts:Ddt_annot.Annot.arg_contract list ->
   ?model:Ddt_annot.Annot.api_model ->
-  ?rules:string list ->
   Icfg.t ->
   finding list
-(** [rules] filters the result: a finding is kept when some requested
-    name equals its rule or is a prefix of it (so ["lock"] selects the
-    whole lockset family).  [None] keeps everything. *)
-
-val pp : Format.formatter -> finding -> unit

@@ -17,32 +17,16 @@ module St = Symstate
 (* Instructions per scheduling slice. *)
 let quantum = 2_000
 
+(* Instructions a state may have run, counted from its root state,
+   before it is retired as a hang ([Exhausted]). *)
+let max_steps_per_state = 200_000
+
+(* Stop a run once no new basic block has been covered for this many
+   instructions — the paper's stopping rule (§5.2). *)
+let plateau_steps = 250_000
+
 (* Symbolic interrupts injected per path. *)
 let max_injections = 1
-
-type config = {
-  max_steps_per_state : int;
-  inject_interrupts : bool;
-  jobs : int;
-  (** worker domains exploring this engine's frontier cooperatively
-      (1 = the classic sequential loop) *)
-  state_merging : bool;
-  (** fuse sibling states back together at branch post-dominators
-      ({!Merge}): a symbolic fork whose arms reconverge — per the
-      merge-point map the session installs ({!set_merge_points}) — parks
-      both arms at the join and lifts their register/memory differences
-      to [ite]s over the disjoined path conditions, collapsing the fork
-      subtree into one state. On by default; replay runs never merge (a
-      script follows exactly one concrete path). *)
-}
-
-let default_config =
-  {
-    max_steps_per_state = 200_000;
-    inject_interrupts = true;
-    jobs = 1;
-    state_merging = true;
-  }
 
 type mem_access = {
   ma_state : St.t;
@@ -56,7 +40,6 @@ type mem_access = {
 }
 
 type engine = {
-  cfg : config;
   base_mem : Mem.t;
   img : Image.loaded;
   symdev : Ddt_hw.Symdev.t;
@@ -100,7 +83,8 @@ type engine = {
   mutable merge_points : int -> int option;
   (* absolute block leader -> absolute reconvergence pc. The default maps
      nothing, so no token ever opens; the session installs the
-     post-dominator map ({!Ddt_staticx.Pdom}) when [cfg.state_merging]. *)
+     post-dominator map ({!Ddt_staticx.Pdom}) when merging is on and no
+     replay runs. *)
   guard_st : Guard.t;
   solver_base : Solver.stats;
   (* snapshot at creation; [stats] reports the delta, i.e. the solver
@@ -140,7 +124,7 @@ let block_id (img : Image.loaded) leader_ids pc =
     let slot = off / Isa.instr_size in
     if slot < Array.length leader_ids then leader_ids.(slot) else -1
 
-let create ?(config = default_config) ~leaders img base_mem symdev =
+let create ~jobs ~leaders img base_mem symdev =
   Ddt_kernel.Ndis.install ();
   Ddt_kernel.Portcls.install ();
   Ddt_kernel.Usb.install ();
@@ -177,7 +161,7 @@ let create ?(config = default_config) ~leaders img base_mem symdev =
     if id < 0 then 0 else Atomic.get counts.(id)
   in
   let frontier =
-    Frontier.create ~workers:(max 1 config.jobs) ~key ~priority
+    Frontier.create ~workers:(max 1 jobs) ~key ~priority
   in
   (* The stress baseline maps a seeded concrete device into base memory;
      otherwise every device read mints a symbolic value. *)
@@ -187,7 +171,6 @@ let create ?(config = default_config) ~leaders img base_mem symdev =
       (Ddt_hw.Symdev.device symdev).Ddt_kernel.Pci.bars
   in
   {
-    cfg = config;
     base_mem;
     img;
     symdev;
@@ -559,7 +542,7 @@ let maybe_inject eng st ~site ~phase =
   in
   if
     site_allowed
-    && eng.cfg.inject_interrupts
+    && eng.mem_symdev <> None
     && Kstate.isr_registered st.St.ks
     && st.St.int_enabled
     && (not (Kstate.in_isr st.St.ks))
@@ -850,7 +833,7 @@ let step eng st =
         (* Two feasible arms that reconverge: open a merge token before
            either arm is published to the frontier (tagging a state
            another worker already picked up would race its step loop). *)
-        (if forked && eng.cfg.state_merging && eng.replay = None then
+        (if forked then
            match successors with
            | [ (a, _); (b, _) ] -> (
                match eng.merge_points st.St.last_block with
@@ -960,7 +943,7 @@ let step_quantum eng st =
      while
        (not (St.terminated st))
        && !budget > 0
-       && st.St.steps < eng.cfg.max_steps_per_state
+       && st.St.steps < max_steps_per_state
      do
        (* Merge arrival: the state stands at its innermost token's
           reconvergence pc — park it in the pool (possibly folding the
@@ -978,7 +961,7 @@ let step_quantum eng st =
        step eng st
      done;
      if St.terminated st then ()
-     else if st.St.steps >= eng.cfg.max_steps_per_state then
+     else if st.St.steps >= max_steps_per_state then
        retire eng st St.Exhausted ~report:true
      else Frontier.push eng.frontier ~worker:wid st
    with
@@ -1040,7 +1023,7 @@ let sample_live eng st =
    the stop reason; the others exit at their next pick. A worker whose
    loop raises publishes the fault as the stop reason, so no other worker
    waits on the in-flight state it will never finish. *)
-let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps wid =
+let worker_loop eng ~stop ~start ~max_total_steps wid =
   let rec loop () =
     if Atomic.get stop = None then
       if Atomic.get eng.total_steps - start >= max_total_steps then
@@ -1088,14 +1071,12 @@ let drain_retire eng f =
   in
   go ()
 
-let run eng ?(max_total_steps = 20_000_000) ?(plateau_steps = 150_000) () =
+let run eng ~max_total_steps =
   let start = Atomic.get eng.total_steps in
   Atomic.set eng.last_new_block_step start;
   let stop : stop_reason option Atomic.t = Atomic.make None in
-  let jobs = max 1 eng.cfg.jobs in
-  let worker wid =
-    worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps wid
-  in
+  let worker wid = worker_loop eng ~stop ~start ~max_total_steps wid in
+  let jobs = Frontier.n_workers eng.frontier in
   if jobs = 1 then worker 0
   else begin
     let doms =

@@ -23,30 +23,6 @@
 
 module Expr = Ddt_solver.Expr
 
-type config = {
-  max_steps_per_state : int;   (** per-invocation instruction budget *)
-  inject_interrupts : bool;
-  jobs : int;
-  (** number of worker domains cooperatively exploring this engine's
-      shared frontier ({!Frontier}); 1 (the default) is the classic
-      sequential loop with no domain spawns. Workers keep per-domain
-      min-touch queues ({!Sched}, the only search order) and steal from
-      each other when idle; bug reports stay deterministic because keys
-      are path-position-based and the report sink dedups by key. *)
-  state_merging : bool;
-  (** fuse sibling states back together at branch post-dominators
-      ({!Merge}): a symbolic fork whose arms reconverge — per the
-      merge-point map the session installs ({!set_merge_points}) — parks
-      both arms at the join and lifts their register/memory differences
-      to [ite]s over the disjoined path conditions, collapsing the fork
-      subtree into one state. Bug reports are identical either way. On
-      by default; replay runs never merge (a script follows exactly one
-      concrete path), and with no merge-point map installed the knob has
-      no effect. *)
-}
-
-val default_config : config
-
 type mem_access = {
   ma_state : Symstate.t;
   ma_pc : int;
@@ -61,13 +37,25 @@ type mem_access = {
 type engine
 
 val create :
-  ?config:config -> leaders:int list -> Ddt_dvm.Image.loaded ->
+  jobs:int -> leaders:int list -> Ddt_dvm.Image.loaded ->
   Ddt_dvm.Mem.t -> Ddt_hw.Symdev.t -> engine
-(** [leaders] are the sorted, distinct image-relative basic-block
+(** [jobs] is the number of worker domains that explore this engine's
+    shared frontier ({!Frontier}); 1 is the sequential loop with no
+    domain spawns. Workers keep per-domain min-touch queues ({!Sched},
+    the only search order) and steal from each other when idle; bug
+    reports stay deterministic because keys are path-position-based and
+    the report sink dedups by key.
+
+    [leaders] are the sorted, distinct image-relative basic-block
     starts the engine counts coverage and min-touch priorities over —
     the session passes the ICFG's reachable universe
     ([Ddt_staticx.Icfg]). Offsets outside the text section or off an
-    instruction slot are ignored. *)
+    instruction slot are ignored.
+
+    Symbolic interrupts (§3.3) are injected exactly when device reads
+    are symbolic: a base memory that maps the device concretely (the
+    stress baseline) gets neither symbolic reads nor injected
+    interrupts. *)
 
 (** {1 Hooks} *)
 
@@ -99,9 +87,14 @@ val set_replay : engine -> Ddt_trace.Replay.script -> unit
 
 val set_merge_points : engine -> (int -> int option) -> unit
 (** Install the merge-point map (absolute block leader -> absolute
-    reconvergence pc, normally {!Ddt_staticx.Pdom} plus the image base).
-    The default maps nothing, so no merge token ever opens even with
-    [config.state_merging] on. *)
+    reconvergence pc, normally {!Ddt_staticx.Pdom} plus the image base)
+    and so turn state merging on ({!Merge}): a symbolic fork whose arms
+    reconverge parks both arms at the join and lifts their
+    register/memory differences to [ite]s over the disjoined path
+    conditions. The default maps nothing, so no merge token ever opens.
+    Bug reports are identical either way. The session installs the map
+    unless merging is off or a replay runs (a script follows exactly
+    one concrete path). *)
 
 (** {1 Resilience} *)
 
@@ -138,13 +131,13 @@ val start_interrupt_fire : engine -> Symstate.t -> unit
     timing a concrete stress tool exercises, as opposed to the
     boundary-crossing injection of symbolic interrupts. *)
 
-val run :
-  engine -> ?max_total_steps:int -> ?plateau_steps:int -> unit -> unit
-(** Explore until the worklist empties, the step budget is exhausted
-    (leftover states are marked [Exhausted]), or no new basic block has
-    been covered for [plateau_steps] instructions — the paper's stopping
-    rule (§5.2); plateau leftovers are redundant siblings and are dropped
-    silently.
+val run : engine -> max_total_steps:int -> unit
+(** Explore until the worklist empties, [max_total_steps] instructions
+    have run (leftover states are discarded), or no new basic block has
+    been covered for 250 000 instructions — the paper's stopping rule
+    (§5.2); plateau leftovers are redundant siblings and are dropped
+    silently. A state that has run 200 000 instructions is retired as
+    [Exhausted] (a hang).
 
     An exception that escapes a worker loop outside every state's fault
     boundary stops all workers; [run] joins them and re-raises it. *)
@@ -191,7 +184,7 @@ type stats = {
   (** peak copy-on-write entries across all queued states (sampled) *)
   st_steals : int;
   (** successful cross-worker frontier steals (0 when [jobs = 1]) *)
-  st_workers : int;            (** frontier worker slots ([config.jobs]) *)
+  st_workers : int;            (** frontier worker slots ([jobs]) *)
   st_solver : Ddt_solver.Solver.stats;
   (** solver queries/cache-hit/bit-blast counters attributable to this
       engine (snapshot delta since [create]; exact only while no other

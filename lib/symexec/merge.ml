@@ -144,7 +144,6 @@ let try_fuse t tok (a : St.t) (b : St.t) =
             end)
           addrs;
         a.St.steps <- max a.St.steps b.St.steps;
-        a.St.depth <- max a.St.depth b.St.depth;
         a.St.injections <- max a.St.injections b.St.injections;
         St.record a
           (Event.E_merge

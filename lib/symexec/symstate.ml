@@ -56,7 +56,6 @@ type t = {
   mutable last_block : int;
   mutable status : status option;
   mutable entry_name : string;
-  mutable depth : int;
   mutable replay_inputs : (string * int) list;
   mutable replay_choices : (string * string) list;
   mutable tags : merge_tag list;
@@ -85,7 +84,6 @@ let create ~id ~mem ~ks =
     last_block = 0;
     status = None;
     entry_name = "";
-    depth = 0;
     replay_inputs = [];
     replay_choices = [];
     tags = [];
@@ -99,7 +97,6 @@ let fork t ~id =
     regs = Array.copy t.regs;
     mem = Symmem.fork t.mem;
     ks = Ddt_kernel.Kstate.copy t.ks;
-    depth = t.depth + 1;
     status = None;
   }
 

@@ -77,7 +77,6 @@ type t = {
       worker writes. *)
   mutable status : status option;
   mutable entry_name : string;
-  mutable depth : int;                          (** fork depth *)
   mutable replay_inputs : (string * int) list;
   (** replay mode: pending (name, value) pins, oldest first *)
   mutable replay_choices : (string * string) list;

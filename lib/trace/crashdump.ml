@@ -69,10 +69,3 @@ let find_u32 d addr =
         Some (Int32.to_int (Bytes.get_int32_le page (addr - base)) land 0xFFFFFFFF)
       else None)
     d.d_pages
-
-let pp_summary fmt d =
-  Format.fprintf fmt "crash dump: pc=0x%x, %d pages, note: %s@." d.d_pc
-    (List.length d.d_pages) d.d_note;
-  Array.iteri
-    (fun i v -> if v <> 0 then Format.fprintf fmt "  r%d = 0x%x@." i v)
-    d.d_regs

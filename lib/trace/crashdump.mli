@@ -18,4 +18,3 @@ val of_bytes : bytes -> t
 val find_u32 : t -> int -> int option
 (** Read a 32-bit word out of the dumped pages. *)
 
-val pp_summary : Format.formatter -> t -> unit

@@ -1,10 +1,11 @@
 (* Writes the golden corpus reports into the current directory: for every
    corpus driver D and both variants, the session report that
    `ddt_cli test D [--fixed] --json-out` writes ([D.json],
-   [D-fixed.json]) and the document `ddt_cli analyze D [--fixed] --json`
-   prints ([D.analyze.json], [D-fixed.analyze.json]), byte for byte,
-   and the static baseline's findings that `ddt_cli static D [--fixed]`
-   lists, without its wall time ([D.static.txt], [D-fixed.static.txt]).
+   [D-fixed.json]), byte for byte, the interprocedural static finder's
+   findings as a schema-6 JSON document ([D.analyze.json],
+   [D-fixed.analyze.json]), and the static baseline's findings that
+   `ddt_cli static D [--fixed]` lists, without its wall time
+   ([D.static.txt], [D-fixed.static.txt]).
    The dune rules next to this file diff each one against the checked-in
    copy; `dune promote` accepts an intended change. *)
 
@@ -22,7 +23,48 @@ let session_doc entry ~fixed =
     (Report_json.of_result
        (Ddt_core.Ddt.test_driver (Corpus.config ~fixed entry)))
 
-(* What `analyze --json` prints: every rule. *)
+(* The schema-6 findings document: a schema version, the driver name
+   and one row per finding. Each row keeps the schema's confirmation
+   columns at their fixed "no confirmation" values. *)
+let statics_schema_version = 6
+
+let jstr s =
+  let b = Buffer.create (String.length s + 8) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let jobj fields =
+  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields)
+  ^ "}"
+
+let static_row_json (f : Sfind.finding) =
+  jobj
+    [ ("rule", jstr f.Sfind.f_rule); ("func", jstr f.Sfind.f_func);
+      ("pos", string_of_int f.Sfind.f_pos); ("message", jstr f.Sfind.f_msg);
+      ("severity", jstr "static"); ("confirm", jstr "n/a");
+      ("confirmed_by", jstr "") ]
+
+let statics_to_string ~driver findings =
+  jobj
+    [ ("schema", string_of_int statics_schema_version);
+      ("driver", jstr driver);
+      ("static", "[" ^ String.concat "," (List.map static_row_json findings)
+                 ^ "]") ]
+
+(* Every rule of the interprocedural static finder, under the driver
+   class's contracts and API model. *)
 let analyze_doc (entry : Corpus.entry) ~fixed =
   let image =
     if fixed then entry.Corpus.fixed_image () else entry.Corpus.image ()
@@ -35,7 +77,7 @@ let analyze_doc (entry : Corpus.entry) ~fixed =
         ( Ddt_annot.Portcls_annotations.contracts,
           Ddt_annot.Portcls_annotations.model )
   in
-  Report_json.statics_to_string ~driver:entry.Corpus.name
+  statics_to_string ~driver:entry.Corpus.name
     (Sfind.analyze ~contracts ~model (Ddt_staticx.Icfg.build image))
 
 (* What `static` finds: the function count, then each finding's rule,

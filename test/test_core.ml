@@ -29,13 +29,11 @@ let harness ~extra ~init_body ~query_body = Printf.sprintf {|
   }
 |} extra init_body query_body
 
-let run ?(workload = Config.[ W_initialize; W_query ]) ?exec_config src =
+let run ?(workload = Config.[ W_initialize; W_query ]) src =
   let image = Ddt_minicc.Codegen.compile ~name:"t" src in
-  let cfg =
-    Config.make ~driver_name:"t" ~image ~driver_class:Config.Network
-      ~workload ?exec_config ()
-  in
-  Ddt.test_driver cfg
+  Ddt.test_driver
+    (Config.make ~driver_name:"t" ~image ~driver_class:Config.Network
+       ~workload ())
 
 let kinds r =
   List.map (fun b -> b.Report.b_kind) r.Session.r_bugs |> List.sort compare
@@ -113,11 +111,8 @@ let test_write_to_code () =
 (* --- loopcheck ------------------------------------------------------------ *)
 
 let test_infinite_loop () =
-  let exec_config =
-    { Exec.default_config with Exec.max_steps_per_state = 4_000 }
-  in
   let r =
-    run ~exec_config
+    run
       (harness ~extra:""
          ~init_body:{|
     int i = 1;
@@ -218,6 +213,23 @@ let test_replay_reproduces () =
     (List.exists
        (fun b -> b.Report.b_key = bug.Report.b_key)
        r2.Session.r_bugs)
+
+(* Symbolic interrupts come with symbolic hardware (§3.3): AudioPCI's
+   two interrupt races show up under symbolic device reads and not with
+   a concrete device mapped, the stress baseline's setting. *)
+let test_interrupts_need_symbolic_hardware () =
+  let cfg = Ddt_drivers.Corpus.config (Ddt_drivers.Corpus.find "audiopci") in
+  let interrupted (cfg : Config.t) =
+    List.filter
+      (fun b -> b.Report.b_with_interrupt)
+      (Ddt.test_driver cfg).Session.r_bugs
+  in
+  let symbolic = interrupted cfg in
+  check_int "two races under symbolic interrupts" 2 (List.length symbolic);
+  check_bool "both are races" true
+    (List.for_all (fun b -> b.Report.b_kind = Report.Race_condition) symbolic);
+  check_int "none with a concrete device" 0
+    (List.length (interrupted { cfg with Config.concrete_device = Some 42 }))
 
 let test_coverage_counts_consistent () =
   let entry = Ddt_drivers.Corpus.find "pcnet" in
@@ -331,7 +343,7 @@ let test_report_json_write_file () =
   let cfg = Ddt_drivers.Corpus.config (Ddt_drivers.Corpus.find "audiopci") in
   let r =
     Session.run
-      { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
+      { cfg with Config.max_total_steps = 60_000 }
   in
   let summary = Report_json.of_result r in
   (match Report_json.write_file path summary with
@@ -414,11 +426,13 @@ first: .space 4100
       ~mmio_base:Ddt_dvm.Layout.mmio_base
   in
   let leaders = (Ddt_staticx.Icfg.build img).Ddt_staticx.Icfg.universe in
-  let eng = Exec.create ~leaders loaded base (Ddt_hw.Symdev.create dev) in
+  let eng =
+    Exec.create ~jobs:1 ~leaders loaded base (Ddt_hw.Symdev.create dev)
+  in
   let st = Exec.new_root_state eng (Ddt_kernel.Kstate.create ~device:dev ()) in
   Exec.start_invocation eng st ~name:"dump"
     ~addr:(loaded.Ddt_dvm.Image.base + img.Ddt_dvm.Image.entry) ~args:[];
-  Exec.run eng ();
+  Exec.run eng ~max_total_steps:20_000_000;
   let st = List.hd (Exec.finished eng) in
   let d = Exec.crashdump st ~note:"null dereference" in
   let pages = List.map fst d.Ddt_trace.Crashdump.d_pages in
@@ -536,7 +550,9 @@ let () =
          Alcotest.test_case "coverage accounting" `Quick
            test_coverage_counts_consistent;
          Alcotest.test_case "failed initialize ends the session" `Quick
-           test_failed_init_ends_session ]);
+           test_failed_init_ends_session;
+         Alcotest.test_case "interrupts need symbolic hardware" `Quick
+           test_interrupts_need_symbolic_hardware ]);
       ("report-json",
        [ Alcotest.test_case "atomic write_file" `Quick
            test_report_json_write_file ]);
@@ -604,14 +620,9 @@ let () =
                 domains (4 on two drivers) must report the same bug-key
                 set on every corpus driver. *)
              let keys cfg jobs =
-               let cfg =
-                 { cfg with
-                   Config.exec_config =
-                     { cfg.Config.exec_config with Exec.jobs } }
-               in
                List.sort compare
                  (List.map (fun b -> b.Report.b_key)
-                    (Session.run cfg).Session.r_bugs)
+                    (Session.run { cfg with Config.jobs }).Session.r_bugs)
              in
              List.iter
                (fun (entry : Ddt_drivers.Corpus.entry) ->

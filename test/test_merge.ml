@@ -347,14 +347,14 @@ type arm_view = {
   av_regs : Expr.t array;
   av_bytes : Expr.t list;            (* at the pair's cow_diff addresses *)
   av_constraints : Expr.t list;
-  av_counters : int * int * int;     (* steps, depth, injections *)
+  av_counters : int * int;           (* steps, injections *)
 }
 
 let view addrs (st : St.t) =
   { av_regs = Array.copy st.St.regs;
     av_bytes = List.map (Symmem.read_u8 st.St.mem) addrs;
     av_constraints = st.St.constraints;
-    av_counters = (st.St.steps, st.St.depth, st.St.injections) }
+    av_counters = (st.St.steps, st.St.injections) }
 
 let unchanged addrs (st : St.t) v =
   let now = view addrs st in
@@ -499,13 +499,8 @@ let test_indep_ite_guard_edges () =
 
 let quick_cfg ?(merging = true) (e : Corpus.entry) =
   let cfg = Corpus.config e in
-  let cfg =
-    { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
-  in
   { cfg with
-    Config.exec_config =
-      { cfg.Config.exec_config with
-        Exec.jobs = 1; state_merging = merging } }
+    Config.max_total_steps = 60_000; jobs = 1; state_merging = merging }
 
 let bug_keys (r : Session.result) =
   List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
@@ -515,11 +510,7 @@ let bug_keys (r : Session.result) =
 let test_corpus_parity short () =
   let run merging =
     let cfg = Corpus.config (Corpus.find short) in
-    Session.run
-      { cfg with
-        Config.exec_config =
-          { cfg.Config.exec_config with
-            Exec.jobs = 1; state_merging = merging } }
+    Session.run { cfg with Config.jobs = 1; state_merging = merging }
   in
   let off = run false in
   let on = run true in
@@ -623,11 +614,9 @@ let gen_spec =
 let run_spec ?replay ~merging image =
   Solver.clear_cache ();
   Session.run
-    (Config.make ~driver_name:"p" ~image ~driver_class:Config.Network
-       ~workload:Config.[ W_initialize ]
-       ~exec_config:{ Exec.default_config with Exec.state_merging = merging }
-       ~max_total_steps:20_000
-       ~plateau_steps:15_000 ?replay ())
+    { (Config.make ~driver_name:"p" ~image ~driver_class:Config.Network
+         ~workload:Config.[ W_initialize ] ?replay ())
+      with Config.state_merging = merging; max_total_steps = 20_000 }
 
 (* Twenty merged rounds fold the accumulator into an ite DAG whose tree
    unfolding has ~2^20 nodes; the session only finishes if every walk

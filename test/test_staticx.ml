@@ -15,7 +15,6 @@ module Corpus = Ddt_drivers.Corpus
 module Session = Ddt_core.Session
 module Config = Ddt_core.Config
 module Report = Ddt_checkers.Report
-module Exec = Ddt_symexec.Exec
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -380,14 +379,14 @@ let class_annot = function
       ( Ddt_annot.Portcls_annotations.contracts,
         Ddt_annot.Portcls_annotations.model )
 
-let interproc ?rules ~cls img =
+let interproc ~cls img =
   let contracts, model = class_annot cls in
   List.filter
     (fun f ->
       List.exists
         (fun p -> String.starts_with ~prefix:p f.Sfind.f_rule)
         [ "lock-"; "irql-"; "race-" ])
-    (Sfind.analyze ~contracts ~model ?rules (Icfg.build img))
+    (Sfind.analyze ~contracts ~model (Icfg.build img))
 
 let rules_of fs = List.sort_uniq compare (List.map (fun f -> f.Sfind.f_rule) fs)
 
@@ -448,18 +447,6 @@ let test_corpus_interproc_rules () =
            (interproc ~cls:e.Corpus.driver_class (e.Corpus.fixed_image ()))))
     Corpus.all
 
-let test_rules_filter () =
-  let img = Ddt_drivers.Sdv_sample.image () in
-  let locks = interproc ~rules:[ "lock" ] ~cls:Config.Network img in
-  check_int "prefix selects the lock family" 5 (List.length locks);
-  check_bool "irql rule filtered out" true
-    (not (List.exists (fun f -> f.Sfind.f_rule = "irql-passive-api") locks));
-  let one =
-    interproc ~rules:[ "lock-double-acquire" ] ~cls:Config.Network img
-  in
-  Alcotest.(check (list string))
-    "exact name selects one rule" [ "lock-double-acquire" ] (rules_of one)
-
 (* --- JSON report schema ---------------------------------------------------- *)
 
 let test_report_json_roundtrip () =
@@ -512,7 +499,7 @@ let test_report_json_roundtrip () =
 
 let quick_cfg short =
   let cfg = Corpus.config (Corpus.find short) in
-  { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
+  { cfg with Config.max_total_steps = 60_000 }
 
 let bug_keys (r : Session.result) =
   List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
@@ -595,12 +582,7 @@ let test_static_warnings_are_dynamic_bugs () =
 let test_session_reports_identical_across_jobs () =
   let run jobs =
     let cfg = quick_cfg "rtl8029" in
-    let cfg =
-      { cfg with
-        Config.exec_config =
-          { cfg.Config.exec_config with Exec.jobs } }
-    in
-    Session.run cfg
+    Session.run { cfg with Config.jobs }
   in
   let r1 = run 1 and r2 = run 2 and r4 = run 4 in
   check_bool "bug keys identical 1 vs 2 jobs" true (bug_keys r1 = bug_keys r2);
@@ -646,8 +628,7 @@ let () =
          Alcotest.test_case "synthetics fire intended rules" `Quick
            test_synthetics_fire_intended_rules;
          Alcotest.test_case "corpus rules buggy vs fixed" `Quick
-           test_corpus_interproc_rules;
-         Alcotest.test_case "rules filter" `Quick test_rules_filter ]);
+           test_corpus_interproc_rules ]);
       ("report-json",
        [ Alcotest.test_case "round-trip" `Quick test_report_json_roundtrip ]);
       ("session",

@@ -473,22 +473,27 @@ let prop_symdev_range_matches_scan =
 
 (* --- the executor on small driver programs -------------------------------- *)
 
-let engine_for ?config img =
+(* With [concrete], a seeded concrete device is mapped into base memory,
+   as the stress baseline does. *)
+let engine_for ?(jobs = 1) ?(concrete = false) img =
   let base = Mem.create () in
   let loaded = Image.load img base ~base:Layout.image_base in
   let dev = device () in
   let symdev = Symdev.create dev in
+  if concrete then
+    List.iter (Mem.add_mmio base)
+      (Symdev.concrete_mmio symdev (Symdev.Random 7));
   let leaders = (Ddt_staticx.Icfg.build img).Ddt_staticx.Icfg.universe in
-  let eng = Exec.create ?config ~leaders loaded base symdev in
+  let eng = Exec.create ~jobs ~leaders loaded base symdev in
   let ks = Kstate.create ~device:dev () in
   (eng, loaded, ks)
 
-let build_engine ?config src =
-  engine_for ?config (Ddt_minicc.Codegen.compile ~name:"unit" src)
+let build_engine ?jobs ?concrete src =
+  engine_for ?jobs ?concrete (Ddt_minicc.Codegen.compile ~name:"unit" src)
 
 let run_to_completion eng st ~name ~addr ~args =
   Exec.start_invocation eng st ~name ~addr ~args;
-  Exec.run eng ();
+  Exec.run eng ~max_total_steps:20_000_000;
   Exec.finished eng
 
 let test_fork_on_symbolic_branch () =
@@ -621,10 +626,9 @@ let test_concretization_constraint_recorded () =
      second concretization yields the same value. *)
   check_int "stable concretization" v (Exec.concretize st x "test")
 
-let test_interrupt_injection_forks () =
-  (* An ISR that crashes on a flag the entry point sets after its kcall:
-     only the injected path sees the crash. *)
-  let src = {|
+(* An ISR that crashes on a flag the entry point sets after its kcall:
+   only an interrupt injected at the kcall boundary sees the crash. *)
+let injection_src = {|
     int g_ready;
     int g_chars[8];
     int isr(int ctx) {
@@ -651,8 +655,12 @@ let test_interrupt_injection_forks () =
       NdisMRegisterInterrupt(9);
       return 0;
     }
-  |} in
-  let eng, loaded, ks = build_engine src in
+  |}
+
+(* Run [injection_src]'s entry point, then its initialize on a returned
+   state; the finished states of initialize. *)
+let run_injection_src ~concrete =
+  let eng, loaded, ks = build_engine ~concrete injection_src in
   let st = Exec.new_root_state eng ks in
   ignore
     (run_to_completion eng st ~name:"load"
@@ -673,22 +681,37 @@ let test_interrupt_injection_forks () =
   Exec.start_invocation eng child ~name:"initialize"
     ~addr:(Image.export_addr loaded "initialize")
     ~args:[];
-  Exec.run eng ();
+  Exec.run eng ~max_total_steps:20_000_000;
+  Exec.finished eng
+
+let test_interrupt_injection_forks () =
+  let finished = run_injection_src ~concrete:false in
   let crashed_in_isr =
     List.exists
       (fun s ->
         match s.Symstate.status with
         | Some (Symstate.Crashed _) -> s.Symstate.injections > 0
         | _ -> false)
-      (Exec.finished eng)
+      finished
   in
   let clean_path =
     List.exists
       (fun s -> s.Symstate.status = Some (Symstate.Returned 0))
-      (Exec.finished eng)
+      finished
   in
   check_bool "injected interrupt hits the window" true crashed_in_isr;
-  check_bool "uninjected path completes" true clean_path
+  check_bool "uninjected path completes" true clean_path;
+  (* Symbolic interrupts belong to symbolic hardware: with a concrete
+     device mapped (the stress baseline) no site gets an interrupt, so
+     the window is never hit. *)
+  let finished = run_injection_src ~concrete:true in
+  check_bool "some state finished" true (finished <> []);
+  List.iter
+    (fun s ->
+      check_bool "no injected site" true (s.Symstate.injected_sites = []);
+      check_bool "returns cleanly" true
+        (s.Symstate.status = Some (Symstate.Returned 0)))
+    finished
 
 let test_coverage_accounting () =
   let src = {|
@@ -737,7 +760,7 @@ junk: .word 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF
       Exec.start_invocation eng (Exec.new_root_state eng ks) ~name ~addr:entry
         ~args:[ Expr.word t ])
     targets;
-  Exec.run eng ();
+  Exec.run eng ~max_total_steps:20_000_000;
   check_bool "no engine incident" true (Exec.incidents eng = []);
   (* Each wild target decodes as garbage; the misaligned one runs one
      shifted instruction first. *)
@@ -837,8 +860,7 @@ let fault_src = {|
    script names its entry. Returns that incident and the states that
    returned. *)
 let run_with_faulty_hook ~jobs arm =
-  let config = { Exec.default_config with Exec.jobs } in
-  let eng, loaded, ks = build_engine ~config fault_src in
+  let eng, loaded, ks = build_engine ~jobs fault_src in
   let st = Exec.new_root_state eng ks in
   let x = Exec.fresh_symbolic eng st ~name:"x" ~origin:"test" Expr.W32 in
   arm eng;
