@@ -32,29 +32,6 @@ let traces_flag =
   let doc = "Print the trace digest and replay script for each bug." in
   Arg.(value & flag & info [ "traces" ] ~doc)
 
-(* OCaml 5 caps a process at 128 domains ([Max_domains]) and [Exec.run]
-   spawns [jobs - 1] of them, so a larger N could only fail mid-session. *)
-let max_jobs = 128
-
-let jobs_conv =
-  let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 && n <= max_jobs -> Ok n
-    | Ok n ->
-        Error (`Msg (Printf.sprintf "%d is not in 1..%d" n max_jobs))
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
-
-let jobs_arg =
-  let doc =
-    Printf.sprintf
-      "Explore the session's fork tree with $(docv) cooperating worker \
-       domains (shared work-stealing frontier); 1 to %d."
-      max_jobs
-  in
-  Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let find_entry short =
   match Corpus.find short with
   | e -> Ok e
@@ -125,24 +102,21 @@ let report_result ~traces ~json_out r =
   else 2
 
 let test_cmd =
-  let run short fixed no_annot traces jobs no_merge json_out =
+  let run short fixed no_annot traces no_merge json_out =
     match find_entry short with
     | Error e -> prerr_endline e; 1
     | Ok entry ->
         let cfg =
           Corpus.config ~fixed ~use_annotations:(not no_annot) entry
         in
-        let cfg =
-          { cfg with
-            Ddt_core.Config.jobs; state_merging = not no_merge }
-        in
+        let cfg = { cfg with Ddt_core.Config.state_merging = not no_merge } in
         report_result ~traces ~json_out (Ddt_core.Ddt.test_driver cfg)
   in
   Cmd.v
     (Cmd.info "test" ~doc:"Test a driver binary with DDT")
     Term.(
       const run $ driver_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ no_merge_flag $ json_out_arg)
+      $ no_merge_flag $ json_out_arg)
 
 let static_cmd =
   let run short fixed =

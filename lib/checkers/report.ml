@@ -63,54 +63,28 @@ type incident = Ddt_symexec.Guard.incident
 
 type sink = {
   mutable found : bug list;    (* newest first *)
-  seen : (string, unit) Hashtbl.t;
-  mu : Mutex.t;
-  (* one sink collects from every checker on every frontier worker; the
-     internal lock makes the check-and-add atomic so a bug key is
-     admitted exactly once no matter which worker reports it first *)
+  seen : (string, unit) Hashtbl.t;  (* keys of [found] *)
 }
 
-let create_sink () =
-  { found = []; seen = Hashtbl.create 16; mu = Mutex.create () }
+let create_sink () = { found = []; seen = Hashtbl.create 16 }
 
 (* The same defect is reached on many paths, and building a bug's
-   replay script is a solver call: check the key first, build outside
-   the lock, and insert only if no other worker got there meanwhile. *)
+   replay script is a solver call: check the key first and build only a
+   new bug. *)
 let report sink ~key mk =
-  let seen () =
-    Mutex.lock sink.mu;
-    let r = Hashtbl.mem sink.seen key in
-    Mutex.unlock sink.mu;
-    r
-  in
-  if not (seen ()) then begin
+  if not (Hashtbl.mem sink.seen key) then begin
     let bug = mk () in
     if bug.b_key <> key then invalid_arg "Report.report: key mismatch";
-    Mutex.lock sink.mu;
-    if not (Hashtbl.mem sink.seen key) then begin
-      Hashtbl.add sink.seen key ();
-      sink.found <- bug :: sink.found
-    end;
-    Mutex.unlock sink.mu
+    Hashtbl.add sink.seen key ();
+    sink.found <- bug :: sink.found
   end
 
-let bugs sink =
-  Mutex.lock sink.mu;
-  let r = sink.found in
-  Mutex.unlock sink.mu;
-  List.rev r
-
-let count sink =
-  Mutex.lock sink.mu;
-  let n = List.length sink.found in
-  Mutex.unlock sink.mu;
-  n
+let bugs sink = List.rev sink.found
+let count sink = List.length sink.found
 
 let clear sink =
-  Mutex.lock sink.mu;
   sink.found <- [];
-  Hashtbl.reset sink.seen;
-  Mutex.unlock sink.mu
+  Hashtbl.reset sink.seen
 
 let pp_bug fmt b =
   Format.fprintf fmt "[%s] %s in %s (entry %s, pc 0x%x)%s@.    %s"
@@ -126,10 +100,9 @@ let pp_bug fmt b =
 let pp_incident fmt (i : incident) =
   let open Ddt_symexec.Guard in
   Format.fprintf fmt
-    "[engine:%s] state %d (entry %s, pc 0x%x, worker %d)@.    %s@.    \
+    "[engine:%s] state %d (entry %s, pc 0x%x)@.    %s@.    \
      replay: %d input(s), %d choice(s)"
-    (kind_label i.inc_kind) i.inc_state_id i.inc_entry i.inc_pc i.inc_worker
-    i.inc_message
+    (kind_label i.inc_kind) i.inc_state_id i.inc_entry i.inc_pc i.inc_message
     (List.length i.inc_replay.Ddt_trace.Replay.rs_inputs)
     (List.length i.inc_replay.Ddt_trace.Replay.rs_choices)
 

@@ -54,11 +54,10 @@ type sink
 val create_sink : unit -> sink
 val report : sink -> key:string -> (unit -> bug) -> unit
 (** [report sink ~key mk] deposits [mk ()] unless a bug with [b_key =
-    key] is already in the sink. [mk] runs only for a new key, outside
-    the lock, and at once: it builds the replay script (a solver call
-    over the whole path) from the reporting state as it is now. Two
-    workers racing on one new key may both run [mk]; the first to finish
-    is kept. @raise Invalid_argument if [mk ()] has another [b_key]. *)
+    key] is already in the sink. [mk] runs only for a new key, and at
+    once: it builds the replay script (a solver call over the whole
+    path) from the reporting state as it is now.
+    @raise Invalid_argument if [mk ()] has another [b_key]. *)
 val bugs : sink -> bug list
 (** In first-reported order. *)
 

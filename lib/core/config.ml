@@ -21,7 +21,6 @@ type t = {
   workload : workload_item list;
   use_annotations : bool;
   annotations : Ddt_annot.Annot.set;
-  jobs : int;
   state_merging : bool;
   max_total_steps : int;
   concrete_device : int option;
@@ -60,7 +59,7 @@ let make ~driver_name ~image ~driver_class ?(descriptor = default_descriptor)
   in
   {
     driver_name; image; driver_class; descriptor; registry; workload;
-    use_annotations; annotations; jobs = 1; state_merging = true;
+    use_annotations; annotations; state_merging = true;
     max_total_steps = 3_000_000; concrete_device; replay;
     collect_crashdumps;
   }

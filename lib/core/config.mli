@@ -27,9 +27,6 @@ type t = {
   (** master switch for the §5.1 ablation: disables both the API
       annotation set and the concrete-to-symbolic workload hints *)
   annotations : Ddt_annot.Annot.set;
-  jobs : int;
-  (** worker domains exploring the fork tree (1, the default, runs no
-      domain; [ddt_cli test -j]) *)
   state_merging : bool;
   (** fuse sibling states at branch post-dominators (on by default;
       [ddt_cli test --no-merge] turns it off, replays never merge) *)

@@ -47,11 +47,6 @@ let pp_report fmt (r : Session.result) =
     sv.Ddt_solver.Solver.s_queries sv.Ddt_solver.Solver.s_group_solves
     (100.0 *. Ddt_solver.Solver.cache_hit_rate sv)
     sv.Ddt_solver.Solver.s_bitblast_solves;
-  if stats.Ddt_symexec.Exec.st_workers > 1 then
-    Format.fprintf fmt
-      "parallel: %d workers | %d steals | %d cross-worker cache hits@."
-      stats.Ddt_symexec.Exec.st_workers stats.Ddt_symexec.Exec.st_steals
-      sv.Ddt_solver.Solver.s_cache_cross_worker_hits;
   (* Engine incidents: faults of the testing engine itself, quarantined
      by the guard instead of killing the session. *)
   (match r.Session.r_incidents with

@@ -5,7 +5,7 @@
 
 module Report = Ddt_checkers.Report
 
-let schema_version = 10
+let schema_version = 11
 
 type bug_row = {
   jb_kind : string;
@@ -17,7 +17,6 @@ type bug_row = {
 
 type incident_row = {
   ji_kind : string;
-  ji_worker : int;
   ji_state_id : int;
   ji_entry : string;
   ji_pc : int;
@@ -70,7 +69,6 @@ let of_result (r : Session.result) =
         (fun (i : Report.incident) ->
           let open Ddt_symexec.Guard in
           { ji_kind = kind_label i.inc_kind;
-            ji_worker = i.inc_worker;
             ji_state_id = i.inc_state_id;
             ji_entry = i.inc_entry;
             ji_pc = i.inc_pc;
@@ -117,8 +115,7 @@ let bug_row_json b =
 
 let incident_row_json i =
   jobj
-    [ ("kind", jstr i.ji_kind); ("worker", string_of_int i.ji_worker);
-      ("state_id", string_of_int i.ji_state_id);
+    [ ("kind", jstr i.ji_kind); ("state_id", string_of_int i.ji_state_id);
       ("entry", jstr i.ji_entry); ("pc", string_of_int i.ji_pc);
       ("message", jstr i.ji_message); ("replay", jstr i.ji_replay) ]
 
@@ -275,7 +272,7 @@ let bug_row_of j =
     jb_message = as_str (field "message" j) }
 
 let incident_row_of j =
-  { ji_kind = as_str (field "kind" j); ji_worker = as_int (field "worker" j);
+  { ji_kind = as_str (field "kind" j);
     ji_state_id = as_int (field "state_id" j);
     ji_entry = as_str (field "entry" j); ji_pc = as_int (field "pc" j);
     ji_message = as_str (field "message" j);

@@ -18,7 +18,6 @@ type bug_row = {
 
 type incident_row = {
   ji_kind : string;     (** "state-fault" | "solver-exhaustion" *)
-  ji_worker : int;      (** worker slot that hit the fault *)
   ji_state_id : int;    (** the faulting state *)
   ji_entry : string;
   ji_pc : int;

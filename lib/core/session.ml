@@ -83,8 +83,7 @@ let run (cfg : Config.t) =
      give the merge points. *)
   let icfg = Icfg.build cfg.Config.image in
   let eng =
-    Exec.create ~jobs:cfg.Config.jobs ~leaders:icfg.Icfg.universe
-      loaded base_mem symdev
+    Exec.create ~leaders:icfg.Icfg.universe loaded base_mem symdev
   in
   Option.iter (Exec.set_replay eng) cfg.Config.replay;
   let sink = Report.create_sink () in
@@ -110,16 +109,10 @@ let run (cfg : Config.t) =
   let crashcheck = Ddt_checkers.Crashcheck.create ~sink ~driver in
   let loopcheck = Ddt_checkers.Loopcheck.create ~sink ~driver in
   Exec.set_on_mem_access eng (Ddt_checkers.Memcheck.on_mem_access memcheck);
-  (* The engine fires these hooks from every frontier worker; the refs
-     below are the session's only hook-shared state, so one small lock
-     covers them (the checkers only touch the state and the sink, which
-     has its own lock). *)
-  let hmu = Mutex.create () in
   let finished_count = ref 0 in
   let crashdumps = ref [] in
   let first_bug_paths = ref None in
   Exec.set_on_state_done eng (fun st ->
-      Mutex.lock hmu;
       incr finished_count;
       (match st.St.status with
        | Some (St.Crashed c) when cfg.Config.collect_crashdumps ->
@@ -129,15 +122,12 @@ let run (cfg : Config.t) =
                 ~note:(Printf.sprintf "%s: %s" c.St.c_code c.St.c_msg))
              :: !crashdumps
        | _ -> ());
-      Mutex.unlock hmu;
       Ddt_checkers.Leakcheck.on_state_done leakcheck st;
       Ddt_checkers.Lockcheck.on_state_done lockcheck st;
       Ddt_checkers.Crashcheck.on_state_done crashcheck st;
       Ddt_checkers.Loopcheck.on_state_done loopcheck st;
-      Mutex.lock hmu;
       if !first_bug_paths = None && Report.count sink > 0 then
-        first_bug_paths := Some !finished_count;
-      Mutex.unlock hmu);
+        first_bug_paths := Some !finished_count);
   Exec.set_kcall_hooks eng
     ~enter:(fun st name mach ->
       Ddt_checkers.Lockcheck.on_kcall_enter lockcheck st name mach;
@@ -153,14 +143,12 @@ let run (cfg : Config.t) =
   let coverage = ref [] in
   let blocks_seen = ref 0 in
   Exec.set_on_new_block eng (fun _st _pc ->
-      Mutex.lock hmu;
       incr blocks_seen;
       coverage :=
         { cp_time = Unix.gettimeofday () -. t0;
           cp_steps = Exec.steps_now eng;
           cp_blocks = !blocks_seen }
-        :: !coverage;
-      Mutex.unlock hmu);
+        :: !coverage);
   let invocations = ref 0 in
   let run_engine () =
     Exec.run eng ~max_total_steps:cfg.Config.max_total_steps
@@ -201,29 +189,16 @@ let run (cfg : Config.t) =
       end)
     cfg.Config.workload;
   let stats = Exec.stats eng in
-  (* With several frontier workers the sink's insertion order depends
-     on scheduling; sort by key so the report is reproducible. A
-     single-worker run keeps discovery order. *)
-  let bugs =
-    if cfg.Config.jobs > 1 then
-      List.sort
-        (fun a b -> compare a.Report.b_key b.Report.b_key)
-        (Report.bugs sink)
-    else Report.bugs sink
-  in
   {
     r_driver = cfg.Config.driver_name;
-    r_bugs = bugs;
+    r_bugs = Report.bugs sink;
     r_coverage = List.rev !coverage;
     r_stats = stats;
     r_wall_time = Unix.gettimeofday () -. t0;
     r_invocations = !invocations;
     r_finished_states = !finished_count;
     r_tree = Exec.execution_tree eng;
-    r_crashdumps =
-      (if cfg.Config.jobs > 1 then
-         List.sort (fun (a, _) (b, _) -> compare a b) !crashdumps
-       else List.rev !crashdumps);
+    r_crashdumps = List.rev !crashdumps;
     r_reachable_blocks = List.length icfg.Icfg.universe;
     r_covered_reachable = stats.Exec.st_blocks_covered;
     r_never_reached =

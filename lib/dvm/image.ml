@@ -41,19 +41,14 @@ module Memo = Ephemeron.K1.Make (struct
 end)
 
 let memoize f =
-  let memo = Memo.create 16 and lock = Mutex.create () in
+  let memo = Memo.create 16 in
   fun img ->
-    Mutex.lock lock;
-    let v =
-      match Memo.find_opt memo img with
-      | Some v -> v
-      | None ->
-          let v = f img in
-          Memo.replace memo img v;
-          v
-    in
-    Mutex.unlock lock;
-    v
+    match Memo.find_opt memo img with
+    | Some v -> v
+    | None ->
+        let v = f img in
+        Memo.replace memo img v;
+        v
 
 (* Pre-load sibling of [loaded.code]: decode the *unrelocated* text once
    per image and share the array across every static consumer (linear

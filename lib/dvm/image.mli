@@ -52,8 +52,7 @@ val code_array : t -> Isa.instr option array
 
 val memoize : (t -> 'a) -> t -> 'a
 (** [memoize f] computes [f img] once per image value (compared
-    physically) and keeps the result for as long as the image lives. Safe
-    to call from several domains. *)
+    physically) and keeps the result for as long as the image lives. *)
 
 val export_addr : loaded -> string -> int
 (** Absolute address of an exported symbol. @raise Not_found *)

@@ -14,5 +14,5 @@ val solve : ?max_conflicts:int -> ?deadline:float -> Cnf.t -> result option
 (** [None] when the conflict budget is exhausted (treat as unknown).
     [deadline] is an absolute [Unix.gettimeofday] instant; when given,
     the search also answers [None] once the clock passes it (polled
-    every 256 conflicts), so one adversarial query cannot stall a
-    worker indefinitely. *)
+    every 256 conflicts), so one adversarial query cannot stall the
+    engine indefinitely. *)

@@ -34,12 +34,11 @@ let rec width_of = function
   | Zext _ -> W32
   | Not _ -> W1
 
-(* Atomic so independent sessions can run in parallel domains (the
-   paper's §6.1 parallel-symbolic-execution direction). *)
-let var_counter = Atomic.make 0
+let var_counter = ref 0
 
 let fresh_var ?(name = "v") w =
-  { id = Atomic.fetch_and_add var_counter 1 + 1; name; var_width = w }
+  incr var_counter;
+  { id = !var_counter; name; var_width = w }
 
 let const w v = Const (w, v land mask_of_width w)
 let word v = const W32 v

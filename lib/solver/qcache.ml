@@ -1,20 +1,17 @@
 type model = Expr.var -> int
 
-type outcome = Hit of model * int | Miss
+type outcome = Hit of model | Miss
 
-(* [models] holds (owner domain, values by variable number), newest
-   first; [missed] holds the terms of every missed group, newest first.
-   At about two thousand lookups a session the one lock is never
-   contended. *)
+(* [models] holds values by variable number, newest first; [missed]
+   holds the terms of every missed group, newest first. *)
 type t = {
-  mu : Mutex.t;
-  mutable models : (int * int array) list;
+  mutable models : int array list;
   mutable missed : Expr.t list list;
 }
 
 let model_reuse = 12
 
-let create () = { mu = Mutex.create (); models = []; missed = [] }
+let create () = { models = []; missed = [] }
 
 type query = {
   terms : Expr.t list;
@@ -40,31 +37,26 @@ let env q a (v : Expr.var) =
   | _ -> 0
 
 let lookup t q =
-  Mutex.protect t.mu (fun () ->
-      let rec try_models = function
-        | [] ->
-            t.missed <- q.terms :: t.missed;
-            Miss
-        | (owner, a) :: rest ->
-            let m = env q a in
-            if List.for_all (fun c -> Expr.eval m c = 1) q.terms then
-              Hit (m, owner)
-            else try_models rest
-      in
-      try_models t.models)
+  let rec try_models = function
+    | [] ->
+        t.missed <- q.terms :: t.missed;
+        Miss
+    | a :: rest ->
+        let m = env q a in
+        if List.for_all (fun c -> Expr.eval m c = 1) q.terms then Hit m
+        else try_models rest
+  in
+  try_models t.models
 
 let store t q m =
   let values = List.map (fun (_, v) -> m v) (Expr.Idtbl.values q.index) in
-  let entry = ((Domain.self () :> int), Array.of_list values) in
-  Mutex.protect t.mu (fun () ->
-      t.models <-
-        List.filteri (fun i _ -> i < model_reuse) (entry :: t.models))
+  t.models <-
+    List.filteri (fun i _ -> i < model_reuse) (Array.of_list values :: t.models)
 
 type pentry = { pe_orig : Expr.t list }
 
 let export_entries t =
-  Mutex.protect t.mu (fun () ->
-      List.rev_map (fun terms -> { pe_orig = terms }) t.missed)
+  List.rev_map (fun terms -> { pe_orig = terms }) t.missed
 
 (* An alias whose one caller is perfbench/layer_trace.ml. *)
 module Sharded = struct

@@ -8,18 +8,17 @@
     number, so a model found for one group applies to any later group
     whose variables line up with it, whatever their names. The cache
     holds the 12 most recent models; a lookup re-checks them newest
-    first. Unsat and Unknown answers are not stored. One mutex guards
-    the cache, so one instance serves every worker domain. *)
+    first. Unsat and Unknown answers are not stored. *)
 
 type t
 
 type model = Expr.var -> int
 
 type outcome =
-  | Hit of model * int
-      (** a stored model satisfies every term (verified by evaluation),
-          and the domain id that stored it; each value is masked to its
-          variable's width, and variables outside the model read 0 *)
+  | Hit of model
+      (** a stored model satisfies every term (verified by evaluation);
+          each value is masked to its variable's width, and variables
+          outside the model read 0 *)
   | Miss
 
 val create : unit -> t

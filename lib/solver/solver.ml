@@ -7,17 +7,15 @@ type result =
 
 (* --- the query cache ------------------------------------------------------ *)
 
-(* One process-wide cache ({!Qcache}) serves every domain, so a group
-   solved by any worker is a hit for all of them. [clear_cache] swaps in
-   a fresh cache atomically; in-flight operations finish against their
-   snapshot. *)
-let cache = Atomic.make (Qcache.create ())
+(* One process-wide cache ({!Qcache}); [clear_cache] swaps in a fresh
+   one. *)
+let cache = ref (Qcache.create ())
 
-let clear_cache () = Atomic.set cache (Qcache.create ())
+let clear_cache () = cache := Qcache.create ()
 
-(* The live shared cache instance, for perfbench's layer trace.
-   [clear_cache] invalidates the handle — re-fetch it. *)
-let current_cache () = Atomic.get cache
+(* The live cache instance, for perfbench's layer trace. [clear_cache]
+   invalidates the handle — re-fetch it. *)
+let current_cache () = !cache
 
 (* --- the solve budget ------------------------------------------------------
 
@@ -30,16 +28,8 @@ let attempt_s = 5.0
 
 (* Test hook: when set, it is asked once per uncached group solve and
    [true] makes that solve answer Unknown without running. *)
-let force_unknown : (unit -> bool) option Atomic.t = Atomic.make None
-let set_force_unknown f = Atomic.set force_unknown f
-
-(* Per-domain Unknown count, so the engine can attribute an Unknown to
-   the state whose quantum was executing on this domain (the
-   process-global counter cannot tell workers apart). *)
-let dls_unknowns : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref 0)
-
-let domain_unknowns () = !(Domain.DLS.get dls_unknowns)
+let force_unknown : (unit -> bool) option ref = ref None
+let set_force_unknown f = force_unknown := f
 
 (* --- statistics ---------------------------------------------------------- *)
 
@@ -48,42 +38,35 @@ type stats = {
   s_group_solves : int;
   s_cache_model_reuse_hits : int;
   s_cache_misses : int;
-  s_cache_cross_worker_hits : int;
   s_interval_solves : int;
   s_bitblast_solves : int;
   s_unknowns : int;
 }
 
-(* Counters are process-global atomics — parallel frontier workers all
-   account into the same totals (the cache they describe is shared too). *)
+(* The process-global counters: a snapshot is a copy. *)
 type counters = {
-  c_queries : int Atomic.t;
-  c_group_solves : int Atomic.t;
-  c_model_reuse_hits : int Atomic.t;
-  c_misses : int Atomic.t;
-  c_cross_worker_hits : int Atomic.t;
-  c_interval_solves : int Atomic.t;
-  c_bitblast_solves : int Atomic.t;
-  c_unknowns : int Atomic.t;
+  mutable c_queries : int;
+  mutable c_group_solves : int;
+  mutable c_model_reuse_hits : int;
+  mutable c_misses : int;
+  mutable c_interval_solves : int;
+  mutable c_bitblast_solves : int;
+  mutable c_unknowns : int;
 }
 
 let cnt =
-  { c_queries = Atomic.make 0; c_group_solves = Atomic.make 0;
-    c_model_reuse_hits = Atomic.make 0; c_misses = Atomic.make 0;
-    c_cross_worker_hits = Atomic.make 0;
-    c_interval_solves = Atomic.make 0; c_bitblast_solves = Atomic.make 0;
-    c_unknowns = Atomic.make 0 }
+  { c_queries = 0; c_group_solves = 0; c_model_reuse_hits = 0; c_misses = 0;
+    c_interval_solves = 0; c_bitblast_solves = 0; c_unknowns = 0 }
 
 let stats () =
   {
-    s_queries = Atomic.get cnt.c_queries;
-    s_group_solves = Atomic.get cnt.c_group_solves;
-    s_cache_model_reuse_hits = Atomic.get cnt.c_model_reuse_hits;
-    s_cache_misses = Atomic.get cnt.c_misses;
-    s_cache_cross_worker_hits = Atomic.get cnt.c_cross_worker_hits;
-    s_interval_solves = Atomic.get cnt.c_interval_solves;
-    s_bitblast_solves = Atomic.get cnt.c_bitblast_solves;
-    s_unknowns = Atomic.get cnt.c_unknowns;
+    s_queries = cnt.c_queries;
+    s_group_solves = cnt.c_group_solves;
+    s_cache_model_reuse_hits = cnt.c_model_reuse_hits;
+    s_cache_misses = cnt.c_misses;
+    s_interval_solves = cnt.c_interval_solves;
+    s_bitblast_solves = cnt.c_bitblast_solves;
+    s_unknowns = cnt.c_unknowns;
   }
 
 let diff_stats (b : stats) (a : stats) =
@@ -93,8 +76,6 @@ let diff_stats (b : stats) (a : stats) =
     s_cache_model_reuse_hits =
       b.s_cache_model_reuse_hits - a.s_cache_model_reuse_hits;
     s_cache_misses = b.s_cache_misses - a.s_cache_misses;
-    s_cache_cross_worker_hits =
-      b.s_cache_cross_worker_hits - a.s_cache_cross_worker_hits;
     s_interval_solves = b.s_interval_solves - a.s_interval_solves;
     s_bitblast_solves = b.s_bitblast_solves - a.s_bitblast_solves;
     s_unknowns = b.s_unknowns - a.s_unknowns;
@@ -120,7 +101,7 @@ let core_solve constraints =
   in
   match Interval.infer constraints with
   | None ->
-      Atomic.incr cnt.c_interval_solves;
+      cnt.c_interval_solves <- cnt.c_interval_solves + 1;
       Unsat
   | Some env_ranges -> (
       (* Cheap verified guesses first. *)
@@ -131,10 +112,10 @@ let core_solve constraints =
       in
       match guess with
       | Some m ->
-          Atomic.incr cnt.c_interval_solves;
+          cnt.c_interval_solves <- cnt.c_interval_solves + 1;
           Sat m
       | None -> (
-          Atomic.incr cnt.c_bitblast_solves;
+          cnt.c_bitblast_solves <- cnt.c_bitblast_solves + 1;
           let ctx = Bitblast.create () in
           List.iter (Bitblast.assert_true ctx) constraints;
           match Dpll.solve ~max_conflicts ~deadline (Bitblast.cnf ctx) with
@@ -181,7 +162,7 @@ let cache_query group =
 (* A miss: solve once and store a Sat model for later groups to reuse. *)
 let solve_miss c q group =
   let forced =
-    match Atomic.get force_unknown with Some f -> f () | None -> false
+    match !force_unknown with Some f -> f () | None -> false
   in
   let r =
     if forced then Unknown else core_solve (List.map (fun p -> p.term) group)
@@ -189,38 +170,33 @@ let solve_miss c q group =
   (match r with
   | Sat m -> Qcache.store c q m
   | Unsat -> ()
-  | Unknown ->
-      Atomic.incr cnt.c_unknowns;
-      incr (Domain.DLS.get dls_unknowns));
+  | Unknown -> cnt.c_unknowns <- cnt.c_unknowns + 1);
   r
 
 let solve_group group =
-  Atomic.incr cnt.c_group_solves;
-  let c = Atomic.get cache in
+  cnt.c_group_solves <- cnt.c_group_solves + 1;
+  let c = !cache in
   let q = cache_query group in
   match Qcache.lookup c q with
-  | Qcache.Hit (m, owner) ->
-      Atomic.incr cnt.c_model_reuse_hits;
-      if owner <> (Domain.self () :> int) then
-        Atomic.incr cnt.c_cross_worker_hits;
+  | Qcache.Hit m ->
+      cnt.c_model_reuse_hits <- cnt.c_model_reuse_hits + 1;
       Sat m
   | Qcache.Miss ->
-      Atomic.incr cnt.c_misses;
+      cnt.c_misses <- cnt.c_misses + 1;
       solve_miss c q group
 
-(* Each path condition's independence partition, memoized per domain by
-   the physical identity of the list. A miss walks down
+(* Each path condition's independence partition, memoized by the
+   physical identity of the list. A miss walks down
    to the nearest memoized tail and adds the constraints above it one
    {!Indep.add} each, memoizing every tail on the way up: the lists a
    path grows between two queries (a concretize pin, a merge's [or]
    head) are the tails of its later queries and of its descendants'. *)
 let part_slots = 1024
 
-let part_cache : (Expr.t list * prepared Indep.t) option array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make part_slots None)
+let slots : (Expr.t list * prepared Indep.t) option array =
+  Array.make part_slots None
 
 let partition_of cs =
-  let slots = Domain.DLS.get part_cache in
   let slot l = Hashtbl.hash l land (part_slots - 1) in
   (* [above] holds the unmemoized tails passed on the way down to [l],
      deepest first. *)
@@ -246,7 +222,7 @@ let partition_of cs =
 let ground_holds p = Expr.eval (fun _ -> 0) p.term = 1
 
 let check constraints =
-  Atomic.incr cnt.c_queries;
+  cnt.c_queries <- cnt.c_queries + 1;
   if
     List.exists
       (fun c ->
@@ -287,7 +263,7 @@ let check constraints =
    order, built from the partition's prepared members. The counters
    move exactly as they would under [check]. *)
 let feasible cs extra =
-  Atomic.incr cnt.c_queries;
+  cnt.c_queries <- cnt.c_queries + 1;
   let x = prepare extra in
   if x.vars = [] then ground_holds x
   else solve_group (x :: Indep.slice (partition_of cs) x.vars) <> Unsat

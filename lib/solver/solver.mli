@@ -21,14 +21,13 @@
     The engine's two questions about a path condition, {!feasible} and
     {!concretize_relevant}, query only the slice that can matter: the
     independence groups of the branch condition or value, read off the
-    path condition's partition. That partition is memoized per domain
-    by the physical identity of the constraint list and extended one
+    path condition's partition. That partition is memoized by the
+    physical identity of the constraint list and extended one
     constraint at a time ({!Indep.add}) as states fork, so a query no
     longer re-partitions or re-looks-up every group of the path.
 
     Every layer is always on. The query cache is one process-wide
-    {!Qcache.t} behind one mutex, so a model found by any parallel
-    exploration worker can answer a group for all of them. *)
+    {!Qcache.t}. *)
 
 type model = Expr.var -> int
 
@@ -84,18 +83,17 @@ val original : prepared -> Expr.t
 val partition_of : Expr.t list -> prepared Indep.t
 (** The memoized independence partition of a path condition, over the
     simplified constraints' variables (ground constraints belong to no
-    group). Memoized per domain by the physical identity of the list: a
+    group). Memoized by the physical identity of the list: a
     miss walks down to the nearest memoized tail, adds the constraints
     above it, and memoizes every tail it passed. Exposed for tests. *)
 
 (** {1 The query cache} *)
 
 val clear_cache : unit -> unit
-(** Swap in a fresh, empty shared cache (in-flight lookups finish
-    against the old one). *)
+(** Swap in a fresh, empty cache. *)
 
 val current_cache : unit -> Qcache.t
-(** The live shared cache instance; its one caller is perfbench's layer
+(** The live cache instance; its one caller is perfbench's layer
     trace. {!clear_cache} swaps in a fresh instance, so re-fetch the
     handle after it. *)
 
@@ -111,16 +109,11 @@ val set_force_unknown : (unit -> bool) option -> unit
     solve, and [true] makes that solve answer Unknown without running.
     [None] (the default) disables it. *)
 
-val domain_unknowns : unit -> int
-(** Verdicts left Unknown on the calling domain, so the engine can
-    attribute them to the state being stepped. *)
-
 (** {1 Statistics}
 
-    Counters are process-global atomics, like the cache; a session's
-    statistics are the difference of two {!stats} snapshots (see
-    [Ddt_symexec.Exec]) — exact only while no other session runs
-    concurrently. *)
+    Counters are process-global, like the cache; a session's statistics
+    are the difference of two {!stats} snapshots (see
+    [Ddt_symexec.Exec]). *)
 
 type stats = {
   s_queries : int;                  (** [check] calls *)
@@ -129,9 +122,6 @@ type stats = {
       the groups of its slice *)
   s_cache_model_reuse_hits : int;   (** Sat via a re-checked cached model *)
   s_cache_misses : int;
-  s_cache_cross_worker_hits : int;
-  (** hits on models stored by a different domain — the win from sharing
-      the cache across workers *)
   s_interval_solves : int;          (** groups settled by interval layer *)
   s_bitblast_solves : int;          (** groups that reached CNF + DPLL *)
   s_unknowns : int;

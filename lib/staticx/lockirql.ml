@@ -98,8 +98,7 @@ let translate_up ~args t =
 (* --- the client domain ------------------------------------------------ *)
 
 (* [Make] is functorized over the API model so the domain's transfer
-   function can classify kernel calls without global mutable state
-   (analyses may run concurrently in parallel sessions). *)
+   function can classify kernel calls without global mutable state. *)
 module MakeDomain (M : sig
   val model : Annot.api_model
 end) =

@@ -50,27 +50,20 @@ type engine = {
   leader_ids : int array;
   (* text slot -> dense id of the block starting there, or -1; see
      [block_id]. Read-only after create. *)
-  covered : int Atomic.t array;
-  (* first-cover claim flags by dense id: compare-and-set 0->1 decides,
-     engine-wide and lock-free, which worker covered a block first *)
-  counts : int Atomic.t array;
-  (* block-execution counts by dense id. [note_block] is the hottest path
-     in the engine, so a count is one lock-free increment, visible to
-     every worker's scheduler at once. *)
-  glock : Mutex.t;
-  (* protects the tables and lists below; hooks are invoked OUTSIDE it so
-     callbacks may call back into the engine (e.g. [stats]) *)
+  covered : bool array;                     (* by dense id: ever executed *)
+  counts : int array;
+  (* block-execution counts by dense id, the min-touch priorities *)
   injected_sites_global : (int, unit) Hashtbl.t;
   mutable done_states : St.t list;
   mutable lineage : (int * int * (string * St.status) * int) list;
-  frontier : Frontier.t;
-  next_id : int Atomic.t;
-  total_steps : int Atomic.t;
-  states_created : int Atomic.t;
-  max_cow_depth : int Atomic.t;
-  peak_live_words : int Atomic.t;
-  picks : int Atomic.t;
-  last_new_block_step : int Atomic.t;
+  queue : Sched.queue;                      (* the states waiting to run *)
+  mutable next_id : int;
+  mutable total_steps : int;
+  mutable states_created : int;
+  mutable max_cow_depth : int;
+  mutable peak_live_words : int;
+  mutable picks : int;
+  mutable last_new_block_step : int;
   mutable on_mem_access : mem_access -> unit;
   mutable on_state_done : St.t -> unit;
   mutable on_new_block : St.t -> int -> unit;
@@ -88,29 +81,15 @@ type engine = {
   guard_st : Guard.t;
   solver_base : Solver.stats;
   (* snapshot at creation; [stats] reports the delta, i.e. the solver
-     work attributable to this engine. The counters are process-global,
-     so the delta is only exact while no other engine runs concurrently
-     in the same process. *)
+     work attributable to this engine *)
 }
-
-(* Atomic max for report-only high-water marks. *)
-let rec amax a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then amax a v
-
-(* Which frontier worker the current domain is: the spawning main domain
-   is worker 0, spawned explorers set their slot at startup. Threading an
-   explicit worker context through every fork/retire call site would
-   touch the whole interpreter; domain-local state is equivalent because
-   a domain serves exactly one worker slot per [run]. *)
-let worker_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
 exception Discard_state of string
 exception Fork_alts of (string * (Mach.t -> unit)) list
 exception Vm_crash of string * string
 
 (* The state reached its innermost merge token's reconvergence pc and
-   parked in the pool: it is no longer this worker's to requeue or
+   parked in the pool: it is no longer the loop's to requeue or
    retire. Unwinds [step_quantum] only. *)
 exception Parked
 
@@ -124,7 +103,7 @@ let block_id (img : Image.loaded) leader_ids pc =
     let slot = off / Isa.instr_size in
     if slot < Array.length leader_ids then leader_ids.(slot) else -1
 
-let create ~jobs ~leaders img base_mem symdev =
+let create ~leaders img base_mem symdev =
   Ddt_kernel.Ndis.install ();
   Ddt_kernel.Portcls.install ();
   Ddt_kernel.Usb.install ();
@@ -149,19 +128,14 @@ let create ~jobs ~leaders img base_mem symdev =
     (fun i a -> leader_ids.((a - img.Image.text_start) / Isa.instr_size) <- i)
     block_addrs;
   let nblocks = max 1 (Array.length block_addrs) in
-  let covered = Array.init nblocks (fun _ -> Atomic.make 0) in
-  let counts = Array.init nblocks (fun _ -> Atomic.make 0) in
+  let counts = Array.make nblocks 0 in
   (* A state is scheduled by its current block, and the block's priority
      is how often it has run (the EXE-style min-touch count), read afresh
-     at every pick. The frontier calls this from inside its queue locks,
-     so it takes no lock of its own. *)
+     at every pick. *)
   let key st = if st.St.last_block <> 0 then st.St.last_block else st.St.pc in
   let priority block =
     let id = block_id img leader_ids block in
-    if id < 0 then 0 else Atomic.get counts.(id)
-  in
-  let frontier =
-    Frontier.create ~workers:(max 1 jobs) ~key ~priority
+    if id < 0 then 0 else counts.(id)
   in
   (* The stress baseline maps a seeded concrete device into base memory;
      otherwise every device read mints a symbolic value. *)
@@ -177,20 +151,19 @@ let create ~jobs ~leaders img base_mem symdev =
     mem_symdev = (if mapped then None else Some symdev);
     block_addrs;
     leader_ids;
-    covered;
+    covered = Array.make nblocks false;
     counts;
-    glock = Mutex.create ();
     injected_sites_global = Hashtbl.create 64;
     done_states = [];
     lineage = [];
-    frontier;
-    next_id = Atomic.make 0;
-    total_steps = Atomic.make 0;
-    states_created = Atomic.make 0;
-    max_cow_depth = Atomic.make 0;
-    peak_live_words = Atomic.make 0;
-    picks = Atomic.make 0;
-    last_new_block_step = Atomic.make 0;
+    queue = Sched.create ~key ~priority;
+    next_id = 0;
+    total_steps = 0;
+    states_created = 0;
+    max_cow_depth = 0;
+    peak_live_words = 0;
+    picks = 0;
+    last_new_block_step = 0;
     on_mem_access = (fun _ -> ());
     on_state_done = (fun _ -> ());
     on_new_block = (fun _ _ -> ());
@@ -239,9 +212,13 @@ let install_sym_hook eng st =
       St.record st (Event.E_sym_create { name; origin = "device read"; var });
       replay_pin eng st name (Expr.var var))
 
+let next_state_id eng =
+  eng.next_id <- eng.next_id + 1;
+  eng.states_created <- eng.states_created + 1;
+  eng.next_id
+
 let new_root_state eng ks =
-  let id = Atomic.fetch_and_add eng.next_id 1 + 1 in
-  Atomic.incr eng.states_created;
+  let id = next_state_id eng in
   let mem = Symmem.create ~base:eng.base_mem ~symdev:eng.mem_symdev in
   let st = St.create ~id ~mem ~ks in
   (match eng.replay with
@@ -253,14 +230,12 @@ let new_root_state eng ks =
   st
 
 let fork_state eng st =
-  let id = Atomic.fetch_and_add eng.next_id 1 + 1 in
-  Atomic.incr eng.states_created;
-  let child = St.fork st ~id in
+  let child = St.fork st ~id:(next_state_id eng) in
   install_sym_hook eng child;
   install_sym_hook eng st;
   (* Forking moved the parent to a fresh COW leaf too; re-binding the hook
      keeps symbolic-read events attributed to the right state. *)
-  amax eng.max_cow_depth (Symmem.chain_depth child.St.mem);
+  eng.max_cow_depth <- max eng.max_cow_depth (Symmem.chain_depth child.St.mem);
   (* The child inherited the parent's merge tags ([St.fork] shares the
      list): every open token the parent carries gains a live carrier, and
      forks by a state that absorbed siblings count as forks avoided. *)
@@ -301,50 +276,40 @@ let record_incident eng kind st message =
         rs_entry = st.St.entry_name }
   in
   Guard.record eng.guard_st
-    { Guard.inc_kind = kind; inc_worker = Domain.DLS.get worker_key;
-      inc_state_id = st.St.id; inc_entry = st.St.entry_name;
-      inc_pc = st.St.pc; inc_message = message; inc_replay = replay }
+    { Guard.inc_kind = kind; inc_state_id = st.St.id;
+      inc_entry = st.St.entry_name; inc_pc = st.St.pc; inc_message = message;
+      inc_replay = replay }
 
 let rec retire eng st status ~report =
   (* A dying carrier releases every merge token it holds; the last
      carrier out triggers the fold, whose survivors go back to the
-     frontier and whose absorbed states retire (recursively) below. The
-     pool call is a lock-free no-op while merging has never been used. *)
+     queue and whose absorbed states retire (recursively) below. The
+     pool call is a no-op while merging has never been used. *)
   handle_merge_outcome eng (Merge.note_dead eng.pool st);
   st.St.status <- Some status;
-  Mutex.lock eng.glock;
   eng.lineage <-
     (st.St.id, st.St.parent_id, (st.St.entry_name, status), st.St.forks)
     :: eng.lineage;
   if report then eng.done_states <- st :: eng.done_states;
-  Mutex.unlock eng.glock;
-  (* The hook runs outside the lock so checkers may call [stats] etc.;
-     Session serializes its own accounting. A checker exception is an
-     engine fault, not a driver finding: it is quarantined as an
-     incident (with the state's script) instead of unwinding the
-     worker. *)
+  (* A checker exception is an engine fault, not a driver finding: it
+     is quarantined as an incident (with the state's script) instead of
+     unwinding the run. *)
   if report then
     try eng.on_state_done st
     with exn ->
       record_incident eng Guard.State_fault st
         ("checker exception: " ^ Guard.describe exn)
 
-(* Apply a fold's results outside the pool lock: absorbed states are
-   gone (their paths live on as the ite-lifted survivor), survivors go
-   back to the frontier. Runs while the triggering worker's in-flight
-   slot is still held, so the frontier can never look quiescent between
-   a park/death and the requeue of the fold's survivors. *)
+(* Apply a fold's results: absorbed states are gone (their paths live
+   on as the ite-lifted survivor), survivors go back to the queue. *)
 and handle_merge_outcome eng mo =
   List.iter
     (fun s ->
       retire eng s (St.Discarded "fused into merged sibling") ~report:false)
     mo.Merge.mo_absorbed;
-  List.iter
-    (fun s -> Frontier.push eng.frontier ~worker:(Domain.DLS.get worker_key) s)
-    mo.Merge.mo_requeue
+  List.iter (Sched.push eng.queue) mo.Merge.mo_requeue
 
-let add_state eng st =
-  Frontier.push eng.frontier ~worker:(Domain.DLS.get worker_key) st
+let add_state eng st = Sched.push eng.queue st
 
 (* --- expression helpers ------------------------------------------------ *)
 
@@ -530,14 +495,10 @@ let maybe_inject eng st ~site ~phase =
   in
   (* Interrupt arrival times at the same boundary site form one
      equivalence class (§3.3): deliver once per site, across all paths, to
-     keep the state count linear in the number of crossings. The claim is
-     check-and-set under the engine lock so two workers reaching the same
-     site concurrently inject exactly once. *)
+     keep the state count linear in the number of crossings. *)
   let claim_site () =
-    Mutex.lock eng.glock;
     let fresh = not (Hashtbl.mem eng.injected_sites_global site) in
     if fresh then Hashtbl.replace eng.injected_sites_global site ();
-    Mutex.unlock eng.glock;
     fresh
   in
   if
@@ -644,10 +605,9 @@ let cmp_to_cmpop = function
 
 let fetch eng pc =
   (* Driver text is immutable once loaded, so every aligned in-text pc
-     is served from the decode-once [Image.code] array — shared,
-     read-only, lock-free, the analog of QEMU's translation cache
-     (§4.1.2). Off-text or misaligned pcs (a wild indirect jump) fall
-     back to decoding from memory. *)
+     is served from the decode-once [Image.code] array — read-only, the
+     analog of QEMU's translation cache (§4.1.2). Off-text or misaligned
+     pcs (a wild indirect jump) fall back to decoding from memory. *)
   let l = eng.img in
   if
     pc >= l.Image.text_start
@@ -666,19 +626,16 @@ let fetch eng pc =
       raise
         (Vm_crash ("DRIVER_FAULT", Printf.sprintf "invalid opcode at 0x%x" pc))
 
-(* Count a basic-block execution. The state's last block is a plain
-   field write, the count a lock-free increment, and the
-   did-anyone-run-this-before test a compare-and-set on the block's claim
-   flag — exactly one worker wins it, so the plateau clock and the
-   on_new_block hook see each block exactly once. *)
+(* Count a basic-block execution; the plateau clock and the
+   on_new_block hook see each block's first execution exactly once. *)
 let note_block eng st pc =
   let id = block_id eng.img eng.leader_ids pc in
   if id >= 0 then begin
     st.St.last_block <- pc;
-    Atomic.incr eng.counts.(id);
-    let flag = eng.covered.(id) in
-    if Atomic.get flag = 0 && Atomic.compare_and_set flag 0 1 then begin
-      Atomic.set eng.last_new_block_step (Atomic.get eng.total_steps);
+    eng.counts.(id) <- eng.counts.(id) + 1;
+    if not eng.covered.(id) then begin
+      eng.covered.(id) <- true;
+      eng.last_new_block_step <- eng.total_steps;
       eng.on_new_block st pc
     end
   end
@@ -729,7 +686,7 @@ let step eng st =
   else begin
     note_block eng st pc;
     st.St.steps <- st.St.steps + 1;
-    Atomic.incr eng.total_steps;
+    eng.total_steps <- eng.total_steps + 1;
     let instr = fetch eng pc in
     let next = pc + Isa.instr_size in
     let g r = St.reg_get st r in
@@ -831,8 +788,7 @@ let step eng st =
         let successors = fork_bool eng st taken_cond in
         let forked = List.length successors > 1 in
         (* Two feasible arms that reconverge: open a merge token before
-           either arm is published to the frontier (tagging a state
-           another worker already picked up would race its step loop). *)
+           either arm is queued. *)
         (if forked then
            match successors with
            | [ (a, _); (b, _) ] -> (
@@ -935,10 +891,10 @@ let start_invocation eng st ~name ~addr ~args =
 
 let step_quantum eng st =
   let budget = ref quantum in
-  let wid = Domain.DLS.get worker_key in
-  (* Snapshot this domain's Unknown count so a verdict left Unknown
-     during this quantum can be attributed to [st]. *)
-  let unknown0 = Solver.domain_unknowns () in
+  (* Snapshot the Unknown count so a verdict left Unknown during this
+     quantum can be attributed to [st]. *)
+  let unknowns () = (Solver.stats ()).Solver.s_unknowns in
+  let unknown0 = unknowns () in
   (try
      while
        (not (St.terminated st))
@@ -948,7 +904,7 @@ let step_quantum eng st =
        (* Merge arrival: the state stands at its innermost token's
           reconvergence pc — park it in the pool (possibly folding the
           token right now) and stop executing it; the fold's survivor
-          comes back through the frontier. *)
+          comes back through the queue. *)
        (match st.St.tags with
         | { St.mt_pc; _ } :: _ when mt_pc = st.St.pc -> (
             match Merge.on_arrival eng.pool st with
@@ -963,13 +919,12 @@ let step_quantum eng st =
      if St.terminated st then ()
      else if st.St.steps >= max_steps_per_state then
        retire eng st St.Exhausted ~report:true
-     else Frontier.push eng.frontier ~worker:wid st
+     else add_state eng st
    with
    | Parked ->
        (* The state now belongs to the merge pool: neither requeued nor
-          retired here. The worker's task_done accounting is untouched —
-          any fold triggered by the park already requeued its survivors
-          while this in-flight slot was still held. *)
+          retired here; any fold the park triggered already requeued its
+          survivors. *)
        ()
    | Discard_state why | Mach.Path_terminated why ->
        retire eng st (St.Discarded why) ~report:false
@@ -987,78 +942,33 @@ let step_quantum eng st =
        (* The fault boundary: an interpreter fault, stack overflow,
           out-of-memory, a hook's exception or any other exception
           escaping this state's execution quarantines the state —
-          replayable script and all — instead of unwinding the worker
-          and killing the session. *)
+          replayable script and all — instead of unwinding the run and
+          killing the session. *)
        record_incident eng Guard.State_fault st (Guard.describe exn);
        retire eng st
          (St.Discarded ("quarantined: " ^ Guard.describe exn))
          ~report:false);
-  let unknowns = Solver.domain_unknowns () - unknown0 in
-  if unknowns > 0 && Guard.claim_solver_flag eng.guard_st st.St.id then
+  let left = unknowns () - unknown0 in
+  if left > 0 && Guard.claim_solver_flag eng.guard_st st.St.id then
     record_incident eng Guard.Solver_exhaustion st
       (Printf.sprintf "%d solver verdict(s) left Unknown during quantum"
-         unknowns)
-
-(* Why the workers stopped: a limit was reached, or an exception
-   escaped a worker loop — outside every state's fault boundary, so an
-   engine bug that ends the session once every worker has exited. *)
-type stop_reason =
-  | Stop_budget
-  | Stop_plateau
-  | Stop_fault of exn * Printexc.raw_backtrace
+         left)
 
 (* Sample the copy-on-write footprint for the E5 peak-live-words
-   accounting: one frontier sweep every 64 picks. *)
+   accounting: one queue sweep every 64 picks. *)
 let sample_live eng st =
   let live = ref (Symmem.live_words st.St.mem) in
-  Frontier.iter eng.frontier (fun s -> live := !live + Symmem.live_words s.St.mem);
-  amax eng.peak_live_words !live
+  Sched.iter eng.queue (fun s -> live := !live + Symmem.live_words s.St.mem);
+  eng.peak_live_words <- max eng.peak_live_words !live
 
-(* One explorer. Workers pull from their own queue, steal when it runs
-   dry, and park (briefly sleeping, so co-scheduled domains on few cores
-   get the CPU) until the frontier is quiescent — the idle-worker
-   barrier: [Frontier.quiescent] can only hold once no state is queued or
-   in motion anywhere, at which point every worker agrees exploration is
-   complete. Any worker noticing the budget or plateau limit publishes
-   the stop reason; the others exit at their next pick. A worker whose
-   loop raises publishes the fault as the stop reason, so no other worker
-   waits on the in-flight state it will never finish. *)
-let worker_loop eng ~stop ~start ~max_total_steps wid =
-  let rec loop () =
-    if Atomic.get stop = None then
-      if Atomic.get eng.total_steps - start >= max_total_steps then
-        ignore (Atomic.compare_and_set stop None (Some Stop_budget))
-      else if
-        Atomic.get eng.total_steps - Atomic.get eng.last_new_block_step
-        >= plateau_steps
-      then ignore (Atomic.compare_and_set stop None (Some Stop_plateau))
-      else
-        match Frontier.pick eng.frontier ~worker:wid with
-        | Some st ->
-            let picks = Atomic.fetch_and_add eng.picks 1 + 1 in
-            if picks land 63 = 0 then sample_live eng st;
-            step_quantum eng st;
-            Frontier.task_done eng.frontier;
-            loop ()
-        | None ->
-            if not (Frontier.quiescent eng.frontier) then begin
-              Unix.sleepf 2e-4;
-              loop ()
-            end
-  in
-  Domain.DLS.set worker_key wid;
-  try loop ()
-  with exn ->
-    Atomic.set stop (Some (Stop_fault (exn, Printexc.get_raw_backtrace ())))
-
-(* Drain the frontier to empty through merge folds: retiring a token
+(* Drain the queue to empty through merge folds: retiring a token
    carrier can fold its token and requeue the fold's survivors, so a
-   single [drain_all] pass is not enough. Once the frontier is truly
-   empty, any state still parked lost every sibling to crashes
-   without a fold firing — hand those to [f] as well. *)
+   single [Sched.drain] pass is not enough. Once the queue is truly
+   empty, any state still parked lost every sibling to crashes without
+   a fold firing — hand those to [f] as well. *)
 let drain_retire eng f =
   let rec go () =
-    match Frontier.drain_all eng.frontier with
+    match Sched.drain eng.queue with
     | _ :: _ as batch ->
         List.iter f batch;
         go ()
@@ -1071,55 +981,47 @@ let drain_retire eng f =
   in
   go ()
 
+(* Pick a state, run its quantum, repeat; the result says why the loop
+   stopped, as the status of the states it leaves behind. An exception
+   outside every state's fault boundary is an engine bug: it propagates
+   and ends the session. *)
 let run eng ~max_total_steps =
-  let start = Atomic.get eng.total_steps in
-  Atomic.set eng.last_new_block_step start;
-  let stop : stop_reason option Atomic.t = Atomic.make None in
-  let worker wid = worker_loop eng ~stop ~start ~max_total_steps wid in
-  let jobs = Frontier.n_workers eng.frontier in
-  if jobs = 1 then worker 0
-  else begin
-    let doms =
-      List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-    in
-    worker 0;
-    List.iter Domain.join doms;
-    (* The caller's domain goes back to being worker 0 for the seeding of
-       the next phase. *)
-    Domain.DLS.set worker_key 0
-  end;
-  match Atomic.get stop with
-  | Some (Stop_fault (exn, bt)) -> Printexc.raise_with_backtrace exn bt
-  | None ->
-      (* The frontier is quiescent, but a token can still hold parked
-         states when every surviving sibling was quarantined without
-         reaching the pool; release them so no path is silently lost. *)
-      drain_retire eng (fun st ->
-          retire eng st (St.Discarded "merge token abandoned") ~report:false)
-  | Some Stop_budget ->
-      (* Session budget exhausted: the states left on the frontier were
+  let start = eng.total_steps in
+  eng.last_new_block_step <- start;
+  let rec loop () =
+    if eng.total_steps - start >= max_total_steps then
+      (* Session budget exhausted: the states left in the queue were
          truncated by the *global* step budget, not by their own step
          cap — reporting them as hangs would make the bug report depend
-         on frontier size (and so diverge between merged and unmerged
+         on queue size (and so diverge between merged and unmerged
          exploration of the same driver). Genuine hangs are retired as
          [Exhausted] by the per-state cap above. *)
-      drain_retire eng (fun st ->
-          retire eng st (St.Discarded "session step budget exhausted")
-            ~report:false)
-  | Some Stop_plateau ->
+      "session step budget exhausted"
+    else if eng.total_steps - eng.last_new_block_step >= plateau_steps then
       (* The paper's stopping rule: run until no new basic blocks are
          discovered for some amount of time (§5.2). Remaining states are
          redundant path siblings; drop them quietly. *)
-      drain_retire eng (fun st ->
-          retire eng st (St.Discarded "coverage plateau") ~report:false)
+      "coverage plateau"
+    else
+      match Sched.pop eng.queue with
+      | Some st ->
+          eng.picks <- eng.picks + 1;
+          if eng.picks land 63 = 0 then sample_live eng st;
+          step_quantum eng st;
+          loop ()
+      | None ->
+          (* The queue is empty, but a token can still hold parked
+             states when every surviving sibling was quarantined without
+             reaching the pool; release them so no path is silently
+             lost. *)
+          "merge token abandoned"
+  in
+  let why = loop () in
+  drain_retire eng (fun st -> retire eng st (St.Discarded why) ~report:false)
 
 type tree = (string * St.status) Ddt_trace.Tree.t
 
-let execution_tree eng =
-  Mutex.lock eng.glock;
-  let lineage = eng.lineage in
-  Mutex.unlock eng.glock;
-  Ddt_trace.Tree.build lineage
+let execution_tree eng = Ddt_trace.Tree.build eng.lineage
 
 let pp_tree =
   Ddt_trace.Tree.pp_with (fun fmt (entry, status) ->
@@ -1153,17 +1055,11 @@ let crashdump (st : St.t) ~note =
     d_pages = List.map page (St.Pages.elements st.St.touched_pages);
   }
 
-let finished eng =
-  Mutex.lock eng.glock;
-  let r = eng.done_states in
-  Mutex.unlock eng.glock;
-  r
+let finished eng = eng.done_states
 
 let drain_finished eng =
-  Mutex.lock eng.glock;
   let r = eng.done_states in
   eng.done_states <- [];
-  Mutex.unlock eng.glock;
   r
 
 type stats = {
@@ -1172,8 +1068,6 @@ type stats = {
   st_blocks_covered : int;
   st_max_cow_depth : int;
   st_live_words : int;
-  st_steals : int;
-  st_workers : int;
   st_solver : Solver.stats;
   st_merged_states : int;
   st_merge_ites : int;
@@ -1181,17 +1075,15 @@ type stats = {
   st_merge_refusals : int;
 }
 
-let steps_now eng = Atomic.get eng.total_steps
+let steps_now eng = eng.total_steps
 
 let block_coverage eng =
-  let n = ref 0 in
-  Array.iter (fun f -> if Atomic.get f <> 0 then incr n) eng.covered;
-  !n
+  Array.fold_left (fun n c -> if c then n + 1 else n) 0 eng.covered
 
 let blocks_where eng covered =
   let acc = ref [] in
   for i = Array.length eng.block_addrs - 1 downto 0 do
-    if (Atomic.get eng.covered.(i) <> 0) = covered then
+    if eng.covered.(i) = covered then
       acc := eng.block_addrs.(i) :: !acc
   done;
   !acc
@@ -1201,15 +1093,13 @@ let uncovered_blocks eng = blocks_where eng false
 
 let stats eng =
   let live = ref 0 in
-  Frontier.iter eng.frontier (fun st -> live := !live + Symmem.live_words st.St.mem);
+  Sched.iter eng.queue (fun st -> live := !live + Symmem.live_words st.St.mem);
   {
-    st_total_steps = Atomic.get eng.total_steps;
-    st_states_created = Atomic.get eng.states_created;
+    st_total_steps = eng.total_steps;
+    st_states_created = eng.states_created;
     st_blocks_covered = block_coverage eng;
-    st_max_cow_depth = Atomic.get eng.max_cow_depth;
-    st_live_words = max !live (Atomic.get eng.peak_live_words);
-    st_steals = Frontier.steals eng.frontier;
-    st_workers = Frontier.n_workers eng.frontier;
+    st_max_cow_depth = eng.max_cow_depth;
+    st_live_words = max !live eng.peak_live_words;
     st_solver = Solver.diff_stats (Solver.stats ()) eng.solver_base;
     st_merged_states = (let m, _, _, _ = Merge.stats eng.pool in m);
     st_merge_ites = (let _, i, _, _ = Merge.stats eng.pool in i);

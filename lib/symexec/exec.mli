@@ -18,8 +18,8 @@
     [Stack_overflow], [Out_of_memory], hook and checker exceptions — and
     a solver verdict left Unknown during a state's quantum is recorded
     as an incident too ({!incidents}). An exception outside every
-    state's boundary (the scheduler) is an engine bug: it stops every
-    worker and {!run} re-raises it. *)
+    state's boundary (the scheduler) is an engine bug: it propagates out
+    of {!run}. *)
 
 module Expr = Ddt_solver.Expr
 
@@ -37,14 +37,10 @@ type mem_access = {
 type engine
 
 val create :
-  jobs:int -> leaders:int list -> Ddt_dvm.Image.loaded ->
+  leaders:int list -> Ddt_dvm.Image.loaded ->
   Ddt_dvm.Mem.t -> Ddt_hw.Symdev.t -> engine
-(** [jobs] is the number of worker domains that explore this engine's
-    shared frontier ({!Frontier}); 1 is the sequential loop with no
-    domain spawns. Workers keep per-domain min-touch queues ({!Sched},
-    the only search order) and steal from each other when idle; bug
-    reports stay deterministic because keys are path-position-based and
-    the report sink dedups by key.
+(** One explorer on the caller's domain, picking states from one
+    min-touch queue ({!Sched}, the only search order).
 
     [leaders] are the sorted, distinct image-relative basic-block
     starts the engine counts coverage and min-touch priorities over —
@@ -139,8 +135,8 @@ val run : engine -> max_total_steps:int -> unit
     silently. A state that has run 200 000 instructions is retired as
     [Exhausted] (a hang).
 
-    An exception that escapes a worker loop outside every state's fault
-    boundary stops all workers; [run] joins them and re-raises it. *)
+    An exception that escapes outside every state's fault boundary
+    propagates. *)
 
 type tree = (string * Symstate.status) Ddt_trace.Tree.t
 (** Each state labelled with its entry point and terminal status. *)
@@ -182,13 +178,9 @@ type stats = {
   st_max_cow_depth : int;
   st_live_words : int;
   (** peak copy-on-write entries across all queued states (sampled) *)
-  st_steals : int;
-  (** successful cross-worker frontier steals (0 when [jobs = 1]) *)
-  st_workers : int;            (** frontier worker slots ([jobs]) *)
   st_solver : Ddt_solver.Solver.stats;
   (** solver queries/cache-hit/bit-blast counters attributable to this
-      engine (snapshot delta since [create]; exact only while no other
-      engine runs concurrently — the counters are process-global) *)
+      engine (snapshot delta since [create]) *)
   st_merged_states : int;       (** sibling states fused at merge points *)
   st_merge_ites : int;          (** register/memory values lifted to ites *)
   st_merge_forks_avoided : int;

@@ -21,7 +21,6 @@ let kind_label = function
 
 type incident = {
   inc_kind : incident_kind;
-  inc_worker : int;         (* frontier worker slot that hit the fault *)
   inc_state_id : int;       (* state in flight *)
   inc_entry : string;       (* entry point the state was exploring *)
   inc_pc : int;             (* pc at quarantine time *)
@@ -30,45 +29,31 @@ type incident = {
 }
 
 type t = {
-  mu : Mutex.t;
   mutable incidents : incident list;
   solver_flagged : (int, unit) Hashtbl.t;
       (* state ids already carrying a solver-exhaustion incident, so a
          state that meets Unknown verdicts on many quanta reports once *)
 }
 
-let create () =
-  { mu = Mutex.create (); incidents = []; solver_flagged = Hashtbl.create 16 }
+let create () = { incidents = []; solver_flagged = Hashtbl.create 16 }
 
-let record t inc =
-  Mutex.lock t.mu;
-  t.incidents <- inc :: t.incidents;
-  Mutex.unlock t.mu
+let record t inc = t.incidents <- inc :: t.incidents
 
 (* At most one solver incident per state: [true] means the caller owns
    the report for this state id. *)
 let claim_solver_flag t id =
-  Mutex.lock t.mu;
   let fresh = not (Hashtbl.mem t.solver_flagged id) in
   if fresh then Hashtbl.replace t.solver_flagged id ();
-  Mutex.unlock t.mu;
   fresh
 
+(* Report order: by state id, then kind. *)
 let incidents t =
-  Mutex.lock t.mu;
-  let l = t.incidents in
-  Mutex.unlock t.mu;
-  (* Deterministic report order regardless of which worker recorded
-     first: by state id, then kind, then worker slot. *)
   List.sort
     (fun a b ->
       match compare a.inc_state_id b.inc_state_id with
-      | 0 -> (
-          match compare a.inc_kind b.inc_kind with
-          | 0 -> compare a.inc_worker b.inc_worker
-          | c -> c)
+      | 0 -> compare a.inc_kind b.inc_kind
       | c -> c)
-    l
+    t.incidents
 
 let describe exn =
   match exn with

@@ -27,7 +27,6 @@ val kind_label : incident_kind -> string
 
 type incident = {
   inc_kind : incident_kind;
-  inc_worker : int;     (** frontier worker slot that hit the fault *)
   inc_state_id : int;   (** state in flight *)
   inc_entry : string;   (** entry point the state was exploring *)
   inc_pc : int;         (** program counter at quarantine time *)
@@ -46,7 +45,6 @@ val claim_solver_flag : t -> int -> bool
     incident. *)
 
 val incidents : t -> incident list
-(** All incidents so far, sorted by (state id, kind, worker) so the
-    report order does not depend on worker interleaving. *)
+(** All incidents so far, sorted by (state id, kind). *)
 
 val describe : exn -> string

@@ -8,7 +8,7 @@
    died, the pool folds the arrivals — compatible states are fused into
    one, registers and COW memory lifted to [ite(cond_b, v_b, v_a)] over
    the disjoined path-condition suffixes, and the survivors go back to
-   the frontier.
+   the engine's queue.
 
    Soundness does not lean on the post-dominator map: two states are
    only fused when they sit at the same pc with identical kernel
@@ -21,9 +21,9 @@
    Tokens nest: forking under an open token commits both children to it
    (the tag list is a stack, innermost first), and a fold that absorbs a
    state releases that state's outer tokens too, which can cascade
-   further folds — all run to fixpoint under the single pool lock, with
-   the results handed back as an [outcome] record so the caller can
-   retire absorbed states and requeue survivors *outside* the lock.
+   further folds — all run to fixpoint, with the results handed back as
+   an [outcome] record so the caller can retire absorbed states and
+   requeue survivors.
 
    There is no cost policy: every compatible pair fuses, however wide
    its store divergence, and every reconverging fork opens a token.
@@ -48,7 +48,6 @@ type token = {
 }
 
 type t = {
-  lock : Mutex.t;
   tokens : (int, token) Hashtbl.t;
   weights : (int, int) Hashtbl.t;
       (* survivor state id -> states ever absorbed into it (transitive);
@@ -74,7 +73,6 @@ let empty_outcome = { mo_requeue = []; mo_absorbed = [] }
 
 let create () =
   {
-    lock = Mutex.create ();
     tokens = Hashtbl.create 64;
     weights = Hashtbl.create 64;
     next_token = 0;
@@ -152,7 +150,7 @@ let try_fuse t tok (a : St.t) (b : St.t) =
         true
 
 (* Fold every token in [work] (outstanding reached 0), cascading into
-   outer tokens released by absorbed states. Runs under [t.lock]. *)
+   outer tokens released by absorbed states. *)
 let fold_worklist t work =
   let queue = Queue.create () in
   List.iter (fun tok -> Queue.add tok queue) work;
@@ -220,7 +218,6 @@ let fold_worklist t work =
    [merge_pc]. [base] is the parent's constraint list as captured
    *before* the fork added either arm's constraint. *)
 let open_token t ~merge_pc ~base (a : St.t) (b : St.t) =
-  Mutex.lock t.lock;
   t.ever_opened <- true;
   let id = t.next_token in
   t.next_token <- id + 1;
@@ -230,8 +227,7 @@ let open_token t ~merge_pc ~base (a : St.t) (b : St.t) =
       tk_outstanding = 2; tk_parked = [] };
   let tag = { St.mt_token = id; mt_pc = merge_pc } in
   a.St.tags <- tag :: a.St.tags;
-  b.St.tags <- tag :: b.St.tags;
-  Mutex.unlock t.lock
+  b.St.tags <- tag :: b.St.tags
 
 (* Every engine fork: a child inherits its parent's tags (one more live
    carrier per open token) and its merge weight (forks it performs were
@@ -239,7 +235,6 @@ let open_token t ~merge_pc ~base (a : St.t) (b : St.t) =
    the parent's tag list already shared into the child. *)
 let note_fork t (parent : St.t) (child : St.t) =
   if t.ever_opened then begin
-    Mutex.lock t.lock;
     List.iter
       (fun (tag : St.merge_tag) ->
         match Hashtbl.find_opt t.tokens tag.St.mt_token with
@@ -250,33 +245,26 @@ let note_fork t (parent : St.t) (child : St.t) =
      | Some w when w > 0 ->
          t.n_forks_avoided <- t.n_forks_avoided + w;
          Hashtbl.replace t.weights child.St.id w
-     | _ -> ());
-    Mutex.unlock t.lock;
+     | _ -> ())
   end
 
 (* The state stands at its innermost token's merge pc. Park it; if it
    was the last carrier out, fold now and hand back the results. The
-   caller owns requeue/retire of the outcome (outside our lock). *)
+   caller owns requeue/retire of the outcome. *)
 let on_arrival t (st : St.t) =
-  Mutex.lock t.lock;
-  let r =
-    match st.St.tags with
-    | [] -> A_continue
-    | tag :: rest -> (
-        match Hashtbl.find_opt t.tokens tag.St.mt_token with
-        | None ->
-            (* stale tag (token already folded away): drop and go on *)
-            st.St.tags <- rest;
-            A_continue
-        | Some tok ->
-            tok.tk_parked <- st :: tok.tk_parked;
-            tok.tk_outstanding <- tok.tk_outstanding - 1;
-            if tok.tk_outstanding = 0 then
-              A_parked (fold_worklist t [ tok ])
-            else A_parked empty_outcome)
-  in
-  Mutex.unlock t.lock;
-  r
+  match st.St.tags with
+  | [] -> A_continue
+  | tag :: rest -> (
+      match Hashtbl.find_opt t.tokens tag.St.mt_token with
+      | None ->
+          (* stale tag (token already folded away): drop and go on *)
+          st.St.tags <- rest;
+          A_continue
+      | Some tok ->
+          tok.tk_parked <- st :: tok.tk_parked;
+          tok.tk_outstanding <- tok.tk_outstanding - 1;
+          if tok.tk_outstanding = 0 then A_parked (fold_worklist t [ tok ])
+          else A_parked empty_outcome)
 
 (* A carrier died (crashed, returned, was discarded) without reaching
    its merge points: release every token it carried; the last release
@@ -284,34 +272,28 @@ let on_arrival t (st : St.t) =
 let note_dead t (st : St.t) =
   if not t.ever_opened then empty_outcome
   else begin
-    Mutex.lock t.lock;
     Hashtbl.remove t.weights st.St.id;
-    let r =
-      if st.St.tags = [] then empty_outcome
-      else begin
-        let tags = st.St.tags in
-        st.St.tags <- [];
-        let work = ref [] in
-        List.iter
-          (fun (tag : St.merge_tag) ->
-            match Hashtbl.find_opt t.tokens tag.St.mt_token with
-            | Some tok ->
-                tok.tk_outstanding <- tok.tk_outstanding - 1;
-                if tok.tk_outstanding = 0 then work := tok :: !work
-            | None -> ())
-          tags;
-        if !work = [] then empty_outcome else fold_worklist t !work
-      end
-    in
-    Mutex.unlock t.lock;
-    r
+    if st.St.tags = [] then empty_outcome
+    else begin
+      let tags = st.St.tags in
+      st.St.tags <- [];
+      let work = ref [] in
+      List.iter
+        (fun (tag : St.merge_tag) ->
+          match Hashtbl.find_opt t.tokens tag.St.mt_token with
+          | Some tok ->
+              tok.tk_outstanding <- tok.tk_outstanding - 1;
+              if tok.tk_outstanding = 0 then work := tok :: !work
+          | None -> ())
+        tags;
+      if !work = [] then empty_outcome else fold_worklist t !work
+    end
   end
 
 (* End-of-run safety valve: hand back every parked state (tags cleared,
    tokens dropped) so the session's final drain can retire them. With
    the outcome discipline above this is normally empty. *)
 let drain_parked t =
-  Mutex.lock t.lock;
   let parked =
     Hashtbl.fold (fun _ tok acc -> tok.tk_parked @ acc) t.tokens []
     (* sorted: hash order here would leak into the final retirement
@@ -320,11 +302,6 @@ let drain_parked t =
   in
   List.iter (fun st -> st.St.tags <- []) parked;
   Hashtbl.reset t.tokens;
-  Mutex.unlock t.lock;
   parked
 
-let stats t =
-  Mutex.lock t.lock;
-  let r = (t.n_merged, t.n_ites, t.n_forks_avoided, t.n_refused) in
-  Mutex.unlock t.lock;
-  r
+let stats t = (t.n_merged, t.n_ites, t.n_forks_avoided, t.n_refused)

@@ -18,9 +18,8 @@
     injected fault sites: pro1000 403, 17 and 0; pro100 249, 285 and 66;
     rtl8029 0, 34 and 0.
 
-    All operations are safe to call from any worker; folds run under
-    the pool's lock and hand their effects back as an {!outcome} so the
-    caller retires absorbed states and requeues survivors outside it. *)
+    Folds hand their effects back as an {!outcome}, so the caller
+    retires absorbed states and requeues survivors. *)
 
 type t
 

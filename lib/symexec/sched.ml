@@ -1,55 +1,3 @@
-(* --- growable ring-buffer deque ----------------------------------------- *)
-(* A bucket's FIFO of waiting states. Slots hold options so no dummy
-   element is needed; the buffer doubles on overflow. A bucket appends at
-   the back, pops its oldest entry from the front and gives a thief its
-   newest from the back. *)
-
-type 'a deque = {
-  mutable buf : 'a option array;
-  mutable head : int;    (* index of the front element *)
-  mutable len : int;
-}
-
-let dq_create () = { buf = Array.make 16 None; head = 0; len = 0 }
-
-let dq_grow d =
-  let cap = Array.length d.buf in
-  let buf' = Array.make (2 * cap) None in
-  for i = 0 to d.len - 1 do
-    buf'.(i) <- d.buf.((d.head + i) mod cap)
-  done;
-  d.buf <- buf';
-  d.head <- 0
-
-let dq_push_back d x =
-  if d.len = Array.length d.buf then dq_grow d;
-  let cap = Array.length d.buf in
-  d.buf.((d.head + d.len) mod cap) <- Some x;
-  d.len <- d.len + 1
-
-let dq_pop_front d =
-  if d.len = 0 then None
-  else begin
-    let x = d.buf.(d.head) in
-    d.buf.(d.head) <- None;
-    d.head <- (d.head + 1) mod Array.length d.buf;
-    d.len <- d.len - 1;
-    x
-  end
-
-let dq_pop_back d =
-  if d.len = 0 then None
-  else begin
-    let i = (d.head + d.len - 1) mod Array.length d.buf in
-    let x = d.buf.(i) in
-    d.buf.(i) <- None;
-    d.len <- d.len - 1;
-    x
-  end
-
-let dq_get d i = Option.get d.buf.((d.head + i) mod Array.length d.buf)
-
-(* --- the queue ------------------------------------------------------------ *)
 (* A state's priority is a function of its key alone (the engine keys a
    state by its current block), so the states waiting at one key form a
    bucket in sequence (FIFO) order, and the least (priority, sequence)
@@ -64,7 +12,7 @@ module IH = Hashtbl.Make (Int)
 type queue = {
   key : Symstate.t -> int;
   priority : int -> int;
-  buckets : (int * Symstate.t) deque IH.t;
+  buckets : (int * Symstate.t) Queue.t IH.t;
   (* key -> its non-empty FIFO of (sequence, state), ascending *)
   mutable seq : int;                    (* last sequence number handed out *)
   mutable count : int;                  (* queued states *)
@@ -80,57 +28,41 @@ let length q = q.count
    order. *)
 let push q st =
   let k = q.key st in
-  let d =
+  let b =
     match IH.find_opt q.buckets k with
-    | Some d -> d
+    | Some b -> b
     | None ->
-        let d = dq_create () in
-        IH.replace q.buckets k d;
-        d
+        let b = Queue.create () in
+        IH.replace q.buckets k b;
+        b
   in
   q.seq <- q.seq + 1;
-  dq_push_back d (q.seq, st);
+  Queue.add (q.seq, st) b;
   q.count <- q.count + 1
 
-(* Remove a state from the bucket whose (live priority, head sequence)
-   is least ([sign = 1]) or greatest ([sign = -1]): its head for a pop,
-   its tail for a steal. Every priority is read before anything moves,
-   so a fault in [priority] leaves the queue as it was. *)
-let take q ~sign remove =
+(* Take the head of the bucket whose (live priority, head sequence) is
+   least. Every priority is read before anything moves, so a fault in
+   [priority] leaves the queue as it was. *)
+let pop q =
   let best =
     IH.fold
-      (fun k d best ->
-        let p = q.priority k and s = fst (dq_get d 0) in
+      (fun k b best ->
+        let p = q.priority k and s = fst (Queue.peek b) in
         match best with
-        | Some (p', s', _, _)
-          when sign * (if p <> p' then compare p p' else compare s s') >= 0 ->
+        | Some (p', s', _, _) when (if p <> p' then p > p' else s > s') ->
             best
-        | _ -> Some (p, s, k, d))
+        | _ -> Some (p, s, k, b))
       q.buckets None
   in
   Option.map
-    (fun (_, _, k, d) ->
-      let _, st = Option.get (remove d) in
-      if d.len = 0 then IH.remove q.buckets k;
+    (fun (_, _, k, b) ->
+      let _, st = Queue.pop b in
+      if Queue.is_empty b then IH.remove q.buckets k;
       q.count <- q.count - 1;
       st)
     best
 
-let pop q = take q ~sign:1 dq_pop_front
-
-(* The newest state of the greatest bucket: with two or more buckets it
-   is not the least one, and inside a lone bucket the newest is not the
-   head, so with two or more states queued this never takes the
-   minimum. *)
-let steal q = take q ~sign:(-1) dq_pop_back
-
-let iter q f =
-  IH.iter
-    (fun _ d ->
-      for j = 0 to d.len - 1 do
-        f (snd (dq_get d j))
-      done)
-    q.buckets
+let iter q f = IH.iter (fun _ b -> Queue.iter (fun (_, st) -> f st) b) q.buckets
 
 let drain q =
   let rec go acc =

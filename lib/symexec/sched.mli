@@ -1,4 +1,4 @@
-(** The min-touch path-selection queue of one frontier worker.
+(** The engine's min-touch path-selection queue.
 
     Min-touch is the coverage heuristic of the paper (§4.3, after EXE):
     keep a counter per basic block and always pick the state whose
@@ -11,12 +11,7 @@
     A pick scans the non-empty buckets, reading each key's live priority,
     and takes the head of the least one: no corpus pick sees more than 13
     waiting blocks, so the scan costs what a heap would, and a block's
-    count bump touches nothing in the queue. The queue is also
-    the unit the work-stealing frontier ({!Frontier}) steals from:
-    [steal] removes what the owner values least.
-
-    Queues are NOT thread-safe on their own; {!Frontier} wraps each one in
-    a mutex. *)
+    count bump touches nothing in the queue. *)
 
 type queue
 
@@ -35,12 +30,6 @@ val push : queue -> Symstate.t -> unit
 
 val pop : queue -> Symstate.t option
 (** Remove the state of least (live priority, push order), if any. *)
-
-val steal : queue -> Symstate.t option
-(** Remove a state from the end the owner values {e least} — what a
-    work-stealing thief should take: the newest state of the bucket of
-    greatest (live priority, head push order). With two or more states
-    queued this is never the minimum. *)
 
 val iter : queue -> (Symstate.t -> unit) -> unit
 (** Visit every queued state in unspecified order (read-only walks, e.g.

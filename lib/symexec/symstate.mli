@@ -72,9 +72,8 @@ type t = {
   mutable steps : int;
   mutable last_block : int;
   (** absolute address of the last basic-block leader this state executed
-      (0 before the first); copied to children on fork. The scheduler's
-      priority functions read it lock-free — a plain int field the owning
-      worker writes. *)
+      (0 before the first); copied to children on fork. The scheduler
+      keys the state by it. *)
   mutable status : status option;
   mutable entry_name : string;
   mutable replay_inputs : (string * int) list;

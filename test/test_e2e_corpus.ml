@@ -148,6 +148,23 @@ let check_single_universe () =
         [ false; true ])
     Corpus.all
 
+(* A session leaves nothing behind that steers the next one: run back to
+   back in one process, each variant writes the same report byte for
+   byte. *)
+let check_back_to_back () =
+  List.iter
+    (fun (e : Corpus.entry) ->
+      List.iter
+        (fun fixed ->
+          let doc () =
+            Report_json.to_string (Report_json.of_result (run ~fixed e))
+          in
+          let name = e.Corpus.short ^ if fixed then " fixed" else "" in
+          let first = doc () in
+          Alcotest.(check string) (name ^ ": same report") first (doc ()))
+        [ false; true ])
+    Corpus.all
+
 let () =
   let driver_cases =
     List.concat_map
@@ -169,7 +186,9 @@ let () =
       ("summary",
        [ Alcotest.test_case "14 bugs total" `Quick total_bug_count;
          Alcotest.test_case "one block universe" `Quick
-           check_single_universe ]);
+           check_single_universe;
+         Alcotest.test_case "back-to-back sessions identical" `Quick
+           check_back_to_back ]);
       ("solver",
        [ Alcotest.test_case "cache misses and bit-blasts bounded" `Quick
            check_solver_counts ]) ]

@@ -500,7 +500,7 @@ let test_indep_ite_guard_edges () =
 let quick_cfg ?(merging = true) (e : Corpus.entry) =
   let cfg = Corpus.config e in
   { cfg with
-    Config.max_total_steps = 60_000; jobs = 1; state_merging = merging }
+    Config.max_total_steps = 60_000; state_merging = merging }
 
 let bug_keys (r : Session.result) =
   List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
@@ -510,7 +510,7 @@ let bug_keys (r : Session.result) =
 let test_corpus_parity short () =
   let run merging =
     let cfg = Corpus.config (Corpus.find short) in
-    Session.run { cfg with Config.jobs = 1; state_merging = merging }
+    Session.run { cfg with Config.state_merging = merging }
   in
   let off = run false in
   let on = run true in

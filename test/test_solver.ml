@@ -589,8 +589,7 @@ let test_indep_equisat () =
 let stats_of f =
   { Solver.s_queries = f 1; s_group_solves = f 2;
     s_cache_model_reuse_hits = f 3; s_cache_misses = f 4;
-    s_cache_cross_worker_hits = f 5; s_interval_solves = f 6;
-    s_bitblast_solves = f 7; s_unknowns = f 8 }
+    s_interval_solves = f 5; s_bitblast_solves = f 6; s_unknowns = f 7 }
 
 let test_diff_stats () =
   check_bool "field-wise difference" true
@@ -614,7 +613,7 @@ let test_qcache_model_reuse () =
   (* x=6 also satisfies the tighter superset query: reused after a cheap
      evaluation, no solve needed. *)
   (match lookup q [ c1; cmp Ltu (var x) (word 10) ] with
-   | Qcache.Hit (m, _) -> check_int "model reused" 6 (m x)
+   | Qcache.Hit m -> check_int "model reused" 6 (m x)
    | Qcache.Miss -> Alcotest.fail "expected model reuse");
   (* x=6 violates x < 3: no reuse. *)
   check_bool "unsatisfying model rejected" true
@@ -630,62 +629,42 @@ let test_qcache_reuse_masks_width () =
      model handed back must be masked to the query variable's width. *)
   let b = fresh_var W8 in
   match lookup q [ cmp Ltu (byte 5) (var b) ] with
-  | Qcache.Hit (m, _) -> check_int "masked to W8" 255 (m b)
+  | Qcache.Hit m -> check_int "masked to W8" 255 (m b)
   | Qcache.Miss -> Alcotest.fail "expected model reuse"
 
-let test_qcache_concurrent () =
+(* Rounds of lookups over fresh variables whose shapes repeat: a model
+   stored for one round answers a later round's twin, an Unsat group is
+   never answered by any stored model, and every miss is exported. *)
+let test_qcache_single_domain () =
   let open Expr in
   let q = Qcache.create () in
   let rounds = 200 in
-  let lookups = Atomic.make 0 and hits = Atomic.make 0
-  and misses = Atomic.make 0 and cross = Atomic.make 0
-  and unsat_hits = Atomic.make 0 in
-  (* Count each outcome from the value the cache returned. *)
+  let hits = ref 0 and misses = ref 0 and unsat_hits = ref 0 in
   let counted c =
-    Atomic.incr lookups;
     let r = Qcache.lookup q c in
-    (match r with
-     | Qcache.Miss -> Atomic.incr misses
-     | Qcache.Hit (_, owner) ->
-         Atomic.incr hits;
-         if owner <> (Domain.self () :> int) then Atomic.incr cross);
+    (match r with Qcache.Miss -> incr misses | Qcache.Hit _ -> incr hits);
     r
   in
-  let work () =
-    for i = 0 to rounds - 1 do
-      (* Every domain mints its own variables, but the shapes repeat, so
-         a model any domain stored answers the others' twins. *)
-      let x = fresh_var W32 in
-      let c = cquery [ cmp Ltu (var x) (word (1 + (i mod 10))) ] in
-      (match counted c with
-       | Qcache.Miss -> Qcache.store q c (fun _ -> 0)
-       | Qcache.Hit _ -> ());
-      (* No model satisfies this one, and Unsat answers are not stored. *)
-      let y = fresh_var W32 in
-      let u =
-        cquery
-          [ cmp Ltu (var y) (word (i mod 7));
-            cmp Ltu (word (7 + (i mod 7))) (var y) ]
-      in
-      if counted u <> Qcache.Miss then Atomic.incr unsat_hits
-    done
-  in
-  let domains = List.init 3 (fun _ -> Domain.spawn work) in
-  work ();
-  List.iter Domain.join domains;
-  check_int "every lookup is a hit or a miss" (Atomic.get lookups)
-    (Atomic.get hits + Atomic.get misses);
-  check_int "4 domains x 2 lookups per round" (4 * 2 * rounds)
-    (Atomic.get lookups);
-  check_bool "shared models produce hits" true (Atomic.get hits > 0);
-  check_int "no model satisfies an unsat group" 0 (Atomic.get unsat_hits);
-  check_bool "cross-domain hits observed" true (Atomic.get cross > 0);
-  check_int "every miss exported" (Atomic.get misses)
-    (List.length (Qcache.export_entries q));
-  (* A model any domain stored answers a later twin. *)
-  let z = fresh_var W32 in
-  check_bool "post-join hit" true
-    (lookup q [ cmp Ltu (var z) (word 3) ] <> Qcache.Miss)
+  for i = 0 to rounds - 1 do
+    let x = fresh_var W32 in
+    let c = cquery [ cmp Ltu (var x) (word (1 + (i mod 10))) ] in
+    (match counted c with
+     | Qcache.Miss -> Qcache.store q c (fun _ -> 0)
+     | Qcache.Hit _ -> ());
+    (* No model satisfies this one, and Unsat answers are not stored. *)
+    let y = fresh_var W32 in
+    let u =
+      cquery
+        [ cmp Ltu (var y) (word (i mod 7));
+          cmp Ltu (word (7 + (i mod 7))) (var y) ]
+    in
+    if counted u <> Qcache.Miss then incr unsat_hits
+  done;
+  check_int "every lookup is a hit or a miss" (2 * rounds) (!hits + !misses);
+  check_bool "twins over fresh variables hit" true (!hits > 0);
+  check_int "no model satisfies an unsat group" 0 !unsat_hits;
+  check_int "every miss exported" !misses
+    (List.length (Qcache.export_entries q))
 
 (* Property over random groups and stored models. A group is up to four
    comparisons over three variables of random widths; each stored model
@@ -742,7 +721,7 @@ let prop_qcache_hits_sound =
       &&
       match lookup q cs with
       | Qcache.Miss -> true
-      | Qcache.Hit (m, _) ->
+      | Qcache.Hit m ->
           List.for_all (fun c -> eval m c = 1) cs
           && Array.for_all (fits m) vs)
 
@@ -1135,7 +1114,7 @@ let test_sharing_deep_chain () =
   let q = Qcache.create () in
   store q [ cmp Eq a (word want) ] env;
   (match lookup q [ cmp Eq b (word want) ] with
-   | Qcache.Hit (m, _) -> check_int "reused model" want (eval m b)
+   | Qcache.Hit m -> check_int "reused model" want (eval m b)
    | Qcache.Miss -> Alcotest.fail "rebuilt copy must reuse the stored model");
   let other = fresh_var W8 in
   check_int "independent groups" 2
@@ -1232,8 +1211,8 @@ let () =
        [ Alcotest.test_case "model reuse" `Quick test_qcache_model_reuse;
          Alcotest.test_case "reuse masks width" `Quick
            test_qcache_reuse_masks_width;
-         Alcotest.test_case "concurrent domains" `Quick
-           test_qcache_concurrent;
+         Alcotest.test_case "single domain" `Quick
+           test_qcache_single_domain;
          qtest prop_qcache_hits_sound;
          qtest prop_accel_agrees_with_baseline;
          qtest prop_accel_models_verified ]);

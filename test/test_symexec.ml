@@ -475,7 +475,7 @@ let prop_symdev_range_matches_scan =
 
 (* With [concrete], a seeded concrete device is mapped into base memory,
    as the stress baseline does. *)
-let engine_for ?(jobs = 1) ?(concrete = false) img =
+let engine_for ?(concrete = false) img =
   let base = Mem.create () in
   let loaded = Image.load img base ~base:Layout.image_base in
   let dev = device () in
@@ -484,12 +484,12 @@ let engine_for ?(jobs = 1) ?(concrete = false) img =
     List.iter (Mem.add_mmio base)
       (Symdev.concrete_mmio symdev (Symdev.Random 7));
   let leaders = (Ddt_staticx.Icfg.build img).Ddt_staticx.Icfg.universe in
-  let eng = Exec.create ~jobs ~leaders loaded base symdev in
+  let eng = Exec.create ~leaders loaded base symdev in
   let ks = Kstate.create ~device:dev () in
   (eng, loaded, ks)
 
-let build_engine ?jobs ?concrete src =
-  engine_for ?jobs ?concrete (Ddt_minicc.Codegen.compile ~name:"unit" src)
+let build_engine ?concrete src =
+  engine_for ?concrete (Ddt_minicc.Codegen.compile ~name:"unit" src)
 
 let run_to_completion eng st ~name ~addr ~args =
   Exec.start_invocation eng st ~name ~addr ~args;
@@ -854,13 +854,13 @@ let fault_src = {|
   }
 |}
 
-(* Run [fault_src] at [jobs] after [arm] installs a raising hook, and
+(* Run [fault_src] after [arm] installs a raising hook, and
    check the boundary's contract: the session completes, and the one
    faulting state yields exactly one [State_fault] incident whose replay
    script names its entry. Returns that incident and the states that
    returned. *)
-let run_with_faulty_hook ~jobs arm =
-  let eng, loaded, ks = build_engine ~jobs fault_src in
+let run_with_faulty_hook arm =
+  let eng, loaded, ks = build_engine fault_src in
   let st = Exec.new_root_state eng ks in
   let x = Exec.fresh_symbolic eng st ~name:"x" ~origin:"test" Expr.W32 in
   arm eng;
@@ -889,12 +889,13 @@ let run_with_faulty_hook ~jobs arm =
 
 (* The third newly covered block raises: the state that covered it is
    quarantined; a block is new only once, so no other state faults. *)
-let test_new_block_fault ~jobs () =
-  let calls = Atomic.make 0 in
+let test_new_block_fault () =
+  let calls = ref 0 in
   let fault, returned =
-    run_with_faulty_hook ~jobs (fun eng ->
+    run_with_faulty_hook (fun eng ->
         Exec.set_on_new_block eng (fun _ _ ->
-            if Atomic.fetch_and_add calls 1 = 2 then failwith "block hook"))
+            incr calls;
+            if !calls = 3 then failwith "block hook"))
   in
   Alcotest.(check string) "message names the exception"
     (Printexc.to_string (Failure "block hook")) fault.Guard.inc_message;
@@ -902,12 +903,15 @@ let test_new_block_fault ~jobs () =
 
 (* The first finished state's hook raises: that state stays finished,
    the hook's fault is one incident, and the others finish normally. *)
-let test_state_done_fault ~jobs () =
-  let first = Atomic.make true in
+let test_state_done_fault () =
+  let first = ref true in
   let fault, returned =
-    run_with_faulty_hook ~jobs (fun eng ->
+    run_with_faulty_hook (fun eng ->
         Exec.set_on_state_done eng (fun _ ->
-            if Atomic.exchange first false then failwith "done hook"))
+            if !first then begin
+              first := false;
+              failwith "done hook"
+            end))
   in
   check_bool "a hook fault is a checker exception" true
     (String.starts_with ~prefix:"checker exception:" fault.Guard.inc_message);
@@ -959,8 +963,7 @@ let test_sched_min_touch () =
   check_int "fifo tie-break (4th)" (nth 3) (sid (Sched.pop q));
   (* Empty queues answer None. *)
   let q = block_queue (Hashtbl.create 1) (Hashtbl.create 1) in
-  check_bool "empty pop" true (Sched.pop q = None);
-  check_bool "empty steal" true (Sched.steal q = None)
+  check_bool "empty pop" true (Sched.pop q = None)
 
 let test_sched_live_priority () =
   let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
@@ -980,30 +983,13 @@ let test_sched_live_priority () =
   check_int "still skipped" (nth 2) (sid (Sched.pop q));
   check_int "third pop" (nth 3) (sid (Sched.pop q));
   check_int "hot block comes last" (nth 0) (sid (Sched.pop q));
-  check_int "drained" 0 (Sched.length q);
-  (* A steal never takes the current minimum (with >= 2 states):
-     not across blocks of distinct priority ... *)
-  Hashtbl.reset counts;
-  List.iteri (fun i id -> Hashtbl.replace blocks id (10 + i)) ids;
-  List.iteri (fun i _ -> Hashtbl.replace counts (10 + i) i) ids;
-  let q = block_queue blocks counts in
-  List.iter (Sched.push q) sts;
-  check_bool "steal avoids the min" true (sid (Sched.steal q) <> nth 0);
-  (* ... nor inside the one block every state waits at. *)
-  List.iter (fun id -> Hashtbl.replace blocks id 10) ids;
-  let q = block_queue blocks counts in
-  List.iter (Sched.push q) sts;
-  check_bool "steal avoids the min (one block)" true
-    (sid (Sched.steal q) <> nth 0);
-  check_int "min still pops first" (nth 0) (sid (Sched.pop q))
+  check_int "drained" 0 (Sched.length q)
 
 (* The bucket scan against a reference queue that recomputes every
    priority at each pick and takes the minimum by (priority, push
    sequence). A pool of states is spread over four blocks; steps push an
-   idle state, pop, steal, drain, or bump a block's count. A steal never
-   takes the reference minimum while two or more states are queued, count
-   bumps or not. Steps are (operation, argument): 0-2 push, 3-4 pop,
-   5 steal, 6 drain, 7-9 bump. *)
+   idle state, pop, drain, or bump a block's count. Steps are (operation,
+   argument): 0-2 push, 3-5 pop, 6 drain, 7-9 bump. *)
 let prop_sched_matches_reference =
   QCheck.Test.make ~count:300
     ~name:"bucket scan matches recompute-every-pick reference"
@@ -1048,21 +1034,12 @@ let prop_sched_matches_reference =
                 incr seq;
                 model := (!seq, s) :: !model
               end
-          | 3 | 4 ->
+          | 3 | 4 | 5 ->
               let want = Option.map snd (ref_min ()) in
               let got = Sched.pop q in
               if id got <> id want then
                 fail "step %d: pop %d, reference %d" step (id got) (id want);
               Option.iter forget got
-          | 5 -> (
-              let min = Option.map snd (ref_min ()) in
-              match Sched.steal q with
-              | None -> if !model <> [] then fail "step %d: steal None" step
-              | Some st ->
-                  if not (queued st) then fail "step %d: stole unqueued" step;
-                  if List.length !model >= 2 && Some st == min then
-                    fail "step %d: steal took the min" step;
-                  forget st)
           | 6 ->
               let want =
                 List.sort (fun a b -> compare (live a) (live b)) !model
@@ -1081,72 +1058,6 @@ let prop_sched_matches_reference =
       match !fails with
       | [] -> true
       | fs -> QCheck.Test.fail_reportf "%s" (String.concat "; " (List.rev fs)))
-
-let test_frontier_steal_and_quiesce () =
-  let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
-  let sts = mk_states eng ks 6 in
-  let f =
-    Frontier.create ~workers:2 ~key:(fun _ -> 0)
-      ~priority:(fun _ -> 0)
-  in
-  List.iter (fun s -> Frontier.push f ~worker:0 s) sts;
-  check_int "size" 6 (Frontier.size f);
-  check_bool "not quiescent with queued work" false (Frontier.quiescent f);
-  (* Worker 1's own queue is empty, so its pick must steal from worker 0. *)
-  (match Frontier.pick f ~worker:1 with
-   | Some _ -> Frontier.task_done f
-   | None -> Alcotest.fail "steal pick");
-  check_bool "steal counted" true (Frontier.steals f >= 1);
-  check_int "size after pick" 5 (Frontier.size f);
-  let rec drain n =
-    match Frontier.pick f ~worker:0 with
-    | Some _ ->
-        Frontier.task_done f;
-        drain (n + 1)
-    | None -> n
-  in
-  check_int "worker 0 drains the rest" 5 (drain 0);
-  check_bool "quiescent when empty and nothing inflight" true
-    (Frontier.quiescent f);
-  (* A queue nobody pops from (its worker died) is drained by stealing:
-     every state queued on worker 1 reaches worker 0, each by a steal. *)
-  let f =
-    Frontier.create ~workers:2 ~key:(fun _ -> 0)
-      ~priority:(fun _ -> 0)
-  in
-  List.iter (fun s -> Frontier.push f ~worker:1 s) sts;
-  let rec take acc =
-    if Frontier.quiescent f then acc
-    else
-      match Frontier.pick f ~worker:0 with
-      | Some s ->
-          Frontier.task_done f;
-          take (s.Symstate.id :: acc)
-      | None -> Alcotest.fail "pick found no work on a non-quiescent frontier"
-  in
-  let got = take [] in
-  check_bool "worker 0 receives every state" true
-    (List.sort compare got
-     = List.sort compare (List.map (fun s -> s.Symstate.id) sts));
-  check_int "one steal per state" (List.length sts) (Frontier.steals f)
-
-(* No push is refused: every fork is queued, and a quantum-expired
-   state pushed back keeps its place in the count. *)
-let test_frontier_push_and_drain () =
-  let eng, _, ks = build_engine "int driver_entry(void) { return 0; }" in
-  let sts = mk_states eng ks 600 in
-  let f = Frontier.create ~workers:1 ~key:(fun _ -> 0) ~priority:(fun _ -> 0) in
-  List.iter (fun s -> Frontier.push f ~worker:0 s) sts;
-  check_int "every push is queued" 600 (Frontier.size f);
-  (match Frontier.pick f ~worker:0 with
-   | Some s ->
-       Frontier.push f ~worker:0 s;
-       Frontier.task_done f
-   | None -> Alcotest.fail "pick");
-  check_int "a pushed-back state is queued again" 600 (Frontier.size f);
-  check_int "drain_all returns everything" 600
-    (List.length (Frontier.drain_all f));
-  check_int "drain_all empties" 0 (Frontier.size f)
 
 let () =
   Alcotest.run "ddt_symexec"
@@ -1178,20 +1089,11 @@ let () =
            test_memory_access_accounting ]);
       ("faults",
        [ Alcotest.test_case "new-block hook fault, one job" `Quick
-           (test_new_block_fault ~jobs:1);
-         Alcotest.test_case "new-block hook fault, two jobs" `Quick
-           (test_new_block_fault ~jobs:2);
+           test_new_block_fault;
          Alcotest.test_case "state-done hook fault, one job" `Quick
-           (test_state_done_fault ~jobs:1);
-         Alcotest.test_case "state-done hook fault, two jobs" `Quick
-           (test_state_done_fault ~jobs:2) ]);
+           test_state_done_fault ]);
       ("scheduler",
        [ Alcotest.test_case "min-touch order" `Quick test_sched_min_touch;
          Alcotest.test_case "live priority scan" `Quick
            test_sched_live_priority;
-         qtest prop_sched_matches_reference ]);
-      ("frontier",
-       [ Alcotest.test_case "steal + quiescence" `Quick
-           test_frontier_steal_and_quiesce;
-         Alcotest.test_case "push + drain_all" `Quick
-           test_frontier_push_and_drain ]) ]
+         qtest prop_sched_matches_reference ]) ]
