@@ -9,9 +9,5 @@
       context;
     - allocation sizes must be non-zero. *)
 
-type t
-
-val create : sink:Report.sink -> driver:string -> t
-
 val on_kcall_enter :
-  t -> Ddt_symexec.Symstate.t -> string -> Ddt_kernel.Mach.t -> unit
+  Report.sink -> Ddt_symexec.Symstate.t -> string -> Ddt_kernel.Mach.t -> unit

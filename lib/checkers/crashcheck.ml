@@ -1,13 +1,6 @@
 module Kstate = Ddt_kernel.Kstate
 module St = Ddt_symexec.Symstate
 
-type t = {
-  sink : Report.sink;
-  driver : string;
-}
-
-let create ~sink ~driver = { sink; driver }
-
 let kind_of (st : St.t) (c : St.crash) =
   let interrupt_context =
     Kstate.in_isr st.St.ks || Kstate.in_dpc st.St.ks || st.St.pending <> []
@@ -16,14 +9,13 @@ let kind_of (st : St.t) (c : St.crash) =
   else if c.St.c_code = "DRIVER_FAULT" then Report.Segfault
   else Report.Kernel_crash
 
-let on_state_done t (st : St.t) =
+let on_state_done sink (st : St.t) =
   match st.St.status with
   | Some (St.Crashed c) ->
-      let key =
-        Printf.sprintf "crash:%s:%s:0x%x" t.driver c.St.c_code c.St.c_pc
-      in
-      Report.report t.sink ~key (fun () ->
-          Report.of_state st ~kind:(kind_of st c) ~driver:t.driver ~key
+      let driver = Report.driver sink in
+      let key = Printf.sprintf "crash:%s:%s:0x%x" driver c.St.c_code c.St.c_pc in
+      Report.report sink ~key (fun () ->
+          Report.of_state st ~kind:(kind_of st c) ~driver ~key
             ~pc:c.St.c_pc
             (Printf.sprintf "%s: %s" c.St.c_code c.St.c_msg))
   | _ -> ()

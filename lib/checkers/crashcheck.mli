@@ -6,8 +6,4 @@
     symbolic interrupt) are classified as race conditions, matching how
     the paper attributes its Table 2 findings. *)
 
-type t
-
-val create : sink:Report.sink -> driver:string -> t
-
-val on_state_done : t -> Ddt_symexec.Symstate.t -> unit
+val on_state_done : Report.sink -> Ddt_symexec.Symstate.t -> unit

@@ -1,13 +1,6 @@
 module Kstate = Ddt_kernel.Kstate
 module St = Ddt_symexec.Symstate
 
-type t = {
-  sink : Report.sink;
-  driver : string;
-}
-
-let create ~sink ~driver = { sink; driver }
-
 let describe allocs =
   let by_kind = Hashtbl.create 8 in
   List.iter
@@ -19,10 +12,11 @@ let describe allocs =
   Hashtbl.fold (fun k n acc -> Printf.sprintf "%d %s" n k :: acc) by_kind []
   |> List.sort compare |> String.concat ", "
 
-let report_leak t (st : St.t) allocs ~context =
-  let key = Printf.sprintf "leak:%s:%s" t.driver st.St.entry_name in
-  Report.report t.sink ~key (fun () ->
-      Report.of_state st ~kind:Report.Resource_leak ~driver:t.driver ~key
+let report_leak sink (st : St.t) allocs ~context =
+  let driver = Report.driver sink in
+  let key = Printf.sprintf "leak:%s:%s" driver st.St.entry_name in
+  Report.report sink ~key (fun () ->
+      Report.of_state st ~kind:Report.Resource_leak ~driver ~key
         ~pc:st.St.pc
         (Printf.sprintf "%s: %s not released (%s)" context (describe allocs)
            (String.concat ", "
@@ -33,7 +27,7 @@ let report_leak t (st : St.t) allocs ~context =
                      a.Kstate.a_id)
                  allocs))))
 
-let on_state_done t (st : St.t) =
+let on_state_done sink (st : St.t) =
   match st.St.status with
   | Some (St.Returned ret) -> (
       let ks = st.St.ks in
@@ -41,7 +35,7 @@ let on_state_done t (st : St.t) =
       | "halt" ->
           let leaked = Kstate.live_allocs ks in
           if leaked <> [] then
-            report_leak t st leaked ~context:"resources still held after Halt"
+            report_leak sink st leaked ~context:"resources still held after Halt"
       | "load" -> ()
       | entry when ret <> 0 ->
           (* A failing entry point must undo everything it acquired during
@@ -50,7 +44,7 @@ let on_state_done t (st : St.t) =
             Kstate.live_allocs_of_invocation ks (Kstate.invocation ks)
           in
           if leaked <> [] then
-            report_leak t st leaked
+            report_leak sink st leaked
               ~context:
                 (Printf.sprintf
                    "%s failed (status %d) without releasing already-acquired \

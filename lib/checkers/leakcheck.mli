@@ -8,8 +8,4 @@
     state, inspecting the per-invocation allocation ledger the kernel
     keeps. *)
 
-type t
-
-val create : sink:Report.sink -> driver:string -> t
-
-val on_state_done : t -> Ddt_symexec.Symstate.t -> unit
+val on_state_done : Report.sink -> Ddt_symexec.Symstate.t -> unit

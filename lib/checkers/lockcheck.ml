@@ -2,17 +2,11 @@ module Kstate = Ddt_kernel.Kstate
 module Mach = Ddt_kernel.Mach
 module St = Ddt_symexec.Symstate
 
-type t = {
-  sink : Report.sink;
-  driver : string;
-}
-
-let create ~sink ~driver = { sink; driver }
-
-let bug t (st : St.t) ~key ~msg =
-  let key = Printf.sprintf "lock:%s:%s" t.driver key in
-  Report.report t.sink ~key (fun () ->
-      Report.of_state st ~kind:Report.Lock_misuse ~driver:t.driver ~key
+let bug sink (st : St.t) ~key ~msg =
+  let driver = Report.driver sink in
+  let key = Printf.sprintf "lock:%s:%s" driver key in
+  Report.report sink ~key (fun () ->
+      Report.of_state st ~kind:Report.Lock_misuse ~driver ~key
         ~pc:st.St.pc msg)
 
 let acquire_names = [ "NdisAcquireSpinLock"; "KeAcquireSpinLock" ]
@@ -22,7 +16,7 @@ let release_names = [ "NdisReleaseSpinLock"; "KeReleaseSpinLock" ]
 let release_dpr_names =
   [ "NdisDprReleaseSpinLock"; "KeReleaseSpinLockFromDpcLevel" ]
 
-let on_kcall_enter t (st : St.t) name (m : Mach.t) =
+let on_kcall_enter sink (st : St.t) name (m : Mach.t) =
   let ks = st.St.ks in
   let is_acquire = List.mem name acquire_names in
   let is_acquire_dpr = List.mem name acquire_dpr_names in
@@ -30,19 +24,9 @@ let on_kcall_enter t (st : St.t) name (m : Mach.t) =
   let is_release_dpr = List.mem name release_dpr_names in
   if is_acquire || is_acquire_dpr || is_release || is_release_dpr then begin
     let lock_addr = m.Mach.arg 0 in
-    let lock = Kstate.lock_at ks lock_addr in
     if is_acquire || is_acquire_dpr then begin
-      (match lock with
-       | Some { Kstate.l_held = true; _ } ->
-           bug t st
-             ~key:(Printf.sprintf "deadlock:0x%x" lock_addr)
-             ~msg:
-               (Printf.sprintf
-                  "deadlock: %s on spinlock 0x%x already held on this path"
-                  name lock_addr)
-       | _ -> ());
       if is_acquire_dpr && Kstate.irql ks < Kstate.dispatch_level then
-        bug t st
+        bug sink st
           ~key:(Printf.sprintf "dpracq:0x%x" lock_addr)
           ~msg:
             (Printf.sprintf
@@ -52,10 +36,10 @@ let on_kcall_enter t (st : St.t) name (m : Mach.t) =
     end
     else begin
       (* Releases. *)
-      (match lock with
+      (match Kstate.lock_at ks lock_addr with
        | Some { Kstate.l_held = true; l_dpr; l_seq; _ } ->
            if is_release && Kstate.in_dpc ks then
-             bug t st
+             bug sink st
                ~key:(Printf.sprintf "wrongrel:0x%x" lock_addr)
                ~msg:
                  (Printf.sprintf
@@ -64,7 +48,7 @@ let on_kcall_enter t (st : St.t) name (m : Mach.t) =
                      Dpr variant)"
                     name lock_addr)
            else if is_release_dpr && not l_dpr then
-             bug t st
+             bug sink st
                ~key:(Printf.sprintf "wrongreldpr:0x%x" lock_addr)
                ~msg:
                  (Printf.sprintf
@@ -79,7 +63,7 @@ let on_kcall_enter t (st : St.t) name (m : Mach.t) =
            in
            (match newer with
             | (other, _) :: _ ->
-                bug t st
+                bug sink st
                   ~key:(Printf.sprintf "order:0x%x" lock_addr)
                   ~msg:
                     (Printf.sprintf
@@ -88,23 +72,18 @@ let on_kcall_enter t (st : St.t) name (m : Mach.t) =
                        lock_addr other)
             | [] -> ())
        | _ ->
-           (* Release of a non-held lock also bugchecks in the kernel; the
-              report here gives the friendlier verifier-style message. *)
-           bug t st
-             ~key:(Printf.sprintf "extrarel:0x%x" lock_addr)
-             ~msg:
-               (Printf.sprintf
-                  "%s on spinlock 0x%x which is not held (extra release)" name
-                  lock_addr))
+           (* Releasing a lock that is not held bugchecks in the kernel
+              (SPIN_LOCK_NOT_OWNED), and the crash checker reports it. *)
+           ())
     end
   end
 
-let on_state_done t (st : St.t) =
+let on_state_done sink (st : St.t) =
   match st.St.status with
   | Some (St.Returned _) ->
       let held = Kstate.held_locks st.St.ks in
       if held <> [] then
-        bug t st
+        bug sink st
           ~key:
             (Printf.sprintf "heldexit:%s:%d" st.St.entry_name
                (List.length held))

@@ -6,8 +6,4 @@
     starves polling loops, so a state only reaches its full budget when
     every schedule keeps it spinning. *)
 
-type t
-
-val create : sink:Report.sink -> driver:string -> t
-
-val on_state_done : t -> Ddt_symexec.Symstate.t -> unit
+val on_state_done : Report.sink -> Ddt_symexec.Symstate.t -> unit

@@ -6,21 +6,11 @@ module Kstate = Ddt_kernel.Kstate
 module Exec = Ddt_symexec.Exec
 module St = Ddt_symexec.Symstate
 
-type t = {
-  sink : Report.sink;
-  driver : string;
-  loaded : Image.loaded;
-  symdev : Ddt_hw.Symdev.t;
-}
-
-let create ~sink ~driver ~loaded ~symdev = { sink; driver; loaded; symdev }
-
 type verdict =
   | Ok_access
   | Bad of string   (* description *)
 
-let classify t (st : St.t) ~write ~sp addr =
-  let l = t.loaded in
+let classify ~loaded:(l : Image.loaded) ~symdev (st : St.t) ~write ~sp addr =
   if addr >= l.Image.text_start && addr < l.Image.text_end then
     if write then Bad "write into the driver's code section" else Ok_access
   else if addr >= l.Image.data_start && addr < l.Image.data_end then Ok_access
@@ -32,7 +22,7 @@ let classify t (st : St.t) ~write ~sp addr =
            "access below the stack pointer (0x%x < sp 0x%x); an interrupt \
             handler could overwrite this location"
            addr sp)
-  else if Ddt_hw.Symdev.is_device_addr t.symdev addr then Ok_access
+  else if Ddt_hw.Symdev.is_device_addr symdev addr then Ok_access
   else
     match Kstate.region_containing st.St.ks addr with
     | Some _ -> Ok_access
@@ -45,7 +35,8 @@ let classify t (st : St.t) ~write ~sp addr =
 
 (* Bound the symbolic address; report when it can escape the region that
    contains the concrete witness. *)
-let symbolic_escape t (st : St.t) (ma : Exec.mem_access) =
+let symbolic_escape ~loaded:(l : Image.loaded) ~symdev (st : St.t)
+    (ma : Exec.mem_access) =
   if
     Expr.is_const ma.Exec.ma_addr
     || Expr.is_const (Ddt_solver.Simplify.simplify ma.Exec.ma_addr)
@@ -59,14 +50,13 @@ let symbolic_escape t (st : St.t) (ma : Exec.mem_access) =
            inside the guard, and only the guard-conditioned range stays
            tight enough to avoid a false escape report. *)
         let range = Interval.range_within env ma.Exec.ma_addr in
-        let l = t.loaded in
         let inside lo hi =
           (* Entirely within one permitted region? *)
           (lo >= l.Image.data_start && hi < l.Image.data_end)
           || (lo >= l.Image.text_start && hi < l.Image.text_end)
           || (lo >= ma.Exec.ma_sp && hi < Layout.stack_top)
-          || (Ddt_hw.Symdev.is_device_addr t.symdev lo
-              && Ddt_hw.Symdev.is_device_addr t.symdev hi)
+          || (Ddt_hw.Symdev.is_device_addr symdev lo
+              && Ddt_hw.Symdev.is_device_addr symdev hi)
           || (match Kstate.region_containing st.St.ks lo with
               | Some r -> hi < r.Kstate.r_start + r.Kstate.r_size
               | None -> false)
@@ -79,24 +69,25 @@ let symbolic_escape t (st : St.t) (ma : Exec.mem_access) =
                 granted region (unchecked input used in address arithmetic)"
                range.Interval.lo range.Interval.hi)
 
-let report_bug ?(witness = []) ?constraints t (st : St.t)
+let report_bug ?(witness = []) ?constraints sink (st : St.t)
     (ma : Exec.mem_access) msg =
+  let driver = Report.driver sink in
   let key =
-    Printf.sprintf "mem:%s:0x%x:%s" t.driver ma.Exec.ma_pc
+    Printf.sprintf "mem:%s:0x%x:%s" driver ma.Exec.ma_pc
       (if ma.Exec.ma_write then "w" else "r")
   in
-  Report.report t.sink ~key (fun () ->
+  Report.report sink ~key (fun () ->
       Report.of_state st
         ~replay:(Exec.replay_script ~extra:witness ?constraints st)
         ~kind:
           (if Kstate.in_isr st.St.ks || Kstate.in_dpc st.St.ks then
              Report.Race_condition
            else Report.Memory_error)
-        ~driver:t.driver ~key ~pc:ma.Exec.ma_pc msg)
+        ~driver ~key ~pc:ma.Exec.ma_pc msg)
 
-let on_mem_access t (ma : Exec.mem_access) =
+let on_mem_access sink ~loaded ~symdev (ma : Exec.mem_access) =
   let st = ma.Exec.ma_state in
-  (match symbolic_escape t st ma with
+  (match symbolic_escape ~loaded ~symdev st ma with
    | Some msg ->
        (* The replay evidence must pin inputs that actually drive the
           address out of bounds, not just any feasible value: past the end
@@ -110,14 +101,15 @@ let on_mem_access t (ma : Exec.mem_access) =
        let witness =
          [ Expr.cmp Expr.Ltu (Expr.word escape_bound) ma.Exec.ma_addr ]
        in
-       report_bug ~witness ~constraints:ma.Exec.ma_constraints t st ma msg
+       report_bug ~witness ~constraints:ma.Exec.ma_constraints sink st ma msg
    | None -> ());
   match
-    classify t st ~write:ma.Exec.ma_write ~sp:ma.Exec.ma_sp ma.Exec.ma_conc
+    classify ~loaded ~symdev st ~write:ma.Exec.ma_write ~sp:ma.Exec.ma_sp
+      ma.Exec.ma_conc
   with
   | Ok_access -> ()
   | Bad msg ->
       (* The very low addresses fault in the engine and surface through
          the crash checker; avoid double-reporting them here. *)
       if ma.Exec.ma_conc >= Layout.null_guard then
-        report_bug t st ma msg
+        report_bug sink st ma msg

@@ -17,10 +17,8 @@
     bounds — this is how the unchecked [MaximumMulticastList] registry
     parameter of the RTL8029 driver is caught. *)
 
-type t
-
-val create :
-  sink:Report.sink -> driver:string -> loaded:Ddt_dvm.Image.loaded ->
-  symdev:Ddt_hw.Symdev.t -> t
-
-val on_mem_access : t -> Ddt_symexec.Exec.mem_access -> unit
+val on_mem_access :
+  Report.sink -> loaded:Ddt_dvm.Image.loaded -> symdev:Ddt_hw.Symdev.t ->
+  Ddt_symexec.Exec.mem_access -> unit
+(** [on_mem_access sink ~loaded ~symdev] checks one access against the
+    driver image [loaded] and the device [symdev]. *)

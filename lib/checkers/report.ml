@@ -62,11 +62,13 @@ let of_state ?replay (st : St.t) ~kind ~driver ~key ~pc message =
 type incident = Ddt_symexec.Guard.incident
 
 type sink = {
+  driver : string;
   mutable found : bug list;    (* newest first *)
   seen : (string, unit) Hashtbl.t;  (* keys of [found] *)
 }
 
-let create_sink () = { found = []; seen = Hashtbl.create 16 }
+let create_sink ~driver = { driver; found = []; seen = Hashtbl.create 16 }
+let driver sink = sink.driver
 
 (* The same defect is reached on many paths, and building a bug's
    replay script is a solver call: check the key first and build only a
@@ -81,10 +83,6 @@ let report sink ~key mk =
 
 let bugs sink = List.rev sink.found
 let count sink = List.length sink.found
-
-let clear sink =
-  sink.found <- [];
-  Hashtbl.reset sink.seen
 
 let pp_bug fmt b =
   Format.fprintf fmt "[%s] %s in %s (entry %s, pc 0x%x)%s@.    %s"
@@ -105,11 +103,3 @@ let pp_incident fmt (i : incident) =
     (kind_label i.inc_kind) i.inc_state_id i.inc_entry i.inc_pc i.inc_message
     (List.length i.inc_replay.Ddt_trace.Replay.rs_inputs)
     (List.length i.inc_replay.Ddt_trace.Replay.rs_choices)
-
-let pp_summary fmt sink =
-  Format.fprintf fmt "%-18s %-18s %s@." "Tested Driver" "Bug Type" "Description";
-  List.iter
-    (fun b ->
-      Format.fprintf fmt "%-18s %-18s %s@." b.b_driver
-        (string_of_kind b.b_kind) b.b_message)
-    (bugs sink)

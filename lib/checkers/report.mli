@@ -51,7 +51,11 @@ type incident = Ddt_symexec.Guard.incident
 
 type sink
 
-val create_sink : unit -> sink
+val create_sink : driver:string -> sink
+(** An empty sink for one driver's session; the checkers key and label
+    their findings with {!driver}. *)
+
+val driver : sink -> string
 val report : sink -> key:string -> (unit -> bug) -> unit
 (** [report sink ~key mk] deposits [mk ()] unless a bug with [b_key =
     key] is already in the sink. [mk] runs only for a new key, and at
@@ -63,9 +67,5 @@ val bugs : sink -> bug list
 
 val count : sink -> int
 
-val clear : sink -> unit
-
 val pp_bug : Format.formatter -> bug -> unit
 val pp_incident : Format.formatter -> incident -> unit
-val pp_summary : Format.formatter -> sink -> unit
-(** The Table 2 style listing: driver, bug type, description. *)

@@ -1,10 +1,9 @@
 (** Versioned machine-readable session reports.
 
     The summary record carries only ints and strings (percentages are
-    derived at print time), so emitting and re-parsing a report yields a
-    structurally equal value — the round-trip property the schema test
-    pins. Consumers check {!schema_version}; {!of_string} rejects
-    documents from any other version rather than guessing. *)
+    derived at print time). Consumers parse the documents with any JSON
+    reader and check {!schema_version}, which changes whenever a field
+    does. *)
 
 val schema_version : int
 
@@ -48,10 +47,6 @@ val of_result : Session.result -> summary
 
 val to_string : summary -> string
 (** One-line JSON document. *)
-
-val of_string : string -> summary option
-(** Parse a document emitted by {!to_string}. [None] on malformed input
-    or a schema-version mismatch. *)
 
 val write_file : string -> summary -> (unit, string) result
 (** Serialize with {!to_string} and write atomically (tmp + rename): a

@@ -86,8 +86,7 @@ let run (cfg : Config.t) =
     Exec.create ~leaders:icfg.Icfg.universe loaded base_mem symdev
   in
   Option.iter (Exec.set_replay eng) cfg.Config.replay;
-  let sink = Report.create_sink () in
-  let driver = cfg.Config.driver_name in
+  let sink = Report.create_sink ~driver:cfg.Config.driver_name in
   (* State merging: hand the engine the immediate-post-dominator map so
      it knows, per branch block, where diverging siblings reconverge.
      Never installed for replay runs — a script follows exactly one
@@ -100,15 +99,8 @@ let run (cfg : Config.t) =
           (Ddt_staticx.Pdom.merge_point pd (abs - loaded.Image.base)))
   end;
   (* Wire the checkers. *)
-  let memcheck =
-    Ddt_checkers.Memcheck.create ~sink ~driver ~loaded ~symdev
-  in
-  let leakcheck = Ddt_checkers.Leakcheck.create ~sink ~driver in
-  let lockcheck = Ddt_checkers.Lockcheck.create ~sink ~driver in
-  let apicheck = Ddt_checkers.Apicheck.create ~sink ~driver in
-  let crashcheck = Ddt_checkers.Crashcheck.create ~sink ~driver in
-  let loopcheck = Ddt_checkers.Loopcheck.create ~sink ~driver in
-  Exec.set_on_mem_access eng (Ddt_checkers.Memcheck.on_mem_access memcheck);
+  Exec.set_on_mem_access eng
+    (Ddt_checkers.Memcheck.on_mem_access sink ~loaded ~symdev);
   let finished_count = ref 0 in
   let crashdumps = ref [] in
   let first_bug_paths = ref None in
@@ -122,23 +114,26 @@ let run (cfg : Config.t) =
                 ~note:(Printf.sprintf "%s: %s" c.St.c_code c.St.c_msg))
              :: !crashdumps
        | _ -> ());
-      Ddt_checkers.Leakcheck.on_state_done leakcheck st;
-      Ddt_checkers.Lockcheck.on_state_done lockcheck st;
-      Ddt_checkers.Crashcheck.on_state_done crashcheck st;
-      Ddt_checkers.Loopcheck.on_state_done loopcheck st;
+      Ddt_checkers.Leakcheck.on_state_done sink st;
+      Ddt_checkers.Lockcheck.on_state_done sink st;
+      Ddt_checkers.Crashcheck.on_state_done sink st;
+      Ddt_checkers.Loopcheck.on_state_done sink st;
       if !first_bug_paths = None && Report.count sink > 0 then
         first_bug_paths := Some !finished_count);
+  (* Around each kernel call: the checkers' taps, then the annotations
+     (§3.4; none in the ablation experiment), the implementation, and
+     the annotations' post hooks. *)
+  let annotations =
+    if cfg.Config.use_annotations then cfg.Config.annotations
+    else Ddt_annot.Annot.empty
+  in
   Exec.set_kcall_hooks eng
-    ~enter:(fun st name mach ->
-      Ddt_checkers.Lockcheck.on_kcall_enter lockcheck st name mach;
-      Ddt_checkers.Apicheck.on_kcall_enter apicheck st name mach);
-  (* Annotations (§3.4): off for the ablation experiment. *)
-  if cfg.Config.use_annotations then begin
-    let set = cfg.Config.annotations in
-    Exec.set_annotations eng
-      ~pre:(fun name ks mach -> Ddt_annot.Annot.run_pre set name ks mach)
-      ~post:(fun name ks mach -> Ddt_annot.Annot.run_post set name ks mach)
-  end;
+    ~pre:(fun st name mach ->
+      Ddt_checkers.Lockcheck.on_kcall_enter sink st name mach;
+      Ddt_checkers.Apicheck.on_kcall_enter sink st name mach;
+      Ddt_annot.Annot.run_pre annotations name st.St.ks mach)
+    ~post:(fun st name mach ->
+      Ddt_annot.Annot.run_post annotations name st.St.ks mach);
   (* Coverage sampling. *)
   let coverage = ref [] in
   let blocks_seen = ref 0 in

@@ -7,37 +7,20 @@ type fault =
 
 exception Fault of fault * int
 
-let string_of_fault = function
-  | Null_deref -> "null pointer dereference"
-  | Div_by_zero -> "division by zero"
-  | Bad_opcode -> "invalid opcode"
-  | Stack_overflow -> "stack overflow"
-  | Bad_jump -> "jump outside executable memory"
-
-type hooks = {
-  mutable on_step : int -> unit;
-  mutable on_read : int -> int -> int -> unit;
-  mutable on_write : int -> int -> int -> unit;
-}
-
 type env = {
   mem : Mem.t;
   cpu : Cpu.t;
   mutable kcall : int -> unit;
-  hooks : hooks;
+  mutable on_step : int -> unit;
   mutable steps : int;
   mutable fuel : int;
   mutable image : Image.loaded option;
 }
 
-let no_hooks () =
-  { on_step = (fun _ -> ()); on_read = (fun _ _ _ -> ());
-    on_write = (fun _ _ _ -> ()) }
-
 let create ?(fuel = 50_000_000) ?image mem =
   { mem; cpu = Cpu.create ();
     kcall = (fun n -> failwith (Printf.sprintf "unbound kcall %d" n));
-    hooks = no_hooks (); steps = 0; fuel; image }
+    on_step = (fun _ -> ()); steps = 0; fuel; image }
 
 let mask32 v = v land 0xFFFFFFFF
 
@@ -69,34 +52,16 @@ let cmp op a b =
   in
   if holds then 1 else 0
 
-let check_data_addr _env pc addr =
-  if addr land 0xFFFFFFFF < Layout.null_guard then raise (Fault (Null_deref, pc))
-
-let read_u32 env pc addr =
+(* A data access's 32-bit address; the null guard page faults. *)
+let data_addr pc addr =
   let addr = mask32 addr in
-  check_data_addr env pc addr;
-  let v = Mem.read_u32 env.mem addr in
-  env.hooks.on_read addr 4 v;
-  v
+  if addr < Layout.null_guard then raise (Fault (Null_deref, pc));
+  addr
 
-let read_u8 env pc addr =
-  let addr = mask32 addr in
-  check_data_addr env pc addr;
-  let v = Mem.read_u8 env.mem addr in
-  env.hooks.on_read addr 1 v;
-  v
-
-let write_u32 env pc addr v =
-  let addr = mask32 addr in
-  check_data_addr env pc addr;
-  env.hooks.on_write addr 4 v;
-  Mem.write_u32 env.mem addr v
-
-let write_u8 env pc addr v =
-  let addr = mask32 addr in
-  check_data_addr env pc addr;
-  env.hooks.on_write addr 1 v;
-  Mem.write_u8 env.mem addr v
+let read_u32 env pc addr = Mem.read_u32 env.mem (data_addr pc addr)
+let read_u8 env pc addr = Mem.read_u8 env.mem (data_addr pc addr)
+let write_u32 env pc addr v = Mem.write_u32 env.mem (data_addr pc addr) v
+let write_u8 env pc addr v = Mem.write_u8 env.mem (data_addr pc addr) v
 
 let push env pc v =
   let sp = Cpu.get env.cpu Isa.sp - 4 in
@@ -131,7 +96,7 @@ let fetch env pc =
 let step env =
   let cpu = env.cpu in
   let pc = cpu.Cpu.pc in
-  env.hooks.on_step pc;
+  env.on_step pc;
   env.steps <- env.steps + 1;
   let instr = fetch env pc in
   let next = pc + Isa.instr_size in

@@ -1,9 +1,10 @@
 (** The concrete DVM interpreter.
 
-    Used when driver code must run with fully concrete state: trace
-    replay (§3.5 of the paper) and the stress-testing baseline. The
-    symbolic engine in [ddt_symexec] has its own executor; both share
-    {!Isa} decoding and these fault semantics. *)
+    The concrete reference for the tests and the micro benchmark. Trace
+    replay (§3.5 of the paper) and the stress-testing baseline run on
+    the symbolic engine in [ddt_symexec] instead (the stress baseline
+    with a concrete device); both executors share {!Isa} decoding and
+    these fault semantics. *)
 
 type fault =
   | Null_deref
@@ -15,20 +16,12 @@ type fault =
 exception Fault of fault * int
 (** [(fault, pc)] *)
 
-val string_of_fault : fault -> string
-
-type hooks = {
-  mutable on_step : int -> unit;                       (** pc before exec *)
-  mutable on_read : int -> int -> int -> unit;         (** addr width value *)
-  mutable on_write : int -> int -> int -> unit;        (** addr width value *)
-}
-
 type env = {
   mem : Mem.t;
   cpu : Cpu.t;
   mutable kcall : int -> unit;
   (** Import-table dispatch; reads args from the stack, returns in [r0]. *)
-  hooks : hooks;
+  mutable on_step : int -> unit;                       (** pc before exec *)
   mutable steps : int;                                 (** instructions run *)
   mutable fuel : int;                                  (** remaining budget *)
   mutable image : Image.loaded option;

@@ -87,27 +87,5 @@ let load_bytes t addr b =
 let read_bytes t addr len =
   Bytes.init len (fun i -> Char.chr (read_u8 t (addr + i)))
 
-let read_cstring t addr =
-  let buf = Buffer.create 32 in
-  let rec go i =
-    if i < 4096 then
-      let c = read_u8 t (addr + i) in
-      if c <> 0 then begin
-        Buffer.add_char buf (Char.chr c);
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents buf
-
-let write_cstring t addr s =
-  String.iteri (fun i c -> write_u8 t (addr + i) (Char.code c)) s;
-  write_u8 t (addr + String.length s) 0
-
-let snapshot t =
-  let pages = Hashtbl.create (Hashtbl.length t.pages) in
-  Hashtbl.iter (fun k v -> Hashtbl.add pages k (Bytes.copy v)) t.pages;
-  { pages; mmios = t.mmios }
-
 let iter_pages t f =
   Hashtbl.iter (fun idx p -> f (idx lsl page_bits) p) t.pages

@@ -2,9 +2,8 @@
 
     Backed by 4 KiB pages allocated on demand. MMIO regions divert
     accesses to device callbacks (byte granularity); everything else is
-    plain RAM. This is the memory of the concrete engines (replay, stress
-    baseline); the symbolic engine layers its copy-on-write store on top
-    of a snapshot of this. *)
+    plain RAM. The concrete interpreter ({!Interp}) runs on it directly;
+    the symbolic engine layers its copy-on-write store over it. *)
 
 type t
 
@@ -18,11 +17,6 @@ val write_u32 : t -> int -> int -> unit
 val load_bytes : t -> int -> bytes -> unit
 val read_bytes : t -> int -> int -> bytes
 
-val read_cstring : t -> int -> string
-(** NUL-terminated string at an address (capped at 4096 bytes). *)
-
-val write_cstring : t -> int -> string -> unit
-
 type mmio = {
   mmio_start : int;
   mmio_size : int;
@@ -32,9 +26,6 @@ type mmio = {
 
 val add_mmio : t -> mmio -> unit
 val find_mmio : t -> int -> mmio option
-
-val snapshot : t -> t
-(** Deep copy of RAM; MMIO regions are shared. *)
 
 val iter_pages : t -> (int -> bytes -> unit) -> unit
 (** For crash dumps: iterate (page_base, contents) over allocated pages. *)

@@ -67,9 +67,8 @@ type engine = {
   mutable on_mem_access : mem_access -> unit;
   mutable on_state_done : St.t -> unit;
   mutable on_new_block : St.t -> int -> unit;
-  mutable annot_pre : string -> Kstate.t -> Mach.t -> unit;
-  mutable annot_post : string -> Kstate.t -> Mach.t -> unit;
-  mutable kcall_enter : St.t -> string -> Mach.t -> unit;
+  mutable kcall_pre : St.t -> string -> Mach.t -> unit;
+  mutable kcall_post : St.t -> string -> Mach.t -> unit;
   mutable replay : Replay.script option;
   pool : Merge.t;
   (* merge-token pool: parked arms, per-branch merge history, counters *)
@@ -167,9 +166,8 @@ let create ~leaders img base_mem symdev =
     on_mem_access = (fun _ -> ());
     on_state_done = (fun _ -> ());
     on_new_block = (fun _ _ -> ());
-    annot_pre = (fun _ _ _ -> ());
-    annot_post = (fun _ _ _ -> ());
-    kcall_enter = (fun _ _ _ -> ());
+    kcall_pre = (fun _ _ _ -> ());
+    kcall_post = (fun _ _ _ -> ());
     replay = None;
     pool = Merge.create ();
     merge_points = (fun _ -> None);
@@ -181,11 +179,9 @@ let set_on_mem_access eng f = eng.on_mem_access <- f
 let set_on_state_done eng f = eng.on_state_done <- f
 let set_on_new_block eng f = eng.on_new_block <- f
 
-let set_annotations eng ~pre ~post =
-  eng.annot_pre <- pre;
-  eng.annot_post <- post
-
-let set_kcall_hooks eng ~enter = eng.kcall_enter <- enter
+let set_kcall_hooks eng ~pre ~post =
+  eng.kcall_pre <- pre;
+  eng.kcall_post <- post
 
 let set_replay eng script = eng.replay <- Some script
 let set_merge_points eng f = eng.merge_points <- f
@@ -534,8 +530,9 @@ let kcall_name eng n =
 let dispatch_kcall eng st name =
   let run_call target_st =
     let mach = make_mach eng target_st in
-    eng.kcall_enter target_st name mach;
-    Kapi.call ~pre:eng.annot_pre ~post:eng.annot_post target_st.St.ks mach name
+    eng.kcall_pre target_st name mach;
+    Kapi.call target_st.St.ks mach name;
+    eng.kcall_post target_st name mach
   in
   try
     run_call st;
@@ -778,9 +775,6 @@ let step eng st =
           | Isa.Jz _ -> Expr.cmp Expr.Eq (g rs) (Expr.word 0)
           | _ -> Expr.cmp Expr.Ne (g rs) (Expr.word 0)
         in
-        let was_symbolic =
-          Expr.to_const (Simplify.simplify taken_cond) = None
-        in
         (* Captured before [fork_bool] conses either arm's constraint:
            the physical sync point suffix extraction walks back to when
            the arms are fused at the merge point. *)
@@ -801,8 +795,7 @@ let step eng st =
           (fun (sx, taken) ->
             St.record sx
               (Event.E_branch
-                 { pc; taken; forked = forked && was_symbolic;
-                   cond = taken_cond });
+                 { pc; taken; forked; cond = taken_cond });
             sx.St.pc <- (if taken then target else next);
             if sx != st then add_state eng sx)
           successors;

@@ -63,17 +63,15 @@ val set_on_state_done : engine -> (Symstate.t -> unit) -> unit
 val set_on_new_block : engine -> (Symstate.t -> int -> unit) -> unit
 (** First global execution of a basic block (absolute address). *)
 
-val set_annotations :
-  engine ->
-  pre:(string -> Ddt_kernel.Kstate.t -> Ddt_kernel.Mach.t -> unit) ->
-  post:(string -> Ddt_kernel.Kstate.t -> Ddt_kernel.Mach.t -> unit) ->
-  unit
-
 val set_kcall_hooks :
-  engine -> enter:(Symstate.t -> string -> Ddt_kernel.Mach.t -> unit) -> unit
-(** Checker tap on entry to each kernel call, with the state in hand —
-    this is where guest-OS-level verification tools (the Driver-Verifier
-    analog) observe the driver (§3.1.2). *)
+  engine ->
+  pre:(Symstate.t -> string -> Ddt_kernel.Mach.t -> unit) ->
+  post:(Symstate.t -> string -> Ddt_kernel.Mach.t -> unit) ->
+  unit
+(** Hooks around each kernel call ({!Ddt_kernel.Kapi.call}), with the
+    state in hand. [pre] is where guest-OS-level verification tools (the
+    Driver-Verifier analog) observe the driver (§3.1.2); both are where
+    interface annotations (§3.4) attach. *)
 
 val set_replay : engine -> Ddt_trace.Replay.script -> unit
 (** Replay mode: pin symbolic inputs, fork decisions and interrupt sites

@@ -11,10 +11,8 @@ type t = {
 }
 
 val to_bytes : t -> bytes
-val of_bytes : bytes -> t
-(** Checks each register and page count against the bytes left before
-    allocating for it. @raise Failure on malformed input. *)
-
-val find_u32 : t -> int -> int option
-(** Read a 32-bit word out of the dumped pages. *)
+(** The on-disk format, all integers 32-bit little-endian: the magic
+    ["DDMP"], [d_pc], the register count and registers, the note's
+    length and bytes, then the page count and, per page, its base,
+    length and contents. *)
 

@@ -407,7 +407,7 @@ let test_interrupt_nesting () =
   let isr = Image.export_addr loaded "isr" in
   let main = Image.export_addr loaded "main" in
   let fired = ref false in
-  env.Interp.hooks.Interp.on_step <-
+  env.Interp.on_step <-
     (fun pc ->
       if (not !fired) && pc = main then begin
         fired := true;
@@ -430,20 +430,6 @@ let test_asm_errors () =
   expect_error ".data\nmovi r0, 1";                 (* code in .data *)
   expect_error ".word 5";                           (* data in .text *)
   expect_error "ldw r0, [r1+x]"                     (* bad offset *)
-
-let test_mem_snapshot () =
-  let m = Mem.create () in
-  Mem.write_u32 m 0x1000 0xABCD;
-  let s = Mem.snapshot m in
-  Mem.write_u32 m 0x1000 0x1111;
-  check_int "snapshot isolated" 0xABCD (Mem.read_u32 s 0x1000);
-  check_int "original updated" 0x1111 (Mem.read_u32 m 0x1000)
-
-let test_mem_cstring () =
-  let m = Mem.create () in
-  Mem.write_cstring m 0x2000 "Hello";
-  Alcotest.(check string) "roundtrip" "Hello" (Mem.read_cstring m 0x2000);
-  check_int "terminator" 0 (Mem.read_u8 m 0x2005)
 
 let test_disasm_listing () =
   let img = Asm.assemble ~name:"lst" {|
@@ -525,6 +511,4 @@ let () =
          Alcotest.test_case "basic blocks" `Quick test_basic_blocks ]);
       ("tools",
        [ Alcotest.test_case "assembler diagnostics" `Quick test_asm_errors;
-         Alcotest.test_case "memory snapshot" `Quick test_mem_snapshot;
-         Alcotest.test_case "c strings" `Quick test_mem_cstring;
          Alcotest.test_case "disassembly listing" `Quick test_disasm_listing ]) ]

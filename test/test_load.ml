@@ -1,7 +1,7 @@
 (* Tests for the prebuilt corpus and the image load path: the embedded
    DXE bytes against a fresh compile of the sources, the one-pass
-   [Image.load] against a byte-at-a-time loader, and the DXE and
-   crash-dump decoders on malformed input. *)
+   [Image.load] against a byte-at-a-time loader, and the DXE decoder on
+   malformed input. *)
 
 open Ddt_dvm
 module Dxe = Ddt_drivers.Dxe
@@ -171,10 +171,7 @@ let test_decoder_repros () =
   in
   Alcotest.(check int) "41-byte DXE" 41 (String.length bss);
   check_rejected ~decode:Image.of_bytes
-    ~expected:"Image.of_bytes: sections exceed the image window" bss;
-  let dump = String.concat "" [ "DDMP"; le32 0; le32 0x7FFFFFF0; le32 0 ] in
-  check_rejected ~decode:Ddt_trace.Crashdump.of_bytes
-    ~expected:"Crashdump.of_bytes: count exceeds input" dump
+    ~expected:"Image.of_bytes: sections exceed the image window" bss
 
 (* One field of a valid image set out of range at a time. *)
 let test_decoder_bounds () =
