@@ -23,6 +23,9 @@ test:
 # - traces: `test --traces` on each buggy corpus driver finishes within
 #   20 s with exit 2 and prints one `memory accesses` summary line per
 #   reported bug;
+# - evidence: `evidence D --out DIR` on each buggy corpus driver exits 0
+#   and prints one `execution tree:` line, and `replay D` exits 0 on
+#   every script it wrote;
 # - a warning-clean doc build.
 check: build test
 	@set -e; dir=$$(mktemp -d); cli=./_build/default/bin/ddt_cli.exe; \
@@ -67,6 +70,17 @@ check: build test
 	    || { echo "$$d --traces: want $$bugs memory-access lines"; exit 1; }; \
 	done; \
 	echo "traces smoke: every buggy driver's --traces run exits 2, one summary per bug"; \
+	for d in pro1000 pro100 ac97 audiopci pcnet rtl8029 deeploop; do \
+	  rc=0; $$cli evidence $$d --out $$dir/$$d > $$dir/ev.out || rc=$$?; \
+	  [ $$rc -eq 0 ] || { echo "evidence $$d: exit $$rc, want 0"; exit 1; }; \
+	  [ $$(grep -c '^execution tree: ' $$dir/ev.out) -eq 1 ] \
+	    || { echo "evidence $$d: want one execution-tree line"; exit 1; }; \
+	  for script in $$dir/$$d/*.replay; do \
+	    rc=0; $$cli replay $$d $$script >/dev/null || rc=$$?; \
+	    [ $$rc -eq 0 ] || { echo "replay $$script: exit $$rc, want 0"; exit 1; }; \
+	  done; \
+	done; \
+	echo "evidence smoke: every buggy driver's scripts replay with exit 0"; \
 	rm -rf $$dir
 	dune build @doc
 

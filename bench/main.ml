@@ -1,12 +1,12 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§5), plus engine micro-benchmarks.
+   paper's evaluation (§5).
 
      dune exec bench/main.exe              # everything
      dune exec bench/main.exe -- table2    # one experiment
 
    Experiments: table1 table2 fig2 (= fig3) stress sdv synthetic
-   ablation memory micro. An unknown name is a usage error (exit
-   2) and runs nothing. Absolute numbers differ from the paper (the
+   ablation memory. An unknown name is a usage error (exit 2) and
+   runs nothing. Absolute numbers differ from the paper (the
    substrate is a simulator, not a 2 GHz Xeon running Windows XP); the
    shapes are what each experiment checks. *)
 
@@ -311,130 +311,12 @@ let memory () =
         (max 0 (after - before)))
     Corpus.all
 
-(* --- micro-benchmarks ----------------------------------------------------------- *)
-
-let bechamel_run name fn =
-  let open Bechamel in
-  let test = Test.make ~name (Staged.stage fn) in
-  let raw =
-    let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] test
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  Hashtbl.iter
-    (fun test_name est ->
-      match Analyze.OLS.estimates est with
-      | Some [ ns ] -> Printf.printf "  %-40s %12.1f ns/run\n" test_name ns
-      | _ -> Printf.printf "  %-40s (no estimate)\n" test_name)
-    results
-
-let bench_device () =
-  Ddt_kernel.Pci.assign_resources
-    { Ddt_kernel.Pci.vendor_id = 1; device_id = 2; revision = 0;
-      bar_sizes = [ 0x1000 ]; irq_line = 9 }
-    ~mmio_base:Ddt_dvm.Layout.mmio_base
-
-let micro () =
-  section "Micro-benchmarks (Bechamel): engine building blocks";
-  let img =
-    Ddt_minicc.Codegen.compile ~name:"bench" {|
-      int driver_entry(void) {
-        int acc = 0;
-        int i;
-        for (i = 0; i < 100; i = i + 1) { acc = acc + i * 3; }
-        return acc;
-      }
-    |}
-  in
-  let mem = Ddt_dvm.Mem.create () in
-  let loaded = Ddt_dvm.Image.load img mem ~base:Ddt_dvm.Layout.image_base in
-  let entry = loaded.Ddt_dvm.Image.base + img.Ddt_dvm.Image.entry in
-  bechamel_run "concrete interp: 600-instr function" (fun () ->
-      let env = Ddt_dvm.Interp.create ~image:loaded mem in
-      Ddt_dvm.Cpu.set env.Ddt_dvm.Interp.cpu Ddt_dvm.Isa.sp
-        Ddt_dvm.Layout.stack_top;
-      ignore (Ddt_dvm.Interp.call_function env ~addr:entry ~args:[]));
-  let open Ddt_solver in
-  bechamel_run "solver: registry-param comparison" (fun () ->
-      let v = Expr.fresh_var Expr.W32 in
-      ignore
-        (Solver.check
-           [ Expr.cmp Expr.Les (Expr.word 0) (Expr.var v);
-             Expr.cmp Expr.Ltu (Expr.var v) (Expr.word 8) ]));
-  bechamel_run "solver: bit-blasted multiplication" (fun () ->
-      let v = Expr.fresh_var Expr.W32 in
-      ignore
-        (Solver.check
-           [ Expr.cmp Expr.Eq
-               (Expr.binop Expr.Mul (Expr.var v) (Expr.word 3))
-               (Expr.word 21);
-             Expr.cmp Expr.Ltu (Expr.var v) (Expr.word 256) ]));
-  let base = Ddt_dvm.Mem.create () in
-  let sm = Ddt_symexec.Symmem.create ~base ~symdev:None in
-  for i = 0 to 255 do
-    Ddt_symexec.Symmem.write_u32 sm (0x1000 + (4 * i)) (Expr.word i)
-  done;
-  bechamel_run "symmem: fork + 16 writes + 16 reads" (fun () ->
-      let child = Ddt_symexec.Symmem.fork sm in
-      for i = 0 to 15 do
-        Ddt_symexec.Symmem.write_u32 child (0x2000 + (4 * i)) (Expr.word i)
-      done;
-      for i = 0 to 15 do
-        ignore (Ddt_symexec.Symmem.read_u32 child (0x1000 + (4 * i)))
-      done);
-  (* One word each through the two access paths: 0x1010 lies inside a
-     64-byte page, 0x103E straddles two. *)
-  bechamel_run "symmem: aligned in-page u32 write+read" (fun () ->
-      Ddt_symexec.Symmem.write_u32 sm 0x1010 (Expr.word 0x12345678);
-      ignore (Ddt_symexec.Symmem.read_u32 sm 0x1010));
-  bechamel_run "symmem: page-straddling u32 write+read" (fun () ->
-      Ddt_symexec.Symmem.write_u32 sm 0x103E (Expr.word 0x12345678);
-      ignore (Ddt_symexec.Symmem.read_u32 sm 0x103E));
-  (* A min-touch pick: 256 queued states spread over 8 blocks, one
-     block's count bumped before each pop (the popped state is pushed
-     back, so the queue stays at 256). *)
-  let module Sched = Ddt_symexec.Sched in
-  let ks = Ddt_kernel.Kstate.create ~device:(bench_device ()) () in
-  let counts = Array.make 8 0 in
-  let q =
-    Sched.create ~key:(fun st -> st.Ddt_symexec.Symstate.id land 7)
-      ~priority:(fun b -> counts.(b))
-  in
-  for id = 0 to 255 do
-    Sched.push q (Ddt_symexec.Symstate.create ~id ~mem:sm ~ks)
-  done;
-  let bump = ref 0 in
-  bechamel_run "sched: pop of 256 states over 8 blocks" (fun () ->
-      incr bump;
-      counts.(!bump land 7) <- counts.(!bump land 7) + 1;
-      match Sched.pop q with Some st -> Sched.push q st | None -> ());
-  (* A branch-feasibility question whose group is cached, the
-     common case on the corpus: a fresh branch condition over one of six
-     device-read bytes, each constrained twice on the path. *)
-  let bytes = Array.init 6 (fun _ -> Expr.fresh_var Expr.W8) in
-  let byte i = Expr.zext (Expr.var bytes.(i)) in
-  let path =
-    List.concat
-      (List.init 6 (fun i ->
-           [ Expr.cmp Expr.Ltu (byte i) (Expr.word 200);
-             Expr.cmp Expr.Ne (byte i) (Expr.word i) ]))
-  in
-  let branch () = Expr.cmp Expr.Ltu (byte 2) (Expr.word 100) in
-  ignore (Solver.feasible path (branch ()));
-  bechamel_run "solver: cached branch feasibility" (fun () ->
-      ignore (Solver.feasible path (branch ())))
-
 (* --- main ------------------------------------------------------------------------ *)
 
 let all_experiments =
   [ ("table1", table1); ("table2", table2); ("fig2", figures);
     ("stress", stress); ("sdv", sdv); ("synthetic", synthetic);
-    ("ablation", ablation); ("memory", memory);
-    ("micro", micro) ]
+    ("ablation", ablation); ("memory", memory) ]
 
 let () =
   let requested =

@@ -248,9 +248,10 @@ let evidence_cmd =
                         (Ddt_trace.Crashdump.to_bytes dump));
                   Format.printf "wrote %s@." path)
                 r.Ddt_core.Session.r_crashdumps;
+              let s = r.Ddt_core.Session.r_stats in
               Format.printf "execution tree: %d states, depth %d@."
-                (Ddt_trace.Tree.size r.Ddt_core.Session.r_tree)
-                (Ddt_trace.Tree.depth r.Ddt_core.Session.r_tree);
+                s.Ddt_symexec.Exec.st_states_created
+                s.Ddt_symexec.Exec.st_tree_depth;
               0
             with Sys_error e -> Printf.eprintf "evidence: %s\n" e; 1)
   in

@@ -22,7 +22,6 @@ type result = {
   r_wall_time : float;
   r_invocations : int;
   r_finished_states : int;
-  r_tree : Exec.tree;
   r_crashdumps : (int * Ddt_trace.Crashdump.t) list;
   (** state id -> dump, for crashed states (when enabled) *)
   r_reachable_blocks : int;
@@ -192,7 +191,6 @@ let run (cfg : Config.t) =
     r_wall_time = Unix.gettimeofday () -. t0;
     r_invocations = !invocations;
     r_finished_states = !finished_count;
-    r_tree = Exec.execution_tree eng;
     r_crashdumps = List.rev !crashdumps;
     r_reachable_blocks = List.length icfg.Icfg.universe;
     r_covered_reachable = stats.Exec.st_blocks_covered;

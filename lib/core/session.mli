@@ -16,11 +16,12 @@ type result = {
   r_bugs : Ddt_checkers.Report.bug list;
   r_coverage : coverage_point list;      (** chronological *)
   r_stats : Ddt_symexec.Exec.stats;
+  (** engine counters; the execution tree of all explored paths (§3.5)
+      is summarized by [st_states_created] (its size) and
+      [st_tree_depth] *)
   r_wall_time : float;
   r_invocations : int;
   r_finished_states : int;
-  r_tree : Ddt_symexec.Exec.tree;
-  (** the reconstructed execution tree of all explored paths (§3.5) *)
   r_crashdumps : (int * Ddt_trace.Crashdump.t) list;
   (** crashed-state id -> crash dump (when [collect_crashdumps]) *)
   r_reachable_blocks : int;

@@ -34,40 +34,22 @@ let set_force_unknown f = force_unknown := f
 (* --- statistics ---------------------------------------------------------- *)
 
 type stats = {
-  s_queries : int;
-  s_group_solves : int;
-  s_cache_model_reuse_hits : int;
-  s_cache_misses : int;
-  s_interval_solves : int;
-  s_bitblast_solves : int;
-  s_unknowns : int;
+  mutable s_queries : int;
+  mutable s_group_solves : int;
+  mutable s_cache_model_reuse_hits : int;
+  mutable s_cache_misses : int;
+  mutable s_interval_solves : int;
+  mutable s_bitblast_solves : int;
+  mutable s_unknowns : int;
 }
 
-(* The process-global counters: a snapshot is a copy. *)
-type counters = {
-  mutable c_queries : int;
-  mutable c_group_solves : int;
-  mutable c_model_reuse_hits : int;
-  mutable c_misses : int;
-  mutable c_interval_solves : int;
-  mutable c_bitblast_solves : int;
-  mutable c_unknowns : int;
-}
-
+(* The process-global counters, bumped in place; a snapshot is a copy. *)
 let cnt =
-  { c_queries = 0; c_group_solves = 0; c_model_reuse_hits = 0; c_misses = 0;
-    c_interval_solves = 0; c_bitblast_solves = 0; c_unknowns = 0 }
+  { s_queries = 0; s_group_solves = 0; s_cache_model_reuse_hits = 0;
+    s_cache_misses = 0; s_interval_solves = 0; s_bitblast_solves = 0;
+    s_unknowns = 0 }
 
-let stats () =
-  {
-    s_queries = cnt.c_queries;
-    s_group_solves = cnt.c_group_solves;
-    s_cache_model_reuse_hits = cnt.c_model_reuse_hits;
-    s_cache_misses = cnt.c_misses;
-    s_interval_solves = cnt.c_interval_solves;
-    s_bitblast_solves = cnt.c_bitblast_solves;
-    s_unknowns = cnt.c_unknowns;
-  }
+let stats () = { cnt with s_queries = cnt.s_queries }
 
 let diff_stats (b : stats) (a : stats) =
   {
@@ -101,7 +83,7 @@ let core_solve constraints =
   in
   match Interval.infer constraints with
   | None ->
-      cnt.c_interval_solves <- cnt.c_interval_solves + 1;
+      cnt.s_interval_solves <- cnt.s_interval_solves + 1;
       Unsat
   | Some env_ranges -> (
       (* Cheap verified guesses first. *)
@@ -112,10 +94,10 @@ let core_solve constraints =
       in
       match guess with
       | Some m ->
-          cnt.c_interval_solves <- cnt.c_interval_solves + 1;
+          cnt.s_interval_solves <- cnt.s_interval_solves + 1;
           Sat m
       | None -> (
-          cnt.c_bitblast_solves <- cnt.c_bitblast_solves + 1;
+          cnt.s_bitblast_solves <- cnt.s_bitblast_solves + 1;
           let ctx = Bitblast.create () in
           List.iter (Bitblast.assert_true ctx) constraints;
           match Dpll.solve ~max_conflicts ~deadline (Bitblast.cnf ctx) with
@@ -170,19 +152,19 @@ let solve_miss c q group =
   (match r with
   | Sat m -> Qcache.store c q m
   | Unsat -> ()
-  | Unknown -> cnt.c_unknowns <- cnt.c_unknowns + 1);
+  | Unknown -> cnt.s_unknowns <- cnt.s_unknowns + 1);
   r
 
 let solve_group group =
-  cnt.c_group_solves <- cnt.c_group_solves + 1;
+  cnt.s_group_solves <- cnt.s_group_solves + 1;
   let c = !cache in
   let q = cache_query group in
   match Qcache.lookup c q with
   | Qcache.Hit m ->
-      cnt.c_model_reuse_hits <- cnt.c_model_reuse_hits + 1;
+      cnt.s_cache_model_reuse_hits <- cnt.s_cache_model_reuse_hits + 1;
       Sat m
   | Qcache.Miss ->
-      cnt.c_misses <- cnt.c_misses + 1;
+      cnt.s_cache_misses <- cnt.s_cache_misses + 1;
       solve_miss c q group
 
 (* Each path condition's independence partition, memoized by the
@@ -222,7 +204,7 @@ let partition_of cs =
 let ground_holds p = Expr.eval (fun _ -> 0) p.term = 1
 
 let check constraints =
-  cnt.c_queries <- cnt.c_queries + 1;
+  cnt.s_queries <- cnt.s_queries + 1;
   if
     List.exists
       (fun c ->
@@ -263,7 +245,7 @@ let check constraints =
    order, built from the partition's prepared members. The counters
    move exactly as they would under [check]. *)
 let feasible cs extra =
-  cnt.c_queries <- cnt.c_queries + 1;
+  cnt.s_queries <- cnt.s_queries + 1;
   let x = prepare extra in
   if x.vars = [] then ground_holds x
   else solve_group (x :: Indep.slice (partition_of cs) x.vars) <> Unsat

@@ -116,20 +116,25 @@ val set_force_unknown : (unit -> bool) option -> unit
     [Ddt_symexec.Exec]). *)
 
 type stats = {
-  s_queries : int;                  (** [check] calls *)
-  s_group_solves : int;
+  mutable s_queries : int;          (** [check] calls *)
+  mutable s_group_solves : int;
   (** per-group solves after slicing; a {!feasible} query counts only
       the groups of its slice *)
-  s_cache_model_reuse_hits : int;   (** Sat via a re-checked cached model *)
-  s_cache_misses : int;
-  s_interval_solves : int;          (** groups settled by interval layer *)
-  s_bitblast_solves : int;          (** groups that reached CNF + DPLL *)
-  s_unknowns : int;
+  mutable s_cache_model_reuse_hits : int;
+  (** Sat via a re-checked cached model *)
+  mutable s_cache_misses : int;
+  mutable s_interval_solves : int;  (** groups settled by interval layer *)
+  mutable s_bitblast_solves : int;  (** groups that reached CNF + DPLL *)
+  mutable s_unknowns : int;
   (** uncached group solves left Unknown (conflict budget or deadline
       ran out, or forced by {!set_force_unknown}) *)
 }
+(** The solver keeps one such record of live counters; each field is
+    bumped in place on the query path. *)
 
 val stats : unit -> stats
+(** A snapshot: a copy of the live counters, which later queries leave
+    unchanged. *)
 val diff_stats : stats -> stats -> stats
 (** [diff_stats after before] — field-wise difference. *)
 

@@ -55,11 +55,11 @@ type engine = {
   (* block-execution counts by dense id, the min-touch priorities *)
   injected_sites_global : (int, unit) Hashtbl.t;
   mutable done_states : St.t list;
-  mutable lineage : (int * int * (string * St.status) * int) list;
   queue : Sched.queue;                      (* the states waiting to run *)
   mutable next_id : int;
   mutable total_steps : int;
   mutable states_created : int;
+  mutable tree_depth : int;                 (* deepest state's [St.depth] *)
   mutable max_cow_depth : int;
   mutable peak_live_words : int;
   mutable picks : int;
@@ -154,11 +154,11 @@ let create ~leaders img base_mem symdev =
     counts;
     injected_sites_global = Hashtbl.create 64;
     done_states = [];
-    lineage = [];
     queue = Sched.create ~key ~priority;
     next_id = 0;
     total_steps = 0;
     states_created = 0;
+    tree_depth = 0;
     max_cow_depth = 0;
     peak_live_words = 0;
     picks = 0;
@@ -217,6 +217,7 @@ let new_root_state eng ks =
   let id = next_state_id eng in
   let mem = Symmem.create ~base:eng.base_mem ~symdev:eng.mem_symdev in
   let st = St.create ~id ~mem ~ks in
+  eng.tree_depth <- max eng.tree_depth st.St.depth;
   (match eng.replay with
    | Some script ->
        st.St.replay_inputs <- script.Replay.rs_inputs;
@@ -227,6 +228,7 @@ let new_root_state eng ks =
 
 let fork_state eng st =
   let child = St.fork st ~id:(next_state_id eng) in
+  eng.tree_depth <- max eng.tree_depth child.St.depth;
   install_sym_hook eng child;
   install_sym_hook eng st;
   (* Forking moved the parent to a fresh COW leaf too; re-binding the hook
@@ -283,9 +285,6 @@ let rec retire eng st status ~report =
      pool call is a no-op while merging has never been used. *)
   handle_merge_outcome eng (Merge.note_dead eng.pool st);
   st.St.status <- Some status;
-  eng.lineage <-
-    (st.St.id, st.St.parent_id, (st.St.entry_name, status), st.St.forks)
-    :: eng.lineage;
   if report then eng.done_states <- st :: eng.done_states;
   (* A checker exception is an engine fault, not a driver finding: it
      is quarantined as an incident (with the state's script) instead of
@@ -505,7 +504,6 @@ let maybe_inject eng st ~site ~phase =
     && (not (Kstate.in_isr st.St.ks))
     && Kstate.irql st.St.ks < Kstate.device_level
     && st.St.injections < max_injections
-    && (not (List.mem site st.St.injected_sites))
     && claim_site ()
   then begin
     st.St.injected_sites <- site :: st.St.injected_sites;
@@ -1012,14 +1010,6 @@ let run eng ~max_total_steps =
   let why = loop () in
   drain_retire eng (fun st -> retire eng st (St.Discarded why) ~report:false)
 
-type tree = (string * St.status) Ddt_trace.Tree.t
-
-let execution_tree eng = Ddt_trace.Tree.build eng.lineage
-
-let pp_tree =
-  Ddt_trace.Tree.pp_with (fun fmt (entry, status) ->
-      Format.fprintf fmt "%s: %a" entry St.pp_status status)
-
 (* A crash-dump of a state: concretized registers plus the pages its
    loads and stores touched ([St.touched_pages]), valued under the path
    condition's model (§3.5: "each execution state maintained by DDT is a
@@ -1058,6 +1048,7 @@ let drain_finished eng =
 type stats = {
   st_total_steps : int;
   st_states_created : int;
+  st_tree_depth : int;
   st_blocks_covered : int;
   st_max_cow_depth : int;
   st_live_words : int;
@@ -1090,6 +1081,7 @@ let stats eng =
   {
     st_total_steps = eng.total_steps;
     st_states_created = eng.states_created;
+    st_tree_depth = eng.tree_depth;
     st_blocks_covered = block_coverage eng;
     st_max_cow_depth = eng.max_cow_depth;
     st_live_words = max !live eng.peak_live_words;

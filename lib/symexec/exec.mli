@@ -136,16 +136,6 @@ val run : engine -> max_total_steps:int -> unit
     An exception that escapes outside every state's fault boundary
     propagates. *)
 
-type tree = (string * Symstate.status) Ddt_trace.Tree.t
-(** Each state labelled with its entry point and terminal status. *)
-
-val execution_tree : engine -> tree
-(** The tree of every explored path (§3.5): nodes are states, children are
-    fork successors. *)
-
-val pp_tree : Format.formatter -> tree -> unit
-(** Indented rendering, each state as ["entry: status"]. *)
-
 val crashdump : Symstate.t -> note:string -> Ddt_trace.Crashdump.t
 (** Snapshot a state as a crash dump: its registers and its
     [Symstate.touched_pages], concretized under the path condition's
@@ -172,6 +162,11 @@ val concretize : Symstate.t -> Expr.t -> string -> int
 type stats = {
   st_total_steps : int;
   st_states_created : int;
+  (** states ever created, roots and fork children alike: the size of
+      the execution tree (§3.5) *)
+  st_tree_depth : int;
+  (** the deepest state's {!Symstate.depth}: the execution tree's depth
+      (0 before the first state) *)
   st_blocks_covered : int;
   st_max_cow_depth : int;
   st_live_words : int;

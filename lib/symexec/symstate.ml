@@ -36,7 +36,7 @@ type merge_tag = {
 
 type t = {
   id : int;
-  parent_id : int;
+  depth : int;
   regs : Expr.t array;
   mutable pc : int;
   mutable int_enabled : bool;
@@ -45,7 +45,6 @@ type t = {
   ks : Ddt_kernel.Kstate.t;
   mutable pending : post_action list;
   mutable trace : Ddt_trace.Event.t list;
-  mutable forks : int;
   mutable mem_accesses : int;
   mutable touched_pages : Pages.t;
   mutable choices : (string * string) list;
@@ -64,7 +63,7 @@ type t = {
 let create ~id ~mem ~ks =
   {
     id;
-    parent_id = 0;
+    depth = 1;
     regs = Array.make Ddt_dvm.Isa.num_regs (Expr.word 0);
     pc = 0;
     int_enabled = true;
@@ -73,7 +72,6 @@ let create ~id ~mem ~ks =
     ks;
     pending = [];
     trace = [];
-    forks = 0;
     mem_accesses = 0;
     touched_pages = Pages.empty;
     choices = [];
@@ -93,26 +91,16 @@ let fork t ~id =
   {
     t with
     id;
-    parent_id = t.id;
+    depth = t.depth + 1;
     regs = Array.copy t.regs;
     mem = Symmem.fork t.mem;
     ks = Ddt_kernel.Kstate.copy t.ks;
     status = None;
   }
 
-let record t ev =
-  (match ev with
-   | Ddt_trace.Event.E_branch { forked = true; _ } -> t.forks <- t.forks + 1
-   | _ -> ());
-  t.trace <- ev :: t.trace
+let record t ev = t.trace <- ev :: t.trace
 
 let add_constraint t c = t.constraints <- c :: t.constraints
 let reg_get t r = t.regs.(r)
 let reg_set t r e = t.regs.(r) <- e
 let terminated t = t.status <> None
-
-let pp_status fmt = function
-  | Returned r -> Format.fprintf fmt "returned 0x%x" r
-  | Crashed c -> Format.fprintf fmt "crashed %s at 0x%x: %s" c.c_code c.c_pc c.c_msg
-  | Discarded why -> Format.fprintf fmt "discarded (%s)" why
-  | Exhausted -> Format.fprintf fmt "exhausted"

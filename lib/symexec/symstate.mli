@@ -44,7 +44,9 @@ type merge_tag = {
 
 type t = {
   id : int;
-  parent_id : int;
+  depth : int;
+  (** 1 for a root state, the parent's depth + 1 for a fork child: its
+      depth in the execution tree of fork successors (§3.5) *)
   regs : Expr.t array;
   mutable pc : int;
   mutable int_enabled : bool;
@@ -53,9 +55,6 @@ type t = {
   ks : Ddt_kernel.Kstate.t;
   mutable pending : post_action list;
   mutable trace : Ddt_trace.Event.t list;       (** newest first *)
-  mutable forks : int;
-  (** forked branches ([E_branch] with [forked = true]) in [trace], kept
-      by {!record}; copied to children on fork *)
   mutable mem_accesses : int;
   (** loads and stores the driver executed on this path ([Ldw], [Ldb],
       [Stw], [Stb]; not pushes, pops or kernel accesses); copied to
@@ -88,12 +87,12 @@ type t = {
 
 val create : id:int -> mem:Symmem.t -> ks:Ddt_kernel.Kstate.t -> t
 val fork : t -> id:int -> t
+(** A child one level deeper than its parent, with copies of its
+    registers, memory and kernel state. *)
 
 val record : t -> Ddt_trace.Event.t -> unit
-(** Prepend an event to [trace], counting it in [forks] if it is a
-    forked branch. *)
+(** Prepend an event to [trace]. *)
 val add_constraint : t -> Expr.t -> unit
 val reg_get : t -> int -> Expr.t
 val reg_set : t -> int -> Expr.t -> unit
 val terminated : t -> bool
-val pp_status : Format.formatter -> status -> unit

@@ -386,30 +386,19 @@ let test_write_file_atomic () =
 
 (* --- evidence artifacts ------------------------------------------------------ *)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
 let test_execution_tree () =
   let entry = Ddt_drivers.Corpus.find "rtl8029" in
   let r = Ddt.test_driver (Ddt_drivers.Corpus.config entry) in
-  let tree = r.Session.r_tree in
-  check_bool "tree covers many states" true (Ddt_trace.Tree.size tree > 20);
-  check_bool "tree has depth (fork lineage)" true
-    (Ddt_trace.Tree.depth tree >= 3);
-  (* Labels are formatted only when the tree is printed. *)
-  let rendering = Format.asprintf "%a" Exec.pp_tree tree in
-  check_bool "labels name entry and status" true
-    (contains rendering "+- state 1: load: returned 0x0\n"
-     && contains rendering "|  +- state 2: initialize: returned 0x0\n");
-  (* Every reported bug's state appears in the tree with a path to a root. *)
+  (* The execution tree's size and depth, counted as states are
+     created. *)
+  let s = r.Session.r_stats in
+  check_int "states" 127 s.Exec.st_states_created;
+  check_int "depth" 17 s.Exec.st_tree_depth;
   List.iter
     (fun b ->
-      let path = Ddt_trace.Tree.path_to_root tree b.Report.b_state_id in
-      check_bool "bug state connected to a root" true (List.length path >= 1))
+      check_bool "bug state was created" true
+        (b.Report.b_state_id >= 1
+         && b.Report.b_state_id <= s.Exec.st_states_created))
     r.Session.r_bugs
 
 let test_crashdumps () =

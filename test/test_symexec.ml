@@ -1,5 +1,6 @@
-(* Unit tests for ddt_symexec: copy-on-write memory, forking on symbolic
-   branches, symbolic hardware, concretization, interrupt injection. *)
+(* Unit tests for ddt_symexec: copy-on-write memory, fork depth, forking
+   on symbolic branches, symbolic hardware, concretization, interrupt
+   injection. *)
 
 module Expr = Ddt_solver.Expr
 module Mem = Ddt_dvm.Mem
@@ -416,6 +417,22 @@ let prop_cow_pool_matches_model =
       match !failures with
       | [] -> true
       | fs -> QCheck.Test.fail_reportf "%s" (String.concat ", " (List.rev fs)))
+
+(* --- Symstate -------------------------------------------------------------- *)
+
+(* A fork child is one level deeper than its parent, and the parent,
+   which runs on as the other branch, keeps its depth. *)
+let test_fork_depth () =
+  let mem = Symmem.create ~base:(Mem.create ()) ~symdev:None in
+  let ks = Kstate.create ~device:(device ()) () in
+  let root = Symstate.create ~id:1 ~mem ~ks in
+  let child = Symstate.fork root ~id:2 in
+  let grandchild = Symstate.fork child ~id:3 in
+  let sibling = Symstate.fork root ~id:4 in
+  check_int "root" 1 root.Symstate.depth;
+  check_int "chain of two" 3 grandchild.Symstate.depth;
+  check_int "forking parent keeps its depth" 2 child.Symstate.depth;
+  check_int "root's second child" 2 sibling.Symstate.depth
 
 (* --- Symdev ---------------------------------------------------------------- *)
 
@@ -1070,6 +1087,8 @@ let () =
            test_concrete_device_reads_stable;
          qtest prop_cow_matches_reference;
          qtest prop_cow_pool_matches_model ]);
+      ("symstate",
+       [ Alcotest.test_case "fork depth" `Quick test_fork_depth ]);
       ("symdev", [ qtest prop_symdev_range_matches_scan ]);
       ("executor",
        [ Alcotest.test_case "fork on device branch" `Quick

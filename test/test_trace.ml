@@ -1,9 +1,7 @@
-(* Tests for ddt_trace: events, execution trees, replay scripts, crash
-   dumps. *)
+(* Tests for ddt_trace: events, replay scripts, crash dumps. *)
 
 open Ddt_trace
 
-let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
@@ -29,35 +27,6 @@ let test_event_summary () =
        && (String.sub s i (String.length needle) = needle || go (i + 1))
      in
      go 0)
-
-(* --- execution tree ------------------------------------------------------ *)
-
-let test_tree () =
-  (* 1 forks into 2 and 3; 3 forks into 4. *)
-  let t =
-    Tree.build
-      [ (1, 0, "root", 2); (2, 1, "returned 0", 0); (3, 1, "crashed", 1);
-        (4, 3, "discarded", 0) ]
-  in
-  check_int "size" 4 (Tree.size t);
-  Alcotest.(check (list int)) "roots" [ 1 ] (Tree.roots t);
-  check_int "depth" 3 (Tree.depth t);
-  Alcotest.(check (list int)) "path to root" [ 4; 3; 1 ]
-    (Tree.path_to_root t 4);
-  (match Tree.node t 1 with
-   | Some n -> Alcotest.(check (list int)) "children" [ 2; 3 ] n.Tree.t_children
-   | None -> Alcotest.fail "node 1");
-  let rendering = Format.asprintf "%a" Tree.pp t in
-  check_bool "renders all states" true
-    (List.for_all
-       (fun needle ->
-         let rec go i =
-           i + String.length needle <= String.length rendering
-           && (String.sub rendering i (String.length needle) = needle
-               || go (i + 1))
-         in
-         go 0)
-       [ "state 1"; "state 2"; "state 3"; "state 4" ])
 
 (* --- replay scripts ------------------------------------------------------- *)
 
@@ -124,7 +93,6 @@ let () =
   Alcotest.run "ddt_trace"
     [ ("events",
        [ Alcotest.test_case "summary" `Quick test_event_summary ]);
-      ("tree", [ Alcotest.test_case "build and query" `Quick test_tree ]);
       ("replay",
        [ Alcotest.test_case "roundtrip" `Quick test_replay_roundtrip;
          Alcotest.test_case "malformed" `Quick test_replay_malformed;
